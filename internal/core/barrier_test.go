@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/match"
 )
 
 // TestFrontierPrefixOrder is the partial-barrier property (§III-D1): a
@@ -22,7 +25,7 @@ func TestFrontierPrefixOrder(t *testing.T) {
 			var f frontier
 			for iter := 0; iter < 200; iter++ {
 				n := 1 + rng.Intn(MaxBlockSize)
-				f.reset(condvar, &mu, cond, n, uint32(iter+1))
+				f.reset(condvar, &mu, cond, n, uint32(iter+1), barrierSpinBudget())
 
 				// completed mirrors the frontier: bit i is set just before
 				// complete(i), so a correctly released waiter for level l
@@ -68,8 +71,39 @@ func TestFrontierPrefixOrder(t *testing.T) {
 // waitThrough(-1) no-op used by thread 0.
 func TestFrontierSingleThread(t *testing.T) {
 	var f frontier
-	f.reset(false, nil, nil, 1, 1)
+	f.reset(false, nil, nil, 1, 1, 0)
 	f.waitThrough(-1) // must not block
 	f.complete(0)
 	f.waitThrough(0) // must not block either
+}
+
+// TestBarrierSpinsFollowGOMAXPROCS pins the spin budget to the scheduler
+// width in effect when the matcher is built — not to the machine's CPU
+// count at package init — and runs a full-barrier block at each width: with
+// one P every waiter must yield at once or the block only finishes through
+// preemption.
+func TestBarrierSpinsFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, want int }{{1, 0}, {2, 128}} {
+		runtime.GOMAXPROCS(tc.procs)
+		cfg := DefaultConfig()
+		cfg.SimultaneousArrival = true
+		m := MustNew(cfg)
+		if m.barrierSpins != tc.want {
+			t.Fatalf("GOMAXPROCS=%d: barrierSpins = %d, want %d", tc.procs, m.barrierSpins, tc.want)
+		}
+		n := cfg.BlockSize
+		envs := make([]*match.Envelope, n)
+		for i := range envs {
+			if _, _, err := m.PostRecv(&match.Recv{Source: 1, Tag: match.Tag(i)}); err != nil {
+				t.Fatal(err)
+			}
+			envs[i] = &match.Envelope{Source: 1, Tag: match.Tag(i)}
+		}
+		for i, res := range m.ArriveBlock(envs) {
+			if res.Unexpected {
+				t.Fatalf("GOMAXPROCS=%d: message %d went unexpected", tc.procs, i)
+			}
+		}
+	}
 }

@@ -50,16 +50,18 @@ type Result struct {
 	Path       Path
 }
 
-// barrierSpins bounds how long a barrier waiter busy-polls before yielding
-// to the scheduler. On a single-core host spinning can never observe
-// progress (the completing goroutine needs the core), so the budget drops
-// to zero and waiters yield immediately.
-var barrierSpins = func() int {
-	if runtime.NumCPU() > 1 {
+// barrierSpinBudget bounds how long a barrier waiter busy-polls before
+// yielding to the scheduler. With a single P (GOMAXPROCS=1, or a container
+// CPU quota of one) spinning can never observe progress — the completing
+// goroutine needs the P — so the budget drops to zero and waiters yield
+// immediately. Read when a matcher is constructed, not at package init, so
+// it follows the process's actual scheduler width.
+func barrierSpinBudget() int {
+	if runtime.GOMAXPROCS(0) > 1 {
 		return 128
 	}
 	return 0
-}()
+}
 
 // frontier tracks completion of per-thread milestones in thread order: the
 // completed prefix of threads 0..k-1 is what waiters wait on. Threads
@@ -80,6 +82,7 @@ var barrierSpins = func() int {
 type frontier struct {
 	condvar bool
 	epoch   uint32
+	spins   int // busy-poll budget of the atomic barrier (barrierSpinBudget)
 
 	word atomic.Uint64 // epoch<<32 | completed-thread bitmap
 
@@ -90,9 +93,10 @@ type frontier struct {
 }
 
 // reset prepares the frontier for a new block of n threads in epoch e.
-func (f *frontier) reset(condvar bool, mu *sync.Mutex, cond *sync.Cond, n int, e uint32) {
+func (f *frontier) reset(condvar bool, mu *sync.Mutex, cond *sync.Cond, n int, e uint32, spins int) {
 	f.condvar = condvar
 	f.epoch = e
+	f.spins = spins
 	if !condvar {
 		f.word.Store(uint64(e) << 32)
 		return
@@ -138,7 +142,7 @@ func (f *frontier) waitThrough(i int) {
 				// (defensive: all waiters join before Finish).
 				return
 			}
-			if spins >= barrierSpins {
+			if spins >= f.spins {
 				runtime.Gosched()
 			}
 		}
@@ -261,8 +265,8 @@ func (m *OptimisticMatcher) BeginBlock(n int) *Block {
 	if condvar && b.fcond == nil {
 		b.fcond = sync.NewCond(&b.fmu)
 	}
-	b.booked.reset(condvar, &b.fmu, b.fcond, n, b.epoch)
-	b.done.reset(condvar, &b.fmu, b.fcond, n, b.epoch)
+	b.booked.reset(condvar, &b.fmu, b.fcond, n, b.epoch, m.barrierSpins)
+	b.done.reset(condvar, &b.fmu, b.fcond, n, b.epoch, m.barrierSpins)
 	for i := 0; i < n; i++ {
 		b.cand[i].Store(-1)
 		b.final[i] = nil

@@ -216,6 +216,10 @@ type OptimisticMatcher struct {
 	ring  blockRing
 	hints hintTable
 
+	// barrierSpins is the atomic barrier's busy-poll budget, fixed at
+	// construction from the scheduler width (barrierSpinBudget).
+	barrierSpins int
+
 	// onUnexpected, when set, runs exactly once per unexpected message,
 	// under the store lock, immediately before the message is published to
 	// the unexpected store — i.e. before any concurrent post can take it.
@@ -253,6 +257,8 @@ func New(cfg Config) (*OptimisticMatcher, error) {
 		idxBoth:    newRecvIndex(1),
 		unexpected: newUnexpectedStore(cfg.Bins),
 		obs:        obs.New(obs.Options{}),
+
+		barrierSpins: barrierSpinBudget(),
 	}
 	m.ring.slots = make([]Block, cfg.InFlightBlocks)
 	m.ring.next = 1

@@ -83,6 +83,22 @@ func benchArrivalHotPath(b *testing.B, opts obs.Options) {
 	b.StopTimer()
 }
 
+// BenchmarkRunBlock measures block dispatch alone: 32 no-op activations per
+// block, so ns/op is the cost of waking the pool and joining it (chain-wake:
+// one ticket from RunBlock, one forwarded, the rest of the IDs stolen by the
+// first worker). Must stay at 0 allocs/op.
+func BenchmarkRunBlock(b *testing.B) {
+	acc := MustNew(Config{Threads: DefaultThreads})
+	defer acc.Close()
+	fn := func(int) {}
+	acc.RunBlock(DefaultThreads, fn) // warm the dispatch-record pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.RunBlock(DefaultThreads, fn)
+	}
+}
+
 // BenchmarkInFlightPipeline measures the same steady-state flood as the
 // in-flight window deepens: K runner goroutines keep K matching blocks
 // executing concurrently, with the matcher's retire frontier serializing

@@ -136,7 +136,7 @@ type blockState struct {
 
 // ticket is one worker wake-up for one block: the block's dispatch record
 // plus the generation it was issued for. Tickets pass through the work
-// channel by value, so waking n workers allocates nothing.
+// channel by value, so waking a worker allocates nothing.
 type ticket struct {
 	bs  *blockState
 	gen uint32
@@ -190,13 +190,19 @@ func MustNew(cfg Config) *Accelerator {
 // worker executes handler activations to completion, one at a time — the
 // DPA's run-to-completion discipline. Activations are claimed by stealing
 // thread IDs from the block's counter, so a free worker drains as many
-// consecutive activations as it can without a scheduler round-trip, while
-// an activation that blocks mid-handler leaves the remaining IDs to the
-// other workers woken by the block's tickets.
+// consecutive activations as it can without a scheduler round-trip.
+//
+// Wake-ups are chained: RunBlock issues a single ticket, and a worker that
+// claims an ID while more remain passes one ticket on before it runs its
+// handler. A block whose handlers run to completion therefore costs two
+// wake-ups (the second worker finds the block drained), while a block
+// whose handlers block on each other still gets one worker per activation:
+// every blocked worker has already woken its successor.
 func (a *Accelerator) worker() {
 	defer a.wg.Done()
 	for t := range a.work {
 		bs := t.bs
+		forwarded := false
 		for {
 			v := bs.state.Load()
 			if uint32(v>>32) != t.gen {
@@ -209,6 +215,16 @@ func (a *Accelerator) worker() {
 			}
 			if !bs.state.CompareAndSwap(v, v+1) {
 				continue // lost the claim race; retry on the fresh word
+			}
+			if !forwarded && tid+1 < n {
+				// Never block here: a full channel means at least Threads
+				// wake-ups are already pending, and this worker keeps
+				// draining the block itself (retrying at its next claim).
+				select {
+				case a.work <- t:
+					forwarded = true
+				default:
+				}
 			}
 			bs.fn(tid)
 			a.activations.Add(1)
@@ -224,6 +240,9 @@ func (a *Accelerator) RunBlock(n int, fn func(tid int)) {
 	if n > a.threads {
 		panic(fmt.Sprintf("dpa: RunBlock(%d) exceeds %d threads", n, a.threads))
 	}
+	if n <= 0 {
+		return
+	}
 	bs := bsPool.Get().(*blockState)
 	gen := uint32(bs.state.Load()>>32) + 1
 	bs.fn = fn
@@ -231,12 +250,9 @@ func (a *Accelerator) RunBlock(n int, fn func(tid int)) {
 	// Publishing the new generation ends any straggler from the record's
 	// previous life: its next Load or CAS sees the bumped word and breaks.
 	bs.state.Store(uint64(gen)<<32 | uint64(n)<<16)
-	// One ticket per activation wakes at most n workers; any worker that
-	// arrives after the IDs run out drops its ticket and moves on.
-	t := ticket{bs: bs, gen: gen}
-	for i := 0; i < n; i++ {
-		a.work <- t
-	}
+	// One ticket starts the chain (see worker); the rest are forwarded by
+	// the workers themselves, only as far as the block needs them.
+	a.work <- ticket{bs: bs, gen: gen}
 	bs.wg.Wait()
 	bs.fn = nil
 	bsPool.Put(bs)

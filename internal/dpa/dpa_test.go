@@ -115,6 +115,85 @@ func TestAcceleratorParallelismWithinBlock(t *testing.T) {
 	})
 }
 
+// TestRunBlockChainWakeFullBarrier repeats the full-barrier block at the
+// accelerator's whole width: with chained wake-ups every worker must have
+// passed a ticket on before it parks in its handler, or the block never
+// gathers all Threads activations. Repetition recycles dispatch records.
+func TestRunBlockChainWakeFullBarrier(t *testing.T) {
+	const n = DefaultThreads
+	acc := MustNew(Config{Threads: n})
+	defer acc.Close()
+	for round := 0; round < 200; round++ {
+		var started atomic.Int32
+		release := make(chan struct{})
+		acc.RunBlock(n, func(tid int) {
+			if started.Add(1) == n {
+				close(release)
+			}
+			<-release
+		})
+	}
+	if got := acc.Activations(); got != 200*n {
+		t.Fatalf("activations = %d, want %d", got, 200*n)
+	}
+}
+
+// TestRunBlockChainWakeConcurrentBlocks runs four blocks of eight at once on
+// a 32-thread accelerator — the depth-4 pipeline's shape — with handlers
+// that wait for every lower thread ID of their own block (the partial
+// barrier). The four ticket chains interleave on one work channel and each
+// block must still end up with a worker per activation.
+func TestRunBlockChainWakeConcurrentBlocks(t *testing.T) {
+	const callers, n, rounds = 4, 8, 200
+	acc := MustNew(Config{Threads: callers * n})
+	defer acc.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				var arrived [n]chan struct{}
+				for i := range arrived {
+					arrived[i] = make(chan struct{})
+				}
+				acc.RunBlock(n, func(tid int) {
+					close(arrived[tid])
+					for lower := 0; lower < tid; lower++ {
+						<-arrived[lower]
+					}
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := acc.Activations(); got != callers*n*rounds {
+		t.Fatalf("activations = %d, want %d", got, callers*n*rounds)
+	}
+}
+
+// TestRunBlockNoSurplusTicket pins the narrow ends of chain-wake on a
+// one-thread accelerator, where a ticket nobody needs cannot hide: the only
+// worker is busy inside the handler, so anything sent stays in the channel.
+func TestRunBlockNoSurplusTicket(t *testing.T) {
+	acc := MustNew(Config{Threads: 1})
+	defer acc.Close()
+	ran := false
+	acc.RunBlock(1, func(int) {
+		ran = true
+		if n := len(acc.work); n != 0 {
+			t.Errorf("RunBlock(1) left %d tickets behind its only claim", n)
+		}
+		acc.RunBlock(0, func(int) { t.Error("RunBlock(0) ran a handler") })
+		if n := len(acc.work); n != 0 {
+			t.Errorf("RunBlock(0) sent %d tickets", n)
+		}
+	})
+	if !ran || acc.Activations() != 1 {
+		t.Fatalf("ran=%v activations=%d, want one activation", ran, acc.Activations())
+	}
+}
+
 // TestPipelineEndToEnd drives RDMA completions through the pipeline and
 // checks matches and unexpected handling.
 func TestPipelineEndToEnd(t *testing.T) {

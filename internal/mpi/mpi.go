@@ -195,18 +195,12 @@ type World struct {
 	opts Options
 	n    int // job size (== len(procs) only for in-process worlds)
 
-	// Exactly one of fabric/trans is non-nil: the in-process channel fabric
-	// or the pluggable socket transport of a networked world.
+	// Exactly one of fabric/trans is non-nil: the in-process fabric or the
+	// pluggable socket transport of a networked world.
 	fabric *rdma.Fabric
 	trans  rdma.Transport
 
 	procs []*Proc
-
-	// recvEPs holds the receive side of every in-process QP pair. Each end
-	// of a pair runs its own delivery goroutine and only stops on its own
-	// Close, so teardown must close both: the send ends via proc.sendEP and
-	// these.
-	recvEPs []*rdma.QP
 
 	// envPool recycles matching envelopes across all ranks' arrival paths;
 	// slab recycles every variable-length scratch buffer — eager/frame wire
@@ -247,16 +241,15 @@ func NewWorld(n int, opts Options) (*World, error) {
 	}
 	// Full mesh of QPs, including self-loops for self-sends. The receiving
 	// side of every pair feeds the receiver's shared bounce-buffer pool and
-	// its receive CQ.
+	// its receive CQ; it is passive (sends land in it inline), so only the
+	// send end is kept.
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			src, dst := w.procs[i], w.procs[j]
-			sendEnd, recvEnd := w.fabric.ConnectPair(
-				rdma.QPConfig{Depth: opts.RecvDepth},
-				rdma.QPConfig{RecvCQ: dst.rawCQ, RQ: dst.srq, Depth: opts.RecvDepth},
+			src.sendEP[j], _ = w.fabric.ConnectPair(
+				rdma.QPConfig{},
+				rdma.QPConfig{RecvCQ: dst.rawCQ, RQ: dst.srq},
 			)
-			src.sendEP[j] = sendEnd
-			w.recvEPs = append(w.recvEPs, recvEnd)
 		}
 	}
 	for _, p := range w.procs {
@@ -385,11 +378,6 @@ func (w *World) Close() error {
 			for _, ep := range p.sendEP {
 				ep.Close()
 			}
-		}
-		// The receive side of each in-process pair runs its own delivery
-		// goroutine; close it too or every world leaks n² of them.
-		for _, ep := range w.recvEPs {
-			ep.Close()
 		}
 		// Stop the reliability filters before the engines: each filter
 		// feeds its engine's CQ and must drain before that CQ closes.

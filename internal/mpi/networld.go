@@ -44,8 +44,8 @@ func NewNetWorld(t rdma.Transport, opts Options) (*World, error) {
 	}
 	w.procs = []*Proc{p}
 	// Attach the receive datapath: inbound messages consume the rank's
-	// bounce buffers and complete on its raw CQ, exactly like the QP
-	// delivery engines of an in-process world.
+	// bounce buffers and complete on its raw CQ, exactly like sends
+	// landing inline on an in-process world's QPs.
 	if err := t.Start(p.srq, p.rawCQ); err != nil {
 		return nil, err
 	}

@@ -441,7 +441,7 @@ func (rel *reliability) repair(ctr obs.Counter, src int, seq uint32, code uint64
 
 // flushSacks sends one cumulative ack to every source that had traffic in
 // the last batch. Sacks ride SendControl: exempt from fault injection and
-// dropped rather than blocking when the wire is full — the next arrival
+// dropped rather than blocking when the link is saturated — the next arrival
 // or retransmission re-triggers them.
 func (rel *reliability) flushSacks() {
 	for src, dirty := range rel.sackDirty {

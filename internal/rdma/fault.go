@@ -165,10 +165,17 @@ type injector struct {
 	mu  sync.Mutex
 	rng uint64
 
-	// held is the currently delayed message; it re-enters the wire after
+	// held is the currently delayed message; it is delivered after
 	// heldSpan subsequent sends have overtaken it.
-	held     *wireMsg
+	held     *heldMsg
 	heldSpan int
+}
+
+// heldMsg is a delayed message: a private copy of the payload, since the
+// sender may reuse its buffer long before the message is released.
+type heldMsg struct {
+	data []byte
+	imm  uint32
 }
 
 // splitmix64 is the SplitMix64 PRNG step: a tiny, well-distributed

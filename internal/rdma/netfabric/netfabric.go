@@ -181,7 +181,7 @@ type base struct {
 	nextReq uint64
 
 	// framePool recycles encoded frame staging buffers (send path) and
-	// scratch (UDP receive path), mirroring the fabric's wirePool.
+	// scratch (UDP receive path).
 	framePool sync.Pool
 }
 
@@ -406,8 +406,8 @@ func (b *base) noteStall(peer, bytes int) {
 
 // ---------------------------------------------------------------------------
 // Loopback endpoint: self-sends never touch the socket. A small staging
-// channel plus one delivery goroutine reproduces the QP's asynchronous
-// self-loop semantics (Send returns once the payload is staged).
+// channel plus one delivery goroutine keeps self-sends asynchronous (Send
+// returns once the payload is staged).
 
 type loopEndpoint struct {
 	b        *base

@@ -6,12 +6,6 @@ import (
 	"repro/internal/obs"
 )
 
-// wireMsg is a two-sided message in flight.
-type wireMsg struct {
-	data []byte
-	imm  uint32
-}
-
 // recvWR is a posted receive work request: a buffer waiting for a message.
 type recvWR struct {
 	buf  []byte
@@ -38,15 +32,16 @@ func (rq *RecvQueue) Post(buf []byte, wrID uint64) {
 
 // QP is one endpoint of a connected queue pair. Sends complete locally on
 // the send CQ; inbound messages consume buffers from the receive queue and
-// complete on the receive CQ, in per-QP FIFO order.
+// complete on the receive CQ, in per-QP FIFO order. Delivery is inline: the
+// sending goroutine itself lands the payload in the peer's posted buffer and
+// pushes the receive completion, so a pair owns no goroutine.
 type QP struct {
 	fabric *Fabric
 	sendCQ *CQ
 	recvCQ *CQ
-	rq     *RecvQueue
+	rq     *RecvQueue // nil on an end without a RecvCQ: it can never receive
 
 	peer *QP
-	wire chan wireMsg
 
 	// inj is the QP's deterministic fault stream; nil on a lossless
 	// fabric, in which case Send keeps its blocking semantics.
@@ -59,15 +54,18 @@ type QP struct {
 // QPConfig describes one endpoint of a pair.
 type QPConfig struct {
 	SendCQ *CQ        // completions for outbound sends (may be nil)
-	RecvCQ *CQ        // completions for inbound messages
-	RQ     *RecvQueue // posted receive buffers
-	Depth  int        // wire depth (in-flight messages); default 64
+	RecvCQ *CQ        // completions for inbound messages; nil for a send-only end
+	RQ     *RecvQueue // posted receive buffers (may be shared between QPs)
+	// Depth is the depth of the private receive queue created when RQ is
+	// nil and RecvCQ is not (default 64). It bounds nothing else: a sender's
+	// slack is exactly the number of buffers its peer has posted.
+	Depth int
 }
 
-// ConnectPair creates two connected QPs on the fabric and starts their
-// delivery engines. Under an active fault plan the QPs are assigned
-// consecutive creation indices (2k and 2k+1 for the k-th pair) that key
-// their fault-decision streams and any per-QP rate overrides.
+// ConnectPair creates two connected QPs on the fabric. Under an active
+// fault plan the QPs are assigned consecutive creation indices (2k and 2k+1
+// for the k-th pair) that key their fault-decision streams and any per-QP
+// rate overrides.
 func (f *Fabric) ConnectPair(a, b QPConfig) (*QP, *QP) {
 	qa := newQP(f, a)
 	qb := newQP(f, b)
@@ -78,18 +76,16 @@ func (f *Fabric) ConnectPair(a, b QPConfig) (*QP, *QP) {
 	qa.inj = f.newInjector(ida)
 	qb.inj = f.newInjector(idb)
 	qa.peer, qb.peer = qb, qa
-	go qa.deliver()
-	go qb.deliver()
 	return qa, qb
 }
 
 func newQP(f *Fabric, cfg QPConfig) *QP {
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = 64
-	}
 	rq := cfg.RQ
-	if rq == nil {
+	if rq == nil && cfg.RecvCQ != nil {
+		depth := cfg.Depth
+		if depth <= 0 {
+			depth = 64
+		}
 		rq = NewRecvQueue(depth)
 	}
 	return &QP{
@@ -97,30 +93,29 @@ func newQP(f *Fabric, cfg QPConfig) *QP {
 		sendCQ: cfg.SendCQ,
 		recvCQ: cfg.RecvCQ,
 		rq:     rq,
-		wire:   make(chan wireMsg, depth),
 		done:   make(chan struct{}),
 	}
 }
 
-// Send transmits data with immediate value imm. The payload is copied, so
-// the caller may reuse data immediately; the send completion is posted to
-// the send CQ. Returns ErrClosed after Close.
+// Send transmits data with immediate value imm. The payload is copied into
+// the peer's next posted receive buffer before Send returns, so the caller
+// may reuse data immediately; the send completion is posted to the send CQ.
+// Returns ErrClosed once either end is closed, and ErrNoReceive when the
+// peer end was connected without a RecvCQ.
 //
-// On a lossless fabric Send blocks while the wire is full. Under an
-// active fault plan it never blocks: a full wire surfaces ErrNoReceive
-// (the RNR NAK a reliability layer must retry through), and the QP's
-// injector may additionally drop, duplicate, delay, or stall the message,
-// or fail the send with an injected RNR.
+// On a lossless fabric Send blocks while the peer has no posted receive
+// buffer (receiver-not-ready back-pressure). Under an active fault plan it
+// never blocks: an empty receive queue surfaces ErrNoReceive (the RNR NAK a
+// reliability layer must retry through), and the QP's injector may
+// additionally drop, duplicate, delay, or stall the message, or fail the
+// send with an injected RNR.
 func (q *QP) Send(data []byte, imm uint32, wrID uint64) error {
 	charge(q.fabric.cost.SendWire + q.fabric.cost.data(len(data)))
 	if q.inj != nil {
 		return q.sendFaulty(data, imm, wrID)
 	}
-	msg := wireMsg{data: q.fabric.wireCopy(data), imm: imm}
-	select {
-	case q.peer.wire <- msg:
-	case <-q.peer.done:
-		return ErrClosed
+	if err := q.land(data, imm, true); err != nil {
+		return err
 	}
 	q.completeSend(wrID, len(data), imm)
 	return nil
@@ -154,24 +149,24 @@ func (q *QP) sendFaulty(data []byte, imm uint32, wrID uint64) error {
 		q.completeSend(wrID, len(data), imm)
 		return nil
 	case d.delay && in.held == nil:
-		// Hold the message back; the next DelaySpan sends overtake it.
-		in.held = &wireMsg{data: q.fabric.wireCopy(data), imm: imm}
+		// Hold the message back; the next DelaySpan sends overtake it. The
+		// caller may reuse data meanwhile, so the held message owns a copy.
+		in.held = &heldMsg{data: append([]byte(nil), data...), imm: imm}
 		in.heldSpan = in.rates.DelaySpan
 		in.mu.Unlock()
 		in.note(obs.CtrFaultDelayed, faultCodeDelay)
 		q.completeSend(wrID, len(data), imm)
 		return nil
 	}
-	msg := wireMsg{data: q.fabric.wireCopy(data), imm: imm}
-	if !q.enqueue(msg) {
+	if q.land(data, imm, false) != nil {
 		in.mu.Unlock()
 		in.note(obs.CtrFaultRNR, faultCodeRNR)
-		return ErrNoReceive // wire full: surfaced instead of blocking
+		return ErrNoReceive // no posted receive: surfaced instead of blocking
 	}
 	if d.dup {
-		// A retransmission race delivers the message twice; if the wire
-		// is full the duplicate is simply lost.
-		if q.enqueue(wireMsg{data: q.fabric.wireCopy(data), imm: imm}) {
+		// A retransmission race delivers the message twice; if no second
+		// receive is posted the duplicate is simply lost.
+		if q.land(data, imm, false) == nil {
 			in.note(obs.CtrFaultDuplicated, faultCodeDup)
 		}
 	}
@@ -182,8 +177,8 @@ func (q *QP) sendFaulty(data []byte, imm uint32, wrID uint64) error {
 }
 
 // releaseHeld re-injects the delayed message once enough later sends have
-// overtaken it; if the wire is full at that moment the delayed message is
-// lost (equivalent to a drop, which the reliability layer repairs).
+// overtaken it; if no receive is posted at that moment the delayed message
+// is lost (equivalent to a drop, which the reliability layer repairs).
 // Called with the injector lock held.
 func (q *QP) releaseHeld() {
 	in := q.inj
@@ -194,29 +189,11 @@ func (q *QP) releaseHeld() {
 	if in.heldSpan > 0 {
 		return
 	}
-	msg := *in.held
+	msg := in.held
 	in.held = nil
-	if !q.enqueue(msg) {
+	if q.land(msg.data, msg.imm, false) != nil {
 		in.note(obs.CtrFaultDropped, faultCodeDrop)
 	}
-}
-
-// enqueue attempts a non-blocking wire transfer; it recycles the staged
-// copy and reports false when the wire is full or the peer closed.
-func (q *QP) enqueue(msg wireMsg) bool {
-	select {
-	case q.peer.wire <- msg:
-		return true
-	default:
-	}
-	select {
-	case q.peer.wire <- msg:
-		return true
-	case <-q.peer.done:
-	default:
-	}
-	q.fabric.wireRecycle(msg.data)
-	return false
 }
 
 // completeSend posts the local send completion.
@@ -229,81 +206,82 @@ func (q *QP) completeSend(wrID uint64, n int, imm uint32) {
 // SendControl transmits control-plane traffic exempt from fault injection
 // (reliability acknowledgements repair the data plane, so injecting into
 // them would couple the two PRNG streams and break schedule determinism).
-// It never blocks: a full wire drops the message — control traffic must be
-// idempotent and repairable — and reports ErrNoReceive.
+// It never blocks: with no posted receive the message is dropped — control
+// traffic must be idempotent and repairable — and ErrNoReceive reported.
 func (q *QP) SendControl(data []byte, imm uint32, wrID uint64) error {
 	charge(q.fabric.cost.SendWire + q.fabric.cost.data(len(data)))
-	if !q.enqueue(wireMsg{data: q.fabric.wireCopy(data), imm: imm}) {
+	if q.land(data, imm, false) != nil {
 		return ErrNoReceive
 	}
 	q.completeSend(wrID, len(data), imm)
 	return nil
 }
 
-// PostRecv adds a receive buffer to this endpoint's receive queue.
+// PostRecv adds a receive buffer to this endpoint's receive queue. The
+// endpoint must have been connected with a RecvCQ.
 func (q *QP) PostRecv(buf []byte, wrID uint64) { q.rq.Post(buf, wrID) }
 
-// deliver pairs inbound messages with posted receive buffers in FIFO order
-// and pushes receive completions. A message larger than its receive buffer
+// land delivers one message on the calling goroutine: it takes the peer's
+// next posted receive buffer, copies data into it and pushes the receive
+// completion, which is what keeps per-QP FIFO order for a sending goroutine
+// without any delivery engine in between. With wait set it blocks while no
+// buffer is posted, until one is or either end closes (ErrClosed); without,
+// an empty queue is ErrNoReceive. A message larger than its receive buffer
 // produces an error completion carrying ErrBufferSize — never a silent
 // truncation — with the posted buffer attached for recycling.
-func (q *QP) deliver() {
-	for {
-		var msg wireMsg
+func (q *QP) land(data []byte, imm uint32, wait bool) error {
+	p := q.peer
+	if p.recvCQ == nil {
+		return ErrNoReceive // send-only end: nowhere to complete a receive
+	}
+	var wr recvWR
+	select {
+	case wr = <-p.rq.ch:
+	default:
+		if !wait {
+			return ErrNoReceive
+		}
 		select {
-		case msg = <-q.wire:
+		case wr = <-p.rq.ch:
+		case <-p.done:
+			return ErrClosed
 		case <-q.done:
-			return
+			return ErrClosed
 		}
-		var wr recvWR
+	}
+	if q.closed() || p.closed() {
+		// A closed pair delivers nothing, however the race between Close
+		// and a posted buffer fell out: hand the buffer back (the queue may
+		// be shared with live QPs).
 		select {
-		case wr = <-q.rq.ch:
-		case <-q.done:
-			// The message was already dequeued: recycle its staged copy
-			// so closing the QP does not leak wire-pool entries.
-			q.fabric.wireRecycle(msg.data)
-			return
+		case p.rq.ch <- wr:
+		default:
 		}
-		if len(msg.data) > len(wr.buf) {
-			need := len(msg.data)
-			q.fabric.wireRecycle(msg.data)
-			q.recvCQ.Push(Completion{
-				Op:    OpRecv,
-				WRID:  wr.wrID,
-				Bytes: need,
-				Imm:   msg.imm,
-				Data:  wr.buf[:0],
-				Err:   ErrBufferSize,
-			})
-			continue
-		}
-		n := copy(wr.buf, msg.data)
-		q.fabric.wireRecycle(msg.data)
-		q.recvCQ.Push(Completion{
-			Op:    OpRecv,
-			WRID:  wr.wrID,
-			Bytes: n,
-			Imm:   msg.imm,
-			Data:  wr.buf[:n],
-		})
+		return ErrClosed
+	}
+	c := Completion{Op: OpRecv, WRID: wr.wrID, Bytes: len(data), Imm: imm}
+	if len(data) > len(wr.buf) {
+		c.Data, c.Err = wr.buf[:0], ErrBufferSize
+	} else {
+		c.Data = wr.buf[:copy(wr.buf, data)]
+	}
+	p.recvCQ.Push(c)
+	return nil
+}
+
+func (q *QP) closed() bool {
+	select {
+	case <-q.done:
+		return true
+	default:
+		return false
 	}
 }
 
-// Close shuts down the endpoint's delivery engine and recycles any
-// delayed message still held by the fault injector.
-func (q *QP) Close() {
-	q.closeOnce.Do(func() {
-		close(q.done)
-		if q.inj != nil {
-			q.inj.mu.Lock()
-			if q.inj.held != nil {
-				q.fabric.wireRecycle(q.inj.held.data)
-				q.inj.held = nil
-			}
-			q.inj.mu.Unlock()
-		}
-	})
-}
+// Close shuts the endpoint down: sends from it and toward it fail with
+// ErrClosed, and a Send blocked on back-pressure in either direction
+// returns. A message still held by the fault injector is lost.
+func (q *QP) Close() { q.closeOnce.Do(func() { close(q.done) }) }
 
 // Fabric returns the fabric the QP belongs to.
 func (q *QP) Fabric() *Fabric { return q.fabric }

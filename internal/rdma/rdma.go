@@ -3,11 +3,18 @@
 // registered memory regions addressable by rkey, and one-sided READ/WRITE
 // operations used by the rendezvous protocol (§IV-B).
 //
-// The simulation is in-process: endpoints are wired through buffered
-// channels, which gives the two properties the matching pipeline actually
-// depends on — per-QP ordered delivery and completion notifications — while
-// remaining deterministic and testable. Per-operation latency is pluggable
-// through a Cost model so protocol crossovers can be explored.
+// The simulation is in-process and delivery is inline: QP.Send takes the
+// next buffer from the peer's posted receive queue, copies the payload
+// straight into it and pushes the receive completion, all on the sending
+// goroutine — the NIC → CQ → handler path of §IV-A with no software hop in
+// between (no wire queue, no staging copy, no delivery goroutine). That
+// gives the two properties the matching pipeline actually depends on —
+// per-QP ordered delivery and completion notifications — while remaining
+// deterministic and testable. A sender's slack is exactly the number of
+// buffers its receiver has posted: with none, a lossless Send blocks
+// (receiver-not-ready back-pressure) and a faulty or control send fails
+// with ErrNoReceive. Per-operation latency is pluggable through a Cost
+// model so protocol crossovers can be explored.
 package rdma
 
 import (
@@ -102,29 +109,6 @@ type Fabric struct {
 	// obs is the fabric's observability domain (fault-injection counters
 	// and events). Always non-nil; SetObs swaps in a shared/tracing sink.
 	obs *obs.Sink
-
-	// wirePool recycles the in-flight copies QP.Send stages: a wire buffer
-	// lives only from Send until the peer's delivery engine copies it into
-	// a posted receive buffer, so a small pool serves any traffic volume.
-	wirePool sync.Pool
-}
-
-// wireCopy stages data in a pooled buffer for in-flight transfer.
-func (f *Fabric) wireCopy(data []byte) []byte {
-	var buf []byte
-	if bp, ok := f.wirePool.Get().(*[]byte); ok && cap(*bp) >= len(data) {
-		buf = (*bp)[:len(data)]
-	} else {
-		buf = make([]byte, len(data))
-	}
-	copy(buf, data)
-	return buf
-}
-
-// wireRecycle returns a staged buffer once its contents have been consumed.
-func (f *Fabric) wireRecycle(buf []byte) {
-	b := buf[:0]
-	f.wirePool.Put(&b)
 }
 
 // NewFabric returns an empty fabric with free operations.

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -60,26 +61,94 @@ func TestPerQPOrdering(t *testing.T) {
 	}
 }
 
+// blockedSend starts a.Send on its own goroutine and returns the channel its
+// error arrives on, after checking the send really is held back.
+func blockedSend(t *testing.T, a *QP, wrID uint64) <-chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- a.Send([]byte("x"), 5, wrID) }()
+	select {
+	case err := <-errc:
+		t.Fatalf("send completed with no receive posted (err=%v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return errc
+}
+
 func TestSendBlocksUntilReceivePosted(t *testing.T) {
 	a, b, _, cqB := pair(t)
-	done := make(chan struct{})
-	go func() {
-		a.Send([]byte("x"), 0, 1)
-		close(done)
-	}()
-	// The send itself completes (buffered wire), but no receive completion
-	// may appear until a buffer is posted.
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("send blocked unexpectedly")
-	}
+	errc := blockedSend(t, a, 1)
 	if _, ok := cqB.Poll(0); ok {
 		t.Fatal("completion before receive was posted")
 	}
+	if _, ok := a.sendCQ.Poll(0); ok {
+		t.Fatal("send completion before the message landed")
+	}
 	b.PostRecv(make([]byte, 4), 9)
-	if c, ok := cqB.WaitIndex(0); !ok || c.WRID != 9 {
-		t.Fatal("delivery after post failed")
+	if err := <-errc; err != nil {
+		t.Fatalf("send after post: %v", err)
+	}
+	// Delivery is inline: by the time Send returned, both completions exist.
+	c, ok := cqB.Poll(0)
+	if !ok || c.WRID != 9 || c.Imm != 5 || string(c.Data) != "x" {
+		t.Fatalf("receive completion = %+v ok=%v, want the posted WRID 9", c, ok)
+	}
+	if c, ok := a.sendCQ.Poll(0); !ok || c.Op != OpSend || c.WRID != 1 {
+		t.Fatalf("send completion = %+v ok=%v", c, ok)
+	}
+}
+
+func TestBlockedSendFailsWhenPeerCloses(t *testing.T) {
+	a, b, _, cqB := pair(t)
+	errc := blockedSend(t, a, 1)
+	b.Close()
+	if err := <-errc; err != ErrClosed {
+		t.Fatalf("blocked send after peer close: err = %v, want ErrClosed", err)
+	}
+	// A buffer that turns up after the close is not consumed either: the
+	// send fails and leaves it in the queue.
+	b.PostRecv(make([]byte, 4), 9)
+	if err := a.Send([]byte("x"), 0, 2); err != ErrClosed {
+		t.Fatalf("send toward closed peer: err = %v, want ErrClosed", err)
+	}
+	if n := len(b.rq.ch); n != 1 {
+		t.Fatalf("receive queue holds %d buffers, want the 1 posted", n)
+	}
+	if cqB.Ready() != 0 {
+		t.Fatal("closed peer received a completion")
+	}
+}
+
+func TestSendTowardSendOnlyEnd(t *testing.T) {
+	// mpi.NewWorld's shape: the sending end has no RecvCQ, so it gets no
+	// receive queue and nothing can be sent toward it.
+	f := NewFabric()
+	snd, rcv := f.ConnectPair(QPConfig{}, QPConfig{RecvCQ: NewCQ()})
+	defer snd.Close()
+	defer rcv.Close()
+	if snd.rq != nil {
+		t.Fatal("send-only end allocated a receive queue")
+	}
+	if err := rcv.Send([]byte("x"), 0, 0); err != ErrNoReceive {
+		t.Fatalf("Send toward send-only end: err = %v, want ErrNoReceive", err)
+	}
+	if err := rcv.SendControl([]byte("x"), 0, 0); err != ErrNoReceive {
+		t.Fatalf("SendControl toward send-only end: err = %v, want ErrNoReceive", err)
+	}
+}
+
+func TestConnectPairStartsNoGoroutines(t *testing.T) {
+	f := NewFabric()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 16; i++ {
+		a, b := f.ConnectPair(QPConfig{}, QPConfig{RecvCQ: NewCQ()})
+		b.PostRecv(make([]byte, 4), 0)
+		if err := a.Send([]byte("x"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after connecting 16 pairs", before, after)
 	}
 }
 
@@ -197,6 +266,66 @@ func TestSharedRecvQueueManySenders(t *testing.T) {
 	}
 }
 
+func TestSharedRecvQueueBackpressureKeepsOrder(t *testing.T) {
+	// Same pattern with far fewer buffers than messages: senders spend most
+	// of the run blocked on the shared queue, racing each other for every
+	// buffer the receiver reposts, and per-QP FIFO order must still hold.
+	f := NewFabric()
+	recvCQ := NewCQ()
+	srq := NewRecvQueue(4)
+	const senders, msgs = 4, 64
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		a, b := f.ConnectPair(QPConfig{}, QPConfig{RecvCQ: recvCQ, RQ: srq})
+		defer a.Close()
+		defer b.Close()
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < msgs; i++ {
+				if err := a.Send([]byte{byte(s)}, uint32(s<<16|i), 0); err != nil {
+					t.Errorf("sender %d message %d: %v", s, i, err)
+					return
+				}
+			}
+		}(s)
+	}
+	for i := 0; i < 2; i++ {
+		srq.Post(make([]byte, 8), 0)
+	}
+	next := make([]int, senders)
+	for k := uint64(0); k < senders*msgs; k++ {
+		c, ok := recvCQ.WaitIndex(k)
+		if !ok {
+			t.Fatal("missing completion")
+		}
+		s, i := int(c.Imm>>16), int(c.Imm&0xffff)
+		if i != next[s] || c.Data[0] != byte(s) {
+			t.Fatalf("sender %d: message %d (payload %d) where %d was due", s, i, c.Data[0], next[s])
+		}
+		next[s]++
+		srq.Post(c.Data[:cap(c.Data)], 0)
+	}
+	wg.Wait()
+}
+
+func TestOversizedControlMessageErrorCompletion(t *testing.T) {
+	// The non-blocking path lands messages the same way: too large for the
+	// posted buffer is an error completion carrying the unfilled buffer.
+	a, b, _, cqB := pair(t)
+	b.PostRecv(make([]byte, 4), 11)
+	if err := a.SendControl([]byte("eight by"), 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, ok := cqB.Poll(0)
+	if !ok || c.Err != ErrBufferSize || c.WRID != 11 || c.Bytes != 8 || len(c.Data) != 0 || cap(c.Data) != 4 {
+		t.Fatalf("completion = %+v ok=%v, want ErrBufferSize with the unfilled buffer", c, ok)
+	}
+	if err := a.SendControl([]byte("x"), 0, 0); err != ErrNoReceive {
+		t.Fatalf("control send with no posted receive: err = %v, want ErrNoReceive", err)
+	}
+}
+
 func TestCQStridedWait(t *testing.T) {
 	q := NewCQ()
 	const n = 4
@@ -280,6 +409,19 @@ func TestSendAfterCloseFails(t *testing.T) {
 	}
 	if err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+}
+
+func TestSendOnClosedQPFails(t *testing.T) {
+	// The sender's own Close fails its sends too, posted receive or not.
+	a, b, _, cqB := pair(t)
+	b.PostRecv(make([]byte, 4), 0)
+	a.Close()
+	if err := a.Send([]byte("x"), 0, 0); err != ErrClosed {
+		t.Fatalf("send on closed QP: err = %v, want ErrClosed", err)
+	}
+	if cqB.Ready() != 0 || len(b.rq.ch) != 1 {
+		t.Fatal("send on a closed QP consumed a receive")
 	}
 }
 

@@ -3,7 +3,7 @@ package rdma
 import "repro/internal/obs"
 
 // This file extracts the fabric's service contract into interfaces so a
-// rank can run over something other than the in-process channel fabric —
+// rank can run over something other than the in-process fabric —
 // concretely, the real-socket transports of internal/rdma/netfabric. The
 // split follows what the MPI layer actually consumes:
 //
@@ -38,7 +38,7 @@ var _ Endpoint = (*QP)(nil)
 // Transport is one rank's connection to a message fabric: the factory for
 // per-peer endpoints plus the receive datapath and the registered-memory
 // operations of the rendezvous protocol. A Transport delivers inbound
-// messages exactly like a QP's delivery engine does — each message consumes
+// messages exactly like QP.Send lands them — each message consumes
 // a posted buffer from the RecvQueue and produces an OpRecv Completion on
 // the CQ (oversized messages produce an error completion carrying
 // ErrBufferSize with the unfilled buffer attached).
@@ -85,7 +85,7 @@ type Transport interface {
 // Take removes one posted receive buffer, blocking until a buffer is
 // posted or cancel closes. It is the consuming counterpart of Post for
 // external delivery engines (netfabric transports); the in-process QP
-// delivery engine reads the queue directly.
+// reads the queue directly.
 func (rq *RecvQueue) Take(cancel <-chan struct{}) (buf []byte, wrID uint64, ok bool) {
 	select {
 	case wr := <-rq.ch:
