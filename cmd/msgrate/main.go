@@ -18,7 +18,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/bits"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -27,46 +26,15 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/dpa"
-	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/rdma"
 	"repro/internal/rdma/netfabric"
 )
 
-// runViaDaemon submits one ring job to a matchd instance and waits for
-// its terminal status, printing a result row in the local-run format.
-func runViaDaemon(addr, tenant, engine, transport string, ranks, k, reps, payload, threads, bins, inflight int) error {
-	if transport == "udp" {
-		return fmt.Errorf("-daemon hosts reliable transports only (inproc, tcp, shm, hybrid)")
-	}
-	if ranks == 0 {
-		ranks = 2
-	}
-	c, err := daemon.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	st, err := c.Submit(daemon.JobSpec{
-		Tenant: tenant, Workload: "ring", Engine: engine, Transport: transport,
-		Ranks: ranks, K: k, Reps: reps, PayloadBytes: payload,
-		Threads: threads, Bins: bins, InFlight: inflight,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("submitted %s to %s (tenant %s)\n", st.ID, addr, tenant)
-	st, err = c.Wait(st.ID, 10*time.Minute)
-	if err != nil {
-		return err
-	}
-	if st.State != "done" {
-		return fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
-	}
-	fmt.Printf("%-22s %12.0f msg/s  (%d ranks, %d msgs, matched %d)\n",
-		"ring-"+transport+"-daemon", st.MsgPerSec, st.Ranks, st.Messages, st.Matched)
-	return nil
+// exit reports err and exits: 2 for a usage error (the message names the
+// offending flag), 1 when the flags were fine and the run was not.
+func exit(code int, err error) {
+	fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
+	os.Exit(code)
 }
 
 // writeProfile dumps a named runtime profile (mutex, block) to path.
@@ -84,115 +52,66 @@ func writeProfile(name, path string) {
 
 func main() {
 	var (
-		k             = flag.Int("k", 100, "messages per sequence (paper: 100)")
-		reps          = flag.Int("reps", 500, "sequence repetitions (paper: 500)")
-		payload       = flag.Int("payload", 8, "eager payload bytes")
-		threads       = flag.Int("threads", 32, "DPA threads (paper: 32)")
-		inflight      = flag.Int("inflight", 1, "in-flight matching blocks K, 1..8 (1 = paper's serial stream)")
-		bins          = flag.Int("bins", 2048, "hash-table bins (power of two)")
-		coalesceBytes = flag.Int("coalesce-bytes", 0, "eager-coalescing byte threshold (0 = off)")
-		coalesceMsgs  = flag.Int("coalesce-msgs", 0, "eager-coalescing message-count threshold (0 = off, 1 = off)")
-		modeled       = flag.Bool("modeled", false, "report cost-model rates (core-count independent) instead of wall clock")
-		faults        = flag.String("faults", "", "deterministic fault plan, e.g. seed=1,drop=0.05,dup=0.02,delay=0.01,rnr=0.01")
-		benchJSON     = flag.String("bench-json", "", "write machine-readable results ("+bench.BenchSchema+") to this file")
-		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		mutexprof     = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
-		blockprof     = flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
-		traceOut      = flag.String("trace-out", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
-		statsJSON     = flag.String("stats-json", "", "write observability counter/histogram snapshots as JSON to this file")
-		transport     = flag.String("transport", "inproc", "fabric transport: inproc | tcp | udp | shm | hybrid")
-		ranks         = flag.Int("ranks", 0, "ring-mode world size (0 = classic two-rank Figure 8; requires >= 1 with a non-inproc transport)")
-		simHosts      = flag.Int("sim-hosts", 0, "hybrid only: spread ranks round-robin over N simulated hosts (0 = real hostname)")
-		rank          = flag.Int("rank", -1, "this process's rank (set by the launcher; -1 = launch all ranks)")
-		coord         = flag.String("coord", "", "coordinator address for rank/address exchange (set by the launcher)")
-		engine        = flag.String("engine", "host", "ring-mode matching engine: host | offload | raw")
-		daemonAddr    = flag.String("daemon", "", "submit the ring run to a matchd control address instead of running locally")
-		tenantName    = flag.String("tenant", "msgrate", "tenant name for -daemon submissions")
+		k          = flag.Int("k", 100, "messages per sequence (paper: 100)")
+		reps       = flag.Int("reps", 500, "sequence repetitions (paper: 500)")
+		payload    = flag.Int("payload", 8, "eager payload bytes")
+		threads    = flag.Int("threads", 32, "DPA threads (paper: 32)")
+		modeled    = flag.Bool("modeled", false, "report cost-model rates (core-count independent) instead of wall clock")
+		benchJSON  = flag.String("bench-json", "", "write machine-readable results ("+bench.BenchSchema+") to this file")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		mutexprof  = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
+		blockprof  = flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
+		cf         = daemon.RegisterFlags(flag.CommandLine, 2048, "host", "msgrate")
 	)
+	for name, text := range map[string]string{
+		"inflight": "in-flight matching blocks K, 1..8 (1 = paper's serial stream)",
+		"faults":   "deterministic fault plan, e.g. seed=1,drop=0.05,dup=0.02,delay=0.01,rnr=0.01",
+		"ranks":    "ring-mode world size (0 = classic two-rank Figure 8; requires >= 1 with a non-inproc transport)",
+		"engine":   "ring-mode matching engine: host | offload | raw",
+		"daemon":   "submit the ring run to a matchd control address instead of running locally",
+	} {
+		flag.Lookup(name).Usage = text
+	}
 	flag.Parse()
 
+	spec := cf.Spec("ring")
+	spec.K, spec.Reps, spec.PayloadBytes, spec.Threads = *k, *reps, *payload, *threads
+	if err := cf.Validate(&spec, "k", "reps", "payload", "threads"); err != nil {
+		exit(2, err)
+	}
+	// A zero would silently become the wire format's default.
+	switch {
+	case *k < 1:
+		exit(2, fmt.Errorf("-k %d must be >= 1", *k))
+	case *reps < 1:
+		exit(2, fmt.Errorf("-reps %d must be >= 1", *reps))
+	}
+
 	// Daemon mode: hand the ring workload to a running matchd and wait.
-	if *daemonAddr != "" {
-		if err := runViaDaemon(*daemonAddr, *tenantName, *engine, *transport,
-			*ranks, *k, *reps, *payload, *threads, *bins, *inflight); err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
+	if cf.Daemon != "" {
+		st, err := cf.Submit(spec)
+		if err != nil {
+			exit(1, err)
 		}
+		fmt.Printf("%-22s %12.0f msg/s  (%d ranks, %d msgs, matched %d)\n",
+			"ring-"+st.Transport+"-daemon", st.MsgPerSec, st.Ranks, st.Messages, st.Matched)
 		return
 	}
-
-	engines := map[string]mpi.EngineKind{
-		"host": mpi.EngineHost, "offload": mpi.EngineOffload, "raw": mpi.EngineRaw,
-	}
-	engineKind, engineOK := engines[*engine]
-	validTransport := map[string]bool{"inproc": true, "tcp": true, "udp": true, "shm": true, "hybrid": true}
-	reliableNet := map[string]bool{"tcp": true, "shm": true, "hybrid": true}
 	switch {
-	case !validTransport[*transport]:
-		fmt.Fprintf(os.Stderr, "msgrate: -transport %q, want inproc, tcp, udp, shm, or hybrid\n", *transport)
-		os.Exit(2)
-	case !engineOK:
-		fmt.Fprintf(os.Stderr, "msgrate: -engine %q, want host, offload, or raw\n", *engine)
-		os.Exit(2)
-	case *ranks < 0:
-		fmt.Fprintf(os.Stderr, "msgrate: -ranks %d must be >= 0\n", *ranks)
-		os.Exit(2)
-	case *transport != "inproc" && *ranks < 1:
-		fmt.Fprintf(os.Stderr, "msgrate: -transport %s needs -ranks >= 1\n", *transport)
-		os.Exit(2)
-	case *transport == "inproc" && (*rank != -1 || *coord != ""):
-		fmt.Fprintf(os.Stderr, "msgrate: -rank/-coord are only meaningful with a non-inproc transport\n")
-		os.Exit(2)
-	case *rank < -1 || (*ranks > 0 && *rank >= *ranks):
-		fmt.Fprintf(os.Stderr, "msgrate: -rank %d outside [0,%d)\n", *rank, *ranks)
-		os.Exit(2)
-	case *rank >= 0 && *coord == "":
-		fmt.Fprintf(os.Stderr, "msgrate: -rank requires -coord (both are set by the launcher)\n")
-		os.Exit(2)
-	case *rank < 0 && *coord != "":
-		fmt.Fprintf(os.Stderr, "msgrate: -coord requires -rank\n")
-		os.Exit(2)
-	case reliableNet[*transport] && *faults != "":
-		fmt.Fprintf(os.Stderr, "msgrate: %s models a reliable transport; lossy runs need -transport udp or -transport inproc\n", *transport)
-		os.Exit(2)
-	case *simHosts != 0 && *transport != "hybrid":
-		fmt.Fprintf(os.Stderr, "msgrate: -sim-hosts only applies to -transport hybrid\n")
-		os.Exit(2)
-	case *simHosts < 0:
-		fmt.Fprintf(os.Stderr, "msgrate: -sim-hosts %d must be >= 0\n", *simHosts)
-		os.Exit(2)
-	case *transport != "inproc" && *modeled:
-		fmt.Fprintf(os.Stderr, "msgrate: -modeled rates are core-count independent; they only make sense with -transport inproc\n")
-		os.Exit(2)
+	case cf.Transport != "inproc" && cf.Ranks < 1:
+		exit(2, fmt.Errorf("-transport %s needs -ranks >= 1", cf.Transport))
+	case cf.Transport != "inproc" && *modeled:
+		exit(2, fmt.Errorf("-modeled rates are core-count independent; they only make sense with -transport inproc"))
 	}
-
-	if *inflight < 1 || *inflight > core.MaxInFlightBlocks {
-		fmt.Fprintf(os.Stderr, "msgrate: -inflight %d outside [1,%d]\n", *inflight, core.MaxInFlightBlocks)
-		os.Exit(2)
-	}
-	if *bins < 1 || bits.OnesCount(uint(*bins)) != 1 {
-		fmt.Fprintf(os.Stderr, "msgrate: -bins %d must be a power of two >= 1\n", *bins)
-		os.Exit(2)
-	}
-	if *coalesceBytes < 0 || *coalesceMsgs < 0 {
-		fmt.Fprintf(os.Stderr, "msgrate: coalescing thresholds must be >= 0\n")
-		os.Exit(2)
-	}
-
-	plan, err := rdma.ParseFaultPlan(*faults)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-		os.Exit(1)
-	}
+	loc := cf.Local()
 
 	// Launcher mode: a net transport with no -rank spawns the whole job —
 	// one process per rank plus the coordinator — and waits.
-	if *transport != "inproc" && *rank < 0 {
-		fmt.Printf("launching %d %s rank processes (%d cores)\n", *ranks, *transport, runtime.NumCPU())
-		if err := netfabric.Launch(*ranks); err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
+	if cf.Launcher() {
+		fmt.Printf("launching %d %s rank processes (%d cores)\n", cf.Ranks, cf.Transport, runtime.NumCPU())
+		if err := netfabric.Launch(cf.Ranks); err != nil {
+			exit(1, err)
 		}
 		return
 	}
@@ -200,13 +119,11 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
+			exit(1, err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
+			exit(1, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -236,8 +153,8 @@ func main() {
 	doc := &bench.BenchDoc{
 		Config: bench.BenchConfig{
 			K: *k, Reps: *reps, PayloadBytes: *payload, Threads: *threads,
-			InFlight: *inflight, CoalesceBytes: *coalesceBytes, CoalesceMsgs: *coalesceMsgs,
-			Faults: *faults, Modeled: *modeled,
+			InFlight: cf.InFlight, CoalesceBytes: cf.CoalesceBytes, CoalesceMsgs: cf.CoalesceMsgs,
+			Faults: cf.Faults, Modeled: *modeled,
 		},
 	}
 	writeBench := func() {
@@ -245,8 +162,7 @@ func main() {
 			return
 		}
 		if err := bench.WriteBenchJSON(*benchJSON, doc); err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
+			exit(1, err)
 		}
 		fmt.Printf("wrote bench results to %s\n", *benchJSON)
 	}
@@ -254,59 +170,15 @@ func main() {
 	// Ring mode: -ranks N runs the multi-rank ring workload — in one
 	// process over the in-process fabric, or as this process's rank of an
 	// out-of-process job over sockets.
-	if *ranks > 0 {
-		var obsOpts obs.Options
-		if *traceOut != "" {
-			obsOpts = obsOpts.Tracing()
-		}
-		matcher := bench.PaperMatcherConfig()
-		matcher.Bins = *bins
-		matcher.InFlightBlocks = *inflight
-		opts := mpi.Options{
-			Engine:        engineKind,
-			Matcher:       matcher,
-			DPA:           dpa.Config{Threads: *threads},
-			RecvDepth:     max(2**k, 64),
-			EagerLimit:    1024,
-			CoalesceBytes: *coalesceBytes,
-			CoalesceMsgs:  *coalesceMsgs,
-			Obs:           obsOpts,
-		}
-		var w *mpi.World
-		if *transport == "inproc" {
-			opts.Faults = plan
-			w, err = mpi.NewWorld(*ranks, opts)
-		} else {
-			// Over sockets the fault plan arms the transport's injector;
-			// UDP's unreliability alone already arms the repair sublayer.
-			ncfg := netfabric.Config{
-				Network: *transport, Rank: *rank, Ranks: *ranks,
-				Coord: *coord, Faults: plan, Obs: obsOpts,
-			}
-			if *simHosts > 0 {
-				ncfg.Host = fmt.Sprintf("simhost-%d", *rank%*simHosts)
-			}
-			tr, terr := netfabric.New(ncfg)
-			if terr != nil {
-				fmt.Fprintf(os.Stderr, "msgrate: %v\n", terr)
-				os.Exit(1)
-			}
-			w, err = mpi.NewNetWorld(tr, opts)
-		}
+	if cf.Ranks > 0 {
+		res, err := daemon.Run(spec, loc)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
+			exit(1, err)
 		}
-		label := fmt.Sprintf("ring-%s-%dx-%s", *transport, *ranks, *engine)
-		res, err := bench.RunMsgRateRing(w, bench.RingConfig{
-			Label: label, K: *k, Reps: *reps, PayloadBytes: *payload,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res)
-		if plan.Active() || *transport == "udp" {
+		label := fmt.Sprintf("ring-%s-%dx-%s", cf.Transport, cf.Ranks, cf.Engine)
+		fmt.Printf("%-22s %12.0f msg/s  (%d ranks, %d msgs in %v)\n",
+			label, res.MsgPerSec, res.Ranks, res.Messages, res.Elapsed.Round(time.Millisecond))
+		if loc.Faults.Active() || cf.Transport == "udp" {
 			fmt.Printf("%-22s %12s faults: %v\n", "", "", res.Faults)
 			fmt.Printf("%-22s %12s repair: retransmits=%d dups-dropped=%d out-of-order=%d sacks=%d\n",
 				"", "", res.Reliability.Retransmits, res.Reliability.DupDropped,
@@ -314,14 +186,14 @@ func main() {
 		}
 		// One writer per job: the single in-process run, or rank 0 of the
 		// multi-process job (every process computes the same global rate).
-		if *rank <= 0 {
-			doc.Config.Transport = *transport
-			doc.Config.Ranks = *ranks
-			doc.Config.SimHosts = *simHosts
+		if cf.Rank <= 0 {
+			doc.Config.Transport = cf.Transport
+			doc.Config.Ranks = cf.Ranks
+			doc.Config.SimHosts = cf.SimHosts
 			doc.Config.Cores = runtime.NumCPU()
 			entry := bench.BenchEntry{
-				Label:     res.Label,
-				Engine:    engineKind.String(),
+				Label:     label,
+				Engine:    cf.EngineKind().String(),
 				MsgPerSec: res.MsgPerSec,
 				Messages:  res.Messages,
 				ElapsedNS: res.Elapsed.Nanoseconds(),
@@ -337,20 +209,9 @@ func main() {
 			}
 			doc.Results = append(doc.Results, entry)
 			writeBench()
-			if *traceOut != "" {
-				if err := obs.WriteTraceFile(*traceOut, res.Sinks); err != nil {
-					fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote Chrome trace to %s\n", *traceOut)
-			}
-			if *statsJSON != "" {
-				if err := obs.WriteJSONFile(*statsJSON, res.Sinks); err != nil {
-					fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote observability snapshot to %s\n", *statsJSON)
-			}
+		}
+		if err := cf.WriteObs(res.Sinks); err != nil {
+			exit(1, err)
 		}
 		return
 	}
@@ -358,17 +219,16 @@ func main() {
 	if *modeled {
 		cm := bench.DefaultCostModel()
 		cm.Threads = *threads
-		cm.InFlight = *inflight
+		cm.InFlight = cf.InFlight
 		fmt.Printf("Figure 8 (modeled) — pipeline-bottleneck rates from counted engine work, %d DPA threads, %d in-flight block(s)",
-			*threads, *inflight)
-		if *coalesceBytes > 0 || *coalesceMsgs > 1 {
-			fmt.Printf(", coalescing %dB/%d msgs", *coalesceBytes, *coalesceMsgs)
+			*threads, cf.InFlight)
+		if cf.CoalesceBytes > 0 || cf.CoalesceMsgs > 1 {
+			fmt.Printf(", coalescing %dB/%d msgs", cf.CoalesceBytes, cf.CoalesceMsgs)
 		}
 		fmt.Print("\n\n")
-		rates, err := bench.RunModeledFigure8(cm, *k, min(*reps, 50), *coalesceBytes, *coalesceMsgs)
+		rates, err := bench.RunModeledFigure8(cm, *k, min(*reps, 50), cf.CoalesceBytes, cf.CoalesceMsgs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
+			exit(1, err)
 		}
 		for _, r := range rates {
 			fmt.Println(r)
@@ -381,19 +241,14 @@ func main() {
 	}
 
 	fmt.Printf("Figure 8 — message rate: k=%d, reps=%d, payload=%dB, %d DPA threads, %d in-flight block(s)\n",
-		*k, *reps, *payload, *threads, *inflight)
-	if *coalesceBytes > 0 || *coalesceMsgs > 1 {
-		fmt.Printf("eager coalescing: %d bytes / %d msgs per frame\n", *coalesceBytes, *coalesceMsgs)
+		*k, *reps, *payload, *threads, cf.InFlight)
+	if cf.CoalesceBytes > 0 || cf.CoalesceMsgs > 1 {
+		fmt.Printf("eager coalescing: %d bytes / %d msgs per frame\n", cf.CoalesceBytes, cf.CoalesceMsgs)
 	}
-	if plan.Active() {
-		fmt.Printf("fault plan: %s\n", *faults)
+	if loc.Faults.Active() {
+		fmt.Printf("fault plan: %s\n", cf.Faults)
 	}
 	fmt.Println()
-
-	var obsOpts obs.Options
-	if *traceOut != "" {
-		obsOpts = obsOpts.Tracing()
-	}
 
 	var sinks []obs.Named
 	var ms runtime.MemStats
@@ -402,17 +257,17 @@ func main() {
 		cfg.Reps = *reps
 		cfg.PayloadBytes = *payload
 		cfg.Threads = *threads
-		cfg.InFlight = *inflight
-		if *bins != 2048 {
+		cfg.InFlight = cf.InFlight
+		if cf.Bins != 2048 {
 			if cfg.Matcher == (core.Config{}) {
 				cfg.Matcher = bench.PaperMatcherConfig()
 			}
-			cfg.Matcher.Bins = *bins
+			cfg.Matcher.Bins = cf.Bins
 		}
-		cfg.CoalesceBytes = *coalesceBytes
-		cfg.CoalesceMsgs = *coalesceMsgs
-		cfg.Faults = plan
-		cfg.Obs = obsOpts
+		cfg.CoalesceBytes = cf.CoalesceBytes
+		cfg.CoalesceMsgs = cf.CoalesceMsgs
+		cfg.Faults = loc.Faults
+		cfg.Obs = loc.Obs
 		runtime.ReadMemStats(&ms)
 		allocsBefore := ms.Mallocs
 		res, err := bench.RunMsgRate(cfg)
@@ -430,7 +285,7 @@ func main() {
 			fmt.Printf("%-22s %12s blocks=%d optimistic=%d conflicts=%d fast=%d slow=%d unexpected=%d\n",
 				"", "", st.Blocks, st.Optimistic, st.Conflicts, st.FastPath, st.SlowPath, st.Unexpected)
 		}
-		if plan.Active() {
+		if loc.Faults.Active() {
 			fmt.Printf("%-22s %12s faults: %v\n", "", "", res.Faults)
 			fmt.Printf("%-22s %12s repair: retransmits=%d dups-dropped=%d out-of-order=%d sacks=%d rnr-retries=%d\n",
 				"", "", res.Reliability.Retransmits, res.Reliability.DupDropped,
@@ -448,19 +303,8 @@ func main() {
 		})
 	}
 
-	if *traceOut != "" {
-		if err := obs.WriteTraceFile(*traceOut, sinks); err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote Chrome trace to %s\n", *traceOut)
-	}
-	if *statsJSON != "" {
-		if err := obs.WriteJSONFile(*statsJSON, sinks); err != nil {
-			fmt.Fprintf(os.Stderr, "msgrate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote observability snapshot to %s\n", *statsJSON)
+	if err := cf.WriteObs(sinks); err != nil {
+		exit(1, err)
 	}
 	writeBench()
 }

@@ -21,117 +21,58 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/bits"
 	"os"
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/rdma"
 	"repro/internal/rdma/netfabric"
 	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
+// exit reports err and exits: 2 for a usage error (the message names the
+// offending flag), 1 when the flags were fine and the run was not.
+func exit(code int, err error) {
+	fmt.Fprintf(os.Stderr, "replay: %v\n", err)
+	os.Exit(code)
+}
+
 func main() {
 	var (
-		appName       = flag.String("app", "AMG", "application name (Table II)")
-		dir           = flag.String("dir", "", "DUMPI trace directory (default: synthetic generator)")
-		engine        = flag.String("engine", "offload", "matching engine: offload | host | raw")
-		scale         = flag.Int("scale", 25, "synthetic generation scale percentage")
-		inflight      = flag.Int("inflight", 1, "in-flight matching blocks K, 1..8")
-		bins          = flag.Int("bins", 256, "hash-table bins (power of two)")
-		coalesceBytes = flag.Int("coalesce-bytes", 0, "eager-coalescing byte threshold (0 = off)")
-		coalesceMsgs  = flag.Int("coalesce-msgs", 0, "eager-coalescing message-count threshold (0 = off, 1 = off)")
-		faults        = flag.String("faults", "", "deterministic fault plan, e.g. seed=1,drop=0.05,dup=0.02")
-		traceOut      = flag.String("trace-out", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
-		statsJSON     = flag.String("stats-json", "", "write observability counter/histogram snapshots as JSON to this file")
-		transport     = flag.String("transport", "inproc", "fabric transport: inproc | tcp | udp | shm | hybrid")
-		simHosts      = flag.Int("sim-hosts", 0, "hybrid only: spread ranks round-robin over N simulated hosts (0 = real hostname)")
-		ranks         = flag.Int("ranks", 0, "expected world size (0 = the trace's own rank count; a mismatch is an error)")
-		rank          = flag.Int("rank", -1, "this process's rank (set by the launcher; -1 = launch all ranks)")
-		coord         = flag.String("coord", "", "coordinator address for rank/address exchange (set by the launcher)")
-		daemonAddr    = flag.String("daemon", "", "submit the replay to a matchd control address instead of running locally")
-		tenantName    = flag.String("tenant", "replay", "tenant name for -daemon submissions")
+		appName = flag.String("app", "AMG", "application name (Table II)")
+		dir     = flag.String("dir", "", "DUMPI trace directory (default: synthetic generator)")
+		scale   = flag.Int("scale", 25, "synthetic generation scale percentage")
+		cf      = daemon.RegisterFlags(flag.CommandLine, 256, "offload", "replay")
 	)
+	for name, text := range map[string]string{
+		"ranks":  "expected world size (0 = the trace's own rank count; a mismatch is an error)",
+		"daemon": "submit the replay to a matchd control address instead of running locally",
+	} {
+		flag.Lookup(name).Usage = text
+	}
 	flag.Parse()
+
+	spec := cf.Spec("replay")
+	spec.App, spec.Scale = *appName, *scale
+	if err := cf.Validate(&spec, "app", "scale"); err != nil {
+		exit(2, err)
+	}
 
 	// Daemon mode: hand the replay to a running matchd and wait. The
 	// daemon regenerates the synthetic trace itself, so only generator
-	// inputs travel (-dir traces cannot be submitted).
-	if *daemonAddr != "" {
-		if *dir != "" {
-			fatal(fmt.Errorf("-daemon replays synthetic traces only; -dir is local-mode"))
+	// inputs travel (Validate rejects -dir), and derives the rank count
+	// when -ranks is 0.
+	if cf.Daemon != "" {
+		st, err := cf.Submit(spec)
+		if err != nil {
+			exit(1, err)
 		}
-		if err := replayViaDaemon(*daemonAddr, *tenantName, *appName, *engine,
-			*transport, *scale, *bins, *inflight); err != nil {
-			fatal(err)
-		}
+		fmt.Printf("replayed %s over %s via daemon: %d sends, matched %d (%d unexpected)\n",
+			*appName, st.Transport, st.Messages, st.Matched, st.Unexpected)
 		return
-	}
-
-	validTransport := map[string]bool{"inproc": true, "tcp": true, "udp": true, "shm": true, "hybrid": true}
-	reliableNet := map[string]bool{"tcp": true, "shm": true, "hybrid": true}
-	switch {
-	case !validTransport[*transport]:
-		fmt.Fprintf(os.Stderr, "replay: -transport %q, want inproc, tcp, udp, shm, or hybrid\n", *transport)
-		os.Exit(2)
-	case *ranks < 0:
-		fmt.Fprintf(os.Stderr, "replay: -ranks %d must be >= 0\n", *ranks)
-		os.Exit(2)
-	case *transport == "inproc" && (*rank != -1 || *coord != ""):
-		fmt.Fprintf(os.Stderr, "replay: -rank/-coord are only meaningful with a net transport\n")
-		os.Exit(2)
-	case *rank < -1 || (*ranks > 0 && *rank >= *ranks):
-		fmt.Fprintf(os.Stderr, "replay: -rank %d outside [0,%d)\n", *rank, *ranks)
-		os.Exit(2)
-	case *rank >= 0 && *coord == "":
-		fmt.Fprintf(os.Stderr, "replay: -rank requires -coord (both are set by the launcher)\n")
-		os.Exit(2)
-	case *rank < 0 && *coord != "":
-		fmt.Fprintf(os.Stderr, "replay: -coord requires -rank\n")
-		os.Exit(2)
-	case reliableNet[*transport] && *faults != "":
-		fmt.Fprintf(os.Stderr, "replay: %s models a reliable transport; lossy runs need -transport udp or -transport inproc\n", *transport)
-		os.Exit(2)
-	case *simHosts != 0 && *transport != "hybrid":
-		fmt.Fprintf(os.Stderr, "replay: -sim-hosts only applies to -transport hybrid\n")
-		os.Exit(2)
-	case *simHosts < 0:
-		fmt.Fprintf(os.Stderr, "replay: -sim-hosts %d must be >= 0\n", *simHosts)
-		os.Exit(2)
-	}
-
-	if *inflight < 1 || *inflight > core.MaxInFlightBlocks {
-		fmt.Fprintf(os.Stderr, "replay: -inflight %d outside [1,%d]\n", *inflight, core.MaxInFlightBlocks)
-		os.Exit(2)
-	}
-	if *bins < 1 || bits.OnesCount(uint(*bins)) != 1 {
-		fmt.Fprintf(os.Stderr, "replay: -bins %d must be a power of two >= 1\n", *bins)
-		os.Exit(2)
-	}
-	if *coalesceBytes < 0 || *coalesceMsgs < 0 {
-		fmt.Fprintf(os.Stderr, "replay: coalescing thresholds must be >= 0\n")
-		os.Exit(2)
-	}
-
-	plan, err := rdma.ParseFaultPlan(*faults)
-	if err != nil {
-		fatal(err)
-	}
-
-	var kinds = map[string]mpi.EngineKind{
-		"offload": mpi.EngineOffload,
-		"host":    mpi.EngineHost,
-		"raw":     mpi.EngineRaw,
-	}
-	kind, ok := kinds[*engine]
-	if !ok {
-		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
 
 	var tr *trace.Trace
@@ -139,83 +80,53 @@ func main() {
 		var err error
 		tr, err = trace.Load(*dir, *appName)
 		if err != nil {
-			fatal(err)
+			exit(1, err)
 		}
 	} else {
 		app, ok := tracegen.ByName(*appName)
 		if !ok {
-			fatal(fmt.Errorf("unknown application %q", *appName))
+			exit(1, fmt.Errorf("unknown application %q", *appName))
 		}
 		tr = app.Generate(tracegen.Config{Scale: *scale})
 	}
 	n := tr.NumRanks()
-	if *ranks > 0 && *ranks != n {
-		fmt.Fprintf(os.Stderr, "replay: -ranks %d but the trace has %d ranks\n", *ranks, n)
-		os.Exit(2)
+	if cf.Ranks > 0 && cf.Ranks != n {
+		exit(2, fmt.Errorf("-ranks %d but the trace has %d ranks", cf.Ranks, n))
 	}
 
 	// Launcher mode: a net transport with no -rank spawns the whole job —
 	// one process per trace rank plus the coordinator — and waits. The
 	// children regenerate the identical trace (the synthetic generators are
 	// deterministic and -dir traces are shared files).
-	if *transport != "inproc" && *rank < 0 {
+	if cf.Launcher() {
 		fmt.Printf("launching %d %s rank processes for %s (%d cores)\n",
-			n, *transport, tr.App, runtime.NumCPU())
+			n, cf.Transport, tr.App, runtime.NumCPU())
 		if err := netfabric.Launch(n); err != nil {
-			fatal(err)
+			exit(1, err)
 		}
 		return
 	}
 
-	cfg := replay.Config{Engine: kind}
-	cfg.Options.Matcher = core.Config{
-		Bins: *bins, MaxReceives: 4096, BlockSize: 8,
-		InFlightBlocks:    *inflight,
-		EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
-	}
-	cfg.Options.CoalesceBytes = *coalesceBytes
-	cfg.Options.CoalesceMsgs = *coalesceMsgs
-	if *traceOut != "" {
-		cfg.Options.Obs = cfg.Options.Obs.Tracing()
-	}
+	// A local replay keeps the replay package's matcher shape (4096
+	// receives, 8-wide blocks); a submitted one takes the daemon's.
+	loc := cf.Local()
+	loc.Trace = tr
+	loc.Matcher = replay.MatcherConfig()
+	spec.Ranks, spec.MaxReceives = n, loc.Matcher.MaxReceives
 
-	var res *replay.Result
-	if *transport == "inproc" {
+	if cf.Transport == "inproc" {
 		fmt.Printf("replaying %s (%d ranks, %d events) on the %v engine...\n",
-			tr.App, n, tr.NumEvents(), kind)
-		cfg.Options.Faults = plan
-		res, err = replay.Run(tr, cfg)
+			tr.App, n, tr.NumEvents(), cf.EngineKind())
 	} else {
-		// Over sockets the fault plan arms the transport's injector; UDP's
-		// unreliability alone already arms the repair sublayer.
 		fmt.Printf("replaying %s rank %d/%d (%d events) on the %v engine over %s...\n",
-			tr.App, *rank, n, tr.NumEvents(), kind, *transport)
-		cfg.Options.Engine = kind
-		if cfg.Options.RecvDepth == 0 {
-			cfg.Options.RecvDepth = 64
-		}
-		ncfg := netfabric.Config{
-			Network: *transport, Rank: *rank, Ranks: n,
-			Coord: *coord, Faults: plan, Obs: cfg.Options.Obs,
-		}
-		if *simHosts > 0 {
-			ncfg.Host = fmt.Sprintf("simhost-%d", *rank%*simHosts)
-		}
-		trans, terr := netfabric.New(ncfg)
-		if terr != nil {
-			fatal(terr)
-		}
-		var w *mpi.World
-		w, err = mpi.NewNetWorld(trans, cfg.Options)
-		if err != nil {
-			fatal(err)
-		}
-		res, err = replay.RunWorld(tr, cfg, w)
+			tr.App, cf.Rank, n, tr.NumEvents(), cf.EngineKind(), cf.Transport)
 	}
+	res, err := daemon.Run(spec, loc)
 	if err != nil {
-		fatal(err)
+		exit(1, err)
 	}
-	fmt.Println(res)
+	fmt.Printf("replayed %d ranks: %d sends, %d recvs, %d collectives in %v\n",
+		res.Ranks, res.Messages, res.Recvs, res.Collectives, res.Elapsed.Round(time.Millisecond))
 	var frames, coalesced uint64
 	for _, s := range res.Sinks {
 		h := s.Sink.Hist(obs.HistCoalesceWidth)
@@ -231,71 +142,13 @@ func main() {
 		fmt.Printf("offloaded matching: %d msgs in %d blocks; %d optimistic, %d conflicts (%d fast, %d slow), %d unexpected\n",
 			m.Messages, m.Blocks, m.Optimistic, m.Conflicts, m.FastPath, m.SlowPath, m.Unexpected)
 	}
-	if plan.Active() || *transport == "udp" {
+	if loc.Faults.Active() || cf.Transport == "udp" {
 		fmt.Printf("faults: %v\n", res.Faults)
 		r := res.Reliability
 		fmt.Printf("repair: sent=%d retransmits=%d dups-dropped=%d out-of-order=%d sacks=%d rnr-retries=%d\n",
 			r.Sent, r.Retransmits, r.DupDropped, r.OutOfOrder, r.Sacks, r.SendRNR)
 	}
-	// One writer per job: the single in-process run, or rank 0 of a
-	// multi-process job (each process only has its own ranks' sinks).
-	if *rank > 0 {
-		return
+	if err := cf.WriteObs(res.Sinks); err != nil {
+		exit(1, err)
 	}
-	if *traceOut != "" {
-		if err := obs.WriteTraceFile(*traceOut, res.Sinks); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote Chrome trace to %s\n", *traceOut)
-	}
-	if *statsJSON != "" {
-		if err := obs.WriteJSONFile(*statsJSON, res.Sinks); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote observability snapshot to %s\n", *statsJSON)
-	}
-}
-
-// replayViaDaemon submits one replay job to a matchd instance and waits
-// for its terminal status.
-func replayViaDaemon(addr, tenant, app, engine, transport string, scale, bins, inflight int) error {
-	if transport == "udp" {
-		return fmt.Errorf("-daemon hosts reliable transports only (inproc, tcp, shm, hybrid)")
-	}
-	gen, ok := tracegen.ByName(app)
-	if !ok {
-		return fmt.Errorf("unknown application %q", app)
-	}
-	ranks := gen.Generate(tracegen.Config{Scale: scale}).NumRanks()
-	if ranks > daemon.MaxRanks {
-		return fmt.Errorf("%s at scale %d needs %d ranks; the daemon hosts at most %d", app, scale, ranks, daemon.MaxRanks)
-	}
-	c, err := daemon.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	st, err := c.Submit(daemon.JobSpec{
-		Tenant: tenant, Workload: "replay", Engine: engine, Transport: transport,
-		Ranks: ranks, App: app, Scale: scale, Bins: bins, InFlight: inflight,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("submitted %s to %s (tenant %s, %d ranks)\n", st.ID, addr, tenant, ranks)
-	st, err = c.Wait(st.ID, 10*time.Minute)
-	if err != nil {
-		return err
-	}
-	if st.State != "done" {
-		return fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
-	}
-	fmt.Printf("replayed %s over %s via daemon: %d sends, matched %d (%d unexpected)\n",
-		app, transport, st.Messages, st.Matched, st.Unexpected)
-	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "replay: %v\n", err)
-	os.Exit(1)
 }

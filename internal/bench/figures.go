@@ -8,12 +8,9 @@ import (
 	"repro/internal/tracegen"
 )
 
-// Figure7Bins are the paper's headline bin counts; the artifact sweeps
-// ArtifactBins (1…256 in powers of two).
-var (
-	Figure7Bins  = []int{1, 32, 128}
-	ArtifactBins = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
-)
+// Figure7Bins are the paper's headline bin counts (the artifact's 1…256
+// sweep is `traceanalyzer -report depth -bins 1,2,4,8,16,32,64,128,256`).
+var Figure7Bins = []int{1, 32, 128}
 
 // RunFigure6 generates every Table II application at the given scale and
 // returns one analysis report per app (call-mix populated), in Table II

@@ -1,15 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/match"
 	"repro/internal/mpi"
-	"repro/internal/obs"
-	"repro/internal/rdma"
 )
 
 // RingConfig describes one multi-rank message-rate run: every rank sends
@@ -19,177 +16,157 @@ import (
 // simultaneously, so with rank processes pinned to distinct cores the
 // aggregate rate scales with the process count — the workload behind the
 // out-of-process transport measurements in EXPERIMENTS.md §"Multi-process
-// scaling".
+// scaling" and behind every matchd ring job.
 type RingConfig struct {
-	Label string
-	// K is messages per sequence (default 100), Reps the number of
-	// sequences (default 200), PayloadBytes the eager payload (default 8).
+	// K is messages per sequence, Reps the number of sequences,
+	// PayloadBytes the eager payload.
 	K, Reps, PayloadBytes int
-}
-
-func (c *RingConfig) fill() {
-	if c.K == 0 {
-		c.K = 100
-	}
-	if c.Reps == 0 {
-		c.Reps = 200
-	}
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 8
-	}
-	if c.Label == "" {
-		c.Label = "ring"
-	}
+	// Window bounds the receives a rank keeps posted at once: a sequence
+	// runs as ⌈K/Window⌉ windows. Anything outside [1,K] means K — one
+	// window per sequence, the unpaced ring.
+	Window int
+	// OnExtraWindow, if set, is called (from the rank goroutines, so
+	// concurrently) once per window that exists only because Window < K:
+	// ⌈K/Window⌉ − 1 times per rank per sequence, as they happen — a job
+	// that fails or is canceled mid-run has still reported its pacing.
+	OnExtraWindow func()
 }
 
 // RingResult is one ring run's outcome as observed by this process.
 type RingResult struct {
-	Label string
-	// Ranks is the world size; LocalRanks how many this process drove.
-	Ranks, LocalRanks int
+	// Ranks is the world size.
+	Ranks int
 	// Messages is the global data-message count (Ranks × K × Reps);
 	// every rank's timing window is barrier-aligned, so the global rate
 	// is Messages over this process's Elapsed.
-	Messages  int
-	Elapsed   time.Duration
-	MsgPerSec float64
-	// Matcher aggregates offload-engine statistics over local ranks.
-	Matcher core.EngineStats
-	// Depth aggregates the local ranks' receive-search profile.
-	Depth match.Stats
-	// Faults and Reliability report the local transport's injected faults
-	// and the local ranks' repair work (meaningful on lossy transports).
-	Faults      rdma.FaultSnapshot
-	Reliability mpi.ReliabilitySnapshot
-	// Sinks are the world's observability sinks, captured before teardown.
-	Sinks []obs.Named
+	Messages int
+	Elapsed  time.Duration
+	// Totals are the hosted ranks' settled statistics and sinks.
+	mpi.Totals
 }
 
-// String renders one result row.
-func (r *RingResult) String() string {
-	return fmt.Sprintf("%-22s %12.0f msg/s  (%d ranks, %d msgs in %v)",
-		r.Label, r.MsgPerSec, r.Ranks, r.Messages, r.Elapsed.Round(time.Millisecond))
-}
-
-const ringReadyTag = 6000 // receiver → predecessor: sequence receives posted
-
-// RunMsgRateRing drives every rank the world hosts — all of them for an
-// in-process world, exactly one for a NewNetWorld member — through the
-// ring workload, and closes the world before reading stats. The flow
-// control mirrors Figure 8's go-token: a rank releases its predecessor's
-// sends only after posting the sequence's receives, so no sequence ever
-// lands unexpected and tag reuse across repetitions cannot cross-match.
-func RunMsgRateRing(w *mpi.World, cfg RingConfig) (*RingResult, error) {
-	cfg.fill()
-	procs := w.LocalProcs()
-	n := w.Size()
-	res := &RingResult{Label: cfg.Label, Ranks: n, LocalRanks: len(procs),
-		Messages: n * cfg.K * cfg.Reps}
+// RunRing drives every rank the worlds host — all of them for an
+// in-process world, one per NewNetWorld member — through the ring workload,
+// then closes the worlds and totals their statistics (on failure too; the
+// first rank error is returned).
+func RunRing(worlds []*mpi.World, cfg RingConfig) (*RingResult, error) {
+	if cfg.Window < 1 || cfg.Window > cfg.K {
+		cfg.Window = cfg.K
+	}
+	var procs []*mpi.Proc
+	for _, w := range worlds {
+		procs = append(procs, w.LocalProcs()...)
+	}
+	n := worlds[0].Size()
+	// bufs[i] receives rank i's sequences, message m at m×PayloadBytes.
+	bufs := make([][]byte, len(procs))
+	for i := range bufs {
+		bufs[i] = make([]byte, cfg.K*cfg.PayloadBytes)
+	}
 
 	// Every rank barriers at entry and exit of its workload (barriers are
 	// collective, so each hosted rank must make its own calls); the timing
 	// window brackets the goroutines and is barrier-aligned across the job
 	// up to spawn overhead.
 	start := time.Now()
-	errCh := make(chan error, len(procs))
+	errs := make([]error, len(procs))
 	var wg sync.WaitGroup
-	for _, p := range procs {
+	for i, p := range procs {
 		wg.Add(1)
-		go func(p *mpi.Proc) {
+		go func() {
 			defer wg.Done()
-			errCh <- ringRank(p, cfg)
-		}(p)
+			errs[i] = ringLoop(p, cfg, bufs[i])
+		}()
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	res := &RingResult{Ranks: n, Messages: n * cfg.K * cfg.Reps, Elapsed: time.Since(start)}
+	res.Totals = mpi.Quiesce(worlds)
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	res.Elapsed = time.Since(start)
-	res.MsgPerSec = float64(res.Messages) / res.Elapsed.Seconds()
-
-	// Quiesce before reading stats: Close waits for the engines' in-flight
-	// blocks to retire, so the counters below have settled.
-	w.Close()
-	for _, p := range procs {
-		if m := p.Matcher(); m != nil {
-			st := m.Stats()
-			res.Matcher.Messages += st.Messages
-			res.Matcher.Blocks += st.Blocks
-			res.Matcher.Optimistic += st.Optimistic
-			res.Matcher.Conflicts += st.Conflicts
-			res.Matcher.FastPath += st.FastPath
-			res.Matcher.SlowPath += st.SlowPath
-			res.Matcher.Unexpected += st.Unexpected
-			d := m.DepthStats()
-			res.Depth.PostSearches += d.PostSearches
-			res.Depth.PostTraversed += d.PostTraversed
-		} else {
-			d := p.HostStats()
-			res.Depth.PostSearches += d.PostSearches
-			res.Depth.PostTraversed += d.PostTraversed
+	// Every payload byte is the sender's stamp, so after the run a rank's
+	// buffer must hold only its predecessor's. Checked once, outside the timed
+	// window: byte-comparing every message costs as much as moving it at
+	// rendezvous sizes. The raw engine pairs arrivals with posts by FIFO
+	// order, not tag, so buffer contents are not attributable there —
+	// verification is a matching-engine check.
+	if worlds[0].Engine() != mpi.EngineRaw {
+		for i, p := range procs {
+			rank := p.World().Rank()
+			if prev := (rank + n - 1) % n; !bytes.Equal(bufs[i], ringPayload(prev, len(bufs[i]))) {
+				return nil, fmt.Errorf("rank %d received a payload that is not rank %d's", rank, prev)
+			}
 		}
 	}
-	res.Faults = w.FaultStats()
-	res.Reliability = w.ReliabilityStats()
-	res.Sinks = w.ObsSinks()
 	return res, nil
 }
 
-// ringRank runs one rank's side of the ring. Per repetition: post the K
-// receives from the predecessor, release the predecessor with a ready
-// token, await the successor's token, fire the K sends, and wait for
-// everything. A rank is its own neighbour in a one-rank world, which
-// degenerates to a self-loop throughput test.
-func ringRank(p *mpi.Proc, cfg RingConfig) error {
+// ringPayload is the payload rank sends: every byte its stamp, rank+1, so
+// no rank's stamp is a fresh buffer's zero.
+func ringPayload(rank, size int) []byte {
+	return bytes.Repeat([]byte{byte(rank + 1)}, size)
+}
+
+// ringLoop runs one rank's side of the ring, receiving into buf. Per
+// repetition the K receives are posted window by window; the predecessor's
+// sends for a window are released only once its receives are
+// posted (the ready token — Figure 8's go-token), so no data message ever
+// lands unexpected, tag reuse across repetitions cannot cross-match, and
+// the posted depth never exceeds Window plus the token slot. A rank is its
+// own neighbour in a one-rank world, which degenerates to a self-loop
+// throughput test.
+func ringLoop(p *mpi.Proc, cfg RingConfig, buf []byte) error {
 	c := p.World()
 	rank, n := c.Rank(), c.Size()
 	next, prev := (rank+1)%n, (rank+n-1)%n
-	payload := make([]byte, cfg.PayloadBytes)
-	bufs := make([][]byte, cfg.K)
-	for i := range bufs {
-		bufs[i] = make([]byte, cfg.PayloadBytes)
-	}
+	payload := ringPayload(rank, cfg.PayloadBytes)
 	if err := c.Barrier(); err != nil {
 		return err
 	}
 	var token [1]byte
-	reqs := make([]*mpi.Request, 0, 2*cfg.K)
+	reqs := make([]*mpi.Request, 0, 2*cfg.Window)
 	for rep := 0; rep < cfg.Reps; rep++ {
-		reqs = reqs[:0]
-		// The token receive goes first: the matching engines pair by tag in
-		// any order, but the raw engine pairs arrivals with posts in FIFO
-		// order, and the successor's token is the one message every rank
-		// receives unconditionally — posted first it completes ready.Wait
-		// instead of consuming a data post and deadlocking the ring.
-		ready, err := c.Irecv(next, ringReadyTag, token[:])
-		if err != nil {
-			return err
-		}
-		for i := 0; i < cfg.K; i++ {
-			req, err := c.Irecv(prev, i, bufs[i])
+		for base, win := 0, 0; base < cfg.K; base, win = base+cfg.Window, win+1 {
+			m := min(cfg.Window, cfg.K-base)
+			reqs = reqs[:0]
+			// The token receive is posted before the data receives: on the
+			// matching engines order is irrelevant, but the raw engine
+			// completes posts in FIFO order ignoring tags, and the token is
+			// the one arrival every rank gets unconditionally — posted first
+			// it unblocks ready.Wait instead of consuming a data slot and
+			// deadlocking the ring. Token tags sit above the data tags [0,K).
+			ready, err := c.Irecv(next, cfg.K+win, token[:])
 			if err != nil {
 				return err
 			}
-			reqs = append(reqs, req)
-		}
-		if err := c.Send(prev, ringReadyTag, nil); err != nil {
-			return err
-		}
-		if _, err := ready.Wait(); err != nil {
-			return err
-		}
-		for i := 0; i < cfg.K; i++ {
-			req, err := c.Isend(next, i, payload)
-			if err != nil {
+			for i := 0; i < m; i++ {
+				req, err := c.Irecv(prev, base+i, buf[(base+i)*cfg.PayloadBytes:][:cfg.PayloadBytes])
+				if err != nil {
+					return err
+				}
+				reqs = append(reqs, req)
+			}
+			if err := c.Send(prev, cfg.K+win, nil); err != nil {
 				return err
 			}
-			reqs = append(reqs, req)
-		}
-		if err := mpi.Waitall(reqs...); err != nil {
-			return err
+			if win > 0 && cfg.OnExtraWindow != nil {
+				cfg.OnExtraWindow()
+			}
+			if _, err := ready.Wait(); err != nil {
+				return err
+			}
+			for i := 0; i < m; i++ {
+				req, err := c.Isend(next, base+i, payload)
+				if err != nil {
+					return err
+				}
+				reqs = append(reqs, req)
+			}
+			if err := mpi.Waitall(reqs...); err != nil {
+				return err
+			}
 		}
 	}
 	return c.Barrier()

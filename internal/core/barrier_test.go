@@ -12,58 +12,49 @@ import (
 
 // TestFrontierPrefixOrder is the partial-barrier property (§III-D1): a
 // waiter for level i may only proceed once threads 0..i have all completed,
-// regardless of the order completions arrive in. Both implementations —
-// the atomic sense-reversing barrier and the legacy mutex+condvar one —
-// must uphold it.
+// regardless of the order completions arrive in.
 func TestFrontierPrefixOrder(t *testing.T) {
-	for _, kind := range []string{"atomic", "condvar"} {
-		t.Run(kind, func(t *testing.T) {
-			condvar := kind == "condvar"
-			rng := rand.New(rand.NewSource(7))
-			var mu sync.Mutex
-			cond := sync.NewCond(&mu)
-			var f frontier
-			for iter := 0; iter < 200; iter++ {
-				n := 1 + rng.Intn(MaxBlockSize)
-				f.reset(condvar, &mu, cond, n, uint32(iter+1), barrierSpinBudget())
+	rng := rand.New(rand.NewSource(7))
+	var f frontier
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(MaxBlockSize)
+		f.reset(uint32(iter+1), barrierSpinBudget())
 
-				// completed mirrors the frontier: bit i is set just before
-				// complete(i), so a correctly released waiter for level l
-				// must observe all of bits 0..l.
-				var completed atomic.Uint64
+		// completed mirrors the frontier: bit i is set just before
+		// complete(i), so a correctly released waiter for level l
+		// must observe all of bits 0..l.
+		var completed atomic.Uint64
 
-				var wwg sync.WaitGroup
-				var badLevel atomic.Int32
-				for w := 0; w < n; w++ {
-					lvl := rng.Intn(n)
-					wwg.Add(1)
-					go func() {
-						defer wwg.Done()
-						f.waitThrough(lvl)
-						want := uint64(1)<<uint(lvl+1) - 1
-						if completed.Load()&want != want {
-							badLevel.Store(int32(lvl + 1))
-						}
-					}()
+		var wwg sync.WaitGroup
+		var badLevel atomic.Int32
+		for w := 0; w < n; w++ {
+			lvl := rng.Intn(n)
+			wwg.Add(1)
+			go func() {
+				defer wwg.Done()
+				f.waitThrough(lvl)
+				want := uint64(1)<<uint(lvl+1) - 1
+				if completed.Load()&want != want {
+					badLevel.Store(int32(lvl + 1))
 				}
+			}()
+		}
 
-				var cwg sync.WaitGroup
-				for _, i := range rng.Perm(n) {
-					cwg.Add(1)
-					go func() {
-						defer cwg.Done()
-						completed.Or(uint64(1) << uint(i))
-						f.complete(i)
-					}()
-				}
-				cwg.Wait()
-				wwg.Wait()
-				if l := badLevel.Load(); l != 0 {
-					t.Fatalf("%s iter %d (n=%d): waiter for level %d released before its prefix completed",
-						kind, iter, n, l-1)
-				}
-			}
-		})
+		var cwg sync.WaitGroup
+		for _, i := range rng.Perm(n) {
+			cwg.Add(1)
+			go func() {
+				defer cwg.Done()
+				completed.Or(uint64(1) << uint(i))
+				f.complete(i)
+			}()
+		}
+		cwg.Wait()
+		wwg.Wait()
+		if l := badLevel.Load(); l != 0 {
+			t.Fatalf("iter %d (n=%d): waiter for level %d released before its prefix completed",
+				iter, n, l-1)
+		}
 	}
 }
 
@@ -71,7 +62,7 @@ func TestFrontierPrefixOrder(t *testing.T) {
 // waitThrough(-1) no-op used by thread 0.
 func TestFrontierSingleThread(t *testing.T) {
 	var f frontier
-	f.reset(false, nil, nil, 1, 1, 0)
+	f.reset(1, 0)
 	f.waitThrough(-1) // must not block
 	f.complete(0)
 	f.waitThrough(0) // must not block either

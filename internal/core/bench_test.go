@@ -96,36 +96,6 @@ func BenchmarkParallelBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBarrier compares full block turnaround under the two
-// partial-barrier implementations: the default atomic sense-reversing
-// barrier and the legacy mutex+condvar one (Config.CondvarBarrier).
-func BenchmarkAblationBarrier(b *testing.B) {
-	for _, kind := range []string{"atomic", "condvar"} {
-		for _, n := range []int{8, 32} {
-			b.Run(fmt.Sprintf("%s/N=%d", kind, n), func(b *testing.B) {
-				m := core.MustNew(core.Config{
-					Bins: 2048, MaxReceives: 8192, BlockSize: n,
-					EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
-					CondvarBarrier: kind == "condvar",
-				})
-				envs := make([]*match.Envelope, n)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					for j := 0; j < n; j++ {
-						m.PostRecv(&match.Recv{Source: match.Rank(j), Tag: match.Tag(j)})
-						envs[j] = &match.Envelope{Source: match.Rank(j), Tag: match.Tag(j)}
-					}
-					b.StartTimer()
-					m.ArriveBlock(envs)
-				}
-				b.ReportMetric(float64(n), "msgs/block")
-			})
-		}
-	}
-}
-
 // BenchmarkPeekUnexpected measures the MPI_Iprobe primitive.
 func BenchmarkPeekUnexpected(b *testing.B) {
 	m := benchMatcher(b, 2048, 1)

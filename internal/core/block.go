@@ -65,66 +65,31 @@ func barrierSpinBudget() int {
 
 // frontier tracks completion of per-thread milestones in thread order: the
 // completed prefix of threads 0..k-1 is what waiters wait on. Threads
-// complete in arbitrary order. Two interchangeable implementations share
-// the type:
-//
-//   - The default atomic barrier packs the block epoch and a
-//     completed-thread bitmap into one word (epoch<<32 | bitmap — the
-//     epoch is the sense of a sense-reversing barrier, so stale words from
-//     finished blocks can never satisfy a waiter). complete is a single
-//     atomic OR; waitThrough(i) checks that the low i+1 bits are all set,
-//     spinning briefly and then yielding with runtime.Gosched. No lock, no
-//     wakeup storm, no allocation — the cost profile of the DPA's hardware
-//     partial barrier (§III-D1).
-//   - The condvar implementation (Config.CondvarBarrier) advances a level
-//     under a mutex and broadcasts — the pre-optimization host-style
-//     barrier, kept selectable for the BenchmarkAblationBarrier ablation.
+// complete in arbitrary order. It packs the block epoch and a
+// completed-thread bitmap into one word (epoch<<32 | bitmap — the epoch is
+// the sense of a sense-reversing barrier, so stale words from finished
+// blocks can never satisfy a waiter). complete is a single atomic OR;
+// waitThrough(i) checks that the low i+1 bits are all set, spinning briefly
+// and then yielding with runtime.Gosched. No lock, no wakeup storm, no
+// allocation — the cost profile of the DPA's hardware partial barrier
+// (§III-D1).
 type frontier struct {
-	condvar bool
-	epoch   uint32
-	spins   int // busy-poll budget of the atomic barrier (barrierSpinBudget)
+	epoch uint32
+	spins int // busy-poll budget (barrierSpinBudget)
 
 	word atomic.Uint64 // epoch<<32 | completed-thread bitmap
-
-	mu    *sync.Mutex
-	cond  *sync.Cond
-	done  [MaxBlockSize]bool
-	level int // all threads < level have completed
 }
 
-// reset prepares the frontier for a new block of n threads in epoch e.
-func (f *frontier) reset(condvar bool, mu *sync.Mutex, cond *sync.Cond, n int, e uint32, spins int) {
-	f.condvar = condvar
+// reset prepares the frontier for a new block in epoch e.
+func (f *frontier) reset(e uint32, spins int) {
 	f.epoch = e
 	f.spins = spins
-	if !condvar {
-		f.word.Store(uint64(e) << 32)
-		return
-	}
-	f.mu, f.cond = mu, cond
-	for i := 0; i < n; i++ {
-		f.done[i] = false
-	}
-	f.level = 0
+	f.word.Store(uint64(e) << 32)
 }
 
 // complete marks thread i done and advances the frontier.
 func (f *frontier) complete(i int) {
-	if !f.condvar {
-		f.word.Or(uint64(1) << uint(i))
-		return
-	}
-	f.mu.Lock()
-	f.done[i] = true
-	advanced := false
-	for f.level < MaxBlockSize && f.done[f.level] {
-		f.level++
-		advanced = true
-	}
-	f.mu.Unlock()
-	if advanced {
-		f.cond.Broadcast()
-	}
+	f.word.Or(uint64(1) << uint(i))
 }
 
 // waitThrough blocks until every thread 0..i has completed.
@@ -132,26 +97,19 @@ func (f *frontier) waitThrough(i int) {
 	if i < 0 {
 		return
 	}
-	if !f.condvar {
-		want := uint64(1)<<uint(i+1) - 1
-		for spins := 0; ; spins++ {
-			w := f.word.Load()
-			if w&want == want || uint32(w>>32) != f.epoch {
-				// Prefix complete — or the word belongs to another epoch,
-				// which can only mean this block already finished
-				// (defensive: all waiters join before Finish).
-				return
-			}
-			if spins >= f.spins {
-				runtime.Gosched()
-			}
+	want := uint64(1)<<uint(i+1) - 1
+	for spins := 0; ; spins++ {
+		w := f.word.Load()
+		if w&want == want || uint32(w>>32) != f.epoch {
+			// Prefix complete — or the word belongs to another epoch,
+			// which can only mean this block already finished
+			// (defensive: all waiters join before Finish).
+			return
+		}
+		if spins >= f.spins {
+			runtime.Gosched()
 		}
 	}
-	f.mu.Lock()
-	for f.level <= i {
-		f.cond.Wait()
-	}
-	f.mu.Unlock()
 }
 
 // Block processes up to BlockSize consecutive messages in parallel. Obtain
@@ -183,9 +141,6 @@ type Block struct {
 	// in-flight depth 1 — are never re-delivered; their Match call already
 	// returned final=true.
 	Deliver func(tid int, res Result)
-
-	fmu   sync.Mutex // shared by both frontiers
-	fcond *sync.Cond
 
 	booked frontier // partial barrier: booking milestones (§III-D1)
 	done   frontier // finalization milestones (slow-path chain)
@@ -261,12 +216,8 @@ func (m *OptimisticMatcher) BeginBlock(n int) *Block {
 	b.headAtStart = headAtStart
 	b.seqBase = seqBase
 	b.Deliver = nil
-	condvar := m.cfg.CondvarBarrier
-	if condvar && b.fcond == nil {
-		b.fcond = sync.NewCond(&b.fmu)
-	}
-	b.booked.reset(condvar, &b.fmu, b.fcond, n, b.epoch, m.barrierSpins)
-	b.done.reset(condvar, &b.fmu, b.fcond, n, b.epoch, m.barrierSpins)
+	b.booked.reset(b.epoch, m.barrierSpins)
+	b.done.reset(b.epoch, m.barrierSpins)
 	for i := 0; i < n; i++ {
 		b.cand[i].Store(-1)
 		b.final[i] = nil

@@ -122,11 +122,6 @@ type Config struct {
 	// path almost never forms. The partial barrier remains the default, as
 	// in the paper.
 	SimultaneousArrival bool
-	// CondvarBarrier selects the legacy mutex+condvar implementation of the
-	// partial barrier instead of the default atomic one. Kept for ablation
-	// (BenchmarkAblationBarrier); both implementations are semantically
-	// identical.
-	CondvarBarrier bool
 }
 
 // DefaultConfig mirrors the paper's prototype configuration (§VI): hash
@@ -464,6 +459,25 @@ type EngineStats struct {
 	Revalidated uint64 // retirement-time redos (cross-block steals, raced posts)
 	Steals      uint64 // descriptors stolen back from higher-sequence blocks
 	Retires     uint64 // arrival blocks retired (== Blocks once quiesced)
+}
+
+// Add folds t into s, field by field (TestEngineStatsAddCoversEveryField
+// fails when a new field is left out).
+func (s *EngineStats) Add(t EngineStats) {
+	s.Blocks += t.Blocks
+	s.Messages += t.Messages
+	s.Optimistic += t.Optimistic
+	s.Conflicts += t.Conflicts
+	s.FastPath += t.FastPath
+	s.SlowPath += t.SlowPath
+	s.Unexpected += t.Unexpected
+	s.Relaxed += t.Relaxed
+	s.TableFull += t.TableFull
+	s.LazySweeps += t.LazySweeps
+	s.LazyReaped += t.LazyReaped
+	s.Revalidated += t.Revalidated
+	s.Steals += t.Steals
+	s.Retires += t.Retires
 }
 
 // Stats returns a snapshot of the engine statistics, assembled from the

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -116,7 +117,6 @@ func TestAblationsMatchGolden(t *testing.T) {
 		"one-bin":          func(c *core.Config) { c.Bins = 1 },
 		"simultaneous":     func(c *core.Config) { c.SimultaneousArrival = true },
 		"simultaneous-raw": func(c *core.Config) { c.SimultaneousArrival = true; c.EarlyBookingCheck = false },
-		"condvar-barrier":  func(c *core.Config) { c.CondvarBarrier = true },
 	}
 	sc := matchtest.Config{Sources: 2, Tags: 2, Comms: 1, PSrcWild: 0.3, PTagWild: 0.3, Burstiness: 5}
 	for name, mut := range mutations {
@@ -519,5 +519,23 @@ func TestPublicAccessors(t *testing.T) {
 	seq.ResetStats()
 	if m.DepthStats().ArriveSearches != 0 {
 		t.Fatal("adapter ResetStats did not clear")
+	}
+}
+
+// TestEngineStatsAddCoversEveryField fails when a field added to
+// EngineStats is not summed by Add: every field gets a distinct value on
+// each side, and each must come out as the sum.
+func TestEngineStatsAddCoversEveryField(t *testing.T) {
+	var a, b core.EngineStats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("Add leaves %s at %d, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/tracegen"
 )
@@ -172,7 +173,7 @@ func (d *Daemon) Cancel(id string) (JobStatus, error) {
 	worldsToClose := j.worlds
 	st := j.status()
 	d.mu.Unlock()
-	closeWorlds(worldsToClose)
+	mpi.CloseWorlds(worldsToClose)
 	return st, nil
 }
 
@@ -257,7 +258,7 @@ func (d *Daemon) Drain() (forced int, err error) {
 			j.canceled = true
 			stuck = append(stuck, id)
 			w := j.worlds
-			closers = append(closers, func() { closeWorlds(w) })
+			closers = append(closers, func() { mpi.CloseWorlds(w) })
 		}
 	}
 	d.mu.Unlock()

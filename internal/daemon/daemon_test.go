@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -32,21 +30,15 @@ func startDaemon(t *testing.T, budgets Budgets) (*Daemon, string) {
 	return d, ln.Addr().String()
 }
 
-// goldenRing runs one spec through the single-job path — a plain world and
-// the bench ring runner, no daemon — and returns its deterministic
-// outcome: the global message count and, for the offload engine, the
-// aggregate matched-pairing total (every message pairs exactly once at its
-// receiver, so the total is schedule-independent).
+// goldenRing runs one spec through the single-job path — Run over a plain
+// in-process world, no daemon, no net transport, no pacing — and returns
+// its deterministic outcome: the global message count and, for the offload
+// engine, the aggregate matched-pairing total (every message pairs exactly
+// once at its receiver, so the total is schedule-independent).
 func goldenRing(t *testing.T, spec JobSpec) (messages int, matched uint64) {
 	t.Helper()
-	spec.Normalize()
-	w, err := mpi.NewWorld(spec.Ranks, worldOptions(&spec))
-	if err != nil {
-		t.Fatalf("golden world: %v", err)
-	}
-	res, err := bench.RunMsgRateRing(w, bench.RingConfig{
-		Label: "golden", K: spec.K, Reps: spec.Reps, PayloadBytes: spec.PayloadBytes,
-	})
+	spec.Transport = "inproc"
+	res, err := Run(spec, Local{})
 	if err != nil {
 		t.Fatalf("golden ring: %v", err)
 	}

@@ -1,19 +1,8 @@
 package daemon
 
 import (
-	"fmt"
-	"net"
-	"os"
-	"sync"
-	"time"
-
-	"repro/internal/bench"
-	"repro/internal/dpa"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/rdma/netfabric"
-	"repro/internal/replay"
-	"repro/internal/tracegen"
 )
 
 // job is one hosted run: its admitted charges, the worlds carrying it, and
@@ -51,119 +40,26 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-var engineKinds = map[string]mpi.EngineKind{
-	"host": mpi.EngineHost, "offload": mpi.EngineOffload, "raw": mpi.EngineRaw,
-}
-
-// worldOptions maps a normalized spec onto mpi world options.
-func worldOptions(spec *JobSpec) mpi.Options {
-	matcher := bench.PaperMatcherConfig()
-	matcher.Bins = spec.Bins
-	matcher.MaxReceives = spec.MaxReceives
-	matcher.InFlightBlocks = spec.InFlight
-	return mpi.Options{
-		Engine:     engineKinds[spec.Engine],
-		Matcher:    matcher,
-		DPA:        dpa.Config{Threads: spec.Threads},
-		RecvDepth:  max(2*spec.K, 64),
-		EagerLimit: 1024,
-	}
-}
-
-// buildWorlds materializes the spec's world(s) inside the daemon process:
-// one in-process world, or — for net transports — one world per rank, all
-// hosted here over a loopback coordinator (the same pattern the transport
-// tests use; netfabric.New blocks on the rendezvous barrier, so the ranks
-// connect concurrently). The cleanup function removes any shm directory.
-func buildWorlds(spec *JobSpec) ([]*mpi.World, func(), error) {
-	opts := worldOptions(spec)
-	noop := func() {}
-	if spec.Transport == "inproc" {
-		w, err := mpi.NewWorld(spec.Ranks, opts)
-		if err != nil {
-			return nil, noop, err
-		}
-		return []*mpi.World{w}, noop, nil
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, noop, err
-	}
-	go netfabric.ServeCoordinator(ln, spec.Ranks)
-
-	shmDir := ""
-	cleanup := noop
-	if spec.Transport == "shm" || spec.Transport == "hybrid" {
-		shmDir, err = os.MkdirTemp("", "matchd-shm-")
-		if err != nil {
-			ln.Close()
-			return nil, noop, err
-		}
-		cleanup = func() { os.RemoveAll(shmDir) }
-	}
-
-	worlds := make([]*mpi.World, spec.Ranks)
-	errs := make([]error, spec.Ranks)
-	var wg sync.WaitGroup
-	for k := 0; k < spec.Ranks; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			cfg := netfabric.Config{
-				Network: spec.Transport, Rank: k, Ranks: spec.Ranks,
-				Coord: ln.Addr().String(), ShmDir: shmDir,
-			}
-			if spec.Transport == "hybrid" {
-				// Two simulated hosts exercise both the shm and the tcp
-				// paths of the locality router within one daemon process.
-				cfg.Host = fmt.Sprintf("%s-h%d", spec.ID, k%2)
-			}
-			tr, err := netfabric.New(cfg)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			worlds[k], errs[k] = mpi.NewNetWorld(tr, opts)
-		}(k)
-	}
-	wg.Wait()
-	ln.Close()
-	for _, err := range errs {
-		if err != nil {
-			for _, w := range worlds {
-				if w != nil {
-					w.Close()
-				}
-			}
-			cleanup()
-			return nil, noop, err
-		}
-	}
-	return worlds, cleanup, nil
-}
-
-// closeWorlds tears a job's worlds down (idempotent via mpi.ErrClosed).
-func closeWorlds(worlds []*mpi.World) {
-	var wg sync.WaitGroup
-	for _, w := range worlds {
-		if w == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(w *mpi.World) {
-			defer wg.Done()
-			w.Close()
-		}(w)
-	}
-	wg.Wait()
-}
-
-// run executes the job to a terminal state. It owns the worlds' lifetime;
+// runJob executes the job to a terminal state. It owns the worlds' lifetime;
 // a concurrent Cancel closes them out from under the workload, which then
 // surfaces mpi.ErrClosed and is recorded as canceled rather than failed.
 func (d *Daemon) runJob(j *job) {
-	worlds, cleanup, err := buildWorlds(&j.spec)
+	// Ring pacing: the posted depth is bounded by the daemon's backpressure
+	// policy (a bound below 1 is the strictest, 1). A tenant asking for K
+	// wider than the bound still completes — each extra window is one
+	// backpressure wait, charged as it happens to that tenant's
+	// daemon_backpressure_waits and throttling nobody else, because the
+	// pacing happens entirely inside the tenant's own worlds.
+	loc := Local{
+		Window:        max(1, d.Budgets().MaxPostedPerComm),
+		OnExtraWindow: func() { j.tenant.sink.CounterInc(obs.CtrDaemonBackpressure) },
+	}
+	if j.spec.Transport == "hybrid" {
+		// Two simulated hosts exercise both the shm and the tcp paths of
+		// the locality router within one daemon process.
+		loc.SimHosts = 2
+	}
+	worlds, cleanup, err := buildWorlds(&j.spec, loc)
 	defer cleanup()
 	if err != nil {
 		d.finishJob(j, err)
@@ -173,20 +69,20 @@ func (d *Daemon) runJob(j *job) {
 	d.mu.Lock()
 	if j.canceled {
 		d.mu.Unlock()
-		closeWorlds(worlds)
+		mpi.CloseWorlds(worlds)
 		d.finishJob(j, mpi.ErrClosed)
 		return
 	}
 	j.worlds = worlds
 	d.mu.Unlock()
 
-	switch j.spec.Workload {
-	case "replay":
-		err = d.runReplay(j, worlds)
-	default:
-		err = d.runRing(j, worlds)
+	res, err := runWorlds(&j.spec, loc, worlds)
+	if err == nil {
+		d.mu.Lock()
+		j.messages, j.msgPerSec = res.Messages, res.MsgPerSec
+		j.matched, j.unexpected = mergeSinks(j.tenant, res.Sinks)
+		d.mu.Unlock()
 	}
-	closeWorlds(worlds)
 	d.finishJob(j, err)
 }
 
@@ -230,213 +126,4 @@ func mergeSinks(t *tenant, sinks []obs.Named) (matched, unexpected uint64) {
 		unexpected += nd.Sink.Counters.Load(obs.CtrUnexpected)
 	}
 	return matched, unexpected
-}
-
-// runReplay replays the spec's synthetic trace over the job's worlds. The
-// trace is regenerated per world (the generators are deterministic), and
-// every world replays the ranks it hosts concurrently.
-func (d *Daemon) runReplay(j *job, worlds []*mpi.World) error {
-	app, ok := tracegen.ByName(j.spec.App)
-	if !ok {
-		return fmt.Errorf("unknown application %q", j.spec.App)
-	}
-	tr := app.Generate(tracegen.Config{Scale: j.spec.Scale})
-	if n := tr.NumRanks(); n != worlds[0].Size() {
-		return fmt.Errorf("trace %s has %d ranks but the job was admitted with %d (set ranks=%d or 0)",
-			j.spec.App, n, worlds[0].Size(), n)
-	}
-	cfg := replay.Config{Engine: engineKinds[j.spec.Engine], Options: worldOptions(&j.spec)}
-
-	start := time.Now()
-	results := make([]*replay.Result, len(worlds))
-	errs := make([]error, len(worlds))
-	var wg sync.WaitGroup
-	for i, w := range worlds {
-		wg.Add(1)
-		go func(i int, w *mpi.World) {
-			defer wg.Done()
-			results[i], errs[i] = replay.RunWorld(tr, cfg, w)
-		}(i, w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, res := range results {
-		m, u := mergeSinks(j.tenant, res.Sinks)
-		j.matched += m
-		j.unexpected += u
-		j.messages += res.Sends
-	}
-	if sec := elapsed.Seconds(); sec > 0 {
-		j.msgPerSec = float64(j.messages) / sec
-	}
-	return nil
-}
-
-// runRing drives the ring workload over the job's worlds with the posted
-// depth bounded by the daemon's backpressure policy.
-func (d *Daemon) runRing(j *job, worlds []*mpi.World) error {
-	d.mu.Lock()
-	postCap := d.budgets.MaxPostedPerComm
-	sink := j.tenant.sink
-	d.mu.Unlock()
-
-	res, err := runPacedRing(worlds, &j.spec, postCap, sink)
-	if err != nil {
-		return err
-	}
-	// Quiesce before reading counters: Close retires the engines' in-flight
-	// blocks, so the matched totals below have settled (closeWorlds is
-	// idempotent — runJob's later call is a no-op).
-	closeWorlds(worlds)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j.messages = res.messages
-	j.msgPerSec = res.msgPerSec
-	for _, w := range worlds {
-		m, u := mergeSinks(j.tenant, w.ObsSinks())
-		j.matched += m
-		j.unexpected += u
-	}
-	return nil
-}
-
-// ringStats is one paced ring run's outcome.
-type ringStats struct {
-	messages  int
-	msgPerSec float64
-}
-
-// pacedTokenBase keeps window-release tokens clear of the data tags
-// [0, MaxK).
-const pacedTokenBase = 1 << 20
-
-// runPacedRing is the daemon's ring runner: the bench ring workload with
-// the per-sequence receive burst split into windows of at most postCap
-// receives. A tenant asking for K wider than its posted-receive bound
-// still completes — each extra window is one backpressure wait, charged to
-// that tenant's daemon_backpressure_waits and throttling nobody else,
-// because the pacing happens entirely inside the tenant's own worlds.
-func runPacedRing(worlds []*mpi.World, spec *JobSpec, postCap int, sink *obs.Sink) (*ringStats, error) {
-	if postCap < 1 {
-		postCap = 1
-	}
-	n := worlds[0].Size()
-	var procs []*mpi.Proc
-	for _, w := range worlds {
-		procs = append(procs, w.LocalProcs()...)
-	}
-
-	start := time.Now()
-	errCh := make(chan error, len(procs))
-	var wg sync.WaitGroup
-	for _, p := range procs {
-		wg.Add(1)
-		go func(p *mpi.Proc) {
-			defer wg.Done()
-			errCh <- pacedRingRank(p, spec, postCap, sink)
-		}(p)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return nil, err
-		}
-	}
-	elapsed := time.Since(start)
-	res := &ringStats{messages: n * spec.K * spec.Reps}
-	if sec := elapsed.Seconds(); sec > 0 {
-		res.msgPerSec = float64(res.messages) / sec
-	}
-	return res, nil
-}
-
-// pacedRingRank runs one rank of the paced ring. Per repetition the K
-// receives are posted window by window; the predecessor's sends for a
-// window are released only once its receives are posted (the ready token),
-// so no data message ever lands unexpected and the posted depth never
-// exceeds postCap plus the token slot.
-func pacedRingRank(p *mpi.Proc, spec *JobSpec, postCap int, sink *obs.Sink) error {
-	c := p.World()
-	rank, n := c.Rank(), c.Size()
-	next, prev := (rank+1)%n, (rank+n-1)%n
-	payload := make([]byte, spec.PayloadBytes)
-	for i := range payload {
-		payload[i] = byte(rank)
-	}
-	bufs := make([][]byte, spec.K)
-	for i := range bufs {
-		bufs[i] = make([]byte, spec.PayloadBytes)
-	}
-	if err := c.Barrier(); err != nil {
-		return err
-	}
-	var token [1]byte
-	reqs := make([]*mpi.Request, 0, 2*postCap)
-	for rep := 0; rep < spec.Reps; rep++ {
-		for base, win := 0, 0; base < spec.K; base, win = base+postCap, win+1 {
-			m := min(postCap, spec.K-base)
-			reqs = reqs[:0]
-			// The token receive is posted before the data receives: on the
-			// matching engines order is irrelevant, but the raw engine
-			// completes posts in FIFO order ignoring tags, and the token is
-			// the one arrival every rank gets unconditionally — posted first
-			// it unblocks ready.Wait instead of consuming a data slot and
-			// deadlocking the ring.
-			ready, err := c.Irecv(next, pacedTokenBase+win, token[:])
-			if err != nil {
-				return err
-			}
-			for i := 0; i < m; i++ {
-				req, err := c.Irecv(prev, base+i, bufs[base+i])
-				if err != nil {
-					return err
-				}
-				reqs = append(reqs, req)
-			}
-			if err := c.Send(prev, pacedTokenBase+win, nil); err != nil {
-				return err
-			}
-			if win > 0 {
-				// The sequence did not fit the posted-receive bound: this
-				// window exists only because of backpressure.
-				sink.CounterInc(obs.CtrDaemonBackpressure)
-			}
-			if _, err := ready.Wait(); err != nil {
-				return err
-			}
-			for i := 0; i < m; i++ {
-				req, err := c.Isend(next, base+i, payload)
-				if err != nil {
-					return err
-				}
-				reqs = append(reqs, req)
-			}
-			if err := mpi.Waitall(reqs...); err != nil {
-				return err
-			}
-			// The raw engine pairs arrivals with posts by FIFO order, not
-			// tag, so buffer contents are not attributable — verification is
-			// a matching-engine check.
-			if spec.Engine != "raw" {
-				for i := 0; i < m; i++ {
-					for _, b := range bufs[base+i] {
-						if b != byte(prev) {
-							return fmt.Errorf("rank %d rep %d msg %d: payload byte %d, want %d",
-								rank, rep, base+i, b, prev)
-						}
-					}
-				}
-			}
-		}
-	}
-	return c.Barrier()
 }

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dpa"
+	"repro/internal/mpi"
 )
 
 // Wire limits. A control peer is untrusted enough to fuzz: every bound
@@ -140,11 +141,20 @@ func (s *JobStatus) Terminal() bool {
 	return s.State == "done" || s.State == "failed" || s.State == "canceled"
 }
 
+// engineKinds is the one engine-name table: the names a spec or an -engine
+// flag may carry, and the engine each selects.
+var engineKinds = map[string]mpi.EngineKind{
+	"host": mpi.EngineHost, "offload": mpi.EngineOffload, "raw": mpi.EngineRaw,
+}
+
 var (
-	validEngines    = map[string]bool{"host": true, "offload": true, "raw": true}
-	validTransports = map[string]bool{"inproc": true, "tcp": true, "shm": true, "hybrid": true}
+	validTransports = map[string]bool{"inproc": true, "tcp": true, "udp": true, "shm": true, "hybrid": true}
 	validOps        = map[string]bool{OpSubmit: true, OpStatus: true, OpCancel: true, OpList: true, OpPing: true}
 )
+
+// lossy reports whether the transport drops datagrams by nature; the
+// daemon hosts none such, they run only from the CLIs.
+func lossy(transport string) bool { return transport == "udp" }
 
 // DecodeRequest parses and validates one request line. Every failure —
 // truncated JSON, trailing garbage, unknown ops, hostile budgets, oversize
@@ -197,33 +207,66 @@ func (s *JobSpec) Validate() error {
 	if s.Workload != "" && s.Workload != "ring" && s.Workload != "replay" {
 		return fmt.Errorf("unknown workload %q, want ring or replay", truncName(s.Workload))
 	}
-	if s.Engine != "" && !validEngines[s.Engine] {
-		return fmt.Errorf("unknown engine %q, want host, offload, or raw", truncName(s.Engine))
-	}
-	if s.Transport != "" && !validTransports[s.Transport] {
-		return fmt.Errorf("unknown transport %q, want inproc, tcp, shm, or hybrid", truncName(s.Transport))
+	// Shape is checked on a normalized copy: on the wire an unset field
+	// means "take the default", and the defaults have the right shape.
+	shaped := *s
+	shaped.Normalize()
+	if err := shaped.checkShape(); err != nil {
+		return err
 	}
 	switch {
-	case s.Ranks < 0 || s.Ranks > MaxRanks:
+	case lossy(s.Transport):
+		return fmt.Errorf("transport %s is lossy; the daemon hosts inproc, tcp, shm, and hybrid", s.Transport)
+	case s.Ranks > MaxRanks:
 		return fmt.Errorf("ranks %d outside [0,%d]", s.Ranks, MaxRanks)
-	case s.K < 0 || s.K > MaxK:
+	case s.K > MaxK:
 		return fmt.Errorf("k %d outside [0,%d]", s.K, MaxK)
-	case s.Reps < 0 || s.Reps > MaxReps:
+	case s.Reps > MaxReps:
 		return fmt.Errorf("reps %d outside [0,%d]", s.Reps, MaxReps)
-	case s.PayloadBytes < 0 || s.PayloadBytes > MaxPayloadBytes:
+	case s.PayloadBytes > MaxPayloadBytes:
 		return fmt.Errorf("payload_bytes %d outside [0,%d]", s.PayloadBytes, MaxPayloadBytes)
-	case s.Threads < 0 || s.Threads > dpa.MaxThreads:
+	case s.Threads > dpa.MaxThreads:
 		return fmt.Errorf("threads %d outside [0,%d]", s.Threads, dpa.MaxThreads)
-	case s.Bins < 0 || s.Bins > MaxBins:
+	case s.Bins > MaxBins:
 		return fmt.Errorf("bins %d outside [0,%d]", s.Bins, MaxBins)
-	case s.Bins > 0 && bits.OnesCount(uint(s.Bins)) != 1:
-		return fmt.Errorf("bins %d must be a power of two", s.Bins)
-	case s.MaxReceives < 0 || s.MaxReceives > MaxReceivesCap:
+	case s.MaxReceives > MaxReceivesCap:
 		return fmt.Errorf("max_receives %d outside [0,%d]", s.MaxReceives, MaxReceivesCap)
-	case s.InFlight < 0 || s.InFlight > core.MaxInFlightBlocks:
-		return fmt.Errorf("inflight %d outside [0,%d]", s.InFlight, core.MaxInFlightBlocks)
-	case s.Scale < 0 || s.Scale > MaxScale:
+	case s.Scale > MaxScale:
 		return fmt.Errorf("scale %d outside [0,%d]", s.Scale, MaxScale)
+	}
+	return nil
+}
+
+// checkShape holds the checks that do not depend on who runs the job — the
+// daemon (Validate, which adds its caps) or a CLI (Flags.Validate): known
+// engine and transport names, non-negative sizes, power-of-two bins, the
+// in-flight range. Engine, Transport, Bins and InFlight must carry a value
+// (a CLI's flags always do; Validate normalizes first). Every message
+// starts with the name of the flag that sets the field.
+func (s *JobSpec) checkShape() error {
+	_, engineOK := engineKinds[s.Engine]
+	switch {
+	case !engineOK:
+		return fmt.Errorf("engine %q, want host, offload, or raw", truncName(s.Engine))
+	case !validTransports[s.Transport]:
+		return fmt.Errorf("transport %q, want inproc, tcp, udp, shm, or hybrid", truncName(s.Transport))
+	}
+	for _, size := range []struct {
+		flag string
+		v    int
+	}{
+		{"ranks", s.Ranks}, {"k", s.K}, {"reps", s.Reps}, {"payload", s.PayloadBytes},
+		{"threads", s.Threads}, {"max_receives", s.MaxReceives}, {"scale", s.Scale},
+	} {
+		if size.v < 0 {
+			return fmt.Errorf("%s %d must be >= 0", size.flag, size.v)
+		}
+	}
+	switch {
+	case s.Bins < 1 || bits.OnesCount(uint(s.Bins)) != 1:
+		return fmt.Errorf("bins %d must be a power of two >= 1", s.Bins)
+	case s.InFlight < 1 || s.InFlight > core.MaxInFlightBlocks:
+		return fmt.Errorf("inflight %d outside [1,%d]", s.InFlight, core.MaxInFlightBlocks)
 	}
 	return nil
 }

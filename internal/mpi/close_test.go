@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/rdma"
 )
 
 // TestCloseIdempotent pins re-Close behavior: the first Close returns nil,
@@ -102,5 +105,57 @@ func TestCloseUnblocksPendingWait(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%v: pending Wait still blocked 5s after Close", engine)
 		}
+	}
+}
+
+// failTransport is an rdma.Transport whose Start fails (or whose rank is
+// out of range): the receive path never attaches, so only Close matters.
+type failTransport struct {
+	rdma.Transport // nil: any call but the ones below is a test bug
+	rank           int
+	closes         int
+}
+
+func (f *failTransport) Rank() int                             { return f.rank }
+func (f *failTransport) Size() int                             { return 2 }
+func (f *failTransport) Reliable() bool                        { return true }
+func (f *failTransport) Endpoint(int) rdma.Endpoint            { return nil }
+func (f *failTransport) Start(*rdma.RecvQueue, *rdma.CQ) error { return errors.New("start refused") }
+func (f *failTransport) Close() error                          { f.closes++; return nil }
+
+// TestNewNetWorldClosesTransportOnFailure pins ownership: NewNetWorld owns
+// the transport it is handed, so a failing return must close it exactly
+// once and leave no engine goroutine (the offload engine's DPA workers
+// exist before Start) behind.
+func TestNewNetWorldClosesTransportOnFailure(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		rank int
+		opts Options
+	}{
+		{"start-fails-host", 0, Options{Engine: EngineHost}},
+		{"start-fails-offload", 0, Options{Engine: EngineOffload}},
+		{"start-fails-raw", 1, Options{Engine: EngineRaw}},
+		{"rank-out-of-range", 2, Options{}},
+		{"engine-setup-fails", 0, Options{Engine: EngineKind(99)}},
+	} {
+		tr := &failTransport{rank: tc.rank}
+		if w, err := NewNetWorld(tr, tc.opts); err == nil {
+			w.Close()
+			t.Fatalf("%s: NewNetWorld succeeded", tc.name)
+		}
+		if tr.closes != 1 {
+			t.Errorf("%s: transport closed %d times, want 1", tc.name, tr.closes)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines: %d before, %d after\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

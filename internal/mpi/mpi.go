@@ -264,6 +264,9 @@ func NewWorld(n int, opts Options) (*World, error) {
 // networked world).
 func (w *World) Size() int { return w.n }
 
+// Engine returns the matching engine every rank of the world runs.
+func (w *World) Engine() EngineKind { return w.opts.Engine }
+
 // Proc returns the process object for a rank. In a networked world only
 // the locally hosted rank is addressable.
 func (w *World) Proc(rank int) *Proc {
@@ -426,6 +429,54 @@ func (w *World) ObsSinks() []obs.Named {
 	}
 	out = append(out, obs.Named{Name: "fabric", Sink: w.fabricSink()})
 	return out
+}
+
+// Totals is what the ranks hosted by one or more finished worlds add up
+// to: the offloaded engines' statistics (zero for other engines), the
+// dataplanes' injected faults, the repair sublayer's work, and every
+// observability sink (one per rank plus one per fabric).
+type Totals struct {
+	Matcher     core.EngineStats
+	Faults      rdma.FaultSnapshot
+	Reliability ReliabilitySnapshot
+	Sinks       []obs.Named
+}
+
+// CloseWorlds closes every non-nil world, concurrently: the members of one
+// networked job drain toward each other, so closing them in turn would
+// serialize those waits. Close is idempotent, so racing a cancel is fine.
+func CloseWorlds(worlds []*World) {
+	var wg sync.WaitGroup
+	for _, w := range worlds {
+		if w == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Close()
+		}()
+	}
+	wg.Wait()
+}
+
+// Quiesce closes the worlds and totals their statistics. Close waits for
+// the engines' in-flight blocks to retire, so the counters read here have
+// settled (Retires == Blocks) — every workload runner ends with it.
+func Quiesce(worlds []*World) Totals {
+	CloseWorlds(worlds)
+	var t Totals
+	for _, w := range worlds {
+		for _, p := range w.procs {
+			if m := p.Matcher(); m != nil {
+				t.Matcher.Add(m.Stats())
+			}
+		}
+		t.Faults = t.Faults.Add(w.FaultStats())
+		t.Reliability = t.Reliability.Add(w.ReliabilityStats())
+		t.Sinks = append(t.Sinks, w.ObsSinks()...)
+	}
+	return t
 }
 
 // Proc is one rank of a World.

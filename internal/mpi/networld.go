@@ -21,6 +21,9 @@ import (
 // fault injection itself lives in the transport (netfabric.Config.Faults),
 // not in the world.
 //
+// The world owns t from the call on: World.Close closes it, and so does
+// every failing return here — the caller never has a transport to clean up.
+//
 // The world must quiesce before Close — run a final Barrier so no peer
 // still expects acknowledgements, exactly as with in-process worlds.
 func NewNetWorld(t rdma.Transport, opts Options) (*World, error) {
@@ -29,6 +32,7 @@ func NewNetWorld(t rdma.Transport, opts Options) (*World, error) {
 	}
 	n, rank := t.Size(), t.Rank()
 	if n < 1 || rank < 0 || rank >= n {
+		_ = t.Close()
 		return nil, fmt.Errorf("mpi: transport rank %d of %d out of range", rank, n)
 	}
 	opts.fill()
@@ -37,6 +41,7 @@ func NewNetWorld(t rdma.Transport, opts Options) (*World, error) {
 
 	p, err := newProc(w, rank, n)
 	if err != nil {
+		_ = t.Close()
 		return nil, err
 	}
 	for j := 0; j < n; j++ {
@@ -47,9 +52,12 @@ func NewNetWorld(t rdma.Transport, opts Options) (*World, error) {
 	// bounce buffers and complete on its raw CQ, exactly like sends
 	// landing inline on an in-process world's QPs.
 	if err := t.Start(p.srq, p.rawCQ); err != nil {
+		p.engine.close() // built, never started: releases the DPA workers
+		_ = t.Close()
 		return nil, err
 	}
 	if err := p.start(); err != nil {
+		w.Close()
 		return nil, err
 	}
 	return w, nil

@@ -106,6 +106,16 @@ func (s FaultSnapshot) String() string {
 		s.Dropped, s.Duplicated, s.Delayed, s.RNRs, s.Stalls)
 }
 
+// Add folds another snapshot into s, for totals over several dataplanes.
+func (s FaultSnapshot) Add(t FaultSnapshot) FaultSnapshot {
+	s.Dropped += t.Dropped
+	s.Duplicated += t.Duplicated
+	s.Delayed += t.Delayed
+	s.RNRs += t.RNRs
+	s.Stalls += t.Stalls
+	return s
+}
+
 // SetFaults installs a fault plan on the fabric. Call before ConnectPair:
 // only QPs created after the call carry injectors. A plan for which
 // Active() is false leaves the fabric lossless.

@@ -33,11 +33,8 @@ type goldenTotals struct {
 // depth with tracing enabled and aggregates the rank sinks.
 func replayGolden(t *testing.T, tr *trace.Trace, depth int) (*Result, goldenTotals) {
 	t.Helper()
-	matcher := core.Config{
-		Bins: 256, MaxReceives: 4096, BlockSize: 8,
-		EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
-		InFlightBlocks: depth,
-	}
+	matcher := MatcherConfig()
+	matcher.InFlightBlocks = depth
 	cfg := Config{Engine: mpi.EngineOffload}
 	cfg.Options.Matcher = matcher
 	// Rings sized so nothing is overwritten: the event-count invariants

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/rdma"
 	"repro/internal/rdma/netfabric"
@@ -41,11 +40,8 @@ func goldenConfig(kind mpi.EngineKind, inflight int) replay.Config {
 	cfg := replay.Config{Engine: kind}
 	cfg.Options.Engine = kind
 	cfg.Options.RecvDepth = 64
-	cfg.Options.Matcher = core.Config{
-		Bins: 256, MaxReceives: 4096, BlockSize: 8,
-		InFlightBlocks:    inflight,
-		EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
-	}
+	cfg.Options.Matcher = replay.MatcherConfig()
+	cfg.Options.Matcher.InFlightBlocks = inflight
 	return cfg
 }
 
@@ -92,7 +88,7 @@ func replayNet(t *testing.T, tr *trace.Trace, network string, cfg replay.Config,
 				errs[k] = err
 				return
 			}
-			results[k], errs[k] = replay.RunWorld(tr, cfg, w)
+			results[k], errs[k] = replay.RunWorlds(tr, cfg, []*mpi.World{w})
 		}(k)
 	}
 	wg.Wait()

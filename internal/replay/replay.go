@@ -15,8 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mpi"
-	"repro/internal/obs"
-	"repro/internal/rdma"
 	"repro/internal/trace"
 )
 
@@ -34,6 +32,15 @@ type Config struct {
 	Options mpi.Options
 }
 
+// MatcherConfig is the matcher shape replays run on: 4096 receives over 256
+// bins, 8-wide blocks, every §IV-D optimization on.
+func MatcherConfig() core.Config {
+	return core.Config{
+		Bins: 256, MaxReceives: 4096, BlockSize: 8,
+		EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+	}
+}
+
 func (c *Config) fill() {
 	if c.MaxMessageBytes == 0 {
 		c.MaxMessageBytes = 4096
@@ -43,10 +50,7 @@ func (c *Config) fill() {
 		c.Options.RecvDepth = 64
 	}
 	if c.Options.Matcher == (core.Config{}) {
-		c.Options.Matcher = core.Config{
-			Bins: 256, MaxReceives: 4096, BlockSize: 8,
-			EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
-		}
+		c.Options.Matcher = MatcherConfig()
 	}
 }
 
@@ -57,16 +61,10 @@ type Result struct {
 	Recvs       int
 	Collectives int
 	Elapsed     time.Duration
-	// Matcher aggregates the offloaded engines' statistics over all ranks
-	// (zero for other engines).
-	Matcher core.EngineStats
-	// Faults and Reliability report injected-fault and repair counters
-	// when the world ran under an active rdma.FaultPlan.
-	Faults      rdma.FaultSnapshot
-	Reliability mpi.ReliabilitySnapshot
-	// Sinks are the world's observability sinks (one per rank plus the
-	// fabric), captured before teardown for stats/trace export.
-	Sinks []obs.Named
+	// Totals are the hosted ranks' settled statistics — the offloaded
+	// engines' counters, injected faults and repair work — and the worlds'
+	// observability sinks, read after teardown.
+	mpi.Totals
 }
 
 // String renders a one-line summary.
@@ -88,29 +86,27 @@ func Run(t *trace.Trace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunWorld(t, cfg, w)
+	return RunWorlds(t, cfg, []*mpi.World{w})
 }
 
-// RunWorld replays t over a caller-built world and closes it. Only the
-// ranks the world hosts are driven: an in-process world replays the whole
-// trace, a NewNetWorld member replays its one rank while peer processes
-// replay theirs — the trace must be identical in every process (the
-// synthetic generators are deterministic, so same app + scale suffices).
-// Counts and statistics cover the local ranks only; the Elapsed window is
-// aligned across processes by the trace's own collectives and the final
-// barrier every rank runs.
-func RunWorld(t *trace.Trace, cfg Config, w *mpi.World) (*Result, error) {
+// RunWorlds replays t over caller-built worlds of one job and closes them.
+// Only the ranks the worlds host are driven: an in-process world replays
+// the whole trace, a NewNetWorld member replays its one rank while its
+// peers — in this slice or in other processes — replay theirs; the trace
+// must be identical everywhere (the synthetic generators are
+// deterministic, so same app + scale suffices). Counts and statistics cover
+// the hosted ranks only; the Elapsed window is aligned across processes by
+// the trace's own collectives and the final barrier every rank runs.
+func RunWorlds(t *trace.Trace, cfg Config, worlds []*mpi.World) (*Result, error) {
 	cfg.fill()
+	defer mpi.CloseWorlds(worlds)
 	n := t.NumRanks()
 	if n == 0 {
-		w.Close()
 		return nil, fmt.Errorf("replay: empty trace")
 	}
-	if w.Size() != n {
-		w.Close()
-		return nil, fmt.Errorf("replay: world of %d ranks cannot host a %d-rank trace", w.Size(), n)
+	if size := worlds[0].Size(); size != n {
+		return nil, fmt.Errorf("replay: world of %d ranks cannot host a %d-rank trace", size, n)
 	}
-	defer w.Close()
 
 	res := &Result{Ranks: n}
 	start := time.Now()
@@ -121,18 +117,20 @@ func RunWorld(t *trace.Trace, cfg Config, w *mpi.World) (*Result, error) {
 	local := 0
 	for ri := range t.Ranks {
 		rank := int(t.Ranks[ri].Rank)
-		if !w.Hosts(rank) {
-			continue
+		for _, w := range worlds {
+			if !w.Hosts(rank) {
+				continue
+			}
+			local++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				counts[ri], errs[ri] = replayRank(w.Proc(rank), t.Ranks[ri].Events, cfg)
+			}()
 		}
-		local++
-		wg.Add(1)
-		go func(ri, rank int) {
-			defer wg.Done()
-			counts[ri], errs[ri] = replayRank(w.Proc(rank), t.Ranks[ri].Events, cfg)
-		}(ri, rank)
 	}
 	if local == 0 {
-		return nil, fmt.Errorf("replay: world hosts none of the trace's ranks")
+		return nil, fmt.Errorf("replay: worlds host none of the trace's ranks")
 	}
 	wg.Wait()
 	for r, err := range errs {
@@ -141,33 +139,11 @@ func RunWorld(t *trace.Trace, cfg Config, w *mpi.World) (*Result, error) {
 		}
 	}
 	res.Elapsed = time.Since(start)
-	// Quiesce before reading stats: Close waits for the engines' in-flight
-	// blocks to retire, so counters like Retires have settled (the deferred
-	// Close above is a no-op after this).
-	w.Close()
+	res.Totals = mpi.Quiesce(worlds)
 	for i := range counts {
 		res.Sends += counts[i].Sends
 		res.Recvs += counts[i].Recvs
 		res.Collectives += counts[i].Collectives
-	}
-	res.Faults = w.FaultStats()
-	res.Reliability = w.ReliabilityStats()
-	res.Sinks = w.ObsSinks()
-	for _, p := range w.LocalProcs() {
-		if m := p.Matcher(); m != nil {
-			st := m.Stats()
-			res.Matcher.Messages += st.Messages
-			res.Matcher.Blocks += st.Blocks
-			res.Matcher.Optimistic += st.Optimistic
-			res.Matcher.Conflicts += st.Conflicts
-			res.Matcher.FastPath += st.FastPath
-			res.Matcher.SlowPath += st.SlowPath
-			res.Matcher.Unexpected += st.Unexpected
-			res.Matcher.Relaxed += st.Relaxed
-			res.Matcher.Revalidated += st.Revalidated
-			res.Matcher.Steals += st.Steals
-			res.Matcher.Retires += st.Retires
-		}
 	}
 	return res, nil
 }

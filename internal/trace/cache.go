@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -9,15 +8,11 @@ import (
 	"path/filepath"
 )
 
-// Cache file names the parser drops next to a trace directory (§V-A: the
-// parser "verifies the existence of a binary cache for the given input
-// trace" and skips re-parsing when one is found). New caches are written
-// in the versioned binary format (codec.go); legacy gob caches written by
-// earlier versions are still read, never written.
-const (
-	cacheName    = ".trace-cache.bin"
-	cacheGobName = ".trace-cache.gob"
-)
+// cacheName is the cache file the parser drops next to a trace directory
+// (§V-A: the parser "verifies the existence of a binary cache for the given
+// input trace" and skips re-parsing when one is found), in the versioned
+// binary format of codec.go.
+const cacheName = ".trace-cache.bin"
 
 // cachePath returns the binary cache location for a trace directory.
 func cachePath(dir string) string { return filepath.Join(dir, cacheName) }
@@ -35,30 +30,17 @@ func SaveCache(dir string, t *Trace) error {
 	return nil
 }
 
-// statCache finds the freshest cache file for dir, preferring the binary
-// format over a legacy gob. ok is false only when neither exists; any
-// other stat failure (permissions, ENOTDIR, I/O) is a real error, not a
-// cache miss.
-func statCache(dir string) (path string, st os.FileInfo, ok bool, err error) {
-	for _, name := range []string{cacheName, cacheGobName} {
-		p := filepath.Join(dir, name)
-		fi, err := os.Stat(p)
-		if err == nil {
-			return p, fi, true, nil
-		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			return "", nil, false, err
-		}
-	}
-	return "", nil, false, nil
-}
-
 // LoadCache reads a binary cache if present and fresh (at least as new as
 // every rank file in the directory). ok is false when the cache is absent
-// or stale.
+// or stale; any other stat failure (permissions, ENOTDIR, I/O) is a real
+// error, not a cache miss.
 func LoadCache(dir string) (t *Trace, ok bool, err error) {
-	path, st, ok, err := statCache(dir)
-	if err != nil || !ok {
+	path := cachePath(dir)
+	st, err := os.Stat(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, false, nil
+	}
+	if err != nil {
 		return nil, false, err
 	}
 	entries, err := os.ReadDir(dir)
@@ -77,9 +59,6 @@ func LoadCache(dir string) (t *Trace, ok bool, err error) {
 			return nil, false, nil // stale
 		}
 	}
-	if filepath.Base(path) == cacheGobName {
-		return loadGobCache(path)
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, err
@@ -92,34 +71,6 @@ func LoadCache(dir string) (t *Trace, ok bool, err error) {
 		return nil, false, fmt.Errorf("trace: decoding cache: %w", err)
 	}
 	return t, true, nil
-}
-
-// loadGobCache decodes a legacy gob cache.
-func loadGobCache(path string) (*Trace, bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	t := new(Trace)
-	if err := gob.NewDecoder(f).Decode(t); err != nil {
-		return nil, false, fmt.Errorf("trace: decoding cache: %w", err)
-	}
-	return t, true, nil
-}
-
-// saveGobCache writes a legacy-format cache. Kept only so tests and
-// benchmarks can produce the caches earlier versions left behind.
-func saveGobCache(dir string, t *Trace) error {
-	f, err := os.Create(filepath.Join(dir, cacheGobName))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(t); err != nil {
-		return fmt.Errorf("trace: encoding cache: %w", err)
-	}
-	return nil
 }
 
 // anyFormatFile reports whether name belongs to any registered format.

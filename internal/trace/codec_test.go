@@ -87,37 +87,22 @@ func TestDecodeBinaryTruncated(t *testing.T) {
 	}
 }
 
-func TestGobCacheFallback(t *testing.T) {
+// TestLeftoverGobFileIsMiss: a cache file left behind by a pre-codec
+// version is not read; Load re-parses and writes the binary cache.
+func TestLeftoverGobFileIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	writeTraceDir(t, dir)
-	orig, err := ParseDir(dir, "test")
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ".trace-cache.gob"), []byte("legacy"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A cache left behind by an earlier version must still load…
-	if err := saveGobCache(dir, orig); err != nil {
+	if tr, ok, err := LoadCache(dir); err != nil || ok || tr != nil {
+		t.Fatalf("leftover gob cache: tr=%v ok=%v err=%v", tr, ok, err)
+	}
+	if _, err := Load(dir, "test"); err != nil {
 		t.Fatal(err)
-	}
-	got, ok, err := LoadCache(dir)
-	if err != nil || !ok {
-		t.Fatalf("gob fallback: ok=%v err=%v", ok, err)
-	}
-	if !reflect.DeepEqual(orig, got) {
-		t.Fatal("gob cache decoded differently")
-	}
-	// …and the binary format must win once both exist.
-	if err := SaveCache(dir, orig); err != nil {
-		t.Fatal(err)
-	}
-	path, _, ok, err := statCache(dir)
-	if err != nil || !ok {
-		t.Fatalf("statCache: ok=%v err=%v", ok, err)
-	}
-	if filepath.Base(path) != cacheName {
-		t.Fatalf("statCache preferred %s", path)
 	}
 	if _, ok, err := LoadCache(dir); err != nil || !ok {
-		t.Fatalf("binary cache: ok=%v err=%v", ok, err)
+		t.Fatalf("binary cache after re-parse: ok=%v err=%v", ok, err)
 	}
 }
 
