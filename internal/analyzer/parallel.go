@@ -3,7 +3,7 @@ package analyzer
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/match"
@@ -177,11 +177,8 @@ func (sc *Schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 	for i := range results {
 		samples = append(samples, results[i].samples...)
 	}
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].time != samples[j].time {
-			return samples[i].time < samples[j].time
-		}
-		return samples[i].seq < samples[j].seq
+	slices.SortFunc(samples, func(a, b progressSample) int {
+		return cmpTimeSeq(a.time, a.seq, b.time, b.seq)
 	})
 
 	var postedSamples, emptySamples int

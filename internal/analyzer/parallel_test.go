@@ -33,10 +33,19 @@ func TestParallelEquivalenceOnGenerators(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s serial: %v", name, eng, err)
 			}
+			// The schedule is built at each width too: its shard sorts run
+			// on the same Workers-wide pool as the replay.
+			var ref *Schedule
 			for _, workers := range []int{1, 3, 16} {
 				c := cfg
 				c.Workers = workers
-				par, err := Analyze(tr, c)
+				sc := BuildSchedule(tr, c)
+				if ref == nil {
+					ref = sc
+				} else if !reflect.DeepEqual(ref.shards, sc.shards) {
+					t.Errorf("%s/%s workers=%d: schedule differs from the one built at width 1", name, eng, workers)
+				}
+				par, err := sc.Analyze(c)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", name, eng, workers, err)
 				}

@@ -1,8 +1,8 @@
 package analyzer
 
 import (
-	"sort"
-	"sync"
+	"cmp"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -55,6 +55,25 @@ func BuildSchedule(t *trace.Trace, cfg Config) *Schedule {
 		idx[t.Ranks[ri].Rank] = ri
 	}
 
+	// Size every shard's stream before filling it: one exact allocation per
+	// shard instead of a doubling series.
+	counts := make([]int, len(t.Ranks))
+	for ri := range t.Ranks {
+		for _, e := range t.Ranks[ri].Events {
+			switch e.Kind {
+			case trace.OpRecv, trace.OpProgress:
+				counts[ri]++
+			case trace.OpSend:
+				if di, ok := idx[e.Peer]; ok {
+					counts[di]++
+				}
+			}
+		}
+	}
+	for ri, n := range counts {
+		sc.shards[ri].steps = make([]step, 0, n)
+	}
+
 	// seq numbers every trace event in emission order (including kinds
 	// that schedule nothing) so ties resolve identically to the serial
 	// path's global sort.
@@ -82,26 +101,28 @@ func BuildSchedule(t *trace.Trace, cfg Config) *Schedule {
 		}
 	}
 
-	// Sort shards concurrently: many small O(s log s) sorts replace the
-	// serial path's one global O(E log E) sort.
-	var wg sync.WaitGroup
-	for i := range sc.shards {
-		wg.Add(1)
-		go func(steps []step) {
-			defer wg.Done()
-			sort.Slice(steps, func(a, b int) bool {
-				if steps[a].time != steps[b].time {
-					return steps[a].time < steps[b].time
-				}
-				return steps[a].seq < steps[b].seq
-			})
-		}(sc.shards[i].steps)
-	}
-	wg.Wait()
+	// Sort shards on the replay's worker pool: many small O(s log s) sorts
+	// replace the serial path's one global O(E log E) sort.
+	runPool(len(sc.shards), cfg.workerCount(len(sc.shards)), func(i int) {
+		slices.SortFunc(sc.shards[i].steps, func(a, b step) int {
+			return cmpTimeSeq(a.time, a.seq, b.time, b.seq)
+		})
+	})
 	if cfg.Obs.Enabled() {
 		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseSchedule, uint64(cfg.Obs.Now()-start), 0)
 	}
 	return sc
+}
+
+// cmpTimeSeq is the replay order: time, ties broken by emission sequence.
+func cmpTimeSeq(at float64, as int, bt float64, bs int) int {
+	switch {
+	case at < bt:
+		return -1
+	case at > bt:
+		return 1
+	}
+	return cmp.Compare(as, bs)
 }
 
 // NumShards returns the number of per-rank replay shards.

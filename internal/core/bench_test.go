@@ -19,6 +19,28 @@ func benchMatcher(b *testing.B, bins, blockN int) *core.OptimisticMatcher {
 	})
 }
 
+// BenchmarkNew measures construction at the two shapes that matter: the
+// trace analyzer's (one matcher per rank shard per bin count, so New is on
+// its hot path) and the paper's prototype configuration.
+func BenchmarkNew(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"analyzer", core.Config{Bins: 32, MaxReceives: 4096, BlockSize: 1}},
+		{"paper", core.DefaultConfig()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.New(c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPostRecv measures the host→engine posting path (§IV-E compares
 // it to hardware tag matching command cost).
 func BenchmarkPostRecv(b *testing.B) {

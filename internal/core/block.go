@@ -312,8 +312,10 @@ func (b *Block) Match(tid int, env *match.Envelope) (Result, bool) {
 
 	// Fast path (§III-D3a): if every thread booked the same receive — the
 	// head of a sequence of compatible receives — thread tid shifts to the
-	// receive tid positions later in the sequence.
-	if myLoss && cand != nil && !b.m.cfg.DisableFastPath &&
+	// receive tid positions later in the sequence. Positions are counted
+	// along the chain, so the shift needs lazy removal: an eagerly unlinked
+	// peer no longer occupies its position.
+	if myLoss && cand != nil && !b.m.cfg.DisableFastPath && b.m.cfg.LazyRemoval &&
 		cand.bookingBits(b.epoch)&b.mask == b.mask {
 		if d := b.fastShift(cand, tid); d != nil {
 			st.fastPath++

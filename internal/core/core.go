@@ -353,7 +353,9 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 	// Check the unexpected store first (§IV-C): only the index matching the
 	// receive's wildcard class needs searching, because every unexpected
 	// message is indexed in all four structures.
-	env, depth := s.takeMatchLocked(r)
+	class := r.Class()
+	hash := keyHashFor(class, r.Source, r.Tag, r.Comm)
+	env, depth := s.takeMatchLocked(r, class, hash)
 	c := &m.obs.Counters
 	c.Inc(obs.CtrPostSearches)
 	c.Add(obs.CtrPostTraversed, depth)
@@ -377,7 +379,7 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 	}
 	d.recv = r
 	d.src, d.tag, d.comm = r.Source, r.Tag, r.Comm
-	d.class = r.Class()
+	d.class = class
 	d.label = r.Label
 	d.seqID = m.nextSeqID
 	for i := range d.booking {
@@ -385,8 +387,7 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 	}
 	d.markPosted()
 
-	idx := m.indexFor(d.class)
-	idx.insert(d, keyHashFor(d.class, r.Source, r.Tag, r.Comm), m.cfg.LazyRemoval)
+	m.indexFor(class).insert(d, hash)
 	c.Inc(obs.CtrQueued)
 	// Ordered publish: advance the watermark only after the descriptor is
 	// fully linked. The store is still locked, so watermark advances are

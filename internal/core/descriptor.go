@@ -184,21 +184,34 @@ type reclaim struct {
 	seq  uint64
 }
 
-// descriptorTable is the fixed-size descriptor pool (§IV-E: 64 bytes per
-// descriptor in the DPA memory model). It is self-locking: posts allocate
+// chunkSize is the number of descriptor slots materialized at a time.
+const chunkSize = 64
+
+// descriptorTable is the descriptor pool (§IV-E: a fixed table of 64-byte
+// descriptors in the DPA memory model, charged whole at construction by
+// ModelFootprint). On the host it materializes in chunkSize-slot chunks as
+// posts need them, so an idle or shallow matcher does not pay for its
+// capacity. A chunk never moves or shrinks: chains hold descriptor pointers
+// and Block.cand holds slot numbers. It is self-locking: posts allocate
 // while arrival blocks run. Release is epoch-based: a retiring block pushes
 // its consumed descriptors onto a deferred FIFO tagged with the current
 // block-sequence watermark, and alloc recycles entries only after the retire
 // frontier has passed their tag, so no in-flight block can ever stand on a
 // reused slot.
 type descriptorTable struct {
-	mu    sync.Mutex
-	slots []descriptor
-	free  []int32
-	used  int
+	mu   sync.Mutex
+	n    int // capacity (Config.MaxReceives)
+	made int // slots materialized so far
+	free []int32
+
+	// chunks is the directory, sized for n at construction so it never
+	// moves. Entries are published atomically: Block.anyLowerConflict calls
+	// get with no lock while a concurrent post grows the table.
+	chunks []atomic.Pointer[[chunkSize]descriptor]
 
 	// deferred is a circular FIFO of released slots awaiting their grace
-	// period; tags are monotone because blocks retire in sequence order.
+	// period, with room for every materialized slot; tags are monotone
+	// because blocks retire in sequence order.
 	deferred []reclaim
 	defHead  int
 	defLen   int
@@ -215,40 +228,62 @@ type descriptorTable struct {
 }
 
 func newDescriptorTable(n int) *descriptorTable {
-	t := &descriptorTable{
-		slots:    make([]descriptor, n),
-		free:     make([]int32, 0, n),
-		deferred: make([]reclaim, n),
+	return &descriptorTable{
+		n:      n,
+		chunks: make([]atomic.Pointer[[chunkSize]descriptor], (n+chunkSize-1)/chunkSize),
 	}
-	for i := n - 1; i >= 0; i-- {
-		t.slots[i].slot = int32(i)
-		t.free = append(t.free, int32(i))
-	}
-	return t
 }
 
 // alloc takes a free descriptor, or returns nil when the table is full
-// (the ErrTableFull condition). Deferred releases whose grace period has
-// expired are recycled first.
+// (the ErrTableFull condition: n slots exist and none is reclaimable).
+// Deferred releases whose grace period has expired are recycled before the
+// table grows, so the materialized size tracks the peak posted depth, not
+// the number of posts.
 func (t *descriptorTable) alloc() *descriptor {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.free) == 0 {
 		t.drainLocked()
-		if len(t.free) == 0 {
+		if len(t.free) == 0 && !t.growLocked() {
 			return nil
 		}
 	}
 	i := t.free[len(t.free)-1]
 	t.free = t.free[:len(t.free)-1]
-	d := &t.slots[i]
+	d := t.get(i)
 	d.next.Store(nil)
 	d.prev = nil
 	d.owner = nil
 	d.unlinked = false
-	t.used++
 	t.liveCount.Add(1)
 	return d
+}
+
+// growLocked materializes the next chunk, or reports false at capacity. The
+// deferred ring must hold every materialized slot; when it no longer does
+// it is re-laid out at twice the slot count (so ring copies stay linear in
+// the table's size), pending entries kept in order.
+func (t *descriptorTable) growLocked() bool {
+	k := min(chunkSize, t.n-t.made)
+	if k == 0 {
+		return false
+	}
+	c := new([chunkSize]descriptor)
+	for i := k - 1; i >= 0; i-- {
+		c[i].slot = int32(t.made + i)
+		t.free = append(t.free, c[i].slot)
+	}
+	t.chunks[t.made/chunkSize].Store(c)
+	t.made += k
+
+	if t.made > len(t.deferred) {
+		ring := make([]reclaim, min(t.n, 2*t.made))
+		for i := 0; i < t.defLen; i++ {
+			ring[i] = t.deferred[(t.defHead+i)%len(t.deferred)]
+		}
+		t.deferred, t.defHead = ring, 0
+	}
+	return true
 }
 
 // drainLocked moves reclaimable deferred entries to the free list.
@@ -279,19 +314,23 @@ func (t *descriptorTable) release(d *descriptor, afterSeq uint64) {
 	t.mu.Lock()
 	t.deferred[(t.defHead+t.defLen)%len(t.deferred)] = reclaim{slot: d.slot, seq: afterSeq}
 	t.defLen++
-	t.used--
 	t.mu.Unlock()
 	t.liveCount.Add(-1)
 }
 
-// get returns the descriptor at slot i.
-func (t *descriptorTable) get(i int32) *descriptor { return &t.slots[i] }
+// get returns the descriptor at slot i, which must have been materialized.
+func (t *descriptorTable) get(i int32) *descriptor {
+	return &t.chunks[uint32(i)/chunkSize].Load()[uint32(i)%chunkSize]
+}
 
 // live returns the number of allocated descriptors still in posted state.
 func (t *descriptorTable) live() int {
+	t.mu.Lock()
+	made := t.made
+	t.mu.Unlock()
 	live := 0
-	for i := range t.slots {
-		if ownState(t.slots[i].word.Load()) == statePosted {
+	for i := 0; i < made; i++ {
+		if ownState(t.get(int32(i)).word.Load()) == statePosted {
 			live++
 		}
 	}
@@ -299,4 +338,4 @@ func (t *descriptorTable) live() int {
 }
 
 // capacity returns the table size.
-func (t *descriptorTable) capacity() int { return len(t.slots) }
+func (t *descriptorTable) capacity() int { return t.n }

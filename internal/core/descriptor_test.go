@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -163,6 +167,160 @@ func TestDescriptorTableDeferredReclaim(t *testing.T) {
 	retired.Store(2)
 	if tab.alloc() == nil {
 		t.Fatal("slot must be reusable once the frontier reaches its tag")
+	}
+}
+
+// TestTableCapacityIsExact pins ErrTableFull on the chunk-grown table: the
+// limit is MaxReceives simultaneously posted receives whatever the chunk
+// arithmetic (below, at and just past a chunk boundary, and many chunks),
+// and one consume + retire buys exactly one more post.
+func TestTableCapacityIsExact(t *testing.T) {
+	for _, n := range []int{1, 3, 64, 65, 1088, 4096} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			m := MustNew(Config{Bins: 32, MaxReceives: n, BlockSize: 1})
+			post := func(tag int) error {
+				_, _, err := m.PostRecv(&match.Recv{Source: 1, Tag: match.Tag(tag)})
+				return err
+			}
+			for i := 0; i < n; i++ {
+				if err := post(i); err != nil {
+					t.Fatalf("post %d of %d: %v", i, n, err)
+				}
+			}
+			if err := post(n); !errors.Is(err, ErrTableFull) {
+				t.Fatalf("post past capacity: err = %v, want ErrTableFull", err)
+			}
+			if got := m.Stats().TableFull; got != 1 {
+				t.Fatalf("TableFull = %d, want 1", got)
+			}
+			if res := m.Arrive(&match.Envelope{Source: 1, Tag: 0}); res.Unexpected {
+				t.Fatal("arrival for a posted receive went unexpected")
+			}
+			if err := post(n); err != nil {
+				t.Fatalf("post after consume + retire: %v", err)
+			}
+			if err := post(n + 1); !errors.Is(err, ErrTableFull) {
+				t.Fatalf("second post after one retire: err = %v, want ErrTableFull", err)
+			}
+			if got := m.Stats().TableFull; got != 2 {
+				t.Fatalf("TableFull = %d, want 2", got)
+			}
+			if m.table.made != n || m.PostedDepth() != n {
+				t.Fatalf("materialized %d slots, %d posted, want %d of each", m.table.made, m.PostedDepth(), n)
+			}
+		})
+	}
+}
+
+// TestTableReusesBeforeGrowing: retired slots are recycled before a new
+// chunk is materialized, so the table's size follows the peak posted depth
+// (100 here), not the number of posts (100 000).
+func TestTableReusesBeforeGrowing(t *testing.T) {
+	m := MustNew(Config{Bins: 64, MaxReceives: 4096, BlockSize: 32, InFlightBlocks: 1,
+		EarlyBookingCheck: true, LazyRemoval: true})
+	const depth = 100
+	envs := make([]*match.Envelope, depth)
+	for round := 0; round < 1000; round++ {
+		for i := 0; i < depth; i++ {
+			if _, _, err := m.PostRecv(&match.Recv{Source: 2, Tag: match.Tag(i)}); err != nil {
+				t.Fatalf("round %d post %d: %v", round, i, err)
+			}
+			envs[i] = &match.Envelope{Source: 2, Tag: match.Tag(i)}
+		}
+		for _, res := range m.ArrivePipelined(envs) {
+			if res.Unexpected {
+				t.Fatalf("round %d: tag %d went unexpected", round, res.Env.Tag)
+			}
+		}
+	}
+	if chunks := (m.table.made + chunkSize - 1) / chunkSize; chunks > 4 {
+		t.Fatalf("%d chunks materialized for a posted depth of %d, want <= 4", chunks, depth)
+	}
+}
+
+// TestDeferredRingSurvivesGrowth queues releases so that the deferred ring
+// wraps, grows the table (and with it the ring) underneath them, and checks
+// that every one is reclaimed, in release order, as the frontier passes its
+// tag.
+func TestDeferredRingSurvivesGrowth(t *testing.T) {
+	tab := newDescriptorTable(8 * chunkSize)
+	var retired atomic.Uint64
+	tab.retired = &retired
+
+	// Two chunks fill the first ring (sized for two) exactly.
+	held := make([]*descriptor, 2*chunkSize)
+	for i := range held {
+		held[i] = tab.alloc()
+	}
+	if tab.made != len(held) || len(tab.deferred) != len(held) {
+		t.Fatalf("setup: made %d, ring %d, want %d of each", tab.made, len(tab.deferred), len(held))
+	}
+	// Move the ring's head off zero: immediate releases, re-allocated.
+	for i := 0; i < 100; i++ {
+		tab.release(held[0], 0)
+		held[0] = tab.alloc()
+	}
+	// 50 gated releases now wrap the ring (positions 100..127, 0..21).
+	var want []int32
+	for i, d := range held[:50] {
+		tab.release(d, uint64(i+1))
+		want = append(want, d.slot)
+	}
+	if tab.defHead+tab.defLen <= len(tab.deferred) {
+		t.Fatalf("setup: ring not wrapped (head %d, len %d of %d)", tab.defHead, tab.defLen, len(tab.deferred))
+	}
+	if d := tab.alloc(); d == nil || int(d.slot) < len(held) {
+		t.Fatalf("alloc with nothing reclaimable must grow, got %v", d)
+	}
+	if tab.made != 3*chunkSize || len(tab.deferred) < tab.made || tab.defLen != 50 {
+		t.Fatalf("after growth: made %d, ring %d, pending %d", tab.made, len(tab.deferred), tab.defLen)
+	}
+
+	reclaimed := func() []int32 {
+		tab.mu.Lock()
+		defer tab.mu.Unlock()
+		before := len(tab.free)
+		tab.drainLocked()
+		return append([]int32(nil), tab.free[before:]...)
+	}
+	retired.Store(25)
+	got := reclaimed()
+	if len(got) != 25 {
+		t.Fatalf("frontier 25 reclaimed %d entries, want 25", len(got))
+	}
+	retired.Store(50)
+	got = append(got, reclaimed()...)
+	if !slices.Equal(got, want) || tab.defLen != 0 {
+		t.Fatalf("reclaimed %v (%d still pending), want %v", got, tab.defLen, want)
+	}
+}
+
+var newSink *OptimisticMatcher
+
+// TestNewHeapBytes is the construction-cost guard: a matcher pays for its
+// bins up front and for descriptors, deferred-ring entries and unexpected
+// bins only on use. The analyzer builds one matcher per rank shard per bin
+// count, so its shape must stay small; the paper's shape may cost its three
+// receive indexes (32 B per bin) and little else.
+func TestNewHeapBytes(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		limit uint64
+	}{
+		{"analyzer", Config{Bins: 32, MaxReceives: 4096, BlockSize: 1}, 32 << 10},
+		{"paper", DefaultConfig(), 3*2048*32 + 16<<10},
+	} {
+		const rounds = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			newSink = MustNew(c.cfg)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > c.limit {
+			t.Errorf("%s shape: core.New allocates %d B, limit %d", c.name, per, c.limit)
+		}
 	}
 }
 

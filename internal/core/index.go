@@ -37,11 +37,8 @@ func (ix *recvIndex) bucketFor(hash uint64) *rbucket {
 
 // insert appends d at the tail of its bucket chain under the bucket's remove
 // lock (the tail races Finish-time unlink sweeps). Chains are posting-
-// ordered because PostRecv serializes posts. The lazy parameter is accepted
-// for symmetry with unlink policies; insertion itself is identical in both
-// modes.
-func (ix *recvIndex) insert(d *descriptor, hash uint64, lazy bool) {
-	_ = lazy
+// ordered because PostRecv serializes posts.
+func (ix *recvIndex) insert(d *descriptor, hash uint64) {
 	b := ix.bucketFor(hash)
 	d.owner = b
 	b.mu.Lock()

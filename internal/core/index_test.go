@@ -18,8 +18,8 @@ func TestIndexInsertSearchOrder(t *testing.T) {
 	h := match.HashSrcTag(1, 2, 0)
 	a := makePosted(1, 2, 10)
 	b := makePosted(1, 2, 11)
-	ix.insert(a, h, true)
-	ix.insert(b, h, true)
+	ix.insert(a, h)
+	ix.insert(b, h)
 	e := &match.Envelope{Source: 1, Tag: 2}
 	got, n := ix.search(e, h, 0, 1, ^uint64(0), false)
 	if got != a {
@@ -35,8 +35,8 @@ func TestIndexSearchSkipsConsumed(t *testing.T) {
 	h := match.HashSrcTag(1, 2, 0)
 	a := makePosted(1, 2, 10)
 	b := makePosted(1, 2, 11)
-	ix.insert(a, h, true)
-	ix.insert(b, h, true)
+	ix.insert(a, h)
+	ix.insert(b, h)
 	a.consume(1, 0)
 	got, n := ix.search(&match.Envelope{Source: 1, Tag: 2}, h, 0, 1, ^uint64(0), false)
 	if got != b {
@@ -52,8 +52,8 @@ func TestIndexEarlyBookingCheckSkips(t *testing.T) {
 	h := match.HashSrcTag(1, 2, 0)
 	a := makePosted(1, 2, 10)
 	b := makePosted(1, 2, 11)
-	ix.insert(a, h, true)
-	ix.insert(b, h, true)
+	ix.insert(a, h)
+	ix.insert(b, h)
 	a.book(5, 0) // thread 0 booked a
 	// Thread 2 with early check must skip a (bit 0 < 2) and find b.
 	got, _ := ix.search(&match.Envelope{Source: 1, Tag: 2}, h, 2, 5, ^uint64(0), true)
@@ -77,9 +77,9 @@ func TestIndexUnlinkMiddleKeepsNext(t *testing.T) {
 	a := makePosted(1, 1, 1)
 	b := makePosted(1, 1, 2)
 	c := makePosted(1, 1, 3)
-	ix.insert(a, 0, true)
-	ix.insert(b, 0, true)
-	ix.insert(c, 0, true)
+	ix.insert(a, 0)
+	ix.insert(b, 0)
+	ix.insert(c, 0)
 	unlink(b)
 	// b's next pointer must survive so a traverser standing on b falls
 	// through to c.
@@ -110,8 +110,8 @@ func TestIndexOccupancy(t *testing.T) {
 		t.Fatalf("fresh occupancy = (%d,%d), want (4,0)", empty, maxChain)
 	}
 	h := match.HashSrcTag(9, 9, 0)
-	ix.insert(makePosted(9, 9, 1), h, true)
-	ix.insert(makePosted(9, 9, 2), h, true)
+	ix.insert(makePosted(9, 9, 1), h)
+	ix.insert(makePosted(9, 9, 2), h)
 	empty, maxChain = ix.occupancy()
 	if empty != 3 || maxChain != 2 {
 		t.Fatalf("occupancy = (%d,%d), want (3,2)", empty, maxChain)
@@ -124,7 +124,7 @@ func TestIndexOccupancy(t *testing.T) {
 func TestEagerUnlinkLocksBucket(t *testing.T) {
 	ix := newRecvIndex(2)
 	d := makePosted(3, 3, 1)
-	ix.insert(d, match.HashSrcTag(3, 3, 0), false)
+	ix.insert(d, match.HashSrcTag(3, 3, 0))
 	eagerUnlink(d)
 	if !d.unlinked {
 		t.Fatal("eagerUnlink did not unlink")

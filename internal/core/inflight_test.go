@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -150,13 +151,22 @@ func TestInFlightDepthOneIsSerial(t *testing.T) {
 //     C1/C2 restricted to one key, which no legal interleaving may bend).
 //
 // Run under -race this doubles as the PostRecv-vs-block data-race probe.
+// The descriptor table starts empty and posts outnumber arrivals by 1024,
+// so it grows by at least 16 chunks while in-flight blocks resolve slot
+// numbers through table.get — the race a plain [][]descriptor directory
+// loses.
 func TestPostRecvConcurrentWithBlocksStress(t *testing.T) {
+	for _, depth := range []int{4, core.MaxInFlightBlocks} {
+		t.Run(fmt.Sprintf("K=%d", depth), func(t *testing.T) { stressPostsAgainstBlocks(t, depth) })
+	}
+}
+
+func stressPostsAgainstBlocks(t *testing.T, depth int) {
 	const (
-		depth  = 4
 		blockN = 8
 		nKeys  = 13
 		nArr   = 2048
-		nPost  = 2048
+		nPost  = 3072
 	)
 	m := core.MustNew(engineConfig(64, blockN, func(c *core.Config) {
 		c.InFlightBlocks = depth

@@ -106,16 +106,18 @@ func (c *uchain) remove(e *uentry, li int) {
 }
 
 func newUnexpectedStore(bins int) *unexpectedStore {
-	return &unexpectedStore{
-		bins:     bins,
-		bySrcTag: make([]uchain, bins),
-		byTag:    make([]uchain, bins),
-		bySrc:    make([]uchain, bins),
-	}
+	return &unexpectedStore{bins: bins}
 }
 
-// insertLocked stores e in all four structures. Caller holds s.mu.
+// insertLocked stores e in all four structures. Caller holds s.mu. The
+// binned chain arrays are allocated by the first insert: a matcher whose
+// receives are always pre-posted never pays for them.
 func (s *unexpectedStore) insertLocked(env *match.Envelope) {
+	if s.bySrcTag == nil {
+		s.bySrcTag = make([]uchain, s.bins)
+		s.byTag = make([]uchain, s.bins)
+		s.bySrc = make([]uchain, s.bins)
+	}
 	e := &uentry{env: env}
 
 	c := &s.bySrcTag[match.HashSrcTag(env.Source, env.Tag, env.Comm)%uint64(s.bins)]
@@ -136,30 +138,34 @@ func (s *unexpectedStore) insertLocked(env *match.Envelope) {
 	s.n++
 }
 
-// takeMatchLocked searches the single structure matching r's wildcard class
-// for the oldest matching message; on a hit the message is unlinked from all
-// four structures. It returns the envelope (nil for no match) and the
-// number of entries examined. Caller holds s.mu.
-func (s *unexpectedStore) takeMatchLocked(r *match.Recv) (*match.Envelope, uint64) {
-	var c *uchain
-	var li int
-	switch r.Class() {
+// chainFor returns the one chain a receive of class c with index hash
+// (keyHashFor) searches, and that structure's link index. The store must be
+// non-empty: the bin arrays exist only after the first insert.
+func (s *unexpectedStore) chainFor(c match.WildcardClass, hash uint64) (*uchain, int) {
+	bin := hash % uint64(s.bins)
+	switch c {
 	case match.ClassNone:
-		c = &s.bySrcTag[match.HashSrcTag(r.Source, r.Tag, r.Comm)%uint64(s.bins)]
-		li = linkSrcTag
+		return &s.bySrcTag[bin], linkSrcTag
 	case match.ClassSrcWild:
-		c = &s.byTag[match.HashTag(r.Tag, r.Comm)%uint64(s.bins)]
-		li = linkTag
+		return &s.byTag[bin], linkTag
 	case match.ClassTagWild:
-		c = &s.bySrc[match.HashSrc(r.Source, r.Comm)%uint64(s.bins)]
-		li = linkSrc
+		return &s.bySrc[bin], linkSrc
 	default:
-		c = &s.all
-		li = linkAll
+		return &s.all, linkAll
 	}
+}
 
+// takeMatchLocked searches the single structure matching r's wildcard class
+// c (hash is r's keyHashFor) for the oldest matching message; on a hit the
+// message is unlinked from all four structures. It returns the envelope
+// (nil for no match) and the number of entries examined. Caller holds s.mu.
+func (s *unexpectedStore) takeMatchLocked(r *match.Recv, c match.WildcardClass, hash uint64) (*match.Envelope, uint64) {
+	if s.n == 0 {
+		return nil, 0
+	}
+	chain, li := s.chainFor(c, hash)
 	var depth uint64
-	for e := c.head; e != nil; e = e.links[li].next {
+	for e := chain.head; e != nil; e = e.links[li].next {
 		if r.Matches(e.env) {
 			s.removeAll(e)
 			return e.env, depth
@@ -180,31 +186,20 @@ func (s *unexpectedStore) insert(env *match.Envelope) {
 func (s *unexpectedStore) takeMatch(r *match.Recv) (*match.Envelope, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.takeMatchLocked(r)
+	c := r.Class()
+	return s.takeMatchLocked(r, c, keyHashFor(c, r.Source, r.Tag, r.Comm))
 }
 
 // peek returns the oldest matching message without removing it.
 func (s *unexpectedStore) peek(r *match.Recv) (*match.Envelope, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	var c *uchain
-	var li int
-	switch r.Class() {
-	case match.ClassNone:
-		c = &s.bySrcTag[match.HashSrcTag(r.Source, r.Tag, r.Comm)%uint64(s.bins)]
-		li = linkSrcTag
-	case match.ClassSrcWild:
-		c = &s.byTag[match.HashTag(r.Tag, r.Comm)%uint64(s.bins)]
-		li = linkTag
-	case match.ClassTagWild:
-		c = &s.bySrc[match.HashSrc(r.Source, r.Comm)%uint64(s.bins)]
-		li = linkSrc
-	default:
-		c = &s.all
-		li = linkAll
+	if s.n == 0 {
+		return nil, false
 	}
-	for e := c.head; e != nil; e = e.links[li].next {
+	c := r.Class()
+	chain, li := s.chainFor(c, keyHashFor(c, r.Source, r.Tag, r.Comm))
+	for e := chain.head; e != nil; e = e.links[li].next {
 		if r.Matches(e.env) {
 			return e.env, true
 		}

@@ -149,3 +149,52 @@ func TestUnexpectedPeek(t *testing.T) {
 		t.Fatal("peek invented a message")
 	}
 }
+
+// TestUnexpectedBinsOnFirstInsert: searching a store nothing was ever
+// inserted into allocates no bin array, and the first insert builds arrays
+// that index correctly at the smallest and the paper's bin counts.
+func TestUnexpectedBinsOnFirstInsert(t *testing.T) {
+	for _, bins := range []int{1, 2048} {
+		s := newUnexpectedStore(bins)
+		r := &match.Recv{Source: 3, Tag: 9}
+		if _, ok := s.peek(r); ok {
+			t.Fatal("peek on an empty store found a message")
+		}
+		if env, depth := s.takeMatch(r); env != nil || depth != 0 {
+			t.Fatalf("takeMatch on an empty store = %v, depth %d", env, depth)
+		}
+		if s.bySrcTag != nil || s.byTag != nil || s.bySrc != nil {
+			t.Fatal("searching an empty store allocated bin arrays")
+		}
+
+		env := &match.Envelope{Source: 3, Tag: 9, Comm: 1, Seq: 1}
+		s.insert(env)
+		if len(s.bySrcTag) != bins || len(s.byTag) != bins || len(s.bySrc) != bins {
+			t.Fatalf("bins=%d: arrays sized %d/%d/%d", bins, len(s.bySrcTag), len(s.byTag), len(s.bySrc))
+		}
+		n := uint64(bins)
+		for name, c := range map[string]*uchain{
+			"bySrcTag": &s.bySrcTag[match.HashSrcTag(3, 9, 1)%n],
+			"byTag":    &s.byTag[match.HashTag(9, 1)%n],
+			"bySrc":    &s.bySrc[match.HashSrc(3, 1)%n],
+			"all":      &s.all,
+		} {
+			if c.head == nil || c.head.env != env || c.n != 1 {
+				t.Fatalf("bins=%d: %s does not hold the message in its bin", bins, name)
+			}
+		}
+		for _, r := range []*match.Recv{
+			{Source: 3, Tag: 9, Comm: 1},
+			{Source: match.AnySource, Tag: 9, Comm: 1},
+			{Source: 3, Tag: match.AnyTag, Comm: 1},
+			{Source: match.AnySource, Tag: match.AnyTag, Comm: 1},
+		} {
+			if got, ok := s.peek(r); !ok || got != env {
+				t.Fatalf("bins=%d: peek class %v missed the message", bins, r.Class())
+			}
+		}
+		if got, _ := s.takeMatch(&match.Recv{Source: match.AnySource, Tag: 9, Comm: 1}); got != env || s.len() != 0 {
+			t.Fatalf("bins=%d: takeMatch did not remove the message", bins)
+		}
+	}
+}

@@ -36,8 +36,10 @@ const (
 // prescribes when the DPA runs out of resources.
 var ErrOutOfMemory = errors.New("dpa: out of NIC memory")
 
-// Arena is a bounded NIC-memory allocator with usage accounting. It backs
-// bounce buffers, unexpected-message storage, and table budgeting.
+// Arena is the NIC-memory accountant: it budgets the modeled (§IV-E) bytes
+// of matching tables against the device capacity and tracks the peak. The
+// host representation of what it budgets lives wherever its owner keeps it;
+// the arena holds no memory.
 type Arena struct {
 	mu       sync.Mutex
 	capacity int
@@ -50,9 +52,9 @@ func NewArena(capacity int) *Arena {
 	return &Arena{capacity: capacity}
 }
 
-// Allocation is a chunk of NIC memory; call Release when done.
+// Allocation is a reservation of NIC memory; call Release when done.
 type Allocation struct {
-	Bytes []byte
+	size  int
 	arena *Arena
 	freed bool
 }
@@ -71,7 +73,7 @@ func (a *Arena) Alloc(n int) (*Allocation, error) {
 	if a.used > a.peak {
 		a.peak = a.used
 	}
-	return &Allocation{Bytes: make([]byte, n), arena: a}, nil
+	return &Allocation{size: n, arena: a}, nil
 }
 
 // Release returns the allocation's bytes to the arena. Releasing twice is
@@ -82,7 +84,7 @@ func (al *Allocation) Release() {
 	}
 	al.freed = true
 	al.arena.mu.Lock()
-	al.arena.used -= len(al.Bytes)
+	al.arena.used -= al.size
 	al.arena.mu.Unlock()
 }
 

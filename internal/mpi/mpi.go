@@ -543,8 +543,11 @@ func newProc(w *World, rank, n int) (*Proc, error) {
 		bufSize = w.opts.frameCap()
 		p.coal = newCoalescer(p)
 	}
+	// One slab, carved with capped slices so repost's buf[:cap(buf)]
+	// restores exactly one buffer.
+	slab := make([]byte, w.opts.RecvDepth*bufSize)
 	for i := 0; i < w.opts.RecvDepth; i++ {
-		p.srq.Post(make([]byte, bufSize), uint64(i))
+		p.srq.Post(slab[i*bufSize:(i+1)*bufSize:(i+1)*bufSize], uint64(i))
 	}
 	var err error
 	switch w.opts.Engine {
