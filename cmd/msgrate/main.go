@@ -9,7 +9,7 @@
 // once per rank (spawning a small coordinator for rank/address exchange),
 // so one invocation measures true multi-core scaling:
 //
-//	msgrate -transport tcp -ranks 4 -bench-json out.json
+//	msgrate -transport tcp -ranks 4
 //	msgrate -transport udp -ranks 2 -faults seed=7,drop=0.05
 //	msgrate -transport shm -ranks 4
 //	msgrate -transport hybrid -ranks 4 -sim-hosts 2
@@ -57,7 +57,6 @@ func main() {
 		payload    = flag.Int("payload", 8, "eager payload bytes")
 		threads    = flag.Int("threads", 32, "DPA threads (paper: 32)")
 		modeled    = flag.Bool("modeled", false, "report cost-model rates (core-count independent) instead of wall clock")
-		benchJSON  = flag.String("bench-json", "", "write machine-readable results ("+bench.BenchSchema+") to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		mutexprof  = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
@@ -150,23 +149,6 @@ func main() {
 		defer writeProfile("block", *blockprof)
 	}
 
-	doc := &bench.BenchDoc{
-		Config: bench.BenchConfig{
-			K: *k, Reps: *reps, PayloadBytes: *payload, Threads: *threads,
-			InFlight: cf.InFlight, CoalesceBytes: cf.CoalesceBytes, CoalesceMsgs: cf.CoalesceMsgs,
-			Faults: cf.Faults, Modeled: *modeled,
-		},
-	}
-	writeBench := func() {
-		if *benchJSON == "" {
-			return
-		}
-		if err := bench.WriteBenchJSON(*benchJSON, doc); err != nil {
-			exit(1, err)
-		}
-		fmt.Printf("wrote bench results to %s\n", *benchJSON)
-	}
-
 	// Ring mode: -ranks N runs the multi-rank ring workload — in one
 	// process over the in-process fabric, or as this process's rank of an
 	// out-of-process job over sockets.
@@ -183,32 +165,6 @@ func main() {
 			fmt.Printf("%-22s %12s repair: retransmits=%d dups-dropped=%d out-of-order=%d sacks=%d\n",
 				"", "", res.Reliability.Retransmits, res.Reliability.DupDropped,
 				res.Reliability.OutOfOrder, res.Reliability.Sacks)
-		}
-		// One writer per job: the single in-process run, or rank 0 of the
-		// multi-process job (every process computes the same global rate).
-		if cf.Rank <= 0 {
-			doc.Config.Transport = cf.Transport
-			doc.Config.Ranks = cf.Ranks
-			doc.Config.SimHosts = cf.SimHosts
-			doc.Config.Cores = runtime.NumCPU()
-			entry := bench.BenchEntry{
-				Label:     label,
-				Engine:    cf.EngineKind().String(),
-				MsgPerSec: res.MsgPerSec,
-				Messages:  res.Messages,
-				ElapsedNS: res.Elapsed.Nanoseconds(),
-			}
-			// shm/hybrid runs report the writing rank's spin/park behavior
-			// alongside the rate.
-			for _, nd := range res.Sinks {
-				if nd.Name == "fabric" {
-					entry.ShmSpinWakes += nd.Sink.Counters.Load(obs.CtrShmSpinWakes)
-					entry.ShmParks += nd.Sink.Counters.Load(obs.CtrShmParks)
-					entry.ShmRingFull += nd.Sink.Counters.Load(obs.CtrShmRingFull)
-				}
-			}
-			doc.Results = append(doc.Results, entry)
-			writeBench()
 		}
 		if err := cf.WriteObs(res.Sinks); err != nil {
 			exit(1, err)
@@ -232,11 +188,7 @@ func main() {
 		}
 		for _, r := range rates {
 			fmt.Println(r)
-			doc.Results = append(doc.Results, bench.BenchEntry{
-				Label: r.Label, MsgPerSec: r.MsgPerSec, NSPerMsg: r.NSPerMsg,
-			})
 		}
-		writeBench()
 		return
 	}
 
@@ -251,7 +203,6 @@ func main() {
 	fmt.Println()
 
 	var sinks []obs.Named
-	var ms runtime.MemStats
 	for _, cfg := range bench.Figure8Scenarios() {
 		cfg.K = *k
 		cfg.Reps = *reps
@@ -268,15 +219,11 @@ func main() {
 		cfg.CoalesceMsgs = cf.CoalesceMsgs
 		cfg.Faults = loc.Faults
 		cfg.Obs = loc.Obs
-		runtime.ReadMemStats(&ms)
-		allocsBefore := ms.Mallocs
 		res, err := bench.RunMsgRate(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "msgrate: %s: %v\n", cfg.Label, err)
 			os.Exit(1)
 		}
-		runtime.ReadMemStats(&ms)
-		allocsPerMsg := float64(ms.Mallocs-allocsBefore) / float64(res.Messages)
 		fmt.Println(res)
 		if res.BatchWidth > 0 {
 			fmt.Printf("%-22s %12s mean batch width %.1f msgs/frame\n", "", "", res.BatchWidth)
@@ -292,19 +239,9 @@ func main() {
 				res.Reliability.OutOfOrder, res.Reliability.Sacks, res.Reliability.SendRNR)
 		}
 		sinks = append(sinks, res.Sinks...)
-		doc.Results = append(doc.Results, bench.BenchEntry{
-			Label:        res.Label,
-			Engine:       res.Engine.String(),
-			MsgPerSec:    res.MsgPerSec,
-			Messages:     res.Messages,
-			ElapsedNS:    res.Elapsed.Nanoseconds(),
-			BatchWidth:   res.BatchWidth,
-			AllocsPerMsg: allocsPerMsg,
-		})
 	}
 
 	if err := cf.WriteObs(sinks); err != nil {
 		exit(1, err)
 	}
-	writeBench()
 }

@@ -5,9 +5,8 @@
 // non-negative timestamps — and exits non-zero on the first violation, so
 // CI can smoke-test trace production without a browser.
 //
-// With -bench it instead validates a msgrate -bench-json results document
-// against the repro/msgrate-bench/v1 schema; with -plan, a whatif
-// recommendation document against the repro/plan/v1 schema; with -metrics,
+// With -plan it instead validates a whatif recommendation document
+// against the repro/plan/v1 schema; with -metrics,
 // an OpenMetrics text exposition (a matchd /metrics scrape — the argument
 // may be a file or an http:// URL): every sample must belong to a declared
 // family, counter samples must end in _total, histogram buckets must
@@ -18,7 +17,6 @@
 //
 //	obscheck trace.json
 //	obscheck -min-events 10 trace.json
-//	obscheck -bench BENCH_msgrate.json
 //	obscheck -plan plan.json
 //	obscheck -metrics http://127.0.0.1:7601/metrics
 //	obscheck -metrics metrics.txt
@@ -30,7 +28,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bench"
 	"repro/internal/plan"
 )
 
@@ -59,12 +56,11 @@ var knownPhases = map[string]bool{
 
 func main() {
 	minEvents := flag.Int("min-events", 1, "fail unless the trace holds at least this many non-metadata events")
-	benchMode := flag.Bool("bench", false, "validate a msgrate -bench-json document instead of a Chrome trace")
 	planMode := flag.Bool("plan", false, "validate a whatif recommendation document instead of a Chrome trace")
 	metricsMode := flag.Bool("metrics", false, "validate an OpenMetrics text exposition (file or http:// URL) instead of a Chrome trace")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: obscheck [-min-events N] trace.json | obscheck -bench bench.json | obscheck -plan plan.json | obscheck -metrics URL-or-file")
+		fmt.Fprintln(os.Stderr, "usage: obscheck [-min-events N] trace.json | obscheck -plan plan.json | obscheck -metrics URL-or-file")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -87,17 +83,6 @@ func main() {
 		}
 		fmt.Printf("%s: ok — %s, %s on %d ranks, %d recommendations (%d evaluated, %d rejected, budget %s)\n",
 			path, doc.Schema, doc.App, doc.Procs, len(doc.Entries), doc.Evaluated, doc.Rejected, budget)
-		return
-	}
-
-	if *benchMode {
-		doc, err := bench.ReadBenchJSON(path)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: ok — %s, %d results (k=%d reps=%d coalesce=%dB/%d)\n",
-			path, doc.Schema, len(doc.Results), doc.Config.K, doc.Config.Reps,
-			doc.Config.CoalesceBytes, doc.Config.CoalesceMsgs)
 		return
 	}
 

@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"path/filepath"
-	"strings"
-	"testing"
-
-	"repro/internal/mpi"
-)
+import "testing"
 
 // TestMsgRateCoalesced runs the NC scenario with eager coalescing armed:
 // the sequence's back-to-back sends must actually form multi-message
@@ -66,46 +60,5 @@ func TestModeledCoalescingGain(t *testing.T) {
 	}
 	if best < baseRate*1.15 {
 		t.Fatalf("best coalesced modeled rate %.0f msg/s < 1.15 × base %.0f msg/s", best, baseRate)
-	}
-}
-
-// TestBenchJSONRoundTrip exercises the machine-readable results schema.
-func TestBenchJSONRoundTrip(t *testing.T) {
-	doc := &BenchDoc{
-		Config: BenchConfig{K: 100, Reps: 500, PayloadBytes: 8, Threads: 32, InFlight: 1},
-		Results: []BenchEntry{
-			{Label: "Optimistic-DPA NC", Engine: mpi.EngineOffload.String(),
-				MsgPerSec: 1e6, Messages: 50000, ElapsedNS: 5e7, BatchWidth: 7.5},
-		},
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteBenchJSON(path, doc); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != BenchSchema || len(got.Results) != 1 || got.Results[0].BatchWidth != 7.5 {
-		t.Fatalf("round trip mangled the document: %+v", got)
-	}
-
-	for name, mutate := range map[string]func(*BenchDoc){
-		"bad-schema": func(d *BenchDoc) { d.Schema = "other/v9" },
-		"no-results": func(d *BenchDoc) { d.Results = nil },
-		"no-label":   func(d *BenchDoc) { d.Results[0].Label = "" },
-		"zero-rate":  func(d *BenchDoc) { d.Results[0].MsgPerSec = 0 },
-		"no-elapsed": func(d *BenchDoc) { d.Results[0].ElapsedNS = 0 },
-		"dup-label":  func(d *BenchDoc) { d.Results = append(d.Results, d.Results[0]) },
-		"neg-width":  func(d *BenchDoc) { d.Results[0].BatchWidth = -1 },
-	} {
-		bad := *got
-		bad.Results = append([]BenchEntry(nil), got.Results...)
-		mutate(&bad)
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a corrupt document", name)
-		} else if !strings.HasPrefix(err.Error(), "bench:") {
-			t.Errorf("%s: unexpected error namespace: %v", name, err)
-		}
 	}
 }

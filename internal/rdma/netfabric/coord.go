@@ -112,20 +112,10 @@ func reply(conn net.Conn, book coordBook) error {
 	return err
 }
 
-// registerWithCoord announces this rank's data-plane address and blocks
-// until the coordinator releases the full address book — the startup
-// barrier every transport constructor passes through.
-func registerWithCoord(coord string, rank, ranks int, addr string) ([]string, error) {
-	book, err := registerHello(coord, coordHello{Rank: rank, Ranks: ranks, Addr: addr})
-	if err != nil {
-		return nil, err
-	}
-	return book.Addrs, nil
-}
-
-// registerHello is the full-book variant of registerWithCoord: hybrid
-// ranks announce host and shm segment alongside the address and need the
-// peers' host map back.
+// registerHello announces this rank — its data-plane address, plus host
+// and shm segment where the network has them — and blocks until the
+// coordinator releases the full book: the startup barrier every wire
+// constructor passes through.
 func registerHello(coord string, hello coordHello) (coordBook, error) {
 	var book coordBook
 	conn, err := net.DialTimeout("tcp", coord, 30*time.Second)

@@ -3,11 +3,12 @@ package netfabric
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 )
 
-// Frame kinds. One codec covers both transports: on TCP a frame is one
-// unit of the byte stream, on UDP a frame is one datagram.
+// Frame kinds. One codec covers every wire: on TCP a frame is one unit of
+// the byte stream, on UDP one datagram, on shm one ring record.
 const (
 	// frData carries one MPI wire message (64-byte header + body) —
 	// eager, coalesced kindEagerBatch, RTS, ACK, or sack — unchanged.
@@ -44,11 +45,6 @@ const maxFramePayload = 1 << 20
 //	kind    byte
 //	src     uvarint  // sending rank
 //	payload (length - 1 - len(src varint)) bytes
-type frame struct {
-	kind    byte
-	src     int
-	payload []byte
-}
 
 // uvarintLen is the encoded size of v as a uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -69,38 +65,120 @@ func frameSize(src int, payload int) int {
 	return uvarintLen(uint64(body)) + body
 }
 
-// decodeFrame parses one frame from the front of b and returns the rest of
-// the buffer (further frames, or garbage the caller rejects). The payload
-// aliases b. Every length is validated before use, so arbitrary bytes can
-// never panic, over-read, or drive a huge allocation.
-func decodeFrame(b []byte) (frame, []byte, error) {
-	body, n := binary.Uvarint(b)
-	if n <= 0 {
-		return frame{}, nil, fmt.Errorf("netfabric: truncated frame length")
+// frameReader is the one frame parser. Over a connection (r set) it is a
+// minimal buffered reader exposing exactly what the pump needs — ReadByte
+// for uvarints, ReadFull into bounce buffers, Discard for oversize
+// payloads — so the hot path stays inlineable and a payload goes from the
+// connection's buffer straight into its destination. With r nil it walks
+// the bytes already in buf[pos:end]: one UDP datagram, one shm ring
+// record, or one loopback payload. readFrameHeader then vouches that the
+// payload is all there, so ReadFull and Discard never reach for r.
+type frameReader struct {
+	r   io.Reader
+	buf []byte
+	pos int
+	end int
+}
+
+func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r, buf: make([]byte, 64<<10)} }
+
+// load points a memory-backed reader at one received record.
+func (b *frameReader) load(rec []byte) { b.buf, b.pos, b.end = rec, 0, len(rec) }
+
+func (b *frameReader) fill() error {
+	if b.pos < b.end {
+		return nil
 	}
-	if body < 2 {
-		return frame{}, nil, fmt.Errorf("netfabric: frame body %d bytes, need kind+src", body)
+	if b.r == nil {
+		return io.ErrUnexpectedEOF
 	}
-	if body > maxFramePayload {
-		return frame{}, nil, fmt.Errorf("netfabric: frame body %d exceeds %d", body, maxFramePayload)
+	n, err := b.r.Read(b.buf)
+	if n > 0 {
+		b.pos, b.end = 0, n
+		return nil
 	}
-	b = b[n:]
-	if uint64(len(b)) < body {
-		return frame{}, nil, fmt.Errorf("netfabric: frame needs %d bytes, have %d", body, len(b))
+	if err == nil {
+		err = io.ErrNoProgress
 	}
-	kind := b[0]
+	return err
+}
+
+func (b *frameReader) ReadByte() (byte, error) {
+	if err := b.fill(); err != nil {
+		return 0, err
+	}
+	c := b.buf[b.pos]
+	b.pos++
+	return c, nil
+}
+
+// ReadFull fills p from the buffered bytes first, then the connection.
+func (b *frameReader) ReadFull(p []byte) error {
+	n := copy(p, b.buf[b.pos:b.end])
+	b.pos += n
+	if n == len(p) {
+		return nil
+	}
+	_, err := io.ReadFull(b.r, p[n:])
+	return err
+}
+
+// Discard skips n bytes.
+func (b *frameReader) Discard(n int) error {
+	buffered := b.end - b.pos
+	if n <= buffered {
+		b.pos += n
+		return nil
+	}
+	b.pos = b.end
+	_, err := io.CopyN(io.Discard, b.r, int64(n-buffered))
+	return err
+}
+
+// frameHeader is a frame's prefix as parsed: the payload stays unread so
+// frData bytes can land directly in a bounce buffer.
+type frameHeader struct {
+	kind       byte
+	src        int
+	payloadLen int
+}
+
+// readFrameHeader parses the next frame's length, kind, and src, leaving
+// payloadLen bytes unread. Every field is validated before use, so
+// arbitrary bytes can never panic, over-read, or drive a huge allocation;
+// a memory-backed reader additionally rejects a frame that claims more
+// payload than its record holds, so the caller may commit a posted buffer
+// to the frame before reading the payload.
+func (b *frameReader) readFrameHeader() (frameHeader, error) {
+	body, err := binary.ReadUvarint(b)
+	if err != nil {
+		return frameHeader{}, err
+	}
+	if body < 2 || body > maxFramePayload+16 {
+		return frameHeader{}, fmt.Errorf("netfabric: frame body %d out of range", body)
+	}
+	kind, err := b.ReadByte()
+	if err != nil {
+		return frameHeader{}, err
+	}
 	if kind < frData || kind > frReadResp {
-		return frame{}, nil, fmt.Errorf("netfabric: unknown frame kind %d", kind)
+		return frameHeader{}, fmt.Errorf("netfabric: unknown frame kind %d", kind)
 	}
-	src, sn := binary.Uvarint(b[1:body])
-	if sn <= 0 {
-		return frame{}, nil, fmt.Errorf("netfabric: truncated frame src")
+	src, err := binary.ReadUvarint(b)
+	if err != nil {
+		return frameHeader{}, err
 	}
 	if src > 1<<20 {
-		return frame{}, nil, fmt.Errorf("netfabric: frame src %d out of range", src)
+		return frameHeader{}, fmt.Errorf("netfabric: frame src %d out of range", src)
 	}
-	f := frame{kind: kind, src: int(src), payload: b[1+sn : body : body]}
-	return f, b[body:], nil
+	payload := int(body) - 1 - uvarintLen(src)
+	if payload < 0 || payload > maxFramePayload {
+		return frameHeader{}, fmt.Errorf("netfabric: frame payload %d out of range", payload)
+	}
+	if b.r == nil && payload > b.end-b.pos {
+		return frameHeader{}, fmt.Errorf("netfabric: frame needs %d payload bytes, record has %d", payload, b.end-b.pos)
+	}
+	return frameHeader{kind: kind, src: int(src), payloadLen: payload}, nil
 }
 
 // appendReadReq encodes a frReadReq payload.

@@ -6,7 +6,28 @@ import (
 	"testing"
 )
 
-// FuzzDecodeFrame hammers the socket frame decoder with arbitrary bytes:
+// frame is one decoded frame; payload aliases the input.
+type frame struct {
+	kind    byte
+	src     int
+	payload []byte
+}
+
+// decodeFrame parses one frame from the front of b with the package's one
+// parser — a memory-backed frameReader, exactly as the UDP and shm wires
+// feed the pump — and returns the rest of the buffer.
+func decodeFrame(b []byte) (frame, []byte, error) {
+	var fr frameReader
+	fr.load(b)
+	h, err := fr.readFrameHeader()
+	if err != nil {
+		return frame{}, nil, err
+	}
+	end := fr.pos + h.payloadLen
+	return frame{kind: h.kind, src: h.src, payload: b[fr.pos:end:end]}, b[end:], nil
+}
+
+// FuzzDecodeFrame hammers the frame decoder with arbitrary bytes:
 // whatever arrives, it must never panic, never over-read, and on success
 // return a payload that round-trips through appendFrame. Seeds cover the
 // interesting malformations: truncated length prefix, oversized frame,

@@ -1,146 +1,55 @@
 package netfabric
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
-
-	"repro/internal/obs"
-	"repro/internal/rdma"
 )
 
-// hybridTransport routes each peer by locality: co-located ranks talk
-// over the shm rings, cross-host ranks over TCP. One coordinator
-// registration announces all three facts about this rank — TCP address,
-// host name, shm segment path — and the returned host map decides, per
-// peer, which leg owns the link.
+// newHybrid makes the one coordinator registration a locality-routed
+// transport needs — TCP address, host name, shm segment path — and builds
+// both wires from the returned book. local[j] reports that rank j
+// announced this rank's host name: those peers' data goes over the shm
+// rings, everyone else's over TCP.
 //
-// The TCP leg meshes every peer (not just cross-host ones): it is also
-// the fallback READ RPC path for the rare rendezvous registration the
-// shm arena could not hold. Same-host data frames never touch it, so the
-// idle connections cost only descriptors.
-//
-// Rendezvous registrations go to the shm arena and are simultaneously
-// adopted into the TCP leg's region table under the same rkey: same-host
-// peers memcpy straight from the arena, cross-host peers round-trip the
-// READ RPC, and both resolve the rkey the RTS carried.
-type hybridTransport struct {
-	shm      *shmTransport
-	tcp      *tcpTransport
-	sameHost []bool
-}
-
-func newHybrid(cfg Config) (rdma.Transport, error) {
+// The TCP wire meshes every peer, not just cross-host ones: it is also the
+// READ RPC route for the rare rendezvous registration the shm arena could
+// not hold. Same-host data frames never touch it, so the idle connections
+// cost only descriptors.
+func newHybrid(t *transport, cfg Config) (far *tcpWire, near *shmWire, local []bool, err error) {
 	host := cfg.Host
 	if host == "" {
-		h, err := os.Hostname()
-		if err != nil {
-			return nil, fmt.Errorf("netfabric: hostname: %w", err)
+		if host, err = os.Hostname(); err != nil {
+			return nil, nil, nil, fmt.Errorf("netfabric: hostname: %w", err)
 		}
-		host = h
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
-		return nil, fmt.Errorf("netfabric: listen: %w", err)
+		return nil, nil, nil, fmt.Errorf("netfabric: listen: %w", err)
 	}
-	seg, err := createShmSegment(cfg.ShmDir, cfg.Rank, cfg.Ranks, cfg.ShmRing, cfg.ShmArena)
+	seg, err := createShmSegment(cfg.ShmDir, cfg.Rank, cfg.Ranks)
 	if err != nil {
 		ln.Close()
-		return nil, err
+		return nil, nil, nil, err
 	}
 	book, err := registerHello(cfg.Coord, coordHello{
 		Rank: cfg.Rank, Ranks: cfg.Ranks, Addr: ln.Addr().String(), Host: host, Shm: seg.path,
 	})
+	if err == nil && len(book.Hosts) != cfg.Ranks {
+		err = fmt.Errorf("netfabric: hybrid book has %d hosts, want %d", len(book.Hosts), cfg.Ranks)
+	}
 	if err != nil {
 		seg.close()
 		ln.Close()
-		return nil, err
+		return nil, nil, nil, err
 	}
-	if len(book.Hosts) != cfg.Ranks || len(book.Shms) != cfg.Ranks {
-		seg.close()
-		ln.Close()
-		return nil, fmt.Errorf("netfabric: hybrid book missing host map (%d hosts, %d segments, want %d)",
-			len(book.Hosts), len(book.Shms), cfg.Ranks)
-	}
-	sameHost := make([]bool, cfg.Ranks)
+	local = make([]bool, cfg.Ranks)
 	for j, h := range book.Hosts {
-		sameHost[j] = h == host
+		local[j] = h == host
 	}
-	shm, err := newShmFrom(cfg, seg, book.Shms, sameHost)
-	if err != nil {
+	if near, err = newShmWire(t, seg, book.Shms, local); err != nil {
 		ln.Close()
-		return nil, err
+		return nil, nil, nil, err
 	}
-	tcp := newTCPFrom(cfg, ln, book.Addrs)
-	// Both legs tally into one sink, so Obs() exports a single "fabric"
-	// domain with the shm_* and net_* counter families side by side.
-	tcp.sink = shm.sink
-	return &hybridTransport{shm: shm, tcp: tcp, sameHost: sameHost}, nil
-}
-
-func (h *hybridTransport) Rank() int      { return h.shm.rank }
-func (h *hybridTransport) Size() int      { return h.shm.n }
-func (h *hybridTransport) Reliable() bool { return true }
-func (h *hybridTransport) Obs() *obs.Sink { return h.shm.sink }
-
-// Start brings both legs onto the same receive datapath: whichever leg a
-// frame arrives on, it lands in the one RecvQueue/CQ pair the MPI layer
-// drains.
-func (h *hybridTransport) Start(rq *rdma.RecvQueue, cq *rdma.CQ) error {
-	if err := h.shm.Start(rq, cq); err != nil {
-		return err
-	}
-	return h.tcp.Start(rq, cq)
-}
-
-// Endpoint picks the leg by locality. Self-sends go through the shm
-// leg's loopback.
-func (h *hybridTransport) Endpoint(peer int) rdma.Endpoint {
-	if peer == h.shm.rank || (peer >= 0 && peer < len(h.sameHost) && h.sameHost[peer]) {
-		return h.shm.Endpoint(peer)
-	}
-	return h.tcp.Endpoint(peer)
-}
-
-// RegisterMemory stages the buffer in the shm arena and adopts the
-// region into the TCP leg under the same rkey, so both read paths can
-// resolve it. When the arena overflowed into a heap region the adopted
-// entry is the only servable copy — same-host readers then fall back to
-// the RPC below.
-func (h *hybridTransport) RegisterMemory(buf []byte) *rdma.MemoryRegion {
-	mr := h.shm.RegisterMemory(buf)
-	h.tcp.adoptRegion(mr)
-	return mr
-}
-
-func (h *hybridTransport) Deregister(mr *rdma.MemoryRegion) {
-	h.tcp.Deregister(mr)
-	h.shm.Deregister(mr)
-}
-
-// Read prefers the zero-round-trip arena copy for same-host owners and
-// falls back to the TCP READ RPC when the rkey is not in the owner's
-// region table (a heap-fallback registration) — or when the owner is on
-// another host, where the RPC is the only option.
-func (h *hybridTransport) Read(owner int, dst []byte, rkey uint64, offset, length int) error {
-	if owner == h.shm.rank || (owner >= 0 && owner < len(h.sameHost) && h.sameHost[owner]) {
-		err := h.shm.Read(owner, dst, rkey, offset, length)
-		if err == nil || !errors.Is(err, rdma.ErrBadKey) {
-			return err
-		}
-	}
-	return h.tcp.Read(owner, dst, rkey, offset, length)
-}
-
-func (h *hybridTransport) pendingReadCount() int {
-	return h.shm.pendingReadCount() + h.tcp.pendingReadCount()
-}
-
-func (h *hybridTransport) Close() error {
-	err := h.tcp.Close()
-	if serr := h.shm.Close(); err == nil {
-		err = serr
-	}
-	return err
+	return newTCPWire(t, ln, book.Addrs), near, local, nil
 }

@@ -273,7 +273,7 @@ func TestChunkedTCPRendezvous(t *testing.T) {
 }
 
 // TestChunkedUDPRendezvous does the same over the datagram transport:
-// sizes just past maxUDPRead (60000) and at 1 MiB split into windowed
+// sizes just past one sub-read (60000) and at 1 MiB split into windowed
 // sub-reads, each with its own retry loop.
 func TestChunkedUDPRendezvous(t *testing.T) {
 	if testing.Short() {
@@ -336,6 +336,45 @@ func TestUDPReadTimeoutDropsPending(t *testing.T) {
 	}
 }
 
+// TestStrayFramesAreDropped feeds every wire of every network the frames
+// outside input could carry — READ requests, responses and data claiming
+// to come from the receiver itself, and READ traffic in the name of each
+// other rank, including (under hybrid) a rank the receiving wire has no
+// link to. None may crash the pump, take a posted buffer or surface a
+// completion, and the transports must carry real traffic afterwards.
+func TestStrayFramesAreDropped(t *testing.T) {
+	for _, network := range []string{"tcp", "udp", "shm", "hybrid"} {
+		t.Run(network, func(t *testing.T) {
+			ranks := startConformance(t, network)
+			for _, r := range ranks {
+				r.rq.Post(make([]byte, 256), 1)
+				mr := r.tr.RegisterMemory(make([]byte, 64))
+				for src := range ranks {
+					if err := netfabric.InjectStray(r.tr, src, mr.RKey, 64); err != nil {
+						t.Fatalf("rank %d, frames from %d: %v", r.tr.Rank(), src, err)
+					}
+				}
+				r.tr.Deregister(mr)
+				if c, ok := r.cq.Poll(0); ok {
+					t.Fatalf("rank %d: stray frame completed a receive: %+v", r.tr.Rank(), c)
+				}
+			}
+			for k, r := range ranks {
+				to := ranks[(k+1)%len(ranks)]
+				if err := r.tr.Endpoint(to.tr.Rank()).Send([]byte{byte(k)}, 0, 0); err != nil {
+					t.Fatalf("send %d -> %d after stray frames: %v", k, to.tr.Rank(), err)
+				}
+			}
+			for k, r := range ranks {
+				from := byte((k + len(ranks) - 1) % len(ranks))
+				if c := r.next(t); c.Err != nil || c.WRID != 1 || len(c.Data) != 1 || c.Data[0] != from {
+					t.Fatalf("rank %d: completion after stray frames: %+v", k, c)
+				}
+			}
+		})
+	}
+}
+
 func TestCoordinatorRejectsDuplicateRank(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -373,8 +412,6 @@ func TestConfigValidation(t *testing.T) {
 		{Network: "tcp", Rank: -1, Ranks: 2, Coord: "x"},
 		{Network: "udp", Rank: 0, Ranks: 0, Coord: "x"},
 		{Network: "tcp", Rank: 0, Ranks: 2},
-		{Network: "shm", Rank: 0, Ranks: 2, Coord: "x", ShmRing: 1 << 10},
-		{Network: "hybrid", Rank: 0, Ranks: 2, Coord: "x", ShmArena: 1 << 10},
 	}
 	for i, cfg := range cases {
 		if _, err := netfabric.New(cfg); err == nil {

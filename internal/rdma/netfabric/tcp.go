@@ -1,9 +1,7 @@
 package netfabric
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -11,26 +9,19 @@ import (
 	"repro/internal/rdma"
 )
 
-// tcpTransport carries the world over one TCP connection per unordered
-// rank pair. The stream gives ordered exactly-once delivery, so it
-// reports Reliable() and the MPI layer treats it like the in-process
-// fabric. Each peer gets a dedicated writer goroutine draining a send
-// queue into batched writev flushes (net.Buffers), and each connection a
-// reader goroutine that parses frames straight into posted bounce
-// buffers — the steady-state receive path performs one copy and no
-// allocation.
-type tcpTransport struct {
-	base
-	cfg   Config
+// tcpWire carries frames over one TCP connection per unordered rank pair.
+// The stream gives ordered exactly-once delivery, so the wire is reliable
+// and the MPI layer treats it like the in-process fabric. Each peer gets a
+// writer goroutine draining a send queue into batched writev flushes
+// (net.Buffers), and each connection a reader goroutine running the
+// transport's pump over the connection's frameReader.
+type tcpWire struct {
+	t     *transport
 	ln    net.Listener
 	addrs []string
 	peers []*tcpPeer // nil at [rank]
-	loop  *loopEndpoint
-	// Writers and readers tear down in two phases: Close waits for the
-	// writers to drain their queues before it closes the connections the
-	// readers block on — an eager send "completes" once staged, so the
-	// final frames of a quiescing world (e.g. the closing barrier's
-	// release tokens) are still in flight when Close is called.
+	// Writers drain and exit before the connections the readers block on
+	// are closed (see close).
 	wgWriters sync.WaitGroup
 	wgReaders sync.WaitGroup
 }
@@ -38,124 +29,60 @@ type tcpTransport struct {
 // tcpPeer is one remote rank's link: the connection, its buffered reader,
 // and the outbound frame queue its writer goroutine drains.
 type tcpPeer struct {
-	t     *tcpTransport
-	rank  int
 	conn  net.Conn
 	br    *frameReader
 	sendq chan []byte
 }
 
-// frameReader is a minimal buffered reader exposing exactly what the frame
-// parser needs (ReadByte for uvarints, ReadFull into bounce buffers,
-// Discard for oversize payloads), so the hot path stays inlineable.
-type frameReader struct {
-	r   io.Reader
-	buf []byte
-	pos int
-	end int
-}
-
-func newBufReader(r io.Reader) *frameReader { return &frameReader{r: r, buf: make([]byte, 64<<10)} }
-
-func (b *frameReader) fill() error {
-	if b.pos < b.end {
-		return nil
-	}
-	n, err := b.r.Read(b.buf)
-	if n > 0 {
-		b.pos, b.end = 0, n
-		return nil
-	}
-	if err == nil {
-		err = io.ErrNoProgress
-	}
-	return err
-}
-
-func (b *frameReader) ReadByte() (byte, error) {
-	if err := b.fill(); err != nil {
-		return 0, err
-	}
-	c := b.buf[b.pos]
-	b.pos++
-	return c, nil
-}
-
-// ReadFull fills p from the buffered bytes first, then the connection.
-func (b *frameReader) ReadFull(p []byte) error {
-	n := copy(p, b.buf[b.pos:b.end])
-	b.pos += n
-	if n == len(p) {
-		return nil
-	}
-	_, err := io.ReadFull(b.r, p[n:])
-	return err
-}
-
-// Discard skips n bytes.
-func (b *frameReader) Discard(n int) error {
-	buffered := b.end - b.pos
-	if n <= buffered {
-		b.pos += n
-		return nil
-	}
-	b.pos = b.end
-	_, err := io.CopyN(io.Discard, b.r, int64(n-buffered))
-	return err
-}
-
-func newTCP(cfg Config) (rdma.Transport, error) {
+// newTCP binds the listener and exchanges addresses through the
+// coordinator.
+func newTCP(t *transport, cfg Config) (*tcpWire, error) {
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("netfabric: listen: %w", err)
 	}
-	addrs, err := registerWithCoord(cfg.Coord, cfg.Rank, cfg.Ranks, ln.Addr().String())
+	book, err := registerHello(cfg.Coord, coordHello{Rank: cfg.Rank, Ranks: cfg.Ranks, Addr: ln.Addr().String()})
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
-	return newTCPFrom(cfg, ln, addrs), nil
+	return newTCPWire(t, ln, book.Addrs), nil
 }
 
-// newTCPFrom assembles the transport around an already-bound listener and
-// an already-exchanged address book — the hybrid transport registers with
-// the coordinator once (carrying host and shm info alongside the TCP
-// address) and builds its TCP leg through here.
-func newTCPFrom(cfg Config, ln net.Listener, addrs []string) *tcpTransport {
-	t := &tcpTransport{base: newBase(cfg), cfg: cfg, ln: ln, addrs: addrs}
-	// Peer structs (and their send queues) exist from construction so
-	// endpoints can be handed out before Start meshes the connections;
-	// frames staged early simply wait for the writer goroutine.
-	t.peers = make([]*tcpPeer, cfg.Ranks)
-	for j := range t.peers {
-		if j == cfg.Rank {
-			continue
+// newTCPWire assembles the wire around an already-bound listener and an
+// already-exchanged address book (hybrid registers once for both wires).
+// Peer structs and their send queues exist from construction, so frames
+// staged before start meshes the connections simply wait for the writer.
+func newTCPWire(t *transport, ln net.Listener, addrs []string) *tcpWire {
+	w := &tcpWire{t: t, ln: ln, addrs: addrs, peers: make([]*tcpPeer, t.n)}
+	for j := range w.peers {
+		if j != t.rank {
+			w.peers[j] = &tcpPeer{sendq: make(chan []byte, sendQueueFrames)}
 		}
-		t.peers[j] = &tcpPeer{t: t, rank: j, sendq: make(chan []byte, cfg.SendQueue)}
 	}
-	t.loop = newLoopback(&t.base, true, cfg.SendQueue)
-	return t
+	return w
 }
 
-func (t *tcpTransport) Reliable() bool { return true }
+func (w *tcpWire) reliable() bool { return true }
 
-func (t *tcpTransport) Endpoint(peer int) rdma.Endpoint {
-	if peer == t.rank {
-		return t.loop
-	}
-	return t.peers[peer]
+// readPlan: a sub-read's frReadResp (region bytes plus reqID/status
+// framing) must stay under the frame cap; the stream neither loses nor
+// reorders, so each request is sent once and awaited without a deadline.
+// Eight sub-reads in flight keep the owner's writer streaming; a deeper
+// window buys nothing once the pipe is full.
+func (w *tcpWire) readPlan() readPlan {
+	return readPlan{chunk: maxFramePayload - 64, window: 8, attempts: 1}
 }
 
-// Start meshes the job — rank i dials every j > i and accepts exactly i
+// start meshes the job — rank i dials every j > i and accepts exactly i
 // inbound links, each opened by a frHello identifying the dialer — then
 // launches the per-connection readers and per-peer writers.
-func (t *tcpTransport) Start(rq *rdma.RecvQueue, cq *rdma.CQ) error {
-	t.rq, t.cq = rq, cq
-
+func (w *tcpWire) start() error {
+	t := w.t
 	acceptErr := make(chan error, 1)
-	go func() { acceptErr <- t.acceptPeers() }()
+	go func() { acceptErr <- w.acceptPeers() }()
 	for j := t.rank + 1; j < t.n; j++ {
-		conn, err := net.Dial("tcp", t.addrs[j])
+		conn, err := net.Dial("tcp", w.addrs[j])
 		if err != nil {
 			return fmt.Errorf("netfabric: dial rank %d: %w", j, err)
 		}
@@ -163,43 +90,41 @@ func (t *tcpTransport) Start(rq *rdma.RecvQueue, cq *rdma.CQ) error {
 		if _, err := conn.Write(hello); err != nil {
 			return fmt.Errorf("netfabric: hello to rank %d: %w", j, err)
 		}
-		t.attach(j, conn, newBufReader(conn))
+		w.attach(j, conn, newFrameReader(conn))
 	}
 	if err := <-acceptErr; err != nil {
 		return err
 	}
-
-	t.wgReaders.Add(1)
-	go func() { defer t.wgReaders.Done(); t.loop.run() }()
-	for _, p := range t.peers {
+	for _, p := range w.peers {
 		if p == nil {
 			continue
 		}
-		t.wgWriters.Add(1)
-		t.wgReaders.Add(1)
-		go func(p *tcpPeer) { defer t.wgWriters.Done(); p.writer() }(p)
-		go func(p *tcpPeer) { defer t.wgReaders.Done(); p.reader() }(p)
+		w.wgWriters.Add(1)
+		w.wgReaders.Add(1)
+		go w.writer(p)
+		go w.reader(p)
 	}
 	return nil
 }
 
 // acceptPeers collects the inbound half of the mesh: one connection from
 // every lower rank, identified by its hello frame.
-func (t *tcpTransport) acceptPeers() error {
+func (w *tcpWire) acceptPeers() error {
+	t := w.t
 	for got := 0; got < t.rank; got++ {
-		conn, err := t.ln.Accept()
+		conn, err := w.ln.Accept()
 		if err != nil {
 			return fmt.Errorf("netfabric: accept: %w", err)
 		}
 		// The hello's reader must become the link's reader: data frames
 		// may already sit buffered behind the hello bytes.
-		br := newBufReader(conn)
+		br := newFrameReader(conn)
 		f, err := br.readFrameHeader()
 		if err != nil || f.kind != frHello {
 			conn.Close()
 			return fmt.Errorf("netfabric: bad hello on inbound link: %v", err)
 		}
-		if f.src < 0 || f.src >= t.n || f.src == t.rank || t.peers[f.src].conn != nil {
+		if f.src >= t.n || f.src == t.rank || w.peers[f.src].conn != nil {
 			conn.Close()
 			return fmt.Errorf("netfabric: hello from unexpected rank %d", f.src)
 		}
@@ -207,141 +132,43 @@ func (t *tcpTransport) acceptPeers() error {
 			conn.Close()
 			return fmt.Errorf("netfabric: hello from rank %d: %v", f.src, err)
 		}
-		t.attach(f.src, conn, br)
+		w.attach(f.src, conn, br)
 	}
 	return nil
 }
 
 // attach binds an established connection (and its buffered reader) to the
 // pre-allocated peer struct.
-func (t *tcpTransport) attach(rank int, conn net.Conn, br *frameReader) {
+func (w *tcpWire) attach(rank int, conn net.Conn, br *frameReader) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	p := t.peers[rank]
+	p := w.peers[rank]
 	p.conn, p.br = conn, br
 }
 
-// frameHeader is a frame's prefix as parsed off the stream: the payload
-// stays unread so frData bytes can land directly in a bounce buffer.
-type frameHeader struct {
-	kind       byte
-	src        int
-	payloadLen int
-}
-
-// readFrameHeader parses the next frame's length, kind, and src off the
-// stream, leaving payloadLen bytes unread.
-func (b *frameReader) readFrameHeader() (frameHeader, error) {
-	body, err := binary.ReadUvarint(b)
-	if err != nil {
-		return frameHeader{}, err
-	}
-	if body < 2 || body > maxFramePayload+16 {
-		return frameHeader{}, fmt.Errorf("netfabric: frame body %d out of range", body)
-	}
-	kind, err := b.ReadByte()
-	if err != nil {
-		return frameHeader{}, err
-	}
-	if kind < frData || kind > frReadResp {
-		return frameHeader{}, fmt.Errorf("netfabric: unknown frame kind %d", kind)
-	}
-	src, err := binary.ReadUvarint(b)
-	if err != nil {
-		return frameHeader{}, err
-	}
-	payload := int(body) - 1 - uvarintLen(src)
-	if payload < 0 || payload > maxFramePayload {
-		return frameHeader{}, fmt.Errorf("netfabric: frame payload %d out of range", payload)
-	}
-	return frameHeader{kind: kind, src: int(src), payloadLen: payload}, nil
-}
-
-// reader drains the connection: frData payloads stream directly into the
-// rank's posted bounce buffers; read requests and responses go through
-// the region and pending-read tables.
-func (p *tcpPeer) reader() {
-	t := p.t
+// reader runs the pump over one connection until the stream fails.
+func (w *tcpWire) reader(p *tcpPeer) {
+	defer w.wgReaders.Done()
+	c := &w.t.sink.Counters
 	for {
-		f, err := p.br.readFrameHeader()
+		h, err := w.t.arrive(w, p.br)
 		if err != nil {
 			// Connection torn down (peer closed or we closed). Nothing to
-			// repair on a reliable transport: the world is quiescing.
+			// repair on a reliable wire: the world is quiescing.
 			return
 		}
-		t.sink.Counters.Inc(obs.CtrNetRxFrames)
-		t.sink.Counters.Add(obs.CtrNetRxBytes, uint64(f.payloadLen))
-		switch f.kind {
-		case frData:
-			buf, wrID, ok := t.rq.Take(t.done)
-			if !ok {
-				return
-			}
-			if f.payloadLen > len(buf) {
-				// Mirror QP.deliver: consume the message, complete with
-				// ErrBufferSize, never truncate silently.
-				if err := p.br.Discard(f.payloadLen); err != nil {
-					return
-				}
-				t.cq.Push(rdma.Completion{Op: rdma.OpRecv, WRID: wrID,
-					Bytes: f.payloadLen, Data: buf[:0], Err: rdma.ErrBufferSize})
-				continue
-			}
-			if err := p.br.ReadFull(buf[:f.payloadLen]); err != nil {
-				return
-			}
-			t.cq.Push(rdma.Completion{Op: rdma.OpRecv, WRID: wrID,
-				Bytes: f.payloadLen, Data: buf[:f.payloadLen]})
-		case frReadReq:
-			scratch := t.frameBuf(f.payloadLen)[:f.payloadLen]
-			if err := p.br.ReadFull(scratch); err != nil {
-				return
-			}
-			resp, ok := t.serveReadPayload(scratch, 0)
-			t.frameRecycle(scratch)
-			if ok {
-				p.enqueueFrame(frReadResp, resp)
-				t.frameRecycle(resp)
-			}
-		case frReadResp:
-			scratch := t.frameBuf(f.payloadLen)[:f.payloadLen]
-			if err := p.br.ReadFull(scratch); err != nil {
-				return
-			}
-			t.completeRead(scratch)
-			t.frameRecycle(scratch)
-		default: // frHello mid-stream: ignore
-			if err := p.br.Discard(f.payloadLen); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// enqueueFrame stages an encoded frame for the writer without ever
-// blocking the calling reader goroutine (a reader blocked on a full
-// outbound queue could deadlock two mutually-stalled ranks).
-func (p *tcpPeer) enqueueFrame(kind byte, payload []byte) {
-	buf := appendFrame(p.t.frameBuf(frameSize(p.t.rank, len(payload))), kind, p.t.rank, payload)
-	select {
-	case p.sendq <- buf:
-	default:
-		go func() {
-			select {
-			case p.sendq <- buf:
-			case <-p.t.done:
-				p.t.frameRecycle(buf)
-			}
-		}()
+		c.Inc(obs.CtrNetRxFrames)
+		c.Add(obs.CtrNetRxBytes, uint64(h.payloadLen))
 	}
 }
 
 // writer drains the send queue into the connection. Frames already queued
 // behind the first are flushed in one writev (net.Buffers), so a burst of
 // eager sends costs one syscall, not one per message.
-func (p *tcpPeer) writer() {
-	t := p.t
+func (w *tcpWire) writer(p *tcpPeer) {
+	defer w.wgWriters.Done()
+	t := w.t
 	maxBatch := 64
 	owned := make([][]byte, 0, maxBatch)
 	var bufs net.Buffers
@@ -351,21 +178,13 @@ func (p *tcpPeer) writer() {
 		select {
 		case first = <-p.sendq:
 		case <-t.done:
-			// Shutdown: flush whatever the quiescing world staged before
-			// Close (its final control tokens), then exit. Frames already
-			// in the queue were sent before Close and must reach the peer.
-			for {
-				select {
-				case f := <-p.sendq:
-					if !dead {
-						if _, err := p.conn.Write(f); err != nil {
-							dead = true
-						}
-					}
-					t.frameRecycle(f)
-				default:
-					return
-				}
+			// Shutdown: frames already in the queue were sent before Close
+			// (a quiescing world's final control tokens) and must still
+			// reach the peer; exit once the queue is empty.
+			select {
+			case first = <-p.sendq:
+			default:
+				return
 			}
 		}
 		owned = append(owned[:0], first)
@@ -402,117 +221,59 @@ func (p *tcpPeer) writer() {
 	}
 }
 
-// Send stages one data frame. When the peer's queue is full the call
-// stalls (tallied as CtrNetStalls) until the writer drains — TCP
-// backpressure surfaces as latency, never loss.
-func (p *tcpPeer) Send(data []byte, imm uint32, wrID uint64) error {
-	buf := appendFrame(p.t.frameBuf(frameSize(p.t.rank, len(data))), frData, p.t.rank, data)
-	select {
-	case p.sendq <- buf:
-		return nil
-	case <-p.t.done:
-		p.t.frameRecycle(buf)
-		return rdma.ErrClosed
-	default:
-	}
-	p.t.noteStall(p.rank, len(data))
-	select {
-	case p.sendq <- buf:
-		return nil
-	case <-p.t.done:
-		p.t.frameRecycle(buf)
-		return rdma.ErrClosed
-	}
-}
-
-// SendControl stages a control frame without ever blocking: a full queue
-// drops it with ErrNoReceive, the contract control traffic already
-// tolerates on the in-process fabric.
-func (p *tcpPeer) SendControl(data []byte, imm uint32, wrID uint64) error {
-	buf := appendFrame(p.t.frameBuf(frameSize(p.t.rank, len(data))), frData, p.t.rank, data)
-	select {
-	case p.sendq <- buf:
-		return nil
-	default:
-		p.t.frameRecycle(buf)
+// send stages one frame on the peer's queue. A full queue stalls a data
+// send (tallied as CtrNetStalls) until the writer drains — TCP
+// backpressure surfaces as latency, never loss — drops a control frame
+// with ErrNoReceive, and hands an RPC frame to a goroutine that waits in
+// the caller's place.
+func (w *tcpWire) send(peer int, kind byte, payload []byte, mode sendMode) error {
+	t, p := w.t, w.peers[peer]
+	if p == nil {
 		return rdma.ErrNoReceive
 	}
-}
-
-// Close of one endpoint is a no-op; links die with the transport.
-func (p *tcpPeer) Close() {}
-
-// maxTCPReadChunk bounds one rendezvous sub-read so its frReadResp frame
-// (payload plus reqID/status framing) stays under the frame cap.
-const maxTCPReadChunk = maxFramePayload - 64
-
-// Read satisfies a rendezvous read: owner-local regions copy directly,
-// remote ones round-trip frReadReq exchanges. Requests larger than the
-// frame cap are split into pipelined sub-reads — every chunk's request is
-// staged before the first response is awaited, so a large read costs one
-// round-trip plus streaming, not a round-trip per chunk. The stream is
-// reliable, so each request is sent once and the only failure modes are
-// the owner's verdict or transport shutdown.
-func (t *tcpTransport) Read(owner int, dst []byte, rkey uint64, offset, length int) error {
-	if length != len(dst) {
-		return rdma.ErrBounds
+	buf := t.encode(kind, payload)
+	select {
+	case p.sendq <- buf:
+		return nil
+	default:
 	}
-	if owner == t.rank {
-		return t.localRead(dst, rkey, offset, length)
-	}
-	if owner < 0 || owner >= t.n {
-		return rdma.ErrBadKey
-	}
-	p := t.peers[owner]
-	type chunk struct {
-		id uint64
-		pr *pendingRead
-	}
-	var chunks []chunk
-	for off := 0; ; {
-		n := min(length-off, maxTCPReadChunk)
-		id, pr := t.newPendingRead(dst[off : off+n])
-		req := appendReadReq(t.frameBuf(40), id, rkey, offset+off, n)
-		t.sink.Counters.Inc(obs.CtrNetReadReqs)
-		p.enqueueFrame(frReadReq, req)
-		t.frameRecycle(req)
-		chunks = append(chunks, chunk{id, pr})
-		off += n
-		if off >= length {
-			break
-		}
-	}
-	var firstErr error
-	for _, c := range chunks {
-		select {
-		case err := <-c.pr.done:
-			if err != nil && firstErr == nil {
-				firstErr = err
+	switch mode {
+	case sendControl:
+		t.frameRecycle(buf)
+		return rdma.ErrNoReceive
+	case sendRPC:
+		go func() {
+			select {
+			case p.sendq <- buf:
+			case <-t.done:
+				t.frameRecycle(buf)
 			}
-		case <-t.done:
-			t.dropPendingRead(c.id)
-			if firstErr == nil {
-				firstErr = rdma.ErrClosed
-			}
-		}
-	}
-	return firstErr
-}
-
-// Close tears the mesh down in two phases: writers drain and exit first
-// (so every frame staged before Close reaches the wire), then the
-// connections close under the readers.
-func (t *tcpTransport) Close() error {
-	if !t.markClosed() {
+		}()
 		return nil
 	}
-	t.wgWriters.Wait()
-	t.ln.Close()
-	for _, p := range t.peers {
+	t.sink.Counters.Inc(obs.CtrNetStalls)
+	if t.sink.Enabled() {
+		t.sink.Event(obs.EvNetStall, peer, uint64(peer), uint64(len(payload)), 0)
+	}
+	select {
+	case p.sendq <- buf:
+		return nil
+	case <-t.done:
+		t.frameRecycle(buf)
+		return rdma.ErrClosed
+	}
+}
+
+// close tears the mesh down in two phases: writers drain and exit first
+// (so every frame staged before Close reaches the wire), then the
+// connections close under the readers.
+func (w *tcpWire) close() {
+	w.wgWriters.Wait()
+	w.ln.Close()
+	for _, p := range w.peers {
 		if p != nil && p.conn != nil {
 			p.conn.Close()
 		}
 	}
-	t.wgReaders.Wait()
-	return nil
+	w.wgReaders.Wait()
 }

@@ -1,6 +1,7 @@
 package netfabric
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -10,38 +11,22 @@ import (
 	"repro/internal/rdma"
 )
 
-// maxUDPRead bounds how much registered-region data one frReadResp
-// datagram may carry. Reads larger than this are split into sub-reads of
-// at most maxUDPRead bytes (udpReadWindow in flight at a time), so the
-// cap sizes datagrams without capping rendezvous payloads.
-const maxUDPRead = 60000
-
-// udpReadWindow is how many sub-reads of one chunked rendezvous read may
-// be in flight concurrently — enough to pipeline the retry latency,
-// small enough not to burst-drop on a lossy link.
-const udpReadWindow = 4
-
-// readAttempts is how many times an unanswered frReadReq is re-sent
-// before the read fails. Requests are idempotent, so retries are safe.
-const readAttempts = 8
-
-// udpTransport carries every frame as one datagram on a single socket.
-// Datagrams drop, duplicate, and reorder — the transport reports
-// !Reliable() and the MPI reliability sublayer (sequencing, dedup,
-// reorder repair, sack/retransmit) becomes the delivery filter. A
-// deterministic rdma.FaultPlan on the send path forces those repairs at
-// any configured rate, with per-peer splitmix64 streams exactly like the
-// in-process fault injector.
-type udpTransport struct {
-	base
-	cfg   Config
-	conn  *net.UDPConn
-	peers []*udpEndpoint // nil at [rank]
-	loop  *loopEndpoint
-	wg    sync.WaitGroup
+// udpWire carries every frame as one datagram on a single socket.
+// Datagrams drop, duplicate, and reorder — the wire reports !reliable()
+// and the MPI reliability sublayer (sequencing, dedup, reorder repair,
+// sack/retransmit) becomes the delivery filter. A deterministic
+// rdma.FaultPlan on the send path forces those repairs at any configured
+// rate, with per-peer splitmix64 streams exactly like the in-process fault
+// injector.
+type udpWire struct {
+	t           *transport
+	conn        *net.UDPConn
+	peers       []*udpPeer // nil at [rank]
+	readTimeout time.Duration
+	wg          sync.WaitGroup
 }
 
-func newUDP(cfg Config) (rdma.Transport, error) {
+func newUDP(t *transport, cfg Config) (*udpWire, error) {
 	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("netfabric: resolve %q: %w", cfg.Listen, err)
@@ -50,14 +35,13 @@ func newUDP(cfg Config) (rdma.Transport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netfabric: listen udp: %w", err)
 	}
-	addrs, err := registerWithCoord(cfg.Coord, cfg.Rank, cfg.Ranks, conn.LocalAddr().String())
+	book, err := registerHello(cfg.Coord, coordHello{Rank: cfg.Rank, Ranks: cfg.Ranks, Addr: conn.LocalAddr().String()})
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	t := &udpTransport{base: newBase(cfg), cfg: cfg, conn: conn}
-	t.peers = make([]*udpEndpoint, cfg.Ranks)
-	for j, a := range addrs {
+	w := &udpWire{t: t, conn: conn, peers: make([]*udpPeer, cfg.Ranks), readTimeout: cfg.ReadTimeout}
+	for j, a := range book.Addrs {
 		if j == cfg.Rank {
 			continue
 		}
@@ -66,179 +50,89 @@ func newUDP(cfg Config) (rdma.Transport, error) {
 			conn.Close()
 			return nil, fmt.Errorf("netfabric: peer %d addr %q: %w", j, a, err)
 		}
-		t.peers[j] = newUDPEndpoint(t, j, ua)
+		w.peers[j] = newUDPPeer(w, j, ua, cfg.Faults)
 	}
-	t.loop = newLoopback(&t.base, false, cfg.SendQueue)
-	return t, nil
+	return w, nil
 }
 
-func (t *udpTransport) Reliable() bool { return false }
+func (w *udpWire) reliable() bool { return false }
 
-func (t *udpTransport) Endpoint(peer int) rdma.Endpoint {
-	if peer == t.rank {
-		return t.loop
-	}
-	return t.peers[peer]
+// readPlan: a sub-read's 60 000 region bytes keep its frReadResp inside one
+// datagram, so the cap sizes datagrams without capping rendezvous
+// payloads; four in flight pipeline the retry latency without
+// burst-dropping on a lossy link; and since request and response are both
+// droppable and the request idempotent, it is sent up to eight times on a
+// doubling timeout.
+func (w *udpWire) readPlan() readPlan {
+	return readPlan{chunk: 60000, window: 4, attempts: 8, timeout: w.readTimeout}
 }
 
-func (t *udpTransport) Start(rq *rdma.RecvQueue, cq *rdma.CQ) error {
-	t.rq, t.cq = rq, cq
-	t.wg.Add(2)
-	go func() { defer t.wg.Done(); t.loop.run() }()
-	go func() { defer t.wg.Done(); t.reader() }()
+func (w *udpWire) start() error {
+	w.wg.Add(1)
+	go w.reader()
 	return nil
 }
 
-// reader drains the socket. Each datagram is one frame; data payloads are
-// copied into a posted bounce buffer by deliverBytes, and anything
-// malformed is dropped — over UDP, garbage is indistinguishable from
-// line noise and the reliability layer repairs the loss.
-func (t *udpTransport) reader() {
+// reader drains the socket into the pump, one datagram per frame.
+// Anything malformed is dropped — over UDP, garbage is indistinguishable
+// from line noise and the reliability layer repairs the loss.
+func (w *udpWire) reader() {
+	defer w.wg.Done()
+	c := &w.t.sink.Counters
 	scratch := make([]byte, 64<<10)
+	var fr frameReader
 	for {
-		n, _, err := t.conn.ReadFromUDP(scratch)
+		n, _, err := w.conn.ReadFromUDP(scratch)
 		if err != nil {
 			return // socket closed
 		}
-		f, _, err := decodeFrame(scratch[:n])
-		if err != nil || f.src < 0 || f.src >= t.n {
-			continue
+		fr.load(scratch[:n])
+		h, err := w.t.arrive(w, &fr)
+		if errors.Is(err, rdma.ErrClosed) {
+			return
 		}
-		t.sink.Counters.Inc(obs.CtrNetRxFrames)
-		t.sink.Counters.Add(obs.CtrNetRxBytes, uint64(len(f.payload)))
-		switch f.kind {
-		case frData:
-			if !t.deliverBytes(f.payload) {
-				return
-			}
-		case frReadReq:
-			if resp, ok := t.serveReadPayload(f.payload, maxUDPRead); ok {
-				if ep := t.peers[f.src]; ep != nil {
-					ep.writeFrame(frReadResp, resp, false)
-				}
-				t.frameRecycle(resp)
-			}
-		case frReadResp:
-			t.completeRead(f.payload)
+		if err == nil {
+			c.Inc(obs.CtrNetRxFrames)
+			c.Add(obs.CtrNetRxBytes, uint64(h.payloadLen))
 		}
 	}
 }
 
-// Read satisfies a rendezvous read over the lossy link. Requests larger
-// than one datagram's budget are split into sub-reads of maxUDPRead
-// bytes, up to udpReadWindow in flight concurrently; each sub-read
-// round-trips its own idempotent frReadReq with timeout-driven retries.
-// Every failure path — timeout exhaustion included — drops its pending
-// entry, so abandoned reads never leak table space.
-func (t *udpTransport) Read(owner int, dst []byte, rkey uint64, offset, length int) error {
-	if length != len(dst) {
-		return rdma.ErrBounds
-	}
-	if owner == t.rank {
-		return t.localRead(dst, rkey, offset, length)
-	}
-	if owner < 0 || owner >= t.n {
-		return rdma.ErrBadKey
-	}
-	ep := t.peers[owner]
-	if length <= maxUDPRead {
-		return t.readChunk(ep, owner, dst, rkey, offset, length)
-	}
-	var (
-		sem      = make(chan struct{}, udpReadWindow)
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for off := 0; off < length; off += maxUDPRead {
-		n := min(length-off, maxUDPRead)
-		sem <- struct{}{}
-		errMu.Lock()
-		failed := firstErr != nil
-		errMu.Unlock()
-		if failed {
-			<-sem
-			break
-		}
-		wg.Add(1)
-		go func(off, n int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := t.readChunk(ep, owner, dst[off:off+n], rkey, offset+off, n); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}(off, n)
-	}
-	wg.Wait()
-	return firstErr
+func (w *udpWire) close() {
+	w.conn.Close()
+	w.wg.Wait()
 }
 
-// readChunk round-trips one sub-read with timeout-driven retries:
-// requests and responses are both droppable, and the request is
-// idempotent, so the loop re-sends until a verdict arrives. Each retry
-// is tallied on CtrNetReadRetries. The deferred drop guarantees the
-// pending-read table entry dies with the call on every path, including
-// timeout exhaustion.
-func (t *udpTransport) readChunk(ep *udpEndpoint, owner int, dst []byte, rkey uint64, offset, length int) error {
-	id, pr := t.newPendingRead(dst)
-	defer t.dropPendingRead(id)
-	req := appendReadReq(t.frameBuf(32), id, rkey, offset, length)
-	defer t.frameRecycle(req)
-	t.sink.Counters.Inc(obs.CtrNetReadReqs)
-
-	timeout := t.cfg.ReadTimeout
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for attempt := 0; attempt < readAttempts; attempt++ {
-		if attempt > 0 {
-			t.sink.Counters.Inc(obs.CtrNetReadRetries)
-		}
-		// The request itself goes through the fault injector: a "dropped"
-		// read request is exactly the loss the retry loop exists to absorb.
-		ep.writeFrame(frReadReq, req, true)
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(timeout)
-		select {
-		case err := <-pr.done:
-			return err
-		case <-timer.C:
-			timeout *= 2
-		case <-t.done:
-			return rdma.ErrClosed
+// send transmits one datagram and never blocks: WriteToUDP either queues
+// in the kernel or drops, the fire-and-forget semantics the reliability
+// layer is built for. Data frames and READ requests pass through the
+// peer's fault stream (a "dropped" request is exactly the loss the read
+// retry exists to absorb); sacks and READ responses go out un-faulted,
+// the exemption the in-process injector gives SendControl.
+func (w *udpWire) send(peer int, kind byte, payload []byte, mode sendMode) error {
+	p := w.peers[peer]
+	if p == nil {
+		return rdma.ErrNoReceive
+	}
+	buf := w.t.encode(kind, payload)
+	if p.active && (mode == sendData || kind == frReadReq) {
+		if buf = p.inject(buf); buf == nil {
+			return nil
 		}
 	}
-	return fmt.Errorf("netfabric: read from rank %d timed out after %d attempts", owner, readAttempts)
-}
-
-func (t *udpTransport) Close() error {
-	if !t.markClosed() {
-		return nil
-	}
-	t.conn.Close()
-	t.wg.Wait()
+	p.transmit(buf)
+	w.t.frameRecycle(buf)
 	return nil
 }
 
-// udpEndpoint sends to one peer. Sends never block: WriteToUDP either
-// queues in the kernel or drops, matching the fire-and-forget semantics
-// the reliability layer is built for.
-type udpEndpoint struct {
-	t    *udpTransport
-	rank int
+// udpPeer is one destination: its address and its deterministic fault
+// stream, mirroring the in-process injector — each faultable send draws a
+// fixed number of PRNG values under the lock, so decisions are a pure
+// function of (seed, peer pair, send ordinal).
+type udpPeer struct {
+	w    *udpWire
 	addr *net.UDPAddr
 
-	// Deterministic fault stream, mirroring the in-process injector: each
-	// faultable send draws a fixed number of PRNG values under the lock,
-	// so decisions are a pure function of (seed, peer pair, send ordinal).
 	mu       sync.Mutex
 	rng      uint64
 	rates    rdma.FaultRates
@@ -247,18 +141,15 @@ type udpEndpoint struct {
 	heldSpan int
 }
 
-func newUDPEndpoint(t *udpTransport, rank int, addr *net.UDPAddr) *udpEndpoint {
-	ep := &udpEndpoint{t: t, rank: rank, addr: addr}
-	plan := t.cfg.Faults
-	ep.rates = plan.FaultRates
-	if ep.rates.DelaySpan <= 0 {
-		ep.rates.DelaySpan = 1
+func newUDPPeer(w *udpWire, rank int, addr *net.UDPAddr, plan rdma.FaultPlan) *udpPeer {
+	p := &udpPeer{w: w, addr: addr, rates: plan.FaultRates, active: plan.Active()}
+	if p.rates.DelaySpan <= 0 {
+		p.rates.DelaySpan = 1
 	}
-	ep.active = plan.Active()
 	// Stream seed mixes the ordered pair (me -> peer) so the two
 	// directions of a link fault independently, as two QPs would.
-	ep.rng = splitmix(plan.Seed ^ (uint64(t.rank*t.n+rank)+1)*0x9E3779B97F4A7C15)
-	return ep
+	p.rng = splitmix(plan.Seed ^ (uint64(w.t.rank*w.t.n+rank)+1)*0x9E3779B97F4A7C15)
+	return p
 }
 
 // splitmix is the SplitMix64 step (same generator as the in-process
@@ -271,46 +162,29 @@ func splitmix(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func (ep *udpEndpoint) next() float64 {
-	ep.rng = splitmix(ep.rng)
-	return float64(ep.rng>>11) / (1 << 53)
-}
-
-// writeFrame encodes and transmits one frame. With faultable set the
-// deterministic stream may drop, duplicate, or delay the datagram; sack
-// and read-response traffic goes out un-faulted (matching the in-process
-// injector, which exempts SendControl).
-func (ep *udpEndpoint) writeFrame(kind byte, payload []byte, faultable bool) {
-	t := ep.t
-	buf := appendFrame(t.frameBuf(frameSize(t.rank, len(payload))), kind, t.rank, payload)
-	if faultable && ep.active {
-		buf = ep.inject(buf)
-		if buf == nil {
-			return
-		}
-	}
-	ep.transmit(buf)
-	t.frameRecycle(buf)
+func (p *udpPeer) next() float64 {
+	p.rng = splitmix(p.rng)
+	return float64(p.rng>>11) / (1 << 53)
 }
 
 // inject applies one send's fault verdict. It may consume buf (drop,
 // delay) and may return a previously delayed datagram for transmission
 // alongside; the caller transmits whatever comes back.
-func (ep *udpEndpoint) inject(buf []byte) []byte {
-	t := ep.t
-	ep.mu.Lock()
+func (p *udpPeer) inject(buf []byte) []byte {
+	t := p.w.t
+	p.mu.Lock()
 	// Fixed draw order keeps the stream aligned regardless of verdicts.
-	drop := ep.next() < ep.rates.Drop
-	dup := ep.next() < ep.rates.Duplicate
-	delay := ep.next() < ep.rates.Delay
+	drop := p.next() < p.rates.Drop
+	dup := p.next() < p.rates.Duplicate
+	delay := p.next() < p.rates.Delay
 
 	// A held datagram re-enters the wire once enough sends overtake it.
 	var release []byte
-	if ep.held != nil {
-		ep.heldSpan--
-		if ep.heldSpan <= 0 {
-			release = ep.held
-			ep.held = nil
+	if p.held != nil {
+		p.heldSpan--
+		if p.heldSpan <= 0 {
+			release = p.held
+			p.held = nil
 		}
 	}
 	switch {
@@ -320,53 +194,29 @@ func (ep *udpEndpoint) inject(buf []byte) []byte {
 		buf = nil
 	case dup:
 		t.sink.Counters.Inc(obs.CtrFaultDuplicated)
-		ep.mu.Unlock()
-		ep.transmit(buf) // first copy; caller sends the second
-		ep.mu.Lock()
-	case delay && ep.held == nil:
+		p.mu.Unlock()
+		p.transmit(buf) // first copy; caller sends the second
+		p.mu.Lock()
+	case delay && p.held == nil:
 		t.sink.Counters.Inc(obs.CtrFaultDelayed)
-		ep.held = buf
-		ep.heldSpan = ep.rates.DelaySpan
+		p.held = buf
+		p.heldSpan = p.rates.DelaySpan
 		buf = nil
 	}
-	ep.mu.Unlock()
+	p.mu.Unlock()
 	if release != nil {
-		ep.transmit(release)
+		p.transmit(release)
 		t.frameRecycle(release)
 	}
 	return buf
 }
 
-func (ep *udpEndpoint) transmit(buf []byte) {
-	t := ep.t
-	if _, err := t.conn.WriteToUDP(buf, ep.addr); err != nil {
+func (p *udpPeer) transmit(buf []byte) {
+	t := p.w.t
+	if _, err := p.w.conn.WriteToUDP(buf, p.addr); err != nil {
 		return
 	}
 	t.sink.Counters.Inc(obs.CtrNetTxFrames)
 	t.sink.Counters.Add(obs.CtrNetTxBytes, uint64(len(buf)))
 	t.sink.Counters.Inc(obs.CtrNetFlushes)
 }
-
-func (ep *udpEndpoint) Send(data []byte, imm uint32, wrID uint64) error {
-	select {
-	case <-ep.t.done:
-		return rdma.ErrClosed
-	default:
-	}
-	ep.writeFrame(frData, data, true)
-	return nil
-}
-
-// SendControl transmits un-faulted: sacks are the repair channel, and the
-// in-process fabric gives them the same exemption.
-func (ep *udpEndpoint) SendControl(data []byte, imm uint32, wrID uint64) error {
-	select {
-	case <-ep.t.done:
-		return rdma.ErrClosed
-	default:
-	}
-	ep.writeFrame(frData, data, false)
-	return nil
-}
-
-func (ep *udpEndpoint) Close() {}
