@@ -97,7 +97,7 @@ func BenchmarkFigure8MsgRate(b *testing.B) {
 // BenchmarkMemoryFootprint exercises descriptor-table allocation at the
 // §IV-E design point (8 K receives) and reports the modeled bytes.
 func BenchmarkMemoryFootprint(b *testing.B) {
-	cfg := core.Config{Bins: 128, MaxReceives: 8192, BlockSize: 32, LazyRemoval: true}
+	cfg := core.Config{Bins: 128, MaxReceives: 8192, BlockSize: 32}
 	var total int
 	for i := 0; i < b.N; i++ {
 		m := core.MustNew(cfg)
@@ -129,7 +129,7 @@ func BenchmarkAblationBins(b *testing.B) {
 	for _, bins := range []int{1, 8, 32, 128, 512} {
 		b.Run(fmt.Sprintf("bins=%d", bins), func(b *testing.B) {
 			cfg := core.Config{Bins: bins, MaxReceives: 4096, BlockSize: 1,
-				EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true}
+				EarlyBookingCheck: true}
 			matchBench(b, cfg, 64)
 		})
 	}
@@ -138,7 +138,7 @@ func BenchmarkAblationBins(b *testing.B) {
 // conflictBlock runs with-conflict blocks through the engine.
 func conflictBlock(b *testing.B, mutate func(*core.Config)) {
 	cfg := core.Config{Bins: 256, MaxReceives: 4096, BlockSize: 16,
-		EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true}
+		EarlyBookingCheck: true}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -178,28 +178,6 @@ func BenchmarkAblationConflictPaths(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLazyRemoval compares lazy and eager consumed-entry
-// removal (§IV-D).
-func BenchmarkAblationLazyRemoval(b *testing.B) {
-	for _, lazy := range []bool{true, false} {
-		b.Run(fmt.Sprintf("lazy=%v", lazy), func(b *testing.B) {
-			conflictBlock(b, func(c *core.Config) { c.LazyRemoval = lazy })
-		})
-	}
-}
-
-// BenchmarkAblationInlineHashes compares sender-computed and on-NIC hashes
-// (§IV-D).
-func BenchmarkAblationInlineHashes(b *testing.B) {
-	for _, inline := range []bool{true, false} {
-		b.Run(fmt.Sprintf("inline=%v", inline), func(b *testing.B) {
-			cfg := core.Config{Bins: 256, MaxReceives: 4096, BlockSize: 1,
-				EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: inline}
-			matchBench(b, cfg, 64)
-		})
-	}
-}
-
 // BenchmarkAblationHints measures the §VII communicator assertions: with
 // no_any_source/no_any_tag asserted, arrivals skip the wildcard indexes
 // entirely; with allow_overtaking, conflict machinery is bypassed.
@@ -215,7 +193,7 @@ func BenchmarkAblationHints(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := core.Config{Bins: 256, MaxReceives: 4096, BlockSize: 1,
-				EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true}
+				EarlyBookingCheck: true}
 			m := core.MustNew(cfg)
 			m.SetCommHints(0, c.hints)
 			b.ResetTimer()
@@ -268,7 +246,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 	for _, n := range []int{1, 4, 16, 32} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			cfg := core.Config{Bins: 256, MaxReceives: 4096, BlockSize: n,
-				EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true}
+				EarlyBookingCheck: true}
 			m := core.MustNew(cfg)
 			envs := make([]*match.Envelope, n)
 			b.ResetTimer()

@@ -47,8 +47,6 @@ func newInstance(cfg Config) (instance, error) {
 			MaxReceives:       cfg.MaxReceives,
 			BlockSize:         1,
 			EarlyBookingCheck: true,
-			LazyRemoval:       true,
-			UseInlineHashes:   true,
 		})
 		if err != nil {
 			return nil, err

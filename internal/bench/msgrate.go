@@ -100,8 +100,6 @@ func PaperMatcherConfig() core.Config {
 		MaxReceives:       1024 + 64, // paper's in-flight budget + control slack
 		BlockSize:         32,
 		EarlyBookingCheck: true,
-		LazyRemoval:       true,
-		UseInlineHashes:   true,
 	}
 }
 

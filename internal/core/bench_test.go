@@ -15,7 +15,7 @@ func benchMatcher(b *testing.B, bins, blockN int) *core.OptimisticMatcher {
 	b.Helper()
 	return core.MustNew(core.Config{
 		Bins: bins, MaxReceives: 8192, BlockSize: blockN,
-		EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+		EarlyBookingCheck: true,
 	})
 }
 

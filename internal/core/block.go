@@ -313,9 +313,10 @@ func (b *Block) Match(tid int, env *match.Envelope) (Result, bool) {
 	// Fast path (§III-D3a): if every thread booked the same receive — the
 	// head of a sequence of compatible receives — thread tid shifts to the
 	// receive tid positions later in the sequence. Positions are counted
-	// along the chain, so the shift needs lazy removal: an eagerly unlinked
-	// peer no longer occupies its position.
-	if myLoss && cand != nil && !b.m.cfg.DisableFastPath && b.m.cfg.LazyRemoval &&
+	// along the chain, which is why consumed receives stay linked until the
+	// block retires (§IV-D lazy removal): an unlinked peer would no longer
+	// occupy its position.
+	if myLoss && cand != nil && !b.m.cfg.DisableFastPath &&
 		cand.bookingBits(b.epoch)&b.mask == b.mask {
 		if d := b.fastShift(cand, tid); d != nil {
 			st.fastPath++
@@ -450,12 +451,6 @@ func (b *Block) finalizeMatch(tid int, env *match.Envelope, d *descriptor, p Pat
 	// re-derivation can reassign it (validate skips head blocks' matches).
 	final := b.headAtStart
 	b.early[tid] = final
-	if final && !b.m.cfg.LazyRemoval {
-		// Eager removal (§IV-D off) only for committed pairings: a
-		// provisional descriptor must stay linked so a lower block's redo
-		// can still reach (and steal) it.
-		eagerUnlink(d)
-	}
 	b.final[tid] = d
 	b.results[tid] = r
 	b.tstats[tid].matched++
@@ -530,7 +525,9 @@ func (b *Block) finishInto(out []Result) {
 	var reaped uint64
 	for tid := 0; tid < b.n; tid++ {
 		if d := b.final[tid]; d != nil && !d.unlinked {
-			eagerUnlink(d)
+			d.owner.mu.Lock()
+			unlink(d)
+			d.owner.mu.Unlock()
 			reaped++
 		}
 	}
@@ -568,9 +565,7 @@ func (b *Block) finishInto(out []Result) {
 	c.Add(obs.CtrLazyReaped, reaped)
 	c.Add(obs.CtrRevalidated, agg.revalidated)
 	c.Add(obs.CtrSteals, agg.steals)
-	if m.cfg.LazyRemoval {
-		c.Inc(obs.CtrLazySweeps)
-	}
+	c.Inc(obs.CtrLazySweeps)
 	c.Add(obs.CtrArriveSearches, uint64(b.n))
 	c.Add(obs.CtrArriveTraversed, agg.traversed)
 	c.Max(obs.CtrArriveMaxDepth, agg.maxDepth)
@@ -738,22 +733,14 @@ func (b *Block) research(tid int, env *match.Envelope, hzn uint64) *descriptor {
 // searchOldest performs the §III-C cross-index search on behalf of thread
 // tid of block seq: each index yields its oldest matching available receive
 // below watermark hzn, and the global minimum posting label wins
-// (constraint C1 across indexes). Hash values are taken from the
-// sender-computed header when UseInlineHashes is set.
+// (constraint C1 across indexes). Hash values come from the sender-computed
+// header (§IV-D inline hashes) when the envelope carries one.
 func (m *OptimisticMatcher) searchOldest(env *match.Envelope, tid int, seq uint64, hzn uint64, earlyCheck bool, st *threadStats) *descriptor {
 	var h match.InlineHashes
-	if m.cfg.UseInlineHashes {
-		if env.Inline != nil {
-			h = *env.Inline // sender-computed, carried in the header
-		} else {
-			h = match.ComputeInlineHashes(env)
-		}
+	if env.Inline != nil {
+		h = *env.Inline // sender-computed, carried in the header
 	} else {
-		h = match.InlineHashes{
-			SrcTag: match.HashSrcTag(env.Source, env.Tag, env.Comm),
-			Tag:    match.HashTag(env.Tag, env.Comm),
-			Src:    match.HashSrc(env.Source, env.Comm),
-		}
+		h = match.ComputeInlineHashes(env)
 	}
 
 	var best *descriptor

@@ -103,13 +103,6 @@ type Config struct {
 	// EarlyBookingCheck enables the §IV-D optimization that skips, during
 	// the optimistic search, receives already booked by a lower thread.
 	EarlyBookingCheck bool
-	// LazyRemoval enables the §IV-D optimization that marks consumed
-	// receives instead of unlinking them inline; marked entries are swept
-	// out when a lock holder next walks the chain.
-	LazyRemoval bool
-	// UseInlineHashes trusts sender-computed hash values carried in the
-	// message header (§IV-D) instead of hashing on the accelerator.
-	UseInlineHashes bool
 	// DisableFastPath forces every conflict onto the slow path; used by the
 	// Figure 8 "with-conflict, slow path" scenario and by ablations.
 	DisableFastPath bool
@@ -134,8 +127,6 @@ func DefaultConfig() Config {
 		BlockSize:         32,
 		InFlightBlocks:    1,
 		EarlyBookingCheck: true,
-		LazyRemoval:       true,
-		UseInlineHashes:   true,
 	}
 }
 

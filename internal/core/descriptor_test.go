@@ -217,7 +217,7 @@ func TestTableCapacityIsExact(t *testing.T) {
 // (100 here), not the number of posts (100 000).
 func TestTableReusesBeforeGrowing(t *testing.T) {
 	m := MustNew(Config{Bins: 64, MaxReceives: 4096, BlockSize: 32, InFlightBlocks: 1,
-		EarlyBookingCheck: true, LazyRemoval: true})
+		EarlyBookingCheck: true})
 	const depth = 100
 	envs := make([]*match.Envelope, depth)
 	for round := 0; round < 1000; round++ {

@@ -59,8 +59,6 @@ func engineConfig(bins, blockN int, mutate func(*core.Config)) core.Config {
 		MaxReceives:       4096,
 		BlockSize:         blockN,
 		EarlyBookingCheck: true,
-		LazyRemoval:       true,
-		UseInlineHashes:   true,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -111,8 +109,6 @@ func TestParallelBlocksMatchGolden(t *testing.T) {
 func TestAblationsMatchGolden(t *testing.T) {
 	mutations := map[string]func(*core.Config){
 		"no-early-check":   func(c *core.Config) { c.EarlyBookingCheck = false },
-		"eager-removal":    func(c *core.Config) { c.LazyRemoval = false },
-		"no-inline-hashes": func(c *core.Config) { c.UseInlineHashes = false },
 		"no-fast-path":     func(c *core.Config) { c.DisableFastPath = true },
 		"one-bin":          func(c *core.Config) { c.Bins = 1 },
 		"simultaneous":     func(c *core.Config) { c.SimultaneousArrival = true },

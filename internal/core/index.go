@@ -76,18 +76,6 @@ func unlink(d *descriptor) {
 	b.n.Add(-1)
 }
 
-// eagerUnlink removes d under its bucket's remove lock; this is the
-// serialization the §IV-D lazy-removal optimization avoids.
-func eagerUnlink(d *descriptor) {
-	b := d.owner
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	unlink(d)
-	b.mu.Unlock()
-}
-
 // search walks the chain for hash and returns the oldest available
 // descriptor matching e, plus the number of entries examined, on behalf of
 // thread tid of block seq. Availability is relative to the searching block:

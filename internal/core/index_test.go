@@ -99,8 +99,9 @@ func TestIndexUnlinkMiddleKeepsNext(t *testing.T) {
 	if ix.buckets[0].head.Load() != nil || ix.buckets[0].tail != nil {
 		t.Fatal("tail unlink broken")
 	}
-	// Double unlink is a no-op.
+	// Double unlink is a no-op, and so is a descriptor in no chain.
 	unlink(c)
+	unlink(&descriptor{})
 }
 
 func TestIndexOccupancy(t *testing.T) {
@@ -119,18 +120,4 @@ func TestIndexOccupancy(t *testing.T) {
 	if ix.bins() != 4 {
 		t.Fatalf("bins = %d, want 4", ix.bins())
 	}
-}
-
-func TestEagerUnlinkLocksBucket(t *testing.T) {
-	ix := newRecvIndex(2)
-	d := makePosted(3, 3, 1)
-	ix.insert(d, match.HashSrcTag(3, 3, 0))
-	eagerUnlink(d)
-	if !d.unlinked {
-		t.Fatal("eagerUnlink did not unlink")
-	}
-	eagerUnlink(d) // idempotent
-	// nil-owner descriptors are tolerated.
-	eagerUnlink(&descriptor{})
-	unlink(&descriptor{})
 }

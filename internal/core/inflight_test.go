@@ -333,7 +333,7 @@ func BenchmarkInFlightArrive(b *testing.B) {
 			cfg := core.Config{
 				Bins: 2048, MaxReceives: 8192, BlockSize: blockN,
 				InFlightBlocks:    depth,
-				EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+				EarlyBookingCheck: true,
 			}
 			m := core.MustNew(cfg)
 			const span = 512 // messages per inner round, <= MaxReceives

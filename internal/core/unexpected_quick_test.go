@@ -89,7 +89,7 @@ func TestUnexpectedStoreMatchesModel(t *testing.T) {
 // incompatible, for arbitrary post streams.
 func TestSeqIDCompatibleRuns(t *testing.T) {
 	f := func(keys []uint8) bool {
-		m := MustNew(Config{Bins: 16, MaxReceives: 4096, BlockSize: 1, LazyRemoval: true})
+		m := MustNew(Config{Bins: 16, MaxReceives: 4096, BlockSize: 1})
 		var lastKey uint8
 		var have bool
 		var lastSeq uint64

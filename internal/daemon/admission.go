@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -73,6 +74,10 @@ func (b *Budgets) fill() {
 	}
 }
 
+// offloadBlockSize is the matcher block every hosted offload job runs
+// (worldOptions): the fewest DPA threads a rank can ask for.
+var offloadBlockSize = bench.PaperMatcherConfig().BlockSize
+
 // specThreads is the DPA thread charge of one normalized spec: every rank
 // of an offload job gets its own accelerator.
 func specThreads(s *JobSpec) int {
@@ -91,7 +96,7 @@ func specFootprint(s *JobSpec) int {
 		per := bench.ModelFootprintBytes(bench.FootprintConfig{
 			Bins:        s.Bins,
 			MaxReceives: s.MaxReceives,
-			BlockSize:   32,
+			BlockSize:   offloadBlockSize,
 			InFlight:    s.InFlight,
 		})
 		return s.Ranks * per
@@ -121,6 +126,16 @@ func (e *AdmissionError) Error() string { return e.Reason }
 
 func overBudget(format string, args ...any) error {
 	return &AdmissionError{Code: CodeOverBudget, Reason: fmt.Sprintf(format, args...)}
+}
+
+// refusal types a validation failure: a budget refusal keeps its code,
+// anything else is a bad request.
+func refusal(err error) error {
+	var adm *AdmissionError
+	if errors.As(err, &adm) {
+		return err
+	}
+	return &AdmissionError{Code: CodeBadRequest, Reason: err.Error()}
 }
 
 // admit charges spec against its tenant's budgets, creating the tenant on

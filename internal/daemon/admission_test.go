@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -73,14 +74,15 @@ func TestAdmissionOverBudgetRejected(t *testing.T) {
 		Clock:   newFakeClock(),
 	})
 
-	// 2 ranks × 32 threads = the whole 64-thread budget.
-	full := JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 2, Threads: 32, K: 2, Reps: 1}
+	// 2 ranks × 32 threads = the whole 64-thread budget. Long enough to
+	// still be running while the asks below bounce off it.
+	full := JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 2, Threads: 32, K: 2, Reps: 300}
 	st, err := d.Submit(full)
 	if err != nil {
 		t.Fatalf("first offload job: %v", err)
 	}
 	// A second offload thread-ask must bounce while the first runs.
-	_, err = d.Submit(JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 1, Threads: 1, K: 2, Reps: 1})
+	_, err = d.Submit(JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 1, Threads: 32, K: 2, Reps: 1})
 	if code := admissionCode(t, err); code != CodeOverBudget {
 		t.Fatalf("thread-over-budget code = %s, want %s", code, CodeOverBudget)
 	} else if !strings.Contains(err.Error(), "thread") {
@@ -110,10 +112,54 @@ func TestAdmissionOverBudgetRejected(t *testing.T) {
 		t.Fatalf("WaitJob: %v", err)
 	}
 	waitAllTerminal(t, d)
-	if _, err := d.Submit(JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 1, Threads: 1, K: 2, Reps: 1}); err != nil {
+	if _, err := d.Submit(JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 1, Threads: 32, K: 2, Reps: 1}); err != nil {
 		t.Fatalf("offload job after release: %v", err)
 	}
 	waitAllTerminal(t, d)
+}
+
+// TestUnbuildableOffloadSpecsRefused pins the pre-admission gate: an
+// offload spec no world can be built from — fewer DPA threads than the
+// matcher's block, or matching tables no DPA memory holds — is refused with
+// a typed code through the decoder's boundary, takes no job id, charges
+// nothing, and starts (so leaks) no DPA worker.
+func TestUnbuildableOffloadSpecsRefused(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d := New(Config{Clock: newFakeClock()})
+	for _, tc := range []struct {
+		line, code, names string
+	}{
+		{`{"op":"submit","job":{"tenant":"a","engine":"offload","threads":8}}`, CodeBadRequest, "threads"},
+		{`{"op":"submit","job":{"tenant":"a","engine":"offload","bins":524288}}`, CodeOverBudget, "DPA memory"},
+	} {
+		if _, err := DecodeRequest([]byte(tc.line)); err == nil {
+			t.Fatalf("DecodeRequest accepted %s", tc.line)
+		}
+		for i := 0; i < 10; i++ {
+			resp := d.handle([]byte(tc.line))
+			if resp.OK || resp.Code != tc.code || !strings.Contains(resp.Error, tc.names) {
+				t.Fatalf("%s: ok=%v code=%s error=%q, want %s naming %q",
+					tc.line, resp.OK, resp.Code, resp.Error, tc.code, tc.names)
+			}
+		}
+	}
+	if jobs := d.List(); len(jobs) != 0 {
+		t.Fatalf("refused specs took job ids: %+v", jobs)
+	}
+	if doc := d.Tenants(); len(doc.Tenants) != 0 {
+		t.Fatalf("refused specs were charged to a tenant: %+v", doc.Tenants)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("goroutines: %d before, %d after 20 refused submissions", before, now)
+	}
+	// The same shapes with a buildable ask still admit and run.
+	st, err := d.Submit(JobSpec{Tenant: "a", Engine: "offload", Threads: 32, K: 2, Reps: 1})
+	if err != nil {
+		t.Fatalf("buildable offload spec: %v", err)
+	}
+	if st, err = d.WaitJob(st.ID); err != nil || st.State != "done" {
+		t.Fatalf("buildable offload job: state %s err %v (%s)", st.State, err, st.Error)
+	}
 }
 
 // waitAllTerminal blocks until every submitted job settles.

@@ -78,7 +78,7 @@ func New(cfg Config) *Daemon {
 func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		d.sink.CounterInc(obs.CtrDaemonBadRequests)
-		return JobStatus{}, &AdmissionError{Code: CodeBadRequest, Reason: err.Error()}
+		return JobStatus{}, refusal(err)
 	}
 	// Replay jobs with ranks left unset take the trace's rank count —
 	// resolved before admission so the budget charge reflects the worlds
@@ -329,7 +329,7 @@ func (d *Daemon) handle(line []byte) *Response {
 	req, err := DecodeRequest(line)
 	if err != nil {
 		d.sink.CounterInc(obs.CtrDaemonBadRequests)
-		return &Response{Code: CodeBadRequest, Error: err.Error()}
+		return errResponse(refusal(err))
 	}
 	switch req.Op {
 	case OpPing:

@@ -158,8 +158,9 @@ func lossy(transport string) bool { return transport == "udp" }
 
 // DecodeRequest parses and validates one request line. Every failure —
 // truncated JSON, trailing garbage, unknown ops, hostile budgets, oversize
-// names — is a typed error the server answers with CodeBadRequest; no
-// input may panic or allocate beyond the line itself.
+// names — is an error the server answers with CodeBadRequest (a spec no
+// DPA could hold: an AdmissionError, CodeOverBudget); no input may panic or
+// allocate beyond the line itself.
 func DecodeRequest(line []byte) (*Request, error) {
 	if len(line) > MaxLineBytes {
 		return nil, fmt.Errorf("request of %d bytes exceeds the %d-byte line limit", len(line), MaxLineBytes)
@@ -193,7 +194,8 @@ func DecodeRequest(line []byte) (*Request, error) {
 	return &req, nil
 }
 
-// Validate bounds every field of a submitted spec.
+// Validate bounds every field of a submitted spec and refuses the shapes
+// no world can be built from.
 func (s *JobSpec) Validate() error {
 	if err := checkName("tenant", s.Tenant, true); err != nil {
 		return err
@@ -233,6 +235,17 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("max_receives %d outside [0,%d]", s.MaxReceives, MaxReceivesCap)
 	case s.Scale > MaxScale:
 		return fmt.Errorf("scale %d outside [0,%d]", s.Scale, MaxScale)
+	}
+	// Within every cap, an offload spec can still be one no world can be
+	// built from (mpi refuses both at engine construction): refuse it here,
+	// before it is admitted, charged and given an id.
+	if shaped.Engine == "offload" {
+		if shaped.Threads < offloadBlockSize {
+			return fmt.Errorf("threads %d below the offload matcher's block of %d", shaped.Threads, offloadBlockSize)
+		}
+		if per := specFootprint(&shaped) / shaped.Ranks; per > dpa.L3CacheBytes {
+			return overBudget("matching tables of %d bytes per rank exceed the %d bytes of DPA memory", per, dpa.L3CacheBytes)
+		}
 	}
 	return nil
 }

@@ -82,22 +82,17 @@ func worldOptions(spec *JobSpec, loc Local) mpi.Options {
 	matcher.Bins = spec.Bins
 	matcher.MaxReceives = spec.MaxReceives
 	matcher.InFlightBlocks = spec.InFlight
-	opts := mpi.Options{
+	return mpi.Options{
 		Engine:        engineKinds[spec.Engine],
 		Matcher:       matcher,
 		DPA:           dpa.Config{Threads: spec.Threads},
 		RecvDepth:     max(2*spec.K, 64),
 		EagerLimit:    1024,
+		Faults:        loc.Faults, // NewWorld's fabric takes it; a net transport carries its own copy
 		CoalesceBytes: loc.CoalesceBytes,
 		CoalesceMsgs:  loc.CoalesceMsgs,
 		Obs:           loc.Obs,
 	}
-	if spec.Transport == "inproc" {
-		// Over a net transport the plan arms the transport's injector
-		// instead; UDP's unreliability alone arms the repair sublayer.
-		opts.Faults = loc.Faults
-	}
-	return opts
 }
 
 // buildWorlds materializes the spec's world(s): one in-process world; or,

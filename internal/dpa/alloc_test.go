@@ -30,7 +30,7 @@ func TestArrivalHotPathAllocs(t *testing.T) {
 			defer acc.Close()
 			matcher := core.MustNew(core.Config{
 				Bins: 2048, MaxReceives: 8192, BlockSize: 8,
-				EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+				EarlyBookingCheck: true,
 			})
 			cq := rdma.NewCQ()
 			p := NewPipeline(acc, matcher, cq)

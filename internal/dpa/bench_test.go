@@ -33,7 +33,7 @@ func benchArrivalHotPath(b *testing.B, opts obs.Options) {
 	defer acc.Close()
 	matcher := core.MustNew(core.Config{
 		Bins: 2048, MaxReceives: 8192, BlockSize: 8,
-		EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+		EarlyBookingCheck: true,
 	})
 	matcher.SetObs(obs.New(opts))
 	cq := rdma.NewCQ()
@@ -114,7 +114,7 @@ func BenchmarkInFlightPipeline(b *testing.B) {
 			matcher := core.MustNew(core.Config{
 				Bins: 2048, MaxReceives: 8192, BlockSize: blockN,
 				InFlightBlocks:    depth,
-				EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+				EarlyBookingCheck: true,
 			})
 			cq := rdma.NewCQ()
 			p := NewPipeline(acc, matcher, cq)

@@ -201,7 +201,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	defer acc.Close()
 	matcher := core.MustNew(core.Config{
 		Bins: 64, MaxReceives: 256, BlockSize: 8,
-		EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+		EarlyBookingCheck: true,
 	})
 	cq := rdma.NewCQ()
 	p := NewPipeline(acc, matcher, cq)
@@ -263,8 +263,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestPipelineRequiresCallbacks(t *testing.T) {
 	acc := MustNew(Config{Threads: 2})
 	defer acc.Close()
-	matcher := core.MustNew(core.Config{Bins: 4, MaxReceives: 4, BlockSize: 2,
-		LazyRemoval: true})
+	matcher := core.MustNew(core.Config{Bins: 4, MaxReceives: 4, BlockSize: 2})
 	p := NewPipeline(acc, matcher, rdma.NewCQ())
 	defer func() {
 		if recover() == nil {
@@ -282,7 +281,7 @@ func TestPipelineStopDrainRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		acc := MustNew(Config{Threads: 4})
 		matcher := core.MustNew(core.Config{
-			Bins: 64, MaxReceives: 4096, BlockSize: 4, LazyRemoval: true,
+			Bins: 64, MaxReceives: 4096, BlockSize: 4,
 		})
 		cq := rdma.NewCQ()
 		p := NewPipeline(acc, matcher, cq)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dpa"
 	"repro/internal/rdma"
 )
 
@@ -123,31 +125,67 @@ func (f *failTransport) Endpoint(int) rdma.Endpoint            { return nil }
 func (f *failTransport) Start(*rdma.RecvQueue, *rdma.CQ) error { return errors.New("start refused") }
 func (f *failTransport) Close() error                          { f.closes++; return nil }
 
-// TestNewNetWorldClosesTransportOnFailure pins ownership: NewNetWorld owns
-// the transport it is handed, so a failing return must close it exactly
-// once and leave no engine goroutine (the offload engine's DPA workers
-// exist before Start) behind.
+// TestNewNetWorldClosesTransportOnFailure pins ownership on every failing
+// return of the one constructor body, through both constructors: the world
+// owns the transports it is built on, so each is closed exactly once, and
+// nothing a rank started before the failure — the offload engine's DPA
+// workers exist before Start — is left behind.
 func TestNewNetWorldClosesTransportOnFailure(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for _, tc := range []struct {
-		name string
-		rank int
-		opts Options
+	bigTables := core.DefaultConfig()
+	bigTables.Bins = 1 << 19
+	failures := []struct {
+		name    string
+		opts    Options
+		refuses bool // the options are buildable: it is Start that fails
 	}{
-		{"start-fails-host", 0, Options{Engine: EngineHost}},
-		{"start-fails-offload", 0, Options{Engine: EngineOffload}},
-		{"start-fails-raw", 1, Options{Engine: EngineRaw}},
-		{"rank-out-of-range", 2, Options{}},
-		{"engine-setup-fails", 0, Options{Engine: EngineKind(99)}},
-	} {
-		tr := &failTransport{rank: tc.rank}
-		if w, err := NewNetWorld(tr, tc.opts); err == nil {
-			w.Close()
-			t.Fatalf("%s: NewNetWorld succeeded", tc.name)
+		{"start-refused-host", Options{Engine: EngineHost}, true},
+		{"start-refused-offload", Options{Engine: EngineOffload}, true},
+		{"start-refused-raw", Options{Engine: EngineRaw}, true},
+		{"unknown-engine", Options{Engine: EngineKind(99)}, false},
+		{"block-exceeds-threads", Options{Engine: EngineOffload, DPA: dpa.Config{Threads: 8}}, false},
+		{"tables-exceed-dpa-memory", Options{Engine: EngineOffload, Matcher: bigTables}, false},
+	}
+	// NewWorld builds its own fabric, whose Start cannot refuse: its
+	// start-refused rows put a refusing transport behind a fabric rank that
+	// has already been built and started.
+	constructors := []struct {
+		name  string
+		build func(opts Options, refuses bool) (*World, *failTransport, error)
+	}{
+		{"NewWorld", func(opts Options, refuses bool) (*World, *failTransport, error) {
+			if !refuses {
+				w, err := NewWorld(2, opts)
+				return w, nil, err
+			}
+			tr := &failTransport{rank: 1}
+			w, err := attach([]rdma.Transport{rdma.NewFabric().Ranks(2)[0], tr}, opts)
+			return w, tr, err
+		}},
+		{"NewNetWorld", func(opts Options, _ bool) (*World, *failTransport, error) {
+			tr := &failTransport{rank: 0}
+			w, err := NewNetWorld(tr, opts)
+			return w, tr, err
+		}},
+	}
+	before := runtime.NumGoroutine()
+	for _, c := range constructors {
+		for _, f := range failures {
+			w, tr, err := c.build(f.opts, f.refuses)
+			if err == nil {
+				w.Close()
+				t.Fatalf("%s/%s: succeeded", c.name, f.name)
+			}
+			if tr != nil && tr.closes != 1 {
+				t.Errorf("%s/%s: transport closed %d times, want 1", c.name, f.name, tr.closes)
+			}
 		}
-		if tr.closes != 1 {
-			t.Errorf("%s: transport closed %d times, want 1", tc.name, tr.closes)
-		}
+	}
+	tr := &failTransport{rank: 2}
+	if w, err := NewNetWorld(tr, Options{}); err == nil {
+		w.Close()
+		t.Fatal("rank out of range: NewNetWorld succeeded")
+	} else if tr.closes != 1 {
+		t.Errorf("rank out of range: transport closed %d times, want 1", tr.closes)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {

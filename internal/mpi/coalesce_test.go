@@ -22,7 +22,7 @@ func newCoalesceWorld(t *testing.T, n int, kind EngineKind, plan rdma.FaultPlan)
 		EagerLimit: 64,
 		Matcher: core.Config{
 			Bins: 128, MaxReceives: 1024, BlockSize: 8,
-			EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+			EarlyBookingCheck: true,
 		},
 		Faults:          plan,
 		RetxTimeout:     time.Millisecond,
@@ -153,7 +153,7 @@ func TestCoalesceAcrossDepths(t *testing.T) {
 				Matcher: core.Config{
 					Bins: 128, MaxReceives: 1024, BlockSize: 8,
 					InFlightBlocks:    depth,
-					EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+					EarlyBookingCheck: true,
 				},
 				CoalesceBytes: 1024,
 				CoalesceMsgs:  8,

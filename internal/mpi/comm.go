@@ -159,7 +159,7 @@ func (p *Proc) isend(dst, tag int, comm match.CommID, data []byte) (*Request, er
 			return nil, err
 		}
 	}
-	mr := p.w.register(data)
+	mr := p.trans.RegisterMemory(data)
 	p.pendMu.Lock()
 	p.pending[mr.RKey] = &pendingSend{req: req, mr: mr, dst: dst, tag: tag}
 	p.pendMu.Unlock()
@@ -172,7 +172,7 @@ func (p *Proc) isend(dst, tag int, comm match.CommID, data []byte) (*Request, er
 		p.pendMu.Lock()
 		delete(p.pending, mr.RKey)
 		p.pendMu.Unlock()
-		p.w.deregister(mr)
+		p.trans.Deregister(mr)
 		return nil, err
 	}
 	return req, nil

@@ -20,7 +20,7 @@ const cqDrainBatch = 64
 // accepts receive postings from the application.
 type engine interface {
 	// start launches the arrival-processing machinery.
-	start() error
+	start()
 	// post presents a user receive; the engine completes it immediately
 	// when a stored unexpected message matches.
 	post(r *match.Recv) error
@@ -28,115 +28,153 @@ type engine interface {
 	close()
 }
 
+// dispatch is the one arrival switch, shared by every engine: it takes a
+// receive completion apart and reposts its bounce buffer. An error
+// completion (e.g. rdma.ErrBufferSize) carries the posted buffer unfilled;
+// a malformed header cannot occur from our own wire layer, and a sack
+// outside the reliability filter is stray: all three are only recycled. A
+// rendezvous ACK completes its pending send. What remains is data — an
+// eager message, an RTS, or a coalesced frame — and the engine supplies the
+// two things it does with it:
+//
+//   - take, when non-nil, may claim the whole completion, buffer included,
+//     before a frame is unbatched (the offload engine forms matching blocks
+//     from what it takes);
+//   - message handles one data message, called once per sub-message of a
+//     frame under a synthesized eager header, so every message of a burst
+//     flows through the engine before the buffer is reposted. The payload
+//     aliases the bounce buffer. Returning false stops the walk.
+//
+// dispatch reports false once message has: the engine is shutting down.
+func (p *Proc) dispatch(c rdma.Completion, take func(header, rdma.Completion) bool, message func(header, []byte) bool) bool {
+	ok := true
+	h, err := header{}, c.Err
+	if err == nil {
+		h, err = decodeHeader(c.Data)
+	}
+	switch {
+	case err != nil || h.kind == kindSack:
+	case h.kind == kindAck:
+		p.handleAck(h)
+	case take != nil && take(h, c):
+		return true
+	case h.kind != kindEagerBatch:
+		ok = message(h, payloadOf(h, c.Data))
+	default:
+		if it, err := newBatchIter(h, c.Data); err == nil {
+			for m, more := it.next(); ok && more; m, more = it.next() {
+				ok = message(subHeader(h.src, h.comm, m), m.payload)
+			}
+		}
+	}
+	p.repost(c.Data)
+	return ok
+}
+
+// drain is the host-side progress loop of the engines that match on the
+// CPU: it pulls the receive CQ in batches (one lock acquisition per batch)
+// and runs every completion through dispatch — sequentially, the
+// serialization offloading removes — until the CQ closes or message stops
+// the walk.
+func (p *Proc) drain(message func(header, []byte) bool) {
+	batch := make([]rdma.Completion, cqDrainBatch)
+	for cursor := uint64(0); ; {
+		n, ok := p.recvCQ.WaitBatch(cursor, batch)
+		if !ok {
+			return
+		}
+		for _, c := range batch[:n] {
+			if !p.dispatch(c, nil, message) {
+				return
+			}
+		}
+		cursor += uint64(n)
+		p.recvCQ.Trim(cursor) // keep the window bounded
+		p.obs.Counters.Inc(obs.CtrCQDrains)
+		p.obs.Counters.Add(obs.CtrCQCompletions, uint64(n))
+		p.obs.Observe(obs.HistDrainBatch, uint64(n))
+		if p.obs.Enabled() {
+			p.obs.Event(obs.EvCQDrain, 0, uint64(n), cursor, uint64(n))
+		}
+	}
+}
+
+// lockedList is the traditional two-queue list matcher behind a lock, as
+// the host engine and the offload engine's software fallback both run it:
+// posts race with the goroutine that feeds arrivals.
+type lockedList struct {
+	p  *Proc
+	mu sync.Mutex
+	lm *match.ListMatcher
+}
+
+func newLockedList(p *Proc) *lockedList {
+	return &lockedList{p: p, lm: match.NewListMatcher()}
+}
+
+// message runs one data message through the list matcher and delivers or
+// stores it; envelopes come from the world's pool, so the steady-state loop
+// allocates nothing. The payload may alias a bounce buffer: it is
+// stabilized under the lock when the message goes unexpected (a concurrent
+// post could otherwise take the envelope while it still aliases the
+// buffer), so the buffer may be reposted as soon as message returns.
+func (l *lockedList) message(h header, payload []byte) bool {
+	env := fillEnvelope(l.p.w.envPool.Get(), h, payload)
+	l.mu.Lock()
+	r, matched := l.lm.Arrive(env)
+	if !matched {
+		l.p.stabilizeUnexpected(env)
+	}
+	l.mu.Unlock()
+	if matched {
+		l.p.deliverMatch(r, env)
+		l.p.w.envPool.Put(env)
+		l.p.recycleRecv(r)
+	}
+	return true
+}
+
+// peek is the non-consuming probe of the unexpected store.
+func (l *lockedList) peek(r *match.Recv) (*match.Envelope, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lm.PeekUnexpected(r)
+}
+
+func (l *lockedList) post(r *match.Recv) {
+	l.mu.Lock()
+	env, ok := l.lm.PostRecv(r)
+	l.mu.Unlock()
+	if ok {
+		l.p.deliverMatch(r, env)
+		l.p.recycleUnexpected(env)
+		l.p.recycleRecv(r)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Host engine: traditional on-CPU linked-list matching (Fig. 8 "MPI-CPU").
 
 type hostEngine struct {
-	p  *Proc
-	mu sync.Mutex // guards lm: posts race with the progress goroutine
-	lm *match.ListMatcher
-	wg sync.WaitGroup
+	p    *Proc
+	list *lockedList
+	wg   sync.WaitGroup
 }
 
 func newHostEngine(p *Proc) (*hostEngine, error) {
-	return &hostEngine{p: p, lm: match.NewListMatcher()}, nil
+	return &hostEngine{p: p, list: newLockedList(p)}, nil
 }
 
-func (e *hostEngine) start() error {
+func (e *hostEngine) start() {
 	e.wg.Add(1)
-	go e.run()
-	return nil
-}
-
-// run is the host progress loop: it drains the receive CQ sequentially —
-// the serialization offloading removes. Completions are taken in batches
-// (one CQ lock acquisition per batch) and envelopes come from the world's
-// pool, so the steady-state loop allocates nothing.
-func (e *hostEngine) run() {
-	defer e.wg.Done()
-	batch := make([]rdma.Completion, cqDrainBatch)
-	for cursor := uint64(0); ; {
-		n, ok := e.p.recvCQ.WaitBatch(cursor, batch)
-		if !ok {
-			return
-		}
-		for i := 0; i < n; i++ {
-			c := batch[i]
-			if c.Err != nil {
-				// Error completion (e.g. rdma.ErrBufferSize): the posted
-				// buffer is attached unfilled; recycle it and move on.
-				e.p.repost(c.Data)
-				continue
-			}
-			h, err := decodeHeader(c.Data)
-			if err != nil || h.kind == kindSack {
-				e.p.repost(c.Data)
-				continue
-			}
-			if h.kind == kindAck {
-				e.p.handleAck(h)
-				e.p.repost(c.Data)
-				continue
-			}
-			if h.kind == kindEagerBatch {
-				// One frame, a burst of arrivals: every sub-message flows
-				// through the matcher before the bounce buffer is reposted.
-				if it, err := newBatchIter(h, c.Data); err == nil {
-					for {
-						m, ok := it.next()
-						if !ok {
-							break
-						}
-						e.arrive(fillSubEnvelope(e.p.w.envPool.Get(), h.src, h.comm, m))
-					}
-				}
-				e.p.repost(c.Data)
-				continue
-			}
-			e.arrive(fillEnvelope(e.p.w.envPool.Get(), h, payloadOf(h, c.Data)))
-			e.p.repost(c.Data)
-		}
-		cursor += uint64(n)
-		e.p.recvCQ.Trim(cursor) // keep the window bounded
-		e.p.obs.Counters.Inc(obs.CtrCQDrains)
-		e.p.obs.Counters.Add(obs.CtrCQCompletions, uint64(n))
-		e.p.obs.Observe(obs.HistDrainBatch, uint64(n))
-		if e.p.obs.Enabled() {
-			e.p.obs.Event(obs.EvCQDrain, 0, uint64(n), cursor, uint64(n))
-		}
-	}
-}
-
-// arrive runs one envelope through the list matcher and delivers or
-// stores it. The envelope's payload may alias a bounce buffer; it is
-// stabilized under the lock when the message goes unexpected, so the
-// caller may repost the buffer as soon as arrive returns.
-func (e *hostEngine) arrive(env *match.Envelope) {
-	e.mu.Lock()
-	r, matched := e.lm.Arrive(env)
-	if !matched {
-		// Stabilize before releasing the lock: a concurrent post could
-		// otherwise take the envelope while it still aliases the bounce
-		// buffer.
-		e.p.stabilizeUnexpected(env)
-	}
-	e.mu.Unlock()
-	if matched {
-		e.p.deliverMatch(r, env)
-		e.p.w.envPool.Put(env)
-		e.p.recycleRecv(r)
-	}
+	go func() {
+		defer e.wg.Done()
+		e.p.drain(e.list.message)
+	}()
 }
 
 func (e *hostEngine) post(r *match.Recv) error {
-	e.mu.Lock()
-	env, ok := e.lm.PostRecv(r)
-	e.mu.Unlock()
-	if ok {
-		e.p.deliverMatch(r, env)
-		e.p.recycleUnexpected(env)
-		e.p.recycleRecv(r)
-	}
+	e.list.post(r)
 	return nil
 }
 
@@ -157,18 +195,26 @@ type offloadEngine struct {
 
 	// Software fallback (§IV-E): communicators that opted out or did not
 	// fit in DPA memory are matched on the host with the traditional list
-	// algorithm. Fallback arrivals are diverted out of the matching blocks
-	// through the pipeline's control path.
-	fbMu          sync.Mutex
-	fallback      *match.ListMatcher
+	// algorithm. Their arrivals never enter a matching block: take leaves
+	// them to dispatch, which feeds them to the list on the formation loop.
+	fallback      *lockedList
 	fallbackComms map[match.CommID]bool
+
+	// formed is the match-bound stream the pipeline's Expand hook is
+	// appending to (formation loop only).
+	formed []rdma.Completion
 }
 
-func newOffloadEngine(p *Proc) (*offloadEngine, error) {
+func newOffloadEngine(p *Proc) (_ *offloadEngine, err error) {
 	acc, err := dpa.New(p.w.opts.DPA)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			acc.Close() // a rejected engine must not leak its DPA workers
+		}
+	}()
 	mcfg := p.w.opts.Matcher
 	if mcfg.BlockSize > acc.Threads() {
 		return nil, fmt.Errorf("mpi: matcher block size %d exceeds %d DPA threads",
@@ -190,7 +236,7 @@ func newOffloadEngine(p *Proc) (*offloadEngine, error) {
 	}
 	e := &offloadEngine{
 		p: p, acc: acc, matcher: matcher,
-		fallback:      match.NewListMatcher(),
+		fallback:      newLockedList(p),
 		fallbackComms: make(map[match.CommID]bool),
 	}
 	// Stabilize unexpected payloads inside the matcher, under the store
@@ -219,13 +265,20 @@ func newOffloadEngine(p *Proc) (*offloadEngine, error) {
 	e.pipe.Envelopes = &p.w.envPool // share one pool across pipeline and posts
 	e.pipe.Decode = e.decode
 	e.pipe.Handle = e.handle
-	e.pipe.Classify = e.classify
-	e.pipe.Control = e.control
-	e.pipe.Expand = e.expand
+	// Every completion goes through dispatch on the formation loop. With no
+	// Classify the pipeline hands Control the error completions only and
+	// Expand the rest, which returns what take claimed for matching.
+	take, fallback := e.take, e.fallback.message
+	e.pipe.Expand = func(c rdma.Completion, out []rdma.Completion) []rdma.Completion {
+		e.formed = out
+		p.dispatch(c, take, fallback)
+		return e.formed
+	}
+	e.pipe.Control = func(c rdma.Completion) { p.dispatch(c, nil, nil) }
 	return e, nil
 }
 
-// subImm marks a completion synthesized by expand for one sub-message of
+// subImm marks a completion synthesized by take for one sub-message of
 // a coalesced frame. The fabric always delivers imm 0 (this layer sends
 // with imm 0 everywhere), so the marker cannot collide with real traffic.
 const subImm uint32 = 1
@@ -241,24 +294,29 @@ type frameRef struct {
 
 var frameRefPool = sync.Pool{New: func() any { return new(frameRef) }}
 
-// expand unbatches a coalesced frame into one completion per sub-message
-// for block formation. Non-frame completions pass through unchanged. Each
-// sub-completion carries the sub-record slice as Data, the frame's
-// (src, comm) packed into WRID, the subImm marker, and a shared frameRef
-// so the bounce buffer is reposted exactly once, after the last
-// sub-message's protocol handling. A malformed frame (impossible from our
-// own wire layer, but the decoder must not trust the wire) is dropped
-// whole and its buffer reposted immediately.
-func (e *offloadEngine) expand(c rdma.Completion, out []rdma.Completion) []rdma.Completion {
-	h, err := decodeHeader(c.Data)
-	if err != nil || h.kind != kindEagerBatch {
-		return append(out, c)
+// take claims a data completion on an offloaded communicator for block
+// formation: a lone message passes through unchanged, a coalesced frame is
+// unbatched into one completion per sub-message. Each sub-completion
+// carries the sub-record slice as Data, the frame's (src, comm) packed into
+// WRID, the subImm marker, and a shared frameRef so the bounce buffer is
+// reposted exactly once, after the last sub-message's protocol handling. A
+// malformed frame (impossible from our own wire layer, but the decoder must
+// not trust the wire) is dropped whole and its buffer reposted here.
+// Fallback-communicator traffic is left to dispatch.
+func (e *offloadEngine) take(h header, c rdma.Completion) bool {
+	if len(e.fallbackComms) != 0 && e.fallbackComms[match.CommID(h.comm)] {
+		return false
+	}
+	if h.kind != kindEagerBatch {
+		e.formed = append(e.formed, c)
+		return true
 	}
 	it, err := newBatchIter(h, c.Data)
 	if err != nil {
 		e.p.repost(c.Data)
-		return out
+		return true
 	}
+	out := e.formed
 	ref := frameRefPool.Get().(*frameRef)
 	ref.buf = c.Data
 	base := len(out)
@@ -285,10 +343,11 @@ func (e *offloadEngine) expand(c rdma.Completion, out []rdma.Completion) []rdma.
 		ref.buf = nil
 		frameRefPool.Put(ref)
 		e.p.repost(c.Data)
-		return out
+	} else {
+		ref.remaining.Store(int32(len(out) - base))
 	}
-	ref.remaining.Store(int32(len(out) - base))
-	return out
+	e.formed = out
+	return true
 }
 
 // release recycles a completion's bounce buffer after protocol handling:
@@ -307,22 +366,6 @@ func (e *offloadEngine) release(c rdma.Completion) {
 	e.p.repost(c.Data)
 }
 
-// classify routes completions: error completions, ACKs, sacks, and
-// fallback-communicator messages bypass the matching blocks.
-func (e *offloadEngine) classify(c rdma.Completion) bool {
-	if c.Err != nil {
-		return false
-	}
-	h, err := decodeHeader(c.Data)
-	if err != nil || h.kind == kindAck || h.kind == kindSack {
-		return false
-	}
-	if len(e.fallbackComms) != 0 && e.fallbackComms[match.CommID(h.comm)] {
-		return false
-	}
-	return true
-}
-
 // FallbackComms reports which communicators run on software matching.
 func (e *offloadEngine) FallbackComms() []int32 {
 	out := make([]int32, 0, len(e.fallbackComms))
@@ -332,10 +375,7 @@ func (e *offloadEngine) FallbackComms() []int32 {
 	return out
 }
 
-func (e *offloadEngine) start() error {
-	e.pipe.Start()
-	return nil
-}
+func (e *offloadEngine) start() { e.pipe.Start() }
 
 // decode runs on a DPA thread: parse the header and fill the pooled
 // envelope. The eager payload still aliases the bounce buffer here;
@@ -351,7 +391,7 @@ func (e *offloadEngine) decode(c rdma.Completion, env *match.Envelope) *match.En
 			env.Comm = -1
 			return env
 		}
-		return fillSubEnvelope(env, int32(c.WRID>>32), int32(uint32(c.WRID)), m)
+		return fillEnvelope(env, subHeader(int32(c.WRID>>32), int32(uint32(c.WRID)), m), m.payload)
 	}
 	h, err := decodeHeader(c.Data)
 	if err != nil {
@@ -376,70 +416,9 @@ func (e *offloadEngine) handle(tid int, res core.Result, c rdma.Completion) {
 	e.release(c)
 }
 
-// control handles error completions, rendezvous ACKs, and
-// fallback-communicator arrivals without entering a matching block.
-func (e *offloadEngine) control(c rdma.Completion) {
-	if c.Err != nil {
-		e.p.repost(c.Data)
-		return
-	}
-	h, err := decodeHeader(c.Data)
-	if err != nil || h.kind == kindSack {
-		e.p.repost(c.Data)
-		return
-	}
-	if h.kind == kindAck {
-		e.p.handleAck(h)
-		e.p.repost(c.Data)
-		return
-	}
-	// Software-matched communicator: traditional list matching on the host.
-	// A coalesced frame on a fallback communicator unbatches here — every
-	// sub-message flows through the list matcher before the repost.
-	if h.kind == kindEagerBatch {
-		if it, err := newBatchIter(h, c.Data); err == nil {
-			for {
-				m, ok := it.next()
-				if !ok {
-					break
-				}
-				e.fbArrive(fillSubEnvelope(e.p.w.envPool.Get(), h.src, h.comm, m))
-			}
-		}
-		e.p.repost(c.Data)
-		return
-	}
-	e.fbArrive(fillEnvelope(e.p.w.envPool.Get(), h, payloadOf(h, c.Data)))
-	e.p.repost(c.Data)
-}
-
-// fbArrive runs one envelope through the fallback list matcher, exactly
-// like hostEngine.arrive: unexpected payloads are stabilized under the
-// lock, so the caller may repost the bounce buffer on return.
-func (e *offloadEngine) fbArrive(env *match.Envelope) {
-	e.fbMu.Lock()
-	r, matched := e.fallback.Arrive(env)
-	if !matched {
-		e.p.stabilizeUnexpected(env)
-	}
-	e.fbMu.Unlock()
-	if matched {
-		e.p.deliverMatch(r, env)
-		e.p.w.envPool.Put(env)
-		e.p.recycleRecv(r)
-	}
-}
-
 func (e *offloadEngine) post(r *match.Recv) error {
 	if len(e.fallbackComms) != 0 && e.fallbackComms[r.Comm] {
-		e.fbMu.Lock()
-		env, ok := e.fallback.PostRecv(r)
-		e.fbMu.Unlock()
-		if ok {
-			e.p.deliverMatch(r, env)
-			e.p.recycleUnexpected(env)
-			e.p.recycleRecv(r)
-		}
+		e.fallback.post(r)
 		return nil
 	}
 	env, ok, err := e.matcher.PostRecv(r)
@@ -475,65 +454,18 @@ func newRawEngine(p *Proc) (*rawEngine, error) {
 	return &rawEngine{p: p, posts: make(chan *match.Recv, 4096), done: make(chan struct{})}, nil
 }
 
-func (e *rawEngine) start() error {
+func (e *rawEngine) start() {
 	e.wg.Add(1)
-	go e.run()
-	return nil
-}
-
-func (e *rawEngine) run() {
-	defer e.wg.Done()
-	batch := make([]rdma.Completion, cqDrainBatch)
-	for cursor := uint64(0); ; {
-		n, ok := e.p.recvCQ.WaitBatch(cursor, batch)
-		if !ok {
-			return
-		}
-		for i := 0; i < n; i++ {
-			c := batch[i]
-			if c.Err != nil {
-				e.p.repost(c.Data)
-				continue
-			}
-			h, err := decodeHeader(c.Data)
-			if err != nil || h.kind == kindSack {
-				e.p.repost(c.Data)
-				continue
-			}
-			if h.kind == kindAck {
-				e.p.handleAck(h)
-				e.p.repost(c.Data)
-				continue
-			}
-			if h.kind == kindEagerBatch {
-				if it, err := newBatchIter(h, c.Data); err == nil {
-					for {
-						m, ok := it.next()
-						if !ok {
-							break
-						}
-						if !e.completeNext(int(h.src), int(m.tag), m.payload) {
-							return
-						}
-					}
-				}
-				e.p.repost(c.Data)
-				continue
-			}
-			if !e.completeNext(int(h.src), int(h.tag), payloadOf(h, c.Data)) {
-				return
-			}
-			e.p.repost(c.Data)
-		}
-		cursor += uint64(n)
-		e.p.recvCQ.Trim(cursor)
-	}
+	go func() {
+		defer e.wg.Done()
+		e.p.drain(e.completeNext)
+	}()
 }
 
 // completeNext pairs one eager arrival with the next posted receive in
 // FIFO order. It reports false when the engine is shutting down.
 // Raw mode has no unexpected store: it blocks until a receive is posted.
-func (e *rawEngine) completeNext(src, tag int, payload []byte) bool {
+func (e *rawEngine) completeNext(h header, payload []byte) bool {
 	var r *match.Recv
 	select {
 	case r = <-e.posts:
@@ -542,7 +474,7 @@ func (e *rawEngine) completeNext(src, tag int, payload []byte) bool {
 	}
 	req := r.User.(*Request)
 	nc := copy(r.Buffer, payload)
-	req.complete(Status{Source: src, Tag: tag, Count: nc}, nil)
+	req.complete(Status{Source: int(h.src), Tag: int(h.tag), Count: nc}, nil)
 	e.p.recycleRecv(r)
 	return true
 }

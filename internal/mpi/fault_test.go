@@ -36,7 +36,7 @@ func newFaultWorld(t *testing.T, n int, kind EngineKind, plan rdma.FaultPlan) *W
 		EagerLimit: 64,
 		Matcher: core.Config{
 			Bins: 128, MaxReceives: 1024, BlockSize: 8,
-			EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+			EarlyBookingCheck: true,
 		},
 		Faults:      plan,
 		RetxTimeout: time.Millisecond,

@@ -14,7 +14,7 @@ func infoWorld(t *testing.T, info map[int32]CommInfo, mutate func(*Options)) *Wo
 		Engine: EngineOffload,
 		Matcher: core.Config{
 			Bins: 64, MaxReceives: 256, BlockSize: 8,
-			EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+			EarlyBookingCheck: true,
 		},
 		CommInfo: info,
 	}

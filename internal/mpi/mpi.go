@@ -7,11 +7,14 @@
 // send/receive with MPI wildcard semantics, and the eager and rendezvous
 // protocols of §IV-B.
 //
-// A World is a set of in-process ranks fully connected by queue pairs.
-// Incoming messages land in per-rank bounce buffers (NIC memory, §IV-A),
-// are matched by the configured engine, and complete either by copying the
-// eager payload into the user buffer or by issuing an RDMA read to the
-// sender's registered buffer followed by an acknowledgement.
+// A World is the set of ranks this process hosts of one job, each attached
+// to the job's dataplane through an rdma.Transport: the in-process fabric
+// (NewWorld, every rank here) or a netfabric socket or shared-memory
+// transport (NewNetWorld, one rank here). Nothing above the constructors
+// knows which. Incoming messages land in per-rank bounce buffers (NIC
+// memory, §IV-A), are matched by the configured engine, and complete either
+// by copying the eager payload into the user buffer or by issuing an RDMA
+// read to the sender's registered buffer followed by an acknowledgement.
 package mpi
 
 import (
@@ -82,18 +85,19 @@ type Options struct {
 	Matcher core.Config
 	// DPA configures the simulated accelerator (offload engine only).
 	DPA dpa.Config
-	// Cost is the fabric latency model.
-	Cost rdma.Cost
-	// Faults is the fabric fault plan. An active plan (rdma.FaultPlan
-	// with any nonzero rate) arms deterministic fault injection on every
-	// QP and enables the reliability sublayer (reliable.go): per-peer
-	// sequence numbers, duplicate suppression, reordering repair, and
-	// ack/retransmit with capped exponential backoff. The zero plan
-	// leaves the fabric lossless and the hot path untouched.
+	// Faults is the fault plan NewWorld installs on its in-process fabric.
+	// An active plan (rdma.FaultPlan with any nonzero rate) arms
+	// deterministic fault injection on every link, which makes the fabric
+	// report itself unreliable and so enables the reliability sublayer
+	// (reliable.go): per-peer sequence numbers, duplicate suppression,
+	// reordering repair, and ack/retransmit with capped exponential
+	// backoff. The zero plan leaves the fabric lossless and the hot path
+	// untouched. NewNetWorld ignores it: a transport it is handed carries
+	// its own plan (netfabric.Config.Faults).
 	Faults rdma.FaultPlan
 	// RetxTimeout is the reliability retransmission timeout (default
-	// 2ms); backoff doubles per retry up to 16x. Only meaningful when
-	// Faults is active.
+	// 2ms); backoff doubles per retry up to 16x. Only meaningful on an
+	// unreliable dataplane.
 	RetxTimeout time.Duration
 	// CoalesceBytes and CoalesceMsgs arm sender-side adaptive coalescing
 	// of eager messages (coalesce.go): consecutive eager sends toward one
@@ -186,20 +190,17 @@ var ErrTruncated = errors.New("mpi: message truncated (buffer too small)")
 // or a panic, and tearing the same world down twice must be harmless.
 var ErrClosed = errors.New("mpi: world closed")
 
-// World is a set of communicating ranks. NewWorld builds the classic
-// in-process world: every rank lives in this process, fully connected by
-// fabric QPs. NewNetWorld builds an out-of-process world: this process
-// hosts exactly one rank and an rdma.Transport (e.g. netfabric TCP/UDP)
-// carries the wire traffic to peer processes.
+// World is the ranks this process hosts of one job: all of them on the
+// transports of one rdma.Fabric (NewWorld), or one on a transport that
+// carries the wire traffic to peer processes (NewNetWorld).
 type World struct {
 	opts Options
-	n    int // job size (== len(procs) only for in-process worlds)
+	n    int // job size; len(procs) of them are hosted here
 
-	// Exactly one of fabric/trans is non-nil: the in-process fabric or the
-	// pluggable socket transport of a networked world.
-	fabric *rdma.Fabric
-	trans  rdma.Transport
-
+	// trans holds one transport per hosted rank, consecutive ranks in
+	// order; procs[i] runs on trans[i]. The world owns them: Close closes
+	// every one, including those a failed start never built a rank on.
+	trans []rdma.Transport
 	procs []*Proc
 
 	// envPool recycles matching envelopes across all ranks' arrival paths;
@@ -220,42 +221,81 @@ type World struct {
 	closed chan struct{}
 }
 
-// NewWorld creates n fully connected ranks.
+// NewWorld creates n fully connected ranks in this process.
 func NewWorld(n int, opts Options) (*World, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mpi: world size must be >= 1, got %d", n)
 	}
-	opts.fill()
-	w := &World{opts: opts, n: n, fabric: rdma.NewFabric(), closed: make(chan struct{})}
-	w.fabric.SetObs(obs.New(opts.Obs)) // before ConnectPair: injectors capture the sink
-	w.fabric.SetFaults(opts.Faults)    // before ConnectPair: QPs inherit injectors
-	w.recvs.New = func() any { return new(match.Recv) }
-	w.fabric.SetCost(opts.Cost)
+	f := rdma.NewFabric()
+	f.SetObs(obs.New(opts.Obs))
+	f.SetFaults(opts.Faults)
+	return attach(f.Ranks(n), opts)
+}
 
-	for rank := 0; rank < n; rank++ {
-		p, err := newProc(w, rank, n)
+// NewNetWorld creates the local member of an out-of-process world: this
+// process hosts exactly one rank (t.Rank() of t.Size()) and all wire
+// traffic — eager messages, coalesced kindEagerBatch frames, RTS/ACK
+// rendezvous control, reliability sacks — crosses the given transport
+// unchanged, byte-for-byte identical to what the in-process fabric carries.
+//
+// Over an unreliable transport (t.Reliable() == false, i.e. UDP) the
+// reliability sublayer is armed as the delivery filter: per-peer
+// sequencing, duplicate suppression, reorder repair, and retransmission
+// stop being fault-injection test gear and become load-bearing.
+//
+// The world owns t from the call on: World.Close closes it, and so does
+// every failing return here — the caller never has a transport to clean up.
+//
+// The world must quiesce before Close — run a final Barrier so no peer
+// still expects acknowledgements, exactly as with in-process worlds.
+func NewNetWorld(t rdma.Transport, opts Options) (*World, error) {
+	if t == nil {
+		return nil, fmt.Errorf("mpi: nil transport")
+	}
+	return attach([]rdma.Transport{t}, opts)
+}
+
+// attach is the one constructor body: it builds a rank on each transport
+// (consecutive ranks of one job), attaches every rank's receive datapath,
+// wires the endpoints, and starts the ranks. It is also the one place that
+// cleans up after a failed start: the world owns the transports from the
+// first line, and Close releases whatever had been built, engines that
+// never started (the offload engine's DPA workers exist before start) and
+// transports no rank was built on included.
+func attach(ts []rdma.Transport, opts Options) (*World, error) {
+	opts.fill()
+	w := &World{opts: opts, n: ts[0].Size(), trans: ts, closed: make(chan struct{})}
+	w.recvs.New = func() any { return new(match.Recv) }
+	fail := func(err error) (*World, error) {
+		w.Close()
+		return nil, err
+	}
+	for i, t := range ts {
+		rank := ts[0].Rank() + i
+		if t.Size() != w.n || t.Rank() != rank || rank < 0 || rank >= w.n {
+			return fail(fmt.Errorf("mpi: transport rank %d of %d out of range", t.Rank(), t.Size()))
+		}
+		p, err := newProc(w, t)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		w.procs = append(w.procs, p)
+		// Inbound messages consume the rank's bounce buffers and complete
+		// on its raw CQ, whatever carries them.
+		if err := t.Start(p.srq, p.rawCQ); err != nil {
+			return fail(err)
+		}
 	}
-	// Full mesh of QPs, including self-loops for self-sends. The receiving
-	// side of every pair feeds the receiver's shared bounce-buffer pool and
-	// its receive CQ; it is passive (sends land in it inline), so only the
-	// send end is kept.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			src, dst := w.procs[i], w.procs[j]
-			src.sendEP[j], _ = w.fabric.ConnectPair(
-				rdma.QPConfig{},
-				rdma.QPConfig{RecvCQ: dst.rawCQ, RQ: dst.srq},
-			)
+	// Every hosted rank has started, so every endpoint can connect: the
+	// full mesh, self-sends included.
+	for _, p := range w.procs {
+		p.sendEP = make([]rdma.Endpoint, w.n)
+		for j := range p.sendEP {
+			p.sendEP[j] = p.trans.Endpoint(j)
 		}
 	}
 	for _, p := range w.procs {
-		if err := p.start(); err != nil {
-			return nil, err
-		}
+		p.start()
 	}
 	return w, nil
 }
@@ -267,17 +307,13 @@ func (w *World) Size() int { return w.n }
 // Engine returns the matching engine every rank of the world runs.
 func (w *World) Engine() EngineKind { return w.opts.Engine }
 
-// Proc returns the process object for a rank. In a networked world only
-// the locally hosted rank is addressable.
+// Proc returns the process object for a rank this process hosts.
 func (w *World) Proc(rank int) *Proc {
-	if w.trans != nil {
-		p := w.procs[0]
-		if rank != p.rank {
-			panic(fmt.Sprintf("mpi: rank %d is not hosted by this process (local rank %d)", rank, p.rank))
-		}
-		return p
+	if !w.Hosts(rank) {
+		panic(fmt.Sprintf("mpi: rank %d is not hosted by this process (local ranks %d..%d)",
+			rank, w.procs[0].rank, w.procs[0].rank+len(w.procs)-1))
 	}
-	return w.procs[rank]
+	return w.procs[rank-w.procs[0].rank]
 }
 
 // LocalProcs returns the ranks hosted by this process: all of them for an
@@ -286,50 +322,8 @@ func (w *World) LocalProcs() []*Proc { return w.procs }
 
 // Hosts reports whether rank runs in this process.
 func (w *World) Hosts(rank int) bool {
-	if w.trans != nil {
-		return rank == w.procs[0].rank
-	}
-	return rank >= 0 && rank < len(w.procs)
-}
-
-// relNeeded reports whether procs must interpose the reliability sublayer:
-// under an injected fault plan, and always on a lossy transport (UDP),
-// where the sublayer stops being test harness and becomes load-bearing.
-func (w *World) relNeeded() bool {
-	return w.opts.Faults.Active() || (w.trans != nil && !w.trans.Reliable())
-}
-
-// register, deregister and read dispatch the rendezvous protocol's
-// one-sided memory operations to whichever dataplane the world runs on.
-func (w *World) register(buf []byte) *rdma.MemoryRegion {
-	if w.trans != nil {
-		return w.trans.RegisterMemory(buf)
-	}
-	return w.fabric.RegisterMemory(buf)
-}
-
-func (w *World) deregister(mr *rdma.MemoryRegion) {
-	if w.trans != nil {
-		w.trans.Deregister(mr)
-		return
-	}
-	w.fabric.Deregister(mr)
-}
-
-func (w *World) read(owner int, dst []byte, rkey uint64, offset, length int) error {
-	if w.trans != nil {
-		return w.trans.Read(owner, dst, rkey, offset, length)
-	}
-	return w.fabric.Read(dst, rkey, offset, length, nil, 0)
-}
-
-// fabricSink returns the dataplane's observability sink — the "fabric"
-// domain of the world's export.
-func (w *World) fabricSink() *obs.Sink {
-	if w.trans != nil {
-		return w.trans.Obs()
-	}
-	return w.fabric.Obs()
+	i := rank - w.procs[0].rank
+	return i >= 0 && i < len(w.procs)
 }
 
 // Closed reports whether Close has begun. Operations issued afterwards
@@ -365,16 +359,14 @@ func (w *World) Close() error {
 				p.coal.shutdown()
 			}
 		}
-		// Networked worlds: a peer process may still be waiting on this
-		// rank's last reliable messages (its barrier release, a final ack) —
-		// hold the wire open until everything pending is acked, bounded.
-		// In-process worlds skip this: Close runs only after every rank's
-		// traffic completed, so the windows are already settled.
-		if w.trans != nil {
-			for _, p := range w.procs {
-				if p.rel != nil {
-					p.rel.flush(relFlushTimeout)
-				}
+		// A peer may still be waiting on a rank's last reliable messages
+		// (its barrier release, a final ack): hold the wire open until
+		// everything pending is acked, bounded. Ranks whose traffic all
+		// completed before Close have settled windows and pass straight
+		// through.
+		for _, p := range w.procs {
+			if p.rel != nil {
+				p.rel.flush(relFlushTimeout)
 			}
 		}
 		for _, p := range w.procs {
@@ -392,11 +384,11 @@ func (w *World) Close() error {
 		for _, p := range w.procs {
 			p.engine.close()
 		}
-		// Networked worlds: tear the socket transport down last, releasing
-		// the delivery goroutines (late peer traffic lands on closed CQs,
-		// which absorb it harmlessly).
-		if w.trans != nil {
-			_ = w.trans.Close()
+		// Tear the transports down last, releasing their delivery
+		// goroutines (late peer traffic lands on closed CQs, which absorb
+		// it harmlessly).
+		for _, t := range w.trans {
+			_ = t.Close()
 		}
 	})
 	return err
@@ -404,7 +396,7 @@ func (w *World) Close() error {
 
 // FaultStats returns the dataplane's injected-fault counters.
 func (w *World) FaultStats() rdma.FaultSnapshot {
-	return rdma.FaultSnapshotOf(w.fabricSink())
+	return rdma.FaultSnapshotOf(w.trans[0].Obs())
 }
 
 // ReliabilityStats aggregates the reliability sublayer's counters across
@@ -427,7 +419,8 @@ func (w *World) ObsSinks() []obs.Named {
 	for _, p := range w.procs {
 		out = append(out, obs.Named{Name: fmt.Sprintf("rank%d", p.rank), Sink: p.obs})
 	}
-	out = append(out, obs.Named{Name: "fabric", Sink: w.fabricSink()})
+	// Ranks hosted together share one dataplane, so one fabric domain.
+	out = append(out, obs.Named{Name: "fabric", Sink: w.trans[0].Obs()})
 	return out
 }
 
@@ -485,17 +478,19 @@ type Proc struct {
 	rank int
 	n    int
 
+	// trans is the rank's dataplane; sendEP are its endpoints by
+	// destination, wired once every hosted rank has started.
+	trans  rdma.Transport
 	sendEP []rdma.Endpoint
-	// rawCQ receives fabric completions; recvCQ is what the engine
-	// drains. They are the same queue on a lossless fabric; under an
-	// active fault plan (or over a lossy transport) the reliability
-	// filter sits between them.
+	// rawCQ receives the transport's completions; recvCQ is what the
+	// engine drains. They are the same queue on a reliable transport; on
+	// an unreliable one the reliability filter sits between them.
 	rawCQ  *rdma.CQ
 	recvCQ *rdma.CQ
 	srq    *rdma.RecvQueue
 
 	engine engine
-	rel    *reliability // non-nil only under an active fault plan
+	rel    *reliability // non-nil only on an unreliable transport
 	coal   *coalescer   // non-nil only when coalescing is armed
 
 	// obs is the rank's observability domain, shared by the matching
@@ -517,21 +512,22 @@ type pendingSend struct {
 	tag int
 }
 
-func newProc(w *World, rank, n int) (*Proc, error) {
+func newProc(w *World, t rdma.Transport) (*Proc, error) {
 	p := &Proc{
 		w:       w,
-		rank:    rank,
-		n:       n,
-		sendEP:  make([]rdma.Endpoint, n),
+		rank:    t.Rank(),
+		n:       w.n,
+		trans:   t,
 		recvCQ:  rdma.NewCQ(),
 		srq:     rdma.NewRecvQueue(w.opts.RecvDepth),
 		pending: make(map[uint64]*pendingSend),
 		obs:     obs.New(w.opts.Obs),
 	}
 	p.rawCQ = p.recvCQ
-	if w.relNeeded() {
-		// Interpose the reliability filter: the fabric fills rawCQ, the
-		// filter republishes repaired streams onto recvCQ for the engine.
+	if !t.Reliable() {
+		// Interpose the reliability filter (under an injected fault plan,
+		// and always on a lossy transport such as UDP): the transport fills
+		// rawCQ, the filter republishes repaired streams onto recvCQ.
 		p.rawCQ = rdma.NewCQ()
 		p.rel = newReliability(p, w.opts.RetxTimeout)
 		p.rel.obs = p.obs
@@ -566,14 +562,14 @@ func newProc(w *World, rank, n int) (*Proc, error) {
 	return p, nil
 }
 
-func (p *Proc) start() error {
+func (p *Proc) start() {
 	if p.rel != nil {
 		p.rel.start()
 	}
 	if p.coal != nil {
 		p.coal.start()
 	}
-	return p.engine.start()
+	p.engine.start()
 }
 
 // flushCoalesced pushes every buffered eager frame onto the wire. The
@@ -625,9 +621,9 @@ func (p *Proc) FallbackComms() []int32 {
 // is returned for other engines.
 func (p *Proc) HostStats() match.Stats {
 	if e, ok := p.engine.(*hostEngine); ok {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.lm.Stats()
+		e.list.mu.Lock()
+		defer e.list.mu.Unlock()
+		return e.list.lm.Stats()
 	}
 	return match.Stats{}
 }
@@ -647,7 +643,7 @@ func (p *Proc) deliverMatch(r *match.Recv, env *match.Envelope) {
 			p.sendAck(int(env.Source), env.SenderKey)
 			return
 		}
-		if err := p.w.read(int(env.Source), r.Buffer[:n], env.SenderKey, 0, n); err != nil {
+		if err := p.trans.Read(int(env.Source), r.Buffer[:n], env.SenderKey, 0, n); err != nil {
 			req.complete(st, err)
 			return
 		}
@@ -729,7 +725,7 @@ func (p *Proc) handleAck(h header) {
 	if !ok {
 		return
 	}
-	p.w.deregister(ps.mr)
+	p.trans.Deregister(ps.mr)
 	ps.req.complete(Status{Source: ps.dst, Tag: ps.tag, Count: len(ps.mr.Buf)}, nil)
 }
 

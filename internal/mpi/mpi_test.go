@@ -19,7 +19,7 @@ func newTestWorld(t *testing.T, n int, kind EngineKind) *World {
 		Engine: kind,
 		Matcher: core.Config{
 			Bins: 128, MaxReceives: 1024, BlockSize: 8,
-			EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+			EarlyBookingCheck: true,
 		},
 	})
 	if err != nil {

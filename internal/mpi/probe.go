@@ -31,14 +31,10 @@ func (c Comm) Iprobe(src, tag int) (Status, bool, error) {
 	var ok bool
 	switch e := c.p.engine.(type) {
 	case *hostEngine:
-		e.mu.Lock()
-		env, ok = e.lm.PeekUnexpected(r)
-		e.mu.Unlock()
+		env, ok = e.list.peek(r)
 	case *offloadEngine:
 		if len(e.fallbackComms) != 0 && e.fallbackComms[c.id] {
-			e.fbMu.Lock()
-			env, ok = e.fallback.PeekUnexpected(r)
-			e.fbMu.Unlock()
+			env, ok = e.fallback.peek(r)
 		} else {
 			env, ok = e.matcher.PeekUnexpected(r)
 		}

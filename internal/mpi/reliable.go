@@ -9,8 +9,8 @@ import (
 	"repro/internal/rdma"
 )
 
-// This file implements the reliability sublayer that sits between the
-// (possibly faulty) fabric and the matching engines. On real BlueField
+// This file implements the reliability sublayer that sits between an
+// unreliable transport and the matching engines. On real BlueField
 // hardware the RC transport retransmits below the NIC's matching unit;
 // our simulated fabric instead exposes its faults (drop, duplication,
 // reordering, RNR NAKs — rdma.FaultPlan) and this layer repairs them, so
@@ -176,27 +176,26 @@ func (rel *reliability) start() {
 }
 
 // shutdown stops both goroutines. The raw CQ must be closed first so run
-// drains and exits; pending unacked messages are abandoned — for an
-// in-process world every rank has completed its traffic by Close, and a
-// networked world runs flush first (World.Close) so abandonment only
-// happens after the flush bound expires.
+// drains and exits; pending unacked messages are abandoned — World.Close
+// runs flush first, so abandonment only happens after the flush bound
+// expires.
 func (rel *reliability) shutdown() {
 	rel.p.rawCQ.Close()
 	close(rel.stop)
 	rel.wg.Wait()
 }
 
-// relFlushTimeout bounds how long a networked world's Close keeps the
-// repair machinery alive waiting for peers to ack the rank's final sends.
+// relFlushTimeout bounds how long a world's Close keeps the repair
+// machinery alive waiting for peers to ack the rank's final sends.
 const relFlushTimeout = 2 * time.Second
 
 // flush blocks until every retained reliable send has been acked, or the
-// bound expires (reporting false). A single-rank networked world must run
-// this before tearing its endpoints down: the local rank completing its
-// traffic says nothing about delivery to peer processes — its last message
-// (typically a barrier release) may have been dropped, and only this
-// rank's retransmit timer can repair that. The retransmit and receive
-// goroutines are still running here, so the loop just polls the windows.
+// bound expires (reporting false). A world runs this before tearing its
+// endpoints down: a rank completing its traffic says nothing about
+// delivery to its peers — its last message (typically a barrier release)
+// may have been dropped, and only this rank's retransmit timer can repair
+// that. The retransmit and receive goroutines are still running here, so
+// the loop just polls the windows.
 func (rel *reliability) flush(bound time.Duration) bool {
 	deadline := rel.now().Add(bound)
 	step := rel.retxTimeout / 2

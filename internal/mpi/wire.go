@@ -221,19 +221,12 @@ func (it *batchIter) next() (subMsg, bool) {
 	return m, true
 }
 
-// fillSubEnvelope populates a pooled envelope from one sub-message of a
-// frame sent by src on comm. Like fillEnvelope it allocates nothing: the
-// payload still aliases the bounce buffer and must be stabilized before the
-// buffer is reposted if the message goes unexpected.
-func fillSubEnvelope(env *match.Envelope, src, comm int32, m subMsg) *match.Envelope {
-	env.Reset()
-	env.Source = match.Rank(src)
-	env.Tag = match.Tag(m.tag)
-	env.Comm = match.CommID(comm)
-	env.Size = len(m.payload)
-	env.SetInline(m.hashes)
-	env.Data = m.payload
-	return env
+// subHeader presents one sub-message of a frame sent by src on comm as the
+// standalone eager message it stands for, so the arrival path has one kind
+// of data message to handle.
+func subHeader(src, comm int32, m subMsg) header {
+	return header{kind: kindEager, src: src, tag: m.tag, comm: comm,
+		size: uint32(len(m.payload)), hashes: m.hashes}
 }
 
 // fillEnvelope populates env — typically drawn from an EnvelopePool — with

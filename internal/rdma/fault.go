@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// FaultRates is the per-QP fault model: independent probabilities applied
+// FaultRates is the per-link fault model: independent probabilities applied
 // to each two-sided send, mirroring the failure modes a real RC transport
 // on BlueField-class hardware exhibits (§IV-B): packets lost or duplicated
 // by retransmission races, delivery delayed past later packets, receiver
@@ -24,10 +24,10 @@ type FaultRates struct {
 	// hardware retransmission race would produce.
 	Duplicate float64
 	// Delay is the probability a message is held back and overtaken by
-	// the next DelaySpan messages on the same QP before being delivered.
+	// the next DelaySpan messages on the same link before being delivered.
 	Delay float64
 	// DelaySpan is how many subsequent sends overtake a delayed message
-	// (default 1). At most one message per QP is delayed at a time.
+	// (default 1). At most one message per link is delayed at a time.
 	DelaySpan int
 	// RNR is the probability Send fails with ErrNoReceive — the
 	// receiver-not-ready NAK the reliability layer must retry through.
@@ -44,51 +44,22 @@ func (r FaultRates) active() bool {
 	return r.Drop > 0 || r.Duplicate > 0 || r.Delay > 0 || r.RNR > 0 || r.Stall > 0
 }
 
-// FaultPlan is a deterministic fault schedule for a whole fabric: default
-// rates for every QP plus optional per-QP overrides, all driven by
-// independent PRNG streams derived from one seed. Two runs with the same
-// plan and the same per-QP send sequences inject faults into exactly the
-// same messages, so any failure is reproducible from the seed alone.
+// FaultPlan is a deterministic fault schedule for a whole dataplane: one
+// set of rates for every directed link, each link driven by its own PRNG
+// stream derived from one seed. Two runs with the same plan and the same
+// per-link send sequences inject faults into exactly the same messages, so
+// any failure is reproducible from the seed alone.
 type FaultPlan struct {
-	// Seed drives every per-QP decision stream. Plans differing only in
+	// Seed drives every per-link decision stream. Plans differing only in
 	// Seed produce statistically independent schedules.
 	Seed uint64
-	// FaultRates is the default model applied to every QP.
+	// FaultRates is the model applied to every link.
 	FaultRates
-	// PerQP overrides the default rates for specific QPs, keyed by QP
-	// creation index (ConnectPair assigns 2k to the first argument's QP
-	// and 2k+1 to the second, for the k-th pair created).
-	PerQP map[int]FaultRates
 }
 
 // Active reports whether the plan injects any fault anywhere. A zero
-// FaultPlan is inactive and leaves the fabric's behaviour untouched.
-func (p FaultPlan) Active() bool {
-	if p.FaultRates.active() {
-		return true
-	}
-	for _, r := range p.PerQP {
-		if r.active() {
-			return true
-		}
-	}
-	return false
-}
-
-// rates returns the effective rates for QP id, with defaults filled.
-func (p FaultPlan) rates(id int) FaultRates {
-	r := p.FaultRates
-	if o, ok := p.PerQP[id]; ok {
-		r = o
-	}
-	if r.DelaySpan <= 0 {
-		r.DelaySpan = 1
-	}
-	if r.StallTime <= 0 {
-		r.StallTime = time.Microsecond
-	}
-	return r
-}
+// FaultPlan is inactive and leaves the dataplane's behaviour untouched.
+func (p FaultPlan) Active() bool { return p.FaultRates.active() }
 
 // FaultSnapshot is a point-in-time copy of the fabric's fault counters,
 // read from the fabric's observability sink (obs.CtrFault*).
@@ -116,18 +87,10 @@ func (s FaultSnapshot) Add(t FaultSnapshot) FaultSnapshot {
 	return s
 }
 
-// SetFaults installs a fault plan on the fabric. Call before ConnectPair:
-// only QPs created after the call carry injectors. A plan for which
-// Active() is false leaves the fabric lossless.
-func (f *Fabric) SetFaults(p FaultPlan) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.faults = p
-	f.faultsOn = p.Active()
-}
-
-// FaultStats returns a snapshot of the fault counters.
-func (f *Fabric) FaultStats() FaultSnapshot { return FaultSnapshotOf(f.obs) }
+// SetFaults installs a fault plan on the fabric. Call before ConnectPair
+// and Ranks: only links created after the call carry fault streams. A plan
+// for which Active() is false leaves the fabric lossless.
+func (f *Fabric) SetFaults(p FaultPlan) { f.faults = p }
 
 // FaultSnapshotOf reads the fault counters out of any dataplane sink — the
 // in-process fabric's or a netfabric transport's (both tally injected
@@ -143,53 +106,50 @@ func FaultSnapshotOf(s *obs.Sink) FaultSnapshot {
 	}
 }
 
-// newInjector builds the decision stream for QP id, or returns nil when
-// the plan is inactive for that QP.
-func (f *Fabric) newInjector(id int) *injector {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.faultsOn {
-		return nil
-	}
-	r := f.faults.rates(id)
-	if !r.active() {
-		return nil
-	}
-	return &injector{
-		rates: r,
-		rng:   splitmix64(f.faults.Seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15),
-		obs:   f.obs,
-		qp:    id,
-	}
+// FaultStream is the deterministic fault schedule of one directed link,
+// shared by every dataplane that injects faults (the in-process QP and
+// netfabric's UDP wire). Verdicts are a pure function of the plan seed, the
+// link and the send ordinal: each faultable send draws a fixed number of
+// PRNG values, in a fixed order, while holding the stream's lock, so
+// concurrent senders serialize into one reproducible stream. The lock also
+// guards whatever the link keeps between sends (a delayed message), which
+// is why it is the embedded, exported one.
+type FaultStream struct {
+	sync.Mutex
+	// Rates are the plan's rates with DelaySpan and StallTime defaulted.
+	Rates FaultRates
+
+	rng  uint64
+	sink *obs.Sink
+	link int
 }
 
-// injector is one QP's deterministic fault stream. Decisions are a pure
-// function of the plan seed, the QP id, and the per-QP send ordinal: each
-// faultable send draws a fixed number of PRNG values under the injector
-// lock, so concurrent senders serialize into one reproducible stream.
-type injector struct {
-	rates FaultRates
-	obs   *obs.Sink
-	qp    int
-
-	mu  sync.Mutex
-	rng uint64
-
-	// held is the currently delayed message; it is delivered after
-	// heldSpan subsequent sends have overtaken it.
-	held     *heldMsg
-	heldSpan int
-}
-
-// heldMsg is a delayed message: a private copy of the payload, since the
-// sender may reuse its buffer long before the message is released.
-type heldMsg struct {
-	data []byte
-	imm  uint32
+// Stream returns the fault stream of one directed link, tallying on sink,
+// or nil when the plan is inactive. Ranked dataplanes number the link
+// src→dst of an n-rank job src*n+dst, so the two directions of a pair
+// fault independently and one seed means one schedule per link whatever
+// carries it; bare ConnectPair pairs use the QPs' creation indices.
+func (p FaultPlan) Stream(link int, sink *obs.Sink) *FaultStream {
+	if !p.Active() {
+		return nil
+	}
+	r := p.FaultRates
+	if r.DelaySpan <= 0 {
+		r.DelaySpan = 1
+	}
+	if r.StallTime <= 0 {
+		r.StallTime = time.Microsecond
+	}
+	return &FaultStream{
+		Rates: r,
+		rng:   splitmix64(p.Seed ^ (uint64(link)+1)*0x9E3779B97F4A7C15),
+		sink:  sink,
+		link:  link,
+	}
 }
 
 // splitmix64 is the SplitMix64 PRNG step: a tiny, well-distributed
-// generator whose whole state is one uint64, ideal for per-QP streams.
+// generator whose whole state is one uint64, ideal for per-link streams.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	z := x
@@ -198,48 +158,38 @@ func splitmix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Fault codes carried by EvFaultInject events (B payload word).
-const (
-	faultCodeDrop uint64 = iota
-	faultCodeDup
-	faultCodeDelay
-	faultCodeRNR
-	faultCodeStall
-)
+// next draws a uniform float64 in [0, 1).
+func (s *FaultStream) next() float64 {
+	s.rng = splitmix64(s.rng)
+	return float64(s.rng>>11) / (1 << 53)
+}
 
-// note tallies one injected fault on counter ctr and, when the fabric sink
-// is tracing, records an EvFaultInject event keyed by the QP id.
-func (in *injector) note(ctr obs.Counter, code uint64) {
-	in.obs.Counters.Inc(ctr)
-	if in.obs.Enabled() {
-		in.obs.Event(obs.EvFaultInject, in.qp, uint64(in.qp), code, 0)
+// FaultVerdict is what the stream decided for one send. A link applies the
+// verdicts its medium can express and ignores the rest (a datagram socket
+// has no NAK to return and no send pipeline to stall); every field is drawn
+// regardless, so the stream stays aligned across links and media.
+type FaultVerdict struct {
+	RNR, Drop, Dup, Delay, Stall bool
+}
+
+// Decide consumes one send's worth of PRNG draws. Call with the lock held.
+func (s *FaultStream) Decide() FaultVerdict {
+	return FaultVerdict{
+		RNR:   s.next() < s.Rates.RNR,
+		Drop:  s.next() < s.Rates.Drop,
+		Dup:   s.next() < s.Rates.Duplicate,
+		Delay: s.next() < s.Rates.Delay,
+		Stall: s.next() < s.Rates.Stall,
 	}
 }
 
-// next draws a uniform float64 in [0, 1).
-func (in *injector) next() float64 {
-	in.rng = splitmix64(in.rng)
-	return float64(in.rng>>11) / (1 << 53)
-}
-
-// decision is the fault verdict for one send, drawn in a fixed order so
-// the stream stays aligned regardless of which faults fire.
-type decision struct {
-	rnr   bool
-	drop  bool
-	dup   bool
-	delay bool
-	stall bool
-}
-
-// decide consumes one send's worth of PRNG draws.
-func (in *injector) decide() decision {
-	return decision{
-		rnr:   in.next() < in.rates.RNR,
-		drop:  in.next() < in.rates.Drop,
-		dup:   in.next() < in.rates.Duplicate,
-		delay: in.next() < in.rates.Delay,
-		stall: in.next() < in.rates.Stall,
+// Note tallies one injected fault on ctr (one of obs.CtrFault*) and, when
+// the sink is tracing, records an EvFaultInject event keyed by the link.
+// The event's fault code is the counter's offset in the CtrFault* range.
+func (s *FaultStream) Note(ctr obs.Counter) {
+	s.sink.Counters.Inc(ctr)
+	if s.sink.Enabled() {
+		s.sink.Event(obs.EvFaultInject, s.link, uint64(s.link), uint64(ctr-obs.CtrFaultDropped), 0)
 	}
 }
 

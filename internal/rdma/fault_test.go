@@ -7,17 +7,17 @@ import (
 
 // faultyPair wires one QP pair on a fabric with the given plan and posts
 // nothing; callers post receives and send as needed.
-func faultyPair(t *testing.T, plan FaultPlan) (*QP, *QP, *CQ, *CQ) {
+func faultyPair(t *testing.T, plan FaultPlan) (*QP, *QP, *CQ, *Fabric) {
 	t.Helper()
 	f := NewFabric()
 	f.SetFaults(plan)
-	cqA, cqB := NewCQ(), NewCQ()
+	cqB := NewCQ()
 	a, b := f.ConnectPair(
-		QPConfig{SendCQ: NewCQ(), RecvCQ: cqA, Depth: 1024},
-		QPConfig{SendCQ: NewCQ(), RecvCQ: cqB, Depth: 1024},
+		QPConfig{RecvCQ: NewCQ(), Depth: 1024},
+		QPConfig{RecvCQ: cqB, Depth: 1024},
 	)
 	t.Cleanup(func() { a.Close(); b.Close() })
-	return a, b, cqA, cqB
+	return a, b, cqB, f
 }
 
 func TestParseFaultPlan(t *testing.T) {
@@ -60,7 +60,7 @@ func TestZeroPlanIsInactive(t *testing.T) {
 }
 
 func TestDropInjection(t *testing.T) {
-	a, b, _, cqB := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Drop: 1}})
+	a, b, cqB, f := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Drop: 1}})
 	_ = b
 	const n = 32
 	for i := 0; i < n; i++ {
@@ -72,13 +72,13 @@ func TestDropInjection(t *testing.T) {
 	if _, ok := cqB.Poll(0); ok {
 		t.Fatal("dropped message was delivered")
 	}
-	if got := a.fabric.FaultStats().Dropped; got != n {
+	if got := FaultSnapshotOf(f.obs).Dropped; got != n {
 		t.Fatalf("Dropped = %d, want %d", got, n)
 	}
 }
 
 func TestDuplicateInjection(t *testing.T) {
-	a, b, _, cqB := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Duplicate: 1}})
+	a, b, cqB, f := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Duplicate: 1}})
 	const n = 8
 	for i := 0; i < 2*n; i++ {
 		b.PostRecv(make([]byte, 8), uint64(i))
@@ -97,20 +97,20 @@ func TestDuplicateInjection(t *testing.T) {
 			t.Fatalf("completion %d: imm = %d, want %d (each message twice, in order)", i, c.Imm, want)
 		}
 	}
-	if got := a.fabric.FaultStats().Duplicated; got != n {
+	if got := FaultSnapshotOf(f.obs).Duplicated; got != n {
 		t.Fatalf("Duplicated = %d, want %d", got, n)
 	}
 }
 
 func TestRNRInjection(t *testing.T) {
-	a, b, _, _ := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{RNR: 1}})
+	a, b, _, f := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{RNR: 1}})
 	b.PostRecv(make([]byte, 8), 0)
 	for i := 0; i < 4; i++ {
 		if err := a.Send([]byte("x"), 0, 0); err != ErrNoReceive {
 			t.Fatalf("send %d: err = %v, want ErrNoReceive", i, err)
 		}
 	}
-	if got := a.fabric.FaultStats().RNRs; got != 4 {
+	if got := FaultSnapshotOf(f.obs).RNRs; got != 4 {
 		t.Fatalf("RNRs = %d, want 4", got)
 	}
 }
@@ -118,7 +118,7 @@ func TestRNRInjection(t *testing.T) {
 func TestDelayReordersDelivery(t *testing.T) {
 	// delay=1, span=1: message 0 is held and overtaken by message 1, then
 	// released; message 2 is held next, and so on — pairwise swaps.
-	a, b, _, cqB := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Delay: 1, DelaySpan: 1}})
+	a, b, cqB, f := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Delay: 1, DelaySpan: 1}})
 	const n = 8
 	for i := 0; i < n; i++ {
 		b.PostRecv(make([]byte, 8), uint64(i))
@@ -138,7 +138,7 @@ func TestDelayReordersDelivery(t *testing.T) {
 			t.Fatalf("delivery %d: imm = %d, want %d", i, c.Imm, want[i])
 		}
 	}
-	if got := a.fabric.FaultStats().Delayed; got == 0 {
+	if got := FaultSnapshotOf(f.obs).Delayed; got == 0 {
 		t.Fatal("Delayed = 0")
 	}
 }
@@ -147,7 +147,7 @@ func TestDelayReordersDelivery(t *testing.T) {
 // immediate values in completion order.
 func collectImms(t *testing.T, plan FaultPlan, n int) []uint32 {
 	t.Helper()
-	a, b, _, cqB := faultyPair(t, plan)
+	a, b, cqB, _ := faultyPair(t, plan)
 	for i := 0; i < 2*n; i++ {
 		b.PostRecv(make([]byte, 8), uint64(i))
 	}
@@ -206,33 +206,8 @@ func TestFaultScheduleDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestPerQPOverrides(t *testing.T) {
-	// QP 0 (first endpoint of the first pair) drops everything; QP 1 —
-	// the reverse direction — is explicitly lossless.
-	plan := FaultPlan{
-		Seed:       9,
-		FaultRates: FaultRates{Drop: 1},
-		PerQP:      map[int]FaultRates{1: {}},
-	}
-	a, b, cqA, cqB := faultyPair(t, plan)
-	a.PostRecv(make([]byte, 8), 0)
-	b.PostRecv(make([]byte, 8), 0)
-	if err := a.Send([]byte("x"), 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Send([]byte("y"), 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := cqA.WaitIndex(0); !ok || c.Imm != 2 {
-		t.Fatalf("lossless direction lost its message: %+v ok=%v", c, ok)
-	}
-	if _, ok := cqB.Poll(0); ok {
-		t.Fatal("dropping direction delivered")
-	}
-}
-
 func TestSendControlBypassesFaults(t *testing.T) {
-	a, b, _, cqB := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Drop: 1, RNR: 1}})
+	a, b, cqB, _ := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Drop: 1, RNR: 1}})
 	b.PostRecv(make([]byte, 8), 3)
 	if err := a.SendControl([]byte("ok"), 7, 0); err != nil {
 		t.Fatal(err)
@@ -269,5 +244,48 @@ func TestOversizedMessageErrorCompletion(t *testing.T) {
 	}
 	if c, ok := cqB.WaitIndex(1); !ok || c.Err != nil || string(c.Data) != "fits" {
 		t.Fatalf("follow-up delivery broken: %+v ok=%v", c, ok)
+	}
+}
+
+// TestFaultStreamKeyedByDirectedLink pins the one seed-mixing rule: a plan's
+// verdicts are a function of (seed, link) alone, whatever dataplane draws
+// them, the two directions of a pair fault independently, and a fabric
+// rank's endpoint toward peer j draws from link rank*n+j.
+func TestFaultStreamKeyedByDirectedLink(t *testing.T) {
+	plan := FaultPlan{Seed: 42, FaultRates: FaultRates{Drop: 0.3, Duplicate: 0.2, Delay: 0.2, RNR: 0.1, Stall: 0.1}}
+	verdicts := func(link int) (out [64]FaultVerdict) {
+		s := plan.Stream(link, NewFabric().obs)
+		for i := range out {
+			out[i] = s.Decide()
+		}
+		return out
+	}
+	const n = 3
+	if verdicts(0*n+1) != verdicts(0*n+1) {
+		t.Fatal("one link, one seed: two schedules")
+	}
+	if verdicts(0*n+1) == verdicts(1*n+0) {
+		t.Fatal("the two directions of a pair share a schedule")
+	}
+	f := NewFabric()
+	f.SetFaults(plan)
+	ranks := f.Ranks(n)
+	for _, r := range ranks {
+		if r.Reliable() {
+			t.Fatal("fabric rank reports reliable under an active plan")
+		}
+		if err := r.Start(NewRecvQueue(1), NewCQ()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := verdicts(2*n + 1)
+	got := ranks[2].Endpoint(1).(*QP).inj
+	for i := range want {
+		if v := got.Decide(); v != want[i] {
+			t.Fatalf("rank 2 -> 1, send %d: verdict %+v, want link %d's %+v", i, v, 2*n+1, want[i])
+		}
+	}
+	if (FaultPlan{Seed: 42}).Stream(1, f.obs) != nil {
+		t.Fatal("inactive plan produced a stream")
 	}
 }

@@ -15,11 +15,11 @@ import (
 	"repro/internal/rdma/netfabric"
 )
 
-// The conformance suite holds every network to the rdma.Transport /
+// The conformance suite holds every dataplane to the rdma.Transport /
 // rdma.Endpoint contract with no MPI world on top: three ranks hosted in
-// this process, each with its own receive queue and completion queue. It
-// uses nothing but netfabric.New, so the same table runs against any
-// implementation behind that constructor.
+// this process, each with its own receive queue and completion queue. The
+// networks come from netfabric.New and "inproc" from rdma.Fabric.Ranks; the
+// same rows run against all of them.
 
 const confRanks = 3
 
@@ -50,11 +50,23 @@ func (r *confRank) next(t *testing.T) rdma.Completion {
 	}
 }
 
-// startConformance builds the three transports behind a loopback
-// coordinator. Hybrid puts ranks 0 and 1 on one simulated host and rank 2
-// on another, so rank 0 has a same-host peer and a cross-host peer.
+// startConformance builds and starts the three transports: the in-process
+// fabric's, or a network's behind a loopback coordinator. Hybrid puts ranks
+// 0 and 1 on one simulated host and rank 2 on another, so rank 0 has a
+// same-host peer and a cross-host peer.
 func startConformance(t *testing.T, network string) []*confRank {
 	t.Helper()
+	if network == "inproc" {
+		ranks := make([]*confRank, confRanks)
+		for k, tr := range rdma.NewFabric().Ranks(confRanks) {
+			ranks[k] = &confRank{tr: tr, rq: rdma.NewRecvQueue(1024), cq: rdma.NewCQ()}
+			if err := tr.Start(ranks[k].rq, ranks[k].cq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Cleanup(func() { closeConformance(ranks) })
+		return ranks
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("coordinator listen: %v", err)
@@ -111,7 +123,7 @@ func closeConformance(ranks []*confRank) {
 }
 
 func TestConformance(t *testing.T) {
-	for _, network := range []string{"tcp", "udp", "shm", "hybrid"} {
+	for _, network := range []string{"inproc", "tcp", "udp", "shm", "hybrid"} {
 		t.Run(network, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ranks := startConformance(t, network)

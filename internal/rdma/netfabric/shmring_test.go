@@ -2,6 +2,7 @@ package netfabric
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 )
@@ -12,10 +13,9 @@ import (
 func TestShmRingWraparound(t *testing.T) {
 	r := newHeapRing(256)
 	scratch := make([]byte, 256)
-	rng := uint64(1)
+	rng := rand.NewPCG(1, 0)
 	for i := 0; i < 10_000; i++ {
-		rng = splitmix(rng)
-		size := int(rng % 90) // 0..89, vs 256 capacity: wraps constantly
+		size := int(rng.Uint64() % 90) // 0..89, vs 256 capacity: wraps constantly
 		rec := make([]byte, size)
 		for j := range rec {
 			rec[j] = byte(i + j)
@@ -52,7 +52,7 @@ func TestShmRingTornFrameProperty(t *testing.T) {
 	r := newHeapRing(ringBytes)
 
 	makePayload := func(i int) []byte {
-		rng := splitmix(uint64(i)*0x9E3779B97F4A7C15 + 1)
+		rng := rand.NewPCG(uint64(i), 0).Uint64()
 		p := make([]byte, int(rng%maxPay))
 		for j := range p {
 			p[j] = byte(rng>>8) + byte(i*31+j)

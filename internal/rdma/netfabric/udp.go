@@ -16,8 +16,8 @@ import (
 // and the MPI reliability sublayer (sequencing, dedup, reorder repair,
 // sack/retransmit) becomes the delivery filter. A deterministic
 // rdma.FaultPlan on the send path forces those repairs at any configured
-// rate, with per-peer splitmix64 streams exactly like the in-process fault
-// injector.
+// rate, each link drawing from the same rdma.FaultStream the in-process QP
+// uses.
 type udpWire struct {
 	t           *transport
 	conn        *net.UDPConn
@@ -50,7 +50,7 @@ func newUDP(t *transport, cfg Config) (*udpWire, error) {
 			conn.Close()
 			return nil, fmt.Errorf("netfabric: peer %d addr %q: %w", j, a, err)
 		}
-		w.peers[j] = newUDPPeer(w, j, ua, cfg.Faults)
+		w.peers[j] = &udpPeer{w: w, addr: ua, faults: cfg.Faults.Stream(cfg.Rank*cfg.Ranks+j, t.sink)}
 	}
 	return w, nil
 }
@@ -106,109 +106,70 @@ func (w *udpWire) close() {
 // send transmits one datagram and never blocks: WriteToUDP either queues
 // in the kernel or drops, the fire-and-forget semantics the reliability
 // layer is built for. Data frames and READ requests pass through the
-// peer's fault stream (a "dropped" request is exactly the loss the read
+// link's fault stream (a "dropped" request is exactly the loss the read
 // retry exists to absorb); sacks and READ responses go out un-faulted,
-// the exemption the in-process injector gives SendControl.
+// the exemption the in-process QP gives SendControl.
 func (w *udpWire) send(peer int, kind byte, payload []byte, mode sendMode) error {
 	p := w.peers[peer]
 	if p == nil {
 		return rdma.ErrNoReceive
 	}
 	buf := w.t.encode(kind, payload)
-	if p.active && (mode == sendData || kind == frReadReq) {
-		if buf = p.inject(buf); buf == nil {
-			return nil
-		}
+	if p.faults != nil && (mode == sendData || kind == frReadReq) {
+		p.inject(buf)
+		return nil
 	}
 	p.transmit(buf)
 	w.t.frameRecycle(buf)
 	return nil
 }
 
-// udpPeer is one destination: its address and its deterministic fault
-// stream, mirroring the in-process injector — each faultable send draws a
-// fixed number of PRNG values under the lock, so decisions are a pure
-// function of (seed, peer pair, send ordinal).
+// udpPeer is one destination: its address, the fault stream of the link
+// toward it (nil without a plan) and the datagram that stream is holding
+// back, guarded by the stream's lock.
 type udpPeer struct {
 	w    *udpWire
 	addr *net.UDPAddr
 
-	mu       sync.Mutex
-	rng      uint64
-	rates    rdma.FaultRates
-	active   bool
+	faults   *rdma.FaultStream
 	held     []byte // a delayed datagram awaiting re-injection
 	heldSpan int
 }
 
-func newUDPPeer(w *udpWire, rank int, addr *net.UDPAddr, plan rdma.FaultPlan) *udpPeer {
-	p := &udpPeer{w: w, addr: addr, rates: plan.FaultRates, active: plan.Active()}
-	if p.rates.DelaySpan <= 0 {
-		p.rates.DelaySpan = 1
+// inject applies one send's fault verdict to buf, which it owns: the
+// datagram is dropped, held back until DelaySpan later sends have overtaken
+// it, or transmitted (twice for a duplicate). The RNR and stall verdicts
+// have no meaning on a datagram socket and are ignored. Transmitting under
+// the stream's lock keeps the wire order of concurrent senders the order of
+// their draws.
+func (p *udpPeer) inject(buf []byte) {
+	t, s := p.w.t, p.faults
+	s.Lock()
+	defer s.Unlock()
+	v := s.Decide()
+	switch {
+	case v.Drop:
+		s.Note(obs.CtrFaultDropped)
+		t.frameRecycle(buf)
+	case v.Delay && p.held == nil:
+		s.Note(obs.CtrFaultDelayed)
+		p.held, p.heldSpan = buf, s.Rates.DelaySpan
+		return // nothing overtook it yet
+	default:
+		p.transmit(buf)
+		if v.Dup {
+			s.Note(obs.CtrFaultDuplicated)
+			p.transmit(buf)
+		}
+		t.frameRecycle(buf)
 	}
-	// Stream seed mixes the ordered pair (me -> peer) so the two
-	// directions of a link fault independently, as two QPs would.
-	p.rng = splitmix(plan.Seed ^ (uint64(w.t.rank*w.t.n+rank)+1)*0x9E3779B97F4A7C15)
-	return p
-}
-
-// splitmix is the SplitMix64 step (same generator as the in-process
-// injector, repro/internal/rdma/fault.go).
-func splitmix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (p *udpPeer) next() float64 {
-	p.rng = splitmix(p.rng)
-	return float64(p.rng>>11) / (1 << 53)
-}
-
-// inject applies one send's fault verdict. It may consume buf (drop,
-// delay) and may return a previously delayed datagram for transmission
-// alongside; the caller transmits whatever comes back.
-func (p *udpPeer) inject(buf []byte) []byte {
-	t := p.w.t
-	p.mu.Lock()
-	// Fixed draw order keeps the stream aligned regardless of verdicts.
-	drop := p.next() < p.rates.Drop
-	dup := p.next() < p.rates.Duplicate
-	delay := p.next() < p.rates.Delay
-
-	// A held datagram re-enters the wire once enough sends overtake it.
-	var release []byte
 	if p.held != nil {
-		p.heldSpan--
-		if p.heldSpan <= 0 {
-			release = p.held
+		if p.heldSpan--; p.heldSpan <= 0 {
+			p.transmit(p.held)
+			t.frameRecycle(p.held)
 			p.held = nil
 		}
 	}
-	switch {
-	case drop:
-		t.sink.Counters.Inc(obs.CtrFaultDropped)
-		t.frameRecycle(buf)
-		buf = nil
-	case dup:
-		t.sink.Counters.Inc(obs.CtrFaultDuplicated)
-		p.mu.Unlock()
-		p.transmit(buf) // first copy; caller sends the second
-		p.mu.Lock()
-	case delay && p.held == nil:
-		t.sink.Counters.Inc(obs.CtrFaultDelayed)
-		p.held = buf
-		p.heldSpan = p.rates.DelaySpan
-		buf = nil
-	}
-	p.mu.Unlock()
-	if release != nil {
-		p.transmit(release)
-		t.frameRecycle(release)
-	}
-	return buf
 }
 
 func (p *udpPeer) transmit(buf []byte) {

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -30,22 +31,27 @@ func (rq *RecvQueue) Post(buf []byte, wrID uint64) {
 	rq.ch <- recvWR{buf: buf, wrID: wrID}
 }
 
-// QP is one endpoint of a connected queue pair. Sends complete locally on
-// the send CQ; inbound messages consume buffers from the receive queue and
-// complete on the receive CQ, in per-QP FIFO order. Delivery is inline: the
-// sending goroutine itself lands the payload in the peer's posted buffer and
-// pushes the receive completion, so a pair owns no goroutine.
+// QP is one endpoint of a connected queue pair. Inbound messages consume
+// buffers from the receive queue and complete on the receive CQ, in per-QP
+// FIFO order. Delivery is inline: the sending goroutine itself lands the
+// payload in the peer's posted buffer and pushes the receive completion, so
+// a pair owns no goroutine.
 type QP struct {
-	fabric *Fabric
-	sendCQ *CQ
 	recvCQ *CQ
 	rq     *RecvQueue // nil on an end without a RecvCQ: it can never receive
 
 	peer *QP
 
-	// inj is the QP's deterministic fault stream; nil on a lossless
-	// fabric, in which case Send keeps its blocking semantics.
-	inj *injector
+	// inj is the fault stream of the link this end sends on; nil on a
+	// lossless fabric, in which case Send keeps its blocking semantics.
+	// While heldSpan > 0 the stream has delayed a message: held is a private
+	// copy of its payload (the sender may reuse its buffer long before the
+	// release), delivered once heldSpan later sends have overtaken it. All
+	// three are guarded by the stream's lock.
+	inj      *FaultStream
+	held     []byte
+	heldImm  uint32
+	heldSpan int
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -53,7 +59,6 @@ type QP struct {
 
 // QPConfig describes one endpoint of a pair.
 type QPConfig struct {
-	SendCQ *CQ        // completions for outbound sends (may be nil)
 	RecvCQ *CQ        // completions for inbound messages; nil for a send-only end
 	RQ     *RecvQueue // posted receive buffers (may be shared between QPs)
 	// Depth is the depth of the private receive queue created when RQ is
@@ -63,23 +68,26 @@ type QPConfig struct {
 }
 
 // ConnectPair creates two connected QPs on the fabric. Under an active
-// fault plan the QPs are assigned consecutive creation indices (2k and 2k+1
-// for the k-th pair) that key their fault-decision streams and any per-QP
-// rate overrides.
+// fault plan the k-th pair's two directions are links 2k and 2k+1 of the
+// plan (FaultPlan.Stream).
 func (f *Fabric) ConnectPair(a, b QPConfig) (*QP, *QP) {
-	qa := newQP(f, a)
-	qb := newQP(f, b)
 	f.mu.Lock()
-	ida, idb := f.nextQP, f.nextQP+1
+	link := f.nextQP
 	f.nextQP += 2
 	f.mu.Unlock()
-	qa.inj = f.newInjector(ida)
-	qb.inj = f.newInjector(idb)
+	qa, qb := connect(a, b)
+	qa.inj, qb.inj = f.faults.Stream(link, f.obs), f.faults.Stream(link+1, f.obs)
+	return qa, qb
+}
+
+// connect pairs two fresh QPs.
+func connect(a, b QPConfig) (*QP, *QP) {
+	qa, qb := newQP(a), newQP(b)
 	qa.peer, qb.peer = qb, qa
 	return qa, qb
 }
 
-func newQP(f *Fabric, cfg QPConfig) *QP {
+func newQP(cfg QPConfig) *QP {
 	rq := cfg.RQ
 	if rq == nil && cfg.RecvCQ != nil {
 		depth := cfg.Depth
@@ -88,118 +96,92 @@ func newQP(f *Fabric, cfg QPConfig) *QP {
 		}
 		rq = NewRecvQueue(depth)
 	}
-	return &QP{
-		fabric: f,
-		sendCQ: cfg.SendCQ,
-		recvCQ: cfg.RecvCQ,
-		rq:     rq,
-		done:   make(chan struct{}),
-	}
+	return &QP{recvCQ: cfg.RecvCQ, rq: rq, done: make(chan struct{})}
 }
 
 // Send transmits data with immediate value imm. The payload is copied into
 // the peer's next posted receive buffer before Send returns, so the caller
-// may reuse data immediately; the send completion is posted to the send CQ.
-// Returns ErrClosed once either end is closed, and ErrNoReceive when the
-// peer end was connected without a RecvCQ.
+// may reuse data immediately. Returns ErrClosed once either end is closed,
+// and ErrNoReceive when the peer end was connected without a RecvCQ.
 //
 // On a lossless fabric Send blocks while the peer has no posted receive
 // buffer (receiver-not-ready back-pressure). Under an active fault plan it
 // never blocks: an empty receive queue surfaces ErrNoReceive (the RNR NAK a
-// reliability layer must retry through), and the QP's injector may
+// reliability layer must retry through), and the link's fault stream may
 // additionally drop, duplicate, delay, or stall the message, or fail the
 // send with an injected RNR.
 func (q *QP) Send(data []byte, imm uint32, wrID uint64) error {
-	charge(q.fabric.cost.SendWire + q.fabric.cost.data(len(data)))
 	if q.inj != nil {
-		return q.sendFaulty(data, imm, wrID)
+		return q.sendFaulty(data, imm)
 	}
-	if err := q.land(data, imm, true); err != nil {
-		return err
-	}
-	q.completeSend(wrID, len(data), imm)
-	return nil
+	return q.land(data, imm, true)
 }
 
-// sendFaulty is the injected-fault send path. All PRNG draws happen under
-// the injector lock in send order, so the schedule is a deterministic
-// function of (seed, QP id, send ordinal) alone.
-func (q *QP) sendFaulty(data []byte, imm uint32, wrID uint64) error {
+// sendFaulty is the injected-fault send path. The verdict is drawn and
+// applied under the stream's lock in send order, so the schedule is a
+// deterministic function of (seed, link, send ordinal) alone.
+func (q *QP) sendFaulty(data []byte, imm uint32) error {
 	in := q.inj
-	in.mu.Lock()
-	d := in.decide()
-	if d.rnr {
-		// Receiver-not-ready NAK: the message never left; no completion.
+	in.Lock()
+	defer in.Unlock()
+	d := in.Decide()
+	if d.RNR {
+		// Receiver-not-ready NAK: the message never left.
 		q.releaseHeld()
-		in.mu.Unlock()
-		in.note(obs.CtrFaultRNR, faultCodeRNR)
+		in.Note(obs.CtrFaultRNR)
 		return ErrNoReceive
 	}
-	if d.stall {
-		in.note(obs.CtrFaultStalls, faultCodeStall)
-		charge(in.rates.StallTime) // CQ backpressure stalls the pipeline
+	if d.Stall {
+		// CQ backpressure stalls the send pipeline. A monotonic spin:
+		// sleeping is too coarse for a microsecond.
+		in.Note(obs.CtrFaultStalls)
+		for end := time.Now().Add(in.Rates.StallTime); time.Now().Before(end); {
+		}
 	}
 	switch {
-	case d.drop:
-		// Lost on the wire after the NIC accepted it: the sender still
-		// sees a send completion, the receiver sees nothing.
+	case d.Drop:
+		// Lost on the wire after the NIC accepted it: the sender sees
+		// success, the receiver sees nothing.
 		q.releaseHeld()
-		in.mu.Unlock()
-		in.note(obs.CtrFaultDropped, faultCodeDrop)
-		q.completeSend(wrID, len(data), imm)
+		in.Note(obs.CtrFaultDropped)
 		return nil
-	case d.delay && in.held == nil:
-		// Hold the message back; the next DelaySpan sends overtake it. The
-		// caller may reuse data meanwhile, so the held message owns a copy.
-		in.held = &heldMsg{data: append([]byte(nil), data...), imm: imm}
-		in.heldSpan = in.rates.DelaySpan
-		in.mu.Unlock()
-		in.note(obs.CtrFaultDelayed, faultCodeDelay)
-		q.completeSend(wrID, len(data), imm)
+	case d.Delay && q.heldSpan == 0:
+		// Hold the message back; the next DelaySpan sends overtake it.
+		q.held, q.heldImm = append(q.held[:0], data...), imm
+		q.heldSpan = in.Rates.DelaySpan
+		in.Note(obs.CtrFaultDelayed)
 		return nil
 	}
-	if q.land(data, imm, false) != nil {
-		in.mu.Unlock()
-		in.note(obs.CtrFaultRNR, faultCodeRNR)
-		return ErrNoReceive // no posted receive: surfaced instead of blocking
+	if err := q.land(data, imm, false); err != nil {
+		if err == ErrNoReceive { // no posted receive: surfaced instead of blocking
+			in.Note(obs.CtrFaultRNR)
+		}
+		return err
 	}
-	if d.dup {
+	if d.Dup {
 		// A retransmission race delivers the message twice; if no second
 		// receive is posted the duplicate is simply lost.
 		if q.land(data, imm, false) == nil {
-			in.note(obs.CtrFaultDuplicated, faultCodeDup)
+			in.Note(obs.CtrFaultDuplicated)
 		}
 	}
 	q.releaseHeld()
-	in.mu.Unlock()
-	q.completeSend(wrID, len(data), imm)
 	return nil
 }
 
 // releaseHeld re-injects the delayed message once enough later sends have
 // overtaken it; if no receive is posted at that moment the delayed message
 // is lost (equivalent to a drop, which the reliability layer repairs).
-// Called with the injector lock held.
+// Called with the stream's lock held.
 func (q *QP) releaseHeld() {
-	in := q.inj
-	if in.held == nil {
+	if q.heldSpan == 0 {
 		return
 	}
-	in.heldSpan--
-	if in.heldSpan > 0 {
+	if q.heldSpan--; q.heldSpan > 0 {
 		return
 	}
-	msg := in.held
-	in.held = nil
-	if q.land(msg.data, msg.imm, false) != nil {
-		in.note(obs.CtrFaultDropped, faultCodeDrop)
-	}
-}
-
-// completeSend posts the local send completion.
-func (q *QP) completeSend(wrID uint64, n int, imm uint32) {
-	if q.sendCQ != nil {
-		q.sendCQ.Push(Completion{Op: OpSend, WRID: wrID, Bytes: n, Imm: imm})
+	if q.land(q.held, q.heldImm, false) != nil {
+		q.inj.Note(obs.CtrFaultDropped)
 	}
 }
 
@@ -207,14 +189,10 @@ func (q *QP) completeSend(wrID uint64, n int, imm uint32) {
 // (reliability acknowledgements repair the data plane, so injecting into
 // them would couple the two PRNG streams and break schedule determinism).
 // It never blocks: with no posted receive the message is dropped — control
-// traffic must be idempotent and repairable — and ErrNoReceive reported.
+// traffic must be idempotent and repairable — and ErrNoReceive reported
+// (ErrClosed once either end has closed).
 func (q *QP) SendControl(data []byte, imm uint32, wrID uint64) error {
-	charge(q.fabric.cost.SendWire + q.fabric.cost.data(len(data)))
-	if q.land(data, imm, false) != nil {
-		return ErrNoReceive
-	}
-	q.completeSend(wrID, len(data), imm)
-	return nil
+	return q.land(data, imm, false)
 }
 
 // PostRecv adds a receive buffer to this endpoint's receive queue. The
@@ -226,9 +204,10 @@ func (q *QP) PostRecv(buf []byte, wrID uint64) { q.rq.Post(buf, wrID) }
 // completion, which is what keeps per-QP FIFO order for a sending goroutine
 // without any delivery engine in between. With wait set it blocks while no
 // buffer is posted, until one is or either end closes (ErrClosed); without,
-// an empty queue is ErrNoReceive. A message larger than its receive buffer
-// produces an error completion carrying ErrBufferSize — never a silent
-// truncation — with the posted buffer attached for recycling.
+// an empty queue is ErrNoReceive, or ErrClosed once either end has closed.
+// A message larger than its receive buffer produces an error completion
+// carrying ErrBufferSize — never a silent truncation — with the posted
+// buffer attached for recycling.
 func (q *QP) land(data []byte, imm uint32, wait bool) error {
 	p := q.peer
 	if p.recvCQ == nil {
@@ -239,6 +218,9 @@ func (q *QP) land(data []byte, imm uint32, wait bool) error {
 	case wr = <-p.rq.ch:
 	default:
 		if !wait {
+			if q.closed() || p.closed() {
+				return ErrClosed
+			}
 			return ErrNoReceive
 		}
 		select {
@@ -282,6 +264,3 @@ func (q *QP) closed() bool {
 // ErrClosed, and a Send blocked on back-pressure in either direction
 // returns. A message still held by the fault injector is lost.
 func (q *QP) Close() { q.closeOnce.Do(func() { close(q.done) }) }
-
-// Fabric returns the fabric the QP belongs to.
-func (q *QP) Fabric() *Fabric { return q.fabric }

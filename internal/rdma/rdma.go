@@ -1,7 +1,7 @@
 // Package rdma simulates the RDMA fabric the paper's prototype runs on:
 // queue pairs carrying two-sided SEND/RECV traffic with completion queues,
-// registered memory regions addressable by rkey, and one-sided READ/WRITE
-// operations used by the rendezvous protocol (§IV-B).
+// registered memory regions addressable by rkey, and the one-sided READ
+// used by the rendezvous protocol (§IV-B).
 //
 // The simulation is in-process and delivery is inline: QP.Send takes the
 // next buffer from the peer's posted receive queue, copies the payload
@@ -13,15 +13,17 @@
 // deterministic and testable. A sender's slack is exactly the number of
 // buffers its receiver has posted: with none, a lossless Send blocks
 // (receiver-not-ready back-pressure) and a faulty or control send fails
-// with ErrNoReceive. Per-operation latency is pluggable through a Cost
-// model so protocol crossovers can be explored.
+// with ErrNoReceive.
+//
+// A Fabric also hands out one Transport per rank (transport.go), which is
+// how the MPI layer runs on it: the same contract the socket and
+// shared-memory transports of internal/rdma/netfabric implement.
 package rdma
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -39,56 +41,21 @@ var (
 type OpType uint8
 
 const (
-	// OpSend completes a two-sided send on the sender.
-	OpSend OpType = iota
 	// OpRecv completes a two-sided receive on the receiver.
-	OpRecv
+	OpRecv OpType = iota
 	// OpRead completes a one-sided read on the initiator.
 	OpRead
-	// OpWrite completes a one-sided write on the initiator.
-	OpWrite
 )
 
 // String implements fmt.Stringer.
 func (o OpType) String() string {
 	switch o {
-	case OpSend:
-		return "send"
 	case OpRecv:
 		return "recv"
 	case OpRead:
 		return "read"
-	case OpWrite:
-		return "write"
 	}
 	return fmt.Sprintf("OpType(%d)", uint8(o))
-}
-
-// Cost models per-operation overheads in wall-clock time. Zero values mean
-// free operations; the message-rate benchmark uses small non-zero values to
-// model PCIe and wire costs.
-type Cost struct {
-	// SendWire is charged once per two-sided message.
-	SendWire time.Duration
-	// ReadRTT is charged once per one-sided read (rendezvous data fetch).
-	ReadRTT time.Duration
-	// PerKiB is charged per KiB of payload on any data movement.
-	PerKiB time.Duration
-}
-
-// charge busy-waits for the modeled duration. Sleeping is too coarse for
-// sub-microsecond costs, so a monotonic spin is used.
-func charge(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-	}
-}
-
-func (c Cost) data(n int) time.Duration {
-	return time.Duration(n) * c.PerKiB / 1024
 }
 
 // Fabric is the in-process RDMA network: a registry of memory regions and
@@ -97,14 +64,12 @@ type Fabric struct {
 	mu      sync.Mutex
 	mrs     map[uint64]*MemoryRegion
 	nextKey uint64
-	cost    Cost
 
-	// Fault injection (fault.go): the installed plan, a fast activity
-	// flag, and the QP-creation counter that keys per-QP rate overrides
-	// and decision streams. Fault tallies live in the fabric's obs sink.
-	faults   FaultPlan
-	faultsOn bool
-	nextQP   int
+	// Fault injection (fault.go): the installed plan, and the QP-creation
+	// counter that numbers the links of bare ConnectPair pairs. Fault
+	// tallies live in the fabric's obs sink.
+	faults FaultPlan
+	nextQP int
 
 	// obs is the fabric's observability domain (fault-injection counters
 	// and events). Always non-nil; SetObs swaps in a shared/tracing sink.
@@ -121,18 +86,12 @@ func NewFabric() *Fabric {
 }
 
 // SetObs replaces the fabric's observability sink (e.g. with a tracing
-// one). Call before ConnectPair: injectors capture the sink at creation.
+// one). Call before ConnectPair: fault streams capture the sink at creation.
 func (f *Fabric) SetObs(s *obs.Sink) {
 	if s != nil {
 		f.obs = s
 	}
 }
-
-// Obs returns the fabric's observability sink.
-func (f *Fabric) Obs() *obs.Sink { return f.obs }
-
-// SetCost installs the latency model. Call before traffic starts.
-func (f *Fabric) SetCost(c Cost) { f.cost = c }
 
 // MemoryRegion is a registered buffer remotely addressable by RKey.
 type MemoryRegion struct {
@@ -178,28 +137,9 @@ func (f *Fabric) Read(dst []byte, rkey uint64, offset, length int, cq *CQ, wrID 
 	if length > len(dst) {
 		return ErrBufferSize
 	}
-	charge(f.cost.ReadRTT + f.cost.data(length))
 	copy(dst, mr.Buf[offset:offset+length])
 	if cq != nil {
 		cq.Push(Completion{Op: OpRead, WRID: wrID, Bytes: length})
-	}
-	return nil
-}
-
-// Write copies src into the registered region (rkey, offset) — one-sided
-// RDMA WRITE. It posts an OpWrite completion to cq when cq is non-nil.
-func (f *Fabric) Write(src []byte, rkey uint64, offset int, cq *CQ, wrID uint64) error {
-	mr, ok := f.region(rkey)
-	if !ok {
-		return ErrBadKey
-	}
-	if offset < 0 || offset+len(src) > len(mr.Buf) {
-		return ErrBounds
-	}
-	charge(f.cost.ReadRTT + f.cost.data(len(src)))
-	copy(mr.Buf[offset:], src)
-	if cq != nil {
-		cq.Push(Completion{Op: OpWrite, WRID: wrID, Bytes: len(src)})
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ type Config struct {
 func MatcherConfig() core.Config {
 	return core.Config{
 		Bins: 256, MaxReceives: 4096, BlockSize: 8,
-		EarlyBookingCheck: true, LazyRemoval: true, UseInlineHashes: true,
+		EarlyBookingCheck: true,
 	}
 }
 
