@@ -30,46 +30,57 @@ type progressSample struct {
 
 // shardResult is everything one rank's replay contributes to a Report.
 type shardResult struct {
-	tags          map[int32]struct{}
-	keys          map[[3]int32]struct{}
-	wildcardRecvs int
-	samples       []progressSample
-	depth         match.Stats
-	unexpected    uint64
-	err           error
+	samples    []progressSample
+	depth      match.Stats
+	unexpected uint64
+	err        error
+}
+
+// replaySlab is one replay worker's reusable step objects. The engines keep
+// the *match.Recv and *match.Envelope they are handed until the pair
+// completes, so every step needs its own — but only for the life of the
+// shard's matcher, which dies with runShard. A worker therefore draws them
+// from two arrays sized to its largest shard so far and overwrites them
+// shard after shard, where a heap object per step was the replay's largest
+// source of garbage.
+type replaySlab struct {
+	recvs []match.Recv
+	envs  []match.Envelope
 }
 
 // runShard replays one rank's step stream through a fresh engine instance.
 // It is the per-rank slice of the serial loop in AnalyzeSerial; the two
 // must stay in lockstep.
-func runShard(sh *shard, cfg Config) shardResult {
-	res := shardResult{
-		tags: make(map[int32]struct{}),
-		keys: make(map[[3]int32]struct{}),
-	}
+func runShard(sh *shard, cfg Config, slab *replaySlab) shardResult {
+	var res shardResult
 	start := cfg.Obs.Now()
 	m, err := newInstance(cfg)
 	if err != nil {
 		res.err = err
 		return res
 	}
+	if cap(slab.recvs) < sh.recvs {
+		slab.recvs = make([]match.Recv, sh.recvs)
+	}
+	if cap(slab.envs) < sh.sends {
+		slab.envs = make([]match.Envelope, sh.sends)
+	}
+	recvs, envs := slab.recvs[:sh.recvs], slab.envs[:sh.sends]
+	res.samples = make([]progressSample, 0, sh.progress)
 	for _, s := range sh.steps {
 		switch s.kind {
 		case trace.OpRecv:
-			r := &match.Recv{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
-			if r.Class() != match.ClassNone {
-				res.wildcardRecvs++
-			}
-			if s.tag != trace.AnyTag {
-				res.tags[s.tag] = struct{}{}
-			}
-			res.keys[[3]int32{s.peer, s.tag, s.comm}] = struct{}{}
+			r := &recvs[0]
+			recvs = recvs[1:]
+			*r = match.Recv{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
 			if err := m.post(r); err != nil {
 				res.err = fmt.Errorf("analyzer: rank %d: %w (raise MaxReceives)", s.rank, err)
 				return res
 			}
 		case trace.OpSend:
-			env := &match.Envelope{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
+			env := &envs[0]
+			envs = envs[1:]
+			*env = match.Envelope{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
 			m.arrive(env)
 		case trace.OpProgress:
 			empty, total, ok := m.occupancy()
@@ -112,11 +123,13 @@ func (c Config) workerCount(tasks int) int {
 	return w
 }
 
-// runPool executes n tasks on a bounded worker pool.
-func runPool(n, workers int, task func(i int)) {
+// runPool executes n tasks on a bounded worker pool. A task is told which
+// worker (0..workers-1) runs it, so callers can keep per-worker state
+// without locking.
+func runPool(n, workers int, task func(worker, i int)) {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			task(i)
+			task(0, i)
 		}
 		return
 	}
@@ -127,7 +140,7 @@ func runPool(n, workers int, task func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				task(i)
+				task(w, i)
 			}
 		}()
 	}
@@ -142,8 +155,8 @@ func runPool(n, workers int, task func(i int)) {
 // shards are re-ordered by (time, seq) — the global replay order — and the
 // floating-point aggregates (PostedAvg, EmptyBinPct) are accumulated in
 // that order, so the merged Report is byte-identical to AnalyzeSerial's.
-// Counter merges (depth stats, unexpected totals, tag/key unions) are
-// order-independent.
+// Counter merges (depth stats, unexpected totals) are order-independent;
+// the receive statistics are the schedule's.
 func (sc *Schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 	for i := range results {
 		if results[i].err != nil {
@@ -151,27 +164,17 @@ func (sc *Schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 		}
 	}
 
-	rep := &Report{App: sc.app, Procs: sc.procs, Bins: cfg.Bins, Mix: sc.mix}
+	rep := &Report{App: sc.app, Procs: sc.procs, Bins: cfg.Bins, Mix: sc.mix,
+		TagsUsed: sc.tagsUsed, UniqueKeys: sc.uniqueKeys, WildcardRecvs: sc.wildcardRecvs}
 
-	tags := make(map[int32]struct{})
-	keys := make(map[[3]int32]struct{})
 	nSamples := 0
 	for i := range results {
 		r := &results[i]
-		rep.WildcardRecvs += r.wildcardRecvs
 		rep.Depth = rep.Depth.Add(r.depth)
 		rep.Unexpected += r.unexpected
-		for t := range r.tags {
-			tags[t] = struct{}{}
-		}
-		for k := range r.keys {
-			keys[k] = struct{}{}
-		}
 		nSamples += len(r.samples)
 	}
 	rep.Matched = rep.Depth.Matched
-	rep.TagsUsed = len(tags)
-	rep.UniqueKeys = len(keys)
 
 	samples := make([]progressSample, 0, nSamples)
 	for i := range results {
@@ -222,8 +225,10 @@ func (sc *Schedule) Analyze(cfg Config) (*Report, error) {
 	}
 	results := make([]shardResult, len(sc.shards))
 	replayStart := cfg.Obs.Now()
-	runPool(len(sc.shards), cfg.workerCount(len(sc.shards)), func(i int) {
-		results[i] = runShard(&sc.shards[i], cfg)
+	workers := cfg.workerCount(len(sc.shards))
+	slabs := make([]replaySlab, workers)
+	runPool(len(sc.shards), workers, func(w, i int) {
+		results[i] = runShard(&sc.shards[i], cfg, &slabs[w])
 	})
 	if cfg.Obs.Enabled() {
 		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseReplay, uint64(cfg.Obs.Now()-replayStart), 0)
@@ -327,9 +332,11 @@ func (sc *Schedule) SweepConfigs(cfgs []Config, pool Config) ([]*Report, error) 
 	for ci := range results {
 		results[ci] = make([]shardResult, ns)
 	}
-	runPool(nc*ns, pool.workerCount(nc*ns), func(i int) {
+	workers := pool.workerCount(nc * ns)
+	slabs := make([]replaySlab, workers)
+	runPool(nc*ns, workers, func(w, i int) {
 		ci, si := i/max(ns, 1), i%max(ns, 1)
-		results[ci][si] = runShard(&sc.shards[si], cfgs[ci])
+		results[ci][si] = runShard(&sc.shards[si], cfgs[ci], &slabs[w])
 	})
 	out := make([]*Report, 0, nc)
 	for ci := range results {

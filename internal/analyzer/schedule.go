@@ -2,7 +2,6 @@ package analyzer
 
 import (
 	"cmp"
-	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -26,13 +25,23 @@ type Schedule struct {
 	procs int
 	mix   trace.CallMix
 
+	// Properties of the trace's receives, the same at every bin count and
+	// engine, so computed here once and not per replay (Report fields of the
+	// same names).
+	tagsUsed      int
+	uniqueKeys    int
+	wildcardRecvs int
+
 	shards []shard
 }
 
-// shard is the time-ordered step stream of one destination rank.
+// shard is the time-ordered step stream of one destination rank, with the
+// number of steps of each kind so a replay can size its buffers exactly.
 type shard struct {
 	rank  int32
 	steps []step
+
+	recvs, sends, progress int
 }
 
 // BuildSchedule partitions t's events into per-destination-rank step
@@ -55,23 +64,36 @@ func BuildSchedule(t *trace.Trace, cfg Config) *Schedule {
 		idx[t.Ranks[ri].Rank] = ri
 	}
 
-	// Size every shard's stream before filling it: one exact allocation per
-	// shard instead of a doubling series.
-	counts := make([]int, len(t.Ranks))
+	// Count before filling: every shard's stream is one exact allocation
+	// instead of a doubling series, and the same pass over the receives
+	// yields the schedule's receive statistics.
+	tags := make(map[int32]struct{})
+	keys := make(map[[3]int32]struct{})
 	for ri := range t.Ranks {
 		for _, e := range t.Ranks[ri].Events {
 			switch e.Kind {
-			case trace.OpRecv, trace.OpProgress:
-				counts[ri]++
+			case trace.OpRecv:
+				sc.shards[ri].recvs++
+				if e.Peer == trace.AnySource || e.Tag == trace.AnyTag {
+					sc.wildcardRecvs++
+				}
+				if e.Tag != trace.AnyTag {
+					tags[e.Tag] = struct{}{}
+				}
+				keys[[3]int32{e.Peer, e.Tag, e.Comm}] = struct{}{}
+			case trace.OpProgress:
+				sc.shards[ri].progress++
 			case trace.OpSend:
 				if di, ok := idx[e.Peer]; ok {
-					counts[di]++
+					sc.shards[di].sends++
 				}
 			}
 		}
 	}
-	for ri, n := range counts {
-		sc.shards[ri].steps = make([]step, 0, n)
+	sc.tagsUsed, sc.uniqueKeys = len(tags), len(keys)
+	for i := range sc.shards {
+		sh := &sc.shards[i]
+		sh.steps = make([]step, 0, sh.recvs+sh.sends+sh.progress)
 	}
 
 	// seq numbers every trace event in emission order (including kinds
@@ -101,17 +123,88 @@ func BuildSchedule(t *trace.Trace, cfg Config) *Schedule {
 		}
 	}
 
-	// Sort shards on the replay's worker pool: many small O(s log s) sorts
-	// replace the serial path's one global O(E log E) sort.
-	runPool(len(sc.shards), cfg.workerCount(len(sc.shards)), func(i int) {
-		slices.SortFunc(sc.shards[i].steps, func(a, b step) int {
-			return cmpTimeSeq(a.time, a.seq, b.time, b.seq)
-		})
+	// Sort shards on the replay's worker pool: many small sorts replace the
+	// serial path's one global O(E log E) sort, and each is a merge of the
+	// few ascending runs the fill above left (sortRuns), not a sort from
+	// scratch.
+	workers := cfg.workerCount(len(sc.shards))
+	scratch := make([]runScratch, workers)
+	runPool(len(sc.shards), workers, func(w, i int) {
+		sortRuns(sc.shards[i].steps, &scratch[w])
 	})
 	if cfg.Obs.Enabled() {
 		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseSchedule, uint64(cfg.Obs.Now()-start), 0)
 	}
 	return sc
+}
+
+// runScratch is one sorting worker's reusable memory.
+type runScratch struct {
+	buf    []step
+	bounds []int
+}
+
+// sortRuns sorts steps by (time, seq) by merging the maximal ascending runs
+// it already consists of. A shard is filled rank by rank — each sender's
+// arrivals in send order, the rank's own events in trace order — so it is a
+// concatenation of about as many ascending runs as the rank has peers, and
+// merging r runs costs O(n log r) comparisons with none spent rediscovering
+// order inside a run. Any input sorts correctly: a descending stream is n
+// runs of one, and this is then a bottom-up merge sort. (time, seq) is a
+// total order, seq being unique, so stability is moot.
+func sortRuns(steps []step, sc *runScratch) {
+	less := func(a, b *step) bool { return cmpTimeSeq(a.time, a.seq, b.time, b.seq) < 0 }
+
+	// bounds[k] is where run k starts; a final entry closes the last run.
+	bounds := append(sc.bounds[:0], 0)
+	for i := 1; i < len(steps); i++ {
+		if less(&steps[i], &steps[i-1]) {
+			bounds = append(bounds, i)
+		}
+	}
+	bounds = append(bounds, len(steps))
+	sc.bounds = bounds
+	if len(bounds) <= 2 {
+		return // zero or one run: already sorted
+	}
+	if cap(sc.buf) < len(steps) {
+		sc.buf = make([]step, len(steps))
+	}
+
+	// Each pass merges neighbouring runs pairwise from src into dst and
+	// halves the run count; src and dst swap roles between passes.
+	src, dst := steps, sc.buf[:len(steps)]
+	for len(bounds) > 2 {
+		k := 0 // runs written this pass
+		for r := 0; r+1 < len(bounds); r += 2 {
+			lo, mid := bounds[r], bounds[r+1]
+			hi := mid
+			if r+2 < len(bounds) {
+				hi = bounds[r+2]
+			}
+			i, j, o := lo, mid, lo
+			for i < mid && j < hi {
+				if less(&src[j], &src[i]) {
+					dst[o] = src[j]
+					j++
+				} else {
+					dst[o] = src[i]
+					i++
+				}
+				o++
+			}
+			o += copy(dst[o:], src[i:mid])
+			copy(dst[o:], src[j:hi])
+			bounds[k] = lo
+			k++
+		}
+		bounds[k] = len(steps)
+		bounds = bounds[:k+1]
+		src, dst = dst, src
+	}
+	if &src[0] != &steps[0] {
+		copy(steps, src)
+	}
 }
 
 // cmpTimeSeq is the replay order: time, ties broken by emission sequence.

@@ -115,6 +115,9 @@ func TestFigure7DriverAndReduction(t *testing.T) {
 }
 
 func TestModeledFigure8Shape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the NC-vs-MPI-CPU band depends on block fill, which the race detector's slowdown moves")
+	}
 	// The modeled rates must reproduce the paper's qualitative ordering
 	// regardless of host core count: RDMA-CPU highest; MPI-CPU and
 	// Optimistic-DPA NC comparable; WC-FP below NC; WC-SP lowest.

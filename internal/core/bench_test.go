@@ -11,7 +11,7 @@ import (
 // Package-level microbenchmarks for the engine's hot paths; the repository
 // root's bench_test.go holds the table/figure-level harnesses.
 
-func benchMatcher(b *testing.B, bins, blockN int) *core.OptimisticMatcher {
+func benchMatcher(b testing.TB, bins, blockN int) *core.OptimisticMatcher {
 	b.Helper()
 	return core.MustNew(core.Config{
 		Bins: bins, MaxReceives: 8192, BlockSize: blockN,
@@ -75,6 +75,57 @@ func BenchmarkArriveExpected(b *testing.B) {
 		if res := m.Arrive(&match.Envelope{Source: 3, Tag: match.Tag(i % 512)}); res.Unexpected {
 			b.Fatal("unexpected")
 		}
+	}
+}
+
+// postRound posts len(recvs) distinct-tag receives and arriveRound delivers
+// the matching messages one Arrive at a time: the analyzer's replay shape.
+func postRound(tb testing.TB, m *core.OptimisticMatcher, recvs []match.Recv) {
+	for i := range recvs {
+		recvs[i] = match.Recv{Source: 3, Tag: match.Tag(i)}
+		if _, _, err := m.PostRecv(&recvs[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func arriveRound(tb testing.TB, m *core.OptimisticMatcher, envs []match.Envelope) {
+	for i := range envs {
+		envs[i] = match.Envelope{Source: 3, Tag: match.Tag(i)}
+		if res := m.Arrive(&envs[i]); res.Unexpected {
+			tb.Fatal("unexpected")
+		}
+	}
+}
+
+// TestArriveOneAllocs is the allocation guard of the one-message arrival:
+// posting a receive and matching it with Arrive allocates nothing once the
+// descriptor table has grown to the working depth.
+func TestArriveOneAllocs(t *testing.T) {
+	m := benchMatcher(t, 32, 1)
+	recvs, envs := make([]match.Recv, 64), make([]match.Envelope, 64)
+	round := func() {
+		postRound(t, m, recvs)
+		arriveRound(t, m, envs)
+	}
+	round() // first chunk of descriptors, deferred-release ring
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("%d posts and matched one-message arrivals allocate %.1f times", len(recvs), allocs)
+	}
+}
+
+// BenchmarkArriveOne measures one post and the one-message arrival that
+// matches it, at the analyzer's shape (32 bins, block size 1). The post is
+// inside the timer: stopping it costs more than the pair does.
+func BenchmarkArriveOne(b *testing.B) {
+	m := benchMatcher(b, 32, 1)
+	recvs, envs := make([]match.Recv, 64), make([]match.Envelope, 64)
+	b.ReportAllocs()
+	for done := 0; done < b.N; done += len(envs) {
+		n := min(len(envs), b.N-done)
+		postRound(b, m, recvs[:n])
+		arriveRound(b, m, envs[:n])
 	}
 }
 

@@ -119,20 +119,11 @@ func (f *frontier) waitThrough(i int) {
 // each carries a monotone sequence number and they retire in sequence
 // order, which is what serializes their effects (DESIGN.md §9).
 type Block struct {
-	m       *OptimisticMatcher
-	n       int
-	mask    uint32
-	seq     uint64 // block sequence; blocks retire in this order
-	epoch   uint32 // uint32(seq): booking-bitmap and barrier sense tag
-	horizon uint64 // post watermark snapshot: labels >= horizon are invisible
-
-	// headAtStart records whether every lower-sequence block had already
-	// retired when this block began. If so, no steal can ever touch this
-	// block's pairings (steals only flow from lower-sequence blocks), so
-	// matched results commit at Match time — the only mode at depth 1.
-	// Otherwise every result stays provisional until retirement re-derives
-	// the block's assignments in thread order (validate).
-	headAtStart bool
+	launch
+	m     *OptimisticMatcher
+	n     int
+	mask  uint32
+	epoch uint32 // uint32(seq): booking-bitmap and barrier sense tag
 
 	// Deliver, when set, is called once per DEFERRED result (a result that
 	// could not commit at Match time because a lower-sequence block was
@@ -152,9 +143,24 @@ type Block struct {
 	results [MaxBlockSize]Result
 	early   [MaxBlockSize]bool // result committed at Match time
 	tstats  [MaxBlockSize]threadStats
+}
 
-	seqBase   uint64
-	startNano int64 // launch timestamp (obs tracing only; 0 when disabled)
+// launch is what a block is assigned when it takes its place in the arrival
+// order, in one ring.mu section (launchLocked).
+type launch struct {
+	seq     uint64 // block sequence; blocks retire in this order
+	seqBase uint64 // arrival sequence of the message before the block's first
+	horizon uint64 // post watermark snapshot: labels >= horizon are invisible
+
+	// headAtStart records whether every lower-sequence block had already
+	// retired when this block began. If so, no steal can ever touch this
+	// block's pairings (steals only flow from lower-sequence blocks), so
+	// matched results commit at Match time — the only mode at depth 1.
+	// Otherwise every result stays provisional until retirement re-derives
+	// the block's assignments in thread order (validate).
+	headAtStart bool
+
+	startNano int64 // launch timestamp (traceLaunch; 0 when tracing is off)
 }
 
 // threadStats accumulates per-thread counters, folded into EngineStats at
@@ -173,6 +179,35 @@ type threadStats struct {
 	maxDepth    uint64
 }
 
+// launchLocked takes the next place in the arrival order for a block of n
+// messages. Caller holds ring.mu.
+func (m *OptimisticMatcher) launchLocked(n int) launch {
+	r := &m.ring
+	l := launch{seq: r.next, seqBase: m.nextSeq, headAtStart: r.retired+1 == r.next}
+	r.next++
+	r.nextAtomic.Store(r.next)
+	m.nextSeq += uint64(n)
+	// The watermark snapshot is taken under ring.mu so it is monotone in
+	// block sequence — a later block never sees fewer posts than an earlier
+	// one, which the retirement-time serialization argument relies on.
+	l.horizon = m.postHorizon.Load()
+	// Count the block up front: a handler may complete a user request
+	// mid-block, and an observer woken by that completion must already see
+	// the traffic in Stats(). The outcome counters fold in at retirement.
+	m.obs.Counters.Inc(obs.CtrBlocks)
+	m.obs.Counters.Add(obs.CtrMessages, uint64(n))
+	return l
+}
+
+// traceLaunch records the launch event of a block of n messages, outside
+// ring.mu, and stamps l with its time.
+func (m *OptimisticMatcher) traceLaunch(l *launch, n int) {
+	if m.obs.Enabled() {
+		l.startNano = m.obs.Now()
+		m.obs.EventAt(l.startNano, obs.EvBlockLaunch, 0, l.seq, uint64(n), l.horizon)
+	}
+}
+
 // BeginBlock starts an arrival block for n messages (1 <= n <= BlockSize).
 // Blocks must begin in arrival order; BeginBlock blocks while
 // Config.InFlightBlocks blocks are already in flight (at depth 1 this is
@@ -187,34 +222,18 @@ func (m *OptimisticMatcher) BeginBlock(n int) *Block {
 	for r.next-r.retired > uint64(len(r.slots)) {
 		r.cond.Wait()
 	}
-	seq := r.next
-	r.next++
-	r.nextAtomic.Store(r.next)
-	headAtStart := r.retired+1 == seq
-	seqBase := m.nextSeq
-	m.nextSeq += uint64(n)
-	// The watermark snapshot is taken under ring.mu so it is monotone in
-	// block sequence — a later block never sees fewer posts than an earlier
-	// one, which the retirement-time serialization argument relies on.
-	horizon := m.postHorizon.Load()
-	// Count the block up front: a handler may complete a user request
-	// mid-block, and an observer woken by that completion must already see
-	// the traffic in Stats(). The outcome counters fold in at retirement.
-	m.obs.Counters.Inc(obs.CtrBlocks)
-	m.obs.Counters.Add(obs.CtrMessages, uint64(n))
+	l := m.launchLocked(n)
 	r.mu.Unlock()
+	m.traceLaunch(&l, n)
 
 	// The slot's previous occupant (sequence seq-K) has retired and its
 	// results were copied out, so initialization below is owner-exclusive.
-	b := &r.slots[seq%uint64(len(r.slots))]
+	b := &r.slots[l.seq%uint64(len(r.slots))]
+	b.launch = l
 	b.m = m
 	b.n = n
 	b.mask = uint32(1)<<uint(n) - 1
-	b.seq = seq
-	b.epoch = uint32(seq)
-	b.horizon = horizon
-	b.headAtStart = headAtStart
-	b.seqBase = seqBase
+	b.epoch = uint32(l.seq)
 	b.Deliver = nil
 	b.booked.reset(b.epoch, m.barrierSpins)
 	b.done.reset(b.epoch, m.barrierSpins)
@@ -225,27 +244,40 @@ func (m *OptimisticMatcher) BeginBlock(n int) *Block {
 		b.early[i] = false
 		b.tstats[i] = threadStats{}
 	}
-	b.startNano = 0
-	if m.obs.Enabled() {
-		b.startNano = m.obs.Now()
-		m.obs.EventAt(b.startNano, obs.EvBlockLaunch, 0, seq, uint64(n), horizon)
-	}
 	return b
 }
 
-// consume claims d for thread tid of this block, recording steal provenance:
+// consume claims d for thread tid of block seq, recording steal provenance:
 // when the claim took the descriptor back from a higher-sequence block, the
-// per-thread steal counter and (when tracing) an EvBlockSteal event record
+// thread's steal counter and (when tracing) an EvBlockSteal event record
 // the theft the victim will discover at its retirement re-derivation.
-func (b *Block) consume(d *descriptor, tid int) bool {
-	ok, victim := d.consumeFrom(b.seq, tid)
+func (m *OptimisticMatcher) consume(d *descriptor, seq uint64, tid int, st *threadStats) bool {
+	ok, victim := d.consumeFrom(seq, tid)
 	if ok && victim != 0 {
-		b.tstats[tid].steals++
-		if b.m.obs.Enabled() {
-			b.m.obs.Event(obs.EvBlockSteal, tid, b.seq, victim, uint64(d.slot))
+		st.steals++
+		if m.obs.Enabled() {
+			m.obs.Event(obs.EvBlockSteal, tid, seq, victim, uint64(d.slot))
 		}
 	}
 	return ok
+}
+
+func (b *Block) consume(d *descriptor, tid int) bool {
+	return b.m.consume(d, b.seq, tid, &b.tstats[tid])
+}
+
+// claimOldest searches with no lower thread to defer to — the relaxed path,
+// the slow path once every lower thread has finalized, a retirement-time
+// redo, a block of one — and consumes what it finds, retrying against the
+// remainder when a racing block got there first. The loop terminates
+// because steals strictly lower the owning sequence.
+func (m *OptimisticMatcher) claimOldest(env *match.Envelope, tid int, seq uint64, hzn uint64, st *threadStats) *descriptor {
+	for {
+		d := m.searchOldest(env, tid, seq, hzn, false, st)
+		if d == nil || m.consume(d, seq, tid, st) {
+			return d
+		}
+	}
 }
 
 // Match matches the message for thread tid. It must be called exactly once
@@ -328,35 +360,23 @@ func (b *Block) Match(tid int, env *match.Envelope) (Result, bool) {
 	// redo the search with exclusive access to the block's leftovers.
 	b.waitLowerDone(tid)
 	st.slowPath++
-	for {
-		d := b.m.searchOldest(env, tid, b.seq, b.horizon, false, st)
-		if d == nil {
-			return b.finalizeUnexpected(tid, env, PathUnexpected)
-		}
-		if b.consume(d, tid) {
-			return b.finalizeMatch(tid, env, d, PathSlow)
-		}
-		// A racing consumption by a lower-sequence in-flight block; retry
-		// against the remainder.
+	if d := b.m.claimOldest(env, tid, b.seq, b.horizon, st); d != nil {
+		return b.finalizeMatch(tid, env, d, PathSlow)
 	}
+	return b.finalizeUnexpected(tid, env, PathUnexpected)
 }
 
 // matchRelaxed is the allow_overtaking arrival path: claim the first
-// available matching receive by CAS, retrying on racing consumption. The
+// available matching receive by CAS (claimOldest). The
 // thread still participates in the booking frontier (with no candidate) so
 // ordered threads of the same block are not stalled at the partial barrier.
 func (b *Block) matchRelaxed(tid int, env *match.Envelope, st *threadStats) (Result, bool) {
 	b.booked.complete(tid)
 	st.relaxed++
-	for {
-		d := b.m.searchOldest(env, tid, b.seq, b.horizon, false, st)
-		if d == nil {
-			return b.finalizeUnexpected(tid, env, PathUnexpected)
-		}
-		if b.consume(d, tid) {
-			return b.finalizeMatch(tid, env, d, PathOptimistic)
-		}
+	if d := b.m.claimOldest(env, tid, b.seq, b.horizon, st); d != nil {
+		return b.finalizeMatch(tid, env, d, PathOptimistic)
 	}
+	return b.finalizeUnexpected(tid, env, PathUnexpected)
 }
 
 // enterBarrier publishes thread tid's booking and waits for threads < tid
@@ -505,36 +525,14 @@ func (b *Block) finishInto(out []Result) {
 	r.mu.Unlock()
 
 	b.validate()
-	if m.obs.Enabled() {
-		// Settle events only carry information when validation actually
-		// redid something; the conflict-free common case skips the ring
-		// write (the per-block launch/retire span is recorded regardless).
-		var reval uint64
-		for tid := 0; tid < b.n; tid++ {
-			reval += b.tstats[tid].revalidated
-		}
-		if reval > 0 {
-			m.obs.Event(obs.EvBlockSettle, 0, b.seq, reval, 0)
-		}
-	}
 
 	// Sweep: unlink consumed descriptors (the deferred half of lazy
-	// removal) under their bucket locks, then release them. Reclamation of
-	// the slots is gated on the blocks currently in flight — they may still
-	// be traversing a chain these descriptors were just unlinked from.
+	// removal) under their bucket locks, then release them.
 	var reaped uint64
 	for tid := 0; tid < b.n; tid++ {
-		if d := b.final[tid]; d != nil && !d.unlinked {
-			d.owner.mu.Lock()
-			unlink(d)
-			d.owner.mu.Unlock()
-			reaped++
-		}
-	}
-	reclaimAfter := r.nextAtomic.Load() - 1
-	for tid := 0; tid < b.n; tid++ {
 		if d := b.final[tid]; d != nil {
-			m.table.release(d, reclaimAfter)
+			m.sweep(d)
+			reaped++
 		}
 	}
 
@@ -555,23 +553,6 @@ func (b *Block) finishInto(out []Result) {
 			agg.maxDepth = ts.maxDepth
 		}
 	}
-	c := &m.obs.Counters
-	c.Add(obs.CtrOptimistic, agg.optimistic)
-	c.Add(obs.CtrConflicts, agg.conflicts)
-	c.Add(obs.CtrFastPath, agg.fastPath)
-	c.Add(obs.CtrSlowPath, agg.slowPath)
-	c.Add(obs.CtrUnexpected, agg.unexpected)
-	c.Add(obs.CtrRelaxed, agg.relaxed)
-	c.Add(obs.CtrLazyReaped, reaped)
-	c.Add(obs.CtrRevalidated, agg.revalidated)
-	c.Add(obs.CtrSteals, agg.steals)
-	c.Inc(obs.CtrLazySweeps)
-	c.Add(obs.CtrArriveSearches, uint64(b.n))
-	c.Add(obs.CtrArriveTraversed, agg.traversed)
-	c.Max(obs.CtrArriveMaxDepth, agg.maxDepth)
-	c.Add(obs.CtrMatched, agg.matched)
-	c.Add(obs.CtrUnexpectedStored, agg.unexpected)
-	c.Inc(obs.CtrRetires)
 
 	if out != nil {
 		copy(out, b.results[:b.n])
@@ -588,23 +569,8 @@ func (b *Block) finishInto(out []Result) {
 		copy(dres[:n], b.results[:n])
 		copy(dearly[:n], b.early[:n])
 	}
-	// The retire record must be cut before the frontier advances: after
-	// that, K-1 further retirements may recycle this ring slot and reuse
-	// b.seq/b.startNano for block seq+K.
-	if m.obs.Enabled() {
-		now := m.obs.Now()
-		life := uint64(now - b.startNano)
-		m.obs.EventAt(now, obs.EvBlockRetire, 0, b.seq, uint64(n), life)
-		m.obs.Observe(obs.HistBlockNs, life)
-	}
 
-	// Retire: advance the frontier, waking the next block's Finish and any
-	// BeginBlock waiting for a ring slot.
-	r.mu.Lock()
-	r.retired = b.seq
-	r.retiredAtomic.Store(b.seq)
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	m.retire(b.launch, n, &agg, reaped)
 
 	// Deferred delivery: results that could not commit at Match time reach
 	// their consumer here, outside all engine locks, in thread order.
@@ -615,6 +581,62 @@ func (b *Block) finishInto(out []Result) {
 			}
 		}
 	}
+}
+
+// sweep unlinks a consumed descriptor from its chain under the bucket's
+// remove lock and releases it. Reclamation of the slot is gated on the
+// blocks currently in flight — they may still be traversing the chain the
+// descriptor was just unlinked from.
+func (m *OptimisticMatcher) sweep(d *descriptor) {
+	d.owner.mu.Lock()
+	unlink(d)
+	d.owner.mu.Unlock()
+	m.table.release(d, m.ring.nextAtomic.Load()-1)
+}
+
+// retire ends block l of n messages: it folds the block's statistics
+// (reaped counts the descriptors its sweep unlinked), cuts the retire
+// record, and advances the frontier, waking the next block's Finish and any
+// BeginBlock waiting for a ring slot. Nothing of the block may be read
+// afterwards: K-1 further retirements can recycle its ring slot.
+func (m *OptimisticMatcher) retire(l launch, n int, agg *threadStats, reaped uint64) {
+	c := &m.obs.Counters
+	c.Add(obs.CtrOptimistic, agg.optimistic)
+	c.Add(obs.CtrConflicts, agg.conflicts)
+	c.Add(obs.CtrFastPath, agg.fastPath)
+	c.Add(obs.CtrSlowPath, agg.slowPath)
+	c.Add(obs.CtrUnexpected, agg.unexpected)
+	c.Add(obs.CtrRelaxed, agg.relaxed)
+	c.Add(obs.CtrLazyReaped, reaped)
+	c.Add(obs.CtrRevalidated, agg.revalidated)
+	c.Add(obs.CtrSteals, agg.steals)
+	c.Inc(obs.CtrLazySweeps)
+	c.Add(obs.CtrArriveSearches, uint64(n))
+	c.Add(obs.CtrArriveTraversed, agg.traversed)
+	c.Max(obs.CtrArriveMaxDepth, agg.maxDepth)
+	c.Add(obs.CtrMatched, agg.matched)
+	c.Add(obs.CtrUnexpectedStored, agg.unexpected)
+	c.Inc(obs.CtrRetires)
+
+	if m.obs.Enabled() {
+		// Settle events only carry information when validation actually
+		// redid something; the conflict-free common case skips the ring
+		// write (the per-block launch/retire span is recorded regardless).
+		if agg.revalidated > 0 {
+			m.obs.Event(obs.EvBlockSettle, 0, l.seq, agg.revalidated, 0)
+		}
+		now := m.obs.Now()
+		life := uint64(now - l.startNano)
+		m.obs.EventAt(now, obs.EvBlockRetire, 0, l.seq, uint64(n), life)
+		m.obs.Observe(obs.HistBlockNs, life)
+	}
+
+	r := &m.ring
+	r.mu.Lock()
+	r.retired = l.seq
+	r.retiredAtomic.Store(l.seq)
+	r.cond.Broadcast()
+	r.mu.Unlock()
 }
 
 // validate settles every provisional result under the store lock, which
@@ -650,7 +672,7 @@ func (b *Block) validate() {
 			// receive the thread's bounded search could not see.
 			if hzn != b.horizon {
 				b.tstats[tid].revalidated++
-				if nd := b.research(tid, res.Env, hzn); nd != nil {
+				if nd := b.m.claimOldest(res.Env, tid, b.seq, hzn, &b.tstats[tid]); nd != nil {
 					b.tstats[tid].unexpected--
 					b.tstats[tid].matched++
 					b.final[tid] = nd
@@ -658,7 +680,7 @@ func (b *Block) validate() {
 					continue
 				}
 			}
-			b.publishUnexpected(res.Env)
+			b.m.publishUnexpected(res.Env, b.seq)
 		}
 		return
 	}
@@ -675,7 +697,7 @@ func (b *Block) validate() {
 	for tid := 0; tid < b.n; tid++ {
 		res := &b.results[tid]
 		old := b.final[tid]
-		nd := b.research(tid, res.Env, hzn)
+		nd := b.m.claimOldest(res.Env, tid, b.seq, hzn, &b.tstats[tid])
 		if nd != old {
 			b.tstats[tid].revalidated++
 		}
@@ -694,39 +716,22 @@ func (b *Block) validate() {
 			b.tstats[tid].matched--
 			b.tstats[tid].unexpected++
 			*res = Result{Env: res.Env, Unexpected: true, Path: PathSlow}
-			b.publishUnexpected(res.Env)
+			b.m.publishUnexpected(res.Env, b.seq)
 		default:
-			b.publishUnexpected(res.Env)
+			b.m.publishUnexpected(res.Env, b.seq)
 		}
 	}
 }
 
-// publishUnexpected runs the engine hook and stores the message. Caller
-// holds the store lock.
-func (b *Block) publishUnexpected(env *match.Envelope) {
-	if h := b.m.onUnexpected; h != nil {
+// publishUnexpected runs the engine hook and stores a message of block seq.
+// Caller holds the store lock.
+func (m *OptimisticMatcher) publishUnexpected(env *match.Envelope, seq uint64) {
+	if h := m.onUnexpected; h != nil {
 		h(env)
 	}
-	b.m.unexpected.insertLocked(env)
-	if b.m.obs.Enabled() {
-		b.m.obs.Event(obs.EvUnexpectedPub, 0, b.seq, 0, 0)
-	}
-}
-
-// research redoes thread tid's search at retirement with horizon hzn. The
-// block is the oldest in flight, so every candidate it finds is either
-// posted or held by a higher-sequence block (stealable); the consume loop
-// terminates because steals strictly lower the owning sequence.
-func (b *Block) research(tid int, env *match.Envelope, hzn uint64) *descriptor {
-	st := &b.tstats[tid]
-	for {
-		d := b.m.searchOldest(env, tid, b.seq, hzn, false, st)
-		if d == nil {
-			return nil
-		}
-		if b.consume(d, tid) {
-			return d
-		}
+	m.unexpected.insertLocked(env)
+	if m.obs.Enabled() {
+		m.obs.Event(obs.EvUnexpectedPub, 0, seq, 0, 0)
 	}
 }
 
@@ -734,15 +739,11 @@ func (b *Block) research(tid int, env *match.Envelope, hzn uint64) *descriptor {
 // tid of block seq: each index yields its oldest matching available receive
 // below watermark hzn, and the global minimum posting label wins
 // (constraint C1 across indexes). Hash values come from the sender-computed
-// header (§IV-D inline hashes) when the envelope carries one.
+// header (§IV-D inline hashes) when the envelope carries one, and are
+// otherwise computed per index searched: an index no receive was ever
+// posted to (recvIndex.used) holds nothing below any watermark, so it costs
+// neither a hash nor a bucket load.
 func (m *OptimisticMatcher) searchOldest(env *match.Envelope, tid int, seq uint64, hzn uint64, earlyCheck bool, st *threadStats) *descriptor {
-	var h match.InlineHashes
-	if env.Inline != nil {
-		h = *env.Inline // sender-computed, carried in the header
-	} else {
-		h = match.ComputeInlineHashes(env)
-	}
-
 	var best *descriptor
 	var traversed uint64
 
@@ -756,14 +757,30 @@ func (m *OptimisticMatcher) searchOldest(env *match.Envelope, tid int, seq uint6
 	// no_any_source communicator can never have a receive in the source-
 	// wildcard index, so its messages skip that search.
 	hints := m.hints.get(env.Comm)
-	consider(m.idxFull.search(env, h.SrcTag, tid, seq, hzn, earlyCheck))
-	if !hints.NoAnySource {
+	var h match.InlineHashes
+	inline := env.Inline != nil
+	if inline {
+		h = *env.Inline // sender-computed, carried in the header
+	}
+	if m.idxFull.used.Load() {
+		if !inline {
+			h.SrcTag = match.HashSrcTag(env.Source, env.Tag, env.Comm)
+		}
+		consider(m.idxFull.search(env, h.SrcTag, tid, seq, hzn, earlyCheck))
+	}
+	if !hints.NoAnySource && m.idxSrcWild.used.Load() {
+		if !inline {
+			h.Tag = match.HashTag(env.Tag, env.Comm)
+		}
 		consider(m.idxSrcWild.search(env, h.Tag, tid, seq, hzn, earlyCheck))
 	}
-	if !hints.NoAnyTag {
+	if !hints.NoAnyTag && m.idxTagWild.used.Load() {
+		if !inline {
+			h.Src = match.HashSrc(env.Source, env.Comm)
+		}
 		consider(m.idxTagWild.search(env, h.Src, tid, seq, hzn, earlyCheck))
 	}
-	if !hints.NoWildcards() {
+	if !hints.NoWildcards() && m.idxBoth.used.Load() {
 		consider(m.idxBoth.search(env, 0, tid, seq, hzn, earlyCheck))
 	}
 
@@ -816,11 +833,78 @@ func (m *OptimisticMatcher) ArriveBlock(envs []*match.Envelope) []Result {
 	return out
 }
 
-// Arrive matches a single message (a one-message block).
+// Arrive matches a single message: a block of one. Everything the block
+// protocol adds to a plain search — booking, the partial barrier, conflict
+// resolution — concerns a message's peers, and a block of one has none; what
+// remains of validate for a block at the head of the retire frontier is the
+// unexpected re-search. So when no lower-sequence block is in flight Arrive
+// runs the block path with n = 1 folded (arriveHead). Only a lower block
+// still in flight sends the message down BeginBlock(1): its result is then
+// provisional until that block retires, which is what a Block is for.
 func (m *OptimisticMatcher) Arrive(env *match.Envelope) Result {
-	var out [1]Result
-	b := m.BeginBlock(1)
-	b.Match(0, env)
-	b.FinishInto(out[:])
-	return out[0]
+	r := &m.ring
+	r.mu.Lock()
+	if r.retired+1 != r.next {
+		r.mu.Unlock()
+		var out [1]Result
+		b := m.BeginBlock(1)
+		b.Match(0, env)
+		b.FinishInto(out[:])
+		return out[0]
+	}
+	l := m.launchLocked(1)
+	r.mu.Unlock()
+	m.traceLaunch(&l, 1)
+	return m.arriveHead(env, l)
+}
+
+// arriveHead is Match(0) and FinishInto for a one-message block that began
+// at the head of the retire frontier (l.headAtStart). Its claim needs no
+// booking — no lower thread or block exists to defer to, and a higher block
+// that got to the receive first holds it only provisionally, so consume
+// steals it back — and a matched result needs no validate: it committed at
+// claim time, as every head block's does. An unexpected verdict is settled
+// exactly as validate settles it, under the store lock against the current
+// watermark.
+func (m *OptimisticMatcher) arriveHead(env *match.Envelope, l launch) Result {
+	if env.Seq == 0 {
+		env.Seq = l.seqBase + 1
+	}
+	var st threadStats
+	res := Result{Env: env, Path: PathOptimistic}
+
+	d := m.claimOldest(env, 0, l.seq, l.horizon, &st)
+	switch {
+	case m.hints.get(env.Comm).AllowOvertaking:
+		st.relaxed++
+	case d != nil:
+		st.optimistic++
+	}
+	if d == nil {
+		s := m.unexpected
+		s.mu.Lock()
+		// Posts that raced the arrival may have published a matching
+		// receive the bounded search could not see.
+		if hzn := m.postHorizon.Load(); hzn != l.horizon {
+			st.revalidated++
+			d = m.claimOldest(env, 0, l.seq, hzn, &st)
+			res.Path = PathSlow
+		}
+		if d == nil {
+			m.publishUnexpected(env, l.seq)
+			st.unexpected++
+			res.Unexpected, res.Path = true, PathUnexpected
+		}
+		s.mu.Unlock()
+	}
+
+	var reaped uint64
+	if d != nil {
+		res.Recv = d.recv
+		st.matched++
+		m.sweep(d)
+		reaped = 1
+	}
+	m.retire(l, 1, &st, reaped)
+	return res
 }

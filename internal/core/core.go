@@ -330,7 +330,6 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 
 	s := m.unexpected
 	s.mu.Lock()
-	defer s.mu.Unlock()
 
 	r.Label = m.nextLabel
 	m.nextLabel++
@@ -358,6 +357,7 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 			m.obs.Event(obs.EvPostMatch, 0, r.Label, depth, 0)
 		}
 		m.postHorizon.Store(r.Label + 1)
+		s.mu.Unlock()
 		return env, true, nil
 	}
 
@@ -366,6 +366,7 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 		c.Inc(obs.CtrTableFull)
 		// The label is spent even on failure, so the watermark still moves.
 		m.postHorizon.Store(r.Label + 1)
+		s.mu.Unlock()
 		return nil, false, ErrTableFull
 	}
 	d.recv = r
@@ -373,8 +374,13 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 	d.class = class
 	d.label = r.Label
 	d.seqID = m.nextSeqID
+	// The words are epoch-tagged, so a stale one is harmless until its epoch
+	// comes round again; clearing keeps that from ever mattering. Nearly all
+	// are already zero: a load each, not an exchange.
 	for i := range d.booking {
-		d.booking[i].Store(0)
+		if d.booking[i].Load() != 0 {
+			d.booking[i].Store(0)
+		}
 	}
 	d.markPosted()
 
@@ -384,6 +390,7 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 	// fully linked. The store is still locked, so watermark advances are
 	// monotone.
 	m.postHorizon.Store(r.Label + 1)
+	s.mu.Unlock()
 	return nil, false, nil
 }
 
@@ -470,6 +477,35 @@ func (s *EngineStats) Add(t EngineStats) {
 	s.Revalidated += t.Revalidated
 	s.Steals += t.Steals
 	s.Retires += t.Retires
+}
+
+// CheckQuiesced reports, by counter name, the first identity that the
+// statistics of a quiesced matcher (or the sum over several) violate; d is
+// the matching DepthStats. Every block begun has retired and swept exactly
+// once, and every message was searched for once and stored at most once —
+// whichever arrival path took it, so a path that drops a counter fails here
+// by name. partition additionally requires every message to have exactly one
+// of the four outcomes, which holds when none was relaxed and then stored,
+// had an unexpected verdict overturned by a raced post, or took the slow
+// path behind a lower thread's conflict without losing a booking itself.
+func (s EngineStats) CheckQuiesced(d match.Stats, partition bool) error {
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"Retires vs Blocks", s.Retires, s.Blocks},
+		{"LazySweeps vs Blocks", s.LazySweeps, s.Blocks},
+		{"DepthStats.ArriveSearches vs Messages", d.ArriveSearches, s.Messages},
+		{"DepthStats.Unexpected vs Unexpected", d.Unexpected, s.Unexpected},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("core: %s: %d != %d (%+v)", c.name, c.got, c.want, s)
+		}
+	}
+	if sum := s.Optimistic + s.Conflicts + s.Unexpected + s.Relaxed; partition && sum != s.Messages {
+		return fmt.Errorf("core: Optimistic+Conflicts+Unexpected+Relaxed = %d, Messages = %d (%+v)", sum, s.Messages, s)
+	}
+	return nil
 }
 
 // Stats returns a snapshot of the engine statistics, assembled from the

@@ -25,6 +25,12 @@ type rbucket struct {
 // of rbuckets (or a single chain for the both-wildcard class).
 type recvIndex struct {
 	buckets []rbucket
+
+	// used is set, once, by the first insert — before that post advances
+	// postHorizon. A searcher that reads it false therefore holds a
+	// watermark below every receive the index will ever contain, and may
+	// skip the index (searchOldest).
+	used atomic.Bool
 }
 
 func newRecvIndex(bins int) *recvIndex {
@@ -39,6 +45,9 @@ func (ix *recvIndex) bucketFor(hash uint64) *rbucket {
 // lock (the tail races Finish-time unlink sweeps). Chains are posting-
 // ordered because PostRecv serializes posts.
 func (ix *recvIndex) insert(d *descriptor, hash uint64) {
+	if !ix.used.Load() {
+		ix.used.Store(true)
+	}
 	b := ix.bucketFor(hash)
 	d.owner = b
 	b.mu.Lock()

@@ -37,14 +37,16 @@ type Pipeline struct {
 
 	// Decode converts a receive completion (header + bounce buffer) into a
 	// matching envelope, filling env (drawn from Envelopes) and returning
-	// it. It runs on a DPA thread.
+	// it. It runs on a DPA thread (for a block of one at depth 1, on the
+	// formation loop: runOne).
 	Decode func(c rdma.Completion, env *match.Envelope) *match.Envelope
 	// Handle executes protocol handling for one match result on a DPA
 	// thread: eager copy to the user buffer, rendezvous RDMA read, or
 	// unexpected-message bookkeeping. For results that settle at Match time
 	// it runs on the handler's thread; for results deferred to block
 	// retirement (cross-block conflicts, unexpected messages) it runs on
-	// the retiring block's runner.
+	// the retiring block's runner. A block of one at depth 1 is handled on
+	// the formation loop (runOne).
 	Handle func(tid int, res core.Result, c rdma.Completion)
 	// Classify, when set, reports whether a completion carries a message
 	// that needs matching. Completions classified false (protocol control
@@ -156,6 +158,26 @@ func (r *blockRunner) deliver(tid int, res core.Result) {
 	if !res.Unexpected {
 		r.p.Envelopes.Put(res.Env)
 	}
+}
+
+// runOne is the activation of a block of one, on the forming goroutine:
+// decode, match, handle, recycle — step and deliver with nothing between
+// them, because Arrive returns the settled result. A lone message has no
+// peers to run beside, so handing it to a runner and a worker would buy two
+// goroutine switches and nothing else. It still counts as one activation.
+// At depth 1 nothing is lost by occupying the formation loop: a block
+// formed meanwhile could not begin before this one retires anyway, so a
+// Handle that blocks here delays CQ formation and nothing else.
+func (p *Pipeline) runOne(c rdma.Completion) {
+	env := p.Decode(c, p.Envelopes.Get())
+	res := p.matcher.Arrive(env)
+	p.Handle(0, res, c)
+	if !res.Unexpected {
+		p.Envelopes.Put(env)
+	}
+	p.acc.activations.Add(1)
+	p.blocks.Add(1)
+	p.messages.Add(1)
 }
 
 // run forms blocks: it drains the next batch of completions — blocking for
@@ -273,6 +295,10 @@ func (p *Pipeline) run() {
 			end := off + blockSize
 			if end > len(formed) {
 				end = len(formed)
+			}
+			if depth == 1 && end-off == 1 {
+				p.runOne(formed[off])
+				continue
 			}
 			w := <-idle
 			w.comps = append(w.comps[:0], formed[off:end]...)

@@ -22,33 +22,44 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-func fnv1a(words ...uint64) uint64 {
-	h := uint64(fnvOffset64)
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= fnvPrime64
-		}
-	}
-	return mix64(h)
+// fnvPrime64Pow4 is fnvPrime64^4 mod 2^64: four FNV-1a steps over zero
+// bytes (h ^= 0; h *= prime, four times) are one multiply by it.
+const fnvPrime64Pow4 = 0x9ffaac085635bc91
+
+// fnvWord folds one key word into h, as FNV-1a over its eight
+// little-endian bytes when widened to 64 bits: the four bytes of w, then
+// the four always-zero upper bytes as a single multiply.
+func fnvWord(h uint64, w uint32) uint64 {
+	h = (h ^ uint64(w&0xff)) * fnvPrime64
+	h = (h ^ uint64(w>>8&0xff)) * fnvPrime64
+	h = (h ^ uint64(w>>16&0xff)) * fnvPrime64
+	h = (h ^ uint64(w>>24)) * fnvPrime64
+	return h * fnvPrime64Pow4
+}
+
+// fnv1a hashes three key words. The bin a key lands in is paper-visible
+// (Figure 7's queue depth against bins), so the function is pinned:
+// hash_test.go holds recorded values and the byte-at-a-time reference.
+func fnv1a(a, b, c uint32) uint64 {
+	return mix64(fnvWord(fnvWord(fnvWord(fnvOffset64, a), b), c))
 }
 
 // HashSrcTag hashes a fully specified (source, tag, communicator) key, used
 // by the no-wildcard index.
 func HashSrcTag(src Rank, tag Tag, comm CommID) uint64 {
-	return fnv1a(uint64(uint32(src)), uint64(uint32(tag)), uint64(uint32(comm)))
+	return fnv1a(uint32(src), uint32(tag), uint32(comm))
 }
 
 // HashTag hashes a (tag, communicator) key, used by the source-wildcard
 // index (the source is unknown at posting time).
 func HashTag(tag Tag, comm CommID) uint64 {
-	return fnv1a(0xa5a5a5a5, uint64(uint32(tag)), uint64(uint32(comm)))
+	return fnv1a(0xa5a5a5a5, uint32(tag), uint32(comm))
 }
 
 // HashSrc hashes a (source, communicator) key, used by the tag-wildcard
 // index (the tag is unknown at posting time).
 func HashSrc(src Rank, comm CommID) uint64 {
-	return fnv1a(0x5a5a5a5a, uint64(uint32(src)), uint64(uint32(comm)))
+	return fnv1a(0x5a5a5a5a, uint32(src), uint32(comm))
 }
 
 // InlineHashes carries the three sender-computable hash values of a message

@@ -311,8 +311,14 @@ type CounterSet struct {
 	c [NumCounters]atomic.Uint64
 }
 
-// Add increments counter i by v.
-func (s *CounterSet) Add(i Counter, v uint64) { s.c[i].Add(v) }
+// Add increments counter i by v. Adding zero is a branch, not a locked
+// instruction: block retirement folds a dozen outcome counters of which a
+// conflict-free block moves half.
+func (s *CounterSet) Add(i Counter, v uint64) {
+	if v != 0 {
+		s.c[i].Add(v)
+	}
+}
 
 // Inc increments counter i by one.
 func (s *CounterSet) Inc(i Counter) { s.c[i].Add(1) }

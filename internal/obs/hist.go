@@ -68,7 +68,9 @@ func (h *Histogram) Observe(v uint64) {
 	}
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	h.sum.Add(v)
+	if v != 0 {
+		h.sum.Add(v)
+	}
 }
 
 // HistSnapshot is a point-in-time copy of a histogram.

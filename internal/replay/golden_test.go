@@ -6,7 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/match"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/rdma"
 	"repro/internal/rdma/netfabric"
 	"repro/internal/replay"
@@ -34,6 +37,26 @@ func summarize(results ...*replay.Result) goldenSummary {
 		s.MatchedMsgs += r.Matcher.Messages
 	}
 	return s
+}
+
+// checkCounters holds what the hosted ranks of one leg add up to against
+// the matcher's quiesced-counter identities (core.EngineStats.CheckQuiesced):
+// a counter some arrival path forgot fails the leg by name. The host engine
+// runs no core matcher and passes with zeros.
+func checkCounters(t *testing.T, leg string, results ...*replay.Result) {
+	t.Helper()
+	var st core.EngineStats
+	var depth match.Stats
+	for _, r := range results {
+		st.Add(r.Matcher)
+		for _, ns := range r.Sinks {
+			depth.ArriveSearches += ns.Sink.Counters.Load(obs.CtrArriveSearches)
+			depth.Unexpected += ns.Sink.Counters.Load(obs.CtrUnexpectedStored)
+		}
+	}
+	if err := st.CheckQuiesced(depth, false); err != nil {
+		t.Errorf("%s: %v", leg, err)
+	}
 }
 
 func goldenConfig(kind mpi.EngineKind, inflight int) replay.Config {
@@ -98,6 +121,7 @@ func replayNet(t *testing.T, tr *trace.Trace, network string, cfg replay.Config,
 			t.Fatalf("%s rank %d: %v", network, k, err)
 		}
 	}
+	checkCounters(t, network, results...)
 	var rel mpi.ReliabilitySnapshot
 	for _, r := range results {
 		rel.Sent += r.Reliability.Sent
@@ -151,6 +175,7 @@ func TestGoldenCrossTransportEquivalence(t *testing.T) {
 				t.Fatalf("inproc: %v", err)
 			}
 			golden := summarize(base)
+			checkCounters(t, "inproc", base)
 			if golden.Sends == 0 || golden.Recvs == 0 {
 				t.Fatalf("degenerate golden baseline: %+v", golden)
 			}
