@@ -5,7 +5,7 @@
 // each job's posted-receive depth so a greedy tenant backpressures only
 // itself.
 //
-// Control runs over a JSON-lines protocol (submit/status/cancel/list;
+// Control runs over a JSON-lines protocol (submit/status/cancel/wait/list;
 // msgrate -daemon and replay -daemon are clients); observability over
 // HTTP: /metrics (OpenMetrics, per-tenant labels, validated by obscheck
 // -metrics), /healthz, and /tenants. SIGTERM/SIGINT drains gracefully —

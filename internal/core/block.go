@@ -113,9 +113,10 @@ func (f *frontier) waitThrough(i int) {
 }
 
 // Block processes up to BlockSize consecutive messages in parallel. Obtain
-// one with BeginBlock, call Match concurrently from exactly n goroutines
-// (thread IDs 0..n-1, one per message in arrival order), then call Finish
-// (or FinishInto). Up to Config.InFlightBlocks blocks run concurrently;
+// one with BeginBlock, run every thread ID 0..n-1 (one per message in
+// arrival order) through Book and then Resolve — or through Match, which is
+// the two back to back, from n goroutines — then call Finish (or
+// FinishInto). Up to Config.InFlightBlocks blocks run concurrently;
 // each carries a monotone sequence number and they retire in sequence
 // order, which is what serializes their effects (DESIGN.md §9).
 type Block struct {
@@ -136,14 +137,21 @@ type Block struct {
 	booked frontier // partial barrier: booking milestones (§III-D1)
 	done   frontier // finalization milestones (slow-path chain)
 
-	cand [MaxBlockSize]atomic.Int32 // candidate slot per thread, -1 = none
+	cand [MaxBlockSize]atomic.Int32 // candidate slot per thread, or candNone/candRelaxed
 
-	// Per-thread outputs; each thread writes only its own slot.
+	// Per-thread outputs; each thread writes only its own slot. Book leaves
+	// the envelope in results[tid].Env for Resolve.
 	final   [MaxBlockSize]*descriptor
 	results [MaxBlockSize]Result
 	early   [MaxBlockSize]bool // result committed at Match time
 	tstats  [MaxBlockSize]threadStats
 }
+
+// What Book leaves in cand[tid] when it booked no receive.
+const (
+	candNone    = -1 // the optimistic search found nothing
+	candRelaxed = -2 // allow_overtaking message: Resolve claims without booking
+)
 
 // launch is what a block is assigned when it takes its place in the arrival
 // order, in one ring.mu section (launchLocked).
@@ -238,7 +246,7 @@ func (m *OptimisticMatcher) BeginBlock(n int) *Block {
 	b.booked.reset(b.epoch, m.barrierSpins)
 	b.done.reset(b.epoch, m.barrierSpins)
 	for i := 0; i < n; i++ {
-		b.cand[i].Store(-1)
+		b.cand[i].Store(candNone)
 		b.final[i] = nil
 		b.results[i] = Result{}
 		b.early[i] = false
@@ -280,9 +288,9 @@ func (m *OptimisticMatcher) claimOldest(env *match.Envelope, tid int, seq uint64
 	}
 }
 
-// Match matches the message for thread tid. It must be called exactly once
-// for every tid in [0, n) and may block on the partial barrier until all
-// lower-numbered threads have called it.
+// Match matches the message for thread tid: Book followed by Resolve. It
+// must be called exactly once for every tid in [0, n) and may block on the
+// partial barrier until all lower-numbered threads have booked.
 //
 // The returned flag reports whether the result is FINAL: committed at Match
 // time because no lower-sequence block was still in flight. A non-final
@@ -292,29 +300,73 @@ func (m *OptimisticMatcher) claimOldest(env *match.Envelope, tid int, seq uint64
 // At in-flight depth 1 matched results are always final; unexpected ones
 // are published to the store at retirement and delivered then.
 func (b *Block) Match(tid int, env *match.Envelope) (Result, bool) {
+	b.Book(tid, env)
+	return b.Resolve(tid)
+}
+
+// Book is thread tid's optimistic phase (§III-C): search all indexes as if
+// alone, select the minimum-label candidate, and book it. It never waits.
+// The envelope (results[tid].Env) and the candidate (cand[tid]) are stashed
+// in the block for Resolve, which may run on another goroutine: both are
+// published by booked.complete(tid), the last thing Book does.
+//
+// Book must be called exactly once for every tid in [0, n), in any order
+// and from any goroutines; each Resolve(tid) follows.
+func (b *Block) Book(tid int, env *match.Envelope) {
 	if env.Seq == 0 {
 		env.Seq = b.seqBase + uint64(tid) + 1
 	}
-	st := &b.tstats[tid]
-
-	// Relaxed matching (§VII mpi_assert_allow_overtaking): ordering
-	// constraints are waived on this communicator, so the thread simply
-	// claims any matching receive, with no booking or conflict resolution.
+	b.results[tid].Env = env
 	if b.m.hints.get(env.Comm).AllowOvertaking {
-		return b.matchRelaxed(tid, env, st)
-	}
-
-	// Optimistic phase (§III-C): search all indexes as if alone, select the
-	// minimum-label candidate, and book it.
-	cand := b.m.searchOldest(env, tid, b.seq, b.horizon, b.m.cfg.EarlyBookingCheck, st)
-	if cand != nil {
+		// Relaxed matching (§VII mpi_assert_allow_overtaking) books nothing,
+		// but the thread still completes its booking milestone so ordered
+		// threads of the same block are not stalled at the partial barrier.
+		b.cand[tid].Store(candRelaxed)
+	} else if cand := b.m.searchOldest(env, tid, b.seq, b.horizon, b.m.cfg.EarlyBookingCheck, &b.tstats[tid]); cand != nil {
 		cand.book(b.epoch, tid)
 		b.cand[tid].Store(cand.slot)
 	}
+	b.booked.complete(tid)
+}
 
-	// Partial barrier (§III-D1): wait for all earlier-message threads to
-	// have booked their candidates.
-	b.enterBarrier(tid)
+// Resolve finishes the match Book(tid) began: partial barrier, conflict
+// detection, fast or slow path, finalization. Its waits are all for
+// milestones of threads at or below tid — bookings through tid itself (its
+// own Book may still be running on another goroutine), and on the slow path
+// the finalization of every lower thread — or, with SimultaneousArrival,
+// for every thread's booking. Resolve calls made in ascending tid order
+// after every Book therefore never wait, which is how one goroutine runs a
+// whole block (dpa.Pipeline) and how a test replays any legal interleaving.
+func (b *Block) Resolve(tid int) (Result, bool) {
+	// Partial barrier (§III-D1): every earlier-message thread has booked.
+	// Waiting through tid itself is what acquires this thread's own stash.
+	b.booked.waitThrough(tid)
+	env := b.results[tid].Env
+	st := &b.tstats[tid]
+	slot := b.cand[tid].Load()
+	if slot == candRelaxed {
+		// Ordering constraints are waived on this communicator: claim any
+		// matching receive, with no conflict resolution.
+		st.relaxed++
+		if d := b.m.claimOldest(env, tid, b.seq, b.horizon, st); d != nil {
+			return b.finalizeMatch(tid, env, d, PathOptimistic)
+		}
+		return b.finalizeUnexpected(tid, env, PathUnexpected)
+	}
+	if b.m.cfg.SimultaneousArrival {
+		b.booked.waitThrough(b.n - 1) // every thread has booked
+	}
+	// One event per block, not per thread: the top of the staircase is the
+	// last exit, so its timestamp bounds every thread's barrier phase.
+	// Per-thread emission costs a ring write per MESSAGE and alone pushes
+	// the enabled-tracing overhead past the DESIGN.md §10 budget.
+	if tid == b.n-1 && b.m.obs.Enabled() {
+		b.m.obs.Event(obs.EvBlockBarrierExit, tid, b.seq, uint64(tid), 0)
+	}
+	var cand *descriptor
+	if slot >= 0 {
+		cand = b.m.table.get(slot)
+	}
 
 	// Conflict detection (§III-D2).
 	myLoss := false
@@ -358,49 +410,12 @@ func (b *Block) Match(tid int, env *match.Envelope) (Result, bool) {
 
 	// Slow path (§III-D3b): wait for every earlier thread to finalize, then
 	// redo the search with exclusive access to the block's leftovers.
-	b.waitLowerDone(tid)
+	b.done.waitThrough(tid - 1)
 	st.slowPath++
 	if d := b.m.claimOldest(env, tid, b.seq, b.horizon, st); d != nil {
 		return b.finalizeMatch(tid, env, d, PathSlow)
 	}
 	return b.finalizeUnexpected(tid, env, PathUnexpected)
-}
-
-// matchRelaxed is the allow_overtaking arrival path: claim the first
-// available matching receive by CAS (claimOldest). The
-// thread still participates in the booking frontier (with no candidate) so
-// ordered threads of the same block are not stalled at the partial barrier.
-func (b *Block) matchRelaxed(tid int, env *match.Envelope, st *threadStats) (Result, bool) {
-	b.booked.complete(tid)
-	st.relaxed++
-	if d := b.m.claimOldest(env, tid, b.seq, b.horizon, st); d != nil {
-		return b.finalizeMatch(tid, env, d, PathOptimistic)
-	}
-	return b.finalizeUnexpected(tid, env, PathUnexpected)
-}
-
-// enterBarrier publishes thread tid's booking and waits for threads < tid
-// (§III-D1 partial barrier) — or for all threads when the matcher models
-// simultaneous handler activation.
-func (b *Block) enterBarrier(tid int) {
-	b.booked.complete(tid)
-	if b.m.cfg.SimultaneousArrival {
-		b.booked.waitThrough(b.n - 1)
-	} else {
-		b.booked.waitThrough(tid - 1)
-	}
-	// One event per block, not per thread: the top of the staircase is the
-	// last exit, so its timestamp bounds every thread's barrier phase.
-	// Per-thread emission costs a ring write per MESSAGE and alone pushes
-	// the enabled-tracing overhead past the DESIGN.md §10 budget.
-	if tid == b.n-1 && b.m.obs.Enabled() {
-		b.m.obs.Event(obs.EvBlockBarrierExit, tid, b.seq, uint64(tid), 0)
-	}
-}
-
-// waitLowerDone blocks until every thread below tid has finalized.
-func (b *Block) waitLowerDone(tid int) {
-	b.done.waitThrough(tid - 1)
 }
 
 // anyLowerConflict reports whether any thread below tid lost its booking in

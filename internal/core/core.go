@@ -108,12 +108,13 @@ type Config struct {
 	DisableFastPath bool
 	// SimultaneousArrival models the DPA's simultaneous handler activation
 	// on a message burst: every thread completes its optimistic search and
-	// booking before any thread moves to conflict detection (a full barrier
-	// instead of the partial one). Without it, a simulated thread that
-	// finishes early consumes its receive before later threads even search,
-	// so the all-threads-booked-the-same-receive precondition of the fast
-	// path almost never forms. The partial barrier remains the default, as
-	// in the paper.
+	// booking before any thread moves to conflict detection (Resolve waits
+	// for the whole block's bookings, a full barrier instead of the partial
+	// one). Without it a thread may resolve, and consume its receive, while
+	// higher threads have yet to book, so whether the
+	// all-threads-booked-the-same-receive precondition of the fast path
+	// forms depends on the schedule. The partial barrier remains the
+	// default, as in the paper.
 	SimultaneousArrival bool
 }
 

@@ -10,10 +10,12 @@ import (
 	"repro/internal/match/matchtest"
 )
 
-// runBlocks drives a scenario through the engine, grouping consecutive
-// arrivals into parallel blocks of up to blockN messages, exactly as the
-// DPA does over the incoming message stream.
-func runBlocks(t *testing.T, m *core.OptimisticMatcher, ops []matchtest.Op, blockN int) (pairings []match.Pairing, posted, unexpected int) {
+// drive runs a scenario through the engine: posts go to PostRecv one at a
+// time, and consecutive arrivals gather into batches of up to batch
+// messages — a post flushes the batch first, because the scenario is
+// sequential and a post happens-after every earlier arrival — which arrive
+// matches, returning one settled result per message.
+func drive(t *testing.T, m *core.OptimisticMatcher, ops []matchtest.Op, batch int, arrive func([]*match.Envelope) []core.Result) (pairings []match.Pairing, posted, unexpected int) {
 	t.Helper()
 	var seq uint64
 	var pending []*match.Envelope
@@ -22,7 +24,7 @@ func runBlocks(t *testing.T, m *core.OptimisticMatcher, ops []matchtest.Op, bloc
 		if len(pending) == 0 {
 			return
 		}
-		for _, res := range m.ArriveBlock(pending) {
+		for _, res := range arrive(pending) {
 			if !res.Unexpected {
 				pairings = append(pairings, match.Pairing{MsgSeq: res.Env.Seq, RecvLabel: res.Recv.Label})
 			}
@@ -44,13 +46,21 @@ func runBlocks(t *testing.T, m *core.OptimisticMatcher, ops []matchtest.Op, bloc
 		} else {
 			seq++
 			pending = append(pending, &match.Envelope{Source: op.Src, Tag: op.Tag, Comm: op.Comm, Seq: seq})
-			if len(pending) == blockN {
+			if len(pending) == batch {
 				flush()
 			}
 		}
 	}
 	flush()
 	return pairings, m.PostedDepth(), m.UnexpectedDepth()
+}
+
+// runBlocks drives a scenario through the engine, grouping consecutive
+// arrivals into parallel blocks of up to blockN messages, exactly as the
+// DPA does over the incoming message stream.
+func runBlocks(t *testing.T, m *core.OptimisticMatcher, ops []matchtest.Op, blockN int) (pairings []match.Pairing, posted, unexpected int) {
+	t.Helper()
+	return drive(t, m, ops, blockN, m.ArriveBlock)
 }
 
 func engineConfig(bins, blockN int, mutate func(*core.Config)) core.Config {

@@ -16,46 +16,10 @@ import (
 // runPipelined drives a scenario through the engine like runBlocks, but
 // flushes pending arrivals through ArrivePipelined in batches of up to
 // depth×blockN messages, so up to depth matching blocks are genuinely in
-// flight at once. Posts flush first (the scenario is sequential: a post
-// happens-after every earlier arrival).
+// flight at once.
 func runPipelined(t *testing.T, m *core.OptimisticMatcher, ops []matchtest.Op, blockN, depth int) (pairings []match.Pairing, posted, unexpected int) {
 	t.Helper()
-	var seq uint64
-	var pending []*match.Envelope
-
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		for _, res := range m.ArrivePipelined(pending) {
-			if !res.Unexpected {
-				pairings = append(pairings, match.Pairing{MsgSeq: res.Env.Seq, RecvLabel: res.Recv.Label})
-			}
-		}
-		pending = pending[:0]
-	}
-
-	for _, op := range ops {
-		if op.Post {
-			flush()
-			r := &match.Recv{Source: op.Src, Tag: op.Tag, Comm: op.Comm}
-			env, ok, err := m.PostRecv(r)
-			if err != nil {
-				t.Fatalf("PostRecv: %v", err)
-			}
-			if ok {
-				pairings = append(pairings, match.Pairing{MsgSeq: env.Seq, RecvLabel: r.Label})
-			}
-		} else {
-			seq++
-			pending = append(pending, &match.Envelope{Source: op.Src, Tag: op.Tag, Comm: op.Comm, Seq: seq})
-			if len(pending) == blockN*depth {
-				flush()
-			}
-		}
-	}
-	flush()
-	return pairings, m.PostedDepth(), m.UnexpectedDepth()
+	return drive(t, m, ops, blockN*depth, m.ArrivePipelined)
 }
 
 // TestInFlightDepthEquivalence is the central multi-block correctness

@@ -136,7 +136,7 @@ func TestUnbuildableOffloadSpecsRefused(t *testing.T) {
 			t.Fatalf("DecodeRequest accepted %s", tc.line)
 		}
 		for i := 0; i < 10; i++ {
-			resp := d.handle([]byte(tc.line))
+			resp := d.handle([]byte(tc.line), nil)
 			if resp.OK || resp.Code != tc.code || !strings.Contains(resp.Error, tc.names) {
 				t.Fatalf("%s: ok=%v code=%s error=%q, want %s naming %q",
 					tc.line, resp.OK, resp.Code, resp.Error, tc.code, tc.names)

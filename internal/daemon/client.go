@@ -66,9 +66,9 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Submit submits one job and returns its initial status.
-func (c *Client) Submit(spec JobSpec) (*JobStatus, error) {
-	resp, err := c.do(Request{Op: OpSubmit, Job: &spec})
+// job round-trips a request whose reply carries one job's status.
+func (c *Client) job(req Request) (*JobStatus, error) {
+	resp, err := c.do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -76,30 +76,21 @@ func (c *Client) Submit(spec JobSpec) (*JobStatus, error) {
 		return nil, fmt.Errorf("daemon reply missing job status")
 	}
 	return resp.Job, nil
+}
+
+// Submit submits one job and returns its initial status.
+func (c *Client) Submit(spec JobSpec) (*JobStatus, error) {
+	return c.job(Request{Op: OpSubmit, Job: &spec})
 }
 
 // Status fetches one job's state.
 func (c *Client) Status(id string) (*JobStatus, error) {
-	resp, err := c.do(Request{Op: OpStatus, ID: id})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Job == nil {
-		return nil, fmt.Errorf("daemon reply missing job status")
-	}
-	return resp.Job, nil
+	return c.job(Request{Op: OpStatus, ID: id})
 }
 
 // Cancel requests a job's cancellation and returns its status.
 func (c *Client) Cancel(id string) (*JobStatus, error) {
-	resp, err := c.do(Request{Op: OpCancel, ID: id})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Job == nil {
-		return nil, fmt.Errorf("daemon reply missing job status")
-	}
-	return resp.Job, nil
+	return c.job(Request{Op: OpCancel, ID: id})
 }
 
 // List fetches every job's status.
@@ -111,21 +102,18 @@ func (c *Client) List() ([]JobStatus, error) {
 	return resp.Jobs, nil
 }
 
-// Wait polls until the job reaches a terminal state or the timeout
-// expires (timeout <= 0 waits forever).
+// Wait blocks until the job reaches a terminal state or the timeout
+// expires (timeout <= 0 waits forever). It is one request: the daemon
+// replies when the job settles.
 func (c *Client) Wait(id string, timeout time.Duration) (*JobStatus, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		st, err := c.Status(id)
-		if err != nil {
-			return nil, err
-		}
-		if st.Terminal() {
-			return st, nil
-		}
-		if timeout > 0 && time.Now().After(deadline) {
-			return st, fmt.Errorf("job %s still %s after %v", id, st.State, timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
+	req := Request{Op: OpWait, ID: id}
+	if timeout > 0 {
+		// Round up: a sub-millisecond timeout must not read as "forever".
+		req.TimeoutMS = int((timeout + time.Millisecond - 1) / time.Millisecond)
 	}
+	st, err := c.job(req)
+	if err == nil && !st.Terminal() {
+		err = fmt.Errorf("job %s still %s after %v", id, st.State, timeout)
+	}
+	return st, err
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -178,14 +179,27 @@ func (d *Daemon) Cancel(id string) (JobStatus, error) {
 }
 
 // WaitJob blocks until the job reaches a terminal state.
-func (d *Daemon) WaitJob(id string) (JobStatus, error) {
+func (d *Daemon) WaitJob(id string) (JobStatus, error) { return d.waitJob(id, 0, nil) }
+
+// waitJob returns the job's status once it is terminal, once timeout has
+// passed (0: never), or once gone closes, whichever comes first. Drain
+// releases every waiter because it settles every job.
+func (d *Daemon) waitJob(id string, timeout time.Duration, gone <-chan struct{}) (JobStatus, error) {
 	d.mu.Lock()
 	j := d.jobs[id]
 	d.mu.Unlock()
 	if j == nil {
 		return JobStatus{}, &AdmissionError{Code: CodeUnknownJob, Reason: fmt.Sprintf("no job %q", id)}
 	}
-	<-j.done
+	var expired <-chan time.Time
+	if timeout > 0 {
+		expired = d.clock.After(timeout)
+	}
+	select {
+	case <-j.done:
+	case <-expired:
+	case <-gone:
+	}
 	return d.Status(id)
 }
 
@@ -303,29 +317,52 @@ func (d *Daemon) CloseConns() {
 }
 
 func (d *Daemon) serveConn(conn net.Conn) {
+	// The connection is read beside the request loop, not by it, so that a
+	// request blocked in a wait is released when the peer goes away: gone
+	// closes once nothing more can be read.
+	lines := make(chan []byte)
+	gone := make(chan struct{})
+	quit := make(chan struct{})
+	go func() {
+		defer close(gone)
+		sc := bufio.NewScanner(conn)
+		sc.Buffer(make([]byte, 64<<10), MaxLineBytes)
+		for sc.Scan() {
+			if len(sc.Bytes()) == 0 {
+				continue
+			}
+			line := append([]byte(nil), sc.Bytes()...) // Scan reuses its buffer
+			select {
+			case lines <- line:
+			case <-quit:
+				return
+			}
+		}
+	}()
 	defer func() {
+		close(quit)
 		conn.Close()
+		<-gone
 		d.mu.Lock()
 		delete(d.conns, conn)
 		d.mu.Unlock()
 	}()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), MaxLineBytes)
 	enc := json.NewEncoder(conn)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		resp := d.handle(line)
-		if err := enc.Encode(resp); err != nil {
+	for {
+		select {
+		case line := <-lines:
+			if err := enc.Encode(d.handle(line, gone)); err != nil {
+				return
+			}
+		case <-gone:
 			return
 		}
 	}
 }
 
-// handle dispatches one decoded request line to a response.
-func (d *Daemon) handle(line []byte) *Response {
+// handle dispatches one decoded request line to a response. A wait blocks
+// until its job settles, its timeout passes or gone closes.
+func (d *Daemon) handle(line []byte, gone <-chan struct{}) *Response {
 	req, err := DecodeRequest(line)
 	if err != nil {
 		d.sink.CounterInc(obs.CtrDaemonBadRequests)
@@ -350,6 +387,12 @@ func (d *Daemon) handle(line []byte) *Response {
 		return &Response{OK: true, Job: &st}
 	case OpCancel:
 		st, err := d.Cancel(req.ID)
+		if err != nil {
+			return errResponse(err)
+		}
+		return &Response{OK: true, Job: &st}
+	case OpWait:
+		st, err := d.waitJob(req.ID, time.Duration(req.TimeoutMS)*time.Millisecond, gone)
 		if err != nil {
 			return errResponse(err)
 		}

@@ -47,6 +47,8 @@ const (
 	MaxReceivesCap = 1 << 20
 	// MaxScale bounds the replay generator scale percentage.
 	MaxScale = 100
+	// MaxWaitMillis bounds a wait request's timeout (one day).
+	MaxWaitMillis = 24 * 60 * 60 * 1000
 )
 
 // Request ops.
@@ -56,6 +58,9 @@ const (
 	OpCancel = "cancel"
 	OpList   = "list"
 	OpPing   = "ping"
+	// OpWait replies with the job's status once it is terminal, or once
+	// timeout_ms has passed (0: no timeout), whichever comes first.
+	OpWait = "wait"
 )
 
 // Typed error codes carried in Response.Code.
@@ -72,7 +77,10 @@ const (
 type Request struct {
 	Op  string   `json:"op"`
 	Job *JobSpec `json:"job,omitempty"` // submit
-	ID  string   `json:"id,omitempty"`  // status, cancel
+	ID  string   `json:"id,omitempty"`  // status, cancel, wait
+	// TimeoutMS bounds a wait in milliseconds; 0 waits until the job is
+	// terminal.
+	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
 // JobSpec describes one job to host. Zero fields take defaults
@@ -149,7 +157,7 @@ var engineKinds = map[string]mpi.EngineKind{
 
 var (
 	validTransports = map[string]bool{"inproc": true, "tcp": true, "udp": true, "shm": true, "hybrid": true}
-	validOps        = map[string]bool{OpSubmit: true, OpStatus: true, OpCancel: true, OpList: true, OpPing: true}
+	validOps        = map[string]bool{OpSubmit: true, OpStatus: true, OpCancel: true, OpList: true, OpPing: true, OpWait: true}
 )
 
 // lossy reports whether the transport drops datagrams by nature; the
@@ -186,9 +194,12 @@ func DecodeRequest(line []byte) (*Request, error) {
 		if err := req.Job.Validate(); err != nil {
 			return nil, err
 		}
-	case OpStatus, OpCancel:
+	case OpStatus, OpCancel, OpWait:
 		if err := checkName("job id", req.ID, true); err != nil {
 			return nil, err
+		}
+		if req.Op == OpWait && (req.TimeoutMS < 0 || req.TimeoutMS > MaxWaitMillis) {
+			return nil, fmt.Errorf("timeout_ms %d outside [0,%d]", req.TimeoutMS, MaxWaitMillis)
 		}
 	}
 	return &req, nil

@@ -20,6 +20,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"op":"list"}`,
 		`{"op":"status","id":"job-1"}`,
 		`{"op":"cancel","id":"job-1"}`,
+		`{"op":"wait","id":"job-1"}`,
+		`{"op":"wait","id":"job-1","timeout_ms":250}`,
+		`{"op":"wait","id":"job-1","timeout_ms":-1}`,
+		`{"op":"wait","id":"job-1","timeout_ms":9223372036854775807}`,
+		`{"op":"wait","timeout_ms":250}`,
 		`{"op":"submit","job":{"tenant":"alpha"}}`,
 		`{"op":"submit","job":{"tenant":"alpha","engine":"offload","transport":"shm","ranks":4,"k":8,"reps":2,"inflight":8}}`,
 		`{"op":"submit","job":{"tenant":"alpha","workload":"replay","app":"AMG","scale":5}}`,
@@ -96,9 +101,12 @@ func FuzzDecodeRequest(f *testing.F) {
 			if th := specThreads(s); th < 0 || th > MaxRanks*dpa.MaxThreads {
 				t.Fatalf("thread charge %d out of bounds", th)
 			}
-		case OpStatus, OpCancel:
+		case OpStatus, OpCancel, OpWait:
 			if req.ID == "" || len(req.ID) > MaxNameLen {
 				t.Fatalf("accepted bad id %q", req.ID)
+			}
+			if req.Op == OpWait && (req.TimeoutMS < 0 || req.TimeoutMS > MaxWaitMillis) {
+				t.Fatalf("accepted wait timeout %d ms", req.TimeoutMS)
 			}
 		}
 		// An accepted request must survive a marshal round-trip (the
@@ -118,11 +126,11 @@ func TestDecodeRequestDuplicateJobIDs(t *testing.T) {
 		t.Fatalf("DecodeRequest: %v", err)
 	}
 	d := New(Config{Clock: newFakeClock()})
-	resp := d.handle(line)
+	resp := d.handle(line, nil)
 	if !resp.OK {
 		t.Fatalf("first submit rejected: %s %s", resp.Code, resp.Error)
 	}
-	resp = d.handle(line)
+	resp = d.handle(line, nil)
 	if resp.OK || resp.Code != CodeDuplicate {
 		t.Fatalf("duplicate submit: ok=%v code=%s, want %s", resp.OK, resp.Code, CodeDuplicate)
 	}

@@ -118,35 +118,48 @@ type Accelerator struct {
 	closed      atomic.Bool
 }
 
-// blockState is one block's dispatch record: workers steal thread IDs by
-// advancing the packed state word until the block is exhausted. States are
-// pooled — the steady-state dispatch path allocates nothing per block —
-// which is safe because every access is guarded by the generation tag (see
-// ticket): a worker still inspecting a recycled state sees a bumped
-// generation and walks away without touching the new block.
+// blockState is one block's dispatch record: the launcher and the workers
+// claim item numbers by advancing the packed state word until the block is
+// exhausted. States are pooled — the steady-state dispatch path allocates
+// nothing per block — which is safe because every access is guarded by the
+// generation tag (see ticket): a worker still inspecting a recycled state
+// sees a bumped generation and walks away without touching the new block.
 //
-// state packs generation(32) | n(16) | next(16). Workers claim thread ID
-// `next` by CAS-incrementing the word; the CAS revalidates the generation
-// and the bound together, so a stale worker can never steal an ID from, or
-// run a handler of, a block it holds no ticket for. n and next fit 16 bits
-// because blocks never exceed MaxThreads (256) activations.
+// state packs generation(32) | n(16) | next(16). Item `next` is claimed by
+// CAS-incrementing the word; the CAS revalidates the generation and the
+// bound together, so a stale worker can never take an item from, or run a
+// handler of, a block it holds no ticket for. Items are claimed in ascending
+// order, which is what lets an item wait for lower-numbered ones whatever
+// the number of goroutines draining the block: the lowest unfinished item
+// waits for nothing, and whoever claimed it is running it.
 type blockState struct {
-	fn    func(tid int)
+	fn    func(item int)
 	state atomic.Uint64
 	wg    sync.WaitGroup
 }
 
+// maxItems is the widest block the packed state word can count.
+const maxItems = 0xFFFF
+
 // ticket is one worker wake-up for one block: the block's dispatch record
-// plus the generation it was issued for. Tickets pass through the work
-// channel by value, so waking a worker allocates nothing.
+// plus the generation it was issued for, and whether its drainers chain
+// their wake-ups (drain). Tickets pass through the work channel by value, so
+// waking a worker allocates nothing.
 type ticket struct {
-	bs  *blockState
-	gen uint32
+	bs    *blockState
+	gen   uint32
+	chain bool
+}
+
+// claimable reports whether state word v still belongs to t's block and has
+// an item left to claim.
+func (t ticket) claimable(v uint64) bool {
+	return uint32(v>>32) == t.gen && int(v)&maxItems < int(v>>16)&maxItems
 }
 
 // bsPool recycles block dispatch records. fn and wg are only read after a
-// successful generation-validated CAS, which orders them after RunBlock's
-// writes and pins the record live until the claimed activation's Done.
+// successful generation-validated CAS, which orders them after publish's
+// writes and pins the record live until the claimed item's Done.
 var bsPool = sync.Pool{New: func() any { return new(blockState) }}
 
 // Config parameterizes the simulated device.
@@ -190,60 +203,66 @@ func MustNew(cfg Config) *Accelerator {
 }
 
 // worker executes handler activations to completion, one at a time — the
-// DPA's run-to-completion discipline. Activations are claimed by stealing
-// thread IDs from the block's counter, so a free worker drains as many
-// consecutive activations as it can without a scheduler round-trip.
-//
-// Wake-ups are chained: RunBlock issues a single ticket, and a worker that
-// claims an ID while more remain passes one ticket on before it runs its
-// handler. A block whose handlers run to completion therefore costs two
-// wake-ups (the second worker finds the block drained), while a block
-// whose handlers block on each other still gets one worker per activation:
-// every blocked worker has already woken its successor.
+// DPA's run-to-completion discipline.
 func (a *Accelerator) worker() {
 	defer a.wg.Done()
 	for t := range a.work {
-		bs := t.bs
-		forwarded := false
-		for {
-			v := bs.state.Load()
-			if uint32(v>>32) != t.gen {
-				break // the record moved on to a later block
-			}
-			n := int(v>>16) & 0xFFFF
-			tid := int(v) & 0xFFFF
-			if tid >= n {
-				break // block exhausted: surplus ticket
-			}
-			if !bs.state.CompareAndSwap(v, v+1) {
-				continue // lost the claim race; retry on the fresh word
-			}
-			if !forwarded && tid+1 < n {
-				// Never block here: a full channel means at least Threads
-				// wake-ups are already pending, and this worker keeps
-				// draining the block itself (retrying at its next claim).
-				select {
-				case a.work <- t:
-					forwarded = true
-				default:
-				}
-			}
-			bs.fn(tid)
-			a.activations.Add(1)
-			bs.wg.Done()
-		}
+		a.drain(t)
 	}
 }
 
-// RunBlock executes fn(0) … fn(n-1) concurrently on the pool and waits for
-// all of them — one activation per message of a matching block. n may not
-// exceed the thread count.
-func (a *Accelerator) RunBlock(n int, fn func(tid int)) {
-	if n > a.threads {
-		panic(fmt.Sprintf("dpa: RunBlock(%d) exceeds %d threads", n, a.threads))
+// drain claims and runs items of the block t was issued for until none is
+// left, so a goroutine takes as many consecutive items as it can without a
+// scheduler round-trip.
+//
+// On a chaining ticket wake-ups are chained: a drainer that claims an item
+// while more remain wakes one worker before it runs the item. A block whose
+// items run to completion then costs one wake-up (the woken worker finds
+// the block drained), while a block whose items block on each other still
+// gets one goroutine per item, as far as the pool reaches: every blocked
+// drainer has already woken its successor. Otherwise an item that is about
+// to block calls wake itself.
+func (a *Accelerator) drain(t ticket) {
+	bs, chain := t.bs, t.chain
+	for {
+		v := bs.state.Load()
+		if !t.claimable(v) {
+			return // block exhausted, or the record moved on to a later one
+		}
+		item := int(v) & maxItems
+		if !bs.state.CompareAndSwap(v, v+1) {
+			continue // lost the claim race; retry on the fresh word
+		}
+		if chain && a.wake(t) {
+			chain = false
+		}
+		bs.fn(item)
+		bs.wg.Done()
 	}
-	if n <= 0 {
-		return
+}
+
+// wake hands one worker a ticket for t's block, unless no item is left to
+// claim. It never blocks: it reports false when the channel is full, which
+// means at least Threads wake-ups are already pending, and the caller keeps
+// draining the block itself.
+func (a *Accelerator) wake(t ticket) bool {
+	if !t.claimable(t.bs.state.Load()) {
+		return true
+	}
+	select {
+	case a.work <- t:
+		return true
+	default:
+		return false
+	}
+}
+
+// publish makes fn(0) … fn(n-1), n ≥ 1, claimable under the returned
+// ticket. The publisher drains the block itself (drain), so progress never
+// depends on a worker being free, and then calls finish.
+func (a *Accelerator) publish(n int, fn func(item int), chain bool) ticket {
+	if n > maxItems {
+		panic(fmt.Sprintf("dpa: block of %d items exceeds %d", n, maxItems))
 	}
 	bs := bsPool.Get().(*blockState)
 	gen := uint32(bs.state.Load()>>32) + 1
@@ -252,12 +271,29 @@ func (a *Accelerator) RunBlock(n int, fn func(tid int)) {
 	// Publishing the new generation ends any straggler from the record's
 	// previous life: its next Load or CAS sees the bumped word and breaks.
 	bs.state.Store(uint64(gen)<<32 | uint64(n)<<16)
-	// One ticket starts the chain (see worker); the rest are forwarded by
-	// the workers themselves, only as far as the block needs them.
-	a.work <- ticket{bs: bs, gen: gen}
-	bs.wg.Wait()
-	bs.fn = nil
-	bsPool.Put(bs)
+	return ticket{bs: bs, gen: gen, chain: chain}
+}
+
+// finish waits for the items other goroutines are still running and
+// recycles the record.
+func (a *Accelerator) finish(t ticket) {
+	t.bs.wg.Wait()
+	t.bs.fn = nil
+	bsPool.Put(t.bs)
+}
+
+// RunBlock executes fn(0) … fn(n-1) concurrently — on the pool and on the
+// calling goroutine — and waits for all of them: one activation each.
+// Activations that all wait for each other need n ≤ Threads+1; activations
+// that wait only for lower-numbered ones finish at any n.
+func (a *Accelerator) RunBlock(n int, fn func(tid int)) {
+	if n <= 0 {
+		return
+	}
+	t := a.publish(n, fn, true)
+	a.drain(t)
+	a.finish(t)
+	a.activations.Add(uint64(n))
 }
 
 // Threads returns the execution-unit count.
@@ -266,7 +302,8 @@ func (a *Accelerator) Threads() int { return a.threads }
 // Arena returns the device memory arena.
 func (a *Accelerator) Arena() *Arena { return a.arena }
 
-// Activations returns the number of handler activations executed.
+// Activations returns the number of handler activations executed: one per
+// message handled, counted when its block finishes.
 func (a *Accelerator) Activations() uint64 { return a.activations.Load() }
 
 // Close stops the workers. RunBlock must not be called afterwards.

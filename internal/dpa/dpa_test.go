@@ -1,9 +1,12 @@
 package dpa
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/match"
@@ -61,15 +64,140 @@ func TestAcceleratorRunBlock(t *testing.T) {
 	}
 }
 
-func TestAcceleratorRunBlockTooWide(t *testing.T) {
-	acc := MustNew(Config{Threads: 2})
-	defer acc.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunBlock beyond thread count must panic")
+// TestConflictedBlockOnOneThread runs blocks whose handlers all conflict on
+// accelerators narrower than the blocks. Every wait of a block's work item is
+// for a lower-numbered item, claimed earlier by a goroutine that is running,
+// so the thread count is the modelled width and not a liveness condition.
+func TestConflictedBlockOnOneThread(t *testing.T) {
+	// With-conflict, slow-path matcher (Figure 8 WC-SP): every thread books
+	// the same receive and all but the first resolve one after another.
+	wcsp := func(blockSize, depth int) core.Config {
+		return core.Config{Bins: 64, MaxReceives: 256, BlockSize: blockSize, InFlightBlocks: depth,
+			SimultaneousArrival: true, DisableFastPath: true}
+	}
+	// run pushes msgs same-key messages for as many posted receives before
+	// the pipeline starts, so that it forms full blocks, and requires the
+	// list matcher's pairing: message i takes receive i.
+	run := func(t *testing.T, threads int, cfg core.Config, msgs int, handle func(*core.OptimisticMatcher)) *core.OptimisticMatcher {
+		t.Helper()
+		acc := MustNew(Config{Threads: threads})
+		defer acc.Close()
+		matcher := core.MustNew(cfg)
+		cq := rdma.NewCQ()
+		p := NewPipeline(acc, matcher, cq)
+		p.Decode = func(c rdma.Completion, env *match.Envelope) *match.Envelope {
+			env.Source, env.Tag = 1, 5
+			return env
 		}
-	}()
-	acc.RunBlock(3, func(int) {})
+		var mu sync.Mutex
+		got := make(map[uint64]uint64) // message sequence → receive label
+		p.Handle = func(tid int, res core.Result, c rdma.Completion) {
+			if handle != nil {
+				handle(matcher)
+			}
+			if res.Unexpected {
+				t.Errorf("message %d found no receive", res.Env.Seq)
+				return
+			}
+			mu.Lock()
+			got[res.Env.Seq] = res.Recv.Label
+			mu.Unlock()
+		}
+		golden := match.NewListMatcher()
+		want := make(map[uint64]uint64)
+		for i := 0; i < msgs; i++ {
+			if _, _, err := matcher.PostRecv(&match.Recv{Source: 1, Tag: 5}); err != nil {
+				t.Fatal(err)
+			}
+			golden.PostRecv(&match.Recv{Source: 1, Tag: 5})
+			cq.Push(rdma.Completion{Op: rdma.OpRecv})
+		}
+		for seq := uint64(1); seq <= uint64(msgs); seq++ {
+			r, _ := golden.Arrive(&match.Envelope{Source: 1, Tag: 5, Seq: seq})
+			want[seq] = r.Label
+		}
+		p.Start()
+		for p.Messages() < uint64(msgs) {
+			runtime.Gosched()
+		}
+		p.Stop()
+		mu.Lock()
+		defer mu.Unlock()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pairing (message → receive label):\n got %v\nwant %v", got, want)
+		}
+		if a := acc.Activations(); a != uint64(msgs) {
+			t.Fatalf("activations = %d, want %d (one per message)", a, msgs)
+		}
+		return matcher
+	}
+
+	t.Run("block of 32 on one thread", func(t *testing.T) {
+		m := run(t, 1, wcsp(32, 1), 32, nil)
+		if st := m.Stats(); st.Blocks != 1 || st.Conflicts != 31 || st.SlowPath != 31 {
+			t.Fatalf("want one block with 31 slow-path conflicts, got %+v", st)
+		}
+	})
+
+	// Four blocks of eight in flight on eight threads. The first handler
+	// does not return until the fourth block has begun, so a pipeline that
+	// narrowed its depth to Threads/BlockSize = 1 would never get there.
+	t.Run("depth 4 wider than the pool", func(t *testing.T) {
+		var once sync.Once
+		run(t, 8, wcsp(8, 4), 32, func(m *core.OptimisticMatcher) {
+			once.Do(func() {
+				deadline := time.Now().Add(10 * time.Second)
+				for m.Stats().Blocks < 4 {
+					if time.Now().After(deadline) {
+						t.Errorf("%d blocks begun behind a blocked handler, want 4", m.Stats().Blocks)
+						return
+					}
+					runtime.Gosched()
+				}
+			})
+		})
+	})
+}
+
+// TestRendezvousHandlersOverlap pins what the pool is still for: a handler
+// about to issue a rendezvous READ wakes a worker first, so the READs of a
+// block are in flight together (as far as the pool reaches) although its
+// eager handlers all run on the launcher. Here no handler returns until all
+// four are inside Handle.
+func TestRendezvousHandlersOverlap(t *testing.T) {
+	const n = 4
+	acc := MustNew(Config{Threads: n})
+	defer acc.Close()
+	matcher := core.MustNew(core.Config{Bins: 64, MaxReceives: 64, BlockSize: n})
+	cq := rdma.NewCQ()
+	p := NewPipeline(acc, matcher, cq)
+	p.Decode = func(c rdma.Completion, env *match.Envelope) *match.Envelope {
+		env.Source, env.Tag, env.SenderKey = 1, match.Tag(c.WRID), 7
+		return env
+	}
+	var inside atomic.Int32
+	p.Handle = func(tid int, res core.Result, c rdma.Completion) {
+		inside.Add(1)
+		deadline := time.Now().Add(10 * time.Second)
+		for inside.Load() < n {
+			if time.Now().After(deadline) {
+				t.Errorf("handler %d: %d of %d rendezvous handlers in flight", tid, inside.Load(), n)
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, _, err := matcher.PostRecv(&match.Recv{Source: 1, Tag: match.Tag(i)}); err != nil {
+			t.Fatal(err)
+		}
+		cq.Push(rdma.Completion{Op: rdma.OpRecv, WRID: uint64(i)})
+	}
+	p.Start()
+	for p.Messages() < n {
+		runtime.Gosched()
+	}
+	p.Stop()
 }
 
 func TestAcceleratorConfigValidation(t *testing.T) {

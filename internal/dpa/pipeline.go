@@ -26,10 +26,7 @@ import (
 // matching blocks in flight: block k+1's handlers run while block k's are
 // still matching, with the matcher's retire frontier settling results in
 // arrival order (DESIGN.md §9). Depth 1 reproduces the original serial
-// launcher exactly. The effective depth is clamped so that
-// depth × BlockSize never exceeds the accelerator's thread count —
-// otherwise activations of a newer block could occupy every worker while
-// parked at the partial barrier, starving the older block they wait on.
+// launcher exactly.
 type Pipeline struct {
 	acc     *Accelerator
 	matcher *core.OptimisticMatcher
@@ -37,16 +34,19 @@ type Pipeline struct {
 
 	// Decode converts a receive completion (header + bounce buffer) into a
 	// matching envelope, filling env (drawn from Envelopes) and returning
-	// it. It runs on a DPA thread (for a block of one at depth 1, on the
-	// formation loop: runOne).
+	// it. It runs in the first half of a handler activation, on whichever
+	// goroutine drains the block: its runner or a DPA worker (for a block
+	// of one at depth 1, the formation loop: runOne).
 	Decode func(c rdma.Completion, env *match.Envelope) *match.Envelope
-	// Handle executes protocol handling for one match result on a DPA
-	// thread: eager copy to the user buffer, rendezvous RDMA read, or
-	// unexpected-message bookkeeping. For results that settle at Match time
-	// it runs on the handler's thread; for results deferred to block
-	// retirement (cross-block conflicts, unexpected messages) it runs on
-	// the retiring block's runner. A block of one at depth 1 is handled on
-	// the formation loop (runOne).
+	// Handle executes protocol handling for one match result: eager copy
+	// to the user buffer, rendezvous RDMA read, or unexpected-message
+	// bookkeeping. For results that settle at Resolve time it runs in the
+	// second half of the activation, and a worker is woken first when the
+	// envelope carries a SenderKey (the READ may block; the other handlers
+	// should not wait for it); for results deferred to block retirement
+	// (cross-block conflicts, unexpected messages) it runs on the retiring
+	// block's runner. A block of one at depth 1 is handled on the
+	// formation loop (runOne).
 	Handle func(tid int, res core.Result, c rdma.Completion)
 	// Classify, when set, reports whether a completion carries a message
 	// that needs matching. Completions classified false (protocol control
@@ -131,28 +131,43 @@ type blockRunner struct {
 	p     *Pipeline
 	comps []rdma.Completion
 	blk   *core.Block
+	t     ticket // the block's dispatch record, for step to wake a helper
 }
 
-// step is one handler activation (§IV-B): decode into a pooled envelope,
-// match, and — when the result is final at Match time — run the protocol
-// handler and recycle. Non-final results (cross-block conflicts, unexpected
-// messages) are handled by deliver when the block retires.
-func (r *blockRunner) step(tid int) {
-	c := r.comps[tid]
-	env := r.p.Envelopes.Get()
-	env = r.p.Decode(c, env)
-	res, final := r.blk.Match(tid, env)
+// step is one of a block's 2n work items, claimed in ascending order
+// (Accelerator.drain). Items 0…n-1 are the first half of a handler
+// activation (§IV-B): decode into a pooled envelope and book, which never
+// waits. Items n…2n-1 are the second half: resolve and — when the result is
+// final — run the protocol handler and recycle. Resolve(tid) waits only for
+// Book calls and lower Resolve calls, all lower-numbered items, so however
+// few goroutines drain the block none of them parks on a peer that is not
+// running, and one alone meets no wait at all. Non-final results
+// (cross-block conflicts, unexpected messages) are handled by deliver when
+// the block retires.
+func (r *blockRunner) step(item int) {
+	n := len(r.comps)
+	if item < n {
+		r.blk.Book(item, r.p.Decode(r.comps[item], r.p.Envelopes.Get()))
+		return
+	}
+	tid := item - n
+	res, final := r.blk.Resolve(tid)
 	if final {
-		r.p.Handle(tid, res, c)
-		if !res.Unexpected {
-			r.p.Envelopes.Put(env)
+		if res.Env.SenderKey != 0 && !res.Unexpected {
+			// The handler's rendezvous READ may block this goroutine for a
+			// network round trip: a worker takes over the rest of the block
+			// meanwhile. Nothing else a handler does can block, so nothing
+			// else is worth a wake-up.
+			r.p.acc.wake(r.t)
 		}
+		r.deliver(tid, res)
 	}
 }
 
-// deliver runs protocol handling for a result that settled at block
-// retirement. Unexpected envelopes escape to the matcher's store and are
-// recycled by their eventual deliverer.
+// deliver runs protocol handling for a settled result — from step when it
+// settled at Resolve time, from the block's Deliver callback when it settled
+// at retirement — and recycles its envelope. Unexpected envelopes escape to
+// the matcher's store and are recycled by their eventual deliverer.
 func (r *blockRunner) deliver(tid int, res core.Result) {
 	r.p.Handle(tid, res, r.comps[tid])
 	if !res.Unexpected {
@@ -193,12 +208,6 @@ func (p *Pipeline) run() {
 	cfg := p.matcher.Config()
 	blockSize := cfg.BlockSize
 	depth := cfg.InFlightBlocks
-	if m := p.acc.Threads() / blockSize; depth > m {
-		depth = m
-	}
-	if depth < 1 {
-		depth = 1
-	}
 
 	windows := make([]window, depth+1)
 	idle := make(chan *window, len(windows))
@@ -227,7 +236,10 @@ func (p *Pipeline) run() {
 				run.comps = w.comps
 				run.blk = w.blk
 				run.blk.Deliver = deliver
-				p.acc.RunBlock(n, step)
+				run.t = p.acc.publish(2*n, step, false)
+				p.acc.drain(run.t)
+				p.acc.finish(run.t)
+				p.acc.activations.Add(uint64(n))
 				run.blk.Finish()
 				// Count messages only after retirement: by then every
 				// deferred Handle has run, so observers that see the count

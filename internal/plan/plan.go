@@ -348,7 +348,7 @@ func (p *Planner) Estimate(c Candidate) (Estimate, error) {
 	pPair := pk + (1-pk)/float64(c.Bins)
 	est.BinConflictProb = 1 - math.Pow(1-pPair, fill-1)
 
-	// The engine cannot overlap more blocks than it has threads to run:
+	// The modelled device cannot overlap more blocks than it has threads to run:
 	// clamp the priced in-flight window to Threads/BlockSize.
 	effInFlight := c.InFlight
 	if byThreads := c.Threads / c.BlockSize; byThreads >= 1 && byThreads < effInFlight {
