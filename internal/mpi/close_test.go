@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dpa"
+	"repro/internal/obs"
 	"repro/internal/rdma"
 )
 
@@ -187,6 +188,13 @@ func TestNewNetWorldClosesTransportOnFailure(t *testing.T) {
 	} else if tr.closes != 1 {
 		t.Errorf("rank out of range: transport closed %d times, want 1", tr.closes)
 	}
+	expectGoroutines(t, before)
+}
+
+// expectGoroutines fails the test unless the goroutine count settles back to
+// before within two seconds.
+func expectGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
@@ -196,4 +204,60 @@ func TestNewNetWorldClosesTransportOnFailure(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestFailedReadStillAcknowledges: a rendezvous READ that fails completes
+// the receive with the READ's error and still acknowledges, so the sender's
+// request, which completes on the ACK alone, is not left pending until
+// Close. The region is withdrawn before the receive is posted, which is
+// what a sender's death looks like from the receiver.
+func TestFailedReadStillAcknowledges(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, engine := range []EngineKind{EngineHost, EngineOffload} {
+		w, err := NewWorld(2, Options{Engine: engine, EagerLimit: 256})
+		if err != nil {
+			t.Fatalf("%v: NewWorld: %v", engine, err)
+		}
+		snd, rcv := w.Proc(0), w.Proc(1)
+		sreq, err := snd.World().Isend(1, 7, make([]byte, 4096))
+		if err != nil {
+			t.Fatalf("%v: Isend: %v", engine, err)
+		}
+		snd.pendMu.Lock()
+		for _, ps := range snd.pending {
+			snd.trans.Deregister(ps.mr)
+		}
+		pending := len(snd.pending)
+		snd.pendMu.Unlock()
+		if pending != 1 {
+			t.Fatalf("%v: %d rendezvous sends pending, want 1", engine, pending)
+		}
+		rreq, err := rcv.World().Irecv(0, 7, make([]byte, 4096))
+		if err != nil {
+			t.Fatalf("%v: Irecv: %v", engine, err)
+		}
+		// wait is req.Wait with a bound: a blocked Wait is the failure.
+		wait := func(who string, req *Request) error {
+			done := make(chan error, 1)
+			go func() { _, err := req.Wait(); done <- err }()
+			select {
+			case err := <-done:
+				return err
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%v: %s's Wait is blocked", engine, who)
+				return nil
+			}
+		}
+		if err := wait("receiver", rreq); !errors.Is(err, rdma.ErrBadKey) {
+			t.Fatalf("%v: receiver's Wait: %v, want ErrBadKey", engine, err)
+		}
+		if err := wait("sender", sreq); err != nil {
+			t.Fatalf("%v: sender's Wait: %v", engine, err)
+		}
+		if n := rcv.Obs().Hist(obs.HistRendezvousReadNs).Count; n != 1 {
+			t.Errorf("%v: %d rendezvous READs timed, want 1", engine, n)
+		}
+		w.Close()
+	}
+	expectGoroutines(t, before)
 }

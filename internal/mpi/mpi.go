@@ -643,13 +643,16 @@ func (p *Proc) deliverMatch(r *match.Recv, env *match.Envelope) {
 			p.sendAck(int(env.Source), env.SenderKey)
 			return
 		}
-		if err := p.trans.Read(int(env.Source), r.Buffer[:n], env.SenderKey, 0, n); err != nil {
-			req.complete(st, err)
-			return
+		start := p.obs.Now()
+		err := p.trans.Read(int(env.Source), r.Buffer[:n], env.SenderKey, 0, n)
+		p.obs.Observe(obs.HistRendezvousReadNs, uint64(p.obs.Now()-start))
+		if err == nil {
+			st.Count = n
 		}
-		st.Count = n
+		// Acknowledged whatever the READ said: the sender's request completes
+		// on the ACK alone, and a failed READ must not leave it pending.
 		p.sendAck(int(env.Source), env.SenderKey)
-		req.complete(st, nil)
+		req.complete(st, err)
 		return
 	}
 

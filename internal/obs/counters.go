@@ -183,8 +183,8 @@ const (
 	CtrShmParks
 	// CtrShmRingFull counts send-side stall episodes on a full ring.
 	CtrShmRingFull
-	// CtrShmReads counts zero-round-trip rendezvous reads served straight
-	// from a shared arena (no READ RPC).
+	// CtrShmReads counts zero-round-trip rendezvous reads copied straight
+	// out of a same-host owner's memory (no READ RPC).
 	CtrShmReads
 
 	// Daemon counters (internal/daemon): the matchd control plane. They

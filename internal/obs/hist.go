@@ -23,6 +23,9 @@ const (
 	// batch frame (Count = frames sent, Sum = messages coalesced, so
 	// Mean() is the achieved batch width).
 	HistCoalesceWidth
+	// HistRendezvousReadNs is the duration of each rendezvous READ in
+	// nanoseconds, whatever the engine and the transport.
+	HistRendezvousReadNs
 
 	// NumHists bounds the enum; it must stay last.
 	NumHists
@@ -30,11 +33,12 @@ const (
 
 // histNames maps Hist values to stable snapshot keys.
 var histNames = [NumHists]string{
-	HistBlockNs:       "block_ns",
-	HistDrainBatch:    "drain_batch",
-	HistRetxBackoffNs: "retx_backoff_ns",
-	HistPostDepth:     "post_depth",
-	HistCoalesceWidth: "coalesce_width",
+	HistBlockNs:          "block_ns",
+	HistDrainBatch:       "drain_batch",
+	HistRetxBackoffNs:    "retx_backoff_ns",
+	HistPostDepth:        "post_depth",
+	HistCoalesceWidth:    "coalesce_width",
+	HistRendezvousReadNs: "rendezvous_read_ns",
 }
 
 // String returns the histogram's stable snapshot key.

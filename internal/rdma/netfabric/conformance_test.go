@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -67,25 +68,42 @@ func startConformance(t *testing.T, network string) []*confRank {
 		t.Cleanup(func() { closeConformance(ranks) })
 		return ranks
 	}
+	ranks, errs := startTransports(t, network, confRanks, func(k int, cfg *netfabric.Config) {
+		if k == 2 {
+			cfg.Host = "hostB"
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	return ranks
+}
+
+// startTransports builds and starts n transports of one network behind a
+// loopback coordinator, all on simulated host "hostA" and sharing one shm
+// directory unless mod, which may be nil, changes rank k's config. It closes
+// them when the test ends. errs[k] is what rank k's New or Start said.
+func startTransports(t *testing.T, network string, n int, mod func(k int, cfg *netfabric.Config)) (ranks []*confRank, errs []error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("coordinator listen: %v", err)
 	}
 	coordDone := make(chan error, 1)
-	go func() { coordDone <- netfabric.ServeCoordinator(ln, confRanks) }()
+	go func() { coordDone <- netfabric.ServeCoordinator(ln, n) }()
 	shmDir := t.TempDir()
-	ranks := make([]*confRank, confRanks)
-	errs := make([]error, confRanks)
+	ranks = make([]*confRank, n)
+	errs = make([]error, n)
 	var wg sync.WaitGroup
 	for k := range ranks {
 		ranks[k] = &confRank{rq: rdma.NewRecvQueue(1024), cq: rdma.NewCQ()}
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			cfg := netfabric.Config{Network: network, Rank: k, Ranks: confRanks,
+			cfg := netfabric.Config{Network: network, Rank: k, Ranks: n,
 				Coord: ln.Addr().String(), ShmDir: shmDir, Host: "hostA"}
-			if k == 2 {
-				cfg.Host = "hostB"
+			if mod != nil {
+				mod(k, &cfg)
 			}
 			tr, err := netfabric.New(cfg)
 			if err == nil {
@@ -100,11 +118,13 @@ func startConformance(t *testing.T, network string) []*confRank {
 	if err := <-coordDone; err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	t.Cleanup(func() { closeConformance(ranks) })
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	return ranks
+	t.Cleanup(func() {
+		closeConformance(ranks)
+		if left, _ := filepath.Glob(filepath.Join(shmDir, "repro-shm-r*-*.seg")); len(left) > 0 {
+			t.Errorf("segment files left behind: %v", left)
+		}
+	})
+	return ranks, errs
 }
 
 func closeConformance(ranks []*confRank) {

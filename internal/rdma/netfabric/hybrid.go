@@ -13,9 +13,10 @@ import (
 // rings, everyone else's over TCP.
 //
 // The TCP wire meshes every peer, not just cross-host ones: it is also the
-// READ RPC route for the rare rendezvous registration the shm arena could
-// not hold. Same-host data frames never touch it, so the idle connections
-// cost only descriptors.
+// READ RPC route to a same-host peer whose memory the kernel will not let
+// this process read, and for the rare registration the shm region table had
+// no slot for. Same-host data frames never touch it, so the idle
+// connections cost only descriptors.
 func newHybrid(t *transport, cfg Config) (far *tcpWire, near *shmWire, local []bool, err error) {
 	host := cfg.Host
 	if host == "" {

@@ -28,15 +28,16 @@
 //
 //   - shm.go: mmap-backed per-peer-pair SPSC rings with an adaptive
 //     spin-then-park wait, for co-located ranks. Reliable; no readPlan.
-//     It alone adds the two extras the transport looks for: registrations
-//     are staged in a per-rank shared arena, and a same-host READ is a
-//     direct bounds-checked memcpy from the owner's segment.
+//     It alone adds the two extras the transport looks for: a registration
+//     announces its buffer's address in the owner's segment, and a
+//     same-host READ is one bounds-checked process_vm_readv out of the
+//     owner's memory.
 //
 // A fourth, in-memory wire loops self-sends back. Config.Network picks the
 // routes: "tcp", "udp" and "shm" send every peer over their one wire;
 // "hybrid" (hybrid.go) consults the coordinator's host map and sends
-// same-host peers over shm and the rest over tcp, reads from the arena
-// first and falls back to the tcp READ RPC.
+// same-host peers over shm and the rest over tcp, reads a same-host owner's
+// memory directly and falls back to the tcp READ RPC.
 //
 // Rank/address rendezvous at startup is a tiny JSON-lines coordinator
 // (coord.go); Launch (launch.go) re-executes the current binary once per
@@ -46,6 +47,7 @@ package netfabric
 import (
 	"fmt"
 	"os"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -138,6 +140,24 @@ func New(cfg Config) (rdma.Transport, error) {
 	t.route(far, near, local)
 	return t, nil
 }
+
+// DirectReadError reports that the kernel will not let this process read a
+// peer rank's memory (process_vm_readv), which is how the shm wire serves
+// rendezvous. Pure shm cannot run without it, so New fails with this error;
+// hybrid serves that peer's READs over TCP instead.
+type DirectReadError struct {
+	Segment     string        // the peer's segment file
+	Pid         int           // the pid its header names
+	Errno       syscall.Errno // what process_vm_readv said
+	PtraceScope string        // kernel.yama.ptrace_scope here, or "absent"
+}
+
+func (e *DirectReadError) Error() string {
+	return fmt.Sprintf("netfabric: shm needs process_vm_readv between rank processes, and reading pid %d (%s) failed: %v (kernel.yama.ptrace_scope: %s)",
+		e.Pid, e.Segment, e.Errno, e.PtraceScope)
+}
+
+func (e *DirectReadError) Unwrap() error { return e.Errno }
 
 // PendingReadCount reports the transport's in-flight outbound rendezvous
 // reads — a test hook for the pending-read leak assertions. Transports

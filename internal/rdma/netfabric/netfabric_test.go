@@ -192,15 +192,15 @@ func fabricCounters(t *testing.T, worlds []*mpi.World, name string) uint64 {
 func TestShmRingEagerAndRendezvous(t *testing.T) {
 	opts := mpi.Options{EagerLimit: 256}
 	worlds := startNetWorlds(t, "shm", 3, opts, rdma.FaultPlan{})
-	// Eager traffic through the rings, then rendezvous through the shared
-	// arena (8192 > EagerLimit: zero-round-trip arena reads, no READ RPC).
+	// Eager traffic through the rings, then rendezvous out of the sender's
+	// own buffer (8192 > EagerLimit: zero-round-trip direct reads, no READ RPC).
 	ringWorkload(t, worlds, 20, 64)
 	ringWorkload(t, worlds, 5, 8192)
 	if got := fabricCounters(t, worlds, "shm_tx_frames"); got == 0 {
 		t.Fatal("no frames staged into shm rings")
 	}
 	if got := fabricCounters(t, worlds, "shm_reads"); got == 0 {
-		t.Fatal("rendezvous traffic produced no zero-round-trip arena reads")
+		t.Fatal("rendezvous traffic produced no zero-round-trip direct reads")
 	}
 	if got := fabricCounters(t, worlds, "net_read_reqs"); got != 0 {
 		t.Fatalf("pure shm world issued %d READ RPCs", got)
@@ -235,7 +235,7 @@ func TestHybridTwoSimulatedHosts(t *testing.T) {
 		t.Fatal("hybrid routed no cross-host frames over TCP")
 	}
 	if got := fabricCounters(t, worlds, "shm_reads"); got == 0 {
-		t.Fatal("same-host rendezvous produced no arena reads")
+		t.Fatal("same-host rendezvous produced no direct reads")
 	}
 	if got := fabricCounters(t, worlds, "net_read_reqs"); got == 0 {
 		t.Fatal("cross-host rendezvous produced no READ RPCs")

@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -19,13 +22,13 @@ import (
 // The shm wire carries co-located ranks over mmap'd shared memory instead
 // of loopback sockets. Each rank owns one segment file:
 //
-//	header    | 4 KiB: magic, version, geometry — validated on attach
+//	header    | 4 KiB: magic, version, geometry (validated on attach), then
+//	          |   the owner's pid and the address of its probe word
 //	rings     | n × (128 B control + shmRingBytes data): inbound SPSC ring
 //	          |   j is written by rank j's process and drained only by the
 //	          |   owner's poll goroutine (shmring.go)
-//	regions   | 1024 × 24 B slots {rkey, offset, length}: the published
+//	regions   | 1024 × 24 B slots {rkey, address, length}: the published
 //	          |   rendezvous region table
-//	arena     | shmArenaBytes: rendezvous payload staging
 //
 // Sends stage an encoded frame (frame.go) into the destination's ring for
 // this sender; the destination's poll goroutine spins over its inbound
@@ -34,14 +37,15 @@ import (
 // starve the very peer it is waiting for), handing each record to the
 // transport's pump.
 //
-// Beyond the wire interface it offers the transport two things no socket
-// can. publish copies a rendezvous buffer into the owner's arena and
-// announces {rkey, offset, length} in the region table, rkey last with a
-// release store; readDirect then resolves an rkey against the owner's
-// mapped segment and memcpys the bytes out — the READ RPC round-trip
-// disappears. unpublish withdraws the rkey before freeing the arena span,
-// and readDirect re-checks it after reading the geometry, so a torn lookup
-// can only miss (ErrBadKey), never read freed bytes as valid.
+// Beyond the wire interface it offers the transport single-copy rendezvous,
+// which no socket can. publish announces a registered buffer where it lies,
+// {rkey, address, length} in the region table with the rkey release-stored
+// last; readDirect resolves an rkey against the owner's mapped table and
+// copies the bytes straight out of the owner's memory with
+// process_vm_readv (vmread_linux.go): no staging copy, no READ RPC.
+// unpublish withdraws the rkey, and readRegion checks it again after the
+// copy, so a read that raced a deregistration is ErrBadKey, never foreign
+// bytes presented as current.
 type shmWire struct {
 	t *transport
 
@@ -53,34 +57,27 @@ type shmWire struct {
 	// work.
 	mapMu sync.RWMutex
 
-	// Arena + region-table bookkeeping for this rank's own registrations.
-	regMu     sync.Mutex
-	arenaFree []arenaSpan
-	slotUsed  []bool
-	slotNext  int
-	regions   map[uint64]shmRegion
+	// regMu serializes this rank's publishers over its own region table.
+	regMu sync.Mutex
 
 	wg sync.WaitGroup
 }
-
-// shmRegion remembers where an arena-staged registration landed.
-type shmRegion struct{ slot, off, n int }
-
-type arenaSpan struct{ off, n int }
 
 const (
 	// shmRingBytes is each sender's ring data capacity: comfortably above
 	// the 1 MiB frame cap.
 	shmRingBytes = 2 << 20
-	// shmArenaBytes is the shared rendezvous arena, backed by a sparse file
-	// so untouched pages cost nothing.
-	shmArenaBytes = 64 << 20
 
 	shmMagic        = 0x524550524f53484d // "REPROSHM"
-	shmVersion      = 1
+	shmVersion      = 2
 	shmHeaderBytes  = 4096
 	regionSlots     = 1024
 	regionSlotBytes = 24
+
+	// Header words past the geometry: who owns the segment, and a word of
+	// the owner's own memory (holding shmMagic) for the attach probe.
+	shmHeaderPid   = 4 * 8
+	shmHeaderProbe = 5 * 8
 
 	// shmSpinBudget bounds the busy-poll phase (spinYield iterations) of
 	// both the poll loop and a full-ring sender before they fall back to
@@ -89,9 +86,6 @@ const (
 	// parkMin/parkMax bound the timed-sleep backoff once parked.
 	shmParkMin = 50 * time.Microsecond
 	shmParkMax = time.Millisecond
-	// shmArenaWait bounds how long RegisterMemory waits for arena space
-	// before falling back to a heap region.
-	shmArenaWait = 2 * time.Second
 )
 
 // spinYield is one iteration of the busy-poll phase: an in-process
@@ -140,45 +134,94 @@ type shmSegment struct {
 	path  string
 	mem   []byte
 	owner bool
-	n     int // ranks: one inbound ring each
+	slots []regionSlot // the region table, laid over mem's tail
+
+	pid       int     // the owning process
+	probe     *uint64 // owner: a word of its own memory holding shmMagic
+	probeAddr uintptr // peer: where in pid's memory that word lies
 }
 
 func shmSegmentSize(n int) int {
-	return shmHeaderBytes + n*(ringCtrlBytes+shmRingBytes) + regionSlots*regionSlotBytes + shmArenaBytes
+	return shmHeaderBytes + n*(ringCtrlBytes+shmRingBytes) + regionSlots*regionSlotBytes
 }
 
-// shmHeader is what the owner writes at the front of its segment and every
-// attaching peer checks: two builds that disagree on the geometry must
+// shmGeometry is what the owner writes at the front of its segment and
+// every attaching peer checks: two builds that disagree on the layout must
 // fail at start-up, not corrupt each other's rings.
-func shmHeader(n int) [5]uint64 {
-	return [5]uint64{shmMagic, shmVersion, uint64(n), shmRingBytes, shmArenaBytes}
+func shmGeometry(n int) [4]uint64 {
+	return [4]uint64{shmMagic, shmVersion, uint64(n), shmRingBytes}
 }
 
-// createShmSegment builds and maps this rank's own segment file. The file
-// is sized with Truncate, so it is sparse: pages cost memory only once
-// touched.
+// segmentPid is the pid a new segment's header announces. Tests substitute
+// a dead one to see every attach refused.
+var segmentPid = os.Getpid
+
+// mapShmSegment maps f as a segment of n ranks and lays the region table
+// over its tail. The mapping keeps the pages; f can be closed.
+func mapShmSegment(f *os.File, n int) (*shmSegment, error) {
+	size := shmSegmentSize(n)
+	mem, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, err
+	}
+	table := mem[size-regionSlots*regionSlotBytes:]
+	return &shmSegment{path: f.Name(), mem: mem,
+		slots: unsafe.Slice((*regionSlot)(unsafe.Pointer(&table[0])), regionSlots)}, nil
+}
+
+// createShmSegment builds and maps this rank's own segment file, after
+// clearing dir of segments whose owners died and opening this process to
+// its peers' reads. The file is sized with Truncate, so it is sparse: pages
+// cost memory only once touched.
 func createShmSegment(dir string, rank, n int) (*shmSegment, error) {
+	reclaimStaleSegments(dir)
+	allowPeerReads()
 	f, err := os.CreateTemp(dir, fmt.Sprintf("repro-shm-r%d-*.seg", rank))
 	if err != nil {
 		return nil, fmt.Errorf("netfabric: create shm segment: %w", err)
 	}
-	path := f.Name()
-	size := shmSegmentSize(n)
-	if err := f.Truncate(int64(size)); err != nil {
-		f.Close()
-		os.Remove(path)
+	defer f.Close()
+	if err := f.Truncate(int64(shmSegmentSize(n))); err != nil {
+		os.Remove(f.Name())
 		return nil, fmt.Errorf("netfabric: size shm segment: %w", err)
 	}
-	mem, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	f.Close() // the mapping keeps the pages; the fd is no longer needed
+	s, err := mapShmSegment(f, n)
 	if err != nil {
-		os.Remove(path)
+		os.Remove(f.Name())
 		return nil, fmt.Errorf("netfabric: mmap shm segment: %w", err)
 	}
-	for i, v := range shmHeader(n) {
-		binary.LittleEndian.PutUint64(mem[i*8:], v)
+	s.owner, s.pid, s.probe = true, segmentPid(), new(uint64)
+	*s.probe = shmMagic
+	binary.LittleEndian.PutUint64(s.mem[shmHeaderPid:], uint64(s.pid))
+	binary.LittleEndian.PutUint64(s.mem[shmHeaderProbe:], uint64(uintptr(unsafe.Pointer(s.probe))))
+	geom := shmGeometry(n)
+	for i := len(geom) - 1; i >= 0; i-- { // the magic last: a header that has it is whole
+		binary.LittleEndian.PutUint64(s.mem[i*8:], geom[i])
 	}
-	return &shmSegment{path: path, mem: mem, owner: true, n: n}, nil
+	return s, nil
+}
+
+// reclaimStaleSegments removes the segment files in dir that a crashed rank
+// left behind: those whose header is this build's and names a pid that no
+// longer exists. A live owner's file, or one that cannot be read as a
+// segment, is left alone.
+func reclaimStaleSegments(dir string) {
+	paths, _ := filepath.Glob(filepath.Join(dir, "repro-shm-r*-*.seg"))
+	for _, path := range paths {
+		var h [shmHeaderPid + 8]byte
+		f, err := os.Open(path)
+		if err != nil {
+			continue
+		}
+		_, err = io.ReadFull(f, h[:])
+		f.Close()
+		pid := int(binary.LittleEndian.Uint64(h[shmHeaderPid:]))
+		if err == nil && binary.LittleEndian.Uint64(h[:]) == shmMagic &&
+			binary.LittleEndian.Uint64(h[8:]) == shmVersion &&
+			pid > 0 && syscall.Kill(pid, 0) == syscall.ESRCH {
+			os.Remove(path)
+		}
+	}
 }
 
 // openShmSegment attaches to a peer's segment, validating the geometry
@@ -189,27 +232,25 @@ func openShmSegment(path string, n int) (*shmSegment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netfabric: open peer shm segment: %w", err)
 	}
-	size := shmSegmentSize(n)
-	st, err := f.Stat()
-	if err == nil && st.Size() != int64(size) {
-		err = fmt.Errorf("netfabric: peer shm segment %s is %d bytes, want %d", path, st.Size(), size)
-	}
-	if err != nil {
-		f.Close()
+	defer f.Close()
+	if st, err := f.Stat(); err != nil {
 		return nil, err
+	} else if size := shmSegmentSize(n); st.Size() != int64(size) {
+		return nil, fmt.Errorf("netfabric: peer shm segment %s is %d bytes, want %d", path, st.Size(), size)
 	}
-	mem, merr := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	f.Close()
-	if merr != nil {
-		return nil, fmt.Errorf("netfabric: mmap peer shm segment: %w", merr)
+	s, err := mapShmSegment(f, n)
+	if err != nil {
+		return nil, fmt.Errorf("netfabric: mmap peer shm segment: %w", err)
 	}
-	for i, w := range shmHeader(n) {
-		if got := binary.LittleEndian.Uint64(mem[i*8:]); got != w {
-			syscall.Munmap(mem)
+	for i, w := range shmGeometry(n) {
+		if got := binary.LittleEndian.Uint64(s.mem[i*8:]); got != w {
+			s.close()
 			return nil, fmt.Errorf("netfabric: peer shm segment %s header[%d]=%#x, want %#x", path, i, got, w)
 		}
 	}
-	return &shmSegment{path: path, mem: mem, n: n}, nil
+	s.pid = int(binary.LittleEndian.Uint64(s.mem[shmHeaderPid:]))
+	s.probeAddr = uintptr(binary.LittleEndian.Uint64(s.mem[shmHeaderProbe:]))
+	return s, nil
 }
 
 // ring returns the inbound ring written by sender (laid over this
@@ -219,29 +260,52 @@ func (s *shmSegment) ring(sender int) (*shmRing, error) {
 	return ringAt(s.mem[off : off+ringCtrlBytes+shmRingBytes])
 }
 
-// regionSlot is one published rendezvous region: rkey, arena offset,
-// length, each a cross-process atomic.
-type regionSlot struct{ key, off, size *atomic.Uint64 }
+// regionSlot is one published rendezvous region, each word a cross-process
+// atomic: the buffer's address and length in the owner's memory, stored
+// before the rkey that announces them. A zero key is a free slot.
+type regionSlot struct{ key, addr, size atomic.Uint64 }
 
-func (s *shmSegment) slot(i int) regionSlot {
-	base := shmHeaderBytes + s.n*(ringCtrlBytes+shmRingBytes) + i*regionSlotBytes
-	return regionSlot{
-		key:  (*atomic.Uint64)(unsafe.Pointer(&s.mem[base])),
-		off:  (*atomic.Uint64)(unsafe.Pointer(&s.mem[base+8])),
-		size: (*atomic.Uint64)(unsafe.Pointer(&s.mem[base+16])),
+// lookup probes the table for key, starting at rkey's home slot. A
+// publisher looks for a free slot (key 0) from there and a reader for the
+// rkey itself, so the reader's first probe hits unless the table is crowded.
+func (s *shmSegment) lookup(rkey, key uint64) *regionSlot {
+	for i, at := 0, int(rkey%regionSlots); i < regionSlots; i, at = i+1, (at+1)%regionSlots {
+		if sl := &s.slots[at]; sl.key.Load() == key {
+			return sl
+		}
 	}
+	return nil
 }
 
-func (s *shmSegment) arena() []byte {
-	start := shmHeaderBytes + s.n*(ringCtrlBytes+shmRingBytes) + regionSlots*regionSlotBytes
-	return s.mem[start : start+shmArenaBytes]
+func (s *shmSegment) refused(errno syscall.Errno) error {
+	scope := "absent"
+	if b, err := os.ReadFile("/proc/sys/kernel/yama/ptrace_scope"); err == nil {
+		scope = strings.TrimSpace(string(b))
+	}
+	return &DirectReadError{Segment: s.path, Pid: s.pid, Errno: errno, PtraceScope: scope}
 }
 
-// readRegion serves a zero-round-trip rendezvous read against this
-// segment's published region table: find the rkey, bounds-check, memcpy.
-// The rkey is re-checked after the geometry loads so a concurrent
-// unpublish can only turn into ErrBadKey, never a stale-bytes success
-// presented as current.
+// probeOwner reads the owner's probe word out of its memory: the attach-time
+// proof that readRegion will be allowed to. A pid that answers with other
+// bytes is some other process here, not the owner.
+func (s *shmSegment) probeOwner() error {
+	var word [8]byte
+	errno := vmRead(s.pid, word[:], s.probeAddr)
+	if errno == 0 && binary.LittleEndian.Uint64(word[:]) != shmMagic {
+		errno = syscall.ESRCH
+	}
+	if errno != 0 {
+		return s.refused(errno)
+	}
+	return nil
+}
+
+// readRegion serves a rendezvous read against this segment's published
+// region table: find the rkey, bounds-check, and copy out of the owner's
+// memory. The rkey is checked once after the geometry loads, so a torn
+// lookup can only miss, and once more after the copy: a deregistration
+// that raced it may have let the owner reuse the buffer, and those bytes
+// must not be presented as the region's.
 func (s *shmSegment) readRegion(dst []byte, rkey uint64, offset int) error {
 	if rkey == 0 {
 		return rdma.ErrBadKey
@@ -249,33 +313,35 @@ func (s *shmSegment) readRegion(dst []byte, rkey uint64, offset int) error {
 	if offset < 0 {
 		return rdma.ErrBounds
 	}
-	length := uint64(len(dst))
-	arena := s.arena()
-	for i := 0; i < regionSlots; i++ {
-		sl := s.slot(i)
-		if sl.key.Load() != rkey {
-			continue
-		}
-		roff, rlen := sl.off.Load(), sl.size.Load()
-		if sl.key.Load() != rkey {
-			return rdma.ErrBadKey // unpublished mid-lookup
-		}
-		if uint64(offset)+length > rlen {
-			return rdma.ErrBounds
-		}
-		start := roff + uint64(offset)
-		if start+length > uint64(len(arena)) {
-			return rdma.ErrBounds
-		}
-		copy(dst, arena[start:start+length])
-		return nil
+	sl := s.lookup(rkey, rkey)
+	if sl == nil {
+		return rdma.ErrBadKey
 	}
-	return rdma.ErrBadKey
+	addr, size := sl.addr.Load(), sl.size.Load()
+	if sl.key.Load() != rkey {
+		return rdma.ErrBadKey // unpublished mid-lookup
+	}
+	if uint64(offset)+uint64(len(dst)) > size {
+		return rdma.ErrBounds
+	}
+	switch errno := vmRead(s.pid, dst, uintptr(addr)+uintptr(offset)); errno {
+	case 0:
+	case syscall.ESRCH:
+		return rdma.ErrPeerLost
+	case syscall.EPERM, syscall.ENOSYS:
+		return s.refused(errno)
+	default: // EFAULT: unpublished, and the memory went with it
+		return rdma.ErrBadKey
+	}
+	if sl.key.Load() != rkey {
+		return rdma.ErrBadKey
+	}
+	return nil
 }
 
 func (s *shmSegment) close() {
 	syscall.Munmap(s.mem)
-	s.mem = nil
+	s.mem, s.slots = nil, nil
 	if s.owner {
 		os.Remove(s.path)
 	}
@@ -287,15 +353,19 @@ func (s *shmSegment) close() {
 // shmPeer is one attached peer: its mapped segment and this rank's
 // producer side of the inbound ring there. mu serializes this rank's
 // senders onto the ring, whose single-producer contract is per process,
-// not per goroutine.
+// not per goroutine. refusal is why the peer's memory cannot be read
+// directly (nil: it can); its rings carry frames either way.
 type shmPeer struct {
-	seg  *shmSegment
-	ring *shmRing
-	mu   sync.Mutex
+	seg     *shmSegment
+	ring    *shmRing
+	mu      sync.Mutex
+	refusal error
 }
 
 // newShm builds the pure shared-memory wire: create own segment,
-// rendezvous segment paths through the coordinator, attach every peer.
+// rendezvous segment paths through the coordinator, attach every peer. With
+// no other wire to carry a READ, a peer that refuses direct reads fails the
+// transport here rather than every rendezvous later.
 func newShm(t *transport, cfg Config) (*shmWire, error) {
 	seg, err := createShmSegment(cfg.ShmDir, cfg.Rank, cfg.Ranks)
 	if err != nil {
@@ -308,7 +378,17 @@ func newShm(t *transport, cfg Config) (*shmWire, error) {
 		seg.close()
 		return nil, err
 	}
-	return newShmWire(t, seg, book.Shms, nil)
+	w, err := newShmWire(t, seg, book.Shms, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range w.peers {
+		if p != nil && p.refusal != nil {
+			w.unmap()
+			return nil, p.refusal
+		}
+	}
+	return w, nil
 }
 
 // newShmWire assembles the wire around an already-registered own segment,
@@ -316,14 +396,7 @@ func newShm(t *transport, cfg Config) (*shmWire, error) {
 // non-nil, limits which peers are attached (hybrid passes its same-host
 // map).
 func newShmWire(t *transport, seg *shmSegment, paths []string, mask []bool) (*shmWire, error) {
-	w := &shmWire{
-		t:         t,
-		seg:       seg,
-		peers:     make([]*shmPeer, t.n),
-		arenaFree: []arenaSpan{{0, shmArenaBytes}},
-		slotUsed:  make([]bool, regionSlots),
-		regions:   make(map[uint64]shmRegion),
-	}
+	w := &shmWire{t: t, seg: seg, peers: make([]*shmPeer, t.n)}
 	fail := func(err error) (*shmWire, error) {
 		w.unmap()
 		return nil, err
@@ -342,7 +415,7 @@ func newShmWire(t *transport, seg *shmSegment, paths []string, mask []bool) (*sh
 		if err != nil {
 			return fail(err)
 		}
-		w.peers[j] = &shmPeer{seg: ps}
+		w.peers[j] = &shmPeer{seg: ps, refusal: ps.probeOwner()}
 		if w.peers[j].ring, err = ps.ring(t.rank); err != nil {
 			return fail(err)
 		}
@@ -477,159 +550,71 @@ func (w *shmWire) send(peer int, kind byte, payload []byte, mode sendMode) error
 }
 
 // ---------------------------------------------------------------------------
-// Rendezvous: arena staging and zero-round-trip reads
+// Rendezvous: in-place publication and single-copy reads
 
-// publish copies buf into this rank's shared arena, announces it in the
-// segment's region table under rkey and returns the arena copy. The copy
-// is safe because rendezvous buffers are stable between Isend's
-// registration and the completing ACK; handing the arena slice back as the
-// region's Buf keeps the MPI layer's len(mr.Buf) accounting exact. A
-// buffer the arena cannot take (oversize, or still full after
-// shmArenaWait) is returned as it is: same-host peers then miss it in the
-// table and, under hybrid, fetch it over the TCP READ RPC.
-func (w *shmWire) publish(rkey uint64, buf []byte) []byte {
-	n := len(buf)
-	off, slot, ok := w.reserve(n)
-	if !ok {
-		return buf
-	}
-	arena := w.seg.arena()
-	copy(arena[off:off+n], buf)
-	sl := w.seg.slot(slot)
-	sl.off.Store(uint64(off))
-	sl.size.Store(uint64(n))
-	sl.key.Store(rkey) // release: publish last, so readers see full geometry
-	w.regMu.Lock()
-	w.regions[rkey] = shmRegion{slot: slot, off: off, n: n}
-	w.regMu.Unlock()
-	return arena[off : off+n : off+n]
-}
-
-// reserve carves n bytes from the arena and claims a region slot,
-// waiting (in 1ms ticks, bounded by shmArenaWait) for space held by
-// in-flight rendezvous to free up.
-func (w *shmWire) reserve(n int) (off, slot int, ok bool) {
-	if n > shmArenaBytes {
-		return 0, 0, false
-	}
-	deadline := time.Now().Add(shmArenaWait)
-	for {
-		w.regMu.Lock()
-		if off, ok = w.arenaAlloc(n); ok {
-			if slot, ok = w.takeSlot(); ok {
-				w.regMu.Unlock()
-				return off, slot, true
-			}
-			w.arenaRelease(off, n)
-		}
-		w.regMu.Unlock()
-		select {
-		case <-w.t.done:
-			return 0, 0, false
-		default:
-		}
-		if time.Now().After(deadline) {
-			return 0, 0, false
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// arenaSpanBytes is what an n-byte registration occupies: spans are 8-byte
-// aligned so arena slices inherit usable alignment.
-func arenaSpanBytes(n int) int { return max(8, (n+7)&^7) }
-
-// arenaAlloc is a first-fit allocator over the sorted free-span list.
-// Callers hold regMu.
-func (w *shmWire) arenaAlloc(n int) (int, bool) {
-	need := arenaSpanBytes(n)
-	for i, sp := range w.arenaFree {
-		if sp.n < need {
-			continue
-		}
-		off := sp.off
-		if sp.n == need {
-			w.arenaFree = append(w.arenaFree[:i], w.arenaFree[i+1:]...)
-		} else {
-			w.arenaFree[i] = arenaSpan{sp.off + need, sp.n - need}
-		}
-		return off, true
-	}
-	return 0, false
-}
-
-// arenaRelease returns a span, coalescing with neighbors. Callers hold
-// regMu and pass the original length.
-func (w *shmWire) arenaRelease(off, n int) {
-	need := arenaSpanBytes(n)
-	i := 0
-	for i < len(w.arenaFree) && w.arenaFree[i].off < off {
-		i++
-	}
-	w.arenaFree = append(w.arenaFree, arenaSpan{})
-	copy(w.arenaFree[i+1:], w.arenaFree[i:])
-	w.arenaFree[i] = arenaSpan{off, need}
-	if i+1 < len(w.arenaFree) && off+need == w.arenaFree[i+1].off {
-		w.arenaFree[i].n += w.arenaFree[i+1].n
-		w.arenaFree = append(w.arenaFree[:i+1], w.arenaFree[i+2:]...)
-	}
-	if i > 0 && w.arenaFree[i-1].off+w.arenaFree[i-1].n == off {
-		w.arenaFree[i-1].n += w.arenaFree[i].n
-		w.arenaFree = append(w.arenaFree[:i], w.arenaFree[i+1:]...)
-	}
-}
-
-// takeSlot claims a free region-table slot. Callers hold regMu.
-func (w *shmWire) takeSlot() (int, bool) {
-	for i := 0; i < regionSlots; i++ {
-		s := (w.slotNext + i) % regionSlots
-		if !w.slotUsed[s] {
-			w.slotUsed[s] = true
-			w.slotNext = s + 1
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-// unpublish withdraws the rkey first (peers immediately see ErrBadKey)
-// and only then frees the arena span for reuse. An rkey that was never
-// staged here is not this wire's to withdraw.
-func (w *shmWire) unpublish(rkey uint64) {
-	w.regMu.Lock()
-	reg, ok := w.regions[rkey]
-	delete(w.regions, rkey)
-	w.regMu.Unlock()
-	if !ok {
-		return
-	}
-	w.seg.slot(reg.slot).key.Store(0)
-	w.regMu.Lock()
-	w.arenaRelease(reg.off, reg.n)
-	w.slotUsed[reg.slot] = false
-	w.regMu.Unlock()
-}
-
-// readDirect resolves (owner, rkey) against the owner's mapped segment —
-// same host, so the "remote" arena is plain addressable memory and the
-// whole rendezvous READ is one bounds-checked memcpy. An owner whose
-// segment is not mapped here reads as ErrBadKey.
-func (w *shmWire) readDirect(owner int, dst []byte, rkey uint64, offset int) error {
+// pin holds the mappings in place for the caller, who releases mapMu's read
+// side when done; false means the wire is closing and they may be gone.
+func (w *shmWire) pin() bool {
 	w.mapMu.RLock()
-	defer w.mapMu.RUnlock()
 	select {
 	case <-w.t.done:
-		return rdma.ErrClosed
+		w.mapMu.RUnlock()
+		return false
 	default:
+		return true
 	}
-	seg := w.seg
-	if owner != w.t.rank {
-		if w.peers[owner] == nil {
-			return rdma.ErrBadKey
-		}
-		seg = w.peers[owner].seg
+}
+
+// publish announces buf, where it lies, in this rank's region table under
+// rkey. Nothing is copied: the transport's region table keeps buf
+// reachable until unpublish, heap objects do not move, and rendezvous
+// buffers are stable between Isend's registration and the completing ACK.
+// With all 1024 slots taken the region goes unannounced: same-host peers
+// miss it in the table and, under hybrid, fetch it over the TCP READ RPC.
+func (w *shmWire) publish(rkey uint64, buf []byte) {
+	if !w.pin() {
+		return
 	}
-	if err := seg.readRegion(dst, rkey, offset); err != nil {
+	defer w.mapMu.RUnlock()
+	w.regMu.Lock()
+	defer w.regMu.Unlock()
+	sl := w.seg.lookup(rkey, 0)
+	if sl == nil {
+		return
+	}
+	sl.addr.Store(uint64(uintptr(unsafe.Pointer(unsafe.SliceData(buf)))))
+	sl.size.Store(uint64(len(buf)))
+	sl.key.Store(rkey) // release: publish last, so readers see full geometry
+}
+
+// unpublish withdraws the rkey: peers see ErrBadKey from here on, and a
+// read already copying sees it at its final check.
+func (w *shmWire) unpublish(rkey uint64) {
+	if !w.pin() {
+		return
+	}
+	defer w.mapMu.RUnlock()
+	if sl := w.seg.lookup(rkey, rkey); sl != nil {
+		sl.key.Store(0)
+	}
+}
+
+// readDirect resolves (owner, rkey) against the owner's mapped region table
+// and copies the bytes out of the owner's memory: the whole rendezvous READ
+// is one lookup and one process_vm_readv. The call is made whatever
+// process hosts the owner, this one included, so every job takes the path
+// a multi-process job takes. An owner whose segment is not mapped here, or
+// whose memory the kernel will not show, reads as ErrBadKey.
+func (w *shmWire) readDirect(owner int, dst []byte, rkey uint64, offset int) error {
+	if !w.pin() {
+		return rdma.ErrClosed
+	}
+	defer w.mapMu.RUnlock()
+	p := w.peers[owner]
+	if p == nil || p.refusal != nil {
+		return rdma.ErrBadKey
+	}
+	if err := p.seg.readRegion(dst, rkey, offset); err != nil {
 		return err
 	}
 	w.t.sink.Counters.Inc(obs.CtrShmReads)

@@ -87,8 +87,7 @@ type transport struct {
 	// reliable: every wire delivers in order, exactly once.
 	reliable bool
 
-	// wires start and close in this order. shm is last: region bytes the
-	// other wires' pumps serve may live in its mapping.
+	// wires start and close in this order.
 	wires []wire
 	// data[peer] carries Send and SendControl toward peer (the loopback
 	// for this rank itself).
@@ -96,9 +95,9 @@ type transport struct {
 	// rpc carries READ requests toward any peer; nil when no wire has a
 	// read plan (pure shm).
 	rpc wire
-	// arena, when set, stages registrations in shared memory and serves
-	// READs of same-host owners with no round trip.
-	arena *shmWire
+	// shm, when set, announces registrations in shared memory and serves
+	// READs of same-host owners out of their own memory, with no round trip.
+	shm *shmWire
 
 	// Registered memory regions, addressable by peers through frReadReq.
 	mrMu    sync.Mutex
@@ -147,7 +146,7 @@ func (t *transport) route(far wire, near *shmWire, local []bool) {
 	}
 	if near != nil {
 		t.wires = append(t.wires, near)
-		t.arena = near
+		t.shm = near
 	}
 	for j := range t.data {
 		switch {
@@ -386,31 +385,29 @@ func (l *loopWire) send(_ int, _ byte, payload []byte, mode sendMode) error {
 // ---------------------------------------------------------------------------
 // Registered memory and READ
 
-// RegisterMemory exposes buf for peer reads under a fresh rkey. With a
-// shared-memory arena the bytes are staged there (the returned region's
-// Buf is the arena copy) so same-host peers read them directly; a buffer
-// the arena cannot hold stays where it is and is served over the READ RPC.
+// RegisterMemory exposes buf for peer reads under a fresh rkey. The region
+// table holds buf itself on every wire; over shared memory its address is
+// announced too, so same-host peers copy straight out of it.
 func (t *transport) RegisterMemory(buf []byte) *rdma.MemoryRegion {
 	mr := &rdma.MemoryRegion{Buf: buf, RKey: t.nextKey.Add(1)}
-	if t.arena != nil {
-		mr.Buf = t.arena.publish(mr.RKey, buf)
-	}
 	t.mrMu.Lock()
 	t.mrs[mr.RKey] = mr
 	t.mrMu.Unlock()
+	if t.shm != nil {
+		t.shm.publish(mr.RKey, buf)
+	}
 	return mr
 }
 
 // Deregister revokes a region; later reads fail with rdma.ErrBadKey. The
-// table entry goes first, so a local read that misses the arena cannot
-// find it here either.
+// announcement goes first: it never names memory the table has let go of.
 func (t *transport) Deregister(mr *rdma.MemoryRegion) {
+	if t.shm != nil {
+		t.shm.unpublish(mr.RKey)
+	}
 	t.mrMu.Lock()
 	delete(t.mrs, mr.RKey)
 	t.mrMu.Unlock()
-	if t.arena != nil {
-		t.arena.unpublish(mr.RKey)
-	}
 }
 
 // regionSlice resolves (rkey, offset, length) against the local table,
@@ -444,11 +441,11 @@ func readError(status byte) error {
 }
 
 // Read satisfies a rendezvous READ by the cheapest route that can resolve
-// the rkey: a direct copy out of the owner's shared-memory arena (which
-// also covers this rank's own arena-staged regions, under the arena's
-// unmap guard), a copy from the local table, or chunked READ RPCs.
-// ErrBadKey from the arena only means "not staged there" — a registration
-// that overflowed to the heap — so the read falls through.
+// the rkey: this rank's own regions from the local table, a same-host
+// peer's by a direct read out of its memory, anyone else's by chunked READ
+// RPCs. ErrBadKey from the direct read only means "not announced there" — a
+// peer not attached or not readable, or a full region table — so the read
+// falls through to the RPC wire, which has the last word.
 func (t *transport) Read(owner int, dst []byte, rkey uint64, offset, length int) error {
 	if length != len(dst) {
 		return rdma.ErrBounds
@@ -456,15 +453,15 @@ func (t *transport) Read(owner int, dst []byte, rkey uint64, offset, length int)
 	if owner < 0 || owner >= t.n {
 		return rdma.ErrBadKey
 	}
-	if t.arena != nil {
-		if err := t.arena.readDirect(owner, dst, rkey, offset); !errors.Is(err, rdma.ErrBadKey) {
-			return err
-		}
-	}
 	if owner == t.rank {
 		src, status := t.regionSlice(rkey, offset, length)
 		copy(dst, src)
 		return readError(status)
+	}
+	if t.shm != nil {
+		if err := t.shm.readDirect(owner, dst, rkey, offset); !errors.Is(err, rdma.ErrBadKey) {
+			return err
+		}
 	}
 	if t.rpc == nil {
 		return rdma.ErrBadKey

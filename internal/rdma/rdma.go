@@ -35,6 +35,8 @@ var (
 	ErrBounds     = errors.New("rdma: remote access out of bounds")
 	ErrClosed     = errors.New("rdma: queue pair closed")
 	ErrBufferSize = errors.New("rdma: receive buffer too small")
+	// ErrPeerLost is a READ whose owner's process no longer exists.
+	ErrPeerLost = errors.New("rdma: peer process is gone")
 )
 
 // OpType labels a completion entry.
