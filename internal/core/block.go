@@ -193,7 +193,6 @@ func (m *OptimisticMatcher) launchLocked(n int) launch {
 	r := &m.ring
 	l := launch{seq: r.next, seqBase: m.nextSeq, headAtStart: r.retired+1 == r.next}
 	r.next++
-	r.nextAtomic.Store(r.next)
 	m.nextSeq += uint64(n)
 	// The watermark snapshot is taken under ring.mu so it is monotone in
 	// block sequence — a later block never sees fewer posts than an earlier
@@ -202,8 +201,8 @@ func (m *OptimisticMatcher) launchLocked(n int) launch {
 	// Count the block up front: a handler may complete a user request
 	// mid-block, and an observer woken by that completion must already see
 	// the traffic in Stats(). The outcome counters fold in at retirement.
-	m.obs.Counters.Inc(obs.CtrBlocks)
-	m.obs.Counters.Add(obs.CtrMessages, uint64(n))
+	r.ctr[obs.CtrBlocks]++
+	r.ctr[obs.CtrMessages] += uint64(n)
 	return l
 }
 
@@ -542,11 +541,12 @@ func (b *Block) finishInto(out []Result) {
 	b.validate()
 
 	// Sweep: unlink consumed descriptors (the deferred half of lazy
-	// removal) under their bucket locks, then release them.
-	var reaped uint64
+	// removal) under their bucket locks; retire queues their slots.
+	var swept [MaxBlockSize]int32
+	reaped := 0
 	for tid := 0; tid < b.n; tid++ {
 		if d := b.final[tid]; d != nil {
-			m.sweep(d)
+			swept[reaped] = sweep(d)
 			reaped++
 		}
 	}
@@ -585,7 +585,7 @@ func (b *Block) finishInto(out []Result) {
 		copy(dearly[:n], b.early[:n])
 	}
 
-	m.retire(b.launch, n, &agg, reaped)
+	m.retire(b.launch, n, &agg, swept[:reaped])
 
 	// Deferred delivery: results that could not commit at Match time reach
 	// their consumer here, outside all engine locks, in thread order.
@@ -599,40 +599,27 @@ func (b *Block) finishInto(out []Result) {
 }
 
 // sweep unlinks a consumed descriptor from its chain under the bucket's
-// remove lock and releases it. Reclamation of the slot is gated on the
-// blocks currently in flight — they may still be traversing the chain the
-// descriptor was just unlinked from.
-func (m *OptimisticMatcher) sweep(d *descriptor) {
+// remove lock and marks it free; retire queues the returned slot, whose
+// reuse is gated on the blocks then in flight — they may still be traversing
+// the chain the descriptor was just unlinked from. recv is deliberately NOT
+// cleared: a higher in-flight block that was just robbed of d may still read
+// it for a provisional result (re-derived at its own retirement), and the
+// next allocation's field writes are ordered behind that block's retirement
+// by the reclaim gate.
+func sweep(d *descriptor) int32 {
 	d.owner.mu.Lock()
 	unlink(d)
 	d.owner.mu.Unlock()
-	m.table.release(d, m.ring.nextAtomic.Load()-1)
+	d.word.Store(stateFree)
+	return d.slot
 }
 
-// retire ends block l of n messages: it folds the block's statistics
-// (reaped counts the descriptors its sweep unlinked), cuts the retire
-// record, and advances the frontier, waking the next block's Finish and any
-// BeginBlock waiting for a ring slot. Nothing of the block may be read
-// afterwards: K-1 further retirements can recycle its ring slot.
-func (m *OptimisticMatcher) retire(l launch, n int, agg *threadStats, reaped uint64) {
-	c := &m.obs.Counters
-	c.Add(obs.CtrOptimistic, agg.optimistic)
-	c.Add(obs.CtrConflicts, agg.conflicts)
-	c.Add(obs.CtrFastPath, agg.fastPath)
-	c.Add(obs.CtrSlowPath, agg.slowPath)
-	c.Add(obs.CtrUnexpected, agg.unexpected)
-	c.Add(obs.CtrRelaxed, agg.relaxed)
-	c.Add(obs.CtrLazyReaped, reaped)
-	c.Add(obs.CtrRevalidated, agg.revalidated)
-	c.Add(obs.CtrSteals, agg.steals)
-	c.Inc(obs.CtrLazySweeps)
-	c.Add(obs.CtrArriveSearches, uint64(n))
-	c.Add(obs.CtrArriveTraversed, agg.traversed)
-	c.Max(obs.CtrArriveMaxDepth, agg.maxDepth)
-	c.Add(obs.CtrMatched, agg.matched)
-	c.Add(obs.CtrUnexpectedStored, agg.unexpected)
-	c.Inc(obs.CtrRetires)
-
+// retire ends block l of n messages: it cuts the retire record and then, in
+// one ring.mu section, counts the block's statistics, queues the slots its
+// sweep unlinked and advances the frontier, waking the next block's Finish
+// and any BeginBlock waiting for a ring slot. Nothing of the block may be
+// read afterwards: K-1 further retirements can recycle its ring slot.
+func (m *OptimisticMatcher) retire(l launch, n int, agg *threadStats, swept []int32) {
 	if m.obs.Enabled() {
 		// Settle events only carry information when validation actually
 		// redid something; the conflict-free common case skips the ring
@@ -648,8 +635,25 @@ func (m *OptimisticMatcher) retire(l launch, n int, agg *threadStats, reaped uin
 
 	r := &m.ring
 	r.mu.Lock()
+	c := &r.ctr
+	c[obs.CtrOptimistic] += agg.optimistic
+	c[obs.CtrConflicts] += agg.conflicts
+	c[obs.CtrFastPath] += agg.fastPath
+	c[obs.CtrSlowPath] += agg.slowPath
+	c[obs.CtrUnexpected] += agg.unexpected
+	c[obs.CtrRelaxed] += agg.relaxed
+	c[obs.CtrLazyReaped] += uint64(len(swept))
+	c[obs.CtrRevalidated] += agg.revalidated
+	c[obs.CtrSteals] += agg.steals
+	c[obs.CtrLazySweeps]++
+	c[obs.CtrArriveSearches] += uint64(n)
+	c[obs.CtrArriveTraversed] += agg.traversed
+	c[obs.CtrArriveMaxDepth] = max(c[obs.CtrArriveMaxDepth], agg.maxDepth)
+	c[obs.CtrMatched] += agg.matched
+	c[obs.CtrUnexpectedStored] += agg.unexpected
+	c[obs.CtrRetires]++
+	m.table.releaseLocked(swept)
 	r.retired = l.seq
-	r.retiredAtomic.Store(l.seq)
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
@@ -913,13 +917,14 @@ func (m *OptimisticMatcher) arriveHead(env *match.Envelope, l launch) Result {
 		s.mu.Unlock()
 	}
 
-	var reaped uint64
+	var swept [1]int32
+	reaped := 0
 	if d != nil {
 		res.Recv = d.recv
 		st.matched++
-		m.sweep(d)
+		swept[0] = sweep(d)
 		reaped = 1
 	}
-	m.retire(l, 1, &st, reaped)
+	m.retire(l, 1, &st, swept[:reaped])
 	return res
 }

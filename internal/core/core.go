@@ -163,10 +163,25 @@ type blockRing struct {
 	next    uint64 // next block sequence to assign (starts at 1)
 	retired uint64 // highest retired block sequence; blocks retire in order
 
-	// Mirrors of next/retired for lock-free readers: the retire frontier
-	// gates early result commits and descriptor-slot reclamation.
-	nextAtomic    atomic.Uint64
-	retiredAtomic atomic.Uint64
+	ctr counterBlock // the arrival side's counts: launch and retire hold mu anyway
+}
+
+// counterBlock holds deltas of the matcher-owned counters (obs.CtrBlocks
+// through obs.CtrQueued) as plain words under one of the matcher's two
+// locks: one block per side, so CtrMatched has an addend in each.
+type counterBlock [obs.CtrQueued + 1]uint64
+
+// foldInto carries the deltas to the sink's atomics and zeroes them. The
+// caller holds the lock that guards b.
+func (b *counterBlock) foldInto(c *obs.CounterSet) {
+	for i, v := range b {
+		if ctr := obs.Counter(i); ctr == obs.CtrPostMaxDepth || ctr == obs.CtrArriveMaxDepth {
+			c.Max(ctr, v)
+		} else {
+			c.Add(ctr, v) // a zero delta is a branch
+		}
+		b[i] = 0
+	}
 }
 
 // OptimisticMatcher is the offloaded matching engine. Arrival blocks (up to
@@ -185,12 +200,14 @@ type OptimisticMatcher struct {
 
 	unexpected *unexpectedStore
 
-	// Post-side sequencing state, guarded by unexpected.mu — the post
-	// serialization point (see unexpectedStore).
+	// Post-side state, guarded by unexpected.mu — the post serialization
+	// point (see unexpectedStore): sequencing, and the post side's counts.
 	nextLabel uint64
 	nextSeqID uint64
 	lastPost  postKey
 	havePost  bool
+	postCtr   counterBlock
+	postDepth obs.HistDelta
 
 	// postHorizon is the ordered-publish watermark: every receive with a
 	// label below it is fully indexed and visible. It advances under
@@ -215,10 +232,10 @@ type OptimisticMatcher struct {
 	onUnexpected func(*match.Envelope)
 
 	// obs is the observability sink: engine and search-depth statistics
-	// live in its enum-indexed atomic counters (the former engineCounters
-	// and depthCounters mirrors are gone — DESIGN.md §10), and lifecycle
-	// events go to its ring buffers when tracing is enabled. Always
-	// non-nil: New installs a counters-only sink, SetObs replaces it.
+	// reach its enum-indexed atomic counters through fold, which the sink
+	// runs for every reader (DESIGN.md §10), and lifecycle events go to its
+	// ring buffers when tracing is enabled. Always non-nil: New installs a
+	// counters-only sink, SetObs replaces it.
 	obs *obs.Sink
 }
 
@@ -237,21 +254,19 @@ func New(cfg Config) (*OptimisticMatcher, error) {
 	}
 	m := &OptimisticMatcher{
 		cfg:        cfg,
-		table:      newDescriptorTable(cfg.MaxReceives),
 		idxFull:    newRecvIndex(cfg.Bins),
 		idxSrcWild: newRecvIndex(cfg.Bins),
 		idxTagWild: newRecvIndex(cfg.Bins),
 		idxBoth:    newRecvIndex(1),
 		unexpected: newUnexpectedStore(cfg.Bins),
-		obs:        obs.New(obs.Options{}),
 
 		barrierSpins: barrierSpinBudget(),
 	}
+	m.table = newDescriptorTable(cfg.MaxReceives, &m.ring)
 	m.ring.slots = make([]Block, cfg.InFlightBlocks)
 	m.ring.next = 1
-	m.ring.nextAtomic.Store(1)
 	m.ring.cond = sync.NewCond(&m.ring.mu)
-	m.table.retired = &m.ring.retiredAtomic
+	m.SetObs(obs.New(obs.Options{}))
 	return m, nil
 }
 
@@ -268,13 +283,28 @@ func MustNew(cfg Config) *OptimisticMatcher {
 func (m *OptimisticMatcher) Config() Config { return m.cfg }
 
 // SetObs replaces the matcher's observability sink, redirecting its
-// counters and (when the sink has tracing enabled) its lifecycle events.
-// Install it before any traffic; a nil sink is ignored. Counters already
-// accumulated in the previous sink are not migrated.
+// counters (the matcher's fold is registered on it) and, when the sink has
+// tracing enabled, its lifecycle events. Install it before any traffic; a
+// nil sink is ignored. Counters already accumulated in the previous sink
+// are not migrated.
 func (m *OptimisticMatcher) SetObs(s *obs.Sink) {
 	if s != nil {
 		m.obs = s
+		s.OnFold(m)
 	}
+}
+
+// Fold carries both sides' counts to the sink, one lock section each. The
+// sink runs it for every reader (obs.OnFold), so what was counted under
+// either lock before a reader began is in what the reader sees.
+func (m *OptimisticMatcher) Fold() {
+	m.ring.mu.Lock()
+	m.ring.ctr.foldInto(&m.obs.Counters)
+	m.ring.mu.Unlock()
+	m.unexpected.mu.Lock()
+	m.postCtr.foldInto(&m.obs.Counters)
+	m.obs.MergeHist(obs.HistPostDepth, &m.postDepth)
+	m.unexpected.mu.Unlock()
 }
 
 // Obs returns the matcher's observability sink (never nil).
@@ -282,7 +312,8 @@ func (m *OptimisticMatcher) Obs() *obs.Sink { return m.obs }
 
 // SetUnexpectedHook installs a callback invoked exactly once per unexpected
 // message, under the store lock, right before the message becomes visible to
-// posts. Install it before any arrivals; a nil hook disables it.
+// posts. Install it before any arrivals; a nil hook disables it. The hook
+// must not read the matcher's statistics or its sink: the fold takes the lock.
 func (m *OptimisticMatcher) SetUnexpectedHook(fn func(*match.Envelope)) {
 	m.onUnexpected = fn
 }
@@ -347,13 +378,13 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 	class := r.Class()
 	hash := keyHashFor(class, r.Source, r.Tag, r.Comm)
 	env, depth := s.takeMatchLocked(r, class, hash)
-	c := &m.obs.Counters
-	c.Inc(obs.CtrPostSearches)
-	c.Add(obs.CtrPostTraversed, depth)
-	c.Max(obs.CtrPostMaxDepth, depth)
-	m.obs.Observe(obs.HistPostDepth, depth)
+	c := &m.postCtr
+	c[obs.CtrPostSearches]++
+	c[obs.CtrPostTraversed] += depth
+	c[obs.CtrPostMaxDepth] = max(c[obs.CtrPostMaxDepth], depth)
+	m.postDepth.Observe(depth)
 	if env != nil {
-		c.Inc(obs.CtrMatched)
+		c[obs.CtrMatched]++
 		if m.obs.Enabled() {
 			m.obs.Event(obs.EvPostMatch, 0, r.Label, depth, 0)
 		}
@@ -364,7 +395,7 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 
 	d := m.table.alloc()
 	if d == nil {
-		c.Inc(obs.CtrTableFull)
+		c[obs.CtrTableFull]++
 		// The label is spent even on failure, so the watermark still moves.
 		m.postHorizon.Store(r.Label + 1)
 		s.mu.Unlock()
@@ -386,7 +417,7 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 	d.markPosted()
 
 	m.indexFor(class).insert(d, hash)
-	c.Inc(obs.CtrQueued)
+	c[obs.CtrQueued]++
 	// Ordered publish: advance the watermark only after the descriptor is
 	// fully linked. The store is still locked, so watermark advances are
 	// monotone.
@@ -402,11 +433,16 @@ func (m *OptimisticMatcher) PeekUnexpected(r *match.Recv) (*match.Envelope, bool
 	return m.unexpected.peek(r)
 }
 
-// PostedDepth returns the number of live posted receives. It reads an
-// atomic counter — no lock — so a snapshot taken while an arrival block is
-// in flight reflects some instant within that block.
+// PostedDepth returns the number of live posted receives: descriptors
+// allocated (frozen by the post lock) less descriptors retired (ring.mu), so
+// it is exact for some instant and within [0, MaxReceives]. A receive
+// consumed by a block still in flight counts until the block retires.
 func (m *OptimisticMatcher) PostedDepth() int {
-	return int(m.table.liveCount.Load())
+	m.unexpected.mu.Lock()
+	defer m.unexpected.mu.Unlock()
+	m.ring.mu.Lock()
+	defer m.ring.mu.Unlock()
+	return int(m.table.allocs - m.table.vacated)
 }
 
 // UnexpectedDepth returns the number of stored unexpected messages. The
@@ -416,10 +452,11 @@ func (m *OptimisticMatcher) UnexpectedDepth() int {
 }
 
 // DepthStats returns cumulative search-depth statistics comparable with the
-// baselines' match.Stats. The snapshot is assembled from atomic counters
-// without taking any lock; individual fields are each coherent but the
-// snapshot as a whole may interleave with a concurrent block.
+// baselines' match.Stats. The snapshot folds and then reads the sink's
+// atomic counters; individual fields are each coherent but the snapshot as a
+// whole may interleave with a concurrent block.
 func (m *OptimisticMatcher) DepthStats() match.Stats {
+	m.obs.Fold()
 	c := &m.obs.Counters
 	return match.Stats{
 		PostSearches:    c.Load(obs.CtrPostSearches),
@@ -436,6 +473,7 @@ func (m *OptimisticMatcher) DepthStats() match.Stats {
 
 // ResetDepthStats zeroes the search-depth statistics.
 func (m *OptimisticMatcher) ResetDepthStats() {
+	m.obs.Fold()
 	m.obs.Counters.Reset(
 		obs.CtrPostSearches, obs.CtrPostTraversed, obs.CtrPostMaxDepth,
 		obs.CtrArriveSearches, obs.CtrArriveTraversed, obs.CtrArriveMaxDepth,
@@ -509,9 +547,11 @@ func (s EngineStats) CheckQuiesced(d match.Stats, partition bool) error {
 	return nil
 }
 
-// Stats returns a snapshot of the engine statistics, assembled from the
-// sink's atomic counters without taking any lock.
+// Stats returns a snapshot of the engine statistics: a fold, then the
+// sink's atomic counters. A block counts its messages when it launches, so
+// an observer woken by a completion delivered mid-block already sees them.
 func (m *OptimisticMatcher) Stats() EngineStats {
+	m.obs.Fold()
 	c := &m.obs.Counters
 	return EngineStats{
 		Blocks:      c.Load(obs.CtrBlocks),
@@ -533,6 +573,7 @@ func (m *OptimisticMatcher) Stats() EngineStats {
 
 // ResetStats zeroes the engine statistics.
 func (m *OptimisticMatcher) ResetStats() {
+	m.obs.Fold()
 	m.obs.Counters.Reset(
 		obs.CtrBlocks, obs.CtrMessages, obs.CtrOptimistic,
 		obs.CtrConflicts, obs.CtrFastPath, obs.CtrSlowPath,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/match"
@@ -192,44 +191,42 @@ const chunkSize = 64
 // ModelFootprint). On the host it materializes in chunkSize-slot chunks as
 // posts need them, so an idle or shallow matcher does not pay for its
 // capacity. A chunk never moves or shrinks: chains hold descriptor pointers
-// and Block.cand holds slot numbers. It is self-locking: posts allocate
-// while arrival blocks run. Release is epoch-based: a retiring block pushes
-// its consumed descriptors onto a deferred FIFO tagged with the current
-// block-sequence watermark, and alloc recycles entries only after the retire
-// frontier has passed their tag, so no in-flight block can ever stand on a
-// reused slot.
+// and Block.cand holds slot numbers. It has no lock of its own: allocation
+// runs under the post lock (unexpected.mu) its only caller, PostRecv, holds,
+// and release rides the retire section. Release is epoch-based: a retiring
+// block queues its consumed descriptors on a deferred FIFO tagged with the
+// newest block sequence launched, and alloc recycles entries only after the
+// retire frontier has passed their tag, so no in-flight block can ever stand
+// on a reused slot. alloc takes ring.mu (post lock → ring.mu, the one
+// nesting; DESIGN.md §9) only when its free list runs dry.
 type descriptorTable struct {
-	mu   sync.Mutex
-	n    int // capacity (Config.MaxReceives)
-	made int // slots materialized so far
-	free []int32
+	n int // capacity (Config.MaxReceives)
 
 	// chunks is the directory, sized for n at construction so it never
 	// moves. Entries are published atomically: Block.anyLowerConflict calls
 	// get with no lock while a concurrent post grows the table.
 	chunks []atomic.Pointer[[chunkSize]descriptor]
 
-	// deferred is a circular FIFO of released slots awaiting their grace
-	// period, with room for every materialized slot; tags are monotone
-	// because blocks retire in sequence order.
+	// Post side, guarded by the post lock.
+	made   int // slots materialized so far
+	free   []int32
+	allocs uint64 // descriptors ever allocated
+
+	// Retire side, guarded by ring.mu. deferred is a circular FIFO of
+	// released slots awaiting their grace period, with room for every
+	// materialized slot (it is re-laid out under both locks); tags are
+	// monotone because blocks retire in sequence order.
+	ring     *blockRing
 	deferred []reclaim
 	defHead  int
 	defLen   int
-
-	// retired points at the matcher's retire frontier; nil (unit tests)
-	// means release immediately.
-	retired *atomic.Uint64
-
-	// liveCount tracks allocated descriptors atomically so PostedDepth
-	// snapshots do not need any lock. Between a thread's consume and the
-	// block's retirement a consumed descriptor still counts — the counter
-	// reflects an instant, not a linearized depth.
-	liveCount atomic.Int64
+	vacated  uint64 // descriptors ever queued for reclamation
 }
 
-func newDescriptorTable(n int) *descriptorTable {
+func newDescriptorTable(n int, ring *blockRing) *descriptorTable {
 	return &descriptorTable{
 		n:      n,
+		ring:   ring,
 		chunks: make([]atomic.Pointer[[chunkSize]descriptor], (n+chunkSize-1)/chunkSize),
 	}
 }
@@ -238,15 +235,10 @@ func newDescriptorTable(n int) *descriptorTable {
 // (the ErrTableFull condition: n slots exist and none is reclaimable).
 // Deferred releases whose grace period has expired are recycled before the
 // table grows, so the materialized size tracks the peak posted depth, not
-// the number of posts.
+// the number of posts. Caller holds the post lock.
 func (t *descriptorTable) alloc() *descriptor {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.free) == 0 {
-		t.drainLocked()
-		if len(t.free) == 0 && !t.growLocked() {
-			return nil
-		}
+	if len(t.free) == 0 && !t.refill() {
+		return nil
 	}
 	i := t.free[len(t.free)-1]
 	t.free = t.free[:len(t.free)-1]
@@ -255,14 +247,28 @@ func (t *descriptorTable) alloc() *descriptor {
 	d.prev = nil
 	d.owner = nil
 	d.unlinked = false
-	t.liveCount.Add(1)
+	t.allocs++
 	return d
+}
+
+// refill restocks the empty free list from the deferred queue, or failing
+// that with a new chunk; false means the table is full. Caller holds the
+// post lock.
+func (t *descriptorTable) refill() bool {
+	t.ring.mu.Lock()
+	defer t.ring.mu.Unlock()
+	for t.defLen > 0 && t.deferred[t.defHead].seq <= t.ring.retired {
+		t.free = append(t.free, t.deferred[t.defHead].slot)
+		t.defHead = (t.defHead + 1) % len(t.deferred)
+		t.defLen--
+	}
+	return len(t.free) > 0 || t.growLocked()
 }
 
 // growLocked materializes the next chunk, or reports false at capacity. The
 // deferred ring must hold every materialized slot; when it no longer does
 // it is re-laid out at twice the slot count (so ring copies stay linear in
-// the table's size), pending entries kept in order.
+// the table's size), pending entries kept in order. Caller holds both locks.
 func (t *descriptorTable) growLocked() bool {
 	k := min(chunkSize, t.n-t.made)
 	if k == 0 {
@@ -286,55 +292,21 @@ func (t *descriptorTable) growLocked() bool {
 	return true
 }
 
-// drainLocked moves reclaimable deferred entries to the free list.
-func (t *descriptorTable) drainLocked() {
-	frontier := ^uint64(0)
-	if t.retired != nil {
-		frontier = t.retired.Load()
+// releaseLocked queues swept descriptors (consumed, unlinked, marked free)
+// for reuse once every block launched so far has retired. The tag is read
+// here, after the sweep that unlinked them, so it is never lower than one
+// read at the unlink: the grace period only lengthens. Caller holds ring.mu.
+func (t *descriptorTable) releaseLocked(slots []int32) {
+	for _, slot := range slots {
+		t.deferred[(t.defHead+t.defLen)%len(t.deferred)] = reclaim{slot: slot, seq: t.ring.next - 1}
+		t.defLen++
 	}
-	for t.defLen > 0 {
-		rec := t.deferred[t.defHead]
-		if rec.seq > frontier {
-			break
-		}
-		t.free = append(t.free, rec.slot)
-		t.defHead = (t.defHead + 1) % len(t.deferred)
-		t.defLen--
-	}
-}
-
-// release retires a consumed, unlinked descriptor; its slot becomes
-// allocatable once every block with sequence <= afterSeq has retired.
-// recv is deliberately NOT cleared: a higher in-flight block that was just
-// robbed of d may still read it for a provisional result (re-derived at its
-// own retirement), and the next allocation's field writes are ordered behind
-// that block's retirement by the reclaim gate.
-func (t *descriptorTable) release(d *descriptor, afterSeq uint64) {
-	d.word.Store(stateFree)
-	t.mu.Lock()
-	t.deferred[(t.defHead+t.defLen)%len(t.deferred)] = reclaim{slot: d.slot, seq: afterSeq}
-	t.defLen++
-	t.mu.Unlock()
-	t.liveCount.Add(-1)
+	t.vacated += uint64(len(slots))
 }
 
 // get returns the descriptor at slot i, which must have been materialized.
 func (t *descriptorTable) get(i int32) *descriptor {
 	return &t.chunks[uint32(i)/chunkSize].Load()[uint32(i)%chunkSize]
-}
-
-// live returns the number of allocated descriptors still in posted state.
-func (t *descriptorTable) live() int {
-	t.mu.Lock()
-	made := t.made
-	t.mu.Unlock()
-	live := 0
-	for i := 0; i < made; i++ {
-		if ownState(t.get(int32(i)).word.Load()) == statePosted {
-			live++
-		}
-	}
-	return live
 }
 
 // capacity returns the table size.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -112,8 +111,30 @@ func TestConsumeStealOrder(t *testing.T) {
 	}
 }
 
+// release queues d as a retiring block does (sweep's free mark, then the
+// retire section), with block tag the newest launched.
+func release(tab *descriptorTable, d *descriptor, tag uint64) {
+	d.word.Store(stateFree)
+	r := tab.ring
+	r.mu.Lock()
+	r.next = tag + 1
+	tab.releaseLocked([]int32{d.slot})
+	r.mu.Unlock()
+}
+
+// live returns the number of materialized descriptors in posted state.
+func (t *descriptorTable) live() int {
+	live := 0
+	for i := 0; i < t.made; i++ {
+		if ownState(t.get(int32(i)).word.Load()) == statePosted {
+			live++
+		}
+	}
+	return live
+}
+
 func TestDescriptorTableAllocRelease(t *testing.T) {
-	tab := newDescriptorTable(3)
+	tab := newDescriptorTable(3, &blockRing{})
 	if tab.capacity() != 3 {
 		t.Fatalf("capacity = %d, want 3", tab.capacity())
 	}
@@ -134,7 +155,7 @@ func TestDescriptorTableAllocRelease(t *testing.T) {
 	if tab.live() != 2 {
 		t.Fatalf("live after consume = %d, want 2", tab.live())
 	}
-	tab.release(b, 0)
+	release(tab, b, 0)
 	d := tab.alloc()
 	if d == nil {
 		t.Fatal("released slot must be reusable")
@@ -147,24 +168,23 @@ func TestDescriptorTableAllocRelease(t *testing.T) {
 func TestDescriptorTableDeferredReclaim(t *testing.T) {
 	// With a retire frontier wired in, a released slot stays unavailable
 	// until every block at or below its tag has retired.
-	tab := newDescriptorTable(1)
-	var retired atomic.Uint64
-	tab.retired = &retired
+	var ring blockRing
+	tab := newDescriptorTable(1, &ring)
 	a := tab.alloc()
 	if a == nil {
 		t.Fatal("allocation within capacity failed")
 	}
 	a.markPosted()
 	a.consume(1, 0)
-	tab.release(a, 2) // blocks 1 and 2 may still stand on the chain
+	release(tab, a, 2) // blocks 1 and 2 may still stand on the chain
 	if tab.alloc() != nil {
 		t.Fatal("slot reused while blocks <= tag are still in flight")
 	}
-	retired.Store(1)
+	ring.retired = 1
 	if tab.alloc() != nil {
 		t.Fatal("slot reused before the frontier passed its tag")
 	}
-	retired.Store(2)
+	ring.retired = 2
 	if tab.alloc() == nil {
 		t.Fatal("slot must be reusable once the frontier reaches its tag")
 	}
@@ -243,9 +263,8 @@ func TestTableReusesBeforeGrowing(t *testing.T) {
 // that every one is reclaimed, in release order, as the frontier passes its
 // tag.
 func TestDeferredRingSurvivesGrowth(t *testing.T) {
-	tab := newDescriptorTable(8 * chunkSize)
-	var retired atomic.Uint64
-	tab.retired = &retired
+	var ring blockRing
+	tab := newDescriptorTable(8*chunkSize, &ring)
 
 	// Two chunks fill the first ring (sized for two) exactly.
 	held := make([]*descriptor, 2*chunkSize)
@@ -257,13 +276,13 @@ func TestDeferredRingSurvivesGrowth(t *testing.T) {
 	}
 	// Move the ring's head off zero: immediate releases, re-allocated.
 	for i := 0; i < 100; i++ {
-		tab.release(held[0], 0)
+		release(tab, held[0], 0)
 		held[0] = tab.alloc()
 	}
 	// 50 gated releases now wrap the ring (positions 100..127, 0..21).
 	var want []int32
 	for i, d := range held[:50] {
-		tab.release(d, uint64(i+1))
+		release(tab, d, uint64(i+1))
 		want = append(want, d.slot)
 	}
 	if tab.defHead+tab.defLen <= len(tab.deferred) {
@@ -276,19 +295,19 @@ func TestDeferredRingSurvivesGrowth(t *testing.T) {
 		t.Fatalf("after growth: made %d, ring %d, pending %d", tab.made, len(tab.deferred), tab.defLen)
 	}
 
+	// refill is what alloc calls on an empty free list; here the fresh slots
+	// of the growth above stay below what it drains.
 	reclaimed := func() []int32 {
-		tab.mu.Lock()
-		defer tab.mu.Unlock()
 		before := len(tab.free)
-		tab.drainLocked()
+		tab.refill()
 		return append([]int32(nil), tab.free[before:]...)
 	}
-	retired.Store(25)
+	ring.retired = 25
 	got := reclaimed()
 	if len(got) != 25 {
 		t.Fatalf("frontier 25 reclaimed %d entries, want 25", len(got))
 	}
-	retired.Store(50)
+	ring.retired = 50
 	got = append(got, reclaimed()...)
 	if !slices.Equal(got, want) || tab.defLen != 0 {
 		t.Fatalf("reclaimed %v (%d still pending), want %v", got, tab.defLen, want)

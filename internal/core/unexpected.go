@@ -119,16 +119,21 @@ func (s *unexpectedStore) insertLocked(env *match.Envelope) {
 		s.bySrc = make([]uchain, s.bins)
 	}
 	e := &uentry{env: env}
+	h := env.Inline // §IV-D: the sender's hashes, when the header carried them
+	if h == nil {
+		computed := match.ComputeInlineHashes(env)
+		h = &computed
+	}
 
-	c := &s.bySrcTag[match.HashSrcTag(env.Source, env.Tag, env.Comm)%uint64(s.bins)]
+	c := &s.bySrcTag[h.SrcTag%uint64(s.bins)]
 	e.chain[linkSrcTag] = c
 	c.insertSorted(e, linkSrcTag)
 
-	c = &s.byTag[match.HashTag(env.Tag, env.Comm)%uint64(s.bins)]
+	c = &s.byTag[h.Tag%uint64(s.bins)]
 	e.chain[linkTag] = c
 	c.insertSorted(e, linkTag)
 
-	c = &s.bySrc[match.HashSrc(env.Source, env.Comm)%uint64(s.bins)]
+	c = &s.bySrc[h.Src%uint64(s.bins)]
 	e.chain[linkSrc] = c
 	c.insertSorted(e, linkSrc)
 

@@ -198,3 +198,34 @@ func TestUnexpectedBinsOnFirstInsert(t *testing.T) {
 		}
 	}
 }
+
+// TestUnexpectedInsertInlineHashes: a message whose header carried the
+// sender's hashes (§IV-D) and one whose hashes the store computes land in
+// the same chain of every structure.
+func TestUnexpectedInsertInlineHashes(t *testing.T) {
+	s := newUnexpectedStore(16)
+	plain := &match.Envelope{Source: 5, Tag: 11, Comm: 2, Seq: 1}
+	inline := &match.Envelope{Source: 5, Tag: 11, Comm: 2, Seq: 2}
+	inline.SetInline(match.ComputeInlineHashes(inline))
+	s.insert(plain)
+	s.insert(inline)
+	first := s.all.head
+	second := first.links[linkAll].next
+	if first.env != plain || second == nil || second.env != inline {
+		t.Fatal("arrival-order list does not hold the two messages in order")
+	}
+	for li := 0; li < numLinks; li++ {
+		if first.chain[li] != second.chain[li] {
+			t.Errorf("structure %d: computed and inline hashes chose different chains", li)
+		}
+	}
+	// And receives find them oldest first.
+	for want, r := range []*match.Recv{
+		{Source: 5, Tag: 11, Comm: 2},
+		{Source: match.AnySource, Tag: 11, Comm: 2},
+	} {
+		if env, _ := s.takeMatch(r); env == nil || env.Seq != uint64(want+1) {
+			t.Fatalf("class %v took %v, want seq %d", r.Class(), env, want+1)
+		}
+	}
+}

@@ -137,14 +137,17 @@ func TestDaemonMultiTenantIntegration(t *testing.T) {
 // OpenMetrics scaffolding obscheck -metrics validates in CI.
 func TestDaemonMetricsEndToEnd(t *testing.T) {
 	d, _ := startDaemon(t, Budgets{})
+	matched := make(map[string]uint64)
 	for _, tenant := range []string{"alpha", "beta"} {
 		st, err := d.Submit(JobSpec{Tenant: tenant, Engine: "offload", Ranks: 2, K: 4, Reps: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", tenant, err)
 		}
-		if fin, err := d.WaitJob(st.ID); err != nil || fin.State != "done" {
+		fin, err := d.WaitJob(st.ID)
+		if err != nil || fin.State != "done" {
 			t.Fatalf("%s job: state %s, err %v", tenant, fin.State, err)
 		}
+		matched[tenant] = fin.Matched
 	}
 	var sb strings.Builder
 	if err := d.WriteMetrics(&sb); err != nil {
@@ -156,7 +159,9 @@ func TestDaemonMetricsEndToEnd(t *testing.T) {
 		`matchd_daemon_admitted_total{tenant="alpha"} 1`,
 		`matchd_daemon_admitted_total{tenant="beta"} 1`,
 		`matchd_daemon_completed_total{tenant="alpha"} 1`,
-		`matchd_matched_total{tenant="alpha"}`,
+		// The scrape and the job's status read one fold of the same counters.
+		fmt.Sprintf(`matchd_matched_total{tenant="alpha"} %d`+"\n", matched["alpha"]),
+		fmt.Sprintf(`matchd_matched_total{tenant="beta"} %d`+"\n", matched["beta"]),
 		"# TYPE matchd_tenants_active gauge",
 		"matchd_tenants_active 2",
 		"matchd_jobs_running 0",

@@ -117,6 +117,7 @@ func mergeSinks(t *tenant, sinks []obs.Named) (matched, unexpected uint64) {
 		if nd.Sink == nil {
 			continue
 		}
+		nd.Sink.Fold() // the loads below are direct
 		for c := obs.Counter(0); c < obs.NumCounters; c++ {
 			if v := nd.Sink.Counters.Load(c); v != 0 {
 				t.sink.CounterAdd(c, v)

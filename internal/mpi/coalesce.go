@@ -199,18 +199,19 @@ func (c *coalescer) flushLocked(b *coalesceBuf, dst int, reason flushReason) err
 		rkey: uint64(b.count),
 	}
 	h.encode(b.frame[:headerSize])
-	width, bytes := b.count, len(b.frame)
+	// Count the flush before the send: the in-process transport delivers
+	// before sendWire returns, and whoever that delivery wakes must already
+	// see the flush in the counters (as launchLocked does for blocks).
+	s := c.p.obs
+	s.Counters.Inc(reasonCounters[reason])
+	s.Observe(obs.HistCoalesceWidth, uint64(b.count))
+	if s.Enabled() {
+		s.Event(obs.EvCoalesceFlush, dst, uint64(reason), uint64(b.count), uint64(len(b.frame)))
+	}
 	err := c.p.sendWire(dst, b.frame)
 	b.count = 0
 	b.frame = b.frame[:headerSize]
 	c.buffered.Add(-1)
-
-	s := c.p.obs
-	s.Counters.Inc(reasonCounters[reason])
-	s.Observe(obs.HistCoalesceWidth, uint64(width))
-	if s.Enabled() {
-		s.Event(obs.EvCoalesceFlush, dst, uint64(reason), uint64(width), uint64(bytes))
-	}
 	return err
 }
 

@@ -436,6 +436,9 @@ func (e *offloadEngine) post(r *match.Recv) error {
 func (e *offloadEngine) close() {
 	e.pipe.Stop()
 	e.acc.Close()
+	// The matcher counts under its own locks; with the arrival path stopped,
+	// this makes the rank's sink final for whoever loads its counters next.
+	e.p.obs.Fold()
 }
 
 // ---------------------------------------------------------------------------

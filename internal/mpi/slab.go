@@ -14,6 +14,12 @@ import (
 // falling back to make() and regressing the 0 allocs/op hot path.
 type slab struct {
 	pools [slabClasses]sync.Pool
+
+	// boxes recycles the *[]byte headers the class pools store (a slice in
+	// an interface would allocate its header on every put): get empties a
+	// box into here, put refills one from here, so a round trip allocates
+	// nothing.
+	boxes sync.Pool
 }
 
 const (
@@ -45,7 +51,10 @@ func (s *slab) get(n int) []byte {
 		return make([]byte, n)
 	}
 	if bp, ok := s.pools[c].Get().(*[]byte); ok {
-		return (*bp)[:n]
+		buf := (*bp)[:n]
+		*bp = nil
+		s.boxes.Put(bp)
+		return buf
 	}
 	return make([]byte, n, 1<<(c+slabMinBits))
 }
@@ -61,6 +70,10 @@ func (s *slab) put(buf []byte) {
 	if cls >= slabClasses {
 		return
 	}
-	buf = buf[:0]
-	s.pools[cls].Put(&buf)
+	bp, ok := s.boxes.Get().(*[]byte)
+	if !ok {
+		bp = new([]byte)
+	}
+	*bp = buf[:0]
+	s.pools[cls].Put(bp)
 }

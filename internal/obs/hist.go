@@ -66,15 +66,36 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
-	i := bits.Len64(v)
-	if i >= HistBuckets {
-		i = HistBuckets - 1
-	}
-	h.buckets[i].Add(1)
+	h.buckets[min(bits.Len64(v), HistBuckets-1)].Add(1)
 	h.count.Add(1)
 	if v != 0 {
 		h.sum.Add(v)
 	}
+}
+
+// HistDelta accumulates samples in plain words under a lock its owner
+// already holds; Sink.MergeHist carries them to a Histogram in bulk.
+type HistDelta struct {
+	buckets [HistBuckets]uint64
+	sum     uint64
+}
+
+// Observe records one value. The caller serializes.
+func (d *HistDelta) Observe(v uint64) {
+	d.buckets[min(bits.Len64(v), HistBuckets-1)]++
+	d.sum += v
+}
+
+// merge adds d's samples to h and empties d. The caller serializes d.
+func (h *Histogram) merge(d *HistDelta) {
+	for i, n := range d.buckets {
+		if n != 0 {
+			h.buckets[i].Add(n)
+			h.count.Add(n)
+		}
+	}
+	h.sum.Add(d.sum)
+	*d = HistDelta{}
 }
 
 // HistSnapshot is a point-in-time copy of a histogram.

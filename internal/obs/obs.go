@@ -3,7 +3,8 @@
 // layer of the offloaded-matching stack (DESIGN.md §10).
 //
 // The design targets the arrival hot path. Counters are enum-indexed
-// atomics (one indexed atomic add per record, no lookup); events go to
+// atomics (one indexed atomic add per record, no lookup; a writer that
+// already holds a lock may count under it and fold, see OnFold); events go to
 // per-worker lock-free ring buffers of fixed-size seqlock-stamped records
 // (one atomic reservation plus a handful of atomic stores, overwriting the
 // oldest records when full); and the whole event path is gated on a single
@@ -16,6 +17,7 @@
 package obs
 
 import (
+	"sync"
 	"time"
 )
 
@@ -61,7 +63,19 @@ type Sink struct {
 	hists [NumHists]Histogram
 	rings []ring
 	base  time.Time
+
+	foldMu sync.Mutex
+	folder Folder // the writers that count under their own locks (OnFold)
 }
+
+// Folder is a writer that keeps some of a sink's counts in plain words under
+// locks of its own; Fold carries them into the sink.
+type Folder interface{ Fold() }
+
+// folderPair is two writers on one sink.
+type folderPair struct{ a, b Folder }
+
+func (p folderPair) Fold() { p.a.Fold(); p.b.Fold() }
 
 // New returns a sink. With opts.TraceEvents == 0 the sink records counters
 // and histograms only; Event becomes a near-free no-op.
@@ -83,6 +97,38 @@ func New(opts Options) *Sink {
 	}
 	return s
 }
+
+// OnFold registers a writer (core.OptimisticMatcher) that counts into this
+// sink in plain words under locks it already holds. Every reader in this
+// package folds first and a reader that loads Counters directly calls Fold,
+// so none has to know the writer exists. f.Fold takes the writer's locks:
+// never read the sink while holding one of them. The first writer costs no
+// allocation: the analyzer builds a matcher, and its sink, per shard.
+func (s *Sink) OnFold(f Folder) {
+	s.foldMu.Lock()
+	if s.folder != nil {
+		f = folderPair{s.folder, f}
+	}
+	s.folder = f
+	s.foldMu.Unlock()
+}
+
+// Fold brings Counters and the histograms up to date (nil-safe). Folding
+// twice adds nothing.
+func (s *Sink) Fold() {
+	if s == nil {
+		return
+	}
+	s.foldMu.Lock()
+	if s.folder != nil {
+		s.folder.Fold()
+	}
+	s.foldMu.Unlock()
+}
+
+// MergeHist adds d's samples and empties it, for a fold to call; the caller
+// holds the lock that guards d.
+func (s *Sink) MergeHist(h Hist, d *HistDelta) { s.hists[h].merge(d) }
 
 // Enabled reports whether the sink records events. It is the one branch
 // call sites pay when tracing is off; guard any argument computation with
@@ -153,6 +199,7 @@ func (s *Sink) Hist(h Hist) HistSnapshot {
 	if s == nil {
 		return HistSnapshot{}
 	}
+	s.Fold()
 	return s.hists[h].Snapshot()
 }
 
@@ -205,6 +252,7 @@ func (s *Sink) Snapshot() Snapshot {
 	if s == nil {
 		return Snapshot{Counters: map[string]uint64{}}
 	}
+	s.Fold()
 	out := Snapshot{Counters: s.Counters.Snapshot()}
 	for h := Hist(0); h < NumHists; h++ {
 		hs := s.hists[h].Snapshot()

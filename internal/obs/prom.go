@@ -14,9 +14,10 @@ import (
 // expect: one `# TYPE` header per metric family, counter samples suffixed
 // `_total`, and log2 histograms expanded into cumulative `le` buckets.
 //
-// The exporter is deliberately snapshot-shaped — it reads atomic counters
-// at scrape time and holds no locks, so scrapes never contend with the
-// arrival hot path.
+// The exporter is deliberately snapshot-shaped: it folds each sink
+// (Sink.Fold, two short lock sections per matcher) and then reads atomic
+// counters, so a scrape never holds up the arrival hot path for longer than
+// one of its own lock sections.
 
 // Label is one name="value" pair attached to a sink group's samples.
 // Order is preserved; callers list the most significant label first
@@ -62,6 +63,7 @@ func (g *LabeledSinks) counterSums() [NumCounters]uint64 {
 		if s == nil {
 			continue
 		}
+		s.Fold()
 		for i := Counter(0); i < NumCounters; i++ {
 			sums[i] += s.Counters.Load(i)
 		}

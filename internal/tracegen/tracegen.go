@@ -177,12 +177,12 @@ func (g grid3) fullNeighbors(rank int) []int {
 	return dedupe(rank, cand)
 }
 
+// dedupe returns cand without self and without repeats, first occurrences
+// in order. At most 26 candidates: a scan of the output beats a map.
 func dedupe(self int, cand []int) []int {
-	seen := map[int]bool{self: true}
-	var out []int
+	out := make([]int, 0, len(cand))
 	for _, c := range cand {
-		if !seen[c] {
-			seen[c] = true
+		if c != self && indexOf(out, c) < 0 {
 			out = append(out, c)
 		}
 	}

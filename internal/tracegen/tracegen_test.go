@@ -1,6 +1,8 @@
 package tracegen
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -261,5 +263,23 @@ func TestGridTopology(t *testing.T) {
 	g2 := grid3{2, 1, 1}
 	if n := g2.faceNeighbors(0); len(n) != 1 || n[0] != 1 {
 		t.Fatalf("2x1x1 neighbors = %v", n)
+	}
+}
+
+// TestGeneratedTracesArePinned holds the generators' output still: the
+// binary cache encoding (what trace.SaveCache writes) of all sixteen
+// applications at scale 5 hashes to the digest it had before dedupe stopped
+// building a map per call. A change that speeds generation up must leave it
+// alone; a change that means to alter a trace replaces it, and says so.
+func TestGeneratedTracesArePinned(t *testing.T) {
+	const want = "cf9bd2092085a4de1e1f8714bbca11d4528ffb3dd40e50fe5acdb9e3eabcc89f"
+	h := sha256.New()
+	for _, a := range Apps() {
+		if err := trace.EncodeBinary(h, a.Generate(Config{Scale: 5})); err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("generated traces changed: cache bytes hash to %s, want %s", got, want)
 	}
 }
