@@ -429,7 +429,7 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 // PeekUnexpected reports whether a stored unexpected message matches r,
 // without consuming it — the engine-side primitive behind MPI_Probe and
 // MPI_Iprobe. The store is self-locking; arrival blocks are not excluded.
-func (m *OptimisticMatcher) PeekUnexpected(r *match.Recv) (*match.Envelope, bool) {
+func (m *OptimisticMatcher) PeekUnexpected(r *match.Recv) (match.Probed, bool) {
 	return m.unexpected.peek(r)
 }
 

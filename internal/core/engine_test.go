@@ -502,7 +502,7 @@ func TestPublicAccessors(t *testing.T) {
 
 	// PeekUnexpected surfaces stored messages without consuming.
 	m.Arrive(&match.Envelope{Source: 2, Tag: 3})
-	if env, ok := m.PeekUnexpected(&match.Recv{Source: 2, Tag: 3}); !ok || env == nil {
+	if got, ok := m.PeekUnexpected(&match.Recv{Source: 2, Tag: 3}); !ok || got != (match.Probed{Source: 2, Tag: 3}) {
 		t.Fatal("PeekUnexpected missed a stored message")
 	}
 	if m.UnexpectedDepth() != 1 {

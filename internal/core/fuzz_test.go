@@ -188,6 +188,26 @@ func fuzzSeeds() [][]byte {
 		encodeFuzz(cat(same(2, true), []matchtest.Op{{Post: true, Src: 2, Tag: 1}, {Post: true, Src: match.AnySource, Tag: 3}},
 			same(3, true), same(8, false), same(2, true), same(4, false)), 8),
 	}
+	// Store-then-post of the same twelve keys three times over, so every
+	// store entry and list node is reused at least twice: a receive takes
+	// the first message mid-way and the second half lands on a non-empty
+	// store, then eleven receives of all four classes drain it (each entry
+	// leaves the three chains it was not found on too).
+	msgs := func(from, to int) (ops []matchtest.Op) {
+		for i := from; i < to; i++ {
+			ops = append(ops, matchtest.Op{Src: match.Rank(i % 4), Tag: match.Tag(i / 4)})
+		}
+		return ops
+	}
+	const anyS, anyT = match.AnySource, match.AnyTag
+	round := cat(msgs(0, 6), []matchtest.Op{{Post: true}}, msgs(6, 12), []matchtest.Op{
+		{Post: true, Src: 3, Tag: 2}, {Post: true, Src: 2, Tag: 2}, {Post: true, Src: 1, Tag: 2},
+		{Post: true, Src: anyS, Tag: 1}, {Post: true, Src: anyS, Tag: 1}, {Post: true, Src: anyS, Tag: 1},
+		{Post: true, Src: 1, Tag: anyT}, {Post: true, Src: 2, Tag: anyT}, {Post: true, Src: 3, Tag: anyT},
+		{Post: true, Src: anyS, Tag: anyT}, {Post: true, Src: anyS, Tag: anyT}})
+	for _, batch := range []int{fuzzMaxBatch, 4, 1} {
+		seeds = append(seeds, encodeFuzz(cat(round, round, round), batch))
+	}
 	// One sequence per golden scenario (TestParallelBlocksMatchGolden,
 	// TestInFlightDepthEquivalence, TestArriveOneMatchesBlockOfOne), in
 	// batches that fill the K = 8 ring and as single arrivals.
@@ -314,6 +334,7 @@ func runDifferential(t *testing.T, steps []fuzzStep) {
 				t.Fatalf("step %d %s: depths (%d posted, %d stored), list matcher (%d, %d)",
 					si, e.name, p, u, golden.PostedDepth(), golden.UnexpectedDepth())
 			}
+			checkStoreInvariants(t, e.m.unexpected)
 		}
 	}
 

@@ -30,6 +30,12 @@ type unexpectedStore struct {
 	all      uchain   // arrival order: searched by ClassBothWild receives
 
 	n int
+
+	// free heads the recycled entries, threaded through links[0].next and
+	// guarded by mu like everything else: insertLocked pops, removeAll
+	// pushes. It never holds more than the store's high-water mark and
+	// dies with the matcher.
+	free *uentry
 }
 
 // structure indices into uentry.links.
@@ -118,7 +124,13 @@ func (s *unexpectedStore) insertLocked(env *match.Envelope) {
 		s.byTag = make([]uchain, s.bins)
 		s.bySrc = make([]uchain, s.bins)
 	}
-	e := &uentry{env: env}
+	e := s.free
+	if e == nil {
+		e = &uentry{}
+	} else {
+		s.free, e.links[0].next = e.links[0].next, nil
+	}
+	e.env = env
 	h := env.Inline // §IV-D: the sender's hashes, when the header carried them
 	if h == nil {
 		computed := match.ComputeInlineHashes(env)
@@ -171,9 +183,9 @@ func (s *unexpectedStore) takeMatchLocked(r *match.Recv, c match.WildcardClass, 
 	chain, li := s.chainFor(c, hash)
 	var depth uint64
 	for e := chain.head; e != nil; e = e.links[li].next {
-		if r.Matches(e.env) {
-			s.removeAll(e)
-			return e.env, depth
+		if env := e.env; r.Matches(env) {
+			s.removeAll(e) // recycles e: env is read first
+			return env, depth
 		}
 		depth++
 	}
@@ -195,29 +207,35 @@ func (s *unexpectedStore) takeMatch(r *match.Recv) (*match.Envelope, uint64) {
 	return s.takeMatchLocked(r, c, keyHashFor(c, r.Source, r.Tag, r.Comm))
 }
 
-// peek returns the oldest matching message without removing it.
-func (s *unexpectedStore) peek(r *match.Recv) (*match.Envelope, bool) {
+// peek reports the oldest matching message without removing it. The report
+// is copied out under s.mu: a post may take and recycle the envelope next.
+func (s *unexpectedStore) peek(r *match.Recv) (match.Probed, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.n == 0 {
-		return nil, false
+		return match.Probed{}, false
 	}
 	c := r.Class()
 	chain, li := s.chainFor(c, keyHashFor(c, r.Source, r.Tag, r.Comm))
 	for e := chain.head; e != nil; e = e.links[li].next {
 		if r.Matches(e.env) {
-			return e.env, true
+			return e.env.Probed(), true
 		}
 	}
-	return nil, false
+	return match.Probed{}, false
 }
 
-// removeAll unlinks e from every structure. Caller holds s.mu.
+// removeAll unlinks e from every structure and recycles it: a free entry
+// pins no envelope, no chain and no neighbour. Caller holds s.mu and has
+// read e.env.
 func (s *unexpectedStore) removeAll(e *uentry) {
 	for li := 0; li < numLinks; li++ {
 		e.chain[li].remove(e, li)
 	}
 	s.n--
+	e.env, e.chain = nil, [numLinks]*uchain{} // remove cleared the links
+	e.links[0].next = s.free
+	s.free = e
 }
 
 // len returns the number of stored messages.

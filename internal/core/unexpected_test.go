@@ -137,8 +137,8 @@ func TestUnexpectedPeek(t *testing.T) {
 		{Source: 4, Tag: match.AnyTag},
 		{Source: match.AnySource, Tag: match.AnyTag},
 	} {
-		env, ok := s.peek(r)
-		if !ok || env.Seq != 1 {
+		got, ok := s.peek(r)
+		if !ok || got != (match.Probed{Source: 4, Tag: 2}) {
 			t.Fatalf("peek class %v failed", r.Class())
 		}
 	}
@@ -189,7 +189,7 @@ func TestUnexpectedBinsOnFirstInsert(t *testing.T) {
 			{Source: 3, Tag: match.AnyTag, Comm: 1},
 			{Source: match.AnySource, Tag: match.AnyTag, Comm: 1},
 		} {
-			if got, ok := s.peek(r); !ok || got != env {
+			if got, ok := s.peek(r); !ok || got != env.Probed() {
 				t.Fatalf("bins=%d: peek class %v missed the message", bins, r.Class())
 			}
 		}
@@ -227,5 +227,134 @@ func TestUnexpectedInsertInlineHashes(t *testing.T) {
 		if env, _ := s.takeMatch(r); env == nil || env.Seq != uint64(want+1) {
 			t.Fatalf("class %v took %v, want seq %d", r.Class(), env, want+1)
 		}
+	}
+}
+
+// checkStoreInvariants walks a store the way nothing in the matcher does:
+// each of the four structures holds exactly s.n entries, every chain is
+// sorted by Seq and owns the entries it links, and the free list shares no
+// entry with a chain and pins nothing. It returns the free list's length.
+func checkStoreInvariants(tb testing.TB, s *unexpectedStore) int {
+	tb.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	live := make(map[*uentry]bool, s.n)
+	for e := s.all.head; e != nil; e = e.links[linkAll].next {
+		live[e] = true
+	}
+	walk := func(name string, li int, chain func(i int) *uchain, chains int) {
+		total := 0
+		for i := 0; i < chains; i++ {
+			c, n := chain(i), 0
+			var prev *uentry
+			for e := c.head; e != nil; prev, e = e, e.links[li].next {
+				switch {
+				case !live[e]:
+					tb.Fatalf("%s holds an entry the arrival-order list does not", name)
+				case e.env == nil || e.chain[li] != c || e.links[li].prev != prev:
+					tb.Fatalf("%s: entry %v is mislinked", name, e.env)
+				case prev != nil && prev.env.Seq >= e.env.Seq:
+					tb.Fatalf("%s: seq %d before %d", name, prev.env.Seq, e.env.Seq)
+				}
+				n++
+			}
+			if n != c.n || c.tail != prev {
+				tb.Fatalf("%s: chain counts %d entries and holds %d", name, c.n, n)
+			}
+			total += n
+		}
+		if total != s.n {
+			tb.Fatalf("%s holds %d entries, the store %d", name, total, s.n)
+		}
+	}
+	walk("bySrcTag", linkSrcTag, func(i int) *uchain { return &s.bySrcTag[i] }, len(s.bySrcTag))
+	walk("byTag", linkTag, func(i int) *uchain { return &s.byTag[i] }, len(s.byTag))
+	walk("bySrc", linkSrc, func(i int) *uchain { return &s.bySrc[i] }, len(s.bySrc))
+	walk("all", linkAll, func(int) *uchain { return &s.all }, 1)
+
+	free := 0
+	for e := s.free; e != nil; e = e.links[0].next {
+		rest := *e
+		if rest.links[0].next = nil; live[e] || rest != (uentry{}) {
+			tb.Fatalf("free entry %d is live or pins something: %+v", free, *e)
+		}
+		free++
+	}
+	return free
+}
+
+// storeCycle stores 64 messages with distinct keys, then drains them with
+// 64 receives, 16 of each wildcard class, every one of which must match.
+// Entries therefore leave by all four chains, whichever chain found them.
+type storeCycle struct {
+	m     *OptimisticMatcher
+	envs  [64]match.Envelope
+	recvs [64]match.Recv
+}
+
+func (c *storeCycle) store(tb testing.TB) {
+	for i := range c.envs {
+		c.envs[i] = match.Envelope{Source: match.Rank(i % 8), Tag: match.Tag(i / 8)}
+		if res := c.m.Arrive(&c.envs[i]); !res.Unexpected {
+			tb.Fatalf("message %d matched an empty table", i)
+		}
+	}
+}
+
+func (c *storeCycle) drain(tb testing.TB) {
+	for i := range c.recvs {
+		// Most specific first, so that no wildcard takes a message a later
+		// exact receive names: 48-63 exact, 32-47 by tag, 0-31 by source
+		// (two of each source's four), the rest by arrival order.
+		r := match.Recv{Source: match.Rank(i % 8), Tag: match.Tag((63 - i) / 8)}
+		switch i / 16 {
+		case 1:
+			r.Source = match.AnySource
+		case 2:
+			r.Tag = match.AnyTag
+		case 3:
+			r.Source, r.Tag = match.AnySource, match.AnyTag
+		}
+		c.recvs[i] = r
+		if env, ok, err := c.m.PostRecv(&c.recvs[i]); err != nil || !ok || !c.recvs[i].Matches(env) {
+			tb.Fatalf("receive %d (%v): %v, %v, %v", i, &c.recvs[i], env, ok, err)
+		}
+	}
+}
+
+func newStoreCycle() *storeCycle {
+	return &storeCycle{m: MustNew(Config{Bins: 32, MaxReceives: 4096, BlockSize: 1})}
+}
+
+// TestUnexpectedStoreRecyclesEntries is the store's allocation guard: once
+// one cycle has built the entries, storing and taking messages allocates
+// nothing, the free list never outgrows the store's high-water mark, and a
+// free entry pins no envelope, chain or neighbour.
+func TestUnexpectedStoreRecyclesEntries(t *testing.T) {
+	c := newStoreCycle()
+	s := c.m.unexpected
+	for round := 0; round < 3; round++ {
+		c.store(t)
+		if free := checkStoreInvariants(t, s); free != 0 || s.n != len(c.envs) {
+			t.Fatalf("round %d, stored: %d entries live, %d free", round, s.n, free)
+		}
+		c.drain(t)
+		if free := checkStoreInvariants(t, s); free != len(c.envs) || s.n != 0 {
+			t.Fatalf("round %d, drained: %d entries live, %d free, high-water mark %d", round, s.n, free, len(c.envs))
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { c.store(t); c.drain(t) }); allocs != 0 {
+		t.Fatalf("%d stores and takes allocate %.1f times", len(c.envs), allocs)
+	}
+}
+
+// BenchmarkUnexpectedRoundTrip measures one message through the store:
+// stored by Arrive, taken by a receive of one of the four classes.
+func BenchmarkUnexpectedRoundTrip(b *testing.B) {
+	c := newStoreCycle()
+	b.ReportAllocs()
+	for done := 0; done < b.N; done += len(c.envs) {
+		c.store(b)
+		c.drain(b)
 	}
 }

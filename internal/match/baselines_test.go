@@ -33,7 +33,7 @@ func TestAllBaselinesMatchGoldenModel(t *testing.T) {
 			for ci, cfg := range cfgs {
 				rng := rand.New(rand.NewSource(int64(7*ci + 1)))
 				for iter := 0; iter < 15; iter++ {
-					ops := matchtest.Generate(rng, 400, cfg)
+					ops := fillAndDrain(rng, 3, 400, cfg)
 					gold, gp, gu := matchtest.Run(match.NewListMatcher(), ops)
 					got, bp, bu := matchtest.Run(mk(), ops)
 					if diff := matchtest.DiffPairings(gold, got); diff != "" {

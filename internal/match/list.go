@@ -28,14 +28,22 @@ type recvNode struct {
 	next *recvNode
 }
 
-// recvList is a singly linked queue with O(1) append.
+// recvList is a singly linked queue with O(1) append. Unlinked nodes wait
+// on free (threaded through next) for the next push: the matcher is
+// single-goroutine, so the list is the lock.
 type recvList struct {
-	head, tail *recvNode
-	n          int
+	head, tail, free *recvNode
+	n                int
 }
 
 func (l *recvList) push(r *Recv) {
-	n := &recvNode{recv: r}
+	n := l.free
+	if n == nil {
+		n = &recvNode{}
+	} else {
+		l.free, n.next = n.next, nil
+	}
+	n.recv = r
 	if l.tail == nil {
 		l.head = n
 	} else {
@@ -45,7 +53,8 @@ func (l *recvList) push(r *Recv) {
 	l.n++
 }
 
-// removeAfter unlinks the node following prev (or the head when prev is nil).
+// removeAfter unlinks the node following prev (or the head when prev is
+// nil) and recycles it: the caller has read node.recv.
 func (l *recvList) removeAfter(prev, node *recvNode) {
 	if prev == nil {
 		l.head = node.next
@@ -56,6 +65,7 @@ func (l *recvList) removeAfter(prev, node *recvNode) {
 		l.tail = prev
 	}
 	l.n--
+	node.recv, node.next, l.free = nil, l.free, node
 }
 
 // envNode is a UMQ entry.
@@ -64,14 +74,21 @@ type envNode struct {
 	next *envNode
 }
 
-// envList is a singly linked queue with O(1) append.
+// envList is a singly linked queue with O(1) append, recycling its nodes
+// as recvList does.
 type envList struct {
-	head, tail *envNode
-	n          int
+	head, tail, free *envNode
+	n                int
 }
 
 func (l *envList) push(e *Envelope) {
-	n := &envNode{env: e}
+	n := l.free
+	if n == nil {
+		n = &envNode{}
+	} else {
+		l.free, n.next = n.next, nil
+	}
+	n.env = e
 	if l.tail == nil {
 		l.head = n
 	} else {
@@ -91,6 +108,7 @@ func (l *envList) removeAfter(prev, node *envNode) {
 		l.tail = prev
 	}
 	l.n--
+	node.env, node.next, l.free = nil, l.free, node
 }
 
 // PostRecv implements Matcher. The UMQ is scanned from the head so the
@@ -102,11 +120,11 @@ func (m *ListMatcher) PostRecv(r *Recv) (*Envelope, bool) {
 	var depth uint64
 	var prev *envNode
 	for n := m.umq.head; n != nil; prev, n = n, n.next {
-		if r.Matches(n.env) {
+		if env := n.env; r.Matches(env) {
 			m.umq.removeAfter(prev, n)
 			m.stats.recordPost(depth)
 			m.stats.Matched++
-			return n.env, true
+			return env, true
 		}
 		depth++
 	}
@@ -127,11 +145,11 @@ func (m *ListMatcher) Arrive(e *Envelope) (*Recv, bool) {
 	var depth uint64
 	var prev *recvNode
 	for n := m.prq.head; n != nil; prev, n = n, n.next {
-		if n.recv.Matches(e) {
+		if r := n.recv; r.Matches(e) {
 			m.prq.removeAfter(prev, n)
 			m.stats.recordArrive(depth)
 			m.stats.Matched++
-			return n.recv, true
+			return r, true
 		}
 		depth++
 	}

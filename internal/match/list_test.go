@@ -202,3 +202,72 @@ func TestListPeekUnexpected(t *testing.T) {
 		t.Fatal("peek invented a message")
 	}
 }
+
+// listCycle is one fill and drain of both queues over preallocated records:
+// 32 receives posted and then matched from the tail inwards (removals from
+// the middle and the end of the PRQ), then 32 messages stored and taken the
+// same way.
+type listCycle struct {
+	m     *ListMatcher
+	recvs [32]Recv
+	envs  [32]Envelope
+}
+
+func (c *listCycle) run(tb testing.TB) {
+	n := len(c.recvs)
+	for i := range c.recvs {
+		c.recvs[i] = Recv{Source: 1, Tag: Tag(i)}
+		c.m.PostRecv(&c.recvs[i])
+	}
+	for i := range c.envs {
+		c.envs[i] = Envelope{Source: 1, Tag: Tag(n - 1 - i)}
+		if r, ok := c.m.Arrive(&c.envs[i]); !ok || r != &c.recvs[n-1-i] {
+			tb.Fatalf("message %d matched %v", i, r)
+		}
+	}
+	for i := range c.envs {
+		c.envs[i] = Envelope{Source: 2, Tag: Tag(i)}
+		c.m.Arrive(&c.envs[i])
+	}
+	for i := range c.recvs {
+		c.recvs[i] = Recv{Source: 2, Tag: Tag(n - 1 - i)}
+		if env, ok := c.m.PostRecv(&c.recvs[i]); !ok || env != &c.envs[n-1-i] {
+			tb.Fatalf("receive %d took %v", i, env)
+		}
+	}
+}
+
+// TestListMatcherSteadyStateAllocs is the list matcher's allocation guard:
+// once one cycle has built the PRQ and UMQ nodes, post-then-arrive and
+// arrive-then-post allocate nothing, and a free node pins no record.
+func TestListMatcherSteadyStateAllocs(t *testing.T) {
+	c := &listCycle{m: NewListMatcher()}
+	c.run(t)
+	if allocs := testing.AllocsPerRun(20, func() { c.run(t) }); allocs != 0 {
+		t.Fatalf("a cycle of %d posts and %d arrivals allocates %.1f times", 2*len(c.recvs), 2*len(c.envs), allocs)
+	}
+	free := 0
+	for n := c.m.prq.free; n != nil; n = n.next {
+		if free++; n.recv != nil {
+			t.Fatal("a free PRQ node pins its receive")
+		}
+	}
+	for n := c.m.umq.free; n != nil; n = n.next {
+		if free++; n.env != nil {
+			t.Fatal("a free UMQ node pins its envelope")
+		}
+	}
+	if want := len(c.recvs) + len(c.envs); free != want || c.m.PostedDepth()+c.m.UnexpectedDepth() != 0 {
+		t.Fatalf("%d free nodes after a drain, high-water mark %d", free, want)
+	}
+}
+
+// BenchmarkListPostArrive measures one message through the list matcher,
+// by way of the PRQ or the UMQ, on recycled nodes.
+func BenchmarkListPostArrive(b *testing.B) {
+	c := &listCycle{m: NewListMatcher()}
+	b.ReportAllocs()
+	for done := 0; done < b.N; done += 2 * len(c.envs) {
+		c.run(b)
+	}
+}

@@ -64,6 +64,9 @@ type Envelope struct {
 	// envelopes (see EnvelopePool): SetInline writes into it instead of
 	// allocating, and Reset retains it across recycling.
 	inlineScratch *InlineHashes
+	// own is the reusable backing of a stabilized payload (see Stabilize),
+	// owned and retained across recycling like inlineScratch.
+	own []byte
 }
 
 // String implements fmt.Stringer for diagnostics.
@@ -72,10 +75,37 @@ func (e *Envelope) String() string {
 		e.Source, e.Tag, e.Comm, e.Seq, e.Size)
 }
 
-// Reset clears e for reuse, retaining its reusable Inline backing.
+// Reset clears e for reuse, retaining its reusable Inline and payload
+// backings.
 func (e *Envelope) Reset() {
-	scratch := e.inlineScratch
-	*e = Envelope{inlineScratch: scratch}
+	*e = Envelope{inlineScratch: e.inlineScratch, own: e.own[:0]}
+}
+
+// Stabilize copies an eager payload that aliases somebody else's buffer (a
+// bounce buffer about to be reposted) into e's own backing, so the message
+// can wait in an unexpected store; the copy lives exactly as long as e does.
+func (e *Envelope) Stabilize() {
+	if e.Data != nil {
+		e.own = append(e.own[:0], e.Data...)
+		e.Data = e.own
+	}
+}
+
+// Probed is what a non-consuming probe reports of a stored message. A
+// concurrent store copies it out under its lock: the envelope itself may be
+// taken, delivered and recycled the moment that lock drops.
+type Probed struct {
+	Source Rank
+	Tag    Tag
+	Count  int // payload bytes
+}
+
+// Probed returns e's probe report.
+func (e *Envelope) Probed() Probed {
+	if e.SenderKey == 0 { // eager: the payload is here
+		return Probed{e.Source, e.Tag, len(e.Data)}
+	}
+	return Probed{e.Source, e.Tag, e.Size}
 }
 
 // SetInline records sender-computed hashes in e's reusable backing and

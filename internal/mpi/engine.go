@@ -123,7 +123,7 @@ func (l *lockedList) message(h header, payload []byte) bool {
 	l.mu.Lock()
 	r, matched := l.lm.Arrive(env)
 	if !matched {
-		l.p.stabilizeUnexpected(env)
+		env.Stabilize()
 	}
 	l.mu.Unlock()
 	if matched {
@@ -134,11 +134,16 @@ func (l *lockedList) message(h header, payload []byte) bool {
 	return true
 }
 
-// peek is the non-consuming probe of the unexpected store.
-func (l *lockedList) peek(r *match.Recv) (*match.Envelope, bool) {
+// peek is the non-consuming probe of the unexpected store; the report is
+// copied out under the lock, a post may recycle the envelope right after.
+func (l *lockedList) peek(r *match.Recv) (match.Probed, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lm.PeekUnexpected(r)
+	env, ok := l.lm.PeekUnexpected(r)
+	if !ok {
+		return match.Probed{}, false
+	}
+	return env.Probed(), true
 }
 
 func (l *lockedList) post(r *match.Recv) {
@@ -147,7 +152,7 @@ func (l *lockedList) post(r *match.Recv) {
 	l.mu.Unlock()
 	if ok {
 		l.p.deliverMatch(r, env)
-		l.p.recycleUnexpected(env)
+		l.p.w.envPool.Put(env)
 		l.p.recycleRecv(r)
 	}
 }
@@ -243,7 +248,7 @@ func newOffloadEngine(p *Proc) (_ *offloadEngine, err error) {
 	// lock, before the message becomes visible to posts: with posts running
 	// concurrently with arrival blocks, stabilizing any later would let a
 	// post deliver an envelope that still aliases the bounce buffer.
-	matcher.SetUnexpectedHook(p.stabilizeUnexpected)
+	matcher.SetUnexpectedHook((*match.Envelope).Stabilize)
 	// Apply communicator info objects: hints propagate to the engine;
 	// opted-out or unbudgetable communicators fall back to software.
 	for id, info := range p.w.opts.CommInfo {
@@ -387,7 +392,6 @@ func (e *offloadEngine) decode(c rdma.Completion, env *match.Envelope) *match.En
 		it := batchIter{body: c.Data, left: 1}
 		m, ok := it.next()
 		if !ok {
-			env.Reset()
 			env.Comm = -1
 			return env
 		}
@@ -427,7 +431,7 @@ func (e *offloadEngine) post(r *match.Recv) error {
 	}
 	if ok {
 		e.p.deliverMatch(r, env)
-		e.p.recycleUnexpected(env)
+		e.p.w.envPool.Put(env)
 		e.p.recycleRecv(r)
 	}
 	return nil

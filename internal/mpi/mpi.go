@@ -203,11 +203,12 @@ type World struct {
 	trans []rdma.Transport
 	procs []*Proc
 
-	// envPool recycles matching envelopes across all ranks' arrival paths;
-	// slab recycles every variable-length scratch buffer — eager/frame wire
-	// staging, stabilized unexpected payloads, reliability retransmit
-	// copies — through size-classed pools (slab.go). Together they make the
-	// steady-state send and arrival paths allocation-free.
+	// envPool recycles matching envelopes, each with the backing of its
+	// stabilized unexpected payload, across all ranks' arrival paths; slab
+	// recycles the variable-length scratch buffers — eager/frame wire
+	// staging, reliability retransmit copies — through size-classed pools
+	// (slab.go). Together they make the steady-state send and arrival
+	// paths allocation-free.
 	envPool match.EnvelopePool
 	slab    slab
 	// recvs recycles the match.Recv records irecv hands to the engines.
@@ -665,31 +666,6 @@ func (p *Proc) deliverMatch(r *match.Recv, env *match.Envelope) {
 	}
 	st.Count = copy(r.Buffer, env.Data)
 	req.complete(st, nil)
-}
-
-// stabilizeUnexpected copies an eager payload out of the bounce buffer so
-// the buffer can be reposted while the message waits in the unexpected
-// store (§IV-C: "the message is stored for later match into an unexpected
-// message buffer"). The copy lands in a pooled buffer sized to the eager
-// limit; recycleUnexpected returns it once the message is delivered.
-func (p *Proc) stabilizeUnexpected(env *match.Envelope) {
-	if env.Data == nil {
-		return
-	}
-	buf := p.w.slab.get(len(env.Data))
-	copy(buf, env.Data)
-	env.Data = buf
-}
-
-// recycleUnexpected returns a delivered unexpected envelope — and its
-// stabilized payload buffer — to the world's pools. Only envelopes handed
-// back by an engine's unexpected store may be recycled here: their Data is
-// pool-owned, never a bounce-buffer alias.
-func (p *Proc) recycleUnexpected(env *match.Envelope) {
-	if env.Data != nil {
-		p.w.slab.put(env.Data)
-	}
-	p.w.envPool.Put(env)
 }
 
 // recycleRecv returns a matched receive record to the world's pool. Only

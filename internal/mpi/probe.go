@@ -17,6 +17,9 @@ var ErrProbeUnsupported = errors.New("mpi: probe not supported on this engine")
 // unexpected store: a message that would complete an already-posted receive
 // belongs to that receive.
 func (c Comm) Iprobe(src, tag int) (Status, bool, error) {
+	if c.p.w.Closed() {
+		return Status{}, false, ErrClosed
+	}
 	if src != AnySource {
 		if err := c.p.checkPeer(src); err != nil {
 			return Status{}, false, err
@@ -27,33 +30,27 @@ func (c Comm) Iprobe(src, tag int) (Status, bool, error) {
 	}
 	r := &match.Recv{Source: match.Rank(src), Tag: match.Tag(tag), Comm: c.id}
 
-	var env *match.Envelope
+	var pr match.Probed
 	var ok bool
 	switch e := c.p.engine.(type) {
 	case *hostEngine:
-		env, ok = e.list.peek(r)
+		pr, ok = e.list.peek(r)
 	case *offloadEngine:
 		if len(e.fallbackComms) != 0 && e.fallbackComms[c.id] {
-			env, ok = e.fallback.peek(r)
+			pr, ok = e.fallback.peek(r)
 		} else {
-			env, ok = e.matcher.PeekUnexpected(r)
+			pr, ok = e.matcher.PeekUnexpected(r)
 		}
 	default:
 		return Status{}, false, ErrProbeUnsupported
 	}
-	if !ok {
-		return Status{}, false, nil
-	}
-	st := Status{Source: int(env.Source), Tag: int(env.Tag), Count: env.Size}
-	if env.SenderKey == 0 {
-		st.Count = len(env.Data)
-	}
-	return st, true, nil
+	return Status{Source: int(pr.Source), Tag: int(pr.Tag), Count: pr.Count}, ok, nil
 }
 
 // Probe blocks until a message matching (src, tag) is available — the
 // blocking MPI_Probe. The arrival path runs asynchronously, so Probe polls
-// the unexpected store with a short backoff.
+// the unexpected store with a short backoff; a world closed meanwhile ends
+// the wait with ErrClosed.
 func (c Comm) Probe(src, tag int) (Status, error) {
 	backoff := time.Microsecond
 	for {
@@ -64,7 +61,11 @@ func (c Comm) Probe(src, tag int) (Status, error) {
 		if ok {
 			return st, nil
 		}
-		time.Sleep(backoff)
+		select {
+		case <-time.After(backoff):
+		case <-c.p.w.Done():
+			return Status{}, ErrClosed
+		}
 		if backoff < 128*time.Microsecond {
 			backoff *= 2
 		}

@@ -6,12 +6,13 @@ import (
 )
 
 // slab is a size-classed buffer allocator: one sync.Pool per power-of-two
-// capacity class. It backs every variable-length scratch buffer of the
-// send and arrival paths — eager wire staging, unexpected-payload
-// stabilization, and the reliability layer's retained retransmit copies —
-// so buffer reuse survives the size variance coalescing introduces (a
-// frame can be forty times larger than a lone eager message) without
-// falling back to make() and regressing the 0 allocs/op hot path.
+// capacity class. It backs the variable-length scratch buffers of the
+// send path — eager wire staging and the reliability layer's retained
+// retransmit copies (a stabilized unexpected payload lives in its
+// envelope, match.Envelope.Stabilize) — so buffer reuse survives the size
+// variance coalescing introduces (a frame can be forty times larger than a
+// lone eager message) without falling back to make() and regressing the
+// 0 allocs/op hot path.
 type slab struct {
 	pools [slabClasses]sync.Pool
 

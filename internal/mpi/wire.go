@@ -229,14 +229,14 @@ func subHeader(src, comm int32, m subMsg) header {
 		size: uint32(len(m.payload)), hashes: m.hashes}
 }
 
-// fillEnvelope populates env — typically drawn from an EnvelopePool — with
+// fillEnvelope populates env — which must be pool-fresh: EnvelopePool.Get
+// hands out a reset envelope and fillEnvelope does not reset it again — with
 // the matching envelope of a decoded message, reusing env's InlineHashes
 // backing so the hot path allocates nothing. For eager messages, data must
 // be the payload (which may alias a bounce buffer — the unexpected path is
 // responsible for stabilizing it). For RTS messages the envelope carries
 // the sender's memory key instead.
 func fillEnvelope(env *match.Envelope, h header, data []byte) *match.Envelope {
-	env.Reset()
 	env.Source = match.Rank(h.src)
 	env.Tag = match.Tag(h.tag)
 	env.Comm = match.CommID(h.comm)
