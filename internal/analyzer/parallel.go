@@ -3,7 +3,6 @@ package analyzer
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/match"
@@ -152,7 +151,7 @@ func runPool(n, workers int, task func(worker, i int)) {
 }
 
 // merge folds per-shard results into one Report. Progress samples from all
-// shards are re-ordered by (time, seq) — the global replay order — and the
+// shards are merged into (time, seq) order — the global replay order — and the
 // floating-point aggregates (PostedAvg, EmptyBinPct) are accumulated in
 // that order, so the merged Report is byte-identical to AnalyzeSerial's.
 // Counter merges (depth stats, unexpected totals) are order-independent;
@@ -176,13 +175,13 @@ func (sc *Schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 	}
 	rep.Matched = rep.Depth.Matched
 
+	// Each shard's samples are in its replay order, so their concatenation
+	// is one ascending run per shard: merged, not sorted from scratch.
 	samples := make([]progressSample, 0, nSamples)
 	for i := range results {
 		samples = append(samples, results[i].samples...)
 	}
-	slices.SortFunc(samples, func(a, b progressSample) int {
-		return cmpTimeSeq(a.time, a.seq, b.time, b.seq)
-	})
+	sortRuns(samples, &runScratch[progressSample]{}, sampleLess)
 
 	var postedSamples, emptySamples int
 	var postedSum, emptySum float64

@@ -128,9 +128,9 @@ func BuildSchedule(t *trace.Trace, cfg Config) *Schedule {
 	// few ascending runs the fill above left (sortRuns), not a sort from
 	// scratch.
 	workers := cfg.workerCount(len(sc.shards))
-	scratch := make([]runScratch, workers)
+	scratch := make([]runScratch[step], workers)
 	runPool(len(sc.shards), workers, func(w, i int) {
-		sortRuns(sc.shards[i].steps, &scratch[w])
+		sortRuns(sc.shards[i].steps, &scratch[w], stepLess)
 	})
 	if cfg.Obs.Enabled() {
 		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseSchedule, uint64(cfg.Obs.Now()-start), 0)
@@ -139,41 +139,46 @@ func BuildSchedule(t *trace.Trace, cfg Config) *Schedule {
 }
 
 // runScratch is one sorting worker's reusable memory.
-type runScratch struct {
-	buf    []step
+type runScratch[T any] struct {
+	buf    []T
 	bounds []int
 }
 
-// sortRuns sorts steps by (time, seq) by merging the maximal ascending runs
-// it already consists of. A shard is filled rank by rank — each sender's
-// arrivals in send order, the rank's own events in trace order — so it is a
-// concatenation of about as many ascending runs as the rank has peers, and
-// merging r runs costs O(n log r) comparisons with none spent rediscovering
-// order inside a run. Any input sorts correctly: a descending stream is n
-// runs of one, and this is then a bottom-up merge sort. (time, seq) is a
-// total order, seq being unique, so stability is moot.
-func sortRuns(steps []step, sc *runScratch) {
-	less := func(a, b *step) bool { return cmpTimeSeq(a.time, a.seq, b.time, b.seq) < 0 }
+// stepLess and sampleLess are the replay order of steps and of the
+// progress samples they produce.
+func stepLess(a, b *step) bool { return cmpTimeSeq(a.time, a.seq, b.time, b.seq) < 0 }
 
+func sampleLess(a, b *progressSample) bool { return cmpTimeSeq(a.time, a.seq, b.time, b.seq) < 0 }
+
+// sortRuns sorts xs by less by merging the maximal ascending runs it
+// already consists of. A shard is filled rank by rank — each sender's
+// arrivals in send order, the rank's own events in trace order — so it is a
+// concatenation of about as many ascending runs as the rank has peers; the
+// progress samples Analyze merges are one run per shard. Merging r runs
+// costs O(n log r) comparisons with none spent rediscovering order inside a
+// run. Any input sorts correctly: a descending stream is n runs of one, and
+// this is then a bottom-up merge sort. (time, seq) is a total order, seq
+// being unique, so stability is moot.
+func sortRuns[T any](xs []T, sc *runScratch[T], less func(a, b *T) bool) {
 	// bounds[k] is where run k starts; a final entry closes the last run.
 	bounds := append(sc.bounds[:0], 0)
-	for i := 1; i < len(steps); i++ {
-		if less(&steps[i], &steps[i-1]) {
+	for i := 1; i < len(xs); i++ {
+		if less(&xs[i], &xs[i-1]) {
 			bounds = append(bounds, i)
 		}
 	}
-	bounds = append(bounds, len(steps))
+	bounds = append(bounds, len(xs))
 	sc.bounds = bounds
 	if len(bounds) <= 2 {
 		return // zero or one run: already sorted
 	}
-	if cap(sc.buf) < len(steps) {
-		sc.buf = make([]step, len(steps))
+	if cap(sc.buf) < len(xs) {
+		sc.buf = make([]T, len(xs))
 	}
 
 	// Each pass merges neighbouring runs pairwise from src into dst and
 	// halves the run count; src and dst swap roles between passes.
-	src, dst := steps, sc.buf[:len(steps)]
+	src, dst := xs, sc.buf[:len(xs)]
 	for len(bounds) > 2 {
 		k := 0 // runs written this pass
 		for r := 0; r+1 < len(bounds); r += 2 {
@@ -198,12 +203,12 @@ func sortRuns(steps []step, sc *runScratch) {
 			bounds[k] = lo
 			k++
 		}
-		bounds[k] = len(steps)
+		bounds[k] = len(xs)
 		bounds = bounds[:k+1]
 		src, dst = dst, src
 	}
-	if &src[0] != &steps[0] {
-		copy(steps, src)
+	if &src[0] != &xs[0] {
+		copy(xs, src)
 	}
 }
 

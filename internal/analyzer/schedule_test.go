@@ -54,12 +54,12 @@ func TestSortRunsMatchesSortFunc(t *testing.T) {
 	rng.Shuffle(len(noise), func(i, j int) { noise[i], noise[j] = noise[j], noise[i] })
 	inputs = append(inputs, desc, noise)
 
-	var scratch runScratch // shared: a worker reuses one across shards
+	var scratch runScratch[step] // shared: a worker reuses one across shards
 	for i, in := range inputs {
 		want := slices.Clone(in)
 		slices.SortFunc(want, func(a, b step) int { return cmpTimeSeq(a.time, a.seq, b.time, b.seq) })
 		got := slices.Clone(in)
-		sortRuns(got, &scratch)
+		sortRuns(got, &scratch, stepLess)
 		if !slices.Equal(got, want) {
 			t.Fatalf("input %d (%d steps): sortRuns differs from slices.SortFunc", i, len(in))
 		}

@@ -209,9 +209,9 @@ func (m *OptimisticMatcher) launchLocked(n int) launch {
 // traceLaunch records the launch event of a block of n messages, outside
 // ring.mu, and stamps l with its time.
 func (m *OptimisticMatcher) traceLaunch(l *launch, n int) {
-	if m.obs.Enabled() {
-		l.startNano = m.obs.Now()
-		m.obs.EventAt(l.startNano, obs.EvBlockLaunch, 0, l.seq, uint64(n), l.horizon)
+	if o := m.obs.Load(); o.Enabled() {
+		l.startNano = o.Now()
+		o.EventAt(l.startNano, obs.EvBlockLaunch, 0, l.seq, uint64(n), l.horizon)
 	}
 }
 
@@ -262,8 +262,8 @@ func (m *OptimisticMatcher) consume(d *descriptor, seq uint64, tid int, st *thre
 	ok, victim := d.consumeFrom(seq, tid)
 	if ok && victim != 0 {
 		st.steals++
-		if m.obs.Enabled() {
-			m.obs.Event(obs.EvBlockSteal, tid, seq, victim, uint64(d.slot))
+		if o := m.obs.Load(); o.Enabled() {
+			o.Event(obs.EvBlockSteal, tid, seq, victim, uint64(d.slot))
 		}
 	}
 	return ok
@@ -359,8 +359,8 @@ func (b *Block) Resolve(tid int) (Result, bool) {
 	// last exit, so its timestamp bounds every thread's barrier phase.
 	// Per-thread emission costs a ring write per MESSAGE and alone pushes
 	// the enabled-tracing overhead past the DESIGN.md §10 budget.
-	if tid == b.n-1 && b.m.obs.Enabled() {
-		b.m.obs.Event(obs.EvBlockBarrierExit, tid, b.seq, uint64(tid), 0)
+	if o := b.m.obs.Load(); tid == b.n-1 && o.Enabled() {
+		o.Event(obs.EvBlockBarrierExit, tid, b.seq, uint64(tid), 0)
 	}
 	var cand *descriptor
 	if slot >= 0 {
@@ -488,12 +488,12 @@ func (b *Block) finalizeMatch(tid int, env *match.Envelope, d *descriptor, p Pat
 	b.final[tid] = d
 	b.results[tid] = r
 	b.tstats[tid].matched++
-	if b.m.obs.Enabled() {
+	if o := b.m.obs.Load(); o.Enabled() {
 		switch p {
 		case PathFast:
-			b.m.obs.Event(obs.EvMatchFast, tid, b.seq, uint64(tid), 0)
+			o.Event(obs.EvMatchFast, tid, b.seq, uint64(tid), 0)
 		case PathSlow:
-			b.m.obs.Event(obs.EvMatchSlow, tid, b.seq, uint64(tid), 0)
+			o.Event(obs.EvMatchSlow, tid, b.seq, uint64(tid), 0)
 		}
 	}
 	b.done.complete(tid)
@@ -620,17 +620,17 @@ func sweep(d *descriptor) int32 {
 // and any BeginBlock waiting for a ring slot. Nothing of the block may be
 // read afterwards: K-1 further retirements can recycle its ring slot.
 func (m *OptimisticMatcher) retire(l launch, n int, agg *threadStats, swept []int32) {
-	if m.obs.Enabled() {
+	if o := m.obs.Load(); o.Enabled() {
 		// Settle events only carry information when validation actually
 		// redid something; the conflict-free common case skips the ring
 		// write (the per-block launch/retire span is recorded regardless).
 		if agg.revalidated > 0 {
-			m.obs.Event(obs.EvBlockSettle, 0, l.seq, agg.revalidated, 0)
+			o.Event(obs.EvBlockSettle, 0, l.seq, agg.revalidated, 0)
 		}
-		now := m.obs.Now()
+		now := o.Now()
 		life := uint64(now - l.startNano)
-		m.obs.EventAt(now, obs.EvBlockRetire, 0, l.seq, uint64(n), life)
-		m.obs.Observe(obs.HistBlockNs, life)
+		o.EventAt(now, obs.EvBlockRetire, 0, l.seq, uint64(n), life)
+		o.Observe(obs.HistBlockNs, life)
 	}
 
 	r := &m.ring
@@ -749,8 +749,8 @@ func (m *OptimisticMatcher) publishUnexpected(env *match.Envelope, seq uint64) {
 		h(env)
 	}
 	m.unexpected.insertLocked(env)
-	if m.obs.Enabled() {
-		m.obs.Event(obs.EvUnexpectedPub, 0, seq, 0, 0)
+	if o := m.obs.Load(); o.Enabled() {
+		o.Event(obs.EvUnexpectedPub, 0, seq, 0, 0)
 	}
 }
 

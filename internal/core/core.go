@@ -234,9 +234,11 @@ type OptimisticMatcher struct {
 	// obs is the observability sink: engine and search-depth statistics
 	// reach its enum-indexed atomic counters through fold, which the sink
 	// runs for every reader (DESIGN.md §10), and lifecycle events go to its
-	// ring buffers when tracing is enabled. Always non-nil: New installs a
-	// counters-only sink, SetObs replaces it.
-	obs *obs.Sink
+	// ring buffers when tracing is enabled. It is the one SetObs installed
+	// or, failing that, a counters-only sink the first reader builds (Obs);
+	// until then it is nil, which the event calls of the hot paths treat as
+	// tracing off, and the counts wait in the plain words.
+	obs atomic.Pointer[obs.Sink]
 }
 
 // postKey is the compatibility key of §III-D3a: consecutive receives with
@@ -266,7 +268,6 @@ func New(cfg Config) (*OptimisticMatcher, error) {
 	m.ring.slots = make([]Block, cfg.InFlightBlocks)
 	m.ring.next = 1
 	m.ring.cond = sync.NewCond(&m.ring.mu)
-	m.SetObs(obs.New(obs.Options{}))
 	return m, nil
 }
 
@@ -289,26 +290,43 @@ func (m *OptimisticMatcher) Config() Config { return m.cfg }
 // are not migrated.
 func (m *OptimisticMatcher) SetObs(s *obs.Sink) {
 	if s != nil {
-		m.obs = s
 		s.OnFold(m)
+		m.obs.Store(s)
 	}
 }
 
 // Fold carries both sides' counts to the sink, one lock section each. The
 // sink runs it for every reader (obs.OnFold), so what was counted under
-// either lock before a reader began is in what the reader sees.
+// either lock before a reader began is in what the reader sees. With no
+// sink yet the counts stay where they are.
 func (m *OptimisticMatcher) Fold() {
+	s := m.obs.Load()
+	if s == nil {
+		return
+	}
 	m.ring.mu.Lock()
-	m.ring.ctr.foldInto(&m.obs.Counters)
+	m.ring.ctr.foldInto(&s.Counters)
 	m.ring.mu.Unlock()
 	m.unexpected.mu.Lock()
-	m.postCtr.foldInto(&m.obs.Counters)
-	m.obs.MergeHist(obs.HistPostDepth, &m.postDepth)
+	m.postCtr.foldInto(&s.Counters)
+	s.MergeHist(obs.HistPostDepth, &m.postDepth)
 	m.unexpected.mu.Unlock()
 }
 
-// Obs returns the matcher's observability sink (never nil).
-func (m *OptimisticMatcher) Obs() *obs.Sink { return m.obs }
+// Obs returns the matcher's observability sink, building a counters-only
+// one if none was installed: a matcher nobody reads (a world's, whose
+// rank sink SetObs installs) never pays for it. Never nil.
+func (m *OptimisticMatcher) Obs() *obs.Sink {
+	if s := m.obs.Load(); s != nil {
+		return s
+	}
+	s := obs.New(obs.Options{})
+	s.OnFold(m)
+	if !m.obs.CompareAndSwap(nil, s) {
+		return m.obs.Load() // another reader built one first; s is garbage
+	}
+	return s
+}
 
 // SetUnexpectedHook installs a callback invoked exactly once per unexpected
 // message, under the store lock, right before the message becomes visible to
@@ -385,8 +403,8 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 	m.postDepth.Observe(depth)
 	if env != nil {
 		c[obs.CtrMatched]++
-		if m.obs.Enabled() {
-			m.obs.Event(obs.EvPostMatch, 0, r.Label, depth, 0)
+		if o := m.obs.Load(); o.Enabled() {
+			o.Event(obs.EvPostMatch, 0, r.Label, depth, 0)
 		}
 		m.postHorizon.Store(r.Label + 1)
 		s.mu.Unlock()
@@ -456,8 +474,9 @@ func (m *OptimisticMatcher) UnexpectedDepth() int {
 // atomic counters; individual fields are each coherent but the snapshot as a
 // whole may interleave with a concurrent block.
 func (m *OptimisticMatcher) DepthStats() match.Stats {
-	m.obs.Fold()
-	c := &m.obs.Counters
+	o := m.Obs()
+	o.Fold()
+	c := &o.Counters
 	return match.Stats{
 		PostSearches:    c.Load(obs.CtrPostSearches),
 		PostTraversed:   c.Load(obs.CtrPostTraversed),
@@ -473,8 +492,9 @@ func (m *OptimisticMatcher) DepthStats() match.Stats {
 
 // ResetDepthStats zeroes the search-depth statistics.
 func (m *OptimisticMatcher) ResetDepthStats() {
-	m.obs.Fold()
-	m.obs.Counters.Reset(
+	o := m.Obs()
+	o.Fold()
+	o.Counters.Reset(
 		obs.CtrPostSearches, obs.CtrPostTraversed, obs.CtrPostMaxDepth,
 		obs.CtrArriveSearches, obs.CtrArriveTraversed, obs.CtrArriveMaxDepth,
 		obs.CtrMatched, obs.CtrUnexpectedStored, obs.CtrQueued,
@@ -551,8 +571,9 @@ func (s EngineStats) CheckQuiesced(d match.Stats, partition bool) error {
 // sink's atomic counters. A block counts its messages when it launches, so
 // an observer woken by a completion delivered mid-block already sees them.
 func (m *OptimisticMatcher) Stats() EngineStats {
-	m.obs.Fold()
-	c := &m.obs.Counters
+	o := m.Obs()
+	o.Fold()
+	c := &o.Counters
 	return EngineStats{
 		Blocks:      c.Load(obs.CtrBlocks),
 		Messages:    c.Load(obs.CtrMessages),
@@ -573,8 +594,9 @@ func (m *OptimisticMatcher) Stats() EngineStats {
 
 // ResetStats zeroes the engine statistics.
 func (m *OptimisticMatcher) ResetStats() {
-	m.obs.Fold()
-	m.obs.Counters.Reset(
+	o := m.Obs()
+	o.Fold()
+	o.Counters.Reset(
 		obs.CtrBlocks, obs.CtrMessages, obs.CtrOptimistic,
 		obs.CtrConflicts, obs.CtrFastPath, obs.CtrSlowPath,
 		obs.CtrUnexpected, obs.CtrRelaxed, obs.CtrTableFull,

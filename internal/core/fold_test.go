@@ -115,8 +115,8 @@ func counterViews(t *testing.T, m *OptimisticMatcher) (api, snap, prom map[strin
 
 // TestCountersFoldOnce: after quiesce every view of the counters agrees, a
 // second fold adds nothing, the post-depth histogram has one sample per
-// post, and all of it is in the sink SetObs installed — the private sink New
-// made received nothing and nothing keeps it alive.
+// post, and all of it is in the sink SetObs installed — the default sink a
+// first reader built received nothing and nothing keeps it alive.
 func TestCountersFoldOnce(t *testing.T) {
 	// One bin: every search has something to traverse.
 	m := MustNew(Config{Bins: 1, MaxReceives: 64, BlockSize: 4, InFlightBlocks: 4, EarlyBookingCheck: true})
@@ -191,8 +191,44 @@ func TestCountersFoldOnce(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the private sink New made is still reachable after SetObs replaced it")
+			t.Fatal("the default sink is still reachable after SetObs replaced it")
 		}
+	}
+}
+
+// TestDefaultSinkBuiltOnce: a matcher no sink was installed on counts in its
+// plain words, and its first readers, however many race, agree on one
+// default sink that holds everything counted before they came.
+func TestDefaultSinkBuiltOnce(t *testing.T) {
+	m := MustNew(Config{Bins: 8, MaxReceives: 64, BlockSize: 1})
+	for i := 0; i < 10; i++ {
+		m.PostRecv(&match.Recv{Source: 1, Tag: match.Tag(i)})
+		m.Arrive(&match.Envelope{Source: 1, Tag: match.Tag(i)})
+	}
+	if m.obs.Load() != nil {
+		t.Fatal("traffic built a sink nobody asked for")
+	}
+	sinks := make([]*obs.Sink, 8)
+	stats := make([]EngineStats, len(sinks))
+	var wg sync.WaitGroup
+	for i := range sinks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[i], sinks[i] = m.Stats(), m.Obs()
+		}()
+	}
+	wg.Wait()
+	for i := range sinks {
+		if sinks[i] != sinks[0] {
+			t.Fatalf("reader %d got a sink of its own", i)
+		}
+		if stats[i].Messages != 10 || stats[i].Retires != 10 {
+			t.Fatalf("reader %d: %+v, want 10 messages retired", i, stats[i])
+		}
+	}
+	if got := m.DepthStats().Matched; got != 10 {
+		t.Fatalf("Matched = %d, want 10", got)
 	}
 }
 

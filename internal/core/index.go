@@ -24,17 +24,20 @@ type rbucket struct {
 // recvIndex is one of the four §III-B posted-receive indexes: a hash table
 // of rbuckets (or a single chain for the both-wildcard class).
 type recvIndex struct {
-	buckets []rbucket
+	nbins   int
+	buckets []rbucket // allocated by the first insert, published by used
 
-	// used is set, once, by the first insert — before that post advances
-	// postHorizon. A searcher that reads it false therefore holds a
-	// watermark below every receive the index will ever contain, and may
-	// skip the index (searchOldest).
+	// used is set, once, by the first insert — after it allocates the
+	// buckets and before that post advances postHorizon. A searcher that
+	// reads it false therefore holds a watermark below every receive the
+	// index will ever contain, and may skip the index (searchOldest); one
+	// that reads it true sees the buckets. A job that never posts a receive
+	// of the index's wildcard class never pays for its table.
 	used atomic.Bool
 }
 
 func newRecvIndex(bins int) *recvIndex {
-	return &recvIndex{buckets: make([]rbucket, bins)}
+	return &recvIndex{nbins: bins}
 }
 
 func (ix *recvIndex) bucketFor(hash uint64) *rbucket {
@@ -43,9 +46,11 @@ func (ix *recvIndex) bucketFor(hash uint64) *rbucket {
 
 // insert appends d at the tail of its bucket chain under the bucket's remove
 // lock (the tail races Finish-time unlink sweeps). Chains are posting-
-// ordered because PostRecv serializes posts.
+// ordered because PostRecv serializes posts, and the post lock is also what
+// makes the first insert the only one that allocates.
 func (ix *recvIndex) insert(d *descriptor, hash uint64) {
 	if !ix.used.Load() {
+		ix.buckets = make([]rbucket, ix.nbins)
 		ix.used.Store(true)
 	}
 	b := ix.bucketFor(hash)
@@ -125,8 +130,12 @@ func (ix *recvIndex) search(e *match.Envelope, hash uint64, tid int, seq uint64,
 }
 
 // occupancy reports the number of empty bins and the maximum chain length.
-// Counters are atomic, so the snapshot never blocks an in-flight block.
+// Counters are atomic, so the snapshot never blocks an in-flight block. A
+// never-used index is all empty bins.
 func (ix *recvIndex) occupancy() (empty, maxChain int) {
+	if !ix.used.Load() {
+		return ix.nbins, 0
+	}
 	for i := range ix.buckets {
 		n := int(ix.buckets[i].n.Load())
 		if n == 0 {
@@ -139,5 +148,6 @@ func (ix *recvIndex) occupancy() (empty, maxChain int) {
 	return empty, maxChain
 }
 
-// bins returns the bucket count.
-func (ix *recvIndex) bins() int { return len(ix.buckets) }
+// bins returns the bucket count, allocated or not: the §IV-E model charges
+// the whole table.
+func (ix *recvIndex) bins() int { return ix.nbins }

@@ -121,3 +121,32 @@ func TestIndexOccupancy(t *testing.T) {
 		t.Fatalf("bins = %d, want 4", ix.bins())
 	}
 }
+
+// TestFreshMatcherOccupancy: an index allocates its buckets at its first
+// insert, and until then reports what a zeroed table would, so a fresh
+// matcher's Occupancy is every bin of the three binned indexes empty and
+// no chain, and a receive allocates only the index of its wildcard class.
+func TestFreshMatcherOccupancy(t *testing.T) {
+	const bins = 64
+	m := MustNew(Config{Bins: bins, MaxReceives: 16, BlockSize: 1})
+	if empty, total, maxChain := m.Occupancy(); empty != 3*bins || total != 3*bins || maxChain != 0 {
+		t.Fatalf("fresh occupancy = (%d,%d,%d), want (%d,%d,0)", empty, total, maxChain, 3*bins, 3*bins)
+	}
+	if _, _, err := m.PostRecv(&match.Recv{Source: 1, Tag: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if m.idxFull.buckets == nil {
+		t.Fatal("insert left its index without buckets")
+	}
+	for _, ix := range []*recvIndex{m.idxSrcWild, m.idxTagWild, m.idxBoth} {
+		if ix.buckets != nil || ix.used.Load() {
+			t.Fatal("a fully specified receive allocated a wildcard index")
+		}
+	}
+	if empty, total, maxChain := m.Occupancy(); empty != 3*bins-1 || total != 3*bins || maxChain != 1 {
+		t.Fatalf("occupancy after one post = (%d,%d,%d), want (%d,%d,1)", empty, total, maxChain, 3*bins-1, 3*bins)
+	}
+	if fp := m.ModelFootprint(); fp.BinBytes != IndexTables*bins*BinModelBytes {
+		t.Fatalf("model charges %d B of bins, want the whole tables", fp.BinBytes)
+	}
+}

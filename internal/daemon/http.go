@@ -44,7 +44,9 @@ func (d *Daemon) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 // WriteMetrics renders the full OpenMetrics document: one label-less group
 // for the daemon's own sink, one group per tenant (tenant sink plus the
 // live sinks of its running jobs' worlds, so in-flight histograms are
-// visible), daemon gauges, and the # EOF terminator.
+// visible), daemon gauges, and the # EOF terminator. Each tenant's sinks
+// are summed under d.mu, the lock finishJob moves a job's counts from its
+// worlds to the tenant sink under, so no tenant series ever goes backwards.
 func (d *Daemon) WriteMetrics(w io.Writer) error {
 	d.mu.Lock()
 	names := make([]string, 0, len(d.tenants))
@@ -56,7 +58,8 @@ func (d *Daemon) WriteMetrics(w io.Writer) error {
 	running, jobsTotal := 0, len(d.jobs)
 	for _, name := range names {
 		t := d.tenants[name]
-		sinks := []*obs.Sink{t.sink}
+		sum := obs.New(obs.Options{})
+		sum.Merge(t.sink)
 		for _, id := range d.order {
 			j := d.jobs[id]
 			if j.tenant != t || j.state != "running" {
@@ -64,13 +67,13 @@ func (d *Daemon) WriteMetrics(w io.Writer) error {
 			}
 			for _, w := range j.worlds {
 				for _, nd := range w.ObsSinks() {
-					sinks = append(sinks, nd.Sink)
+					sum.Merge(nd.Sink)
 				}
 			}
 		}
 		groups = append(groups, obs.LabeledSinks{
 			Labels: []obs.Label{{Name: "tenant", Value: name}},
-			Sinks:  sinks,
+			Sinks:  []*obs.Sink{sum},
 		})
 	}
 	for _, j := range d.jobs {

@@ -62,7 +62,7 @@ func (d *Daemon) runJob(j *job) {
 	worlds, cleanup, err := buildWorlds(&j.spec, loc)
 	defer cleanup()
 	if err != nil {
-		d.finishJob(j, err)
+		d.finishJob(j, nil, err)
 		return
 	}
 
@@ -70,27 +70,30 @@ func (d *Daemon) runJob(j *job) {
 	if j.canceled {
 		d.mu.Unlock()
 		mpi.CloseWorlds(worlds)
-		d.finishJob(j, mpi.ErrClosed)
+		d.finishJob(j, nil, mpi.ErrClosed)
 		return
 	}
 	j.worlds = worlds
 	d.mu.Unlock()
 
 	res, err := runWorlds(&j.spec, loc, worlds)
-	if err == nil {
-		d.mu.Lock()
-		j.messages, j.msgPerSec = res.Messages, res.MsgPerSec
-		j.matched, j.unexpected = mergeSinks(j.tenant, res.Sinks)
-		d.mu.Unlock()
-	}
-	d.finishJob(j, err)
+	d.finishJob(j, res, err)
 }
 
-// finishJob moves j to its terminal state, merges its observability into
-// the tenant sink, releases the admission charges, and closes done.
-func (d *Daemon) finishJob(j *job, err error) {
+// finishJob records a successful run's result (res, nil otherwise), merges
+// the job's observability into the tenant sink, moves j to its terminal
+// state, releases the admission charges, and closes done. Merge and state
+// change share one critical section, the one WriteMetrics reads under: a
+// scrape finds the job's counts in its running worlds or in the tenant
+// sink, never in both and never in neither.
+func (d *Daemon) finishJob(j *job, res *Result, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	matched, unexpected := mergeSinks(j.tenant, j.worlds)
+	if res != nil { // the run succeeded
+		j.messages, j.msgPerSec = res.Messages, res.MsgPerSec
+		j.matched, j.unexpected = matched, unexpected
+	}
 	switch {
 	case j.canceled:
 		j.state = "canceled"
@@ -110,21 +113,16 @@ func (d *Daemon) finishJob(j *job, err error) {
 	d.jobsWG.Done()
 }
 
-// mergeSinks folds a world's per-rank counters into the tenant's sink, so
-// tenant metrics survive the world's teardown with bounded memory.
-func mergeSinks(t *tenant, sinks []obs.Named) (matched, unexpected uint64) {
-	for _, nd := range sinks {
-		if nd.Sink == nil {
-			continue
+// mergeSinks folds the worlds' sinks, counters and histograms, into the
+// tenant's sink, so tenant metrics survive the worlds' teardown with
+// bounded memory.
+func mergeSinks(t *tenant, worlds []*mpi.World) (matched, unexpected uint64) {
+	for _, w := range worlds {
+		for _, nd := range w.ObsSinks() {
+			t.sink.Merge(nd.Sink) // folds nd.Sink: the loads below are direct
+			matched += nd.Sink.Counters.Load(obs.CtrMatched)
+			unexpected += nd.Sink.Counters.Load(obs.CtrUnexpected)
 		}
-		nd.Sink.Fold() // the loads below are direct
-		for c := obs.Counter(0); c < obs.NumCounters; c++ {
-			if v := nd.Sink.Counters.Load(c); v != 0 {
-				t.sink.CounterAdd(c, v)
-			}
-		}
-		matched += nd.Sink.Counters.Load(obs.CtrMatched)
-		unexpected += nd.Sink.Counters.Load(obs.CtrUnexpected)
 	}
 	return matched, unexpected
 }

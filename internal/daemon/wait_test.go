@@ -28,7 +28,7 @@ func holdJob(t *testing.T, d *Daemon, id string) (settle func()) {
 	d.order = append(d.order, id)
 	d.jobsWG.Add(1)
 	d.mu.Unlock()
-	return func() { d.finishJob(j, nil) }
+	return func() { d.finishJob(j, nil, nil) }
 }
 
 // lineCounter counts the request lines a client writes.

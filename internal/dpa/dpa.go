@@ -106,13 +106,17 @@ func (a *Arena) Peak() int {
 func (a *Arena) Capacity() int { return a.capacity }
 
 // Accelerator is the simulated DPA: a fixed pool of execution units that
-// run handler activations to completion.
+// run handler activations to completion. The units are started all
+// together by the first wake, so an accelerator whose blocks never ask for
+// help (eager traffic, or none) owns no goroutine.
 type Accelerator struct {
 	threads int
 	arena   *Arena
 
-	work chan ticket
-	wg   sync.WaitGroup
+	work  chan ticket
+	quit  chan struct{} // closed by Close; the workers exit on it
+	start sync.Once     // starts the workers; Close spends it if no wake has
+	wg    sync.WaitGroup
 
 	activations atomic.Uint64
 	closed      atomic.Bool
@@ -170,7 +174,7 @@ type Config struct {
 	MemoryBytes int
 }
 
-// New starts an accelerator.
+// New returns an accelerator. Its workers start at its first wake.
 func New(cfg Config) (*Accelerator, error) {
 	if cfg.Threads == 0 {
 		cfg.Threads = DefaultThreads
@@ -181,16 +185,12 @@ func New(cfg Config) (*Accelerator, error) {
 	if cfg.MemoryBytes == 0 {
 		cfg.MemoryBytes = L3CacheBytes
 	}
-	a := &Accelerator{
+	return &Accelerator{
 		threads: cfg.Threads,
 		arena:   NewArena(cfg.MemoryBytes),
 		work:    make(chan ticket, cfg.Threads),
-	}
-	for i := 0; i < cfg.Threads; i++ {
-		a.wg.Add(1)
-		go a.worker()
-	}
-	return a, nil
+		quit:    make(chan struct{}),
+	}, nil
 }
 
 // MustNew is New for known-valid configurations.
@@ -202,12 +202,25 @@ func MustNew(cfg Config) *Accelerator {
 	return a
 }
 
+// startWorkers launches the execution units (once, from start).
+func (a *Accelerator) startWorkers() {
+	a.wg.Add(a.threads)
+	for i := 0; i < a.threads; i++ {
+		go a.worker()
+	}
+}
+
 // worker executes handler activations to completion, one at a time — the
 // DPA's run-to-completion discipline.
 func (a *Accelerator) worker() {
 	defer a.wg.Done()
-	for t := range a.work {
-		a.drain(t)
+	for {
+		select {
+		case t := <-a.work:
+			a.drain(t)
+		case <-a.quit:
+			return
+		}
 	}
 }
 
@@ -242,13 +255,16 @@ func (a *Accelerator) drain(t ticket) {
 }
 
 // wake hands one worker a ticket for t's block, unless no item is left to
-// claim. It never blocks: it reports false when the channel is full, which
-// means at least Threads wake-ups are already pending, and the caller keeps
-// draining the block itself.
+// claim; the first wake starts the workers. It never blocks: it reports
+// false when the channel is full, which means at least Threads wake-ups are
+// already pending, and the caller keeps draining the block itself. A
+// ticket left in the channel at Close is never drained, which is harmless:
+// its publisher drains its own block.
 func (a *Accelerator) wake(t ticket) bool {
 	if !t.claimable(t.bs.state.Load()) {
 		return true
 	}
+	a.start.Do(a.startWorkers)
 	select {
 	case a.work <- t:
 		return true
@@ -306,10 +322,13 @@ func (a *Accelerator) Arena() *Arena { return a.arena }
 // message handled, counted when its block finishes.
 func (a *Accelerator) Activations() uint64 { return a.activations.Load() }
 
-// Close stops the workers. RunBlock must not be called afterwards.
+// Close stops the workers. Spending start first means a wake racing Close
+// either started the workers before (and Close waits for them) or never
+// will. A block run afterwards is drained by its launcher alone.
 func (a *Accelerator) Close() {
 	if a.closed.CompareAndSwap(false, true) {
-		close(a.work)
+		a.start.Do(func() {})
+		close(a.quit)
 		a.wg.Wait()
 	}
 }

@@ -210,16 +210,13 @@ type offloadEngine struct {
 	formed []rdma.Completion
 }
 
-func newOffloadEngine(p *Proc) (_ *offloadEngine, err error) {
+func newOffloadEngine(p *Proc) (*offloadEngine, error) {
+	// The accelerator starts its workers at its first wake-up, so a
+	// rejected engine has nothing to stop.
 	acc, err := dpa.New(p.w.opts.DPA)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			acc.Close() // a rejected engine must not leak its DPA workers
-		}
-	}()
 	mcfg := p.w.opts.Matcher
 	if mcfg.BlockSize > acc.Threads() {
 		return nil, fmt.Errorf("mpi: matcher block size %d exceeds %d DPA threads",

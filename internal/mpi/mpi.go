@@ -261,8 +261,7 @@ func NewNetWorld(t rdma.Transport, opts Options) (*World, error) {
 // wires the endpoints, and starts the ranks. It is also the one place that
 // cleans up after a failed start: the world owns the transports from the
 // first line, and Close releases whatever had been built, engines that
-// never started (the offload engine's DPA workers exist before start) and
-// transports no rank was built on included.
+// never started and transports no rank was built on included.
 func attach(ts []rdma.Transport, opts Options) (*World, error) {
 	opts.fill()
 	w := &World{opts: opts, n: ts[0].Size(), trans: ts, closed: make(chan struct{})}
@@ -514,13 +513,20 @@ type pendingSend struct {
 }
 
 func newProc(w *World, t rdma.Transport) (*Proc, error) {
+	// The bounce-buffer pool (§IV-A: buffers live in NIC memory), made on
+	// first use up to RecvDepth. With coalescing armed, buffers must hold
+	// the largest batch frame.
+	bufSize := headerSize + w.opts.EagerLimit
+	if w.opts.coalesceArmed() {
+		bufSize = w.opts.frameCap()
+	}
 	p := &Proc{
 		w:       w,
 		rank:    t.Rank(),
 		n:       w.n,
 		trans:   t,
 		recvCQ:  rdma.NewCQ(),
-		srq:     rdma.NewRecvQueue(w.opts.RecvDepth),
+		srq:     rdma.NewBounceQueue(w.opts.RecvDepth, bufSize),
 		pending: make(map[uint64]*pendingSend),
 		obs:     obs.New(w.opts.Obs),
 	}
@@ -533,18 +539,8 @@ func newProc(w *World, t rdma.Transport) (*Proc, error) {
 		p.rel = newReliability(p, w.opts.RetxTimeout)
 		p.rel.obs = p.obs
 	}
-	// Stock the bounce-buffer pool (§IV-A: buffers live in NIC memory).
-	// With coalescing armed, buffers must hold the largest batch frame.
-	bufSize := headerSize + w.opts.EagerLimit
 	if w.opts.coalesceArmed() {
-		bufSize = w.opts.frameCap()
 		p.coal = newCoalescer(p)
-	}
-	// One slab, carved with capped slices so repost's buf[:cap(buf)]
-	// restores exactly one buffer.
-	slab := make([]byte, w.opts.RecvDepth*bufSize)
-	for i := 0; i < w.opts.RecvDepth; i++ {
-		p.srq.Post(slab[i*bufSize:(i+1)*bufSize:(i+1)*bufSize], uint64(i))
 	}
 	var err error
 	switch w.opts.Engine {

@@ -130,6 +130,29 @@ func (s *Sink) Fold() {
 // holds the lock that guards d.
 func (s *Sink) MergeHist(h Hist, d *HistDelta) { s.hists[h].merge(d) }
 
+// Merge adds from's counters and histograms to s, folding from first: a
+// long-lived sink (a daemon tenant's) absorbing one that is going away.
+func (s *Sink) Merge(from *Sink) {
+	if from == nil {
+		return
+	}
+	from.Fold()
+	for c := Counter(0); c < NumCounters; c++ {
+		if v := from.Counters.Load(c); v != 0 {
+			s.Counters.Add(c, v)
+		}
+	}
+	for h := range from.hists {
+		var d HistDelta
+		src := &from.hists[h]
+		for i := range d.buckets {
+			d.buckets[i] = src.buckets[i].Load()
+		}
+		d.sum = src.sum.Load()
+		s.MergeHist(Hist(h), &d)
+	}
+}
+
 // Enabled reports whether the sink records events. It is the one branch
 // call sites pay when tracing is off; guard any argument computation with
 // it.

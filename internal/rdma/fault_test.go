@@ -72,7 +72,7 @@ func TestDropInjection(t *testing.T) {
 	if _, ok := cqB.Poll(0); ok {
 		t.Fatal("dropped message was delivered")
 	}
-	if got := FaultSnapshotOf(f.obs).Dropped; got != n {
+	if got := FaultSnapshotOf(f.Obs()).Dropped; got != n {
 		t.Fatalf("Dropped = %d, want %d", got, n)
 	}
 }
@@ -97,7 +97,7 @@ func TestDuplicateInjection(t *testing.T) {
 			t.Fatalf("completion %d: imm = %d, want %d (each message twice, in order)", i, c.Imm, want)
 		}
 	}
-	if got := FaultSnapshotOf(f.obs).Duplicated; got != n {
+	if got := FaultSnapshotOf(f.Obs()).Duplicated; got != n {
 		t.Fatalf("Duplicated = %d, want %d", got, n)
 	}
 }
@@ -110,7 +110,7 @@ func TestRNRInjection(t *testing.T) {
 			t.Fatalf("send %d: err = %v, want ErrNoReceive", i, err)
 		}
 	}
-	if got := FaultSnapshotOf(f.obs).RNRs; got != 4 {
+	if got := FaultSnapshotOf(f.Obs()).RNRs; got != 4 {
 		t.Fatalf("RNRs = %d, want 4", got)
 	}
 }
@@ -138,7 +138,7 @@ func TestDelayReordersDelivery(t *testing.T) {
 			t.Fatalf("delivery %d: imm = %d, want %d", i, c.Imm, want[i])
 		}
 	}
-	if got := FaultSnapshotOf(f.obs).Delayed; got == 0 {
+	if got := FaultSnapshotOf(f.Obs()).Delayed; got == 0 {
 		t.Fatal("Delayed = 0")
 	}
 }
@@ -254,7 +254,7 @@ func TestOversizedMessageErrorCompletion(t *testing.T) {
 func TestFaultStreamKeyedByDirectedLink(t *testing.T) {
 	plan := FaultPlan{Seed: 42, FaultRates: FaultRates{Drop: 0.3, Duplicate: 0.2, Delay: 0.2, RNR: 0.1, Stall: 0.1}}
 	verdicts := func(link int) (out [64]FaultVerdict) {
-		s := plan.Stream(link, NewFabric().obs)
+		s := plan.Stream(link, NewFabric().Obs())
 		for i := range out {
 			out[i] = s.Decide()
 		}
@@ -285,7 +285,7 @@ func TestFaultStreamKeyedByDirectedLink(t *testing.T) {
 			t.Fatalf("rank 2 -> 1, send %d: verdict %+v, want link %d's %+v", i, v, 2*n+1, want[i])
 		}
 	}
-	if (FaultPlan{Seed: 42}).Stream(1, f.obs) != nil {
+	if (FaultPlan{Seed: 42}).Stream(1, f.Obs()) != nil {
 		t.Fatal("inactive plan produced a stream")
 	}
 }

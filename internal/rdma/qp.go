@@ -16,9 +16,25 @@ type recvWR struct {
 // RecvQueue is a pool of posted receive buffers. It can be private to one
 // QP or shared among several (the shared-receive-queue pattern the MPI
 // layer uses: all senders of a rank feed one pool of bounce buffers).
+//
+// A queue made by NewRecvQueue holds what its owner posts. One made by
+// NewBounceQueue makes its own buffers when a take finds none posted, a
+// slab of slabBuffers at a time, until depth exist; from then on it is the
+// same pool, refilled by Post. Its taker finds a buffer exactly when fewer
+// than depth are in use, as if depth buffers had been posted up front.
 type RecvQueue struct {
 	ch chan recvWR
+
+	// size is the bounce-buffer size, 0 on a queue its owner posts. made
+	// counts the buffers the queue has made, at most cap(ch); mu serializes
+	// growth.
+	size int
+	mu   sync.Mutex
+	made int
 }
+
+// slabBuffers is how many bounce buffers one allocation makes.
+const slabBuffers = 8
 
 // NewRecvQueue returns a pool with the given depth. Posting beyond the
 // depth blocks, which models receiver-not-ready backpressure.
@@ -26,9 +42,51 @@ func NewRecvQueue(depth int) *RecvQueue {
 	return &RecvQueue{ch: make(chan recvWR, depth)}
 }
 
+// NewBounceQueue returns a pool of depth buffers of size bytes each, made
+// on first take rather than up front: a rank that receives little pays for
+// little. Buffers come back with Post; nobody else may post to it.
+func NewBounceQueue(depth, size int) *RecvQueue {
+	return &RecvQueue{ch: make(chan recvWR, depth), size: size}
+}
+
 // Post adds a receive buffer to the pool.
 func (rq *RecvQueue) Post(buf []byte, wrID uint64) {
 	rq.ch <- recvWR{buf: buf, wrID: wrID}
+}
+
+// poll takes a posted buffer without blocking. When none is posted a
+// bounce queue with fewer than depth buffers makes a slab and hands out its
+// first; ok is false only when every buffer the queue may hold is in use.
+func (rq *RecvQueue) poll() (wr recvWR, ok bool) {
+	select {
+	case wr = <-rq.ch:
+		return wr, true
+	default:
+	}
+	if rq.size == 0 {
+		return wr, false
+	}
+	rq.mu.Lock()
+	defer rq.mu.Unlock()
+	// A repost, or another taker's slab, may have landed meanwhile.
+	select {
+	case wr = <-rq.ch:
+		return wr, true
+	default:
+	}
+	n := min(slabBuffers, cap(rq.ch)-rq.made)
+	if n == 0 {
+		return wr, false
+	}
+	// Capped slices, so a repost's buf[:cap(buf)] restores exactly one
+	// buffer. The channel has room: fewer than depth buffers exist.
+	size, slab := rq.size, make([]byte, n*rq.size)
+	for i := 1; i < n; i++ {
+		rq.ch <- recvWR{buf: slab[i*size : (i+1)*size : (i+1)*size], wrID: uint64(rq.made + i)}
+	}
+	wr = recvWR{buf: slab[:size:size], wrID: uint64(rq.made)}
+	rq.made += n
+	return wr, true
 }
 
 // QP is one endpoint of a connected queue pair. Inbound messages consume
@@ -74,9 +132,10 @@ func (f *Fabric) ConnectPair(a, b QPConfig) (*QP, *QP) {
 	f.mu.Lock()
 	link := f.nextQP
 	f.nextQP += 2
+	sink := f.sinkLocked()
 	f.mu.Unlock()
 	qa, qb := connect(a, b)
-	qa.inj, qb.inj = f.faults.Stream(link, f.obs), f.faults.Stream(link+1, f.obs)
+	qa.inj, qb.inj = f.faults.Stream(link, sink), f.faults.Stream(link+1, sink)
 	return qa, qb
 }
 
@@ -202,9 +261,10 @@ func (q *QP) PostRecv(buf []byte, wrID uint64) { q.rq.Post(buf, wrID) }
 // land delivers one message on the calling goroutine: it takes the peer's
 // next posted receive buffer, copies data into it and pushes the receive
 // completion, which is what keeps per-QP FIFO order for a sending goroutine
-// without any delivery engine in between. With wait set it blocks while no
-// buffer is posted, until one is or either end closes (ErrClosed); without,
-// an empty queue is ErrNoReceive, or ErrClosed once either end has closed.
+// without any delivery engine in between (a bounce queue makes the buffer
+// if it has none yet). With wait set it blocks while no buffer is free,
+// until one is or either end closes (ErrClosed); without, an empty queue is
+// ErrNoReceive, or ErrClosed once either end has closed.
 // A message larger than its receive buffer produces an error completion
 // carrying ErrBufferSize — never a silent truncation — with the posted
 // buffer attached for recycling.
@@ -213,10 +273,8 @@ func (q *QP) land(data []byte, imm uint32, wait bool) error {
 	if p.recvCQ == nil {
 		return ErrNoReceive // send-only end: nowhere to complete a receive
 	}
-	var wr recvWR
-	select {
-	case wr = <-p.rq.ch:
-	default:
+	wr, ok := p.rq.poll()
+	if !ok {
 		if !wait {
 			if q.closed() || p.closed() {
 				return ErrClosed

@@ -74,7 +74,8 @@ type Fabric struct {
 	nextQP int
 
 	// obs is the fabric's observability domain (fault-injection counters
-	// and events). Always non-nil; SetObs swaps in a shared/tracing sink.
+	// and events), guarded by mu: the one SetObs installed, or else a
+	// counters-only sink built when first needed (sinkLocked).
 	obs *obs.Sink
 }
 
@@ -83,7 +84,6 @@ func NewFabric() *Fabric {
 	return &Fabric{
 		mrs:     make(map[uint64]*MemoryRegion),
 		nextKey: 1,
-		obs:     obs.New(obs.Options{}),
 	}
 }
 
@@ -91,8 +91,26 @@ func NewFabric() *Fabric {
 // one). Call before ConnectPair: fault streams capture the sink at creation.
 func (f *Fabric) SetObs(s *obs.Sink) {
 	if s != nil {
+		f.mu.Lock()
 		f.obs = s
+		f.mu.Unlock()
 	}
+}
+
+// Obs returns the fabric's observability sink.
+func (f *Fabric) Obs() *obs.Sink {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sinkLocked()
+}
+
+// sinkLocked returns the sink, building the default one if SetObs
+// installed none. The caller holds f.mu.
+func (f *Fabric) sinkLocked() *obs.Sink {
+	if f.obs == nil {
+		f.obs = obs.New(obs.Options{})
+	}
+	return f.obs
 }
 
 // MemoryRegion is a registered buffer remotely addressable by RKey.

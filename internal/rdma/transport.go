@@ -80,11 +80,14 @@ type Transport interface {
 	Close() error
 }
 
-// Take removes one posted receive buffer, blocking until a buffer is
-// posted or cancel closes. It is the consuming counterpart of Post for
-// external delivery engines (netfabric transports); the in-process QP
-// reads the queue directly.
+// Take removes one posted receive buffer (a bounce queue makes it if it
+// has none yet), blocking until a buffer is free or cancel closes. It is
+// the consuming counterpart of Post for external delivery engines
+// (netfabric transports); the in-process QP reads the queue directly.
 func (rq *RecvQueue) Take(cancel <-chan struct{}) (buf []byte, wrID uint64, ok bool) {
+	if wr, ok := rq.poll(); ok {
+		return wr.buf, wr.wrID, true
+	}
 	select {
 	case wr := <-rq.ch:
 		return wr.buf, wr.wrID, true
@@ -123,7 +126,7 @@ type fabricRank struct {
 
 func (r *fabricRank) Rank() int      { return r.rank }
 func (r *fabricRank) Size() int      { return len(r.job) }
-func (r *fabricRank) Obs() *obs.Sink { return r.f.obs }
+func (r *fabricRank) Obs() *obs.Sink { return r.f.Obs() }
 
 // Reliable is false exactly when a fault plan is active: the fabric then
 // drops, duplicates and reorders like a lossy wire.
@@ -145,7 +148,7 @@ func (r *fabricRank) Endpoint(peer int) Endpoint {
 	if r.eps[peer] == nil {
 		dst := r.job[peer]
 		ep, _ := connect(QPConfig{}, QPConfig{RecvCQ: dst.cq, RQ: dst.rq})
-		ep.inj = r.f.faults.Stream(r.rank*len(r.job)+peer, r.f.obs)
+		ep.inj = r.f.faults.Stream(r.rank*len(r.job)+peer, r.f.sinkLocked())
 		if r.closed {
 			ep.Close()
 		}
