@@ -107,7 +107,6 @@ func (p *Proc) isend(dst, tag int, comm match.CommID, data []byte) (*Request, er
 	if p.w.Closed() {
 		return nil, ErrClosed
 	}
-	req := newRequest(p)
 	hashes := match.InlineHashes{
 		SrcTag: match.HashSrcTag(match.Rank(p.rank), match.Tag(tag), comm),
 		Tag:    match.HashTag(match.Tag(tag), comm),
@@ -117,13 +116,12 @@ func (p *Proc) isend(dst, tag int, comm match.CommID, data []byte) (*Request, er
 	if len(data) <= p.w.opts.EagerLimit {
 		// Coalescing path: application-communicator eager sends are staged
 		// into the destination's frame; the copy happens at add() time, so
-		// the request completes immediately, like any buffered eager send.
+		// the request is born complete, like any buffered eager send.
 		if p.coal != nil && comm >= 0 {
 			if err := p.coal.add(dst, int32(tag), comm, hashes, data); err != nil {
 				return nil, err
 			}
-			req.complete(Status{Source: dst, Tag: tag, Count: len(data)}, nil)
-			return req, nil
+			return newCompleted(p, Status{Source: dst, Tag: tag, Count: len(data)}), nil
 		}
 		if p.coal != nil {
 			// Library-internal traffic (negative communicators: barriers,
@@ -147,8 +145,7 @@ func (p *Proc) isend(dst, tag int, comm match.CommID, data []byte) (*Request, er
 			return nil, err
 		}
 		// Eager sends complete locally once the payload is on the wire.
-		req.complete(Status{Source: dst, Tag: tag, Count: len(data)}, nil)
-		return req, nil
+		return newCompleted(p, Status{Source: dst, Tag: tag, Count: len(data)}), nil
 	}
 
 	// Rendezvous: register the user buffer, send an RTS carrying its key,
@@ -159,6 +156,7 @@ func (p *Proc) isend(dst, tag int, comm match.CommID, data []byte) (*Request, er
 			return nil, err
 		}
 	}
+	req := newRequest(p)
 	mr := p.trans.RegisterMemory(data)
 	p.pendMu.Lock()
 	p.pending[mr.RKey] = &pendingSend{req: req, mr: mr, dst: dst, tag: tag}

@@ -215,11 +215,12 @@ type World struct {
 	recvs sync.Pool
 
 	closeOnce sync.Once
-	// closed is closed at the top of Close, before teardown begins: new
-	// operations observe it and return ErrClosed, and blocked Request.Wait
-	// calls unblock through it instead of hanging on a request that will
-	// never complete.
-	closed chan struct{}
+	// isClosed is set and closed is closed at the top of Close, before
+	// teardown begins: new operations load isClosed and return ErrClosed,
+	// and blocked Request.Wait calls unblock through closed instead of
+	// hanging on a request that will never complete.
+	isClosed atomic.Bool
+	closed   chan struct{}
 }
 
 // NewWorld creates n fully connected ranks in this process.
@@ -328,14 +329,7 @@ func (w *World) Hosts(rank int) bool {
 
 // Closed reports whether Close has begun. Operations issued afterwards
 // return ErrClosed.
-func (w *World) Closed() bool {
-	select {
-	case <-w.closed:
-		return true
-	default:
-		return false
-	}
-}
+func (w *World) Closed() bool { return w.isClosed.Load() }
 
 // Done returns a channel closed when the world starts tearing down, for
 // select-based waiters that must not outlive the world.
@@ -350,6 +344,7 @@ func (w *World) Close() error {
 	err := ErrClosed
 	w.closeOnce.Do(func() {
 		err = nil
+		w.isClosed.Store(true)
 		close(w.closed)
 		// Drain the coalescers first (stopping their staleness timers):
 		// every buffered eager frame must reach the wire before the QPs

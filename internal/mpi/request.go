@@ -1,8 +1,9 @@
 package mpi
 
 import (
-	"sync"
+	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Status describes a completed point-to-point operation, mirroring
@@ -16,35 +17,96 @@ type Status struct {
 // Request is a non-blocking operation handle, as returned by Isend and
 // Irecv. Wait blocks until completion.
 //
-// The completion channel is created lazily, only when a waiter arrives
-// before the operation finishes: eager sends and already-matched receives
-// complete before the caller can block, so the common hot path pays one
-// small allocation per request and no channel.
+// Its whole state is one atomic wake word, with no lock:
+//
+//	nil            pending, nobody waiting
+//	a channel      pending, a waiter installed this channel
+//	reqClaimed     a completer won the claim and is writing status/err
+//	reqCompleted   status and err are published and final
+//
+// complete claims the request with a CAS, writes status and err, and then
+// stores reqCompleted, so a reader that sees reqCompleted sees the status;
+// a second complete finds the word claimed and writes nothing. The
+// completion channel is created only when a waiter arrives before the
+// operation finishes: eager sends are born complete, and already-matched
+// receives complete before the caller can block, so the hot path is one
+// 64-byte allocation per request and no channel.
 type Request struct {
-	p      *Proc // issuing rank, for synchronization-point flushes
-	mu     sync.Mutex
-	done   chan struct{} // created by the first early waiter
-	state  atomic.Uint32 // 0 = pending, 1 = complete
+	p *Proc // issuing rank, for synchronization-point flushes
+	// wake is read and written only through sync/atomic, except when a
+	// born-complete request is built: it is a raw pointer rather than an
+	// atomic.Pointer so that initialization is a plain store.
+	wake   unsafe.Pointer
 	status Status
 	err    error
 }
+
+// The wake word's two sentinels. reqCompleted is a closed channel, which is
+// what a select-based waiter on a finished request receives; reqClaimed is
+// a channel nobody is ever given.
+var (
+	reqClaimed   = chanWord(make(chan struct{}))
+	reqCompleted = func() unsafe.Pointer {
+		ch := make(chan struct{})
+		close(ch)
+		return chanWord(ch)
+	}()
+)
+
+// chanWord and wordChan convert between a channel and the wake word. A
+// channel value is one pointer to its runtime header, so the word holds it
+// directly and an early waiter allocates the channel and nothing else.
+func chanWord(ch chan struct{}) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&ch)) }
+func wordChan(w unsafe.Pointer) chan struct{}  { return *(*chan struct{})(unsafe.Pointer(&w)) }
 
 func newRequest(p *Proc) *Request {
 	return &Request{p: p}
 }
 
+// newCompleted returns a request that is complete from birth: an eager
+// send whose payload is already on the wire or in the coalescer.
+func newCompleted(p *Proc, st Status) *Request {
+	return &Request{p: p, wake: reqCompleted, status: st}
+}
+
+func (r *Request) done() bool { return atomic.LoadPointer(&r.wake) == reqCompleted }
+
 // complete finishes the request exactly once; later calls are no-ops.
 func (r *Request) complete(st Status, err error) {
-	r.mu.Lock()
-	if r.state.Load() == 0 {
-		r.status = st
-		r.err = err
-		r.state.Store(1)
-		if r.done != nil {
-			close(r.done)
+	for {
+		w := atomic.LoadPointer(&r.wake)
+		if w == reqClaimed || w == reqCompleted {
+			return
+		}
+		if atomic.CompareAndSwapPointer(&r.wake, w, reqClaimed) {
+			r.status, r.err = st, err
+			atomic.StorePointer(&r.wake, reqCompleted)
+			if w != nil {
+				close(wordChan(w))
+			}
+			return
 		}
 	}
-	r.mu.Unlock()
+}
+
+// wakeChan returns a channel that is closed once the request completes,
+// installing one if no waiter has yet. A claimed request is two stores
+// from complete, so it is waited out by yielding rather than with a
+// channel.
+func (r *Request) wakeChan() chan struct{} {
+	for {
+		switch w := atomic.LoadPointer(&r.wake); w {
+		case reqClaimed:
+			runtime.Gosched()
+		case nil:
+			ch := make(chan struct{})
+			if atomic.CompareAndSwapPointer(&r.wake, nil, chanWord(ch)) {
+				return ch
+			}
+		default:
+			return wordChan(w)
+		}
+	}
 }
 
 // Wait blocks until the operation completes and returns its status. Wait
@@ -60,19 +122,10 @@ func (r *Request) Wait() (Status, error) {
 	if r.p != nil {
 		r.p.flushCoalesced()
 	}
-	if r.state.Load() == 1 {
+	if r.done() {
 		return r.status, r.err
 	}
-	r.mu.Lock()
-	if r.state.Load() == 1 {
-		r.mu.Unlock()
-		return r.status, r.err
-	}
-	if r.done == nil {
-		r.done = make(chan struct{})
-	}
-	ch := r.done
-	r.mu.Unlock()
+	ch := r.wakeChan()
 	var closed <-chan struct{}
 	if r.p != nil {
 		closed = r.p.w.closed
@@ -82,34 +135,26 @@ func (r *Request) Wait() (Status, error) {
 	case <-closed:
 		// The world is tearing down. The completion may still have raced
 		// ahead of the close; prefer it when it did.
-		if r.state.Load() != 1 {
+		if !r.done() {
 			return Status{}, ErrClosed
 		}
 	}
 	return r.status, r.err
 }
 
-// doneChan materializes the completion channel for select-based waiters
-// (Waitany). It is closed if the request already completed. Like Wait, it
+// doneChan returns the completion channel for select-based waiters
+// (Waitany); it is already closed if the request completed. Like Wait, it
 // is a synchronization point for the rank's coalescer.
 func (r *Request) doneChan() <-chan struct{} {
 	if r.p != nil {
 		r.p.flushCoalesced()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done == nil {
-		r.done = make(chan struct{})
-		if r.state.Load() == 1 {
-			close(r.done)
-		}
-	}
-	return r.done
+	return r.wakeChan()
 }
 
 // Test reports whether the operation has completed, without blocking.
 func (r *Request) Test() (Status, bool, error) {
-	if r.state.Load() == 1 {
+	if r.done() {
 		return r.status, true, r.err
 	}
 	return Status{}, false, nil

@@ -24,7 +24,7 @@ func storedDepth(p *Proc) int {
 
 // TestUnexpectedPathAllocs is the allocation guard of store-then-post over
 // the whole stack: an eager message that waits in the unexpected store costs
-// the two Requests its Isend and Irecv return and nothing else (no store
+// the two 64-byte Requests its Isend and Irecv return and nothing else (no store
 // entry, no list node, no payload buffer), and the payload it waits in is
 // the envelope's own: every bounce buffer is overwritten while the messages
 // are stored, and they still deliver what was sent.
