@@ -163,7 +163,7 @@ func (t ticket) claimable(v uint64) bool {
 
 // bsPool recycles block dispatch records. fn and wg are only read after a
 // successful generation-validated CAS, which orders them after publish's
-// writes and pins the record live until the claimed item's Done.
+// writes and pins the record live until the drainer releases its claims.
 var bsPool = sync.Pool{New: func() any { return new(blockState) }}
 
 // Config parameterizes the simulated device.
@@ -226,7 +226,9 @@ func (a *Accelerator) worker() {
 
 // drain claims and runs items of the block t was issued for until none is
 // left, so a goroutine takes as many consecutive items as it can without a
-// scheduler round-trip.
+// scheduler round-trip. It releases what it claimed with one wg.Add when it
+// stops: finish is the only waiter, and the record cannot be recycled
+// before that release, so the generation check stays sound meanwhile.
 //
 // On a chaining ticket wake-ups are chained: a drainer that claims an item
 // while more remain wakes one worker before it runs the item. A block whose
@@ -237,10 +239,11 @@ func (a *Accelerator) worker() {
 // to block calls wake itself.
 func (a *Accelerator) drain(t ticket) {
 	bs, chain := t.bs, t.chain
+	claimed := 0
 	for {
 		v := bs.state.Load()
 		if !t.claimable(v) {
-			return // block exhausted, or the record moved on to a later one
+			break // block exhausted, or the record moved on to a later one
 		}
 		item := int(v) & maxItems
 		if !bs.state.CompareAndSwap(v, v+1) {
@@ -250,7 +253,10 @@ func (a *Accelerator) drain(t ticket) {
 			chain = false
 		}
 		bs.fn(item)
-		bs.wg.Done()
+		claimed++
+	}
+	if claimed != 0 {
+		bs.wg.Add(-claimed)
 	}
 }
 

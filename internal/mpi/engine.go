@@ -39,7 +39,10 @@ type engine interface {
 //
 //   - take, when non-nil, may claim the whole completion, buffer included,
 //     before a frame is unbatched (the offload engine forms matching blocks
-//     from what it takes);
+//     from what it takes). A lone eager or RTS message is offered to take
+//     first with only its kind and communicator read (peekHeader), since
+//     the engine decodes it in full anyway; what take leaves goes through
+//     decodeHeader as everything else does;
 //   - message handles one data message, called once per sub-message of a
 //     frame under a synthesized eager header, so every message of a burst
 //     flows through the engine before the buffer is reposted. The payload
@@ -47,6 +50,11 @@ type engine interface {
 //
 // dispatch reports false once message has: the engine is shutting down.
 func (p *Proc) dispatch(c rdma.Completion, take func(header, rdma.Completion) bool, message func(header, []byte) bool) bool {
+	if take != nil && c.Err == nil {
+		if h, ok := peekHeader(c.Data); ok && take(h, c) {
+			return true
+		}
+	}
 	ok := true
 	h, err := header{}, c.Err
 	if err == nil {
@@ -304,7 +312,9 @@ var frameRefPool = sync.Pool{New: func() any { return new(frameRef) }}
 // reposted exactly once, after the last sub-message's protocol handling. A
 // malformed frame (impossible from our own wire layer, but the decoder must
 // not trust the wire) is dropped whole and its buffer reposted here.
-// Fallback-communicator traffic is left to dispatch.
+// Fallback-communicator traffic is left to dispatch. For a lone message h
+// may be peekHeader's, holding kind and comm only; a frame's is decoded in
+// full.
 func (e *offloadEngine) take(h header, c rdma.Completion) bool {
 	if len(e.fallbackComms) != 0 && e.fallbackComms[match.CommID(h.comm)] {
 		return false
@@ -379,9 +389,10 @@ func (e *offloadEngine) FallbackComms() []int32 {
 
 func (e *offloadEngine) start() { e.pipe.Start() }
 
-// decode runs on a DPA thread: parse the header and fill the pooled
-// envelope. The eager payload still aliases the bounce buffer here;
-// handle() decides whether it must be stabilized.
+// decode runs on a DPA thread: parse the header — the only full decode a
+// lone message gets, as dispatch classified it by peekHeader — and fill the
+// window's envelope. The eager payload still aliases the bounce buffer
+// here; the matcher's unexpected hook stabilizes it if it goes unexpected.
 func (e *offloadEngine) decode(c rdma.Completion, env *match.Envelope) *match.Envelope {
 	if c.Imm == subImm {
 		// A sub-message expanded out of a coalesced frame: Data is one
@@ -405,10 +416,10 @@ func (e *offloadEngine) decode(c rdma.Completion, env *match.Envelope) *match.En
 }
 
 // handle runs on a DPA thread after the optimistic match: protocol handling
-// per §IV-B, then bounce-buffer recycling. Matched envelopes are recycled
-// by the pipeline; unexpected ones were already stabilized by the matcher's
-// unexpected hook (before becoming visible to posts) and live in the
-// matcher's store until post() delivers and recycles them.
+// per §IV-B, then bounce-buffer recycling. Matched envelopes stay in the
+// pipeline's block window; unexpected ones were already stabilized by the
+// matcher's unexpected hook (before becoming visible to posts) and live in
+// the matcher's store until post() delivers and recycles them.
 func (e *offloadEngine) handle(tid int, res core.Result, c rdma.Completion) {
 	if !res.Unexpected {
 		e.p.deliverMatch(res.Recv, res.Env)

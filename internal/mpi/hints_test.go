@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -68,6 +69,20 @@ func TestCommInfoNoOffloadFallback(t *testing.T) {
 	st, err := w.Proc(1).Comm(7).Recv(0, 3, buf)
 	if err != nil || string(buf[:st.Count]) != "sw" {
 		t.Fatalf("fallback recv: %v %q", err, buf[:st.Count])
+	}
+	// …an RTS as well: dispatch peeks it, take leaves it, and the full
+	// decode hands it to the software matcher…
+	large := bytes.Repeat([]byte{0xab}, 4096)
+	sreq, err := w.Proc(0).Comm(7).Isend(1, 4, large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(large))
+	if st, err := w.Proc(1).Comm(7).Recv(0, 4, got); err != nil || !bytes.Equal(got[:st.Count], large) {
+		t.Fatalf("fallback rendezvous: %v, %d bytes", err, st.Count)
+	}
+	if _, err := sreq.Wait(); err != nil {
+		t.Fatal(err)
 	}
 	// …without touching the offloaded matcher.
 	if got := w.Proc(1).Matcher().Stats().Messages; got != 0 {

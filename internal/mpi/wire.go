@@ -83,6 +83,20 @@ func decodeHeader(b []byte) (header, error) {
 	return h, nil
 }
 
+// peekHeader classifies a lone eager or RTS message from its kind byte and
+// communicator word alone, which is all the offload engine needs to claim
+// it for a matching block; the full decode runs once, on the DPA thread.
+// It returns a header holding only kind and comm, and ok false for anything
+// else (a short buffer, another or an unknown kind): that input takes
+// decodeHeader's path. Whatever it claims, decodeHeader accepts with the
+// same kind and comm.
+func peekHeader(b []byte) (header, bool) {
+	if len(b) < headerSize || (b[0] != kindEager && b[0] != kindRTS) {
+		return header{}, false
+	}
+	return header{kind: b[0], comm: int32(binary.LittleEndian.Uint32(b[12:]))}, true
+}
+
 // payloadOf returns the eager payload slice of a wire buffer, or nil for
 // header-only messages (RTS, ACK).
 func payloadOf(h header, wire []byte) []byte {

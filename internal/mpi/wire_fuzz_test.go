@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzDecodeHeader hardens the wire parser: arbitrary bytes must never
-// panic, and every header that decodes must re-encode to the same bytes in
-// the fields the engine consumes.
+// panic, every header that decodes must re-encode to the same bytes in the
+// fields the engine consumes, and whatever peekHeader claims decodes to the
+// kind and communicator the peek read.
 func FuzzDecodeHeader(f *testing.F) {
 	var seed [headerSize]byte
 	h := header{kind: kindEager, src: 3, tag: 9, comm: 1, size: 16}
@@ -19,9 +20,16 @@ func FuzzDecodeHeader(f *testing.F) {
 	f.Add([]byte{kindAck})
 	f.Add(bytes.Repeat([]byte{0xFF}, headerSize))
 	f.Add(bytes.Repeat([]byte{0x00}, headerSize+32))
+	rts := header{kind: kindRTS, src: 1, tag: -4, comm: -7, size: 1 << 20, rkey: 99}
+	rts.encode(seed[:])
+	f.Add(seed[:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeHeader(data)
+		if peek, ok := peekHeader(data); ok && (err != nil || peek.kind != got.kind || peek.comm != got.comm) {
+			t.Fatalf("peek claimed kind %d comm %d; decode: kind %d comm %d, err %v",
+				peek.kind, peek.comm, got.kind, got.comm, err)
+		}
 		if err != nil {
 			return
 		}
@@ -38,6 +46,33 @@ func FuzzDecodeHeader(f *testing.F) {
 			t.Fatalf("round trip: %+v != %+v", round, got)
 		}
 	})
+}
+
+// TestPeekHeaderAgreesWithDecode: the offload engine's take path claims a
+// lone eager or RTS message from its kind byte and communicator word alone.
+// For every kind, known or not, at every length around the header, the peek
+// must claim exactly the eager and RTS messages decodeHeader accepts, and
+// read the same kind and communicator.
+func TestPeekHeaderAgreesWithDecode(t *testing.T) {
+	for kind := 0; kind < 256; kind++ {
+		for _, comm := range []int32{0, 7, -1, 1 << 30} {
+			h := header{kind: uint8(kind), src: 2, tag: 11, comm: comm, size: 3, seq: 5, rkey: 8}
+			wire := make([]byte, headerSize+3)
+			h.encode(wire)
+			for _, n := range []int{0, 1, 12, 16, headerSize - 1, headerSize, headerSize + 3} {
+				peek, claimed := peekHeader(wire[:n])
+				full, err := decodeHeader(wire[:n])
+				want := err == nil && (full.kind == kindEager || full.kind == kindRTS)
+				if claimed != want {
+					t.Fatalf("kind %d, %d bytes: peek claims %v, decode err %v", kind, n, claimed, err)
+				}
+				if claimed && (peek.kind != full.kind || peek.comm != full.comm) {
+					t.Fatalf("kind %d, %d bytes: peek read (%d, %d), decode (%d, %d)",
+						kind, n, peek.kind, peek.comm, full.kind, full.comm)
+				}
+			}
+		}
+	}
 }
 
 // FuzzPayloadOf ensures payload slicing never exceeds the wire buffer.

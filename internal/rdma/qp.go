@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -111,8 +112,10 @@ type QP struct {
 	heldImm  uint32
 	heldSpan int
 
-	done      chan struct{}
-	closeOnce sync.Once
+	// shut is set by Close just before it closes done: land asks it, and
+	// done stays for a Send blocked waiting for a posted buffer.
+	shut atomic.Bool
+	done chan struct{}
 }
 
 // QPConfig describes one endpoint of a pair.
@@ -309,16 +312,13 @@ func (q *QP) land(data []byte, imm uint32, wait bool) error {
 	return nil
 }
 
-func (q *QP) closed() bool {
-	select {
-	case <-q.done:
-		return true
-	default:
-		return false
-	}
-}
+func (q *QP) closed() bool { return q.shut.Load() }
 
 // Close shuts the endpoint down: sends from it and toward it fail with
 // ErrClosed, and a Send blocked on back-pressure in either direction
 // returns. A message still held by the fault injector is lost.
-func (q *QP) Close() { q.closeOnce.Do(func() { close(q.done) }) }
+func (q *QP) Close() {
+	if q.shut.CompareAndSwap(false, true) {
+		close(q.done)
+	}
+}
