@@ -5,19 +5,16 @@
 // non-negative timestamps — and exits non-zero on the first violation, so
 // CI can smoke-test trace production without a browser.
 //
-// With -plan it instead validates a whatif recommendation document
-// against the repro/plan/v1 schema; with -metrics,
-// an OpenMetrics text exposition (a matchd /metrics scrape — the argument
-// may be a file or an http:// URL): every sample must belong to a declared
-// family, counter samples must end in _total, histogram buckets must
-// cumulate to a le="+Inf" bucket equal to the _count sample, and the
-// document must terminate with # EOF.
+// With -metrics it instead validates an OpenMetrics text exposition (a
+// matchd /metrics scrape — the argument may be a file or an http:// URL):
+// every sample must belong to a declared family, counter samples must end
+// in _total, histogram buckets must cumulate to a le="+Inf" bucket equal
+// to the _count sample, and the document must terminate with # EOF.
 //
 // Usage:
 //
 //	obscheck trace.json
 //	obscheck -min-events 10 trace.json
-//	obscheck -plan plan.json
 //	obscheck -metrics http://127.0.0.1:7601/metrics
 //	obscheck -metrics metrics.txt
 package main
@@ -27,8 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-
-	"repro/internal/plan"
 )
 
 // event mirrors the subset of the trace_event record schema obscheck
@@ -56,11 +51,10 @@ var knownPhases = map[string]bool{
 
 func main() {
 	minEvents := flag.Int("min-events", 1, "fail unless the trace holds at least this many non-metadata events")
-	planMode := flag.Bool("plan", false, "validate a whatif recommendation document instead of a Chrome trace")
 	metricsMode := flag.Bool("metrics", false, "validate an OpenMetrics text exposition (file or http:// URL) instead of a Chrome trace")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: obscheck [-min-events N] trace.json | obscheck -plan plan.json | obscheck -metrics URL-or-file")
+		fmt.Fprintln(os.Stderr, "usage: obscheck [-min-events N] trace.json | obscheck -metrics URL-or-file")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -69,20 +63,6 @@ func main() {
 		if err := checkMetrics(path); err != nil {
 			fatal(err)
 		}
-		return
-	}
-
-	if *planMode {
-		doc, err := plan.ReadDoc(path)
-		if err != nil {
-			fatal(err)
-		}
-		budget := "unlimited"
-		if doc.BudgetBytes > 0 {
-			budget = fmt.Sprintf("%d bytes", doc.BudgetBytes)
-		}
-		fmt.Printf("%s: ok — %s, %s on %d ranks, %d recommendations (%d evaluated, %d rejected, budget %s)\n",
-			path, doc.Schema, doc.App, doc.Procs, len(doc.Entries), doc.Evaluated, doc.Rejected, budget)
 		return
 	}
 

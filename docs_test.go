@@ -68,7 +68,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 }
 
 // pathExists resolves a cited path: a file or directory exists, or a Go
-// identifier rides on a package path ("internal/plan.Planner").
+// identifier rides on a package path ("internal/core.OptimisticMatcher").
 func pathExists(path string) bool {
 	for p := path; ; {
 		if _, err := os.Stat(p); err == nil {

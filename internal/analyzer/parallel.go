@@ -287,51 +287,29 @@ func NormalizeBins(bins []int) ([]int, error) {
 // Sweep replays the schedule once per bin count, fanning every
 // (bin count × shard) replay out over one shared worker pool. The step
 // streams are built and sorted exactly once for the whole sweep. Bin
-// counts are validated and deduplicated up front (NormalizeBins): the
-// returned reports align with the deduplicated list.
+// counts are validated and deduplicated up front (NormalizeBins), and the
+// engine is checked before any shard runs: the returned reports align
+// with the deduplicated list.
 func (sc *Schedule) Sweep(bins []int, cfg Config) ([]*Report, error) {
 	bins, err := NormalizeBins(bins)
 	if err != nil {
 		return nil, err
 	}
+	if err := validEngine(cfg.Engine); err != nil {
+		return nil, err
+	}
+	cfg.fill()
 	cfgs := make([]Config, len(bins))
 	for i, b := range bins {
 		cfgs[i] = cfg
 		cfgs[i].Bins = b
-	}
-	return sc.SweepConfigs(cfgs, cfg)
-}
-
-// SweepConfigs generalizes Sweep to arbitrary per-replay configurations:
-// the schedule is replayed once per entry of cfgs, and every
-// (config × shard) replay fans out over the one worker pool sized by
-// pool.Workers. Any replay-free field may vary between entries (Bins,
-// Engine, MaxReceives, RecordSeries); the schedule-frozen fields (Latency,
-// LatencySpread) were fixed at BuildSchedule time and entries' values are
-// ignored. Reports align with cfgs. Every configuration is validated up
-// front so a bad entry fails before any shard runs.
-func (sc *Schedule) SweepConfigs(cfgs []Config, pool Config) ([]*Report, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("analyzer: empty configuration sweep")
-	}
-	pool.fill()
-	for i := range cfgs {
-		cfgs[i].fill()
-		cfgs[i].Workers = pool.Workers
-		cfgs[i].Obs = pool.Obs
-		if err := validateBins(cfgs[i].Bins); err != nil {
-			return nil, fmt.Errorf("configs[%d]: %w", i, err)
-		}
-		if err := validEngine(cfgs[i].Engine); err != nil {
-			return nil, fmt.Errorf("configs[%d]: %w", i, err)
-		}
 	}
 	nc, ns := len(cfgs), len(sc.shards)
 	results := make([][]shardResult, nc)
 	for ci := range results {
 		results[ci] = make([]shardResult, ns)
 	}
-	workers := pool.workerCount(nc * ns)
+	workers := cfg.workerCount(nc * ns)
 	slabs := make([]replaySlab, workers)
 	runPool(nc*ns, workers, func(w, i int) {
 		ci, si := i/max(ns, 1), i%max(ns, 1)

@@ -192,51 +192,13 @@ func TestSweepValidatesUpFront(t *testing.T) {
 		t.Fatal("empty sweep accepted")
 	}
 
+	// An unknown engine fails before any shard runs.
+	if _, err := Sweep(tr, []int{4}, Config{Engine: "nope", Workers: 8}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("bad engine: %v", err)
+	}
+
 	if got, err := NormalizeBins([]int{8, 2, 8, 1}); err != nil || !reflect.DeepEqual(got, []int{8, 2, 1}) {
 		t.Fatalf("NormalizeBins = %v, %v", got, err)
-	}
-}
-
-func TestSweepConfigs(t *testing.T) {
-	app, _ := tracegen.ByName("BoxLib CNS")
-	tr := app.Generate(tracegen.Config{Scale: 10})
-	pool := Config{Workers: 8}
-	sched := BuildSchedule(tr, pool)
-
-	// A multi-dimension sweep: engine and bins vary per entry; every report
-	// must equal a fresh serial analysis at that entry's configuration.
-	cfgs := []Config{
-		{Engine: EngineOptimistic, Bins: 1},
-		{Engine: EngineOptimistic, Bins: 64, RecordSeries: true},
-		{Engine: EngineList, Bins: 1},
-		{Engine: EngineBin, Bins: 32},
-	}
-	reps, err := sched.SweepConfigs(cfgs, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(cfgs) {
-		t.Fatalf("got %d reports for %d configs", len(reps), len(cfgs))
-	}
-	for i, c := range cfgs {
-		serial, err := AnalyzeSerial(tr, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualReports(t, "sweepconfigs", serial, reps[i])
-	}
-
-	// Bad entries fail up front with the entry's index.
-	_, err = sched.SweepConfigs([]Config{{Bins: 32}, {Bins: 5}}, pool)
-	if err == nil || !strings.Contains(err.Error(), "configs[1]") {
-		t.Fatalf("bad bins entry: %v", err)
-	}
-	_, err = sched.SweepConfigs([]Config{{Engine: "nope", Bins: 4}}, pool)
-	if err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("bad engine entry: %v", err)
-	}
-	if _, err := sched.SweepConfigs(nil, pool); err == nil {
-		t.Fatal("empty config sweep accepted")
 	}
 }
 

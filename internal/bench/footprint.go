@@ -6,9 +6,9 @@ import "repro/internal/core"
 // budget in core.ModelFootprint covers only the matcher's tables (bins and
 // receive descriptors); a deployed configuration additionally pins memory
 // per in-flight block slot (the staged envelopes of a block in formation)
-// and per peer for the sender-side eager coalescer's frame buffers. The
-// capacity planner prices candidates against an operator-supplied budget
-// with this model.
+// and per peer for the sender-side eager coalescer's frame buffers.
+// Daemon admission charges a job against its tenant's budget with this
+// model.
 const (
 	// EnvelopeModelBytes is the accounted size of one staged envelope in a
 	// block slot: the wire header fields, inline hash, and payload pointer.

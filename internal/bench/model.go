@@ -110,10 +110,9 @@ func (m ModeledRate) String() string {
 }
 
 // Valid reports whether the model produced a usable rate. A degenerate
-// model (all stage costs zero — reachable from a zeroed JSON configuration
-// or an all-fast-path trace) or an empty measurement yields a zero
-// ModeledRate, never Inf/NaN: callers that rank or serialize rates must
-// check Valid first.
+// model (all stage costs zero) or an empty measurement yields a zero
+// ModeledRate, never Inf/NaN: callers that serialize rates must check
+// Valid first.
 func (m ModeledRate) Valid() bool { return m.MsgPerSec > 0 }
 
 // wireStage is the fabric occupancy per message. Coalescing replaces N
@@ -148,90 +147,42 @@ func rate(label string, stageNS ...float64) ModeledRate {
 		}
 	}
 	// A zero bottleneck means every stage cost vanished (a zeroed model):
-	// 1e9/0 would be +Inf, which poisons rankings and which encoding/json
-	// refuses to marshal. Return the zero (invalid) rate instead.
+	// 1e9/0 would be +Inf, which encoding/json refuses to marshal. Return
+	// the zero (invalid) rate instead.
 	if worst <= 0 {
 		return ModeledRate{Label: label}
 	}
 	return ModeledRate{Label: label, NSPerMsg: worst, MsgPerSec: 1e9 / worst}
 }
 
-// WireStageNS exposes the fabric stage occupancy per message at the
-// model's BatchWidth — the wire row of a stage-by-stage breakdown.
-func (cm CostModel) WireStageNS() float64 { return cm.wireStage() }
-
-// OffloadStages decomposes the offload pipeline's matching stage per
-// message: the thread-divided handler work, the slow-path rounds that
-// serialize against the predecessor thread, and the per-block
-// serialization pipelined K-wide by the in-flight window. The stage-by-
-// stage view backs whatif's delta output; ModelOffload reduces it to the
-// bottleneck rate, so the two can never drift apart.
-type OffloadStages struct {
-	WireNS        float64 // fabric stage (at the model's BatchWidth)
-	ParallelNS    float64 // handler + barrier + probes + fast path, / Threads
-	SlowSerialNS  float64 // slow-path rounds (do not divide by Threads)
-	BlockSerialNS float64 // per-block serialization / InFlight
-}
-
-// MatchNS is the matching stage's total per-message occupancy.
-func (s OffloadStages) MatchNS() float64 {
-	return s.ParallelNS + s.SlowSerialNS + s.BlockSerialNS
-}
-
-// OffloadStages computes the per-stage decomposition of an offloaded run.
-// ok is false when the measurement is empty (no messages to divide by).
-func (cm CostModel) OffloadStages(st core.EngineStats, depth match.Stats) (OffloadStages, bool) {
+// ModelOffload computes the modeled rate of an offloaded run from its
+// engine statistics and search-depth profile. The matching stage per
+// message is the thread-divided handler work, plus the slow-path rounds
+// that serialize against the predecessor thread, plus the per-block
+// serialization pipelined K-wide by the in-flight window. The per-message
+// denominator is the engine's delivered message count
+// (EngineStats.Messages), falling back to the search-depth profile's
+// Delivered when the engine count is absent (e.g. analyzer-derived
+// statistics) — both models must price against the same message count or
+// host-vs-offload comparisons skew.
+func (cm CostModel) ModelOffload(label string, st core.EngineStats, depth match.Stats) ModeledRate {
 	msgs := float64(st.Messages)
 	if msgs == 0 {
 		msgs = float64(depth.Delivered())
 	}
 	if msgs == 0 {
-		return OffloadStages{}, false
+		return ModeledRate{Label: label}
 	}
-	threads := float64(cm.Threads)
-	if threads < 1 {
-		threads = 1
-	}
+	threads := float64(max(cm.Threads, 1))
+	inflight := float64(max(cm.InFlight, 1))
 	probesPerMsg := float64(depth.ArriveTraversed) / msgs
 	fastPerMsg := float64(st.FastPath) / msgs
 	slowPerMsg := float64(st.SlowPath) / msgs
 	blocksPerMsg := float64(st.Blocks) / msgs
-	inflight := float64(cm.InFlight)
-	if inflight < 1 {
-		inflight = 1
-	}
-	return OffloadStages{
-		WireNS: cm.wireStage(),
-		ParallelNS: (cm.DPAHandlerNS + cm.DPABarrierNS +
-			probesPerMsg*cm.DPAProbeNS + fastPerMsg*cm.DPAFastNS) / threads,
-		SlowSerialNS:  slowPerMsg * cm.DPASlowNS,
-		BlockSerialNS: blocksPerMsg * cm.DPABlockNS / inflight,
-	}, true
-}
-
-// ModelOffload computes the modeled rate of an offloaded run from its
-// engine statistics and search-depth profile. The per-message denominator
-// is the engine's delivered message count (EngineStats.Messages), falling
-// back to the search-depth profile's Delivered when the engine count is
-// absent (e.g. analyzer-derived statistics) — both models must price
-// against the same message count or host-vs-offload comparisons skew.
-func (cm CostModel) ModelOffload(label string, st core.EngineStats, depth match.Stats) ModeledRate {
-	stages, ok := cm.OffloadStages(st, depth)
-	if !ok {
-		return ModeledRate{Label: label}
-	}
-	return rate(label, stages.WireNS, stages.MatchNS())
-}
-
-// HostStageNS is the host's serial matching-stage occupancy per message.
-// ok is false when the profile is empty.
-func (cm CostModel) HostStageNS(depth match.Stats) (float64, bool) {
-	msgs := float64(depth.Delivered())
-	if msgs == 0 {
-		return 0, false
-	}
-	probesPerMsg := float64(depth.ArriveTraversed) / msgs
-	return cm.hostRecvStage() + cm.HostMatchNS + probesPerMsg*cm.HostProbeNS, true
+	parallel := (cm.DPAHandlerNS + cm.DPABarrierNS +
+		probesPerMsg*cm.DPAProbeNS + fastPerMsg*cm.DPAFastNS) / threads
+	matchNS := parallel + slowPerMsg*cm.DPASlowNS + blocksPerMsg*cm.DPABlockNS/inflight
+	return rate(label, cm.wireStage(), matchNS)
 }
 
 // ModelHost computes the modeled rate of host list matching: the matching
@@ -241,11 +192,12 @@ func (cm CostModel) HostStageNS(depth match.Stats) (float64, bool) {
 // arrivals ArriveSearches counts frames-worth of searches and would skew
 // host-vs-offload comparisons.
 func (cm CostModel) ModelHost(label string, depth match.Stats) ModeledRate {
-	stage, ok := cm.HostStageNS(depth)
-	if !ok {
+	msgs := float64(depth.Delivered())
+	if msgs == 0 {
 		return ModeledRate{Label: label}
 	}
-	return rate(label, cm.wireStage(), stage)
+	probesPerMsg := float64(depth.ArriveTraversed) / msgs
+	return rate(label, cm.wireStage(), cm.hostRecvStage()+cm.HostMatchNS+probesPerMsg*cm.HostProbeNS)
 }
 
 // ModelRaw computes the no-matching reference.

@@ -12,8 +12,7 @@ import (
 
 // TestDegenerateModelNeverInf is the regression test for the rate() guard:
 // a zeroed cost model (reachable from a zeroed JSON config) must yield a
-// zero, marshalable ModeledRate — never +Inf, which encoding/json refuses
-// and which would poison planner rankings.
+// zero, marshalable ModeledRate — never +Inf, which encoding/json refuses.
 func TestDegenerateModelNeverInf(t *testing.T) {
 	var cm CostModel // all stage costs zero
 	st := core.EngineStats{Messages: 100, Blocks: 4}

@@ -9,7 +9,7 @@
 //
 // Control runs over a JSON-lines protocol (one request, one reply per
 // line); observability over HTTP: /metrics (OpenMetrics with per-tenant
-// labels), /healthz, and /tenants (JSON). DESIGN.md §15 describes the
+// labels), /healthz, and /tenants (JSON). DESIGN.md §14 describes the
 // architecture.
 package daemon
 

@@ -129,17 +129,6 @@ const (
 	// CtrAnalyzerEvents counts trace events replayed.
 	CtrAnalyzerEvents
 
-	// Capacity-planner counters (internal/plan).
-
-	// CtrPlanCandidates counts configurations priced by the planner.
-	CtrPlanCandidates
-	// CtrPlanRejected counts candidates rejected (over the memory budget or
-	// infeasible posted-receive capacity).
-	CtrPlanRejected
-	// CtrPlanReplays counts analyzer replays the planner ran (one per
-	// distinct bin count, not one per candidate).
-	CtrPlanReplays
-
 	// Network-transport counters (internal/rdma/netfabric): the socket
 	// datapath of out-of-process worlds. They live in the transport's sink,
 	// which takes the "fabric" slot of the world's export.
@@ -266,9 +255,6 @@ var counterNames = [NumCounters]string{
 	CtrCoalesceFlushTimeout: "coalesce_flush_timeout",
 	CtrAnalyzerShards:       "analyzer_shards",
 	CtrAnalyzerEvents:       "analyzer_events",
-	CtrPlanCandidates:       "plan_candidates",
-	CtrPlanRejected:         "plan_rejected",
-	CtrPlanReplays:          "plan_replays",
 	CtrNetTxFrames:          "net_tx_frames",
 	CtrNetTxBytes:           "net_tx_bytes",
 	CtrNetRxFrames:          "net_rx_frames",

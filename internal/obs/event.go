@@ -61,10 +61,6 @@ const (
 	// EvAnalyzerPhase: an analyzer pipeline phase completed. A=phase code
 	// (0 schedule, 1 replay, 2 merge), B=phase nanoseconds.
 	EvAnalyzerPhase
-	// EvPlanPhase: a capacity-planner phase completed. A=phase code
-	// (0 features, 1 replay, 2 grid, 3 refine, 4 rank), B=phase
-	// nanoseconds, C=candidates touched by the phase.
-	EvPlanPhase
 	// EvCoalesceFlush: an eager batch frame was flushed. A=flush reason
 	// (0 size, 1 count, 2 sync, 3 timeout), B=sub-message count, C=frame
 	// bytes on the wire; Worker=destination rank.
@@ -95,7 +91,6 @@ var kindNames = [NumKinds]string{
 	EvAck:              "ack",
 	EvAnalyzerShard:    "analyzer_shard",
 	EvAnalyzerPhase:    "analyzer_phase",
-	EvPlanPhase:        "plan_phase",
 	EvNetStall:         "net_stall",
 	EvCoalesceFlush:    "coalesce_flush",
 }
