@@ -192,13 +192,53 @@ func TestSweepValidatesUpFront(t *testing.T) {
 		t.Fatal("empty sweep accepted")
 	}
 
-	// An unknown engine fails before any shard runs.
-	if _, err := Sweep(tr, []int{4}, Config{Engine: "nope", Workers: 8}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("bad engine: %v", err)
-	}
-
 	if got, err := NormalizeBins([]int{8, 2, 8, 1}); err != nil || !reflect.DeepEqual(got, []int{8, 2, 1}) {
 		t.Fatalf("NormalizeBins = %v, %v", got, err)
+	}
+}
+
+func TestSweepConfigs(t *testing.T) {
+	app, _ := tracegen.ByName("BoxLib CNS")
+	tr := app.Generate(tracegen.Config{Scale: 10})
+	pool := Config{Workers: 8}
+	sched := BuildSchedule(tr, pool)
+
+	// One schedule swept under every engine: each report must equal a
+	// fresh serial analysis at that engine and bin count.
+	for _, cfg := range []Config{
+		{Engine: EngineOptimistic, Workers: 8, RecordSeries: true},
+		{Engine: EngineList, Workers: 8},
+		{Engine: EngineBin, Workers: 8},
+	} {
+		bins := []int{1, 32, 64}
+		reps, err := sched.Sweep(bins, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reps) != len(bins) {
+			t.Fatalf("%s: got %d reports for %d bin counts", cfg.Engine, len(reps), len(bins))
+		}
+		for i, b := range bins {
+			c := cfg
+			c.Bins = b
+			serial, err := AnalyzeSerial(tr, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualReports(t, "sweepconfigs/"+string(cfg.Engine), serial, reps[i])
+		}
+	}
+
+	// Bad bins, an unknown engine and an empty sweep fail before any
+	// shard runs.
+	if _, err := sched.Sweep([]int{32, 5}, pool); err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Fatalf("bad bins: %v", err)
+	}
+	if _, err := sched.Sweep([]int{4}, Config{Engine: "nope", Workers: 8}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("bad engine: %v", err)
+	}
+	if _, err := sched.Sweep(nil, pool); err == nil {
+		t.Fatal("empty sweep accepted")
 	}
 }
 

@@ -233,6 +233,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 
 	// Touching a rank file must invalidate the cache.
+	var bump time.Time
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
 		if rankFileRe.MatchString(e.Name()) {
@@ -245,7 +246,7 @@ func TestCacheRoundTrip(t *testing.T) {
 			}
 			// Ensure mtime strictly after cache by setting it forward.
 			fi, _ := os.Stat(filepath.Join(dir, cacheName))
-			bump := fi.ModTime().Add(time.Millisecond)
+			bump = fi.ModTime().Add(time.Millisecond)
 			_ = os.Chtimes(path, bump, bump)
 			break
 		}
@@ -253,9 +254,25 @@ func TestCacheRoundTrip(t *testing.T) {
 	if _, ok, _ := LoadCache(dir); ok {
 		t.Fatal("stale cache accepted")
 	}
-	// Load re-parses and refreshes (wait out the mtime bump so the fresh
-	// cache is newer than the touched rank file).
-	time.Sleep(5 * time.Millisecond)
+	// Load re-parses and refreshes. Wait until the filesystem stamps new
+	// files after the bump, so the fresh cache is newer than the touched
+	// rank file; file timestamps can lag the wall clock by a whole tick.
+	probe := filepath.Join(t.TempDir(), "probe")
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if err := os.WriteFile(probe, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.ModTime().After(bump) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("file timestamps did not advance past the bump")
+		}
+	}
 	if _, err := Load(dir, "test"); err != nil {
 		t.Fatal(err)
 	}
