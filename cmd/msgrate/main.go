@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/rdma/netfabric"
@@ -178,11 +177,11 @@ func main() {
 		cm.InFlight = cf.InFlight
 		fmt.Printf("Figure 8 (modeled) — pipeline-bottleneck rates from counted engine work, %d DPA threads, %d in-flight block(s)",
 			*threads, cf.InFlight)
-		if cf.CoalesceBytes > 0 || cf.CoalesceMsgs > 1 {
-			fmt.Printf(", coalescing %dB/%d msgs", cf.CoalesceBytes, cf.CoalesceMsgs)
+		if cf.CoalesceBytes > 0 {
+			fmt.Printf(", coalescing %dB", cf.CoalesceBytes)
 		}
 		fmt.Print("\n\n")
-		rates, err := bench.RunModeledFigure8(cm, *k, min(*reps, 50), cf.CoalesceBytes, cf.CoalesceMsgs)
+		rates, err := bench.RunModeledFigure8(cm, *k, min(*reps, 50), cf.CoalesceBytes)
 		if err != nil {
 			exit(1, err)
 		}
@@ -194,8 +193,8 @@ func main() {
 
 	fmt.Printf("Figure 8 — message rate: k=%d, reps=%d, payload=%dB, %d DPA threads, %d in-flight block(s)\n",
 		*k, *reps, *payload, *threads, cf.InFlight)
-	if cf.CoalesceBytes > 0 || cf.CoalesceMsgs > 1 {
-		fmt.Printf("eager coalescing: %d bytes / %d msgs per frame\n", cf.CoalesceBytes, cf.CoalesceMsgs)
+	if cf.CoalesceBytes > 0 {
+		fmt.Printf("eager coalescing: %d bytes per frame\n", cf.CoalesceBytes)
 	}
 	if loc.Faults.Active() {
 		fmt.Printf("fault plan: %s\n", cf.Faults)
@@ -208,15 +207,9 @@ func main() {
 		cfg.Reps = *reps
 		cfg.PayloadBytes = *payload
 		cfg.Threads = *threads
-		cfg.InFlight = cf.InFlight
-		if cf.Bins != 2048 {
-			if cfg.Matcher == (core.Config{}) {
-				cfg.Matcher = bench.PaperMatcherConfig()
-			}
-			cfg.Matcher.Bins = cf.Bins
-		}
+		cfg.Matcher.InFlightBlocks = cf.InFlight
+		cfg.Matcher.Bins = cf.Bins
 		cfg.CoalesceBytes = cf.CoalesceBytes
-		cfg.CoalesceMsgs = cf.CoalesceMsgs
 		cfg.Faults = loc.Faults
 		cfg.Obs = loc.Obs
 		res, err := bench.RunMsgRate(cfg)

@@ -48,22 +48,11 @@ type Config struct {
 	// (default 4096). Exceeding it aborts the analysis with an error, the
 	// software-fallback condition of §III-B.
 	MaxReceives int
-	// Latency is the base send→arrival delay in trace-time seconds
-	// (default 1e-4): long enough that a pre-posted receive beats the
-	// matching send, short enough to stay within the iteration's window.
-	Latency float64
 	// RecordSeries captures a data-point entry at every progress operation
 	// (§V-A: "this compilation of information forms a data-point entry,
 	// encapsulating all progress achieved since the last recorded entry"),
 	// exposed as Report.Series.
 	RecordSeries bool
-	// LatencySpread is the amplitude of the per-(sender, receiver) latency
-	// variation (default 0.02 trace seconds). Real fabrics deliver
-	// concurrent messages from different senders in effectively arbitrary
-	// order; the spread is a pure function of the pair, so messages between
-	// one pair keep their send order (per-QP FIFO, constraint C2). Set it
-	// negative to disable.
-	LatencySpread float64
 	// Workers bounds the replay worker pool (default GOMAXPROCS). Every
 	// width produces byte-identical reports; 1 still uses the sharded path
 	// on a single goroutine — AnalyzeSerial is the unsharded reference.
@@ -78,25 +67,27 @@ func (c *Config) fill() {
 	if c.MaxReceives == 0 {
 		c.MaxReceives = 4096
 	}
-	if c.Latency == 0 {
-		c.Latency = 1e-4
-	}
-	if c.LatencySpread == 0 {
-		c.LatencySpread = 0.02
-	}
-	if c.LatencySpread < 0 {
-		c.LatencySpread = 0
-	}
 }
 
-// pairSpread returns a deterministic value in [0, 1) for a sender/receiver
-// pair.
-func pairSpread(sender, receiver int32) float64 {
+// Send→arrival delay in trace-time seconds. The base latency is long enough
+// that a pre-posted receive beats the matching send and short enough to
+// stay within the iteration's window. Real fabrics deliver concurrent
+// messages from different senders in effectively arbitrary order, so the
+// delay varies per (sender, receiver) pair by up to latencySpread; it is a
+// pure function of the pair, so messages between one pair keep their send
+// order (per-QP FIFO, constraint C2).
+const (
+	latency       = 1e-4
+	latencySpread = 0.02
+)
+
+// arrivalDelay returns the delivery latency from sender to receiver.
+func arrivalDelay(sender, receiver int32) float64 {
 	h := uint32(sender)*2654435761 ^ uint32(receiver)*40503
 	h ^= h >> 13
 	h *= 0x9e3779b1
 	h ^= h >> 16
-	return float64(h%4096) / 4096
+	return latency + latencySpread*(float64(h%4096)/4096)
 }
 
 // Report is the outcome of analyzing one application at one bin count.
@@ -169,10 +160,14 @@ type step struct {
 }
 
 // Analyze replays t through per-rank matching structures, sharded by
-// destination rank over a bounded worker pool (see Schedule). The report
-// is byte-identical to AnalyzeSerial's.
+// destination rank over a bounded worker pool (see schedule): a sweep over
+// cfg.Bins alone. The report is byte-identical to AnalyzeSerial's.
 func Analyze(t *trace.Trace, cfg Config) (*Report, error) {
-	return BuildSchedule(t, cfg).Analyze(cfg)
+	reps, err := Sweep(t, []int{cfg.Bins}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
 }
 
 // AnalyzeSerial is the unsharded reference implementation: one global
@@ -200,8 +195,7 @@ func AnalyzeSerial(t *trace.Trace, cfg Config) (*Report, error) {
 			case trace.OpSend:
 				// The send becomes an arrival at the destination after the
 				// pair's delivery latency.
-				delay := cfg.Latency + cfg.LatencySpread*pairSpread(rank, e.Peer)
-				steps = append(steps, step{time: e.Walltime + delay, seq: seq,
+				steps = append(steps, step{time: e.Walltime + arrivalDelay(rank, e.Peer), seq: seq,
 					rank: e.Peer, kind: trace.OpSend, peer: rank, tag: e.Tag, comm: e.Comm})
 			case trace.OpProgress:
 				steps = append(steps, step{time: e.Walltime, seq: seq, rank: rank,
@@ -300,5 +294,5 @@ func AnalyzeSerial(t *trace.Trace, cfg Config) (*Report, error) {
 // out over one shared worker pool; re-analyzing per bin count from scratch
 // re-derives and re-sorts the identical step list.
 func Sweep(t *trace.Trace, bins []int, cfg Config) ([]*Report, error) {
-	return BuildSchedule(t, cfg).Sweep(bins, cfg)
+	return buildSchedule(t, cfg).sweep(bins, cfg)
 }

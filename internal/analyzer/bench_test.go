@@ -68,6 +68,6 @@ func BenchmarkBuildSchedule(b *testing.B) {
 	tr := benchTrace(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		BuildSchedule(tr, Config{})
+		buildSchedule(tr, Config{})
 	}
 }

@@ -156,7 +156,7 @@ func runPool(n, workers int, task func(worker, i int)) {
 // that order, so the merged Report is byte-identical to AnalyzeSerial's.
 // Counter merges (depth stats, unexpected totals) are order-independent;
 // the receive statistics are the schedule's.
-func (sc *Schedule) merge(results []shardResult, cfg Config) (*Report, error) {
+func (sc *schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 	for i := range results {
 		if results[i].err != nil {
 			return nil, results[i].err
@@ -215,31 +215,6 @@ func (sc *Schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// Analyze replays the schedule at one configuration, running shards on a
-// bounded worker pool (Config.Workers wide, default GOMAXPROCS).
-func (sc *Schedule) Analyze(cfg Config) (*Report, error) {
-	cfg.fill()
-	if err := validateBins(cfg.Bins); err != nil {
-		return nil, err
-	}
-	results := make([]shardResult, len(sc.shards))
-	replayStart := cfg.Obs.Now()
-	workers := cfg.workerCount(len(sc.shards))
-	slabs := make([]replaySlab, workers)
-	runPool(len(sc.shards), workers, func(w, i int) {
-		results[i] = runShard(&sc.shards[i], cfg, &slabs[w])
-	})
-	if cfg.Obs.Enabled() {
-		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseReplay, uint64(cfg.Obs.Now()-replayStart), 0)
-	}
-	mergeStart := cfg.Obs.Now()
-	rep, err := sc.merge(results, cfg)
-	if cfg.Obs.Enabled() {
-		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseMerge, uint64(cfg.Obs.Now()-mergeStart), 0)
-	}
-	return rep, err
-}
-
 // Phase codes carried by EvAnalyzerPhase events (A payload word).
 const (
 	phaseSchedule uint64 = iota
@@ -262,10 +237,10 @@ func validateBins(b int) error {
 	return nil
 }
 
-// NormalizeBins validates a sweep's bin counts once up front and dedupes
+// normalizeBins validates a sweep's bin counts once up front and dedupes
 // repeats (first occurrence wins, order preserved). An empty sweep is an
 // error.
-func NormalizeBins(bins []int) ([]int, error) {
+func normalizeBins(bins []int) ([]int, error) {
 	if len(bins) == 0 {
 		return nil, fmt.Errorf("analyzer: empty bin sweep")
 	}
@@ -284,14 +259,14 @@ func NormalizeBins(bins []int) ([]int, error) {
 	return out, nil
 }
 
-// Sweep replays the schedule once per bin count, fanning every
+// sweep replays the schedule once per bin count, fanning every
 // (bin count × shard) replay out over one shared worker pool. The step
 // streams are built and sorted exactly once for the whole sweep. Bin
-// counts are validated and deduplicated up front (NormalizeBins), and the
+// counts are validated and deduplicated up front (normalizeBins), and the
 // engine is checked before any shard runs: the returned reports align
 // with the deduplicated list.
-func (sc *Schedule) Sweep(bins []int, cfg Config) ([]*Report, error) {
-	bins, err := NormalizeBins(bins)
+func (sc *schedule) sweep(bins []int, cfg Config) ([]*Report, error) {
+	bins, err := normalizeBins(bins)
 	if err != nil {
 		return nil, err
 	}
@@ -309,12 +284,17 @@ func (sc *Schedule) Sweep(bins []int, cfg Config) ([]*Report, error) {
 	for ci := range results {
 		results[ci] = make([]shardResult, ns)
 	}
+	replayStart := cfg.Obs.Now()
 	workers := cfg.workerCount(nc * ns)
 	slabs := make([]replaySlab, workers)
 	runPool(nc*ns, workers, func(w, i int) {
 		ci, si := i/max(ns, 1), i%max(ns, 1)
 		results[ci][si] = runShard(&sc.shards[si], cfgs[ci], &slabs[w])
 	})
+	if cfg.Obs.Enabled() {
+		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseReplay, uint64(cfg.Obs.Now()-replayStart), 0)
+	}
+	mergeStart := cfg.Obs.Now()
 	out := make([]*Report, 0, nc)
 	for ci := range results {
 		rep, err := sc.merge(results[ci], cfgs[ci])
@@ -322,6 +302,9 @@ func (sc *Schedule) Sweep(bins []int, cfg Config) ([]*Report, error) {
 			return nil, err
 		}
 		out = append(out, rep)
+	}
+	if cfg.Obs.Enabled() {
+		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseMerge, uint64(cfg.Obs.Now()-mergeStart), 0)
 	}
 	return out, nil
 }

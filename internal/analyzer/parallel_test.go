@@ -35,21 +35,21 @@ func TestParallelEquivalenceOnGenerators(t *testing.T) {
 			}
 			// The schedule is built at each width too: its shard sorts run
 			// on the same Workers-wide pool as the replay.
-			var ref *Schedule
+			var ref *schedule
 			for _, workers := range []int{1, 3, 16} {
 				c := cfg
 				c.Workers = workers
-				sc := BuildSchedule(tr, c)
+				sc := buildSchedule(tr, c)
 				if ref == nil {
 					ref = sc
 				} else if !reflect.DeepEqual(ref.shards, sc.shards) {
 					t.Errorf("%s/%s workers=%d: schedule differs from the one built at width 1", name, eng, workers)
 				}
-				par, err := sc.Analyze(c)
+				par, err := sc.sweep([]int{c.Bins}, c)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", name, eng, workers, err)
 				}
-				mustEqualReports(t, name+"/"+string(eng), serial, par)
+				mustEqualReports(t, name+"/"+string(eng), serial, par[0])
 			}
 		}
 	}
@@ -114,18 +114,22 @@ func TestScheduleReuse(t *testing.T) {
 	app, _ := tracegen.ByName("AMG")
 	tr := app.Generate(tracegen.Config{Scale: 10})
 	cfg := Config{RecordSeries: true}
-	sched := BuildSchedule(tr, cfg)
-	if sched.NumShards() != tr.NumRanks() {
-		t.Fatalf("shards = %d, ranks = %d", sched.NumShards(), tr.NumRanks())
+	sched := buildSchedule(tr, cfg)
+	if len(sched.shards) != tr.NumRanks() {
+		t.Fatalf("shards = %d, ranks = %d", len(sched.shards), tr.NumRanks())
 	}
-	if sched.NumSteps() == 0 {
+	steps := 0
+	for i := range sched.shards {
+		steps += len(sched.shards[i].steps)
+	}
+	if steps == 0 {
 		t.Fatal("empty schedule for a p2p app")
 	}
 	// One schedule replayed at two bin counts must equal fresh analyses.
 	for _, b := range []int{1, 32} {
 		c := cfg
 		c.Bins = b
-		fromSched, err := sched.Analyze(c)
+		fromSched, err := sched.sweep([]int{b}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +137,7 @@ func TestScheduleReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustEqualReports(t, "reuse", fresh, fromSched)
+		mustEqualReports(t, "reuse", fresh, fromSched[0])
 	}
 }
 
@@ -192,8 +196,8 @@ func TestSweepValidatesUpFront(t *testing.T) {
 		t.Fatal("empty sweep accepted")
 	}
 
-	if got, err := NormalizeBins([]int{8, 2, 8, 1}); err != nil || !reflect.DeepEqual(got, []int{8, 2, 1}) {
-		t.Fatalf("NormalizeBins = %v, %v", got, err)
+	if got, err := normalizeBins([]int{8, 2, 8, 1}); err != nil || !reflect.DeepEqual(got, []int{8, 2, 1}) {
+		t.Fatalf("normalizeBins = %v, %v", got, err)
 	}
 }
 
@@ -201,7 +205,7 @@ func TestSweepConfigs(t *testing.T) {
 	app, _ := tracegen.ByName("BoxLib CNS")
 	tr := app.Generate(tracegen.Config{Scale: 10})
 	pool := Config{Workers: 8}
-	sched := BuildSchedule(tr, pool)
+	sched := buildSchedule(tr, pool)
 
 	// One schedule swept under every engine: each report must equal a
 	// fresh serial analysis at that engine and bin count.
@@ -211,7 +215,7 @@ func TestSweepConfigs(t *testing.T) {
 		{Engine: EngineBin, Workers: 8},
 	} {
 		bins := []int{1, 32, 64}
-		reps, err := sched.Sweep(bins, cfg)
+		reps, err := sched.sweep(bins, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,13 +235,13 @@ func TestSweepConfigs(t *testing.T) {
 
 	// Bad bins, an unknown engine and an empty sweep fail before any
 	// shard runs.
-	if _, err := sched.Sweep([]int{32, 5}, pool); err == nil || !strings.Contains(err.Error(), "power of two") {
+	if _, err := sched.sweep([]int{32, 5}, pool); err == nil || !strings.Contains(err.Error(), "power of two") {
 		t.Fatalf("bad bins: %v", err)
 	}
-	if _, err := sched.Sweep([]int{4}, Config{Engine: "nope", Workers: 8}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+	if _, err := sched.sweep([]int{4}, Config{Engine: "nope", Workers: 8}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Fatalf("bad engine: %v", err)
 	}
-	if _, err := sched.Sweep(nil, pool); err == nil {
+	if _, err := sched.sweep(nil, pool); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
 }

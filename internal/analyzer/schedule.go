@@ -7,20 +7,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Schedule is the replay plan derived from one trace: per-destination-rank
+// schedule is the replay plan derived from one trace: per-destination-rank
 // step streams plus the trace-level statistics every Report carries. Every
 // scheduled step touches only the matching structures of its destination
 // rank, so the streams are independent — the replay is embarrassingly
-// parallel by destination rank. A Schedule is immutable once built and can
-// be replayed many times (Sweep reuses one Schedule across the whole
+// parallel by destination rank. A schedule is immutable once built and can
+// be replayed many times (Sweep reuses one schedule across the whole
 // 1…256 bin sweep instead of re-deriving and re-sorting the step list per
-// bin count).
-//
-// Step placement depends on Config.Latency and Config.LatencySpread (they
-// decide when a send arrives at its destination), so those fields are
-// frozen at build time; Bins, Engine, MaxReceives and RecordSeries remain
-// free per replay.
-type Schedule struct {
+// bin count). Bins, Engine, MaxReceives and RecordSeries are free per
+// replay.
+type schedule struct {
 	app   string
 	procs int
 	mix   trace.CallMix
@@ -44,7 +40,7 @@ type shard struct {
 	recvs, sends, progress int
 }
 
-// BuildSchedule partitions t's events into per-destination-rank step
+// buildSchedule partitions t's events into per-destination-rank step
 // streams. Receives and progress operations stay on their own rank; a send
 // becomes an arrival at its destination after the pair's delivery latency,
 // exactly as in the serial path. Sends addressed to ranks outside the
@@ -52,10 +48,9 @@ type shard struct {
 // shard is sorted by (time, seq) — the same comparator the serial path
 // applies to the global list, so a shard's order equals the global order
 // restricted to that rank.
-func BuildSchedule(t *trace.Trace, cfg Config) *Schedule {
-	cfg.fill()
+func buildSchedule(t *trace.Trace, cfg Config) *schedule {
 	start := cfg.Obs.Now()
-	sc := &Schedule{app: t.App, procs: t.NumRanks(), mix: t.Mix()}
+	sc := &schedule{app: t.App, procs: t.NumRanks(), mix: t.Mix()}
 
 	sc.shards = make([]shard, len(t.Ranks))
 	idx := make(map[int32]int, len(t.Ranks))
@@ -110,9 +105,8 @@ func BuildSchedule(t *trace.Trace, cfg Config) *Schedule {
 					kind: trace.OpRecv, peer: e.Peer, tag: e.Tag, comm: e.Comm})
 			case trace.OpSend:
 				if di, ok := idx[e.Peer]; ok {
-					delay := cfg.Latency + cfg.LatencySpread*pairSpread(rank, e.Peer)
 					sc.shards[di].steps = append(sc.shards[di].steps, step{
-						time: e.Walltime + delay, seq: seq, rank: e.Peer,
+						time: e.Walltime + arrivalDelay(rank, e.Peer), seq: seq, rank: e.Peer,
 						kind: trace.OpSend, peer: rank, tag: e.Tag, comm: e.Comm})
 				}
 			case trace.OpProgress:
@@ -221,16 +215,4 @@ func cmpTimeSeq(at float64, as int, bt float64, bs int) int {
 		return 1
 	}
 	return cmp.Compare(as, bs)
-}
-
-// NumShards returns the number of per-rank replay shards.
-func (sc *Schedule) NumShards() int { return len(sc.shards) }
-
-// NumSteps returns the total scheduled step count across shards.
-func (sc *Schedule) NumSteps() int {
-	n := 0
-	for i := range sc.shards {
-		n += len(sc.shards[i].steps)
-	}
-	return n
 }

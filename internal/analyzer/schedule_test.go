@@ -9,13 +9,13 @@ import (
 )
 
 // TestSortRunsMatchesSortFunc: whatever the input — the concatenation of
-// ascending runs BuildSchedule produces, a descending stream, noise, ties
+// ascending runs buildSchedule produces, a descending stream, noise, ties
 // in time that only seq breaks — sortRuns leaves exactly what a general
 // sort by cmpTimeSeq leaves.
 func TestSortRunsMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	seq := 0
-	next := func(tm float64) step { // seq is unique, as BuildSchedule's is
+	next := func(tm float64) step { // seq is unique, as buildSchedule's is
 		seq++
 		return step{time: tm, seq: seq, tag: int32(rng.Intn(100))}
 	}

@@ -121,7 +121,7 @@ func TestModeledFigure8Shape(t *testing.T) {
 	// The modeled rates must reproduce the paper's qualitative ordering
 	// regardless of host core count: RDMA-CPU highest; MPI-CPU and
 	// Optimistic-DPA NC comparable; WC-FP below NC; WC-SP lowest.
-	rates, err := RunModeledFigure8(DefaultCostModel(), 64, 10, 0, 0)
+	rates, err := RunModeledFigure8(DefaultCostModel(), 64, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

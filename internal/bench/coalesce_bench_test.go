@@ -8,7 +8,6 @@ import "testing"
 func TestMsgRateCoalesced(t *testing.T) {
 	cfg := quick(Figure8Scenarios()[0]) // Optimistic-DPA NC
 	cfg.CoalesceBytes = 4096
-	cfg.CoalesceMsgs = 32
 	res, err := RunMsgRate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +31,7 @@ func TestMsgRateCoalesced(t *testing.T) {
 
 // TestModeledCoalescingGain is the perf acceptance criterion: for small
 // (≤256 B) eager messages, the modeled message rate with coalescing at its
-// best swept batch size must beat the uncoalesced model by at least 15%.
+// best swept byte threshold must beat the uncoalesced model by at least 15%.
 func TestModeledCoalescingGain(t *testing.T) {
 	cfg := quick(Figure8Scenarios()[3]) // MPI-CPU
 	cfg.PayloadBytes = 8
@@ -44,10 +43,9 @@ func TestModeledCoalescingGain(t *testing.T) {
 	baseRate := cm.ModelHost("base", base.Depth).MsgPerSec
 
 	best := 0.0
-	for _, msgs := range []int{2, 4, 8, 16, 32} {
+	for _, bytes := range []int{64, 128, 256, 512, 1024} {
 		c := cfg
-		c.CoalesceBytes = 16 << 10
-		c.CoalesceMsgs = msgs
+		c.CoalesceBytes = bytes
 		res, err := RunMsgRate(c)
 		if err != nil {
 			t.Fatal(err)

@@ -210,16 +210,15 @@ func (cm CostModel) ModelRaw(label string, messages int) ModeledRate {
 
 // RunModeledFigure8 executes the five Figure 8 scenarios (small wall-clock
 // runs to collect operation counts) and converts each to a modeled rate.
-// Non-zero coalesceBytes/coalesceMsgs arm eager coalescing in the
-// measurement runs; each scenario is then modeled at its *achieved* mean
+// A non-zero coalesceBytes arms eager coalescing in the measurement runs; each scenario is then modeled at its *achieved* mean
 // frame width (cm.BatchWidth is overridden per scenario from the measured
 // obs.HistCoalesceWidth).
-func RunModeledFigure8(cm CostModel, k, reps, coalesceBytes, coalesceMsgs int) ([]ModeledRate, error) {
+func RunModeledFigure8(cm CostModel, k, reps, coalesceBytes int) ([]ModeledRate, error) {
 	out := make([]ModeledRate, 0, 5)
 	for _, cfg := range Figure8Scenarios() {
 		cfg.K, cfg.Reps, cfg.Threads = k, reps, cm.Threads
-		cfg.InFlight = cm.InFlight
-		cfg.CoalesceBytes, cfg.CoalesceMsgs = coalesceBytes, coalesceMsgs
+		cfg.Matcher.InFlightBlocks = cm.InFlight
+		cfg.CoalesceBytes = coalesceBytes
 		res, err := RunMsgRate(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.Label, err)

@@ -36,23 +36,13 @@ type MsgRateConfig struct {
 	PayloadBytes int
 	// Threads is the DPA thread count (default 32).
 	Threads int
-	// InFlight is the matcher's in-flight block window K (default 1, the
-	// paper's serial stream of blocks). Depths > 1 overlap arrival blocks;
-	// fill raises Threads to K×BlockSize (capped at the DPA maximum) so
-	// every in-flight handler activation can hold a hardware thread.
-	InFlight int
-	// CoalesceBytes and CoalesceMsgs arm sender-side eager coalescing
-	// (mpi.Options; both zero = off): consecutive eager sends leave as
-	// multi-message wire frames, and the achieved mean frame width lands in
-	// MsgRateResult.BatchWidth.
+	// CoalesceBytes arms sender-side eager coalescing (mpi.Options; zero =
+	// off): consecutive eager sends leave as multi-message wire frames, and
+	// the achieved mean frame width lands in MsgRateResult.BatchWidth.
 	CoalesceBytes int
-	CoalesceMsgs  int
 	// Faults optionally injects deterministic fabric faults; an active plan
 	// arms the reliability sublayer, whose counters land in the result.
 	Faults rdma.FaultPlan
-	// RetxTimeout overrides the reliability retransmit timeout (faulty runs
-	// only; zero keeps the mpi default).
-	RetxTimeout time.Duration
 	// Obs configures the world's observability sinks. Counters are always
 	// collected; set TraceEvents (e.g. via obs.Options.Tracing) to capture
 	// event rings for Chrome trace export. The sinks land in
@@ -76,13 +66,10 @@ func (c *MsgRateConfig) fill() {
 	if c.Matcher == (core.Config{}) {
 		c.Matcher = PaperMatcherConfig()
 	}
-	if c.InFlight == 0 {
-		c.InFlight = 1
-	}
-	if c.Matcher.InFlightBlocks == 0 {
-		c.Matcher.InFlightBlocks = c.InFlight
-	}
-	if need := c.Matcher.InFlightBlocks * c.Matcher.BlockSize; c.Threads < need {
+	// Matcher.InFlightBlocks > 1 overlaps arrival blocks: Threads rises to
+	// K×BlockSize (capped at the DPA maximum) so every in-flight handler
+	// activation can hold a hardware thread.
+	if need := max(c.Matcher.InFlightBlocks, 1) * c.Matcher.BlockSize; c.Threads < need {
 		// The paper's geometry: 8 blocks × 32 threads fills the BF3 DPA's
 		// 256 hardware threads.
 		c.Threads = need
@@ -150,9 +137,7 @@ func RunMsgRate(cfg MsgRateConfig) (*MsgRateResult, error) {
 		RecvDepth:     2 * cfg.K,
 		EagerLimit:    1024,
 		Faults:        cfg.Faults,
-		RetxTimeout:   cfg.RetxTimeout,
 		CoalesceBytes: cfg.CoalesceBytes,
-		CoalesceMsgs:  cfg.CoalesceMsgs,
 		Obs:           cfg.Obs,
 	})
 	if err != nil {
@@ -262,9 +247,11 @@ func RunMsgRate(cfg MsgRateConfig) (*MsgRateResult, error) {
 
 // Figure8Scenarios returns the five §VI configurations: Optimistic-DPA in
 // the no-conflict, with-conflict fast-path, and with-conflict slow-path
-// settings, plus the MPI-CPU and RDMA-CPU baselines.
+// settings, plus the MPI-CPU and RDMA-CPU baselines. Every scenario carries
+// its matcher shape, so a caller can adjust it in place.
 func Figure8Scenarios() []MsgRateConfig {
-	fp := PaperMatcherConfig()
+	nc := PaperMatcherConfig()
+	fp := nc
 	// The fast path requires the all-threads-book-the-same-receive
 	// precondition, which needs simultaneous handler activation and no
 	// early-booking shortcut (see core.Config docs).
@@ -275,10 +262,10 @@ func Figure8Scenarios() []MsgRateConfig {
 	sp.DisableFastPath = true
 
 	return []MsgRateConfig{
-		{Label: "Optimistic-DPA NC", Engine: mpi.EngineOffload, Conflict: false},
+		{Label: "Optimistic-DPA NC", Engine: mpi.EngineOffload, Conflict: false, Matcher: nc},
 		{Label: "Optimistic-DPA WC-FP", Engine: mpi.EngineOffload, Conflict: true, Matcher: fp},
 		{Label: "Optimistic-DPA WC-SP", Engine: mpi.EngineOffload, Conflict: true, Matcher: sp},
-		{Label: "MPI-CPU", Engine: mpi.EngineHost, Conflict: false},
-		{Label: "RDMA-CPU", Engine: mpi.EngineRaw, Conflict: false},
+		{Label: "MPI-CPU", Engine: mpi.EngineHost, Conflict: false, Matcher: nc},
+		{Label: "RDMA-CPU", Engine: mpi.EngineRaw, Conflict: false, Matcher: nc},
 	}
 }

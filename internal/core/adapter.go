@@ -7,9 +7,8 @@ import (
 )
 
 // Sequential adapts an OptimisticMatcher to the match.Matcher interface,
-// processing every arrival as a one-message block. It is what the trace
-// analyzer replays traces through, and what the golden-model property tests
-// compare against the baselines. The adapter panics on ErrTableFull —
+// processing every arrival as a one-message block. It is what the
+// golden-model property tests compare against the baselines. The adapter panics on ErrTableFull —
 // callers that can overflow the descriptor table must size it accordingly
 // or use PostRecv directly and implement the software fallback.
 type Sequential struct {

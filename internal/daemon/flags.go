@@ -16,15 +16,15 @@ import (
 // adds its own flags (msgrate -k, replay -app, …) next to it on the same
 // FlagSet and fills the matching spec fields itself.
 type Flags struct {
-	Transport                   string
-	Ranks, Rank                 int
-	Coord                       string
-	SimHosts                    int
-	Faults                      string
-	CoalesceBytes, CoalesceMsgs int
-	InFlight, Bins              int
-	Engine, Daemon, Tenant      string
-	TraceOut, StatsJSON         string
+	Transport              string
+	Ranks, Rank            int
+	Coord                  string
+	SimHosts               int
+	Faults                 string
+	CoalesceBytes          int
+	InFlight, Bins         int
+	Engine, Daemon, Tenant string
+	TraceOut, StatsJSON    string
 
 	fs   *flag.FlagSet
 	plan rdma.FaultPlan // Faults, parsed by Validate
@@ -49,7 +49,6 @@ func RegisterFlags(fs *flag.FlagSet, bins int, engine, tenant string) *Flags {
 	fs.IntVar(&f.SimHosts, "sim-hosts", 0, "hybrid only: spread ranks round-robin over N simulated hosts (0 = real hostname)")
 	fs.StringVar(&f.Faults, "faults", "", "deterministic fault plan, e.g. seed=1,drop=0.05,dup=0.02")
 	fs.IntVar(&f.CoalesceBytes, "coalesce-bytes", 0, "eager-coalescing byte threshold (0 = off)")
-	fs.IntVar(&f.CoalesceMsgs, "coalesce-msgs", 0, "eager-coalescing message-count threshold (0 = off, 1 = off)")
 	fs.IntVar(&f.InFlight, "inflight", 1, "in-flight matching blocks K, 1..8")
 	fs.IntVar(&f.Bins, "bins", bins, "hash-table bins (power of two)")
 	fs.StringVar(&f.Engine, "engine", engine, "matching engine: offload | host | raw")
@@ -101,8 +100,8 @@ func (f *Flags) Validate(spec *JobSpec, sent ...string) error {
 		return fmt.Errorf("-sim-hosts only applies to -transport hybrid")
 	case f.SimHosts < 0:
 		return fmt.Errorf("-sim-hosts %d must be >= 0", f.SimHosts)
-	case f.CoalesceBytes < 0 || f.CoalesceMsgs < 0:
-		return fmt.Errorf("-coalesce-bytes/-coalesce-msgs thresholds must be >= 0")
+	case f.CoalesceBytes < 0:
+		return fmt.Errorf("-coalesce-bytes %d must be >= 0", f.CoalesceBytes)
 	}
 	return nil
 }
@@ -123,7 +122,7 @@ func (f *Flags) EngineKind() mpi.EngineKind { return engineKinds[f.Engine] }
 func (f *Flags) Local() Local {
 	loc := Local{
 		Rank: f.Rank, Coord: f.Coord, SimHosts: f.SimHosts, Faults: f.plan,
-		CoalesceBytes: f.CoalesceBytes, CoalesceMsgs: f.CoalesceMsgs,
+		CoalesceBytes: f.CoalesceBytes,
 	}
 	if f.TraceOut != "" {
 		loc.Obs = loc.Obs.Tracing()

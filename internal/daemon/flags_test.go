@@ -59,14 +59,12 @@ func TestFlagsValidate(t *testing.T) {
 		{[]string{"-bins", "0"}, "-bins 0"},
 		{[]string{"-bins", "3"}, "-bins 3"},
 		{[]string{"-bins", "-4"}, "-bins -4"},
-		{[]string{"-coalesce-bytes", "-1"}, "-coalesce-bytes"},
-		{[]string{"-coalesce-msgs", "-1"}, "-coalesce-msgs"},
+		{[]string{"-coalesce-bytes", "-1"}, "-coalesce-bytes -1"},
 		{[]string{"-faults", "drop"}, "-faults"},
 
 		{[]string{"-daemon", "h:1", "-tenant", "t", "-engine", "host", "-transport", "shm", "-ranks", "4", "-bins", "64", "-inflight", "2", "-k", "9"}, ""},
 		{[]string{"-daemon", "h:1", "-transport", "udp"}, "-transport udp"},
 		{[]string{"-daemon", "h:1", "-coalesce-bytes", "4096"}, "-coalesce-bytes"},
-		{[]string{"-daemon", "h:1", "-coalesce-msgs", "8"}, "-coalesce-msgs"},
 		{[]string{"-daemon", "h:1", "-faults", "seed=1,drop=0.1"}, "-faults"},
 		{[]string{"-daemon", "h:1", "-faults", "drop"}, "-faults"},
 		{[]string{"-daemon", "h:1", "-transport", "hybrid", "-sim-hosts", "2"}, "-sim-hosts"},

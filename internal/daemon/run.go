@@ -41,8 +41,8 @@ type Local struct {
 	// Faults arms deterministic fault injection: on the in-process fabric,
 	// or in the transport of a lossy net job.
 	Faults rdma.FaultPlan
-	// CoalesceBytes and CoalesceMsgs arm sender-side eager coalescing.
-	CoalesceBytes, CoalesceMsgs int
+	// CoalesceBytes arms sender-side eager coalescing.
+	CoalesceBytes int
 	// Obs configures the worlds' and transports' observability sinks.
 	Obs obs.Options
 	// Matcher is the matcher shape the spec's Bins, MaxReceives and
@@ -90,7 +90,6 @@ func worldOptions(spec *JobSpec, loc Local) mpi.Options {
 		EagerLimit:    1024,
 		Faults:        loc.Faults, // NewWorld's fabric takes it; a net transport carries its own copy
 		CoalesceBytes: loc.CoalesceBytes,
-		CoalesceMsgs:  loc.CoalesceMsgs,
 		Obs:           loc.Obs,
 	}
 }
@@ -178,7 +177,7 @@ func runWorlds(spec *JobSpec, loc Local, worlds []*mpi.World) (*Result, error) {
 			}
 			tr = app.Generate(tracegen.Config{Scale: spec.Scale})
 		}
-		r, err := replay.RunWorlds(tr, replay.Config{}, worlds)
+		r, err := replay.RunWorlds(tr, worlds)
 		if err != nil {
 			return nil, err
 		}

@@ -6,9 +6,10 @@
 // Substitution note (see DESIGN.md): the real DPA has 16 cores and 256
 // hardware threads programmed through DOCA; what the matching algorithm
 // actually depends on is the execution model — N parallel run-to-completion
-// handlers triggered by completion-queue entries, polling in the strided
-// pattern of §IV-A — and a bounded memory budget. Both are modeled here;
-// handler bodies run as goroutines pinned to logical thread IDs.
+// handlers triggered by completion-queue entries, handler i taking the i-th
+// entry of each block of N as the strided polling of §IV-A does — and a
+// bounded memory budget. Both are modeled here; handler bodies run as
+// goroutines pinned to logical thread IDs.
 package dpa
 
 import (

@@ -21,13 +21,15 @@ import (
 //
 //   - size: the frame body reached CoalesceBytes (or the next record
 //     would not fit the staged buffer);
-//   - count: the frame holds CoalesceMsgs sub-messages;
+//   - count: the frame holds maxBatchMsgs sub-messages, the most one
+//     kindEagerBatch frame may carry;
 //   - sync: an ordering or progress point was reached — Request.Wait /
 //     Waitall / Waitany, a bypass send to the same destination (rendezvous
 //     RTS, internal/collective traffic on negative communicators, a
 //     communicator switch), or world drain/Close;
 //   - timeout: a staleness timer bounds how long a buffered message can
-//     wait for company when the sender goes quiet without synchronizing.
+//     wait for company (coalesceTimeout) when the sender goes quiet
+//     without synchronizing.
 //
 // Sync flushes are what keep coalescing invisible to MPI semantics: no
 // message can be stranded behind a blocked sender, and the non-overtaking
@@ -50,6 +52,10 @@ const (
 	flushTimeout
 )
 
+// coalesceTimeout bounds how long a buffered eager message may wait for
+// company before the staleness timer flushes it.
+const coalesceTimeout = 200 * time.Microsecond
+
 // reasonCounters maps flush reasons to their obs counters.
 var reasonCounters = [...]obs.Counter{
 	flushSize:    obs.CtrCoalesceFlushSize,
@@ -64,8 +70,6 @@ var reasonCounters = [...]obs.Counter{
 type coalescer struct {
 	p          *Proc
 	bytesLimit int
-	msgsLimit  int
-	timeout    time.Duration
 
 	dsts []coalesceBuf
 
@@ -94,13 +98,8 @@ func newCoalescer(p *Proc) *coalescer {
 	c := &coalescer{
 		p:          p,
 		bytesLimit: o.CoalesceBytes,
-		msgsLimit:  o.CoalesceMsgs,
-		timeout:    o.CoalesceTimeout,
 		dsts:       make([]coalesceBuf, p.n),
 		stop:       make(chan struct{}),
-	}
-	if c.msgsLimit > maxBatchMsgs {
-		c.msgsLimit = maxBatchMsgs
 	}
 	frameCap := o.frameCap()
 	for i := range c.dsts {
@@ -150,7 +149,7 @@ func (c *coalescer) add(dst int, tag int32, comm match.CommID, hashes match.Inli
 	b.frame = appendSubRecord(b.frame, tag, hashes, payload)
 	b.count++
 	switch {
-	case b.count >= c.msgsLimit:
+	case b.count >= maxBatchMsgs:
 		return c.flushLocked(b, dst, flushCount)
 	case len(b.frame)-headerSize >= c.bytesLimit:
 		return c.flushLocked(b, dst, flushSize)
@@ -220,11 +219,7 @@ func (c *coalescer) flushLocked(b *coalesceBuf, dst int, reason flushReason) err
 // a frame nor reach a synchronization point.
 func (c *coalescer) run() {
 	defer c.wg.Done()
-	period := c.timeout / 2
-	if period < 50*time.Microsecond {
-		period = 50 * time.Microsecond
-	}
-	tick := time.NewTicker(period)
+	tick := time.NewTicker(coalesceTimeout / 2)
 	defer tick.Stop()
 	for {
 		select {
@@ -237,7 +232,7 @@ func (c *coalescer) run() {
 			for dst := range c.dsts {
 				b := &c.dsts[dst]
 				b.mu.Lock()
-				if b.count > 0 && now.Sub(b.since) >= c.timeout {
+				if b.count > 0 && now.Sub(b.since) >= coalesceTimeout {
 					_ = c.flushLocked(b, dst, flushTimeout)
 				}
 				b.mu.Unlock()

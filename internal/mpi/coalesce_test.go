@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/rdma"
 )
 
 // newCoalesceWorld builds a world with eager coalescing armed: frames close
-// at eight sub-messages or 1 KiB of body, with a short staleness timeout so
-// quiet-sender tests converge quickly.
+// at 1 KiB of body.
 func newCoalesceWorld(t *testing.T, n int, kind EngineKind, plan rdma.FaultPlan) *World {
 	t.Helper()
 	w, err := NewWorld(n, Options{
@@ -24,11 +23,8 @@ func newCoalesceWorld(t *testing.T, n int, kind EngineKind, plan rdma.FaultPlan)
 			Bins: 128, MaxReceives: 1024, BlockSize: 8,
 			EarlyBookingCheck: true,
 		},
-		Faults:          plan,
-		RetxTimeout:     time.Millisecond,
-		CoalesceBytes:   1024,
-		CoalesceMsgs:    8,
-		CoalesceTimeout: 500 * time.Microsecond,
+		Faults:        plan,
+		CoalesceBytes: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +152,6 @@ func TestCoalesceAcrossDepths(t *testing.T) {
 					EarlyBookingCheck: true,
 				},
 				CoalesceBytes: 1024,
-				CoalesceMsgs:  8,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -195,6 +190,68 @@ func TestCoalesceTimeoutFlush(t *testing.T) {
 	s := w.Proc(0).Obs()
 	if s.Counters.Load(obs.CtrCoalesceFlushTimeout) == 0 {
 		t.Fatal("staleness timer never fired")
+	}
+}
+
+// TestCoalesceFrameCap drives one destination's coalescer past the wire's
+// per-frame message cap with a byte threshold far above what the records
+// fill: the count trigger alone must close every frame at maxBatchMsgs, and
+// the receiver must still get every message in order. The coalescer is
+// built directly and its staleness timer never started, so no timeout
+// flush can close a frame first.
+func TestCoalesceFrameCap(t *testing.T) {
+	const n = 10000
+	w, err := NewWorld(2, Options{CoalesceBytes: 256 << 10, Obs: obs.Options{}.Tracing()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	p := w.Proc(0)
+	c := newCoalescer(p)
+	comm := match.WorldComm
+	for i := 0; i < n; i++ {
+		hashes := match.InlineHashes{
+			SrcTag: match.HashSrcTag(0, match.Tag(i), comm),
+			Tag:    match.HashTag(match.Tag(i), comm),
+			Src:    match.HashSrc(0, comm),
+		}
+		if err := c.add(1, int32(i), comm, hashes, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.flushAll(flushSync); err != nil {
+		t.Fatal(err)
+	}
+
+	var frames, msgs uint64
+	for _, ev := range p.Obs().Events() {
+		if ev.Kind != obs.EvCoalesceFlush {
+			continue
+		}
+		if ev.B > maxBatchMsgs {
+			t.Fatalf("flushed frame holds %d sub-messages, cap is %d", ev.B, maxBatchMsgs)
+		}
+		frames++
+		msgs += ev.B
+	}
+	if msgs != n {
+		t.Fatalf("flush events carry %d messages in %d frames, want %d", msgs, frames, n)
+	}
+	if got := p.Obs().Counters.Load(obs.CtrCoalesceFlushCount); got == 0 {
+		t.Fatal("no frame was flushed by the count trigger")
+	}
+
+	rc := w.Proc(1).World()
+	buf := make([]byte, 1)
+	for i := 0; i < n; i++ {
+		st, err := rc.Recv(0, AnyTag, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Tag != i || st.Count != 1 || buf[0] != byte(i) {
+			t.Fatalf("receive %d: tag %d count %d byte %d, want tag %d byte %d",
+				i, st.Tag, st.Count, buf[0], i, byte(i))
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rdma"
@@ -27,8 +26,7 @@ func testFaultPlan() rdma.FaultPlan {
 	}
 }
 
-// newFaultWorld builds a world with a short retransmit timeout so faulty
-// runs converge quickly.
+// newFaultWorld builds a world whose in-process fabric injects plan.
 func newFaultWorld(t *testing.T, n int, kind EngineKind, plan rdma.FaultPlan) *World {
 	t.Helper()
 	w, err := NewWorld(n, Options{
@@ -38,8 +36,7 @@ func newFaultWorld(t *testing.T, n int, kind EngineKind, plan rdma.FaultPlan) *W
 			Bins: 128, MaxReceives: 1024, BlockSize: 8,
 			EarlyBookingCheck: true,
 		},
-		Faults:      plan,
-		RetxTimeout: time.Millisecond,
+		Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dpa"
@@ -95,24 +94,15 @@ type Options struct {
 	// untouched. NewNetWorld ignores it: a transport it is handed carries
 	// its own plan (netfabric.Config.Faults).
 	Faults rdma.FaultPlan
-	// RetxTimeout is the reliability retransmission timeout (default
-	// 2ms); backoff doubles per retry up to 16x. Only meaningful on an
-	// unreliable dataplane.
-	RetxTimeout time.Duration
-	// CoalesceBytes and CoalesceMsgs arm sender-side adaptive coalescing
-	// of eager messages (coalesce.go): consecutive eager sends toward one
-	// destination are aggregated into a single kindEagerBatch wire frame,
-	// flushed when the body reaches CoalesceBytes, when CoalesceMsgs
-	// sub-messages are staged, at synchronization points (Wait, Barrier,
-	// rendezvous, Close), or on the CoalesceTimeout staleness timer. Both
-	// zero (the default) leaves coalescing off and the wire stream
-	// byte-identical to earlier versions; arming either knob fills the
-	// other with a default (4096 bytes / the frame's message cap).
+	// CoalesceBytes arms sender-side adaptive coalescing of eager messages
+	// (coalesce.go): consecutive eager sends toward one destination are
+	// aggregated into a single kindEagerBatch wire frame, flushed when the
+	// body reaches CoalesceBytes, when the frame holds the wire's
+	// maxBatchMsgs sub-messages, at synchronization points (Wait, Barrier,
+	// rendezvous, Close), or after coalesceTimeout of staleness. Zero (the
+	// default) leaves coalescing off and the wire stream byte-identical to
+	// earlier versions.
 	CoalesceBytes int
-	CoalesceMsgs  int
-	// CoalesceTimeout bounds how long a buffered eager message may wait
-	// for company (default 200µs). Only meaningful when coalescing is on.
-	CoalesceTimeout time.Duration
 	// CommInfo declares communicator info objects (§IV-E / §VII) ahead of
 	// time: matching assertions to propagate to the offloaded engine, and
 	// offload opt-outs. Each offloaded declared communicator is budgeted
@@ -148,24 +138,11 @@ func (o *Options) fill() {
 	if o.Matcher == (core.Config{}) {
 		o.Matcher = core.DefaultConfig()
 	}
-	if o.coalesceArmed() {
-		if o.CoalesceBytes <= 0 {
-			o.CoalesceBytes = 4096
-		}
-		if o.CoalesceMsgs <= 1 {
-			o.CoalesceMsgs = maxBatchMsgs
-		}
-		if o.CoalesceTimeout <= 0 {
-			o.CoalesceTimeout = 200 * time.Microsecond
-		}
-	}
 }
 
-// coalesceArmed reports whether eager coalescing is on. A message count of
-// 1 cannot batch anything, so only counts above 1 (or a byte threshold)
-// arm it.
+// coalesceArmed reports whether eager coalescing is on.
 func (o *Options) coalesceArmed() bool {
-	return o.CoalesceBytes > 0 || o.CoalesceMsgs > 1
+	return o.CoalesceBytes > 0
 }
 
 // frameCap is the staged-frame (and bounce-buffer) capacity when
@@ -531,7 +508,7 @@ func newProc(w *World, t rdma.Transport) (*Proc, error) {
 		// and always on a lossy transport such as UDP): the transport fills
 		// rawCQ, the filter republishes repaired streams onto recvCQ.
 		p.rawCQ = rdma.NewCQ()
-		p.rel = newReliability(p, w.opts.RetxTimeout)
+		p.rel = newReliability(p)
 		p.rel.obs = p.obs
 	}
 	if w.opts.coalesceArmed() {

@@ -122,14 +122,15 @@ func (s ReliabilitySnapshot) Add(t ReliabilitySnapshot) ReliabilitySnapshot {
 	return s
 }
 
+// retransmitTimeout is how long a reliable send waits for its ack before
+// the first retransmission; backoff doubles per retry up to 16x.
+const retransmitTimeout = 2 * time.Millisecond
+
 // newReliabilityCore builds the sublayer's state machine for n peers with
 // all seams at their test defaults: wall clock, no transport, a private
 // counters-only sink, and plain make/discard buffer management. Unit tests
 // use it directly and bind xmit/xmitControl/now to fakes.
 func newReliabilityCore(n int, timeout time.Duration) *reliability {
-	if timeout <= 0 {
-		timeout = 2 * time.Millisecond
-	}
 	rel := &reliability{
 		sends:       make([]relSend, n),
 		recvs:       make([]relRecv, n),
@@ -151,8 +152,8 @@ func newReliabilityCore(n int, timeout time.Duration) *reliability {
 	return rel
 }
 
-func newReliability(p *Proc, timeout time.Duration) *reliability {
-	rel := newReliabilityCore(p.n, timeout)
+func newReliability(p *Proc) *reliability {
+	rel := newReliabilityCore(p.n, retransmitTimeout)
 	rel.p = p
 	rel.xmit = func(dst int, wire []byte) error {
 		return p.sendEP[dst].Send(wire, 0, 0)

@@ -24,13 +24,10 @@ type Completion struct {
 }
 
 // CQ is a completion queue. Unlike hardware rings it retains a sliding
-// window of entries indexed by absolute completion number, which lets the
-// DPA's threads poll in the strided pattern of §IV-A: thread i waits for
-// completion i, then i+N, and so on.
-//
-// Consumers that drain windows of entries should prefer WaitBatch /
-// PollBatch, which move a whole batch under a single lock acquisition; the
-// per-entry WaitIndex / Poll calls remain for strided pollers and tests.
+// window of entries indexed by absolute completion number. A consumer keeps
+// a cursor: WaitBatch drains every ready entry from the cursor on under one
+// lock acquisition, Trim releases what the consumer has advanced past, and
+// Ready tells without locking whether anything new has arrived.
 type CQ struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -71,53 +68,6 @@ func (q *CQ) Close() {
 	q.cond.Broadcast()
 }
 
-// WaitIndex blocks until the completion with absolute index k exists and
-// returns it. It reports ok=false when the queue was closed before entry k
-// was produced, or when k was already trimmed.
-func (q *CQ) WaitIndex(k uint64) (Completion, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.next <= k {
-		if q.closed {
-			return Completion{}, false
-		}
-		q.cond.Wait()
-	}
-	if k < q.base {
-		return Completion{}, false
-	}
-	return q.entries[k-q.base], true
-}
-
-// Poll returns the completion with absolute index k without blocking.
-func (q *CQ) Poll(k uint64) (Completion, bool) {
-	if q.ready.Load() <= k {
-		return Completion{}, false // nothing at k yet: lock-free fast path
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.next <= k || k < q.base {
-		return Completion{}, false
-	}
-	return q.entries[k-q.base], true
-}
-
-// PollBatch copies into dst all ready completions starting at absolute
-// index from, up to len(dst), under a single lock acquisition, and returns
-// the number copied. It returns 0 when nothing at or beyond from is ready
-// or when from was already trimmed. The empty case is detected lock-free.
-func (q *CQ) PollBatch(from uint64, dst []Completion) int {
-	if q.ready.Load() <= from || len(dst) == 0 {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.next <= from || from < q.base {
-		return 0
-	}
-	return copy(dst, q.entries[from-q.base:])
-}
-
 // WaitBatch blocks until at least one completion at absolute index from or
 // beyond exists, then drains as many consecutive completions as are ready
 // (up to len(dst)) under the same lock acquisition. It reports ok=false
@@ -139,17 +89,9 @@ func (q *CQ) WaitBatch(from uint64, dst []Completion) (int, bool) {
 }
 
 // Ready returns the absolute index of the next completion to be produced,
-// without taking the queue lock. Ready() > k means entry k can be polled
-// (unless trimmed); Ready() <= k means it does not exist yet.
+// without taking the queue lock. Ready() > k means entry k exists (unless
+// trimmed); Ready() <= k means it does not exist yet.
 func (q *CQ) Ready() uint64 { return q.ready.Load() }
-
-// Next returns the absolute index of the next completion to be produced —
-// i.e. the number of completions so far.
-func (q *CQ) Next() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.next
-}
 
 // Trim discards entries below absolute index k, modelling ring reuse after
 // the consumer has advanced. Remaining entries are compacted to the front
@@ -167,11 +109,4 @@ func (q *CQ) Trim(k uint64) {
 	n := copy(q.entries, q.entries[k-q.base:])
 	q.entries = q.entries[:n]
 	q.base = k
-}
-
-// Closed reports whether the queue has been closed.
-func (q *CQ) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
 }

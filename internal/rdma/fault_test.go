@@ -69,7 +69,7 @@ func TestDropInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := cqB.Poll(0); ok {
+	if cqB.Ready() != 0 {
 		t.Fatal("dropped message was delivered")
 	}
 	if got := FaultSnapshotOf(f.Obs()).Dropped; got != n {
@@ -89,7 +89,7 @@ func TestDuplicateInjection(t *testing.T) {
 		}
 	}
 	for i := uint64(0); i < 2*n; i++ {
-		c, ok := cqB.WaitIndex(i)
+		c, ok := waitAt(cqB, i)
 		if !ok {
 			t.Fatalf("missing completion %d", i)
 		}
@@ -130,7 +130,7 @@ func TestDelayReordersDelivery(t *testing.T) {
 	}
 	want := []uint32{1, 0, 3, 2, 5, 4, 7, 6}
 	for i := uint64(0); i < n; i++ {
-		c, ok := cqB.WaitIndex(i)
+		c, ok := waitAt(cqB, i)
 		if !ok {
 			t.Fatalf("missing completion %d", i)
 		}
@@ -167,7 +167,7 @@ func collectImms(t *testing.T, plan FaultPlan, n int) []uint32 {
 	}
 	var out []uint32
 	for i := uint64(0); ; i++ {
-		c, ok := cqB.Poll(i)
+		c, ok := pollAt(cqB, i)
 		if !ok {
 			break
 		}
@@ -212,7 +212,7 @@ func TestSendControlBypassesFaults(t *testing.T) {
 	if err := a.SendControl([]byte("ok"), 7, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := cqB.WaitIndex(0); !ok || c.Imm != 7 || string(c.Data) != "ok" {
+	if c, ok := waitAt(cqB, 0); !ok || c.Imm != 7 || string(c.Data) != "ok" {
 		t.Fatalf("control message corrupted: %+v ok=%v", c, ok)
 	}
 }
@@ -224,7 +224,7 @@ func TestOversizedMessageErrorCompletion(t *testing.T) {
 	if err := a.Send([]byte("eight by"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	c, ok := cqB.WaitIndex(0)
+	c, ok := waitAt(cqB, 0)
 	if !ok {
 		t.Fatal("no completion")
 	}
@@ -242,7 +242,7 @@ func TestOversizedMessageErrorCompletion(t *testing.T) {
 	if err := a.Send([]byte("fits"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := cqB.WaitIndex(1); !ok || c.Err != nil || string(c.Data) != "fits" {
+	if c, ok := waitAt(cqB, 1); !ok || c.Err != nil || string(c.Data) != "fits" {
 		t.Fatalf("follow-up delivery broken: %+v ok=%v", c, ok)
 	}
 }

@@ -38,8 +38,9 @@ func (r *confRank) next(t *testing.T) rdma.Completion {
 	t.Helper()
 	got := make(chan rdma.Completion, 1)
 	go func() {
-		c, _ := r.cq.WaitIndex(r.at)
-		got <- c
+		var c [1]rdma.Completion
+		r.cq.WaitBatch(r.at, c[:])
+		got <- c[0]
 	}()
 	select {
 	case c := <-got:

@@ -149,7 +149,7 @@ func TestUDPRingWithFaults(t *testing.T) {
 	faults.Drop = 0.05
 	faults.Duplicate = 0.02
 	faults.Delay = 0.02
-	opts := mpi.Options{EagerLimit: 256, RetxTimeout: time.Millisecond}
+	opts := mpi.Options{EagerLimit: 256}
 	worlds := startNetWorlds(t, "udp", 2, opts, faults)
 	ringWorkload(t, worlds, 40, 64)
 	ringWorkload(t, worlds, 4, 4096)
@@ -355,8 +355,8 @@ func TestStrayFramesAreDropped(t *testing.T) {
 					}
 				}
 				r.tr.Deregister(mr)
-				if c, ok := r.cq.Poll(0); ok {
-					t.Fatalf("rank %d: stray frame completed a receive: %+v", r.tr.Rank(), c)
+				if r.cq.Ready() != 0 {
+					t.Fatalf("rank %d: stray frame completed a receive", r.tr.Rank())
 				}
 			}
 			for k, r := range ranks {

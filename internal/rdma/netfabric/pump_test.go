@@ -37,14 +37,19 @@ func TestPumpDataPathAllocs(t *testing.T) {
 	fr := newFrameReader(&frameLoop{frame: appendFrame(nil, frData, 1, payload)})
 	bounce := make([]byte, 128)
 	var next uint64
+	dst := make([]rdma.Completion, 1)
 	step := func() {
 		tr.rq.Post(bounce, 7)
 		h, err := tr.arrive(nil, fr)
 		if err != nil || h.kind != frData || h.src != 1 || h.payloadLen != len(payload) {
 			t.Fatalf("arrive: header %+v, err %v", h, err)
 		}
-		c, ok := tr.cq.Poll(next)
-		if !ok || c.Err != nil || c.WRID != 7 || c.Bytes != len(payload) || &c.Data[0] != &bounce[0] || c.Data[95] != 95 {
+		if tr.cq.Ready() <= next {
+			t.Fatalf("completion %d never arrived", next)
+		}
+		n, ok := tr.cq.WaitBatch(next, dst)
+		c := dst[0]
+		if n != 1 || !ok || c.Err != nil || c.WRID != 7 || c.Bytes != len(payload) || &c.Data[0] != &bounce[0] || c.Data[95] != 95 {
 			t.Fatalf("completion %d: %+v (ok=%v)", next, c, ok)
 		}
 		next++

@@ -108,8 +108,10 @@ func crossRead(rank int, coord, dir string, peerGone <-chan struct{}) error {
 	recv := func(k uint64) ([]byte, error) {
 		gone := false
 		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if c, ok := cq.Poll(k); ok {
-				return c.Data, c.Err
+			if cq.Ready() > k {
+				var c [1]rdma.Completion
+				cq.WaitBatch(k, c[:])
+				return c[0].Data, c[0].Err
 			}
 			if gone {
 				continue

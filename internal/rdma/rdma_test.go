@@ -8,6 +8,23 @@ import (
 	"time"
 )
 
+// waitAt returns completion k of q, blocking until it exists, through
+// WaitBatch as every consumer drains a CQ. ok=false means q closed first or
+// k was already trimmed.
+func waitAt(q *CQ, k uint64) (Completion, bool) {
+	var dst [1]Completion
+	n, ok := q.WaitBatch(k, dst[:])
+	return dst[0], ok && n == 1
+}
+
+// pollAt returns completion k of q if it has arrived, without blocking.
+func pollAt(q *CQ, k uint64) (Completion, bool) {
+	if q.Ready() <= k {
+		return Completion{}, false
+	}
+	return waitAt(q, k)
+}
+
 func pair(t *testing.T) (*QP, *QP, *CQ, *CQ) {
 	t.Helper()
 	f := NewFabric()
@@ -28,7 +45,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	if err := a.Send([]byte("hello"), 42, 1); err != nil {
 		t.Fatal(err)
 	}
-	c, ok := cqB.WaitIndex(0)
+	c, ok := waitAt(cqB, 0)
 	if !ok {
 		t.Fatal("no completion")
 	}
@@ -51,7 +68,7 @@ func TestPerQPOrdering(t *testing.T) {
 		}
 	}
 	for i := uint64(0); i < 32; i++ {
-		c, ok := cqB.WaitIndex(i)
+		c, ok := waitAt(cqB, i)
 		if !ok {
 			t.Fatal("missing completion")
 		}
@@ -78,7 +95,7 @@ func blockedSend(t *testing.T, a *QP, wrID uint64) <-chan error {
 func TestSendBlocksUntilReceivePosted(t *testing.T) {
 	a, b, _, cqB := pair(t)
 	errc := blockedSend(t, a, 1)
-	if _, ok := cqB.Poll(0); ok {
+	if cqB.Ready() != 0 {
 		t.Fatal("completion before receive was posted")
 	}
 	b.PostRecv(make([]byte, 4), 9)
@@ -86,7 +103,7 @@ func TestSendBlocksUntilReceivePosted(t *testing.T) {
 		t.Fatalf("send after post: %v", err)
 	}
 	// Delivery is inline: by the time Send returned, the completion exists.
-	c, ok := cqB.Poll(0)
+	c, ok := pollAt(cqB, 0)
 	if !ok || c.WRID != 9 || c.Imm != 5 || string(c.Data) != "x" {
 		t.Fatalf("receive completion = %+v ok=%v, want the posted WRID 9", c, ok)
 	}
@@ -158,7 +175,7 @@ func TestRDMARead(t *testing.T) {
 	if !bytes.Equal(dst, src) {
 		t.Fatalf("read %q, want %q", dst, src)
 	}
-	if c, ok := cq.WaitIndex(0); !ok || c.Op != OpRead || c.WRID != 5 {
+	if c, ok := waitAt(cq, 0); !ok || c.Op != OpRead || c.WRID != 5 {
 		t.Fatalf("completion = %+v ok=%v", c, ok)
 	}
 }
@@ -229,7 +246,7 @@ func TestSharedRecvQueueManySenders(t *testing.T) {
 		lastPerSender[i] = -1
 	}
 	for k := uint64(0); k < senders*msgs; k++ {
-		c, ok := recvCQ.WaitIndex(k)
+		c, ok := waitAt(recvCQ, k)
 		if !ok {
 			t.Fatal("missing completion")
 		}
@@ -271,7 +288,7 @@ func TestSharedRecvQueueBackpressureKeepsOrder(t *testing.T) {
 	}
 	next := make([]int, senders)
 	for k := uint64(0); k < senders*msgs; k++ {
-		c, ok := recvCQ.WaitIndex(k)
+		c, ok := waitAt(recvCQ, k)
 		if !ok {
 			t.Fatal("missing completion")
 		}
@@ -293,44 +310,12 @@ func TestOversizedControlMessageErrorCompletion(t *testing.T) {
 	if err := a.SendControl([]byte("eight by"), 3, 0); err != nil {
 		t.Fatal(err)
 	}
-	c, ok := cqB.Poll(0)
+	c, ok := pollAt(cqB, 0)
 	if !ok || c.Err != ErrBufferSize || c.WRID != 11 || c.Bytes != 8 || len(c.Data) != 0 || cap(c.Data) != 4 {
 		t.Fatalf("completion = %+v ok=%v, want ErrBufferSize with the unfilled buffer", c, ok)
 	}
 	if err := a.SendControl([]byte("x"), 0, 0); err != ErrNoReceive {
 		t.Fatalf("control send with no posted receive: err = %v, want ErrNoReceive", err)
-	}
-}
-
-func TestCQStridedWait(t *testing.T) {
-	q := NewCQ()
-	const n = 4
-	var wg sync.WaitGroup
-	got := make([][]uint64, n)
-	for tid := 0; tid < n; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for k := uint64(tid); ; k += n {
-				c, ok := q.WaitIndex(k)
-				if !ok {
-					return
-				}
-				got[tid] = append(got[tid], uint64(c.Imm))
-			}
-		}(tid)
-	}
-	for i := 0; i < 20; i++ {
-		q.Push(Completion{Imm: uint32(i)})
-	}
-	q.Close()
-	wg.Wait()
-	for tid := 0; tid < n; tid++ {
-		for j, v := range got[tid] {
-			if v != uint64(tid+j*n) {
-				t.Fatalf("thread %d saw %v", tid, got[tid])
-			}
-		}
 	}
 }
 
@@ -340,19 +325,22 @@ func TestCQTrim(t *testing.T) {
 		q.Push(Completion{Imm: uint32(i)})
 	}
 	q.Trim(5)
-	if _, ok := q.Poll(4); ok {
+	if _, ok := pollAt(q, 4); ok {
 		t.Fatal("trimmed entry still visible")
 	}
-	if c, ok := q.Poll(7); !ok || c.Imm != 7 {
+	if c, ok := pollAt(q, 7); !ok || c.Imm != 7 {
 		t.Fatal("post-trim entry lost")
 	}
-	if _, ok := q.WaitIndex(3); ok {
-		t.Fatal("WaitIndex returned a trimmed entry")
+	if _, ok := waitAt(q, 3); ok {
+		t.Fatal("WaitBatch returned a trimmed entry")
 	}
 	q.Trim(3) // no-op: already beyond
 	q.Trim(99)
-	if q.Next() != 10 {
-		t.Fatalf("Next = %d, want 10", q.Next())
+	if q.Ready() != 10 {
+		t.Fatalf("Ready = %d, want 10", q.Ready())
+	}
+	if _, ok := waitAt(q, 9); ok {
+		t.Fatal("Trim past the produced range kept an entry")
 	}
 }
 
@@ -360,7 +348,7 @@ func TestCQCloseUnblocksWaiters(t *testing.T) {
 	q := NewCQ()
 	done := make(chan bool)
 	go func() {
-		_, ok := q.WaitIndex(0)
+		_, ok := waitAt(q, 0)
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -368,8 +356,8 @@ func TestCQCloseUnblocksWaiters(t *testing.T) {
 	if ok := <-done; ok {
 		t.Fatal("closed wait reported ok")
 	}
-	if !q.Closed() {
-		t.Fatal("Closed() = false")
+	if _, ok := waitAt(q, 0); ok {
+		t.Fatal("wait after Close reported ok")
 	}
 }
 
@@ -410,48 +398,6 @@ func TestOpTypeString(t *testing.T) {
 	}
 }
 
-func TestCQPollBatch(t *testing.T) {
-	q := NewCQ()
-	dst := make([]Completion, 4)
-	if n := q.PollBatch(0, dst); n != 0 {
-		t.Fatalf("empty queue returned %d", n)
-	}
-	for i := 0; i < 6; i++ {
-		q.Push(Completion{WRID: uint64(i)})
-	}
-	if q.Ready() != 6 {
-		t.Fatalf("Ready = %d, want 6", q.Ready())
-	}
-	// A full window, bounded by len(dst).
-	if n := q.PollBatch(0, dst); n != 4 {
-		t.Fatalf("PollBatch(0) = %d, want 4", n)
-	}
-	for i, c := range dst {
-		if c.WRID != uint64(i) {
-			t.Fatalf("dst[%d].WRID = %d", i, c.WRID)
-		}
-	}
-	// A partial window from an interior index.
-	if n := q.PollBatch(4, dst); n != 2 || dst[0].WRID != 4 || dst[1].WRID != 5 {
-		t.Fatalf("PollBatch(4) = %d (%v)", n, dst[:2])
-	}
-	// Beyond the produced range, and with an empty destination.
-	if n := q.PollBatch(6, dst); n != 0 {
-		t.Fatalf("PollBatch(6) = %d", n)
-	}
-	if n := q.PollBatch(0, nil); n != 0 {
-		t.Fatalf("PollBatch(nil dst) = %d", n)
-	}
-	// Trimmed indexes are gone.
-	q.Trim(3)
-	if n := q.PollBatch(0, dst); n != 0 {
-		t.Fatalf("PollBatch below base = %d", n)
-	}
-	if n := q.PollBatch(3, dst); n != 3 || dst[0].WRID != 3 {
-		t.Fatalf("PollBatch(3) after trim = %d (%v)", n, dst[:3])
-	}
-}
-
 func TestCQWaitBatch(t *testing.T) {
 	q := NewCQ()
 	got := make(chan []uint64, 1)
@@ -478,7 +424,7 @@ func TestCQWaitBatch(t *testing.T) {
 	// Close unblocks a pending WaitBatch with ok=false…
 	fail := make(chan bool, 1)
 	go func() {
-		_, ok := q.WaitBatch(q.Next(), make([]Completion, 1))
+		_, ok := q.WaitBatch(q.Ready(), make([]Completion, 1))
 		fail <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -495,6 +441,26 @@ func TestCQWaitBatch(t *testing.T) {
 	if n, ok := q2.WaitBatch(0, dst); !ok || n != 2 {
 		t.Fatalf("closed-but-nonempty WaitBatch = (%d,%v)", n, ok)
 	}
+
+	// A ready window is bounded by len(dst), starts at any interior index,
+	// and is gone once trimmed.
+	q3 := NewCQ()
+	for i := 0; i < 6; i++ {
+		q3.Push(Completion{WRID: uint64(i)})
+	}
+	if n, ok := q3.WaitBatch(0, dst); !ok || n != 4 || dst[0].WRID != 0 || dst[3].WRID != 3 {
+		t.Fatalf("WaitBatch(0) = (%d,%v) %v, want the first 4", n, ok, dst)
+	}
+	if n, ok := q3.WaitBatch(4, dst); !ok || n != 2 || dst[0].WRID != 4 || dst[1].WRID != 5 {
+		t.Fatalf("WaitBatch(4) = (%d,%v) %v", n, ok, dst[:2])
+	}
+	q3.Trim(3)
+	if _, ok := q3.WaitBatch(0, dst); ok {
+		t.Fatal("WaitBatch below the trimmed base reported ok")
+	}
+	if n, ok := q3.WaitBatch(3, dst); !ok || n != 3 || dst[0].WRID != 3 {
+		t.Fatalf("WaitBatch(3) after trim = (%d,%v) %v", n, ok, dst[:3])
+	}
 }
 
 func TestCQTrimCompacts(t *testing.T) {
@@ -508,8 +474,8 @@ func TestCQTrimCompacts(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			q.Push(Completion{WRID: cursor + uint64(i)})
 		}
-		n := q.PollBatch(cursor, dst)
-		if n != 8 {
+		n, ok := q.WaitBatch(cursor, dst)
+		if !ok || n != 8 {
 			t.Fatalf("round %d: drained %d", round, n)
 		}
 		for i := 0; i < n; i++ {
@@ -520,7 +486,7 @@ func TestCQTrimCompacts(t *testing.T) {
 		cursor += uint64(n)
 		q.Trim(cursor)
 	}
-	if q.Next() != cursor {
-		t.Fatalf("next = %d, want %d", q.Next(), cursor)
+	if q.Ready() != cursor {
+		t.Fatalf("ready = %d, want %d", q.Ready(), cursor)
 	}
 }

@@ -85,7 +85,7 @@ func TestRecvQueueGrowsToDepth(t *testing.T) {
 			t.Fatalf("send with all %d buffers in use returned %v, want it to block", depth, err)
 		case <-time.After(20 * time.Millisecond):
 		}
-		c, _ := cq.WaitIndex(0)
+		c, _ := waitAt(cq, 0)
 		rq.Post(c.Data[:cap(c.Data)], 0)
 		select {
 		case err := <-sent:
@@ -95,7 +95,7 @@ func TestRecvQueueGrowsToDepth(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("send still blocked after a repost")
 		}
-		if c, ok := cq.WaitIndex(depth); !ok || string(c.Data) != "late" {
+		if c, ok := waitAt(cq, depth); !ok || string(c.Data) != "late" {
 			t.Fatalf("late message delivered as %q", c.Data)
 		}
 	})
@@ -118,7 +118,7 @@ func TestRecvQueueGrowsToDepth(t *testing.T) {
 		if err := a.Send([]byte("x"), 0, 0); err != ErrNoReceive {
 			t.Fatalf("send with all %d buffers in use: %v, want ErrNoReceive", depth, err)
 		}
-		c, _ := cq.WaitIndex(0)
+		c, _ := waitAt(cq, 0)
 		rq.Post(c.Data[:cap(c.Data)], 0)
 		if err := a.Send([]byte("y"), 0, 0); err != nil {
 			t.Fatalf("send after a repost: %v", err)
@@ -142,7 +142,7 @@ func TestRecvQueueGrowsToDepth(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				errs = append(errs, a.Send([]byte{byte(i)}, uint32(i), 0))
 				for ; ; next++ {
-					c, ok := cq.Poll(next)
+					c, ok := pollAt(cq, next)
 					if !ok {
 						break
 					}

@@ -35,12 +35,13 @@ func replayGolden(t *testing.T, tr *trace.Trace, depth int) (*Result, goldenTota
 	t.Helper()
 	matcher := MatcherConfig()
 	matcher.InFlightBlocks = depth
-	cfg := Config{Engine: mpi.EngineOffload}
-	cfg.Options.Matcher = matcher
 	// Rings sized so nothing is overwritten: the event-count invariants
 	// below need a complete record.
-	cfg.Options.Obs = obs.Options{TraceEvents: 1 << 15}
-	res, err := Run(tr, cfg)
+	res, err := replayInProc(tr, mpi.Options{
+		Engine:  mpi.EngineOffload,
+		Matcher: matcher,
+		Obs:     obs.Options{TraceEvents: 1 << 15},
+	})
 	if err != nil {
 		t.Fatalf("depth %d: %v", depth, err)
 	}
@@ -166,7 +167,7 @@ func TestGoldenReplayObsCrossDepth(t *testing.T) {
 func TestGoldenReplaySinkNames(t *testing.T) {
 	app, _ := tracegen.ByName("AMG")
 	tr := app.Generate(tracegen.Config{Scale: 5})
-	res, err := Run(tr, Config{Engine: mpi.EngineHost})
+	res, err := replayInProc(tr, mpi.Options{Engine: mpi.EngineHost})
 	if err != nil {
 		t.Fatal(err)
 	}

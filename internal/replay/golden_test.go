@@ -59,20 +59,17 @@ func checkCounters(t *testing.T, leg string, results ...*replay.Result) {
 	}
 }
 
-func goldenConfig(kind mpi.EngineKind, inflight int) replay.Config {
-	cfg := replay.Config{Engine: kind}
-	cfg.Options.Engine = kind
-	cfg.Options.RecvDepth = 64
-	cfg.Options.Matcher = replay.MatcherConfig()
-	cfg.Options.Matcher.InFlightBlocks = inflight
-	return cfg
+func goldenOptions(kind mpi.EngineKind, inflight int) mpi.Options {
+	opts := mpi.Options{Engine: kind, RecvDepth: 64, Matcher: replay.MatcherConfig()}
+	opts.Matcher.InFlightBlocks = inflight
+	return opts
 }
 
 // replayNet replays tr with one single-rank world per trace rank, all in
 // this process, meshed over real sockets, and returns the aggregated
 // results. It mirrors what the cmd/replay launcher does with N OS
 // processes; in-process it is additionally -race-visible.
-func replayNet(t *testing.T, tr *trace.Trace, network string, cfg replay.Config, faults rdma.FaultPlan) (goldenSummary, mpi.ReliabilitySnapshot) {
+func replayNet(t *testing.T, tr *trace.Trace, network string, opts mpi.Options, faults rdma.FaultPlan) (goldenSummary, mpi.ReliabilitySnapshot) {
 	t.Helper()
 	n := tr.NumRanks()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -106,12 +103,12 @@ func replayNet(t *testing.T, tr *trace.Trace, network string, cfg replay.Config,
 				errs[k] = err
 				return
 			}
-			w, err := mpi.NewNetWorld(trans, cfg.Options)
+			w, err := mpi.NewNetWorld(trans, opts)
 			if err != nil {
 				errs[k] = err
 				return
 			}
-			results[k], errs[k] = replay.RunWorlds(tr, cfg, []*mpi.World{w})
+			results[k], errs[k] = replay.RunWorlds(tr, []*mpi.World{w})
 		}(k)
 	}
 	wg.Wait()
@@ -168,9 +165,13 @@ func TestGoldenCrossTransportEquivalence(t *testing.T) {
 	var totalRetx uint64
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%v-k%d", tc.engine, tc.inflight), func(t *testing.T) {
-			cfg := goldenConfig(tc.engine, tc.inflight)
+			opts := goldenOptions(tc.engine, tc.inflight)
 
-			base, err := replay.Run(tr, cfg)
+			w, err := mpi.NewWorld(tr.NumRanks(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := replay.RunWorlds(tr, []*mpi.World{w})
 			if err != nil {
 				t.Fatalf("inproc: %v", err)
 			}
@@ -180,22 +181,22 @@ func TestGoldenCrossTransportEquivalence(t *testing.T) {
 				t.Fatalf("degenerate golden baseline: %+v", golden)
 			}
 
-			tcp, _ := replayNet(t, tr, "tcp", cfg, rdma.FaultPlan{})
+			tcp, _ := replayNet(t, tr, "tcp", opts, rdma.FaultPlan{})
 			if tcp != golden {
 				t.Errorf("tcp diverged: got %+v, want %+v", tcp, golden)
 			}
 
-			shm, _ := replayNet(t, tr, "shm", cfg, rdma.FaultPlan{})
+			shm, _ := replayNet(t, tr, "shm", opts, rdma.FaultPlan{})
 			if shm != golden {
 				t.Errorf("shm diverged: got %+v, want %+v", shm, golden)
 			}
 
-			hybrid, _ := replayNet(t, tr, "hybrid", cfg, rdma.FaultPlan{})
+			hybrid, _ := replayNet(t, tr, "hybrid", opts, rdma.FaultPlan{})
 			if hybrid != golden {
 				t.Errorf("hybrid diverged: got %+v, want %+v", hybrid, golden)
 			}
 
-			udp, rel := replayNet(t, tr, "udp", cfg, plan)
+			udp, rel := replayNet(t, tr, "udp", opts, plan)
 			if udp != golden {
 				t.Errorf("udp+faults diverged: got %+v, want %+v", udp, golden)
 			}

@@ -18,19 +18,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes a replay run.
-type Config struct {
-	// Engine selects the matching engine (default EngineHost).
-	Engine mpi.EngineKind
-	// MaxMessageBytes caps traced transfer sizes (default 4096): traces
-	// record element counts that can be large, and replay is about
-	// matching behaviour, not bandwidth.
-	MaxMessageBytes int
-	// Options overrides the world options; Engine above takes precedence.
-	// Options.Obs configures observability (set TraceEvents for event
-	// tracing); the world's sinks land in Result.Sinks either way.
-	Options mpi.Options
-}
+// maxMessageBytes caps traced transfer sizes: traces record element counts
+// that can be large, and replay is about matching behaviour, not bandwidth.
+const maxMessageBytes = 4096
 
 // MatcherConfig is the matcher shape replays run on: 4096 receives over 256
 // bins, 8-wide blocks, every §IV-D optimization on.
@@ -38,19 +28,6 @@ func MatcherConfig() core.Config {
 	return core.Config{
 		Bins: 256, MaxReceives: 4096, BlockSize: 8,
 		EarlyBookingCheck: true,
-	}
-}
-
-func (c *Config) fill() {
-	if c.MaxMessageBytes == 0 {
-		c.MaxMessageBytes = 4096
-	}
-	c.Options.Engine = c.Engine
-	if c.Options.RecvDepth == 0 {
-		c.Options.RecvDepth = 64
-	}
-	if c.Options.Matcher == (core.Config{}) {
-		c.Options.Matcher = MatcherConfig()
 	}
 }
 
@@ -73,32 +50,18 @@ func (r *Result) String() string {
 		r.Ranks, r.Sends, r.Recvs, r.Collectives, r.Elapsed.Round(time.Millisecond))
 }
 
-// Run replays t. Every rank of the trace becomes a goroutine in a world of
-// the same size; traced receives, sends, progress and collective calls map
-// to Irecv, Isend, Waitall and Barrier respectively.
-func Run(t *trace.Trace, cfg Config) (*Result, error) {
-	cfg.fill()
-	n := t.NumRanks()
-	if n == 0 {
-		return nil, fmt.Errorf("replay: empty trace")
-	}
-	w, err := mpi.NewWorld(n, cfg.Options)
-	if err != nil {
-		return nil, err
-	}
-	return RunWorlds(t, cfg, []*mpi.World{w})
-}
-
 // RunWorlds replays t over caller-built worlds of one job and closes them.
-// Only the ranks the worlds host are driven: an in-process world replays
-// the whole trace, a NewNetWorld member replays its one rank while its
-// peers — in this slice or in other processes — replay theirs; the trace
-// must be identical everywhere (the synthetic generators are
-// deterministic, so same app + scale suffices). Counts and statistics cover
-// the hosted ranks only; the Elapsed window is aligned across processes by
-// the trace's own collectives and the final barrier every rank runs.
-func RunWorlds(t *trace.Trace, cfg Config, worlds []*mpi.World) (*Result, error) {
-	cfg.fill()
+// Each hosted rank is a goroutine issuing its traced operations in order:
+// receives, sends, progress and collective calls map to Irecv, Isend,
+// Waitall and Barrier respectively. Only the ranks the worlds host are
+// driven: an in-process world replays the whole trace, a NewNetWorld member
+// replays its one rank while its peers — in this slice or in other
+// processes — replay theirs; the trace must be identical everywhere (the
+// synthetic generators are deterministic, so same app + scale suffices).
+// Counts and statistics cover the hosted ranks only; the Elapsed window is
+// aligned across processes by the trace's own collectives and the final
+// barrier every rank runs.
+func RunWorlds(t *trace.Trace, worlds []*mpi.World) (*Result, error) {
 	defer mpi.CloseWorlds(worlds)
 	n := t.NumRanks()
 	if n == 0 {
@@ -125,7 +88,7 @@ func RunWorlds(t *trace.Trace, cfg Config, worlds []*mpi.World) (*Result, error)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				counts[ri], errs[ri] = replayRank(w.Proc(rank), t.Ranks[ri].Events, cfg)
+				counts[ri], errs[ri] = replayRank(w.Proc(rank), t.Ranks[ri].Events)
 			}()
 		}
 	}
@@ -149,19 +112,12 @@ func RunWorlds(t *trace.Trace, cfg Config, worlds []*mpi.World) (*Result, error)
 }
 
 // replayRank issues one rank's traced operations in order.
-func replayRank(p *mpi.Proc, events []trace.Event, cfg Config) (Result, error) {
+func replayRank(p *mpi.Proc, events []trace.Event) (Result, error) {
 	var counts Result
 	var pending []*mpi.Request
 
 	size := func(count int32) int {
-		s := int(count)
-		if s < 1 {
-			s = 1
-		}
-		if s > cfg.MaxMessageBytes {
-			s = cfg.MaxMessageBytes
-		}
-		return s
+		return min(max(int(count), 1), maxMessageBytes)
 	}
 
 	for _, e := range events {

@@ -4,10 +4,28 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
+
+// replayInProc replays tr over one in-process world of its size built from
+// opts, with the receive depth and matcher shape cmd/replay runs on unless
+// opts sets its own.
+func replayInProc(tr *trace.Trace, opts mpi.Options) (*Result, error) {
+	if opts.RecvDepth == 0 {
+		opts.RecvDepth = 64
+	}
+	if opts.Matcher == (core.Config{}) {
+		opts.Matcher = MatcherConfig()
+	}
+	w, err := mpi.NewWorld(tr.NumRanks(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return RunWorlds(tr, []*mpi.World{w})
+}
 
 func replayApp(t *testing.T, name string, scale int, engine mpi.EngineKind) *Result {
 	t.Helper()
@@ -16,7 +34,7 @@ func replayApp(t *testing.T, name string, scale int, engine mpi.EngineKind) *Res
 		t.Fatalf("unknown app %s", name)
 	}
 	tr := app.Generate(tracegen.Config{Scale: scale})
-	res, err := Run(tr, Config{Engine: engine})
+	res, err := replayInProc(tr, mpi.Options{Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +87,7 @@ func TestReplayUnexpectedHeavy(t *testing.T) {
 	// receives may win the race; the shape — many unexpected — remains.)
 	app, _ := tracegen.ByName("CrystalRouter")
 	tr := app.Generate(tracegen.Config{Scale: 5})
-	res, err := Run(tr, Config{Engine: mpi.EngineOffload})
+	res, err := replayInProc(tr, mpi.Options{Engine: mpi.EngineOffload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +114,11 @@ func TestReplaySweepCompatibleSequences(t *testing.T) {
 }
 
 func TestReplayEmptyTrace(t *testing.T) {
-	if _, err := Run(&trace.Trace{}, Config{}); err == nil {
+	w, err := mpi.NewWorld(1, mpi.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunWorlds(&trace.Trace{}, []*mpi.World{w}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
@@ -106,7 +128,7 @@ func TestReplaySkipsReservedComms(t *testing.T) {
 		{Kind: trace.OpRecv, Peer: 0, Tag: 1, Comm: -5},
 		{Kind: trace.OpSend, Peer: 0, Tag: 1, Comm: -5},
 	}}}}
-	res, err := Run(tr, Config{})
+	res, err := replayInProc(tr, mpi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

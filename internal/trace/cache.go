@@ -73,9 +73,9 @@ func LoadCache(dir string) (t *Trace, ok bool, err error) {
 	return t, true, nil
 }
 
-// anyFormatFile reports whether name belongs to any registered format.
+// anyFormatFile reports whether name belongs to any known format.
 func anyFormatFile(name string) bool {
-	for _, f := range Formats() {
+	for _, f := range formats {
 		if _, ok := f.MatchFile(name); ok {
 			return true
 		}

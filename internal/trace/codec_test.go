@@ -143,7 +143,7 @@ func TestLoadCacheUnknownVersionIsMiss(t *testing.T) {
 func TestCorruptBinaryCacheErrors(t *testing.T) {
 	dir := t.TempDir()
 	writeTraceDir(t, dir)
-	tr, err := ParseDir(dir, "test")
+	tr, err := LoadDir(dir, "test")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // The DUMPI ASCII format (the output of dumpi2ascii, the SST DUMPI trace
@@ -116,64 +112,6 @@ func parseTagValue(raw string) int32 {
 // rankFileRe matches DUMPI per-rank trace files ("…-0007.txt").
 var rankFileRe = regexp.MustCompile(`-(\d+)\.txt$`)
 
-// ParseDir loads every per-rank DUMPI text file in dir, in parallel per
-// rank (§V-A: "the parsing is done in parallel in a per-rank fashion").
-func ParseDir(dir, app string) (*Trace, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	type rankFile struct {
-		rank int32
-		path string
-	}
-	var files []rankFile
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		m := rankFileRe.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		r, _ := strconv.Atoi(m[1])
-		files = append(files, rankFile{rank: int32(r), path: filepath.Join(dir, e.Name())})
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("trace: no DUMPI rank files (*-NNNN.txt) in %s", dir)
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].rank < files[j].rank })
-
-	t := &Trace{App: app, Ranks: make([]RankTrace, len(files))}
-	errs := make([]error, len(files))
-	var wg sync.WaitGroup
-	for i, f := range files {
-		wg.Add(1)
-		go func(i int, f rankFile) {
-			defer wg.Done()
-			fh, err := os.Open(f.path)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer fh.Close()
-			rt, err := ParseDUMPI(fh, f.rank)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			t.Ranks[i] = *rt
-		}(i, f)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
 // WriteDUMPI emits a rank trace in DUMPI ASCII form, round-trippable
 // through ParseDUMPI. Synthetic traces are written this way so the analyzer
 // exercises the same parsing path real NERSC traces would.
@@ -210,30 +148,6 @@ func WriteDUMPI(w io.Writer, rt *RankTrace) error {
 			e.Name, e.Walltime+1e-7)
 	}
 	return bw.Flush()
-}
-
-// WriteDir writes every rank of t as a DUMPI text file in dir, named
-// dumpi-<app>-NNNN.txt.
-func WriteDir(dir string, t *Trace) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i := range t.Ranks {
-		rt := &t.Ranks[i]
-		name := fmt.Sprintf("dumpi-%s-%04d.txt", sanitize(t.App), rt.Rank)
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := WriteDUMPI(f, rt); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func sanitize(s string) string {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -12,9 +13,8 @@ import (
 
 // Format is a per-rank trace file format. The paper's analyzer reads DUMPI
 // text traces but notes that "the design of the application allows to
-// easily add other formats" (§V-A); this interface is that seam. Formats
-// self-register their file-name conventions; LoadDir picks the format by
-// inspecting the directory.
+// easily add other formats" (§V-A); this interface is that seam. LoadDir
+// picks one of the formats by inspecting the directory's file names.
 type Format interface {
 	// Name identifies the format ("dumpi", "jsonl", …).
 	Name() string
@@ -27,41 +27,14 @@ type Format interface {
 	Write(w io.Writer, rt *RankTrace) error
 }
 
-var (
-	formatsMu sync.RWMutex
-	formats   []Format
-)
-
-// RegisterFormat adds a format to the registry. Built-in formats register
-// at init; external packages may add more.
-func RegisterFormat(f Format) {
-	formatsMu.Lock()
-	defer formatsMu.Unlock()
-	formats = append(formats, f)
-}
-
-// Formats returns the registered formats.
-func Formats() []Format {
-	formatsMu.RLock()
-	defer formatsMu.RUnlock()
-	return append([]Format(nil), formats...)
-}
-
-// FormatByName returns a registered format.
-func FormatByName(name string) (Format, bool) {
-	for _, f := range Formats() {
-		if f.Name() == name {
-			return f, true
-		}
-	}
-	return nil, false
-}
+// formats are the trace formats LoadDir detects and WriteDirFormat writes.
+var formats = []Format{dumpiFormat{}, jsonlFormat{}}
 
 // detectFormat finds the format owning the most files in dir.
 func detectFormat(entries []os.DirEntry) Format {
 	best := Format(nil)
 	bestN := 0
-	for _, f := range Formats() {
+	for _, f := range formats {
 		n := 0
 		for _, e := range entries {
 			if e.IsDir() {
@@ -87,7 +60,7 @@ func LoadDir(dir, app string) (*Trace, error) {
 	}
 	f := detectFormat(entries)
 	if f == nil {
-		return nil, fmt.Errorf("trace: no files of any registered format in %s", dir)
+		return nil, fmt.Errorf("trace: no files of any known format in %s", dir)
 	}
 	type rankFile struct {
 		rank int32
@@ -136,10 +109,11 @@ func LoadDir(dir, app string) (*Trace, error) {
 
 // WriteDirFormat writes every rank of t into dir using the named format.
 func WriteDirFormat(dir string, t *Trace, formatName string) error {
-	f, ok := FormatByName(formatName)
-	if !ok {
+	i := slices.IndexFunc(formats, func(f Format) bool { return f.Name() == formatName })
+	if i < 0 {
 		return fmt.Errorf("trace: unknown format %q", formatName)
 	}
+	f := formats[i]
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -193,9 +167,4 @@ func (dumpiFormat) Parse(r io.Reader, rank int32) (*RankTrace, error) {
 
 func (dumpiFormat) Write(w io.Writer, rt *RankTrace) error {
 	return WriteDUMPI(w, rt)
-}
-
-func init() {
-	RegisterFormat(dumpiFormat{})
-	RegisterFormat(jsonlFormat{})
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -20,27 +21,10 @@ func sampleTrace() *Trace {
 	}}
 }
 
-func TestFormatRegistry(t *testing.T) {
-	names := map[string]bool{}
-	for _, f := range Formats() {
-		names[f.Name()] = true
-	}
-	if !names["dumpi"] || !names["jsonl"] {
-		t.Fatalf("registry missing built-ins: %v", names)
-	}
-	if _, ok := FormatByName("dumpi"); !ok {
-		t.Fatal("FormatByName(dumpi) failed")
-	}
-	if _, ok := FormatByName("nope"); ok {
-		t.Fatal("FormatByName invented a format")
-	}
-}
-
 func TestFormatsRoundTripEquivalently(t *testing.T) {
 	orig := sampleTrace()
-	for _, fname := range []string{"dumpi", "jsonl"} {
-		t.Run(fname, func(t *testing.T) {
-			f, _ := FormatByName(fname)
+	for _, f := range formats {
+		t.Run(f.Name(), func(t *testing.T) {
 			for ri := range orig.Ranks {
 				var buf bytes.Buffer
 				if err := f.Write(&buf, &orig.Ranks[ri]); err != nil {
@@ -84,6 +68,12 @@ func TestWriteDirFormatAndAutodetect(t *testing.T) {
 			t.Fatalf("%s: autodetected load got %d ranks / %d events",
 				fname, got.NumRanks(), got.NumEvents())
 		}
+		for ri := range got.Ranks {
+			if got.Ranks[ri].Rank != orig.Ranks[ri].Rank || len(got.Ranks[ri].Events) != len(orig.Ranks[ri].Events) {
+				t.Fatalf("%s: rank %d loaded as rank %d with %d events, want %d",
+					fname, orig.Ranks[ri].Rank, got.Ranks[ri].Rank, len(got.Ranks[ri].Events), len(orig.Ranks[ri].Events))
+			}
+		}
 	}
 	if err := WriteDirFormat(t.TempDir(), orig, "nope"); err == nil {
 		t.Fatal("unknown format accepted")
@@ -91,10 +81,13 @@ func TestWriteDirFormatAndAutodetect(t *testing.T) {
 	if _, err := LoadDir(t.TempDir(), "x"); err == nil {
 		t.Fatal("empty dir accepted")
 	}
+	if _, err := LoadDir(filepath.Join(t.TempDir(), "missing"), "x"); err == nil {
+		t.Fatal("missing dir accepted")
+	}
 }
 
 func TestJSONLRejectsGarbage(t *testing.T) {
-	f, _ := FormatByName("jsonl")
+	f := jsonlFormat{}
 	if _, err := f.Parse(strings.NewReader("{not json\n"), 0); err == nil {
 		t.Fatal("garbage line accepted")
 	}
@@ -109,7 +102,7 @@ func TestJSONLRejectsGarbage(t *testing.T) {
 }
 
 func TestJSONLFileMatch(t *testing.T) {
-	f, _ := FormatByName("jsonl")
+	f := jsonlFormat{}
 	if r, ok := f.MatchFile("jsonl-App-0012.jsonl"); !ok || r != 12 {
 		t.Fatalf("match = %d %v", r, ok)
 	}

@@ -179,35 +179,8 @@ func writeTraceDir(t *testing.T, dir string) {
 			{Kind: OpProgress, Name: "MPI_Wait", Walltime: 1.1},
 		}},
 	}}
-	if err := WriteDir(dir, tr); err != nil {
+	if err := WriteDirFormat(dir, tr, "dumpi"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParseDir(t *testing.T) {
-	dir := t.TempDir()
-	writeTraceDir(t, dir)
-	tr, err := ParseDir(dir, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumRanks() != 2 {
-		t.Fatalf("ranks = %d", tr.NumRanks())
-	}
-	if tr.Ranks[0].Rank != 0 || tr.Ranks[1].Rank != 1 {
-		t.Fatal("rank order wrong")
-	}
-	if len(tr.Ranks[1].Events) != 2 {
-		t.Fatalf("rank 1 events = %d", len(tr.Ranks[1].Events))
-	}
-}
-
-func TestParseDirEmpty(t *testing.T) {
-	if _, err := ParseDir(t.TempDir(), "x"); err == nil {
-		t.Fatal("empty dir accepted")
-	}
-	if _, err := ParseDir("/nonexistent-path-zz", "x"); err == nil {
-		t.Fatal("missing dir accepted")
 	}
 }
 
