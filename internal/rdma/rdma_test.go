@@ -398,6 +398,51 @@ func TestOpTypeString(t *testing.T) {
 	}
 }
 
+// TestCQPollBatch drains ready windows the way a poller does: Ready says
+// whether anything has arrived, and WaitBatch then copies without blocking.
+func TestCQPollBatch(t *testing.T) {
+	q := NewCQ()
+	dst := make([]Completion, 4)
+	if q.Ready() != 0 {
+		t.Fatalf("empty queue has Ready = %d", q.Ready())
+	}
+	for i := 0; i < 6; i++ {
+		q.Push(Completion{WRID: uint64(i)})
+	}
+	if q.Ready() != 6 {
+		t.Fatalf("Ready = %d, want 6", q.Ready())
+	}
+	// A full window, bounded by len(dst).
+	if n, ok := q.WaitBatch(0, dst); !ok || n != 4 {
+		t.Fatalf("WaitBatch(0) = (%d,%v), want 4", n, ok)
+	}
+	for i, c := range dst {
+		if c.WRID != uint64(i) {
+			t.Fatalf("dst[%d].WRID = %d", i, c.WRID)
+		}
+	}
+	// A partial window from an interior index.
+	if n, ok := q.WaitBatch(4, dst); !ok || n != 2 || dst[0].WRID != 4 || dst[1].WRID != 5 {
+		t.Fatalf("WaitBatch(4) = (%d,%v) %v", n, ok, dst[:2])
+	}
+	// Beyond the produced range nothing is ready, and an empty destination
+	// takes nothing.
+	if q.Ready() > 6 {
+		t.Fatalf("Ready = %d claims entry 6 exists", q.Ready())
+	}
+	if n, ok := q.WaitBatch(0, nil); !ok || n != 0 {
+		t.Fatalf("WaitBatch(nil dst) = (%d,%v)", n, ok)
+	}
+	// Trimmed indexes are gone.
+	q.Trim(3)
+	if _, ok := q.WaitBatch(0, dst); ok {
+		t.Fatal("WaitBatch below the trimmed base reported ok")
+	}
+	if n, ok := q.WaitBatch(3, dst); !ok || n != 3 || dst[0].WRID != 3 {
+		t.Fatalf("WaitBatch(3) after trim = (%d,%v) %v", n, ok, dst[:3])
+	}
+}
+
 func TestCQWaitBatch(t *testing.T) {
 	q := NewCQ()
 	got := make(chan []uint64, 1)
@@ -440,26 +485,6 @@ func TestCQWaitBatch(t *testing.T) {
 	dst := make([]Completion, 4)
 	if n, ok := q2.WaitBatch(0, dst); !ok || n != 2 {
 		t.Fatalf("closed-but-nonempty WaitBatch = (%d,%v)", n, ok)
-	}
-
-	// A ready window is bounded by len(dst), starts at any interior index,
-	// and is gone once trimmed.
-	q3 := NewCQ()
-	for i := 0; i < 6; i++ {
-		q3.Push(Completion{WRID: uint64(i)})
-	}
-	if n, ok := q3.WaitBatch(0, dst); !ok || n != 4 || dst[0].WRID != 0 || dst[3].WRID != 3 {
-		t.Fatalf("WaitBatch(0) = (%d,%v) %v, want the first 4", n, ok, dst)
-	}
-	if n, ok := q3.WaitBatch(4, dst); !ok || n != 2 || dst[0].WRID != 4 || dst[1].WRID != 5 {
-		t.Fatalf("WaitBatch(4) = (%d,%v) %v", n, ok, dst[:2])
-	}
-	q3.Trim(3)
-	if _, ok := q3.WaitBatch(0, dst); ok {
-		t.Fatal("WaitBatch below the trimmed base reported ok")
-	}
-	if n, ok := q3.WaitBatch(3, dst); !ok || n != 3 || dst[0].WRID != 3 {
-		t.Fatalf("WaitBatch(3) after trim = (%d,%v) %v", n, ok, dst[:3])
 	}
 }
 

@@ -184,6 +184,33 @@ func writeTraceDir(t *testing.T, dir string) {
 	}
 }
 
+func TestParseDir(t *testing.T) {
+	dir := t.TempDir()
+	writeTraceDir(t, dir)
+	tr, err := LoadDir(dir, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.NumRanks() != 2 {
+		t.Fatalf("ranks = %d", tr.NumRanks())
+	}
+	if tr.Ranks[0].Rank != 0 || tr.Ranks[1].Rank != 1 {
+		t.Fatal("rank order wrong")
+	}
+	if len(tr.Ranks[1].Events) != 2 {
+		t.Fatalf("rank 1 events = %d", len(tr.Ranks[1].Events))
+	}
+}
+
+func TestParseDirEmpty(t *testing.T) {
+	if _, err := LoadDir(t.TempDir(), "x"); err == nil {
+		t.Fatal("empty dir accepted")
+	}
+	if _, err := LoadDir(filepath.Join(t.TempDir(), "missing"), "x"); err == nil {
+		t.Fatal("missing dir accepted")
+	}
+}
+
 func TestCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	writeTraceDir(t, dir)
