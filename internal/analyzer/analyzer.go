@@ -214,11 +214,15 @@ func AnalyzeSerial(t *trace.Trace, cfg Config) (*Report, error) {
 	// One matching-engine instance per rank, indexed by rank id.
 	matchers := make(map[int32]instance, t.NumRanks())
 	for ri := range t.Ranks {
+		id := t.Ranks[ri].Rank
+		if _, dup := matchers[id]; dup {
+			return nil, errRepeatedRank(id)
+		}
 		m, err := newInstance(cfg)
 		if err != nil {
 			return nil, err
 		}
-		matchers[t.Ranks[ri].Rank] = m
+		matchers[id] = m
 	}
 
 	tags := make(map[int32]struct{})

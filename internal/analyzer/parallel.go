@@ -11,14 +11,13 @@ import (
 )
 
 // progressSample is one shard-local OpProgress observation. Samples are
-// kept raw (integers plus the step's time/seq identity) so the merge step
-// can fold them into the Report's floating-point aggregates in exactly the
+// kept raw (integers plus the step's time and rank) so the merge step can
+// fold them into the Report's floating-point aggregates in exactly the
 // global (time, seq) order the serial path uses — float addition is not
 // associative, and byte-identical reports require an identical reduction
 // order, not just an equivalent one.
 type progressSample struct {
 	time       float64
-	seq        int
 	rank       int32
 	posted     int
 	unexpected int
@@ -85,7 +84,6 @@ func runShard(sh *shard, cfg Config, slab *replaySlab) shardResult {
 			empty, total, ok := m.occupancy()
 			res.samples = append(res.samples, progressSample{
 				time:       s.time,
-				seq:        s.seq,
 				rank:       s.rank,
 				posted:     m.posted(),
 				unexpected: m.unexpectedNow(),
@@ -151,11 +149,12 @@ func runPool(n, workers int, task func(worker, i int)) {
 }
 
 // merge folds per-shard results into one Report. Progress samples from all
-// shards are merged into (time, seq) order — the global replay order — and the
-// floating-point aggregates (PostedAvg, EmptyBinPct) are accumulated in
-// that order, so the merged Report is byte-identical to AnalyzeSerial's.
-// Counter merges (depth stats, unexpected totals) are order-independent;
-// the receive statistics are the schedule's.
+// shards are taken in (time, seq) order — the global replay order, which
+// the schedule fixed as sampleShard — and the floating-point aggregates
+// (PostedAvg, EmptyBinPct) are accumulated in that order, so the merged
+// Report is byte-identical to AnalyzeSerial's. Counter merges (depth
+// stats, unexpected totals) are order-independent; the receive statistics
+// are the schedule's.
 func (sc *schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 	for i := range results {
 		if results[i].err != nil {
@@ -166,26 +165,19 @@ func (sc *schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 	rep := &Report{App: sc.app, Procs: sc.procs, Bins: cfg.Bins, Mix: sc.mix,
 		TagsUsed: sc.tagsUsed, UniqueKeys: sc.uniqueKeys, WildcardRecvs: sc.wildcardRecvs}
 
-	nSamples := 0
 	for i := range results {
 		r := &results[i]
 		rep.Depth = rep.Depth.Add(r.depth)
 		rep.Unexpected += r.unexpected
-		nSamples += len(r.samples)
 	}
 	rep.Matched = rep.Depth.Matched
 
-	// Each shard's samples are in its replay order, so their concatenation
-	// is one ascending run per shard: merged, not sorted from scratch.
-	samples := make([]progressSample, 0, nSamples)
-	for i := range results {
-		samples = append(samples, results[i].samples...)
-	}
-	sortRuns(samples, &runScratch[progressSample]{}, sampleLess)
-
 	var postedSamples, emptySamples int
 	var postedSum, emptySum float64
-	for _, s := range samples {
+	next := make([]int, len(results)) // next[i]: shard i's first sample not yet taken
+	for _, si := range sc.sampleShard {
+		s := &results[si].samples[next[si]]
+		next[si]++
 		postedSum += float64(s.posted)
 		if s.posted > rep.PostedMax {
 			rep.PostedMax = s.posted
@@ -266,6 +258,9 @@ func normalizeBins(bins []int) ([]int, error) {
 // engine is checked before any shard runs: the returned reports align
 // with the deduplicated list.
 func (sc *schedule) sweep(bins []int, cfg Config) ([]*Report, error) {
+	if sc.err != nil {
+		return nil, sc.err
+	}
 	bins, err := normalizeBins(bins)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 package analyzer
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -84,6 +86,90 @@ func TestParallelEquivalenceEdgeCases(t *testing.T) {
 	if par.Unexpected != 1 || par.WildcardRecvs != 1 {
 		t.Fatalf("edge semantics: %+v", par)
 	}
+
+	// Rank ids that are not 0..n-1 in order: unsorted, sparse and one far
+	// beyond the rank count, with sends to a negative peer and to an id no
+	// rank has. Their shards are found through the id map.
+	const far = 1 << 30
+	sparse := &trace.Trace{App: "sparse ids", Ranks: []trace.RankTrace{
+		{Rank: 7, Events: []trace.Event{
+			{Kind: trace.OpRecv, Name: "MPI_Irecv", Peer: 3, Tag: 1, Walltime: 0.1},
+			{Kind: trace.OpSend, Name: "MPI_Isend", Peer: far, Tag: 2, Walltime: 0.2},
+			{Kind: trace.OpSend, Name: "MPI_Isend", Peer: -5, Tag: 2, Walltime: 0.3},
+			{Kind: trace.OpProgress, Name: "MPI_Wait", Walltime: 0.9},
+		}},
+		{Rank: 3, Events: []trace.Event{
+			{Kind: trace.OpSend, Name: "MPI_Isend", Peer: 7, Tag: 1, Walltime: 0.2},
+			{Kind: trace.OpSend, Name: "MPI_Isend", Peer: 4, Tag: 1, Walltime: 0.25}, // no rank 4
+			{Kind: trace.OpRecv, Name: "MPI_Irecv", Peer: trace.AnySource, Tag: 3, Walltime: 0.1},
+			{Kind: trace.OpProgress, Name: "MPI_Waitall", Walltime: 0.9},
+		}},
+		{Rank: far, Events: []trace.Event{
+			{Kind: trace.OpRecv, Name: "MPI_Irecv", Peer: 7, Tag: 2, Walltime: 0.1},
+			{Kind: trace.OpSend, Name: "MPI_Isend", Peer: 3, Tag: 3, Walltime: 0.4},
+			{Kind: trace.OpProgress, Name: "MPI_Wait", Walltime: 0.9},
+		}},
+	}}
+	for _, workers := range []int{1, 3} {
+		cfg := Config{Bins: 8, RecordSeries: true, Workers: workers}
+		serial, err := AnalyzeSerial(sparse, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := Analyze(sparse, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualReports(t, fmt.Sprintf("sparse ids, workers=%d", workers), serial, par)
+		if par.Matched != 3 || par.Unexpected != 0 {
+			t.Fatalf("sparse ids, workers=%d: %+v", workers, par)
+		}
+	}
+
+	// Finding rank 1<<30's shard must not cost memory in proportion to
+	// the id.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sc := buildSchedule(sparse, Config{Workers: 1})
+	runtime.ReadMemStats(&after)
+	if sc.err != nil {
+		t.Fatal(sc.err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("scheduling ids up to %d allocated %d bytes", far, got)
+	}
+}
+
+// TestRepeatedRankRejected: a trace that lists rank 1 twice, each stream
+// posting one of the two messages rank 0 sends it, has no single set of
+// matching structures for rank 1. Every analysis path refuses it and names
+// the rank; none reports a result that depends on which stream it kept.
+func TestRepeatedRankRejected(t *testing.T) {
+	recv := func(tag int32) trace.RankTrace {
+		return trace.RankTrace{Rank: 1, Events: []trace.Event{
+			{Kind: trace.OpRecv, Name: "MPI_Irecv", Peer: 0, Tag: tag, Walltime: 0.1}}}
+	}
+	tr := &trace.Trace{App: "repeated", Ranks: []trace.RankTrace{
+		{Rank: 0, Events: []trace.Event{
+			{Kind: trace.OpSend, Name: "MPI_Isend", Peer: 1, Tag: 5, Walltime: 0.5},
+			{Kind: trace.OpSend, Name: "MPI_Isend", Peer: 1, Tag: 6, Walltime: 0.6},
+		}},
+		recv(5), recv(6),
+	}}
+	cfg := Config{Bins: 4}
+	check := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "rank 1 ") {
+			t.Errorf("%s: err = %v, want an error naming rank 1", path, err)
+		}
+	}
+	_, err := AnalyzeSerial(tr, cfg)
+	check("AnalyzeSerial", err)
+	_, err = Analyze(tr, cfg)
+	check("Analyze", err)
+	_, err = Sweep(tr, []int{1, 32}, cfg)
+	check("Sweep", err)
 }
 
 func TestSweepEquivalence(t *testing.T) {

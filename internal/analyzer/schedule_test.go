@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,7 +12,7 @@ import (
 // TestSortRunsMatchesSortFunc: whatever the input — the concatenation of
 // ascending runs buildSchedule produces, a descending stream, noise, ties
 // in time that only seq breaks — sortRuns leaves exactly what a general
-// sort by cmpTimeSeq leaves.
+// sort by (time, seq) leaves.
 func TestSortRunsMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	seq := 0
@@ -54,12 +55,14 @@ func TestSortRunsMatchesSortFunc(t *testing.T) {
 	rng.Shuffle(len(noise), func(i, j int) { noise[i], noise[j] = noise[j], noise[i] })
 	inputs = append(inputs, desc, noise)
 
-	var scratch runScratch[step] // shared: a worker reuses one across shards
+	var scratch runScratch // shared: a worker reuses one across shards
 	for i, in := range inputs {
 		want := slices.Clone(in)
-		slices.SortFunc(want, func(a, b step) int { return cmpTimeSeq(a.time, a.seq, b.time, b.seq) })
+		slices.SortFunc(want, func(a, b step) int {
+			return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.seq, b.seq))
+		})
 		got := slices.Clone(in)
-		sortRuns(got, &scratch, stepLess)
+		sortRuns(got, &scratch)
 		if !slices.Equal(got, want) {
 			t.Fatalf("input %d (%d steps): sortRuns differs from slices.SortFunc", i, len(in))
 		}

@@ -40,47 +40,58 @@ var binMagic = [8]byte{'T', 'R', 'C', 'B', 'I', 'N', 0, 1}
 // a future version, and should be treated as a cache miss, not corruption.
 var ErrNotBinaryCache = errors.New("trace: not a binary cache")
 
-// EncodeBinary writes t in the binary cache format.
+// EncodeBinary writes t in the binary cache format. It makes one pass over
+// the events: the rank blocks are encoded first, interning names as they
+// come, and the name table that precedes them is written once they are
+// done. A run of events with one name (a halo's receives, then its sends)
+// costs one string compare each, and only a change of name looks in the
+// table.
 func EncodeBinary(w io.Writer, t *Trace) error {
 	names := make([]string, 0, 32)
 	nameIdx := make(map[string]uint64, 32)
-	for ri := range t.Ranks {
-		for _, e := range t.Ranks[ri].Events {
-			if _, ok := nameIdx[e.Name]; !ok {
-				nameIdx[e.Name] = uint64(len(names))
-				names = append(names, e.Name)
-			}
-		}
-	}
+	var cur uint64 // index of names[cur], the name of the previous event
 
-	buf := make([]byte, 0, 64+16*t.NumEvents())
-	buf = append(buf, binMagic[:]...)
-	buf = appendLenString(buf, t.App)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, n := range names {
-		buf = appendLenString(buf, n)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(t.Ranks)))
-
+	body := make([]byte, 0, 16*t.NumEvents()+16*len(t.Ranks))
+	body = binary.AppendUvarint(body, uint64(len(t.Ranks)))
 	var block []byte
 	for ri := range t.Ranks {
 		rt := &t.Ranks[ri]
 		block = block[:0]
 		for _, e := range rt.Events {
+			if len(names) == 0 || e.Name != names[cur] {
+				i, ok := nameIdx[e.Name]
+				if !ok {
+					i = uint64(len(names))
+					nameIdx[e.Name] = i
+					names = append(names, e.Name)
+				}
+				cur = i
+			}
 			block = append(block, byte(e.Kind))
-			block = binary.AppendUvarint(block, nameIdx[e.Name])
+			block = binary.AppendUvarint(block, cur)
 			block = binary.AppendVarint(block, int64(e.Peer))
 			block = binary.AppendVarint(block, int64(e.Tag))
 			block = binary.AppendVarint(block, int64(e.Comm))
 			block = binary.AppendVarint(block, int64(e.Count))
 			block = binary.LittleEndian.AppendUint64(block, math.Float64bits(e.Walltime))
 		}
-		buf = binary.AppendVarint(buf, int64(rt.Rank))
-		buf = binary.AppendUvarint(buf, uint64(len(rt.Events)))
-		buf = binary.AppendUvarint(buf, uint64(len(block)))
-		buf = append(buf, block...)
+		body = binary.AppendVarint(body, int64(rt.Rank))
+		body = binary.AppendUvarint(body, uint64(len(rt.Events)))
+		body = binary.AppendUvarint(body, uint64(len(block)))
+		body = append(body, block...)
 	}
-	_, err := w.Write(buf)
+
+	head := make([]byte, 0, 64)
+	head = append(head, binMagic[:]...)
+	head = appendLenString(head, t.App)
+	head = binary.AppendUvarint(head, uint64(len(names)))
+	for _, n := range names {
+		head = appendLenString(head, n)
+	}
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	_, err := w.Write(body)
 	return err
 }
 
@@ -175,11 +186,17 @@ func DecodeBinary(data []byte) (*Trace, error) {
 		data   []byte
 	}
 	blocks := make([]blockRef, nRanks)
+	seen := make(map[int32]bool, nRanks)
 	for i := range blocks {
-		rank, err := r.varint()
+		v, err := r.varint()
 		if err != nil {
 			return nil, err
 		}
+		rank := int32(v)
+		if seen[rank] {
+			return nil, fmt.Errorf("trace: binary cache corrupt: rank %d has two blocks", rank)
+		}
+		seen[rank] = true
 		nEvents, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -192,7 +209,7 @@ func DecodeBinary(data []byte) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Ranks[i].Rank = int32(rank)
+		t.Ranks[i].Rank = rank
 		blocks[i] = blockRef{events: nEvents, data: block}
 	}
 

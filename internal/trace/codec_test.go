@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -83,6 +84,27 @@ func TestDecodeBinaryTruncated(t *testing.T) {
 		tr, err := DecodeBinary(whole[:n])
 		if err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully: %+v", n, tr)
+		}
+	}
+}
+
+// TestDecodeBinaryRejectsRepeatedRank: an image with two blocks for one
+// rank id is corrupt, whether the id is below the rank count, above it or
+// negative. A trace that lists a rank twice has no one rank to analyze.
+func TestDecodeBinaryRejectsRepeatedRank(t *testing.T) {
+	for _, ids := range [][]int32{{1, 1}, {0, 7, 7}, {-2, 3, -2}} {
+		tr := &Trace{App: "dup"}
+		for _, id := range ids {
+			tr.Ranks = append(tr.Ranks, RankTrace{Rank: id, Events: []Event{
+				{Kind: OpRecv, Name: "MPI_Irecv", Peer: 0, Tag: id}}})
+		}
+		var buf bytes.Buffer
+		if err := EncodeBinary(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		_, err := DecodeBinary(buf.Bytes())
+		if err == nil || !strings.Contains(err.Error(), "corrupt") || errors.Is(err, ErrNotBinaryCache) {
+			t.Errorf("ranks %v: err = %v, want a corrupt-cache error", ids, err)
 		}
 	}
 }

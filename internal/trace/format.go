@@ -52,7 +52,8 @@ func detectFormat(entries []os.DirEntry) Format {
 }
 
 // LoadDir parses every per-rank trace file in dir with the auto-detected
-// format, in parallel per rank (§V-A).
+// format, in parallel per rank (§V-A). Two files that name the same rank
+// ("a-1.txt" and "b-0001.txt") are an error naming both.
 func LoadDir(dir, app string) (*Trace, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -76,6 +77,12 @@ func LoadDir(dir, app string) (*Trace, error) {
 		}
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].rank < files[j].rank })
+	for i := 1; i < len(files); i++ {
+		if files[i].rank == files[i-1].rank {
+			return nil, fmt.Errorf("trace: %s and %s both record rank %d",
+				files[i-1].path, files[i].path, files[i].rank)
+		}
+	}
 
 	t := &Trace{App: app, Ranks: make([]RankTrace, len(files))}
 	errs := make([]error, len(files))

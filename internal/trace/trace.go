@@ -114,23 +114,30 @@ func (m CallMix) Total() int {
 // one-sided — the communication calls).
 func (m CallMix) CommTotal() int { return m.P2P + m.Collective + m.OneSided }
 
+// Add counts one call of kind k. It is the one classification of calls
+// into the Figure 6 groups: Mix and the analyzer's schedule both count
+// through it.
+func (m *CallMix) Add(k OpKind) {
+	switch k {
+	case OpSend, OpRecv:
+		m.P2P++
+	case OpProgress:
+		m.Progress++
+	case OpCollective:
+		m.Collective++
+	case OpOneSided:
+		m.OneSided++
+	default:
+		m.Other++
+	}
+}
+
 // Mix computes the call-type distribution of the trace.
 func (t *Trace) Mix() CallMix {
 	var m CallMix
 	for i := range t.Ranks {
 		for _, e := range t.Ranks[i].Events {
-			switch e.Kind {
-			case OpSend, OpRecv:
-				m.P2P++
-			case OpProgress:
-				m.Progress++
-			case OpCollective:
-				m.Collective++
-			case OpOneSided:
-				m.OneSided++
-			default:
-				m.Other++
-			}
+			m.Add(e.Kind)
 		}
 	}
 	return m

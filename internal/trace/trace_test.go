@@ -211,6 +211,29 @@ func TestParseDirEmpty(t *testing.T) {
 	}
 }
 
+// TestLoadDirRejectsRepeatedRank: both names below parse as rank 1, and
+// the error names the two files rather than keeping one of them.
+func TestLoadDirRejectsRepeatedRank(t *testing.T) {
+	dir := t.TempDir()
+	rt := &RankTrace{Rank: 1, Events: []Event{{Kind: OpProgress, Name: "MPI_Wait", Walltime: 1}}}
+	for _, name := range []string{"a-0.txt", "a-1.txt", "b-0001.txt"} {
+		fh, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteDUMPI(fh, rt); err != nil {
+			t.Fatal(err)
+		}
+		if err := fh.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := LoadDir(dir, "dup")
+	if err == nil || !strings.Contains(err.Error(), "a-1.txt") || !strings.Contains(err.Error(), "b-0001.txt") {
+		t.Fatalf("LoadDir of two rank-1 files: err = %v, want one naming a-1.txt and b-0001.txt", err)
+	}
+}
+
 func TestCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	writeTraceDir(t, dir)

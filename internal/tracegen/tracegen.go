@@ -15,6 +15,7 @@ package tracegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -104,6 +105,23 @@ func at(iter int, phase float64, rank, k int) float64 {
 	return float64(iter) + phase + float64(rank)*1e-6 + float64(k)*1e-8
 }
 
+// repeat runs body for iterations 0..n-1. After the first, every rank
+// reserves room for the other n-1 at the first one's size, so its events
+// grow by one allocation rather than a doubling series. An iteration that
+// emits more than the first only appends past the reservation; the trace
+// is the same either way.
+func (e *emitter) repeat(n int, body func(it int)) {
+	for it := 0; it < n; it++ {
+		body(it)
+		if it == 0 {
+			for r := range e.t.Ranks {
+				ev := &e.t.Ranks[r].Events
+				*ev = slices.Grow(*ev, (n-1)*len(*ev))
+			}
+		}
+	}
+}
+
 func (e *emitter) add(rank int, ev trace.Event) {
 	rt := &e.t.Ranks[rank]
 	rt.Events = append(rt.Events, ev)
@@ -189,28 +207,53 @@ func dedupe(self int, cand []int) []int {
 	return out
 }
 
+// haloPlan is the fixed part of an application's halo exchange: its
+// neighbour lists, the direction each sender tags a message with, and each
+// rank's send order. None of it depends on the iteration, so a generator
+// builds one plan per (grid, stencil) and an iteration costs one append per
+// event.
+type haloPlan struct {
+	nbs   [][]int // nbs[r]: r's neighbours, in posting order
+	back  [][]int // back[r][i]: r's index in nbs[nbs[r][i]], the direction that sender uses
+	order [][]int // order[r]: indexes into nbs[r] in r's send order
+}
+
+func newHaloPlan(procs int, neighbors func(int) []int) *haloPlan {
+	p := &haloPlan{nbs: make([][]int, procs), back: make([][]int, procs), order: make([][]int, procs)}
+	for r := range p.nbs {
+		p.nbs[r] = neighbors(r)
+	}
+	for r, nbs := range p.nbs {
+		p.back[r] = make([]int, len(nbs))
+		for i, nb := range nbs {
+			p.back[r][i] = indexOf(p.nbs[nb], r)
+		}
+		p.order[r] = jitterOrder(r, nbs)
+	}
+	return p
+}
+
 // halo emits one pre-posted halo exchange iteration: every rank posts
 // receives from all neighbors, then sends to all neighbors, then waits.
 // A message from A to B carries tag(i) where i is B's index in A's neighbor
-// list; the receiver computes the sender-side index so tags always pair,
+// list; the receiver posts with the sender-side index so tags always pair,
 // letting callers model per-direction tags (spread keys) or a constant tag
 // (compatible sequences).
-func halo(e *emitter, iter int, procs int, neighbors func(int) []int, tag func(dirIdx int) int, comm, count int) {
-	for r := 0; r < procs; r++ {
-		for i, nb := range neighbors(r) {
-			j := indexOf(neighbors(nb), r) // direction the sender will use
-			e.irecv(r, nb, tag(j), comm, count, at(iter, 0.1, r, i))
+func halo(e *emitter, iter int, p *haloPlan, tag func(dirIdx int) int, comm, count int) {
+	for r, nbs := range p.nbs {
+		for i, nb := range nbs {
+			e.irecv(r, nb, tag(p.back[r][i]), comm, count, at(iter, 0.1, r, i))
 		}
 	}
-	for r := 0; r < procs; r++ {
-		for k, i := range jitterOrder(r, neighbors(r)) {
-			e.isend(r, neighbors(r)[i], tag(i), comm, count, at(iter, 0.5, r, k))
+	for r, nbs := range p.nbs {
+		for k, i := range p.order[r] {
+			e.isend(r, nbs[i], tag(i), comm, count, at(iter, 0.5, r, k))
 		}
 	}
 	// Waitalls land while the exchange is still in flight (real codes call
 	// MPI_Waitall right after the last send), so progress-time sampling of
 	// occupancy and posted depth sees live queues.
-	for r := 0; r < procs; r++ {
+	for r := range p.nbs {
 		e.waitall(r, at(iter, 0.51, r, 0))
 	}
 }
@@ -270,12 +313,12 @@ func genAMG(cfg Config) *trace.Trace {
 	const procs = 8
 	g := grid3{2, 2, 2}
 	e := newEmitter("AMG", procs)
-	for it := 0; it < cfg.iters(24); it++ {
+	plan := newHaloPlan(procs, g.faceNeighbors)
+	e.repeat(cfg.iters(24), func(it int) {
 		level := it % 4
-		halo(e, it, procs, g.faceNeighbors,
-			func(i int) int { return 100 + level }, 0, 1024>>level)
+		halo(e, it, plan, func(i int) int { return 100 + level }, 0, 1024>>level)
 		allCollective(e, it, procs, "MPI_Allreduce", 0.95)
-	}
+	})
 	return e.t
 }
 
@@ -285,9 +328,9 @@ func genAMR(cfg Config) *trace.Trace {
 	const procs = 64
 	g := grid3{4, 4, 4}
 	e := newEmitter("AMR MiniApp", procs)
-	for it := 0; it < cfg.iters(10); it++ {
-		halo(e, it, procs, g.faceNeighbors,
-			func(i int) int { return 7 }, 0, 512)
+	plan := newHaloPlan(procs, g.faceNeighbors)
+	e.repeat(cfg.iters(10), func(it int) {
+		halo(e, it, plan, func(i int) int { return 7 }, 0, 512)
 		if it%3 == 2 { // regrid: gather load info at root
 			for r := 1; r < procs; r++ {
 				e.irecv(0, int(trace.AnySource), 99, 0, 8, at(it, 0.92, r, 0))
@@ -298,7 +341,7 @@ func genAMR(cfg Config) *trace.Trace {
 			e.waitall(0, at(it, 0.96, 0, 0))
 			allCollective(e, it, procs, "MPI_Bcast", 0.98)
 		}
-	}
+	})
 	return e.t
 }
 
@@ -307,7 +350,7 @@ func genAMR(cfg Config) *trace.Trace {
 func genBigFFT(cfg Config) *trace.Trace {
 	const procs, side = 1024, 32
 	e := newEmitter("BigFFT", procs)
-	for it := 0; it < cfg.iters(2); it++ {
+	e.repeat(cfg.iters(2), func(it int) {
 		// Row transpose: exchange with every rank in the same row.
 		for r := 0; r < procs; r++ {
 			row := r / side
@@ -356,7 +399,7 @@ func genBigFFT(cfg Config) *trace.Trace {
 		for r := 0; r < procs; r++ {
 			e.waitall(r, at(it, 0.95, r, 0))
 		}
-	}
+	})
 	return e.t
 }
 
@@ -367,14 +410,14 @@ func genBoxLibCNS(cfg Config) *trace.Trace {
 	const procs = 64
 	g := grid3{4, 4, 4}
 	e := newEmitter("BoxLib CNS", procs)
-	for it := 0; it < cfg.iters(12); it++ {
+	plan := newHaloPlan(procs, g.fullNeighbors)
+	e.repeat(cfg.iters(12), func(it int) {
 		// Per-neighbor tags: keys spread across bins.
-		halo(e, it, procs, g.fullNeighbors,
-			func(i int) int { return 300 + i }, 0, 2048)
+		halo(e, it, plan, func(i int) int { return 300 + i }, 0, 2048)
 		if it%5 == 4 {
 			allCollective(e, it, procs, "MPI_Allreduce", 0.97)
 		}
-	}
+	})
 	return e.t
 }
 
@@ -383,15 +426,15 @@ func genBoxLibMG(cfg Config) *trace.Trace {
 	const procs = 64
 	g := grid3{4, 4, 4}
 	e := newEmitter("BoxLib MultiGrid", procs)
+	plan := newHaloPlan(procs, g.faceNeighbors)
 	it := 0
-	for cycle := 0; cycle < cfg.iters(6); cycle++ {
+	e.repeat(cfg.iters(6), func(int) {
 		for _, level := range []int{0, 1, 2, 3, 2, 1, 0} { // V-cycle
-			halo(e, it, procs, g.faceNeighbors,
-				func(i int) int { return 500 + level }, 0, 1024>>level)
+			halo(e, it, plan, func(i int) int { return 500 + level }, 0, 1024>>level)
 			it++
 		}
 		allCollective(e, it-1, procs, "MPI_Allreduce", 0.99)
-	}
+	})
 	return e.t
 }
 
@@ -402,7 +445,7 @@ func genCrystalRouter(cfg Config) *trace.Trace {
 	const procs = 100
 	const burst = 6
 	e := newEmitter("CrystalRouter", procs)
-	for it := 0; it < cfg.iters(8); it++ {
+	e.repeat(cfg.iters(8), func(it int) {
 		for stage := 0; stage < 7; stage++ { // ceil(log2(100)) stages
 			partner := func(r int) int { return r ^ (1 << stage) }
 			// Sends go out first: the receiver posts afterwards, so these
@@ -427,7 +470,7 @@ func genCrystalRouter(cfg Config) *trace.Trace {
 				e.waitall(r, at(it, 0.17+0.1*float64(stage), r, 0))
 			}
 		}
-	}
+	})
 	return e.t
 }
 
@@ -437,10 +480,10 @@ func genFillBoundary(cfg Config) *trace.Trace {
 	const procs = 1000
 	g := grid3{10, 10, 10}
 	e := newEmitter("FillBoundary", procs)
-	for it := 0; it < cfg.iters(3); it++ {
-		halo(e, it, procs, g.fullNeighbors,
-			func(i int) int { return 600 + i%8 }, 0, 1024)
-	}
+	plan := newHaloPlan(procs, g.fullNeighbors)
+	e.repeat(cfg.iters(3), func(it int) {
+		halo(e, it, plan, func(i int) int { return 600 + i%8 }, 0, 1024)
+	})
 	return e.t
 }
 
@@ -449,13 +492,13 @@ func genFillBoundary(cfg Config) *trace.Trace {
 func genHILO(cfg Config) *trace.Trace {
 	const procs = 256
 	e := newEmitter("HILO", procs)
-	for it := 0; it < cfg.iters(40); it++ {
+	e.repeat(cfg.iters(40), func(it int) {
 		allCollective(e, it, procs, "MPI_Allreduce", 0.2)
 		allCollective(e, it, procs, "MPI_Bcast", 0.5)
 		if it%10 == 9 {
 			allCollective(e, it, procs, "MPI_Barrier", 0.9)
 		}
-	}
+	})
 	return e.t
 }
 
@@ -463,10 +506,10 @@ func genHILO(cfg Config) *trace.Trace {
 func genHILO2D(cfg Config) *trace.Trace {
 	const procs = 256
 	e := newEmitter("HILO 2D", procs)
-	for it := 0; it < cfg.iters(40); it++ {
+	e.repeat(cfg.iters(40), func(it int) {
 		allCollective(e, it, procs, "MPI_Allreduce", 0.3)
 		allCollective(e, it, procs, "MPI_Reduce", 0.6)
-	}
+	})
 	return e.t
 }
 
@@ -476,15 +519,15 @@ func genLULESH(cfg Config) *trace.Trace {
 	const procs = 64
 	g := grid3{4, 4, 4}
 	e := newEmitter("LULESH", procs)
+	plan := newHaloPlan(procs, g.fullNeighbors)
 	it := 0
-	for step := 0; step < cfg.iters(6); step++ {
+	e.repeat(cfg.iters(6), func(int) {
 		for phase := 0; phase < 3; phase++ {
-			halo(e, it, procs, g.fullNeighbors,
-				func(i int) int { return 700 + phase }, 0, 4096)
+			halo(e, it, plan, func(i int) int { return 700 + phase }, 0, 4096)
 			it++
 		}
 		allCollective(e, it-1, procs, "MPI_Allreduce", 0.99)
-	}
+	})
 	return e.t
 }
 
@@ -494,12 +537,12 @@ func genMiniFE(cfg Config) *trace.Trace {
 	const procs = 1152
 	g := grid3{8, 12, 12}
 	e := newEmitter("MiniFe", procs)
-	for it := 0; it < cfg.iters(5); it++ {
-		halo(e, it, procs, g.faceNeighbors,
-			func(i int) int { return 800 }, 0, 512)
+	plan := newHaloPlan(procs, g.faceNeighbors)
+	e.repeat(cfg.iters(5), func(it int) {
+		halo(e, it, plan, func(i int) int { return 800 }, 0, 512)
 		allCollective(e, it, procs, "MPI_Allreduce", 0.93)
 		allCollective(e, it, procs, "MPI_Allreduce", 0.96)
-	}
+	})
 	return e.t
 }
 
@@ -509,7 +552,7 @@ func genMOCFE(cfg Config) *trace.Trace {
 	const procs = 64
 	g := grid3{4, 4, 4}
 	e := newEmitter("MOCFE", procs)
-	for it := 0; it < cfg.iters(10); it++ {
+	e.repeat(cfg.iters(10), func(it int) {
 		for angle := 0; angle < 4; angle++ {
 			// Each rank forwards along the sweep direction and receives from
 			// whichever upstream trajectory finishes first.
@@ -526,7 +569,7 @@ func genMOCFE(cfg Config) *trace.Trace {
 			}
 		}
 		allCollective(e, it, procs, "MPI_Allreduce", 0.95)
-	}
+	})
 	return e.t
 }
 
@@ -535,14 +578,14 @@ func genMultiGrid(cfg Config) *trace.Trace {
 	const procs = 1000
 	g := grid3{10, 10, 10}
 	e := newEmitter("MultiGrid", procs)
+	plan := newHaloPlan(procs, g.faceNeighbors)
 	it := 0
-	for cycle := 0; cycle < cfg.iters(3); cycle++ {
+	e.repeat(cfg.iters(3), func(int) {
 		for _, level := range []int{0, 1, 2, 1, 0} {
-			halo(e, it, procs, g.faceNeighbors,
-				func(i int) int { return 110 + level }, 0, 2048>>level)
+			halo(e, it, plan, func(i int) int { return 110 + level }, 0, 2048>>level)
 			it++
 		}
-	}
+	})
 	return e.t
 }
 
@@ -570,11 +613,11 @@ func genNekbone(cfg Config) *trace.Trace {
 		}
 		return out
 	}
-	for it := 0; it < cfg.iters(10); it++ {
-		halo(e, it, procs, neighbors,
-			func(i int) int { return 210 }, 0, 256)
+	plan := newHaloPlan(procs, neighbors)
+	e.repeat(cfg.iters(10), func(it int) {
+		halo(e, it, plan, func(i int) int { return 210 }, 0, 256)
 		allCollective(e, it, procs, "MPI_Allreduce", 0.94)
-	}
+	})
 	return e.t
 }
 
@@ -585,7 +628,7 @@ func sweep(app string, procs, planes, tagBase int, cfg Config) *trace.Trace {
 	e := newEmitter(app, procs)
 	coords := func(r int) (int, int) { return r % nx, r / nx }
 	rank := func(x, y int) int { return x + y*nx }
-	for it := 0; it < cfg.iters(2); it++ {
+	e.repeat(cfg.iters(2), func(it int) {
 		np := cfg.iters(planes)
 		// Downstream receives: a long run of same-(source,tag) receives per
 		// direction, posted up front — a textbook compatible sequence.
@@ -615,7 +658,7 @@ func sweep(app string, procs, planes, tagBase int, cfg Config) *trace.Trace {
 			e.waitall(r, at(it, 0.9, r, 0))
 		}
 		allCollective(e, it, procs, "MPI_Allreduce", 0.95)
-	}
+	})
 	return e.t
 }
 

@@ -268,18 +268,29 @@ func TestGridTopology(t *testing.T) {
 
 // TestGeneratedTracesArePinned holds the generators' output still: the
 // binary cache encoding (what trace.SaveCache writes) of all sixteen
-// applications at scale 5 hashes to the digest it had before dedupe stopped
-// building a map per call. A change that speeds generation up must leave it
-// alone; a change that means to alter a trace replaces it, and says so.
+// applications hashes to the digest it had before the generators shared
+// their work across iterations. Scale 5 is the digest from before dedupe
+// stopped building a map per call. Scale 100 is the benchmark's scale, where
+// a halo plan serves tens of iterations; its digest is what this loop
+// printed at Scale 100 on commit 3d67956, before halo plans. A change that
+// speeds generation up must leave both alone; a change that means to alter
+// a trace replaces them, and says so.
 func TestGeneratedTracesArePinned(t *testing.T) {
-	const want = "cf9bd2092085a4de1e1f8714bbca11d4528ffb3dd40e50fe5acdb9e3eabcc89f"
-	h := sha256.New()
-	for _, a := range Apps() {
-		if err := trace.EncodeBinary(h, a.Generate(Config{Scale: 5})); err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
+	for _, c := range []struct {
+		scale int
+		want  string
+	}{
+		{5, "cf9bd2092085a4de1e1f8714bbca11d4528ffb3dd40e50fe5acdb9e3eabcc89f"},
+		{100, "7f0a6551f6bea8601a0678f96e7069aebaf6b933557ab6e40dbc0e1e39580c1c"},
+	} {
+		h := sha256.New()
+		for _, a := range Apps() {
+			if err := trace.EncodeBinary(h, a.Generate(Config{Scale: c.scale})); err != nil {
+				t.Fatalf("%s: %v", a.Name, err)
+			}
 		}
-	}
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
-		t.Fatalf("generated traces changed: cache bytes hash to %s, want %s", got, want)
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+			t.Errorf("generated traces changed at scale %d: cache bytes hash to %s, want %s", c.scale, got, c.want)
+		}
 	}
 }
