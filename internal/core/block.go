@@ -168,7 +168,7 @@ type launch struct {
 	// the block's assignments in thread order (validate).
 	headAtStart bool
 
-	startNano int64 // launch timestamp (traceLaunch; 0 when tracing is off)
+	startNano int64 // launch timestamp (traceLaunch; 0 when the block is not timed)
 }
 
 // threadStats accumulates per-thread counters, folded into EngineStats at
@@ -206,12 +206,18 @@ func (m *OptimisticMatcher) launchLocked(n int) launch {
 	return l
 }
 
+// blockNsSample: an untraced matcher times into HistBlockNs the blocks
+// whose sequence it divides; a traced one times every block.
+const blockNsSample = 64
+
 // traceLaunch records the launch event of a block of n messages, outside
-// ring.mu, and stamps l with its time.
+// ring.mu, and stamps l with its time if the block is timed.
 func (m *OptimisticMatcher) traceLaunch(l *launch, n int) {
 	if o := m.obs.Load(); o.Enabled() {
 		l.startNano = o.Now()
 		o.EventAt(l.startNano, obs.EvBlockLaunch, 0, l.seq, uint64(n), l.horizon)
+	} else if l.seq%blockNsSample == 0 {
+		l.startNano = o.Now() // 0 with no sink: not timed
 	}
 }
 
@@ -631,6 +637,8 @@ func (m *OptimisticMatcher) retire(l launch, n int, agg *threadStats, swept []in
 		life := uint64(now - l.startNano)
 		o.EventAt(now, obs.EvBlockRetire, 0, l.seq, uint64(n), life)
 		o.Observe(obs.HistBlockNs, life)
+	} else if l.startNano != 0 {
+		o.Observe(obs.HistBlockNs, uint64(o.Now()-l.startNano))
 	}
 
 	r := &m.ring

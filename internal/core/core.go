@@ -631,6 +631,29 @@ func (m *OptimisticMatcher) Occupancy() (empty, total, maxChain int) {
 	return empty, total, maxChain
 }
 
+// Release hands the matcher's buckets, store chains and descriptor chunks
+// to process-wide pools for later matchers. Nothing may post or arrive
+// afterwards; Stats, DepthStats and Occupancy read the tables as empty.
+func (m *OptimisticMatcher) Release() {
+	s := m.unexpected
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range [][]uchain{s.bySrcTag, s.byTag, s.bySrc} {
+		chainArrays.Put(c)
+	}
+	s.bySrcTag, s.byTag, s.bySrc = nil, nil, nil
+	for _, ix := range []*recvIndex{m.idxFull, m.idxSrcWild, m.idxTagWild, m.idxBoth} {
+		ix.used.Store(false)
+		bucketArrays.Put(ix.buckets)
+		ix.buckets = nil
+	}
+	for i := range m.table.chunks {
+		if c := m.table.chunks[i].Swap(nil); c != nil {
+			chunkPool.Put(c)
+		}
+	}
+}
+
 // ModelFootprint computes the paper's memory model for this configuration.
 func (m *OptimisticMatcher) ModelFootprint() Footprint {
 	return Footprint{

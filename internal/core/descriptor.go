@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/match"
@@ -186,6 +187,9 @@ type reclaim struct {
 // chunkSize is the number of descriptor slots materialized at a time.
 const chunkSize = 64
 
+// chunkPool holds the chunks released matchers gave back (Release).
+var chunkPool sync.Pool
+
 // descriptorTable is the descriptor pool (§IV-E: a fixed table of 64-byte
 // descriptors in the DPA memory model, charged whole at construction by
 // ModelFootprint). On the host it materializes in chunkSize-slot chunks as
@@ -274,7 +278,12 @@ func (t *descriptorTable) growLocked() bool {
 	if k == 0 {
 		return false
 	}
-	c := new([chunkSize]descriptor)
+	c, ok := chunkPool.Get().(*[chunkSize]descriptor)
+	if ok {
+		clear(c[:])
+	} else {
+		c = new([chunkSize]descriptor)
+	}
 	for i := k - 1; i >= 0; i-- {
 		c[i].slot = int32(t.made + i)
 		t.free = append(t.free, c[i].slot)

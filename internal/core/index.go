@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/match"
+	"repro/internal/recycle"
 )
 
 // rbucket is one bin of a posted-receive index: a remove lock plus head and
@@ -36,6 +37,9 @@ type recvIndex struct {
 	used atomic.Bool
 }
 
+// bucketArrays holds the bucket arrays released matchers gave back (Release).
+var bucketArrays recycle.ByLen[rbucket]
+
 func newRecvIndex(bins int) *recvIndex {
 	return &recvIndex{nbins: bins}
 }
@@ -50,7 +54,7 @@ func (ix *recvIndex) bucketFor(hash uint64) *rbucket {
 // makes the first insert the only one that allocates.
 func (ix *recvIndex) insert(d *descriptor, hash uint64) {
 	if !ix.used.Load() {
-		ix.buckets = make([]rbucket, ix.nbins)
+		ix.buckets = bucketArrays.Get(ix.nbins)
 		ix.used.Store(true)
 	}
 	b := ix.bucketFor(hash)

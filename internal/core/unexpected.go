@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/match"
+	"repro/internal/recycle"
 )
 
 // unexpectedStore keeps messages that arrived before a matching receive was
@@ -111,6 +112,9 @@ func (c *uchain) remove(e *uentry, li int) {
 	c.n--
 }
 
+// chainArrays holds the chain arrays released matchers gave back (Release).
+var chainArrays recycle.ByLen[uchain]
+
 func newUnexpectedStore(bins int) *unexpectedStore {
 	return &unexpectedStore{bins: bins}
 }
@@ -120,9 +124,9 @@ func newUnexpectedStore(bins int) *unexpectedStore {
 // receives are always pre-posted never pays for them.
 func (s *unexpectedStore) insertLocked(env *match.Envelope) {
 	if s.bySrcTag == nil {
-		s.bySrcTag = make([]uchain, s.bins)
-		s.byTag = make([]uchain, s.bins)
-		s.bySrc = make([]uchain, s.bins)
+		s.bySrcTag = chainArrays.Get(s.bins)
+		s.byTag = chainArrays.Get(s.bins)
+		s.bySrc = chainArrays.Get(s.bins)
 	}
 	e := s.free
 	if e == nil {

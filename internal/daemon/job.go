@@ -69,7 +69,7 @@ func (d *Daemon) runJob(j *job) {
 	d.mu.Lock()
 	if j.canceled {
 		d.mu.Unlock()
-		mpi.CloseWorlds(worlds)
+		mpi.ReleaseWorlds(worlds)
 		d.finishJob(j, nil, mpi.ErrClosed)
 		return
 	}
@@ -78,6 +78,8 @@ func (d *Daemon) runJob(j *job) {
 
 	res, err := runWorlds(&j.spec, loc, worlds)
 	d.finishJob(j, res, err)
+	// The workload has returned, and finishJob took the worlds out of reach.
+	mpi.ReleaseWorlds(worlds)
 }
 
 // finishJob records a successful run's result (res, nil otherwise), merges

@@ -209,5 +209,6 @@ func Run(spec JobSpec, loc Local) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer mpi.ReleaseWorlds(worlds)
 	return runWorlds(&spec, loc, worlds)
 }

@@ -272,7 +272,7 @@ func newOffloadEngine(p *Proc) (*offloadEngine, error) {
 		e.matcher.SetCommHints(comm, info.Hints)
 	}
 	e.pipe = dpa.NewPipeline(acc, matcher, p.recvCQ)
-	e.pipe.Envelopes = &p.w.envPool // share one pool across pipeline and posts
+	e.pipe.Envelopes = p.w.envPool // share one pool across pipeline and posts
 	e.pipe.Decode = e.decode
 	e.pipe.Handle = e.handle
 	// Every completion goes through dispatch on the formation loop. With no

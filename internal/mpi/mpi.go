@@ -185,11 +185,12 @@ type World struct {
 	// recycles the variable-length scratch buffers — eager/frame wire
 	// staging, reliability retransmit copies — through size-classed pools
 	// (slab.go). Together they make the steady-state send and arrival
-	// paths allocation-free.
-	envPool match.EnvelopePool
-	slab    slab
-	// recvs recycles the match.Recv records irecv hands to the engines.
-	recvs sync.Pool
+	// paths allocation-free; recvs recycles irecv's match.Recv records.
+	// Pointers: a pool in the World would pin a closed one until the
+	// second GC (the runtime registers a pool through its address).
+	envPool *match.EnvelopePool
+	slab    *slab
+	recvs   *sync.Pool
 
 	closeOnce sync.Once
 	// isClosed is set and closed is closed at the top of Close, before
@@ -242,8 +243,8 @@ func NewNetWorld(t rdma.Transport, opts Options) (*World, error) {
 // never started and transports no rank was built on included.
 func attach(ts []rdma.Transport, opts Options) (*World, error) {
 	opts.fill()
-	w := &World{opts: opts, n: ts[0].Size(), trans: ts, closed: make(chan struct{})}
-	w.recvs.New = func() any { return new(match.Recv) }
+	w := &World{opts: opts, n: ts[0].Size(), trans: ts, closed: make(chan struct{}),
+		envPool: new(match.EnvelopePool), slab: new(slab), recvs: &sync.Pool{New: func() any { return new(match.Recv) }}}
 	fail := func(err error) (*World, error) {
 		w.Close()
 		return nil, err
@@ -423,6 +424,26 @@ func CloseWorlds(worlds []*World) {
 		}()
 	}
 	wg.Wait()
+}
+
+// ReleaseWorlds closes the worlds and hands their bounce slabs and matching
+// tables to process-wide pools for the next worlds. Precondition: no
+// goroutine will call into these worlds again, workload or statistics
+// reader. Close cannot do this: a canceled workload's send can pass
+// Closed() and still be landing in a bounce buffer while Close runs.
+func ReleaseWorlds(worlds []*World) {
+	CloseWorlds(worlds)
+	for _, w := range worlds {
+		if w == nil {
+			continue
+		}
+		for _, p := range w.procs {
+			p.srq.Release()
+			if m := p.Matcher(); m != nil {
+				m.Release()
+			}
+		}
+	}
 }
 
 // Quiesce closes the worlds and totals their statistics. Close waits for

@@ -10,7 +10,7 @@ type Hist uint8
 
 const (
 	// HistBlockNs is the block lifecycle latency (launch → retire) in
-	// nanoseconds.
+	// nanoseconds, of every block when tracing and of one in 64 otherwise.
 	HistBlockNs Hist = iota
 	// HistDrainBatch is the CQ drain batch size in completions.
 	HistDrainBatch

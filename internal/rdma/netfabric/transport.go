@@ -111,8 +111,9 @@ type transport struct {
 	reads   map[uint64]*pendingRead
 	nextReq uint64
 
-	// framePool recycles encoded frames and payload scratch.
-	framePool sync.Pool
+	// framePool recycles encoded frames and payload scratch. A pointer: a
+	// pool in the struct would pin a closed transport until the second GC.
+	framePool *sync.Pool
 }
 
 type pendingRead struct {
@@ -122,13 +123,14 @@ type pendingRead struct {
 
 func newTransport(cfg Config) *transport {
 	return &transport{
-		rank:  cfg.Rank,
-		n:     cfg.Ranks,
-		sink:  obs.New(cfg.Obs),
-		done:  make(chan struct{}),
-		data:  make([]wire, cfg.Ranks),
-		mrs:   make(map[uint64]*rdma.MemoryRegion),
-		reads: make(map[uint64]*pendingRead),
+		rank:      cfg.Rank,
+		n:         cfg.Ranks,
+		sink:      obs.New(cfg.Obs),
+		done:      make(chan struct{}),
+		data:      make([]wire, cfg.Ranks),
+		mrs:       make(map[uint64]*rdma.MemoryRegion),
+		reads:     make(map[uint64]*pendingRead),
+		framePool: new(sync.Pool),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/recycle"
 )
 
 // recvWR is a posted receive work request: a buffer waiting for a message.
@@ -27,15 +28,20 @@ type RecvQueue struct {
 	ch chan recvWR
 
 	// size is the bounce-buffer size, 0 on a queue its owner posts. made
-	// counts the buffers the queue has made, at most cap(ch); mu serializes
-	// growth.
-	size int
-	mu   sync.Mutex
-	made int
+	// counts the buffers the queue has made, at most cap(ch), and slabs
+	// holds what they were cut from, for Release; mu serializes growth.
+	size  int
+	mu    sync.Mutex
+	made  int
+	slabs [][]byte
 }
 
 // slabBuffers is how many bounce buffers one allocation makes.
 const slabBuffers = 8
+
+// slabPool holds released slabs by byte length: a queue's last slab may be
+// short, and only a slab of exactly the length wanted is handed out.
+var slabPool recycle.ByLen[byte]
 
 // NewRecvQueue returns a pool with the given depth. Posting beyond the
 // depth blocks, which models receiver-not-ready backpressure.
@@ -81,13 +87,29 @@ func (rq *RecvQueue) poll() (wr recvWR, ok bool) {
 	}
 	// Capped slices, so a repost's buf[:cap(buf)] restores exactly one
 	// buffer. The channel has room: fewer than depth buffers exist.
-	size, slab := rq.size, make([]byte, n*rq.size)
+	size, slab := rq.size, slabPool.Get(n*rq.size)
+	if rq.slabs == nil {
+		rq.slabs = make([][]byte, 0, (cap(rq.ch)+slabBuffers-1)/slabBuffers)
+	}
+	rq.slabs = append(rq.slabs, slab)
 	for i := 1; i < n; i++ {
 		rq.ch <- recvWR{buf: slab[i*size : (i+1)*size : (i+1)*size], wrID: uint64(rq.made + i)}
 	}
 	wr = recvWR{buf: slab[:size:size], wrID: uint64(rq.made)}
 	rq.made += n
 	return wr, true
+}
+
+// Release hands the slabs the queue made to a process-wide pool, from
+// which the next bounce queues draw theirs. Neither the queue nor any
+// buffer it handed out may be used afterwards.
+func (rq *RecvQueue) Release() {
+	rq.mu.Lock()
+	defer rq.mu.Unlock()
+	for _, slab := range rq.slabs {
+		slabPool.Put(slab)
+	}
+	rq.slabs = nil
 }
 
 // QP is one endpoint of a connected queue pair. Inbound messages consume

@@ -1,6 +1,9 @@
 package rdma
 
 import (
+	"maps"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -186,4 +189,84 @@ func TestRecvQueueGrowsToDepth(t *testing.T) {
 			t.Fatalf("faults %+v, stocked queue %+v (want equal, with RNRs)", gotSnap, wantSnap)
 		}
 	})
+}
+
+// TestRecvQueueReleaseReuse pins what Release hands on: the next bounce
+// queue of the same buffer size draws the released slabs back, cleared,
+// and still grows to exactly its depth; a short last slab goes only to a
+// queue that wants a slab that short; and a queue that draws released
+// slabs allocates nothing but itself.
+func TestRecvQueueReleaseReuse(t *testing.T) {
+	// One P and no collection: a pool hands a slab back only to a Get on
+	// the P that put it, and only until the second GC.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const depth, size = 20, 16 // two full slabs and a short one
+	hoard := func(rq *RecvQueue, n int) (bufs [][]byte) {
+		for i := 0; i < n; i++ {
+			wr, ok := rq.poll()
+			if !ok || len(wr.buf) != size || cap(wr.buf) != size {
+				t.Fatalf("take %d of %d = (len %d, cap %d, %v), want a %d-byte buffer", i, n, len(wr.buf), cap(wr.buf), ok, size)
+			}
+			bufs = append(bufs, wr.buf)
+		}
+		if _, ok := rq.poll(); ok {
+			t.Fatalf("take %d succeeded on a queue of depth %d", n+1, n)
+		}
+		return bufs
+	}
+	addrs := func(bufs [][]byte) map[*byte]bool {
+		out := map[*byte]bool{}
+		for _, b := range bufs {
+			out[&b[0]] = true
+		}
+		return out
+	}
+
+	first := NewBounceQueue(depth, size)
+	used := hoard(first, depth)
+	for _, b := range used {
+		for i := range b {
+			b[i] = 0xAB // a tenant's bytes
+		}
+	}
+	first.Release()
+
+	second := NewBounceQueue(depth, size)
+	again := hoard(second, depth)
+	for _, b := range again {
+		for _, c := range b {
+			if c != 0 {
+				t.Fatalf("a recycled buffer holds %#x, want it cleared", c)
+			}
+		}
+	}
+	if !raceEnabled && !maps.Equal(addrs(used), addrs(again)) {
+		t.Fatalf("the second queue's %d buffers are not the first one's", depth)
+	}
+	second.Release()
+
+	// Two full slabs, never the short one.
+	full := addrs(hoard(NewBounceQueue(2*slabBuffers, size), 2*slabBuffers))
+	for _, b := range used[2*slabBuffers:] {
+		if full[&b[0]] {
+			t.Fatal("a queue of full slabs drew the short one")
+		}
+	}
+	if !raceEnabled && !maps.Equal(full, addrs(used[:2*slabBuffers])) {
+		t.Fatal("a queue of full slabs did not draw the released full slabs")
+	}
+
+	if raceEnabled {
+		return // the pool drops a quarter of what it is given
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		rq := NewBounceQueue(depth, size)
+		for i := 0; i < depth; i++ {
+			rq.poll()
+		}
+		rq.Release()
+	}); allocs > 4 {
+		t.Fatalf("a bounce queue drawing released slabs allocates %.1f times, want the queue's own 4", allocs)
+	}
 }
