@@ -26,6 +26,15 @@ import (
 	"repro/internal/tracegen"
 )
 
+// newMatcher is core.New for configurations known to be valid.
+func newMatcher(cfg core.Config) *core.OptimisticMatcher {
+	m, err := core.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // benchScale keeps trace-driven benchmarks affordable; the cmd/ tools run
 // the full-scale versions.
 const benchScale = 10
@@ -60,13 +69,14 @@ func BenchmarkFigure6CallMix(b *testing.B) {
 // BenchmarkFigure7QueueDepth regenerates the queue-depth sweep at the
 // paper's headline bin counts and reports the cross-app averages.
 func BenchmarkFigure7QueueDepth(b *testing.B) {
+	bins := []int{1, 32, 128}
 	var red bench.Figure7Reduction
 	for i := 0; i < b.N; i++ {
-		byApp, err := bench.RunFigure7(benchScale, bench.Figure7Bins)
+		byApp, err := bench.RunFigure7(benchScale, bins, analyzer.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		red = bench.Reduce(byApp, bench.Figure7Bins)
+		red = bench.Reduce(byApp, bins)
 	}
 	b.ReportMetric(red.AvgDepth[0], "depth@1bin")
 	b.ReportMetric(red.AvgDepth[1], "depth@32bins")
@@ -100,7 +110,7 @@ func BenchmarkMemoryFootprint(b *testing.B) {
 	cfg := core.Config{Bins: 128, MaxReceives: 8192, BlockSize: 32}
 	var total int
 	for i := 0; i < b.N; i++ {
-		m := core.MustNew(cfg)
+		m := newMatcher(cfg)
 		total = m.ModelFootprint().Total()
 	}
 	b.ReportMetric(float64(total)/1024, "KiB")
@@ -108,7 +118,7 @@ func BenchmarkMemoryFootprint(b *testing.B) {
 
 // matchBench drives a post+arrive cycle through the sequential engine.
 func matchBench(b *testing.B, cfg core.Config, keys int) {
-	m := core.MustNew(cfg)
+	m := newMatcher(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % keys
@@ -142,7 +152,7 @@ func conflictBlock(b *testing.B, mutate func(*core.Config)) {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	m := core.MustNew(cfg)
+	m := newMatcher(cfg)
 	const n = 16
 	envs := make([]*match.Envelope, n)
 	b.ResetTimer()
@@ -194,7 +204,7 @@ func BenchmarkAblationHints(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := core.Config{Bins: 256, MaxReceives: 4096, BlockSize: 1,
 				EarlyBookingCheck: true}
-			m := core.MustNew(cfg)
+			m := newMatcher(cfg)
 			m.SetCommHints(0, c.hints)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -247,7 +257,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			cfg := core.Config{Bins: 256, MaxReceives: 4096, BlockSize: n,
 				EarlyBookingCheck: true}
-			m := core.MustNew(cfg)
+			m := newMatcher(cfg)
 			envs := make([]*match.Envelope, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -118,7 +118,7 @@ func main() {
 		fmt.Print(analyzer.FormatTagUsage(reps))
 
 	case *report == "depth":
-		byApp, err := bench.RunFigure7Config(*scale, bins, cfg)
+		byApp, err := bench.RunFigure7(*scale, bins, cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -139,7 +139,7 @@ func main() {
 		printReduction(red)
 
 	case *report == "summary":
-		byApp, err := bench.RunFigure7Config(*scale, bins, cfg)
+		byApp, err := bench.RunFigure7(*scale, bins, cfg)
 		if err != nil {
 			fatal(err)
 		}

@@ -48,11 +48,6 @@ type Config struct {
 	// (default 4096). Exceeding it aborts the analysis with an error, the
 	// software-fallback condition of §III-B.
 	MaxReceives int
-	// RecordSeries captures a data-point entry at every progress operation
-	// (§V-A: "this compilation of information forms a data-point entry,
-	// encapsulating all progress achieved since the last recorded entry"),
-	// exposed as Report.Series.
-	RecordSeries bool
 	// Workers bounds the replay worker pool (default GOMAXPROCS). Every
 	// width produces byte-identical reports; 1 still uses the sharded path
 	// on a single goroutine — AnalyzeSerial is the unsharded reference.
@@ -123,20 +118,6 @@ type Report struct {
 	// Matched / Unexpected are totals across ranks.
 	Matched    uint64
 	Unexpected uint64
-
-	// Series holds per-progress data points when Config.RecordSeries is
-	// set, in trace-time order.
-	Series []DataPoint
-}
-
-// DataPoint is one §V-A progress-time sample.
-type DataPoint struct {
-	Time       float64 // trace walltime of the progress call
-	Rank       int32   // sampling rank
-	Posted     int     // live posted receives at that rank
-	Unexpected int     // stored unexpected messages at that rank
-	EmptyBins  int     // empty bins across the rank's tables (optimistic/bin)
-	TotalBins  int
 }
 
 // AvgDepth returns the Figure 7 scalar: the mean number of posted-receive
@@ -263,16 +244,6 @@ func AnalyzeSerial(t *trace.Trace, cfg Config) (*Report, error) {
 			if ok && total > 0 {
 				emptySum += 100 * float64(empty) / float64(total)
 				emptySamples++
-			}
-			if cfg.RecordSeries {
-				rep.Series = append(rep.Series, DataPoint{
-					Time:       s.time,
-					Rank:       s.rank,
-					Posted:     d,
-					Unexpected: m.unexpectedNow(),
-					EmptyBins:  empty,
-					TotalBins:  total,
-				})
 			}
 		}
 	}

@@ -61,30 +61,6 @@ func WriteCSV(w io.Writer, rep *Report) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a file written by WriteCSV back into the fields the plot
-// pipeline consumes (app, bins, avg/max depth).
-func ReadCSV(r io.Reader) (app string, bins int, avg float64, max uint64, err error) {
-	records, err := csv.NewReader(r).ReadAll()
-	if err != nil {
-		return "", 0, 0, 0, err
-	}
-	if len(records) != 2 || len(records[1]) != len(csvHeader) {
-		return "", 0, 0, 0, fmt.Errorf("analyzer: malformed stats CSV")
-	}
-	row := records[1]
-	app = row[0]
-	if bins, err = strconv.Atoi(row[2]); err != nil {
-		return "", 0, 0, 0, err
-	}
-	if avg, err = strconv.ParseFloat(row[7], 64); err != nil {
-		return "", 0, 0, 0, err
-	}
-	if max, err = strconv.ParseUint(row[8], 10, 64); err != nil {
-		return "", 0, 0, 0, err
-	}
-	return app, bins, avg, max, nil
-}
-
 // WriteTree writes reports under root in the artifact layout:
 // root/<app>/<bins>/stats.csv.
 func WriteTree(root string, reports []*Report) error {
@@ -106,30 +82,6 @@ func WriteTree(root string, reports []*Report) error {
 		}
 	}
 	return nil
-}
-
-// WriteSeriesCSV emits the §V-A per-progress data points of a report as
-// CSV (one row per progress sample).
-func WriteSeriesCSV(w io.Writer, rep *Report) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time", "rank", "posted", "unexpected", "empty_bins", "total_bins"}); err != nil {
-		return err
-	}
-	for _, p := range rep.Series {
-		row := []string{
-			fmt.Sprintf("%.7f", p.Time),
-			strconv.Itoa(int(p.Rank)),
-			strconv.Itoa(p.Posted),
-			strconv.Itoa(p.Unexpected),
-			strconv.Itoa(p.EmptyBins),
-			strconv.Itoa(p.TotalBins),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 func sanitizeName(s string) string {

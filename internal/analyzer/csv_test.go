@@ -2,11 +2,28 @@ package analyzer
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
+	"strconv"
 	"testing"
 )
+
+// readStatsCSV parses a file written by WriteCSV into its one value row,
+// checking the header.
+func readStatsCSV(t *testing.T, r io.Reader) []string {
+	t.Helper()
+	records, err := csv.NewReader(r).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 2 || !slices.Equal(records[0], csvHeader) || len(records[1]) != len(csvHeader) {
+		t.Fatalf("malformed stats CSV: %q", records)
+	}
+	return records[1]
+}
 
 func TestCSVRoundTrip(t *testing.T) {
 	tr := twoRankTrace([]int32{1, 2, 3})
@@ -18,24 +35,20 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	app, bins, avg, max, err := ReadCSV(&buf)
+	row := readStatsCSV(t, &buf)
+	if app, bins := row[0], row[2]; app != "mini" || bins != "32" {
+		t.Fatalf("round trip meta: %q %s", app, bins)
+	}
+	avg, err := strconv.ParseFloat(row[7], 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if app != "mini" || bins != 32 {
-		t.Fatalf("round trip meta: %q %d", app, bins)
+	max, err := strconv.ParseUint(row[8], 10, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if avg != rep.AvgDepth() || max != rep.MaxDepth() {
 		t.Fatalf("round trip depth: %v/%v vs %v/%v", avg, max, rep.AvgDepth(), rep.MaxDepth())
-	}
-}
-
-func TestReadCSVMalformed(t *testing.T) {
-	if _, _, _, _, err := ReadCSV(strings.NewReader("just,one,line\n")); err == nil {
-		t.Fatal("malformed CSV accepted")
-	}
-	if _, _, _, _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Fatal("empty CSV accepted")
 	}
 }
 
@@ -55,42 +68,10 @@ func TestWriteTreeArtifactLayout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing artifact file: %v", err)
 		}
-		app, b, _, _, err := ReadCSV(f)
+		row := readStatsCSV(t, f)
 		f.Close()
-		if err != nil || app != "mini" || b == 0 {
-			t.Fatalf("artifact file %s unreadable: %v", path, err)
+		if row[0] != "mini" || row[2] != bins {
+			t.Fatalf("artifact file %s holds app %q, bins %s", path, row[0], row[2])
 		}
-	}
-}
-
-func TestRecordSeries(t *testing.T) {
-	tr := twoRankTrace([]int32{1, 2, 3})
-	// Sample mid-stream so the data points carry live state.
-	tr.Ranks[1].Events[3].Walltime = 0.3
-	rep, err := Analyze(tr, Config{Bins: 8, RecordSeries: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Series) == 0 {
-		t.Fatal("no data points recorded")
-	}
-	p := rep.Series[0]
-	if p.Rank != 1 || p.Posted != 3 {
-		t.Fatalf("data point = %+v, want rank 1 with 3 posted", p)
-	}
-	if p.TotalBins == 0 {
-		t.Fatal("occupancy missing from data point")
-	}
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "posted") || len(strings.Split(strings.TrimSpace(buf.String()), "\n")) != 1+len(rep.Series) {
-		t.Fatalf("series CSV malformed:\n%s", buf.String())
-	}
-	// Without the flag, no series is kept.
-	rep2, _ := Analyze(tr, Config{Bins: 8})
-	if len(rep2.Series) != 0 {
-		t.Fatal("series recorded without RecordSeries")
 	}
 }

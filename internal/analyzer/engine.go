@@ -23,8 +23,6 @@ type instance interface {
 	depth() match.Stats
 	// unexpectedTotal returns the cumulative unexpected-message count.
 	unexpectedTotal() uint64
-	// unexpectedNow returns the live unexpected-store depth.
-	unexpectedNow() int
 }
 
 // validEngine reports whether e names a known matching strategy, so sweep
@@ -90,8 +88,6 @@ func (o *optimisticInstance) depth() match.Stats { return o.m.DepthStats() }
 
 func (o *optimisticInstance) unexpectedTotal() uint64 { return o.m.Stats().Unexpected }
 
-func (o *optimisticInstance) unexpectedNow() int { return o.m.UnexpectedDepth() }
-
 // genericInstance wraps any match.Matcher baseline.
 type genericInstance struct {
 	m match.Matcher
@@ -117,5 +113,3 @@ func (g *genericInstance) occupancy() (int, int, bool) {
 func (g *genericInstance) depth() match.Stats { return g.m.Stats() }
 
 func (g *genericInstance) unexpectedTotal() uint64 { return g.m.Stats().Unexpected }
-
-func (g *genericInstance) unexpectedNow() int { return g.m.UnexpectedDepth() }

@@ -11,19 +11,16 @@ import (
 )
 
 // progressSample is one shard-local OpProgress observation. Samples are
-// kept raw (integers plus the step's time and rank) so the merge step can
+// kept raw (integers) so the merge step can
 // fold them into the Report's floating-point aggregates in exactly the
 // global (time, seq) order the serial path uses — float addition is not
 // associative, and byte-identical reports require an identical reduction
 // order, not just an equivalent one.
 type progressSample struct {
-	time       float64
-	rank       int32
-	posted     int
-	unexpected int
-	empty      int
-	total      int
-	occOK      bool
+	posted int
+	empty  int
+	total  int
+	occOK  bool
 }
 
 // shardResult is everything one rank's replay contributes to a Report.
@@ -83,13 +80,10 @@ func runShard(sh *shard, cfg Config, slab *replaySlab) shardResult {
 		case trace.OpProgress:
 			empty, total, ok := m.occupancy()
 			res.samples = append(res.samples, progressSample{
-				time:       s.time,
-				rank:       s.rank,
-				posted:     m.posted(),
-				unexpected: m.unexpectedNow(),
-				empty:      empty,
-				total:      total,
-				occOK:      ok,
+				posted: m.posted(),
+				empty:  empty,
+				total:  total,
+				occOK:  ok,
 			})
 		}
 	}
@@ -186,16 +180,6 @@ func (sc *schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 		if s.occOK && s.total > 0 {
 			emptySum += 100 * float64(s.empty) / float64(s.total)
 			emptySamples++
-		}
-		if cfg.RecordSeries {
-			rep.Series = append(rep.Series, DataPoint{
-				Time:       s.time,
-				Rank:       s.rank,
-				Posted:     s.posted,
-				Unexpected: s.unexpected,
-				EmptyBins:  s.empty,
-				TotalBins:  s.total,
-			})
 		}
 	}
 	if postedSamples > 0 {

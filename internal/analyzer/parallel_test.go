@@ -30,7 +30,7 @@ func TestParallelEquivalenceOnGenerators(t *testing.T) {
 		}
 		tr := app.Generate(tracegen.Config{Scale: 10})
 		for _, eng := range engines {
-			cfg := Config{Engine: eng, Bins: 16, RecordSeries: true}
+			cfg := Config{Engine: eng, Bins: 16}
 			serial, err := AnalyzeSerial(tr, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s serial: %v", name, eng, err)
@@ -73,7 +73,7 @@ func TestParallelEquivalenceEdgeCases(t *testing.T) {
 			{Kind: trace.OpProgress, Name: "MPI_Waitall", Walltime: 0.9},
 		}},
 	}}
-	cfg := Config{Bins: 8, RecordSeries: true, Workers: 4}
+	cfg := Config{Bins: 8, Workers: 4}
 	serial, err := AnalyzeSerial(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestParallelEquivalenceEdgeCases(t *testing.T) {
 		}},
 	}}
 	for _, workers := range []int{1, 3} {
-		cfg := Config{Bins: 8, RecordSeries: true, Workers: workers}
+		cfg := Config{Bins: 8, Workers: workers}
 		serial, err := AnalyzeSerial(sparse, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +176,7 @@ func TestSweepEquivalence(t *testing.T) {
 	app, _ := tracegen.ByName("BoxLib CNS")
 	tr := app.Generate(tracegen.Config{Scale: 10})
 	bins := []int{1, 4, 32, 128}
-	cfg := Config{RecordSeries: true, Workers: 8}
+	cfg := Config{Workers: 8}
 
 	reps, err := Sweep(tr, bins, cfg)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestSweepEquivalence(t *testing.T) {
 func TestScheduleReuse(t *testing.T) {
 	app, _ := tracegen.ByName("AMG")
 	tr := app.Generate(tracegen.Config{Scale: 10})
-	cfg := Config{RecordSeries: true}
+	cfg := Config{}
 	sched := buildSchedule(tr, cfg)
 	if len(sched.shards) != tr.NumRanks() {
 		t.Fatalf("shards = %d, ranks = %d", len(sched.shards), tr.NumRanks())
@@ -296,7 +296,7 @@ func TestSweepConfigs(t *testing.T) {
 	// One schedule swept under every engine: each report must equal a
 	// fresh serial analysis at that engine and bin count.
 	for _, cfg := range []Config{
-		{Engine: EngineOptimistic, Workers: 8, RecordSeries: true},
+		{Engine: EngineOptimistic, Workers: 8},
 		{Engine: EngineList, Workers: 8},
 		{Engine: EngineBin, Workers: 8},
 	} {

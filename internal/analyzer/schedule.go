@@ -14,8 +14,7 @@ import (
 // parallel by destination rank. A schedule is immutable once built and can
 // be replayed many times (Sweep reuses one schedule across the whole
 // 1…256 bin sweep instead of re-deriving and re-sorting the step list per
-// bin count). Bins, Engine, MaxReceives and RecordSeries are free per
-// replay.
+// bin count). Bins, Engine and MaxReceives are free per replay.
 type schedule struct {
 	app   string
 	procs int

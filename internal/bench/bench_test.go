@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/analyzer"
 	"repro/internal/core"
 	"repro/internal/match"
 	"repro/internal/mpi"
@@ -92,14 +93,17 @@ func TestFigure6Driver(t *testing.T) {
 }
 
 func TestFigure7DriverAndReduction(t *testing.T) {
-	byApp, err := RunFigure7(10, Figure7Bins)
+	// The paper's headline bin counts (the artifact's 1…256 sweep is
+	// `traceanalyzer -report depth -bins 1,2,4,8,16,32,64,128,256`).
+	bins := []int{1, 32, 128}
+	byApp, err := RunFigure7(10, bins, analyzer.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(byApp) != 16 {
 		t.Fatalf("apps = %d", len(byApp))
 	}
-	red := Reduce(byApp, Figure7Bins)
+	red := Reduce(byApp, bins)
 	if red.AvgDepth[0] <= red.AvgDepth[1] || red.AvgDepth[1] < red.AvgDepth[2] {
 		t.Fatalf("depth not monotone: %v", red.AvgDepth)
 	}

@@ -8,10 +8,6 @@ import (
 	"repro/internal/tracegen"
 )
 
-// Figure7Bins are the paper's headline bin counts (the artifact's 1…256
-// sweep is `traceanalyzer -report depth -bins 1,2,4,8,16,32,64,128,256`).
-var Figure7Bins = []int{1, 32, 128}
-
 // RunFigure6 generates every Table II application at the given scale and
 // returns one analysis report per app (call-mix populated), in Table II
 // order.
@@ -28,15 +24,10 @@ func RunFigure6(scale int) ([]*analyzer.Report, error) {
 	return out, nil
 }
 
-// RunFigure7 sweeps every application over the given bin counts and
+// RunFigure7 sweeps every application over the given bin counts under cfg
+// (e.g. a baseline matching strategy for cross-engine comparison) and
 // returns reports keyed by application name, aligned with bins.
-func RunFigure7(scale int, bins []int) (map[string][]*analyzer.Report, error) {
-	return RunFigure7Config(scale, bins, analyzer.Config{})
-}
-
-// RunFigure7Config is RunFigure7 with an explicit analyzer configuration
-// (e.g. a baseline matching strategy for cross-engine comparison).
-func RunFigure7Config(scale int, bins []int, cfg analyzer.Config) (map[string][]*analyzer.Report, error) {
+func RunFigure7(scale int, bins []int, cfg analyzer.Config) (map[string][]*analyzer.Report, error) {
 	out := make(map[string][]*analyzer.Report)
 	for _, app := range tracegen.Apps() {
 		tr := app.Generate(tracegen.Config{Scale: scale})

@@ -97,7 +97,8 @@ func DefaultCostModel() CostModel {
 }
 
 // ModeledRate is the outcome of applying the cost model to one measured
-// scenario.
+// scenario. A degenerate model (all stage costs zero) or an empty
+// measurement yields a zero ModeledRate, never Inf/NaN.
 type ModeledRate struct {
 	Label     string
 	NSPerMsg  float64 // bottleneck-stage occupancy per message
@@ -108,12 +109,6 @@ type ModeledRate struct {
 func (m ModeledRate) String() string {
 	return fmt.Sprintf("%-22s %12.0f msg/s  (%.0f ns/msg bottleneck)", m.Label, m.MsgPerSec, m.NSPerMsg)
 }
-
-// Valid reports whether the model produced a usable rate. A degenerate
-// model (all stage costs zero) or an empty measurement yields a zero
-// ModeledRate, never Inf/NaN: callers that serialize rates must check
-// Valid first.
-func (m ModeledRate) Valid() bool { return m.MsgPerSec > 0 }
 
 // wireStage is the fabric occupancy per message. Coalescing replaces N
 // lone messages (N × WireNS) with one frame (WireFrameNS + N ×

@@ -23,8 +23,8 @@ func TestDegenerateModelNeverInf(t *testing.T) {
 		cm.ModelHost("host", depth),
 		cm.ModelRaw("raw", 100),
 	} {
-		if r.Valid() {
-			t.Errorf("%s: degenerate model reported Valid", r.Label)
+		if r.MsgPerSec > 0 {
+			t.Errorf("%s: degenerate model reported a rate", r.Label)
 		}
 		if math.IsInf(r.MsgPerSec, 0) || math.IsNaN(r.MsgPerSec) ||
 			math.IsInf(r.NSPerMsg, 0) || math.IsNaN(r.NSPerMsg) {
@@ -36,7 +36,7 @@ func TestDegenerateModelNeverInf(t *testing.T) {
 	}
 
 	// A healthy model still validates.
-	if r := DefaultCostModel().ModelHost("ok", depth); !r.Valid() {
+	if r := DefaultCostModel().ModelHost("ok", depth); r.MsgPerSec <= 0 {
 		t.Errorf("healthy model reported invalid: %+v", r)
 	}
 }
@@ -101,11 +101,11 @@ func TestHostOffloadParityCoalesced(t *testing.T) {
 
 	cm := DefaultCostModel()
 	cm.BatchWidth = host.BatchWidth
-	if r := cm.ModelHost("host", host.Depth); !r.Valid() {
+	if r := cm.ModelHost("host", host.Depth); r.MsgPerSec <= 0 {
 		t.Errorf("host model invalid on coalesced run: %+v", r)
 	}
 	cm.BatchWidth = off.BatchWidth
-	if r := cm.ModelOffload("offload", off.MatchStats, off.Depth); !r.Valid() {
+	if r := cm.ModelOffload("offload", off.MatchStats, off.Depth); r.MsgPerSec <= 0 {
 		t.Errorf("offload model invalid on coalesced run: %+v", r)
 	}
 }
@@ -116,7 +116,7 @@ func TestHostOffloadParityCoalesced(t *testing.T) {
 func TestModelOffloadDeliveredFallback(t *testing.T) {
 	depth := match.Stats{ArriveSearches: 50, ArriveTraversed: 100, Matched: 50}
 	r := DefaultCostModel().ModelOffload("fallback", core.EngineStats{}, depth)
-	if !r.Valid() {
+	if r.MsgPerSec <= 0 {
 		t.Fatalf("offload model with depth-only stats should be valid, got %+v", r)
 	}
 }

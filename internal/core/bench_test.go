@@ -168,16 +168,3 @@ func BenchmarkParallelBlock(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPeekUnexpected measures the MPI_Iprobe primitive.
-func BenchmarkPeekUnexpected(b *testing.B) {
-	m := benchMatcher(b, 2048, 1)
-	for i := 0; i < 512; i++ {
-		m.Arrive(&match.Envelope{Source: match.Rank(i % 16), Tag: match.Tag(i)})
-	}
-	r := &match.Recv{Source: 3, Tag: 99}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PeekUnexpected(r)
-	}
-}

@@ -271,15 +271,6 @@ func New(cfg Config) (*OptimisticMatcher, error) {
 	return m, nil
 }
 
-// MustNew is New for configurations known to be valid; it panics on error.
-func MustNew(cfg Config) *OptimisticMatcher {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Config returns the matcher's configuration.
 func (m *OptimisticMatcher) Config() Config { return m.cfg }
 
@@ -444,13 +435,6 @@ func (m *OptimisticMatcher) PostRecv(r *match.Recv) (*match.Envelope, bool, erro
 	return nil, false, nil
 }
 
-// PeekUnexpected reports whether a stored unexpected message matches r,
-// without consuming it — the engine-side primitive behind MPI_Probe and
-// MPI_Iprobe. The store is self-locking; arrival blocks are not excluded.
-func (m *OptimisticMatcher) PeekUnexpected(r *match.Recv) (match.Probed, bool) {
-	return m.unexpected.peek(r)
-}
-
 // PostedDepth returns the number of live posted receives: descriptors
 // allocated (frozen by the post lock) less descriptors retired (ring.mu), so
 // it is exact for some instant and within [0, MaxReceives]. A receive
@@ -488,17 +472,6 @@ func (m *OptimisticMatcher) DepthStats() match.Stats {
 		Unexpected:      c.Load(obs.CtrUnexpectedStored),
 		Queued:          c.Load(obs.CtrQueued),
 	}
-}
-
-// ResetDepthStats zeroes the search-depth statistics.
-func (m *OptimisticMatcher) ResetDepthStats() {
-	o := m.Obs()
-	o.Fold()
-	o.Counters.Reset(
-		obs.CtrPostSearches, obs.CtrPostTraversed, obs.CtrPostMaxDepth,
-		obs.CtrArriveSearches, obs.CtrArriveTraversed, obs.CtrArriveMaxDepth,
-		obs.CtrMatched, obs.CtrUnexpectedStored, obs.CtrQueued,
-	)
 }
 
 // EngineStats counts engine-internal events for benchmarks and ablations.
@@ -590,19 +563,6 @@ func (m *OptimisticMatcher) Stats() EngineStats {
 		Steals:      c.Load(obs.CtrSteals),
 		Retires:     c.Load(obs.CtrRetires),
 	}
-}
-
-// ResetStats zeroes the engine statistics.
-func (m *OptimisticMatcher) ResetStats() {
-	o := m.Obs()
-	o.Fold()
-	o.Counters.Reset(
-		obs.CtrBlocks, obs.CtrMessages, obs.CtrOptimistic,
-		obs.CtrConflicts, obs.CtrFastPath, obs.CtrSlowPath,
-		obs.CtrUnexpected, obs.CtrRelaxed, obs.CtrTableFull,
-		obs.CtrLazySweeps, obs.CtrLazyReaped, obs.CtrRevalidated,
-		obs.CtrSteals, obs.CtrRetires,
-	)
 }
 
 // Footprint is the §IV-E DPA memory model of a configuration.

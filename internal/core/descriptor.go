@@ -97,21 +97,15 @@ func (d *descriptor) book(cur uint32, tid int) {
 	}
 }
 
-// consume claims d for thread tid of block seq. A posted descriptor is taken
-// outright. A descriptor provisionally consumed by a HIGHER-sequence block
-// is stolen: the lower block serializes first, so its claim has precedence,
-// and the higher block discovers the theft when it revalidates at
-// retirement. A descriptor held at or below seq is permanently gone from
+// consumeFrom claims d for thread tid of block seq. A posted descriptor is
+// taken outright. A descriptor provisionally consumed by a HIGHER-sequence
+// block is stolen: the lower block serializes first, so its claim has
+// precedence, and the higher block discovers the theft when it revalidates
+// at retirement. A descriptor held at or below seq is permanently gone from
 // this block's point of view. Steals only ever lower the owning sequence, so
-// chains of steals terminate.
-func (d *descriptor) consume(seq uint64, tid int) bool {
-	ok, _ := d.consumeFrom(seq, tid)
-	return ok
-}
-
-// consumeFrom is consume reporting provenance: on success, stolenFrom is
-// the sequence of the higher block the descriptor was taken back from, or
-// 0 when it was plainly posted (no steal).
+// chains of steals terminate. On success, stolenFrom is the sequence of the
+// higher block the descriptor was taken back from, or 0 when it was plainly
+// posted (no steal).
 func (d *descriptor) consumeFrom(seq uint64, tid int) (ok bool, stolenFrom uint64) {
 	for {
 		w := d.word.Load()
@@ -154,9 +148,6 @@ func (d *descriptor) takenFrom(seq uint64) bool {
 func (d *descriptor) ownedBy(seq uint64, tid int) bool {
 	return d.word.Load() == packConsumed(seq, tid)
 }
-
-// isConsumed reports whether the descriptor has been consumed.
-func (d *descriptor) isConsumed() bool { return ownState(d.word.Load()) == stateConsumed }
 
 // markPosted publishes the descriptor as available (PostRecv and tests).
 func (d *descriptor) markPosted() { d.word.Store(statePosted) }
@@ -317,6 +308,3 @@ func (t *descriptorTable) releaseLocked(slots []int32) {
 func (t *descriptorTable) get(i int32) *descriptor {
 	return &t.chunks[uint32(i)/chunkSize].Load()[uint32(i)%chunkSize]
 }
-
-// capacity returns the table size.
-func (t *descriptorTable) capacity() int { return t.n }

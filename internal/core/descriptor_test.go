@@ -11,6 +11,18 @@ import (
 	"repro/internal/match"
 )
 
+// consume is consumeFrom without the provenance.
+func (d *descriptor) consume(seq uint64, tid int) bool {
+	ok, _ := d.consumeFrom(seq, tid)
+	return ok
+}
+
+// isConsumed reports whether the descriptor has been consumed.
+func (d *descriptor) isConsumed() bool { return ownState(d.word.Load()) == stateConsumed }
+
+// capacity returns the table size.
+func (t *descriptorTable) capacity() int { return t.n }
+
 func TestBookingEpochInvalidation(t *testing.T) {
 	var d descriptor
 	d.book(1, 3)

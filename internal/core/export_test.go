@@ -4,7 +4,41 @@ import (
 	"fmt"
 
 	"repro/internal/match"
+	"repro/internal/obs"
 )
+
+// MustNew is New for configurations known to be valid; it panics on error.
+func MustNew(cfg Config) *OptimisticMatcher {
+	m, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// ResetDepthStats zeroes the search-depth statistics.
+func (m *OptimisticMatcher) ResetDepthStats() {
+	o := m.Obs()
+	o.Fold()
+	o.Counters.Reset(
+		obs.CtrPostSearches, obs.CtrPostTraversed, obs.CtrPostMaxDepth,
+		obs.CtrArriveSearches, obs.CtrArriveTraversed, obs.CtrArriveMaxDepth,
+		obs.CtrMatched, obs.CtrUnexpectedStored, obs.CtrQueued,
+	)
+}
+
+// ResetStats zeroes the engine statistics.
+func (m *OptimisticMatcher) ResetStats() {
+	o := m.Obs()
+	o.Fold()
+	o.Counters.Reset(
+		obs.CtrBlocks, obs.CtrMessages, obs.CtrOptimistic,
+		obs.CtrConflicts, obs.CtrFastPath, obs.CtrSlowPath,
+		obs.CtrUnexpected, obs.CtrRelaxed, obs.CtrTableFull,
+		obs.CtrLazySweeps, obs.CtrLazyReaped, obs.CtrRevalidated,
+		obs.CtrSteals, obs.CtrRetires,
+	)
+}
 
 // Sequential adapts an OptimisticMatcher to the match.Matcher interface,
 // processing every arrival as a one-message block. It is what the

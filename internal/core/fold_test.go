@@ -481,7 +481,6 @@ func TestLockOrder(t *testing.T) {
 		{"Sink.Snapshot", func() { m.Obs().Snapshot() }},
 		{"PostedDepth", func() { m.PostedDepth() }},
 		{"UnexpectedDepth", func() { m.UnexpectedDepth() }},
-		{"PeekUnexpected", func() { m.PeekUnexpected(&match.Recv{Source: 2, Tag: 9}) }},
 	} {
 		m.unexpected.mu.Lock()
 		done := make(chan struct{})

@@ -196,39 +196,6 @@ func (s *unexpectedStore) takeMatchLocked(r *match.Recv, c match.WildcardClass, 
 	return nil, depth
 }
 
-// insert stores e in all four structures (self-locking convenience).
-func (s *unexpectedStore) insert(env *match.Envelope) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insertLocked(env)
-}
-
-// takeMatch is the self-locking form of takeMatchLocked.
-func (s *unexpectedStore) takeMatch(r *match.Recv) (*match.Envelope, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := r.Class()
-	return s.takeMatchLocked(r, c, keyHashFor(c, r.Source, r.Tag, r.Comm))
-}
-
-// peek reports the oldest matching message without removing it. The report
-// is copied out under s.mu: a post may take and recycle the envelope next.
-func (s *unexpectedStore) peek(r *match.Recv) (match.Probed, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return match.Probed{}, false
-	}
-	c := r.Class()
-	chain, li := s.chainFor(c, keyHashFor(c, r.Source, r.Tag, r.Comm))
-	for e := chain.head; e != nil; e = e.links[li].next {
-		if r.Matches(e.env) {
-			return e.env.Probed(), true
-		}
-	}
-	return match.Probed{}, false
-}
-
 // removeAll unlinks e from every structure and recycles it: a free entry
 // pins no envelope, no chain and no neighbour. Caller holds s.mu and has
 // read e.env.

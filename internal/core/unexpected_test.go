@@ -7,6 +7,21 @@ import (
 	"repro/internal/match"
 )
 
+// insert stores e in all four structures (self-locking convenience).
+func (s *unexpectedStore) insert(env *match.Envelope) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.insertLocked(env)
+}
+
+// takeMatch is the self-locking form of takeMatchLocked.
+func (s *unexpectedStore) takeMatch(r *match.Recv) (*match.Envelope, uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := r.Class()
+	return s.takeMatchLocked(r, c, keyHashFor(c, r.Source, r.Tag, r.Comm))
+}
+
 func TestUnexpectedQuadrupleIndexing(t *testing.T) {
 	s := newUnexpectedStore(16)
 	s.insert(&match.Envelope{Source: 3, Tag: 9, Seq: 1})
@@ -127,29 +142,6 @@ func TestUnexpectedCommIsolation(t *testing.T) {
 	}
 }
 
-func TestUnexpectedPeek(t *testing.T) {
-	s := newUnexpectedStore(8)
-	s.insert(&match.Envelope{Source: 4, Tag: 2, Seq: 1})
-	// Peek finds without consuming, across classes.
-	for _, r := range []*match.Recv{
-		{Source: 4, Tag: 2},
-		{Source: match.AnySource, Tag: 2},
-		{Source: 4, Tag: match.AnyTag},
-		{Source: match.AnySource, Tag: match.AnyTag},
-	} {
-		got, ok := s.peek(r)
-		if !ok || got != (match.Probed{Source: 4, Tag: 2}) {
-			t.Fatalf("peek class %v failed", r.Class())
-		}
-	}
-	if s.len() != 1 {
-		t.Fatal("peek consumed the message")
-	}
-	if _, ok := s.peek(&match.Recv{Source: 9, Tag: 9}); ok {
-		t.Fatal("peek invented a message")
-	}
-}
-
 // TestUnexpectedBinsOnFirstInsert: searching a store nothing was ever
 // inserted into allocates no bin array, and the first insert builds arrays
 // that index correctly at the smallest and the paper's bin counts.
@@ -157,9 +149,6 @@ func TestUnexpectedBinsOnFirstInsert(t *testing.T) {
 	for _, bins := range []int{1, 2048} {
 		s := newUnexpectedStore(bins)
 		r := &match.Recv{Source: 3, Tag: 9}
-		if _, ok := s.peek(r); ok {
-			t.Fatal("peek on an empty store found a message")
-		}
 		if env, depth := s.takeMatch(r); env != nil || depth != 0 {
 			t.Fatalf("takeMatch on an empty store = %v, depth %d", env, depth)
 		}
@@ -189,9 +178,10 @@ func TestUnexpectedBinsOnFirstInsert(t *testing.T) {
 			{Source: 3, Tag: match.AnyTag, Comm: 1},
 			{Source: match.AnySource, Tag: match.AnyTag, Comm: 1},
 		} {
-			if got, ok := s.peek(r); !ok || got != env.Probed() {
-				t.Fatalf("bins=%d: peek class %v missed the message", bins, r.Class())
+			if got, _ := s.takeMatch(r); got != env {
+				t.Fatalf("bins=%d: class %v missed the message", bins, r.Class())
 			}
+			s.insert(env)
 		}
 		if got, _ := s.takeMatch(&match.Recv{Source: match.AnySource, Tag: 9, Comm: 1}); got != env || s.len() != 0 {
 			t.Fatalf("bins=%d: takeMatch did not remove the message", bins)

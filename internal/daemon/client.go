@@ -83,25 +83,6 @@ func (c *Client) Submit(spec JobSpec) (*JobStatus, error) {
 	return c.job(Request{Op: OpSubmit, Job: &spec})
 }
 
-// Status fetches one job's state.
-func (c *Client) Status(id string) (*JobStatus, error) {
-	return c.job(Request{Op: OpStatus, ID: id})
-}
-
-// Cancel requests a job's cancellation and returns its status.
-func (c *Client) Cancel(id string) (*JobStatus, error) {
-	return c.job(Request{Op: OpCancel, ID: id})
-}
-
-// List fetches every job's status.
-func (c *Client) List() ([]JobStatus, error) {
-	resp, err := c.do(Request{Op: OpList})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Jobs, nil
-}
-
 // Wait blocks until the job reaches a terminal state or the timeout
 // expires (timeout <= 0 waits forever). It is one request: the daemon
 // replies when the job settles.

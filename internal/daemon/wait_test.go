@@ -163,3 +163,65 @@ func TestWaitVerbExits(t *testing.T) {
 		}
 	})
 }
+
+// TestControlStatusCancelList sends the status, list and cancel verbs over
+// the wire, as an outside controller would: no matchd program issues them,
+// but the control protocol accepts them from any client.
+func TestControlStatusCancelList(t *testing.T) {
+	d, addr := startDaemon(t, Budgets{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Status of a submitted job, once it has run.
+	sub, err := c.Submit(JobSpec{ID: "ring", Tenant: "ctl", Engine: "host", Ranks: 2, K: 2, Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(sub.ID, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.job(Request{Op: OpStatus, ID: sub.ID})
+	if err != nil || st.ID != sub.ID || st.Tenant != "ctl" || st.State != "done" {
+		t.Fatalf("status = %+v, %v; want ring done for tenant ctl", st, err)
+	}
+
+	// Cancel of a running job replies with its status at the time, and the
+	// job settles as canceled.
+	settle := holdJob(t, d, "held")
+	st, err = c.job(Request{Op: OpCancel, ID: "held"})
+	if err != nil || st.ID != "held" || st.State != "running" {
+		t.Fatalf("cancel = %+v, %v; want held running", st, err)
+	}
+	settle()
+	if st, err := c.Wait("held", time.Minute); err != nil || st.State != "canceled" {
+		t.Fatalf("canceled job settled as %+v, %v", st, err)
+	}
+
+	// List names every job, in submission order.
+	resp, err := c.do(Request{Op: OpList})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, j := range resp.Jobs {
+		got = append(got, j.ID+"="+j.State)
+	}
+	if want := []string{"ring=done", "held=canceled"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("list = %v, want %v", got, want)
+	}
+
+	// An unknown id gets an error reply, and the connection still serves.
+	for _, op := range []string{OpStatus, OpCancel} {
+		_, err := c.do(Request{Op: op, ID: "nope"})
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != CodeUnknownJob {
+			t.Fatalf("%s of an unknown id: %v, want code %s", op, err, CodeUnknownJob)
+		}
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after an error reply: %v", err)
+	}
+}

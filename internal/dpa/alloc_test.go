@@ -28,7 +28,7 @@ func TestArrivalHotPathAllocs(t *testing.T) {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
 			acc := MustNew(Config{Threads: 8})
 			defer acc.Close()
-			matcher := core.MustNew(core.Config{
+			matcher := newMatcher(core.Config{
 				Bins: 2048, MaxReceives: 8192, BlockSize: 8,
 				EarlyBookingCheck: true,
 			})
@@ -69,12 +69,12 @@ func TestArrivalHotPathAllocs(t *testing.T) {
 					}
 					cq.Push(comp)
 					if pushed%lag == 0 {
-						for p.Messages() < uint64(pushed-lag) {
+						for p.messages.Load() < uint64(pushed-lag) {
 							runtime.Gosched()
 						}
 					}
 				}
-				for p.Messages() < uint64(pushed) {
+				for p.messages.Load() < uint64(pushed) {
 					runtime.Gosched()
 				}
 			}

@@ -31,7 +31,7 @@ func BenchmarkArrivalHotPathTraced(b *testing.B) {
 func benchArrivalHotPath(b *testing.B, opts obs.Options) {
 	acc := MustNew(Config{Threads: 8})
 	defer acc.Close()
-	matcher := core.MustNew(core.Config{
+	matcher := newMatcher(core.Config{
 		Bins: 2048, MaxReceives: 8192, BlockSize: 8,
 		EarlyBookingCheck: true,
 	})
@@ -66,12 +66,12 @@ func benchArrivalHotPath(b *testing.B, opts obs.Options) {
 			cq.Push(comp)
 			pushed++
 			if pushed%lag == 0 {
-				for p.Messages() < uint64(pushed-lag) {
+				for p.messages.Load() < uint64(pushed-lag) {
 					runtime.Gosched()
 				}
 			}
 		}
-		for p.Messages() < uint64(pushed) {
+		for p.messages.Load() < uint64(pushed) {
 			runtime.Gosched()
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkInFlightPipeline(b *testing.B) {
 		b.Run(map[int]string{1: "depth=1", 2: "depth=2", 4: "depth=4", 8: "depth=8"}[depth], func(b *testing.B) {
 			acc := MustNew(Config{Threads: blockN * depth})
 			defer acc.Close()
-			matcher := core.MustNew(core.Config{
+			matcher := newMatcher(core.Config{
 				Bins: 2048, MaxReceives: 8192, BlockSize: blockN,
 				InFlightBlocks:    depth,
 				EarlyBookingCheck: true,
@@ -146,12 +146,12 @@ func BenchmarkInFlightPipeline(b *testing.B) {
 					cq.Push(comp)
 					pushed++
 					if pushed%lag == 0 {
-						for p.Messages() < uint64(pushed-lag) {
+						for p.messages.Load() < uint64(pushed-lag) {
 							runtime.Gosched()
 						}
 					}
 				}
-				for p.Messages() < uint64(pushed) {
+				for p.messages.Load() < uint64(pushed) {
 					runtime.Gosched()
 				}
 			}

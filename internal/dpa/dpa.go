@@ -21,8 +21,6 @@ import (
 
 // BlueField-3 DPA memory hierarchy (§IV-E).
 const (
-	// L2CacheBytes is the BF3 DPA L2 cache size (1.5 MiB).
-	L2CacheBytes = 3 * 512 * 1024
 	// L3CacheBytes is the BF3 DPA L3 cache size (3 MiB).
 	L3CacheBytes = 3 * 1024 * 1024
 	// DefaultThreads matches the paper's prototype (32 DPA threads,
@@ -32,79 +30,10 @@ const (
 	MaxThreads = 256
 )
 
-// ErrOutOfMemory is returned when an arena allocation exceeds capacity; the
-// caller is expected to fall back to host (software) handling, as §IV-E
+// ErrOutOfMemory is returned when a reservation exceeds the NIC memory left;
+// the caller is expected to fall back to host (software) handling, as §IV-E
 // prescribes when the DPA runs out of resources.
 var ErrOutOfMemory = errors.New("dpa: out of NIC memory")
-
-// Arena is the NIC-memory accountant: it budgets the modeled (§IV-E) bytes
-// of matching tables against the device capacity and tracks the peak. The
-// host representation of what it budgets lives wherever its owner keeps it;
-// the arena holds no memory.
-type Arena struct {
-	mu       sync.Mutex
-	capacity int
-	used     int
-	peak     int
-}
-
-// NewArena returns an arena with the given capacity in bytes.
-func NewArena(capacity int) *Arena {
-	return &Arena{capacity: capacity}
-}
-
-// Allocation is a reservation of NIC memory; call Release when done.
-type Allocation struct {
-	size  int
-	arena *Arena
-	freed bool
-}
-
-// Alloc reserves n bytes, or fails with ErrOutOfMemory.
-func (a *Arena) Alloc(n int) (*Allocation, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("dpa: negative allocation %d", n)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.used+n > a.capacity {
-		return nil, ErrOutOfMemory
-	}
-	a.used += n
-	if a.used > a.peak {
-		a.peak = a.used
-	}
-	return &Allocation{size: n, arena: a}, nil
-}
-
-// Release returns the allocation's bytes to the arena. Releasing twice is
-// a no-op.
-func (al *Allocation) Release() {
-	if al.freed || al.arena == nil {
-		return
-	}
-	al.freed = true
-	al.arena.mu.Lock()
-	al.arena.used -= al.size
-	al.arena.mu.Unlock()
-}
-
-// Used returns the bytes currently allocated.
-func (a *Arena) Used() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.used
-}
-
-// Peak returns the high-water mark.
-func (a *Arena) Peak() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.peak
-}
-
-// Capacity returns the configured capacity.
-func (a *Arena) Capacity() int { return a.capacity }
 
 // Accelerator is the simulated DPA: a fixed pool of execution units that
 // run handler activations to completion. The units are started all
@@ -112,7 +41,13 @@ func (a *Arena) Capacity() int { return a.capacity }
 // help (eager traffic, or none) owns no goroutine.
 type Accelerator struct {
 	threads int
-	arena   *Arena
+
+	// The NIC-memory budget: the modeled (§IV-E) bytes of matching tables
+	// reserved so far against the device capacity. It holds no memory; the
+	// host representation of what it budgets lives with its owner.
+	memMu   sync.Mutex
+	memCap  int
+	memUsed int
 
 	work  chan ticket
 	quit  chan struct{} // closed by Close; the workers exit on it
@@ -188,7 +123,7 @@ func New(cfg Config) (*Accelerator, error) {
 	}
 	return &Accelerator{
 		threads: cfg.Threads,
-		arena:   NewArena(cfg.MemoryBytes),
+		memCap:  cfg.MemoryBytes,
 		work:    make(chan ticket, cfg.Threads),
 		quit:    make(chan struct{}),
 	}, nil
@@ -322,8 +257,21 @@ func (a *Accelerator) RunBlock(n int, fn func(tid int)) {
 // Threads returns the execution-unit count.
 func (a *Accelerator) Threads() int { return a.threads }
 
-// Arena returns the device memory arena.
-func (a *Accelerator) Arena() *Arena { return a.arena }
+// Reserve charges n bytes of NIC memory for the accelerator's lifetime, or
+// fails with ErrOutOfMemory when they do not fit. It is safe to call
+// concurrently.
+func (a *Accelerator) Reserve(n int) error {
+	if n < 0 {
+		return fmt.Errorf("dpa: negative reservation %d", n)
+	}
+	a.memMu.Lock()
+	defer a.memMu.Unlock()
+	if a.memUsed+n > a.memCap {
+		return ErrOutOfMemory
+	}
+	a.memUsed += n
+	return nil
+}
 
 // Activations returns the number of handler activations executed: one per
 // message handled, counted when its block finishes.

@@ -1,6 +1,7 @@
 package dpa
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
@@ -13,36 +14,51 @@ import (
 	"repro/internal/rdma"
 )
 
+// newMatcher is core.New for configurations known to be valid.
+func newMatcher(cfg core.Config) *core.OptimisticMatcher {
+	m, err := core.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// TestArenaAccounting drives the NIC-memory budget: reservations fit up to
+// the capacity, the next byte is ErrOutOfMemory, and concurrent reservers
+// never overcommit it.
 func TestArenaAccounting(t *testing.T) {
-	a := NewArena(1024)
-	al1, err := a.Alloc(512)
-	if err != nil {
-		t.Fatal(err)
+	a := MustNew(Config{Threads: 1, MemoryBytes: 1024})
+	defer a.Close()
+	for _, n := range []int{512, 512, 0} {
+		if err := a.Reserve(n); err != nil {
+			t.Fatalf("reserve %d: %v", n, err)
+		}
 	}
-	al2, err := a.Alloc(512)
-	if err != nil {
-		t.Fatal(err)
+	if err := a.Reserve(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("over-capacity reserve: %v", err)
 	}
-	if _, err := a.Alloc(1); err != ErrOutOfMemory {
-		t.Fatalf("over-capacity alloc: %v", err)
+	if err := a.Reserve(-1); err == nil || errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("negative reserve: %v", err)
 	}
-	if a.Used() != 1024 || a.Peak() != 1024 {
-		t.Fatalf("used=%d peak=%d", a.Used(), a.Peak())
+
+	b := MustNew(Config{Threads: 1, MemoryBytes: 100})
+	defer b.Close()
+	var wg sync.WaitGroup
+	var granted atomic.Int64
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				if b.Reserve(3) == nil {
+					granted.Add(3)
+				}
+			}
+		}()
 	}
-	al1.Release()
-	al1.Release() // double release is a no-op
-	if a.Used() != 512 {
-		t.Fatalf("used after release = %d", a.Used())
-	}
-	if a.Peak() != 1024 {
-		t.Fatalf("peak must persist, got %d", a.Peak())
-	}
-	al2.Release()
-	if a.Capacity() != 1024 {
-		t.Fatalf("capacity = %d", a.Capacity())
-	}
-	if _, err := a.Alloc(-1); err == nil {
-		t.Fatal("negative alloc accepted")
+	wg.Wait()
+	if got := granted.Load(); got != 99 {
+		t.Fatalf("concurrent reservers were granted %d B of 100, want 99", got)
 	}
 }
 
@@ -82,7 +98,7 @@ func TestConflictedBlockOnOneThread(t *testing.T) {
 		t.Helper()
 		acc := MustNew(Config{Threads: threads})
 		defer acc.Close()
-		matcher := core.MustNew(cfg)
+		matcher := newMatcher(cfg)
 		cq := rdma.NewCQ()
 		p := NewPipeline(acc, matcher, cq)
 		p.Decode = func(c rdma.Completion, env *match.Envelope) *match.Envelope {
@@ -117,7 +133,7 @@ func TestConflictedBlockOnOneThread(t *testing.T) {
 			want[seq] = r.Label
 		}
 		p.Start()
-		for p.Messages() < uint64(msgs) {
+		for p.messages.Load() < uint64(msgs) {
 			runtime.Gosched()
 		}
 		p.Stop()
@@ -168,7 +184,7 @@ func TestRendezvousHandlersOverlap(t *testing.T) {
 	const n = 4
 	acc := MustNew(Config{Threads: n})
 	defer acc.Close()
-	matcher := core.MustNew(core.Config{Bins: 64, MaxReceives: 64, BlockSize: n})
+	matcher := newMatcher(core.Config{Bins: 64, MaxReceives: 64, BlockSize: n})
 	cq := rdma.NewCQ()
 	p := NewPipeline(acc, matcher, cq)
 	p.Decode = func(c rdma.Completion, env *match.Envelope) *match.Envelope {
@@ -194,7 +210,7 @@ func TestRendezvousHandlersOverlap(t *testing.T) {
 		cq.Push(rdma.Completion{Op: rdma.OpRecv, WRID: uint64(i)})
 	}
 	p.Start()
-	for p.Messages() < n {
+	for p.messages.Load() < n {
 		runtime.Gosched()
 	}
 	p.Stop()
@@ -215,8 +231,8 @@ func TestAcceleratorConfigValidation(t *testing.T) {
 	if a.Threads() != DefaultThreads {
 		t.Fatalf("default threads = %d", a.Threads())
 	}
-	if a.Arena().Capacity() != L3CacheBytes {
-		t.Fatalf("default memory = %d", a.Arena().Capacity())
+	if a.memCap != L3CacheBytes {
+		t.Fatalf("default memory = %d", a.memCap)
 	}
 	a.Close() // double close is safe
 }
@@ -327,7 +343,7 @@ func TestRunBlockNoSurplusTicket(t *testing.T) {
 func TestPipelineEndToEnd(t *testing.T) {
 	acc := MustNew(Config{Threads: 8})
 	defer acc.Close()
-	matcher := core.MustNew(core.Config{
+	matcher := newMatcher(core.Config{
 		Bins: 64, MaxReceives: 256, BlockSize: 8,
 		EarlyBookingCheck: true,
 	})
@@ -363,12 +379,12 @@ func TestPipelineEndToEnd(t *testing.T) {
 		cq.Push(rdma.Completion{Op: rdma.OpRecv, Imm: uint32(src<<16 | 5)})
 	}
 	// Wait until all eight messages are processed, then stop.
-	for p.Messages() < 8 {
+	for p.messages.Load() < 8 {
 	}
 	p.Stop()
 
-	if p.Blocks() == 0 || p.Messages() != 8 {
-		t.Fatalf("blocks=%d messages=%d", p.Blocks(), p.Messages())
+	if got := p.messages.Load(); got != 8 {
+		t.Fatalf("messages = %d, want 8", got)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -391,7 +407,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestPipelineRequiresCallbacks(t *testing.T) {
 	acc := MustNew(Config{Threads: 2})
 	defer acc.Close()
-	matcher := core.MustNew(core.Config{Bins: 4, MaxReceives: 4, BlockSize: 2})
+	matcher := newMatcher(core.Config{Bins: 4, MaxReceives: 4, BlockSize: 2})
 	p := NewPipeline(acc, matcher, rdma.NewCQ())
 	defer func() {
 		if recover() == nil {
@@ -403,12 +419,12 @@ func TestPipelineRequiresCallbacks(t *testing.T) {
 
 // TestPipelineStopDrainRace races Stop against a producer that keeps
 // pushing completions. The pipeline must neither deadlock nor lose
-// already-drained messages, and Messages() must be stable once Stop
+// already-drained messages, and the message count must be stable once Stop
 // returns. Run under -race in CI.
 func TestPipelineStopDrainRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		acc := MustNew(Config{Threads: 4})
-		matcher := core.MustNew(core.Config{
+		matcher := newMatcher(core.Config{
 			Bins: 64, MaxReceives: 4096, BlockSize: 4,
 		})
 		cq := rdma.NewCQ()
@@ -443,9 +459,9 @@ func TestPipelineStopDrainRace(t *testing.T) {
 		p.Stop()
 		wg.Wait()
 
-		got := p.Messages()
+		got := p.messages.Load()
 		if got != handled.Load() {
-			t.Fatalf("iter %d: Messages()=%d but Handle ran %d times", iter, got, handled.Load())
+			t.Fatalf("iter %d: messages=%d but Handle ran %d times", iter, got, handled.Load())
 		}
 		if got > pushed.Load() {
 			t.Fatalf("iter %d: processed %d of %d pushed", iter, got, pushed.Load())

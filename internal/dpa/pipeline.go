@@ -49,12 +49,8 @@ type Pipeline struct {
 	// executor as the block retires. res.Env must not be kept past Handle
 	// when the result is matched: the window resets it for its next block.
 	Handle func(tid int, res core.Result, c rdma.Completion)
-	// Classify, when set, reports whether a completion carries a message
-	// that needs matching. Completions classified false (protocol control
-	// traffic such as rendezvous acknowledgements) are passed to Control
-	// instead of entering a matching block.
-	Classify func(c rdma.Completion) bool
-	// Control handles non-matching completions; required when Classify is set.
+	// Control, when set, handles error completions, which never enter a
+	// matching block; they are discarded otherwise.
 	Control func(c rdma.Completion)
 	// Expand, when set, unbatches one match-bound completion into the
 	// burst of completions it carries (a coalesced multi-message frame
@@ -81,8 +77,7 @@ type Pipeline struct {
 	done     chan struct{}
 	wg       sync.WaitGroup
 
-	blocks   atomic.Uint64
-	messages atomic.Uint64
+	messages atomic.Uint64 // messages handled, counted once their block retires
 }
 
 // NewPipeline wires a pipeline; call Start to begin draining.
@@ -98,9 +93,6 @@ func NewPipeline(acc *Accelerator, m *core.OptimisticMatcher, cq *rdma.CQ) *Pipe
 func (p *Pipeline) Start() {
 	if p.Decode == nil || p.Handle == nil {
 		panic("dpa: Pipeline requires Decode and Handle")
-	}
-	if p.Classify != nil && p.Control == nil {
-		panic("dpa: Pipeline with Classify requires Control")
 	}
 	cfg := p.matcher.Config()
 	n := 1
@@ -123,12 +115,6 @@ func (p *Pipeline) Stop() {
 	p.cq.Close()
 	p.wg.Wait()
 }
-
-// Blocks returns the number of matching blocks processed.
-func (p *Pipeline) Blocks() uint64 { return p.blocks.Load() }
-
-// Messages returns the number of messages processed.
-func (p *Pipeline) Messages() uint64 { return p.messages.Load() }
 
 // window is one slot of the formation buffer: one block's worth of
 // match-bound completions, the envelopes they are decoded into, and the
@@ -202,7 +188,6 @@ func (r *blockRunner) run(w *window) {
 	w.blk.Finish()
 	// Count messages only after retirement: by then every deferred Handle
 	// has run, so observers that see the count see the handling too.
-	p.blocks.Add(1)
 	p.messages.Add(uint64(n))
 	w.blk = nil
 	r.w = nil
@@ -257,7 +242,6 @@ func (p *Pipeline) runOne(w *window, c rdma.Completion) {
 	p.Handle(0, res, c)
 	w.settle(0, res)
 	p.acc.activations.Add(1)
-	p.blocks.Add(1)
 	p.messages.Add(1)
 }
 
@@ -331,21 +315,15 @@ func (p *Pipeline) run() {
 		}
 		gathered := scratch[:n]
 
-		// Control traffic (e.g. rendezvous ACKs) bypasses matching; it is
-		// handled here on the formation loop, overlapping in-flight blocks'
-		// handlers. Error completions (transport faults such as
-		// rdma.ErrBufferSize) never enter a matching block: they go to
-		// Control when one is installed and are discarded otherwise.
+		// Error completions (transport faults such as rdma.ErrBufferSize)
+		// never enter a matching block: they go to Control, here on the
+		// formation loop, when one is installed and are discarded otherwise.
 		formed = formed[:0]
 		for _, c := range gathered {
 			if c.Err != nil {
 				if p.Control != nil {
 					p.Control(c)
 				}
-				continue
-			}
-			if p.Classify != nil && !p.Classify(c) {
-				p.Control(c)
 				continue
 			}
 			if p.Expand != nil {

@@ -2,19 +2,37 @@ package dpa
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// settleGoroutines waits up to two seconds for the goroutine count to come
-// back to want, and reports the count it settled at.
-func settleGoroutines(want int) int {
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+// workers counts the live goroutines an accelerator started for its
+// workers, started running or not. It counts them by their creator rather
+// than by runtime.NumGoroutine, which also counts whatever an earlier test
+// started and is still winding down.
+func workers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by repro/internal/dpa.(*Accelerator).startWorkers")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
-	return runtime.NumGoroutine()
+}
+
+// settleWorkers waits up to two seconds for the worker count to come back
+// to want, and reports the count it settled at.
+func settleWorkers(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	n := workers()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = workers()
+	}
+	return n
 }
 
 // TestAcceleratorStartsWorkersOnFirstWake pins the accelerator's
@@ -24,26 +42,26 @@ func settleGoroutines(want int) int {
 // wins.
 func TestAcceleratorStartsWorkersOnFirstWake(t *testing.T) {
 	const threads = 8
-	base := runtime.NumGoroutine()
+	base := settleWorkers(0) // an earlier test's closed accelerators wind down
 	acc := MustNew(Config{Threads: threads})
-	if n := runtime.NumGoroutine(); n != base {
+	if n := workers(); n != base {
 		t.Fatalf("New started %d goroutines", n-base)
 	}
 	acc.RunBlock(1, func(int) {}) // a lone item has nobody to chain to
-	if n := runtime.NumGoroutine(); n != base {
+	if n := workers(); n != base {
 		t.Fatalf("a block of one started %d goroutines", n-base)
 	}
 	acc.RunBlock(2, func(int) {}) // claiming item 0 chains a wake for item 1
-	if n := runtime.NumGoroutine(); n != base+threads {
+	if n := workers(); n != base+threads {
 		t.Fatalf("first chained block: %d goroutines started, want %d", n-base, threads)
 	}
 	acc.RunBlock(threads, func(int) {})
-	if n := runtime.NumGoroutine(); n != base+threads {
+	if n := workers(); n != base+threads {
 		t.Fatalf("a later block: %d goroutines running, want %d", n-base, threads)
 	}
 	acc.Close()
-	if n := settleGoroutines(base); n != base {
-		t.Fatalf("Close left %d goroutines", n-base)
+	if n := settleWorkers(base); n != base {
+		t.Fatalf("Close left %d workers", n-base)
 	}
 
 	for round := 0; round < 200; round++ {
@@ -60,8 +78,8 @@ func TestAcceleratorStartsWorkersOnFirstWake(t *testing.T) {
 		}()
 		wg.Wait()
 	}
-	if n := settleGoroutines(base); n != base {
+	if n := settleWorkers(base); n != base {
 		buf := make([]byte, 1<<16)
-		t.Fatalf("Close racing a first wake leaked %d goroutines\n%s", n-base, buf[:runtime.Stack(buf, true)])
+		t.Fatalf("Close racing a first wake leaked %d workers\n%s", n-base, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -32,7 +32,7 @@ func TestPipelineRunnerCensus(t *testing.T) {
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
 			acc := MustNew(Config{Threads: 8})
 			defer acc.Close()
-			matcher := core.MustNew(core.Config{Bins: 64, MaxReceives: 4096, BlockSize: 8,
+			matcher := newMatcher(core.Config{Bins: 64, MaxReceives: 4096, BlockSize: 8,
 				InFlightBlocks: depth, EarlyBookingCheck: true})
 			cq := rdma.NewCQ()
 			p := NewPipeline(acc, matcher, cq)
@@ -75,7 +75,7 @@ func TestPipelineRunnerCensus(t *testing.T) {
 				for i := 0; i < width; i++ {
 					cq.Push(rdma.Completion{Op: rdma.OpRecv, Imm: uint32(i + 1)})
 				}
-				for p.Messages() < uint64((b+1)*width) {
+				for p.messages.Load() < uint64((b+1)*width) {
 					runtime.Gosched()
 				}
 			}
@@ -113,7 +113,7 @@ func TestWindowEnvelopesEscape(t *testing.T) {
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
 			acc := MustNew(Config{Threads: 8})
 			defer acc.Close()
-			matcher := core.MustNew(core.Config{Bins: 64, MaxReceives: 4096, BlockSize: 8,
+			matcher := newMatcher(core.Config{Bins: 64, MaxReceives: 4096, BlockSize: 8,
 				InFlightBlocks: depth, EarlyBookingCheck: true})
 			matcher.SetUnexpectedHook((*match.Envelope).Stabilize)
 			cq := rdma.NewCQ()
@@ -172,7 +172,7 @@ func TestWindowEnvelopesEscape(t *testing.T) {
 					cq.Push(rdma.Completion{Op: rdma.OpRecv, Imm: tag, Data: payload(tag)})
 				}
 				sent += width
-				for p.Messages() < uint64(sent) {
+				for p.messages.Load() < uint64(sent) {
 					runtime.Gosched()
 				}
 				// Every block of the burst has retired and counted: the

@@ -58,9 +58,6 @@ func NewAdaptiveMatcher(cfg AdaptiveConfig) *AdaptiveMatcher {
 	}
 }
 
-// Migrated reports whether the matcher has switched to the binned design.
-func (m *AdaptiveMatcher) Migrated() bool { return m.migrated }
-
 // maybeMigrate checks the policy after each operation. The decision uses
 // the mean search depth over the last sampling window only — the delta of
 // (traversed, searches) since the previous check — matching Bayatpour's

@@ -159,17 +159,6 @@ func (m *ListMatcher) Arrive(e *Envelope) (*Recv, bool) {
 	return nil, false
 }
 
-// PeekUnexpected reports whether a stored unexpected message matches r
-// without consuming it (the MPI_Probe primitive).
-func (m *ListMatcher) PeekUnexpected(r *Recv) (*Envelope, bool) {
-	for n := m.umq.head; n != nil; n = n.next {
-		if r.Matches(n.env) {
-			return n.env, true
-		}
-	}
-	return nil, false
-}
-
 // PostedDepth implements Matcher.
 func (m *ListMatcher) PostedDepth() int { return m.prq.n }
 

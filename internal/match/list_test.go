@@ -188,21 +188,6 @@ func TestListUMQMiddleRemoval(t *testing.T) {
 	}
 }
 
-func TestListPeekUnexpected(t *testing.T) {
-	m := NewListMatcher()
-	m.Arrive(&Envelope{Source: 3, Tag: 4, Seq: 1})
-	env, ok := m.PeekUnexpected(&Recv{Source: AnySource, Tag: 4})
-	if !ok || env.Seq != 1 {
-		t.Fatal("peek failed")
-	}
-	if m.UnexpectedDepth() != 1 {
-		t.Fatal("peek consumed")
-	}
-	if _, ok := m.PeekUnexpected(&Recv{Source: 3, Tag: 9}); ok {
-		t.Fatal("peek invented a message")
-	}
-}
-
 // listCycle is one fill and drain of both queues over preallocated records:
 // 32 receives posted and then matched from the tail inwards (removals from
 // the middle and the end of the PRQ), then 32 messages stored and taken the

@@ -91,23 +91,6 @@ func (e *Envelope) Stabilize() {
 	}
 }
 
-// Probed is what a non-consuming probe reports of a stored message. A
-// concurrent store copies it out under its lock: the envelope itself may be
-// taken, delivered and recycled the moment that lock drops.
-type Probed struct {
-	Source Rank
-	Tag    Tag
-	Count  int // payload bytes
-}
-
-// Probed returns e's probe report.
-func (e *Envelope) Probed() Probed {
-	if e.SenderKey == 0 { // eager: the payload is here
-		return Probed{e.Source, e.Tag, len(e.Data)}
-	}
-	return Probed{e.Source, e.Tag, e.Size}
-}
-
 // SetInline records sender-computed hashes in e's reusable backing and
 // points Inline at it, allocating the backing only on first use.
 func (e *Envelope) SetInline(h InlineHashes) {

@@ -147,17 +147,11 @@ func TestStatsAccumulation(t *testing.T) {
 	if got := s.AvgPostDepth(); got != 2.0 {
 		t.Errorf("AvgPostDepth = %v, want 2", got)
 	}
-	if got := s.AvgDepth(); got != 10.0/3.0 {
-		t.Errorf("AvgDepth = %v, want %v", got, 10.0/3.0)
-	}
-	if got := s.MaxDepth(); got != 5 {
-		t.Errorf("MaxDepth = %v, want 5", got)
-	}
 }
 
 func TestStatsZeroDivision(t *testing.T) {
 	var s Stats
-	if s.AvgArriveDepth() != 0 || s.AvgPostDepth() != 0 || s.AvgDepth() != 0 {
+	if s.AvgArriveDepth() != 0 || s.AvgPostDepth() != 0 {
 		t.Error("empty stats must average to zero")
 	}
 }

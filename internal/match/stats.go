@@ -69,23 +69,6 @@ func (s Stats) AvgPostDepth() float64 {
 	return float64(s.PostTraversed) / float64(s.PostSearches)
 }
 
-// AvgDepth returns the mean search depth over both directions.
-func (s Stats) AvgDepth() float64 {
-	n := s.ArriveSearches + s.PostSearches
-	if n == 0 {
-		return 0
-	}
-	return float64(s.ArriveTraversed+s.PostTraversed) / float64(n)
-}
-
-// MaxDepth returns the largest single-search depth seen in either direction.
-func (s Stats) MaxDepth() uint64 {
-	if s.ArriveMaxDepth > s.PostMaxDepth {
-		return s.ArriveMaxDepth
-	}
-	return s.PostMaxDepth
-}
-
 // Delivered returns the number of messages the arrival path delivered into
 // matching. Every arriving message either pairs immediately (arrive-side
 // Matched) or is stored unexpected; Matched additionally counts post-side

@@ -24,7 +24,7 @@ import (
 //   - count: the frame holds maxBatchMsgs sub-messages, the most one
 //     kindEagerBatch frame may carry;
 //   - sync: an ordering or progress point was reached — Request.Wait /
-//     Waitall / Waitany, a bypass send to the same destination (rendezvous
+//     Waitall, a bypass send to the same destination (rendezvous
 //     RTS, internal/collective traffic on negative communicators, a
 //     communicator switch), or world drain/Close;
 //   - timeout: a staleness timer bounds how long a buffered message can
@@ -168,7 +168,7 @@ func (c *coalescer) flushDst(dst int, reason flushReason) error {
 }
 
 // flushAll flushes every destination. It is the synchronization-point
-// hook (Wait/Waitall/Waitany, world drain) and costs one atomic load when
+// hook (Wait/Waitall, world drain) and costs one atomic load when
 // nothing is buffered.
 func (c *coalescer) flushAll(reason flushReason) error {
 	if c.buffered.Load() == 0 {

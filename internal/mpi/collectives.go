@@ -22,11 +22,8 @@ import (
 
 // Internal collective tags.
 const (
-	tagBcast   = -10
-	tagReduce  = -11
-	tagGather  = -12
-	tagA2A     = -13
-	tagScatter = -14
+	tagBcast  = -10
+	tagReduce = -11
 )
 
 // ReduceOp combines src into acc; both slices have equal length. The
@@ -37,24 +34,6 @@ type ReduceOp func(acc, src []byte)
 func OpSumFloat64(acc, src []byte) {
 	for i := 0; i+8 <= len(acc); i += 8 {
 		putF64(acc[i:], getF64(acc[i:])+getF64(src[i:]))
-	}
-}
-
-// OpMaxFloat64 keeps the element-wise maximum (MPI_MAX over MPI_DOUBLE).
-func OpMaxFloat64(acc, src []byte) {
-	for i := 0; i+8 <= len(acc); i += 8 {
-		if s := getF64(src[i:]); s > getF64(acc[i:]) {
-			putF64(acc[i:], s)
-		}
-	}
-}
-
-// OpBXor xors the buffers (MPI_BXOR over bytes).
-func OpBXor(acc, src []byte) {
-	for i := range acc {
-		if i < len(src) {
-			acc[i] ^= src[i]
-		}
 	}
 }
 
@@ -153,136 +132,6 @@ func (c Comm) Allreduce(data []byte, op ReduceOp, out []byte) error {
 		}
 	}
 	return c.Bcast(0, out[:len(data)])
-}
-
-// Gather collects every rank's data at root (MPI_Gather). At root, out
-// must have one slice per rank, each large enough for that rank's
-// contribution; elsewhere out is ignored.
-func (c Comm) Gather(root int, data []byte, out [][]byte) error {
-	if err := c.p.checkPeer(root); err != nil {
-		return err
-	}
-	n := c.p.n
-	if c.p.rank != root {
-		return c.sendColl(root, tagGather, data)
-	}
-	if len(out) < n {
-		return fmt.Errorf("mpi: Gather at root needs %d receive slices, got %d", n, len(out))
-	}
-	reqs := make([]*Request, 0, n-1)
-	for r := 0; r < n; r++ {
-		if r == root {
-			if len(out[r]) < len(data) {
-				return ErrTruncated
-			}
-			copy(out[r], data)
-			continue
-		}
-		req, err := c.p.irecv(r, tagGather, collContext(c.id), out[r])
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	return Waitall(reqs...)
-}
-
-// Alltoall exchanges data[i] from every rank to rank i (MPI_Alltoall).
-// data and out must both have one slice per rank; out[i] receives rank i's
-// contribution.
-func (c Comm) Alltoall(data, out [][]byte) error {
-	n := c.p.n
-	if len(data) < n || len(out) < n {
-		return fmt.Errorf("mpi: Alltoall needs %d slices each way", n)
-	}
-	reqs := make([]*Request, 0, 2*n)
-	for r := 0; r < n; r++ {
-		if r == c.p.rank {
-			continue
-		}
-		req, err := c.p.irecv(r, tagA2A, collContext(c.id), out[r])
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	for r := 0; r < n; r++ {
-		if r == c.p.rank {
-			if len(out[r]) < len(data[r]) {
-				return ErrTruncated
-			}
-			copy(out[r], data[r])
-			continue
-		}
-		req, err := c.p.isend(r, tagA2A, collContext(c.id), data[r])
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
-	}
-	return Waitall(reqs...)
-}
-
-// Scatter distributes data[i] from root to rank i (MPI_Scatter). recv must
-// be large enough for this rank's slice; at root, data must have one slice
-// per rank.
-func (c Comm) Scatter(root int, data [][]byte, recv []byte) error {
-	if err := c.p.checkPeer(root); err != nil {
-		return err
-	}
-	n := c.p.n
-	if c.p.rank == root {
-		if len(data) < n {
-			return fmt.Errorf("mpi: Scatter at root needs %d send slices, got %d", n, len(data))
-		}
-		for r := 0; r < n; r++ {
-			if r == root {
-				if len(recv) < len(data[r]) {
-					return ErrTruncated
-				}
-				copy(recv, data[r])
-				continue
-			}
-			if err := c.sendColl(r, tagScatter, data[r]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_, err := c.recvColl(root, tagScatter, recv)
-	return err
-}
-
-// Allgather collects every rank's data everywhere (MPI_Allgather): a Gather
-// to rank 0 followed by a Bcast of the concatenation. out must have one
-// slice per rank on every rank, each sized for that rank's contribution;
-// all contributions must have equal length.
-func (c Comm) Allgather(data []byte, out [][]byte) error {
-	n := c.p.n
-	if len(out) < n {
-		return fmt.Errorf("mpi: Allgather needs %d receive slices, got %d", n, len(out))
-	}
-	if err := c.Gather(0, data, out); err != nil {
-		return err
-	}
-	// Flatten, broadcast, scatter back into the slices.
-	width := len(data)
-	flat := make([]byte, n*width)
-	if c.p.rank == 0 {
-		for r := 0; r < n; r++ {
-			copy(flat[r*width:], out[r])
-		}
-	}
-	if err := c.Bcast(0, flat); err != nil {
-		return err
-	}
-	for r := 0; r < n; r++ {
-		if len(out[r]) < width {
-			return ErrTruncated
-		}
-		copy(out[r], flat[r*width:(r+1)*width])
-	}
-	return nil
 }
 
 // collContext derives the collective matching context of a communicator.

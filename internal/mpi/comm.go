@@ -79,22 +79,6 @@ func (c Comm) Recv(src, tag int, buf []byte) (Status, error) {
 	return req.Wait()
 }
 
-// Sendrecv performs a combined send and receive, as MPI_Sendrecv.
-func (c Comm) Sendrecv(dst, sendTag int, data []byte, src, recvTag int, buf []byte) (Status, error) {
-	rreq, err := c.Irecv(src, recvTag, buf)
-	if err != nil {
-		return Status{}, err
-	}
-	sreq, err := c.Isend(dst, sendTag, data)
-	if err != nil {
-		return Status{}, err
-	}
-	if _, err := sreq.Wait(); err != nil {
-		return Status{}, err
-	}
-	return rreq.Wait()
-}
-
 func (p *Proc) checkPeer(rank int) error {
 	if rank < 0 || rank >= p.n {
 		return fmt.Errorf("mpi: rank %d outside world of size %d", rank, p.n)

@@ -142,18 +142,6 @@ func (l *lockedList) message(h header, payload []byte) bool {
 	return true
 }
 
-// peek is the non-consuming probe of the unexpected store; the report is
-// copied out under the lock, a post may recycle the envelope right after.
-func (l *lockedList) peek(r *match.Recv) (match.Probed, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	env, ok := l.lm.PeekUnexpected(r)
-	if !ok {
-		return match.Probed{}, false
-	}
-	return env.Probed(), true
-}
-
 func (l *lockedList) post(r *match.Recv) {
 	l.mu.Lock()
 	env, ok := l.lm.PostRecv(r)
@@ -241,7 +229,7 @@ func newOffloadEngine(p *Proc) (*offloadEngine, error) {
 	// Budget the default matching tables against DPA memory (§IV-E);
 	// failure to fit the base set is a setup error.
 	fp := matcher.ModelFootprint()
-	if _, err := acc.Arena().Alloc(fp.Total()); err != nil {
+	if err := acc.Reserve(fp.Total()); err != nil {
 		return nil, fmt.Errorf("mpi: matching tables (%d B) exceed DPA memory: %w", fp.Total(), err)
 	}
 	e := &offloadEngine{
@@ -262,7 +250,7 @@ func newOffloadEngine(p *Proc) (*offloadEngine, error) {
 			e.fallbackComms[comm] = true
 			continue
 		}
-		if _, err := acc.Arena().Alloc(fp.Total()); err != nil {
+		if err := acc.Reserve(fp.Total()); err != nil {
 			// §IV-E: "If it is not possible to allocate DPA resources at
 			// communicator creation time, the MPI implementation is
 			// expected to fall back to software tag matching."
@@ -275,9 +263,9 @@ func newOffloadEngine(p *Proc) (*offloadEngine, error) {
 	e.pipe.Envelopes = p.w.envPool // share one pool across pipeline and posts
 	e.pipe.Decode = e.decode
 	e.pipe.Handle = e.handle
-	// Every completion goes through dispatch on the formation loop. With no
-	// Classify the pipeline hands Control the error completions only and
-	// Expand the rest, which returns what take claimed for matching.
+	// Every completion goes through dispatch on the formation loop. The
+	// pipeline hands Control the error completions and Expand the rest,
+	// which returns what take claimed for matching.
 	take, fallback := e.take, e.fallback.message
 	e.pipe.Expand = func(c rdma.Completion, out []rdma.Completion) []rdma.Completion {
 		e.formed = out
@@ -376,15 +364,6 @@ func (e *offloadEngine) release(c rdma.Completion) {
 		return
 	}
 	e.p.repost(c.Data)
-}
-
-// FallbackComms reports which communicators run on software matching.
-func (e *offloadEngine) FallbackComms() []int32 {
-	out := make([]int32, 0, len(e.fallbackComms))
-	for c := range e.fallbackComms {
-		out = append(out, int32(c))
-	}
-	return out
 }
 
 func (e *offloadEngine) start() { e.pipe.Start() }

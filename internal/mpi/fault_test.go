@@ -289,24 +289,26 @@ func TestCollectivesUnderFaults(t *testing.T) {
 				}
 				return nil
 			})
-			// Alltoall with rank-pair-tagged payloads.
-			runAll(t, w, func(c Comm) error {
-				data := make([][]byte, n)
-				out := make([][]byte, n)
-				for i := range data {
-					data[i] = []byte{byte(c.Rank()), byte(i)}
-					out[i] = make([]byte, 2)
-				}
-				if err := c.Alltoall(data, out); err != nil {
-					return err
-				}
-				for i := range out {
-					if out[i][0] != byte(i) || out[i][1] != byte(c.Rank()) {
-						return fmt.Errorf("rank %d slot %d: %v", c.Rank(), i, out[i])
+			// Reduce to every root in turn, each rank filling its own slot.
+			for root := 0; root < n; root++ {
+				runAll(t, w, func(c Comm) error {
+					slots := make([]float64, n)
+					slots[c.Rank()] = float64(c.Rank() + 1)
+					out := make([]byte, 8*n)
+					if err := c.Reduce(root, PackFloat64s(slots), OpSumFloat64, out); err != nil {
+						return err
 					}
-				}
-				return nil
-			})
+					if c.Rank() != root {
+						return nil
+					}
+					for i, v := range UnpackFloat64s(out) {
+						if v != float64(i+1) {
+							return fmt.Errorf("root %d slot %d: %v", root, i, v)
+						}
+					}
+					return nil
+				})
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -52,11 +53,26 @@ func TestCommInfoHintsPropagate(t *testing.T) {
 	}
 }
 
+// fallbackComms returns the communicators p's offload engine runs on
+// software matching (§IV-E fallback), in ascending order.
+func fallbackComms(p *Proc) []int32 {
+	e, ok := p.engine.(*offloadEngine)
+	if !ok {
+		return nil
+	}
+	out := make([]int32, 0, len(e.fallbackComms))
+	for c := range e.fallbackComms {
+		out = append(out, int32(c))
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestCommInfoNoOffloadFallback(t *testing.T) {
 	w := infoWorld(t, map[int32]CommInfo{
 		7: {NoOffload: true},
 	}, nil)
-	fb := w.Proc(1).FallbackComms()
+	fb := fallbackComms(w.Proc(1))
 	if len(fb) != 1 || fb[0] != 7 {
 		t.Fatalf("fallback comms = %v, want [7]", fb)
 	}
@@ -126,7 +142,7 @@ func TestCommInfoArenaExhaustionFallsBack(t *testing.T) {
 		// base set plus roughly two declared comms.
 		o.DPA = dpa.Config{Threads: 8, MemoryBytes: 64 * 1024}
 	})
-	fb := w.Proc(0).FallbackComms()
+	fb := fallbackComms(w.Proc(0))
 	if len(fb) == 0 {
 		t.Fatal("no communicator fell back despite exhausted DPA memory")
 	}

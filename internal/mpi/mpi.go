@@ -309,10 +309,6 @@ func (w *World) Hosts(rank int) bool {
 // return ErrClosed.
 func (w *World) Closed() bool { return w.isClosed.Load() }
 
-// Done returns a channel closed when the world starts tearing down, for
-// select-based waiters that must not outlive the world.
-func (w *World) Done() <-chan struct{} { return w.closed }
-
 // Close tears the world down. Call only after all outstanding traffic has
 // completed (e.g. after Waitall/Barrier). The first call returns nil; every
 // later call is a no-op returning ErrClosed. Requests still blocked in Wait
@@ -571,38 +567,14 @@ func (p *Proc) flushCoalesced() {
 	}
 }
 
-// ReliabilityStats returns this rank's reliability counters; the zero
-// snapshot when faults are inactive.
-func (p *Proc) ReliabilityStats() ReliabilitySnapshot {
-	if p.rel == nil {
-		return ReliabilitySnapshot{}
-	}
-	return p.rel.snapshot()
-}
-
 // Obs returns the rank's observability sink.
 func (p *Proc) Obs() *obs.Sink { return p.obs }
-
-// Rank returns the process rank.
-func (p *Proc) Rank() int { return p.rank }
-
-// Size returns the world size.
-func (p *Proc) Size() int { return p.n }
 
 // Matcher exposes the offload engine's optimistic matcher for statistics
 // and benchmarks; it is nil for other engines.
 func (p *Proc) Matcher() *core.OptimisticMatcher {
 	if e, ok := p.engine.(*offloadEngine); ok {
 		return e.matcher
-	}
-	return nil
-}
-
-// FallbackComms returns the communicators the offload engine runs on
-// software matching (§IV-E fallback); nil for other engines.
-func (p *Proc) FallbackComms() []int32 {
-	if e, ok := p.engine.(*offloadEngine); ok {
-		return e.FallbackComms()
 	}
 	return nil
 }

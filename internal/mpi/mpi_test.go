@@ -274,37 +274,6 @@ func TestSelfSend(t *testing.T) {
 	}
 }
 
-func TestSendrecvExchange(t *testing.T) {
-	for _, kind := range matchingEngines() {
-		t.Run(kind.String(), func(t *testing.T) {
-			w := newTestWorld(t, 2, kind)
-			var wg sync.WaitGroup
-			bufs := [2][]byte{make([]byte, 8), make([]byte, 8)}
-			errs := [2]error{}
-			for r := 0; r < 2; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					peer := 1 - r
-					_, errs[r] = w.Proc(r).World().Sendrecv(
-						peer, 1, []byte(fmt.Sprintf("r%d", r)),
-						peer, 1, bufs[r])
-				}(r)
-			}
-			wg.Wait()
-			for r := 0; r < 2; r++ {
-				if errs[r] != nil {
-					t.Fatal(errs[r])
-				}
-				want := fmt.Sprintf("r%d", 1-r)
-				if string(bufs[r][:2]) != want {
-					t.Fatalf("rank %d got %q, want %q", r, bufs[r][:2], want)
-				}
-			}
-		})
-	}
-}
-
 func TestBarrier(t *testing.T) {
 	for _, kind := range matchingEngines() {
 		t.Run(kind.String(), func(t *testing.T) {

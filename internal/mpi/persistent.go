@@ -1,35 +1,20 @@
 package mpi
 
-import (
-	"fmt"
-	"reflect"
-)
+import "fmt"
 
-// PersistentRequest is a reusable communication handle in the style of
-// MPI_Send_init / MPI_Recv_init: the operation's arguments are bound once
-// and each Start issues a fresh instance of the operation. Persistent
-// requests matter to matching performance because they encourage long runs
-// of identical (source, tag) receives — exactly the compatible sequences
-// the fast path of §III-D3a exploits.
+// PersistentRequest is a reusable receive handle in the style of
+// MPI_Recv_init: the operation's arguments are bound once and each Start
+// issues a fresh instance of the operation. Persistent requests matter to
+// matching performance because they encourage long runs of identical
+// (source, tag) receives — exactly the compatible sequences the fast path of
+// §III-D3a exploits.
 type PersistentRequest struct {
-	c      Comm
-	isSend bool
-	peer   int
-	tag    int
-	buf    []byte // send payload or receive buffer
+	c    Comm
+	peer int
+	tag  int
+	buf  []byte
 
 	active *Request
-}
-
-// SendInit binds a persistent send (MPI_Send_init).
-func (c Comm) SendInit(dst, tag int, data []byte) (*PersistentRequest, error) {
-	if err := c.p.checkPeer(dst); err != nil {
-		return nil, err
-	}
-	if tag < 0 {
-		return nil, fmt.Errorf("mpi: negative tag %d", tag)
-	}
-	return &PersistentRequest{c: c, isSend: true, peer: dst, tag: tag, buf: data}, nil
 }
 
 // RecvInit binds a persistent receive (MPI_Recv_init).
@@ -45,88 +30,18 @@ func (c Comm) RecvInit(src, tag int, buf []byte) (*PersistentRequest, error) {
 	return &PersistentRequest{c: c, peer: src, tag: tag, buf: buf}, nil
 }
 
-// Start issues one instance of the bound operation (MPI_Start). The
-// previous instance must have completed.
+// Start issues one instance of the bound receive (MPI_Start). The previous
+// instance must have completed.
 func (p *PersistentRequest) Start() (*Request, error) {
 	if p.active != nil {
 		if _, done, _ := p.active.Test(); !done {
 			return nil, fmt.Errorf("mpi: persistent request started while active")
 		}
 	}
-	var req *Request
-	var err error
-	if p.isSend {
-		req, err = p.c.Isend(p.peer, p.tag, p.buf)
-	} else {
-		req, err = p.c.Irecv(p.peer, p.tag, p.buf)
-	}
+	req, err := p.c.Irecv(p.peer, p.tag, p.buf)
 	if err != nil {
 		return nil, err
 	}
 	p.active = req
 	return req, nil
-}
-
-// Wait blocks on the active instance.
-func (p *PersistentRequest) Wait() (Status, error) {
-	if p.active == nil {
-		return Status{}, fmt.Errorf("mpi: persistent request not started")
-	}
-	return p.active.Wait()
-}
-
-// Startall starts a set of persistent requests (MPI_Startall).
-func Startall(prs ...*PersistentRequest) ([]*Request, error) {
-	out := make([]*Request, 0, len(prs))
-	for _, pr := range prs {
-		req, err := pr.Start()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, req)
-	}
-	return out, nil
-}
-
-// Waitany blocks until any of the requests completes and returns its index
-// and status (MPI_Waitany). Nil entries are ignored; if every entry is nil,
-// index -1 is returned.
-func Waitany(reqs ...*Request) (int, Status, error) {
-	cases := make([]reflect.SelectCase, 0, len(reqs))
-	idx := make([]int, 0, len(reqs))
-	for i, r := range reqs {
-		if r == nil {
-			continue
-		}
-		cases = append(cases, reflect.SelectCase{
-			Dir:  reflect.SelectRecv,
-			Chan: reflect.ValueOf(r.doneChan()),
-		})
-		idx = append(idx, i)
-	}
-	if len(cases) == 0 {
-		return -1, Status{}, nil
-	}
-	chosen, _, _ := reflect.Select(cases)
-	i := idx[chosen]
-	st, err := reqs[i].Wait() // already complete; collects status
-	return i, st, err
-}
-
-// Testall reports whether all requests have completed, without blocking
-// (MPI_Testall). Nil entries count as complete.
-func Testall(reqs ...*Request) (bool, error) {
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		_, done, err := r.Test()
-		if err != nil {
-			return done, err
-		}
-		if !done {
-			return false, nil
-		}
-	}
-	return true, nil
 }

@@ -1,9 +1,7 @@
 package mpi
 
 import (
-	"fmt"
 	"testing"
-	"time"
 )
 
 func TestPersistentRequests(t *testing.T) {
@@ -18,23 +16,21 @@ func TestPersistentRequests(t *testing.T) {
 				t.Fatal(err)
 			}
 			payload := make([]byte, 8)
-			psend, err := w.Proc(0).World().SendInit(1, 4, payload)
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			for round := 0; round < rounds; round++ {
 				payload[0] = byte(round)
-				if _, err := precv.Start(); err != nil {
+				rreq, err := precv.Start()
+				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := psend.Start(); err != nil {
+				sreq, err := w.Proc(0).World().Isend(1, 4, payload)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := psend.Wait(); err != nil {
+				if _, err := sreq.Wait(); err != nil {
 					t.Fatal(err)
 				}
-				st, err := precv.Wait()
+				st, err := rreq.Wait()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -56,12 +52,6 @@ func TestPersistentRequests(t *testing.T) {
 func TestPersistentValidation(t *testing.T) {
 	w := newTestWorld(t, 2, EngineHost)
 	c := w.Proc(0).World()
-	if _, err := c.SendInit(9, 0, nil); err == nil {
-		t.Error("bad dest accepted")
-	}
-	if _, err := c.SendInit(1, -1, nil); err == nil {
-		t.Error("negative tag accepted")
-	}
 	if _, err := c.RecvInit(9, 0, nil); err == nil {
 		t.Error("bad src accepted")
 	}
@@ -72,10 +62,8 @@ func TestPersistentValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pr.Wait(); err == nil {
-		t.Error("wait before start accepted")
-	}
-	if _, err := pr.Start(); err != nil {
+	req, err := pr.Start()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pr.Start(); err == nil {
@@ -85,129 +73,14 @@ func TestPersistentValidation(t *testing.T) {
 	if err := w.Proc(1).World().Send(0, 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pr.Wait(); err != nil {
+	if _, err := req.Wait(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestStartallAndWaitany(t *testing.T) {
-	w := newTestWorld(t, 2, EngineHost)
-	recvs := make([]*PersistentRequest, 3)
-	bufs := make([][]byte, 3)
-	for i := range recvs {
-		bufs[i] = make([]byte, 4)
-		pr, err := w.Proc(1).World().RecvInit(0, i, bufs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		recvs[i] = pr
+	// A completed instance may be started again.
+	if _, err := pr.Start(); err != nil {
+		t.Fatalf("restart after completion: %v", err)
 	}
-	reqs, err := Startall(recvs...)
-	if err != nil {
+	if err := w.Proc(1).World().Send(0, 1, []byte("y")); err != nil {
 		t.Fatal(err)
-	}
-	if done, _ := Testall(reqs...); done {
-		t.Fatal("Testall true before any send")
-	}
-
-	// Complete tag 2 first; Waitany must report index 2.
-	if err := w.Proc(0).World().Send(1, 2, []byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-	i, st, err := Waitany(reqs...)
-	if err != nil || i != 2 || st.Tag != 2 {
-		t.Fatalf("Waitany = (%d, %+v, %v), want index 2", i, st, err)
-	}
-
-	// Finish the rest.
-	for _, tag := range []int{0, 1} {
-		if err := w.Proc(0).World().Send(1, tag, []byte("hi")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		done, err := Testall(reqs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Testall never completed")
-		}
-	}
-	// Degenerate inputs.
-	if i, _, _ := Waitany(nil, nil); i != -1 {
-		t.Fatalf("all-nil Waitany = %d", i)
-	}
-	if done, _ := Testall(nil, nil); !done {
-		t.Fatal("all-nil Testall should be done")
-	}
-}
-
-func TestScatter(t *testing.T) {
-	for _, kind := range matchingEngines() {
-		t.Run(kind.String(), func(t *testing.T) {
-			const n = 5
-			w := newTestWorld(t, n, kind)
-			runAll(t, w, func(c Comm) error {
-				var data [][]byte
-				if c.Rank() == 2 {
-					data = make([][]byte, n)
-					for i := range data {
-						data[i] = []byte{byte(i), byte(i * 3)}
-					}
-				}
-				recv := make([]byte, 2)
-				if err := c.Scatter(2, data, recv); err != nil {
-					return err
-				}
-				if recv[0] != byte(c.Rank()) || recv[1] != byte(c.Rank()*3) {
-					return fmt.Errorf("rank %d got %v", c.Rank(), recv)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	for _, kind := range matchingEngines() {
-		t.Run(kind.String(), func(t *testing.T) {
-			const n = 6
-			w := newTestWorld(t, n, kind)
-			runAll(t, w, func(c Comm) error {
-				data := []byte{byte(c.Rank()), byte(c.Rank() * 2)}
-				out := make([][]byte, n)
-				for i := range out {
-					out[i] = make([]byte, 2)
-				}
-				if err := c.Allgather(data, out); err != nil {
-					return err
-				}
-				for r := 0; r < n; r++ {
-					if out[r][0] != byte(r) || out[r][1] != byte(2*r) {
-						return fmt.Errorf("rank %d slot %d = %v", c.Rank(), r, out[r])
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestScatterValidation(t *testing.T) {
-	w := newTestWorld(t, 2, EngineHost)
-	c := w.Proc(0).World()
-	if err := c.Scatter(9, nil, nil); err == nil {
-		t.Error("bad root accepted")
-	}
-	if err := c.Scatter(0, [][]byte{}, nil); err == nil {
-		t.Error("short scatter data accepted")
-	}
-	if err := c.Allgather([]byte{1}, [][]byte{}); err == nil {
-		t.Error("short allgather out accepted")
 	}
 }

@@ -42,8 +42,8 @@ type Request struct {
 }
 
 // The wake word's two sentinels. reqCompleted is a closed channel, which is
-// what a select-based waiter on a finished request receives; reqClaimed is
-// a channel nobody is ever given.
+// what wakeChan hands a waiter on a finished request; reqClaimed is a
+// channel nobody is ever given.
 var (
 	reqClaimed   = chanWord(make(chan struct{}))
 	reqCompleted = func() unsafe.Pointer {
@@ -140,16 +140,6 @@ func (r *Request) Wait() (Status, error) {
 		}
 	}
 	return r.status, r.err
-}
-
-// doneChan returns the completion channel for select-based waiters
-// (Waitany); it is already closed if the request completed. Like Wait, it
-// is a synchronization point for the rank's coalescer.
-func (r *Request) doneChan() <-chan struct{} {
-	if r.p != nil {
-		r.p.flushCoalesced()
-	}
-	return r.wakeChan()
 }
 
 // Test reports whether the operation has completed, without blocking.

@@ -38,11 +38,11 @@ func TestRequestCompletionRace(t *testing.T) {
 					st  Status
 					err error
 				}
-				got := make(chan seen, 4*waiters)
+				got := make(chan seen, 3*waiters)
 				var wg sync.WaitGroup
 				start := make(chan struct{})
 				for i := 0; i < waiters; i++ {
-					wg.Add(4)
+					wg.Add(3)
 					go func() {
 						defer wg.Done()
 						<-start
@@ -63,14 +63,8 @@ func TestRequestCompletionRace(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						<-start
-						<-r.doneChan()
+						<-r.wakeChan()
 						st, _, err := r.Test()
-						got <- seen{st, err}
-					}()
-					go func() {
-						defer wg.Done()
-						<-start
-						_, st, err := Waitany(nil, r)
 						got <- seen{st, err}
 					}()
 				}
@@ -128,7 +122,7 @@ func TestRequestSize(t *testing.T) {
 	// A waiter that arrives first adds its channel and nothing else.
 	if allocs := testing.AllocsPerRun(100, func() {
 		r := newRequest(nil)
-		r.doneChan()
+		r.wakeChan()
 		r.complete(Status{}, nil)
 	}); allocs != 2 {
 		t.Fatalf("a request with an early waiter allocates %.0f times, want 2 (request, channel)", allocs)

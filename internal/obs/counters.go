@@ -312,9 +312,6 @@ func (s *CounterSet) Inc(i Counter) { s.c[i].Add(1) }
 // Load returns the current value of counter i.
 func (s *CounterSet) Load(i Counter) uint64 { return s.c[i].Load() }
 
-// Store overwrites counter i with v.
-func (s *CounterSet) Store(i Counter, v uint64) { s.c[i].Store(v) }
-
 // Max raises counter i to at least v (monotone atomic maximum), the merge
 // rule of the *_max_depth counters.
 func (s *CounterSet) Max(i Counter, v uint64) {

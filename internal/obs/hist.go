@@ -124,11 +124,3 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	return out
 }
-
-// Mean returns the mean observed value (0 with no samples).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}

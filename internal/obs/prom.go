@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -174,38 +173,6 @@ func upperBound(i int) uint64 {
 		return math.MaxUint64 >> 1 // representable, monotone past the last real bound
 	}
 	return (uint64(1) << uint(i)) - 1
-}
-
-// WriteGauge writes one gauge family with a single sample per label set.
-// Sample order follows the given map's sorted keys when labels are keyed,
-// so output is deterministic.
-func WriteGauge(w io.Writer, name string, samples map[string]float64, labelName string) error {
-	bw := &promWriter{w: w}
-	bw.printf("# TYPE %s gauge\n", name)
-	if labelName == "" {
-		for _, v := range samples {
-			bw.printf("%s %s\n", name, formatFloat(v))
-		}
-		return bw.err
-	}
-	keys := make([]string, 0, len(samples))
-	for k := range samples {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		bw.printf("%s%s %s\n", name, renderLabels([]Label{{labelName, k}}), formatFloat(samples[k]))
-	}
-	return bw.err
-}
-
-// formatFloat renders integral gauges without an exponent, everything else
-// in compact form.
-func formatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
 }
 
 // promWriter accumulates the first write error so families render with one

@@ -108,20 +108,3 @@ func TestWritePromLabelEscaping(t *testing.T) {
 		t.Errorf("escaped sample missing: want %q in\n%s", want, sb.String())
 	}
 }
-
-// TestWriteGauge pins the gauge family rendering with sorted label keys.
-func TestWriteGauge(t *testing.T) {
-	var sb strings.Builder
-	err := WriteGauge(&sb, "d_tenants_active", map[string]float64{
-		"beta": 2, "alpha": 1.5,
-	}, "tenant")
-	if err != nil {
-		t.Fatalf("WriteGauge: %v", err)
-	}
-	want := "# TYPE d_tenants_active gauge\n" +
-		`d_tenants_active{tenant="alpha"} 1.5` + "\n" +
-		`d_tenants_active{tenant="beta"} 2` + "\n"
-	if sb.String() != want {
-		t.Errorf("gauge output:\n%s\nwant:\n%s", sb.String(), want)
-	}
-}

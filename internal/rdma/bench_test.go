@@ -17,7 +17,7 @@ func BenchmarkSendRecv(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		peer.PostRecv(make([]byte, 64), uint64(i))
+		peer.rq.Post(make([]byte, 64), uint64(i))
 		if err := a.Send(payload, 0, uint64(i)); err != nil {
 			b.Fatal(err)
 		}

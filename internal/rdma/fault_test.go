@@ -64,7 +64,7 @@ func TestDropInjection(t *testing.T) {
 	_ = b
 	const n = 32
 	for i := 0; i < n; i++ {
-		b.PostRecv(make([]byte, 8), uint64(i))
+		b.rq.Post(make([]byte, 8), uint64(i))
 		if err := a.Send([]byte{byte(i)}, uint32(i), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestDuplicateInjection(t *testing.T) {
 	a, b, cqB, f := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Duplicate: 1}})
 	const n = 8
 	for i := 0; i < 2*n; i++ {
-		b.PostRecv(make([]byte, 8), uint64(i))
+		b.rq.Post(make([]byte, 8), uint64(i))
 	}
 	for i := 0; i < n; i++ {
 		if err := a.Send([]byte{byte(i)}, uint32(i), uint64(i)); err != nil {
@@ -104,7 +104,7 @@ func TestDuplicateInjection(t *testing.T) {
 
 func TestRNRInjection(t *testing.T) {
 	a, b, _, f := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{RNR: 1}})
-	b.PostRecv(make([]byte, 8), 0)
+	b.rq.Post(make([]byte, 8), 0)
 	for i := 0; i < 4; i++ {
 		if err := a.Send([]byte("x"), 0, 0); err != ErrNoReceive {
 			t.Fatalf("send %d: err = %v, want ErrNoReceive", i, err)
@@ -121,7 +121,7 @@ func TestDelayReordersDelivery(t *testing.T) {
 	a, b, cqB, f := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Delay: 1, DelaySpan: 1}})
 	const n = 8
 	for i := 0; i < n; i++ {
-		b.PostRecv(make([]byte, 8), uint64(i))
+		b.rq.Post(make([]byte, 8), uint64(i))
 	}
 	for i := 0; i < n; i++ {
 		if err := a.Send([]byte{byte(i)}, uint32(i), uint64(i)); err != nil {
@@ -149,7 +149,7 @@ func collectImms(t *testing.T, plan FaultPlan, n int) []uint32 {
 	t.Helper()
 	a, b, cqB, _ := faultyPair(t, plan)
 	for i := 0; i < 2*n; i++ {
-		b.PostRecv(make([]byte, 8), uint64(i))
+		b.rq.Post(make([]byte, 8), uint64(i))
 	}
 	for i := 0; i < n; i++ {
 		if err := a.Send([]byte{byte(i)}, uint32(i), uint64(i)); err != nil && err != ErrNoReceive {
@@ -208,7 +208,7 @@ func TestFaultScheduleDeterministicPerSeed(t *testing.T) {
 
 func TestSendControlBypassesFaults(t *testing.T) {
 	a, b, cqB, _ := faultyPair(t, FaultPlan{Seed: 1, FaultRates: FaultRates{Drop: 1, RNR: 1}})
-	b.PostRecv(make([]byte, 8), 3)
+	b.rq.Post(make([]byte, 8), 3)
 	if err := a.SendControl([]byte("ok"), 7, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSendControlBypassesFaults(t *testing.T) {
 func TestOversizedMessageErrorCompletion(t *testing.T) {
 	a, b, _, cqB := pair(t)
 	_ = b
-	b.PostRecv(make([]byte, 4), 11)
+	b.rq.Post(make([]byte, 4), 11)
 	if err := a.Send([]byte("eight by"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestOversizedMessageErrorCompletion(t *testing.T) {
 		t.Fatalf("Data len=%d cap=%d, want the unfilled posted buffer", len(c.Data), cap(c.Data))
 	}
 	// The stream continues undisturbed after the error completion.
-	b.PostRecv(make([]byte, 16), 12)
+	b.rq.Post(make([]byte, 16), 12)
 	if err := a.Send([]byte("fits"), 0, 0); err != nil {
 		t.Fatal(err)
 	}

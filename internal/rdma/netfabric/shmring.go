@@ -38,8 +38,8 @@ type shmRing struct {
 const ringCtrlBytes = 128
 
 // ringAt lays a ring over mem (control prefix + data). mem must be
-// 8-byte aligned — mmap regions are page aligned, and newHeapRing aligns
-// its test backing explicitly.
+// 8-byte aligned — mmap regions are page aligned, and a test's heap
+// backing must be aligned explicitly.
 func ringAt(mem []byte) (*shmRing, error) {
 	if len(mem) <= ringCtrlBytes {
 		return nil, fmt.Errorf("netfabric: ring region %d bytes, need > %d", len(mem), ringCtrlBytes)
@@ -54,18 +54,6 @@ func ringAt(mem []byte) (*shmRing, error) {
 	}
 	r.size = uint64(len(r.data))
 	return r, nil
-}
-
-// newHeapRing builds a ring over process-local memory, for tests: the
-// uint64 backing guarantees the alignment mmap gives the real transport.
-func newHeapRing(capacity int) *shmRing {
-	words := make([]uint64, (ringCtrlBytes+capacity+7)/8)
-	mem := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), ringCtrlBytes+capacity)
-	r, err := ringAt(mem)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // fits reports whether a record of n payload bytes can ever be staged —

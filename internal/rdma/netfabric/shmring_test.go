@@ -5,7 +5,20 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"testing"
+	"unsafe"
 )
+
+// newHeapRing builds a ring over process-local memory: the
+// uint64 backing guarantees the alignment mmap gives the real transport.
+func newHeapRing(capacity int) *shmRing {
+	words := make([]uint64, (ringCtrlBytes+capacity+7)/8)
+	mem := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), ringCtrlBytes+capacity)
+	r, err := ringAt(mem)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
 
 // TestShmRingWraparound drives records across the ring edge single-
 // threaded: sizes are chosen so both the u32 prefix and the payload

@@ -279,10 +279,6 @@ func (q *QP) SendControl(data []byte, imm uint32, wrID uint64) error {
 	return q.land(data, imm, false)
 }
 
-// PostRecv adds a receive buffer to this endpoint's receive queue. The
-// endpoint must have been connected with a RecvCQ.
-func (q *QP) PostRecv(buf []byte, wrID uint64) { q.rq.Post(buf, wrID) }
-
 // land delivers one message on the calling goroutine: it takes the peer's
 // next posted receive buffer, copies data into it and pushes the receive
 // completion, which is what keeps per-QP FIFO order for a sending goroutine

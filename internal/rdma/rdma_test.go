@@ -41,7 +41,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	a, b, _, cqB := pair(t)
 	_ = b
 	buf := make([]byte, 16)
-	b.PostRecv(buf, 7)
+	b.rq.Post(buf, 7)
 	if err := a.Send([]byte("hello"), 42, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 func TestPerQPOrdering(t *testing.T) {
 	a, b, _, cqB := pair(t)
 	for i := 0; i < 32; i++ {
-		b.PostRecv(make([]byte, 8), uint64(i))
+		b.rq.Post(make([]byte, 8), uint64(i))
 	}
 	for i := 0; i < 32; i++ {
 		if err := a.Send([]byte{byte(i)}, uint32(i), uint64(i)); err != nil {
@@ -98,7 +98,7 @@ func TestSendBlocksUntilReceivePosted(t *testing.T) {
 	if cqB.Ready() != 0 {
 		t.Fatal("completion before receive was posted")
 	}
-	b.PostRecv(make([]byte, 4), 9)
+	b.rq.Post(make([]byte, 4), 9)
 	if err := <-errc; err != nil {
 		t.Fatalf("send after post: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestBlockedSendFailsWhenPeerCloses(t *testing.T) {
 	}
 	// A buffer that turns up after the close is not consumed either: the
 	// send fails and leaves it in the queue.
-	b.PostRecv(make([]byte, 4), 9)
+	b.rq.Post(make([]byte, 4), 9)
 	if err := a.Send([]byte("x"), 0, 2); err != ErrClosed {
 		t.Fatalf("send toward closed peer: err = %v, want ErrClosed", err)
 	}
@@ -153,7 +153,7 @@ func TestConnectPairStartsNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 16; i++ {
 		a, b := f.ConnectPair(QPConfig{}, QPConfig{RecvCQ: NewCQ()})
-		b.PostRecv(make([]byte, 4), 0)
+		b.rq.Post(make([]byte, 4), 0)
 		if err := a.Send([]byte("x"), 0, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestOversizedControlMessageErrorCompletion(t *testing.T) {
 	// The non-blocking path lands messages the same way: too large for the
 	// posted buffer is an error completion carrying the unfilled buffer.
 	a, b, _, cqB := pair(t)
-	b.PostRecv(make([]byte, 4), 11)
+	b.rq.Post(make([]byte, 4), 11)
 	if err := a.SendControl([]byte("eight by"), 3, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestSendAfterCloseFails(t *testing.T) {
 func TestSendOnClosedQPFails(t *testing.T) {
 	// The sender's own Close fails its sends too, posted receive or not.
 	a, b, _, cqB := pair(t)
-	b.PostRecv(make([]byte, 4), 0)
+	b.rq.Post(make([]byte, 4), 0)
 	a.Close()
 	if err := a.Send([]byte("x"), 0, 0); err != ErrClosed {
 		t.Fatalf("send on closed QP: err = %v, want ErrClosed", err)

@@ -105,11 +105,6 @@ type CallMix struct {
 	Other      int
 }
 
-// Total returns the number of classified calls.
-func (m CallMix) Total() int {
-	return m.P2P + m.Progress + m.Collective + m.OneSided + m.Other
-}
-
 // CommTotal returns the calls counted for Figure 6 (p2p, collective,
 // one-sided — the communication calls).
 func (m CallMix) CommTotal() int { return m.P2P + m.Collective + m.OneSided }

@@ -151,8 +151,6 @@ func (e *emitter) collective(rank int, name string, wt float64) {
 // grid3 is a 3-D cartesian decomposition with periodic boundaries.
 type grid3 struct{ nx, ny, nz int }
 
-func (g grid3) size() int { return g.nx * g.ny * g.nz }
-
 func (g grid3) coords(rank int) (x, y, z int) {
 	x = rank % g.nx
 	y = (rank / g.nx) % g.ny

