@@ -54,7 +54,6 @@ func main() {
 		k          = flag.Int("k", 100, "messages per sequence (paper: 100)")
 		reps       = flag.Int("reps", 500, "sequence repetitions (paper: 500)")
 		payload    = flag.Int("payload", 8, "eager payload bytes")
-		threads    = flag.Int("threads", 32, "DPA threads (paper: 32)")
 		modeled    = flag.Bool("modeled", false, "report cost-model rates (core-count independent) instead of wall clock")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -74,8 +73,8 @@ func main() {
 	flag.Parse()
 
 	spec := cf.Spec("ring")
-	spec.K, spec.Reps, spec.PayloadBytes, spec.Threads = *k, *reps, *payload, *threads
-	if err := cf.Validate(&spec, "k", "reps", "payload", "threads"); err != nil {
+	spec.K, spec.Reps, spec.PayloadBytes = *k, *reps, *payload
+	if err := cf.Validate(&spec, "k", "reps", "payload"); err != nil {
 		exit(2, err)
 	}
 	// A zero would silently become the wire format's default.
@@ -171,12 +170,14 @@ func main() {
 		return
 	}
 
+	// The DPA threads every offload run below gets.
+	threads := bench.PaperThreads(cf.InFlight)
+
 	if *modeled {
 		cm := bench.DefaultCostModel()
-		cm.Threads = *threads
 		cm.InFlight = cf.InFlight
 		fmt.Printf("Figure 8 (modeled) — pipeline-bottleneck rates from counted engine work, %d DPA threads, %d in-flight block(s)",
-			*threads, cf.InFlight)
+			threads, cf.InFlight)
 		if cf.CoalesceBytes > 0 {
 			fmt.Printf(", coalescing %dB", cf.CoalesceBytes)
 		}
@@ -192,7 +193,7 @@ func main() {
 	}
 
 	fmt.Printf("Figure 8 — message rate: k=%d, reps=%d, payload=%dB, %d DPA threads, %d in-flight block(s)\n",
-		*k, *reps, *payload, *threads, cf.InFlight)
+		*k, *reps, *payload, threads, cf.InFlight)
 	if cf.CoalesceBytes > 0 {
 		fmt.Printf("eager coalescing: %d bytes per frame\n", cf.CoalesceBytes)
 	}
@@ -206,7 +207,6 @@ func main() {
 		cfg.K = *k
 		cfg.Reps = *reps
 		cfg.PayloadBytes = *payload
-		cfg.Threads = *threads
 		cfg.Matcher.InFlightBlocks = cf.InFlight
 		cfg.Matcher.Bins = cf.Bins
 		cfg.CoalesceBytes = cf.CoalesceBytes

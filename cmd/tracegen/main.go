@@ -19,11 +19,10 @@ import (
 
 func main() {
 	var (
-		out    = flag.String("out", "", "directory to write DUMPI traces into (one subdirectory per app)")
-		app    = flag.String("app", "", "generate only this application (default: all)")
-		scale  = flag.Int("scale", 100, "iteration scale percentage")
-		table  = flag.Bool("table", false, "print Table II and exit")
-		format = flag.String("format", "dumpi", "trace file format: dumpi | jsonl")
+		out   = flag.String("out", "", "directory to write DUMPI traces into (one subdirectory per app)")
+		app   = flag.String("app", "", "generate only this application (default: all)")
+		scale = flag.Int("scale", 100, "iteration scale percentage")
+		table = flag.Bool("table", false, "print Table II and exit")
 	)
 	flag.Parse()
 
@@ -51,7 +50,7 @@ func main() {
 	for _, a := range apps {
 		tr := a.Generate(cfg)
 		dir := filepath.Join(*out, sanitized(a.Name))
-		if err := trace.WriteDirFormat(dir, tr, *format); err != nil {
+		if err := trace.WriteDir(dir, tr); err != nil {
 			fmt.Fprintf(os.Stderr, "tracegen: %s: %v\n", a.Name, err)
 			os.Exit(1)
 		}

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/bench"
-	"repro/internal/dpa"
 	"repro/internal/mpi"
 )
 
@@ -37,7 +36,6 @@ func main() {
 	world, err := mpi.NewWorld(workers+1, mpi.Options{
 		Engine:  mpi.EngineOffload,
 		Matcher: mcfg,
-		DPA:     dpa.Config{Threads: 32},
 	})
 	if err != nil {
 		log.Fatal(err)

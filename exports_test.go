@@ -36,8 +36,10 @@ var testOnlyAllowed = map[string]string{
 // export data (go list -export), so the standard library is never checked
 // from source.
 func TestNoTestOnlyExports(t *testing.T) {
-	used := map[string]bool{}          // objKey of every object a non-test file uses
-	decls := map[string]types.Object{} // exports declared under internal/, by objKey
+	used := map[string]bool{}           // objKey of every object a non-test file uses
+	forwards := map[string][]string{}   // method key → keys of the same-named methods its body calls
+	methods := map[string]*types.Func{} // every method declared in a non-test file, by objKey
+	decls := map[string]types.Object{}  // exports declared under internal/, by objKey
 	var ifaces []*types.Interface
 	seenIface := map[*types.Interface]bool{}
 	addIface := func(typ types.Type) {
@@ -65,16 +67,47 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 				files = append(files, f)
 			}
-			info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 			conf := types.Config{Importer: imp.(types.ImporterFrom)}
 			pkg, err := conf.Check(p.path, fset, files, info)
 			if err != nil {
 				t.Fatalf("type-check %s: %v", p.path, err)
 			}
-			for _, obj := range info.Uses {
-				if k := objKey(obj); k != "" {
-					used[k] = true
+			// A method M whose body calls M on something else forwards:
+			// that call reaches the callee only if M itself is reached.
+			forwarding := map[*ast.Ident]string{}
+			for _, f := range files {
+				for _, d := range f.Decls {
+					fd, ok := d.(*ast.FuncDecl)
+					if !ok || fd.Recv == nil || fd.Body == nil {
+						continue
+					}
+					fn, _ := info.Defs[fd.Name].(*types.Func)
+					caller := objKey(fn)
+					if caller == "" {
+						continue
+					}
+					methods[caller] = fn
+					ast.Inspect(fd.Body, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && id.Name == fd.Name.Name {
+							if _, ok := info.Uses[id].(*types.Func); ok {
+								forwarding[id] = caller
+							}
+						}
+						return true
+					})
 				}
+			}
+			for id, obj := range info.Uses {
+				k := objKey(obj)
+				if k == "" {
+					continue
+				}
+				if caller, ok := forwarding[id]; ok {
+					forwards[caller] = append(forwards[caller], k)
+					continue
+				}
+				used[k] = true
 			}
 			for _, tv := range info.Types {
 				addIface(tv.Type)
@@ -114,12 +147,28 @@ func TestNoTestOnlyExports(t *testing.T) {
 		addIface(it)
 	}
 
+	// reached: used by name, or a method an interface vouches for.
+	reached := func(key string) bool {
+		fn := methods[key]
+		return used[key] || fn != nil && satisfiesInterface(fn, ifaces, used)
+	}
+	for changed := true; changed; {
+		changed = false
+		for caller, callees := range forwards {
+			if !reached(caller) {
+				continue
+			}
+			for _, k := range callees {
+				if !used[k] {
+					used[k], changed = true, true
+				}
+			}
+		}
+	}
+
 	var bad []string
 	for key, obj := range decls {
-		if used[key] || allowed(key) {
-			continue
-		}
-		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && satisfiesInterface(fn, ifaces) {
+		if reached(key) || allowed(key) {
 			continue
 		}
 		bad = append(bad, fset.Position(obj.Pos()).String()+": "+key)
@@ -208,14 +257,22 @@ func allowed(key string) bool {
 
 // satisfiesInterface reports whether fn's receiver type implements some
 // interface that has a method of fn's name: such a method is reached
-// through the interface, where no use names it.
-func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
+// through the interface, where no use names it. An interface declared
+// under internal/ reaches fn only if non-test code calls that method
+// through it (used holds its "pkg.Iface.Method" key); one declared
+// elsewhere (error, fmt.Stringer, sort.Interface) is called by code this
+// check does not read, so implementing it is enough.
+func satisfiesInterface(fn *types.Func, ifaces []*types.Interface, used map[string]bool) bool {
 	recv := fn.Type().(*types.Signature).Recv().Type()
 	if p, ok := recv.(*types.Pointer); ok {
 		recv = p.Elem()
 	}
 	for _, it := range ifaces {
-		if m, _, _ := types.LookupFieldOrMethod(it, false, nil, fn.Name()); m == nil {
+		m, _, _ := types.LookupFieldOrMethod(it, false, nil, fn.Name())
+		if m == nil {
+			continue
+		}
+		if k := objKey(m); strings.HasPrefix(k, "repro/internal/") && !used[k] {
 			continue
 		}
 		if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {

@@ -167,9 +167,9 @@ func TestCostModelEdgeCases(t *testing.T) {
 	if r := cm.ModelRaw("x", 0); r.MsgPerSec != 0 {
 		t.Error("zero-message raw model must be zero")
 	}
-	cm.Threads = 0 // degenerate width clamps to 1
+	cm.InFlight = 0 // degenerate depth clamps to 1
 	r := cm.ModelOffload("x", core.EngineStats{Messages: 10}, match.Stats{ArriveSearches: 10})
 	if r.MsgPerSec <= 0 {
-		t.Error("degenerate thread count broke the model")
+		t.Error("degenerate depth broke the model")
 	}
 }

@@ -13,22 +13,11 @@ import "repro/internal/core"
 // block slot: the wire header fields, inline hash, and payload pointer.
 const EnvelopeModelBytes = 64
 
-// FootprintConfig names the knobs that pin memory.
-type FootprintConfig struct {
-	// Bins per hash table (three tables, core.IndexTables).
-	Bins int
-	// MaxReceives is the descriptor-table capacity.
-	MaxReceives int
-	// BlockSize × InFlight block slots hold staged envelopes.
-	BlockSize int
-	InFlight  int
-}
-
-// ModelFootprintBytes computes the modeled resident bytes of one
-// configuration: bins × bin size across the three index tables, the
-// descriptor table, and K × N block-slot envelopes.
-func ModelFootprintBytes(c FootprintConfig) int {
+// ModelFootprintBytes computes the modeled resident bytes of a matcher of
+// shape c: Bins × bin size across the three index tables, the MaxReceives
+// descriptor table, and InFlightBlocks × BlockSize block-slot envelopes.
+func ModelFootprintBytes(c core.Config) int {
 	return core.IndexTables*c.Bins*core.BinModelBytes +
 		c.MaxReceives*core.DescriptorModelBytes +
-		max(c.InFlight, 1)*c.BlockSize*EnvelopeModelBytes
+		max(c.InFlightBlocks, 1)*c.BlockSize*EnvelopeModelBytes
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/dpa"
 	"repro/internal/match"
 )
 
@@ -56,25 +57,39 @@ type CostModel struct {
 	// DPAFastNS is one fast-path conflict resolution (§III-D3a).
 	DPAFastNS float64
 	// DPASlowNS is one slow-path round (§III-D3b); slow rounds serialize
-	// against the predecessor thread, so they do not divide by Threads.
+	// against the predecessor thread, so they do not divide by the width.
 	DPASlowNS float64
 	// DPABlockNS is the per-block serialization: CQ batch drain, block
 	// launch, the straggler bubble at the partial barrier's tail, and the
 	// retirement hand-off. In the §III-A stream of blocks this cost is paid
 	// back to back — block k+1's handlers do not start until block k
-	// completes — so it does not divide by Threads.
+	// completes — so it does not divide by the width.
 	DPABlockNS float64
-	// Threads is the DPA parallel width.
-	Threads int
 	// InFlight is the matcher's in-flight block window (DESIGN.md §9):
 	// with K blocks overlapped the per-block serialization pipelines K-wide,
-	// so the block stage's occupancy divides by K. 0 means 1.
+	// so the block stage's occupancy divides by K. 0 means 1. It also sets
+	// the parallel width (width).
 	InFlight int
+}
+
+// width is the DPA parallel width: the threads RunModeledFigure8's runs
+// use.
+func (cm CostModel) width() float64 {
+	return float64(PaperThreads(cm.InFlight))
+}
+
+// PaperThreads is the DPA thread count an offload rank running the paper's
+// matcher at depth inflight gets: dpa.ThreadsFor that matcher, as
+// mpi.Options derives it.
+func PaperThreads(inflight int) int {
+	m := PaperMatcherConfig()
+	m.InFlightBlocks = inflight
+	return dpa.ThreadsFor(m)
 }
 
 // DefaultCostModel reflects the §II-C architecture sketch: DPA cores are
 // power-efficient and roughly an order of magnitude slower per operation
-// than a server core, with Threads-way parallelism compensating — which is
+// than a server core, with thread parallelism compensating — which is
 // exactly the regime where Figure 8 finds Optimistic-DPA NC comparable to
 // MPI-CPU.
 func DefaultCostModel() CostModel {
@@ -91,7 +106,6 @@ func DefaultCostModel() CostModel {
 		DPAFastNS:      700,
 		DPASlowNS:      800,
 		DPABlockNS:     800,
-		Threads:        32,
 		InFlight:       1,
 	}
 }
@@ -168,14 +182,13 @@ func (cm CostModel) ModelOffload(label string, st core.EngineStats, depth match.
 	if msgs == 0 {
 		return ModeledRate{Label: label}
 	}
-	threads := float64(max(cm.Threads, 1))
 	inflight := float64(max(cm.InFlight, 1))
 	probesPerMsg := float64(depth.ArriveTraversed) / msgs
 	fastPerMsg := float64(st.FastPath) / msgs
 	slowPerMsg := float64(st.SlowPath) / msgs
 	blocksPerMsg := float64(st.Blocks) / msgs
 	parallel := (cm.DPAHandlerNS + cm.DPABarrierNS +
-		probesPerMsg*cm.DPAProbeNS + fastPerMsg*cm.DPAFastNS) / threads
+		probesPerMsg*cm.DPAProbeNS + fastPerMsg*cm.DPAFastNS) / cm.width()
 	matchNS := parallel + slowPerMsg*cm.DPASlowNS + blocksPerMsg*cm.DPABlockNS/inflight
 	return rate(label, cm.wireStage(), matchNS)
 }
@@ -211,7 +224,7 @@ func (cm CostModel) ModelRaw(label string, messages int) ModeledRate {
 func RunModeledFigure8(cm CostModel, k, reps, coalesceBytes int) ([]ModeledRate, error) {
 	out := make([]ModeledRate, 0, 5)
 	for _, cfg := range Figure8Scenarios() {
-		cfg.K, cfg.Reps, cfg.Threads = k, reps, cm.Threads
+		cfg.K, cfg.Reps = k, reps
 		cfg.Matcher.InFlightBlocks = cm.InFlight
 		cfg.CoalesceBytes = coalesceBytes
 		res, err := RunMsgRate(cfg)

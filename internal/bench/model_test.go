@@ -123,8 +123,8 @@ func TestModelOffloadDeliveredFallback(t *testing.T) {
 
 // TestModelFootprintBytes pins the footprint model's composition.
 func TestModelFootprintBytes(t *testing.T) {
-	base := ModelFootprintBytes(FootprintConfig{
-		Bins: 128, MaxReceives: 1024, BlockSize: 32, InFlight: 1,
+	base := ModelFootprintBytes(core.Config{
+		Bins: 128, MaxReceives: 1024, BlockSize: 32, InFlightBlocks: 1,
 	})
 	want := core.IndexTables*128*core.BinModelBytes +
 		1024*core.DescriptorModelBytes + 32*EnvelopeModelBytes
@@ -132,15 +132,15 @@ func TestModelFootprintBytes(t *testing.T) {
 		t.Fatalf("base footprint = %d, want %d", base, want)
 	}
 
-	deeper := ModelFootprintBytes(FootprintConfig{
-		Bins: 128, MaxReceives: 1024, BlockSize: 32, InFlight: 8,
+	deeper := ModelFootprintBytes(core.Config{
+		Bins: 128, MaxReceives: 1024, BlockSize: 32, InFlightBlocks: 8,
 	})
 	if deeper-base != 7*32*EnvelopeModelBytes {
 		t.Fatalf("in-flight slots: %d -> %d, want +%d", base, deeper, 7*32*EnvelopeModelBytes)
 	}
 
-	// InFlight 0 normalizes to 1 (matching core.Config).
-	if z := ModelFootprintBytes(FootprintConfig{Bins: 128, MaxReceives: 1024, BlockSize: 32}); z != base {
-		t.Fatalf("zero InFlight = %d, want %d", z, base)
+	// InFlightBlocks 0 normalizes to 1, as in core.Config.
+	if z := ModelFootprintBytes(core.Config{Bins: 128, MaxReceives: 1024, BlockSize: 32}); z != base {
+		t.Fatalf("zero InFlightBlocks = %d, want %d", z, base)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dpa"
 	"repro/internal/match"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -17,7 +16,8 @@ import (
 
 // MsgRateConfig describes one Figure 8 scenario. The defaults mirror §VI:
 // sequences of K=100 small messages, 500 repetitions, 1024 in-flight
-// receives, hash tables twice the in-flight count, 32 DPA threads.
+// receives, hash tables twice the in-flight count, and the DPA threads
+// dpa.ThreadsFor the matcher (32 at one block in flight).
 type MsgRateConfig struct {
 	Label string
 	// Engine selects Optimistic-DPA / MPI-CPU / RDMA-CPU.
@@ -34,8 +34,6 @@ type MsgRateConfig struct {
 	Reps int
 	// PayloadBytes is the eager payload size (default 8).
 	PayloadBytes int
-	// Threads is the DPA thread count (default 32).
-	Threads int
 	// CoalesceBytes arms sender-side eager coalescing (mpi.Options; zero =
 	// off): consecutive eager sends leave as multi-message wire frames, and
 	// the achieved mean frame width lands in MsgRateResult.BatchWidth.
@@ -60,22 +58,8 @@ func (c *MsgRateConfig) fill() {
 	if c.PayloadBytes == 0 {
 		c.PayloadBytes = 8
 	}
-	if c.Threads == 0 {
-		c.Threads = dpa.DefaultThreads
-	}
 	if c.Matcher == (core.Config{}) {
 		c.Matcher = PaperMatcherConfig()
-	}
-	// Matcher.InFlightBlocks > 1 overlaps arrival blocks: Threads rises to
-	// K×BlockSize (capped at the DPA maximum) so every in-flight handler
-	// activation can hold a hardware thread.
-	if need := max(c.Matcher.InFlightBlocks, 1) * c.Matcher.BlockSize; c.Threads < need {
-		// The paper's geometry: 8 blocks × 32 threads fills the BF3 DPA's
-		// 256 hardware threads.
-		c.Threads = need
-		if c.Threads > dpa.MaxThreads {
-			c.Threads = dpa.MaxThreads
-		}
 	}
 }
 
@@ -133,9 +117,7 @@ func RunMsgRate(cfg MsgRateConfig) (*MsgRateResult, error) {
 	w, err := mpi.NewWorld(2, mpi.Options{
 		Engine:        cfg.Engine,
 		Matcher:       cfg.Matcher,
-		DPA:           dpa.Config{Threads: cfg.Threads},
 		RecvDepth:     2 * cfg.K,
-		EagerLimit:    1024,
 		Faults:        cfg.Faults,
 		CoalesceBytes: cfg.CoalesceBytes,
 		Obs:           cfg.Obs,

@@ -81,7 +81,4 @@ func (s *Sequential) UnexpectedDepth() int { return s.m.UnexpectedDepth() }
 // Stats implements match.Matcher.
 func (s *Sequential) Stats() match.Stats { return s.m.DepthStats() }
 
-// ResetStats implements match.Matcher.
-func (s *Sequential) ResetStats() { s.m.ResetDepthStats() }
-
 var _ match.Matcher = (*Sequential)(nil)

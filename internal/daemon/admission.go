@@ -29,8 +29,9 @@ type Budgets struct {
 	// MaxTenants bounds distinct tenants (default 16).
 	MaxTenants int `json:"max_tenants,omitempty"`
 	// TenantThreads is each tenant's DPA thread budget across its running
-	// jobs: an offload job charges Ranks × Threads (default
-	// dpa.MaxThreads, one BF3's worth per tenant; host/raw jobs charge 0).
+	// jobs: an offload job charges Ranks × dpa.ThreadsFor its matcher
+	// (default dpa.MaxThreads, one BF3's worth per tenant; host/raw jobs
+	// charge 0).
 	TenantThreads int `json:"tenant_threads,omitempty"`
 	// TenantBytes is each tenant's modeled-memory budget (§IV-E /
 	// bench.ModelFootprintBytes summed over a job's ranks; default 64 MiB).
@@ -74,17 +75,24 @@ func (b *Budgets) fill() {
 	}
 }
 
-// offloadBlockSize is the matcher block every hosted offload job runs
-// (worldOptions): the fewest DPA threads a rank can ask for.
-var offloadBlockSize = bench.PaperMatcherConfig().BlockSize
+// specMatcher is the matcher a normalized spec runs: base (zero: the
+// paper's, which every hosted job runs) with the spec's tables and depth.
+func specMatcher(s *JobSpec, base core.Config) core.Config {
+	if base == (core.Config{}) {
+		base = bench.PaperMatcherConfig()
+	}
+	base.Bins, base.MaxReceives, base.InFlightBlocks = s.Bins, s.MaxReceives, s.InFlight
+	return base
+}
 
 // specThreads is the DPA thread charge of one normalized spec: every rank
-// of an offload job gets its own accelerator.
+// of an offload job gets its own accelerator, of the threads its world
+// derives from the matcher (mpi.Options).
 func specThreads(s *JobSpec) int {
 	if s.Engine != "offload" {
 		return 0
 	}
-	return s.Ranks * s.Threads
+	return s.Ranks * dpa.ThreadsFor(specMatcher(s, core.Config{}))
 }
 
 // specFootprint is the modeled resident bytes of one normalized spec,
@@ -93,13 +101,7 @@ func specThreads(s *JobSpec) int {
 // only descriptor state, so they are charged the descriptor table alone.
 func specFootprint(s *JobSpec) int {
 	if s.Engine == "offload" {
-		per := bench.ModelFootprintBytes(bench.FootprintConfig{
-			Bins:        s.Bins,
-			MaxReceives: s.MaxReceives,
-			BlockSize:   offloadBlockSize,
-			InFlight:    s.InFlight,
-		})
-		return s.Ranks * per
+		return s.Ranks * bench.ModelFootprintBytes(specMatcher(s, core.Config{}))
 	}
 	return s.Ranks * s.MaxReceives * core.DescriptorModelBytes
 }
@@ -140,8 +142,18 @@ func refusal(err error) error {
 
 // admit charges spec against its tenant's budgets, creating the tenant on
 // first contact. Caller holds d.mu. On rejection nothing is charged and
-// the typed error names the exhausted budget.
+// the typed error names the exhausted budget, or says that the job asks
+// more than a whole budget and so will never be admitted.
 func (d *Daemon) admit(spec *JobSpec, fp, threads int) (*tenant, error) {
+	b := d.budgets
+	switch {
+	case threads > b.TenantThreads:
+		return nil, overBudget("job asks %d DPA threads, more than a tenant's whole thread budget of %d: it can never be admitted",
+			threads, b.TenantThreads)
+	case fp > b.TenantBytes:
+		return nil, overBudget("job's %d modeled bytes exceed a tenant's whole memory budget of %d: it can never be admitted",
+			fp, b.TenantBytes)
+	}
 	t := d.tenants[spec.Tenant]
 	if t == nil {
 		if len(d.tenants) >= d.budgets.MaxTenants {
@@ -150,7 +162,6 @@ func (d *Daemon) admit(spec *JobSpec, fp, threads int) (*tenant, error) {
 		t = &tenant{name: spec.Tenant, sink: obs.New(obs.Options{})}
 		d.tenants[spec.Tenant] = t
 	}
-	b := d.budgets
 	switch {
 	case t.active >= b.TenantJobs:
 		return nil, overBudget("tenant %s already runs %d jobs (limit %d)", t.name, t.active, b.TenantJobs)

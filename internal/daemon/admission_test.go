@@ -65,7 +65,8 @@ func admissionCode(t *testing.T, err error) string {
 
 // TestAdmissionOverBudgetRejected pins the §IV-E budget gate: a job asking
 // past its tenant's DPA-thread or memory budget is rejected with a typed
-// reason naming the exhausted budget, and the rejection charges nothing —
+// reason naming the exhausted budget (or, when it asks more than the whole
+// budget, saying it never fits), and the rejection charges nothing —
 // a fitting job from the same tenant, and any job from another tenant,
 // still admit.
 func TestAdmissionOverBudgetRejected(t *testing.T) {
@@ -76,24 +77,34 @@ func TestAdmissionOverBudgetRejected(t *testing.T) {
 
 	// 2 ranks × 32 threads = the whole 64-thread budget. Long enough to
 	// still be running while the asks below bounce off it.
-	full := JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 2, Threads: 32, K: 2, Reps: 300}
+	full := JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 2, K: 2, Reps: 300}
 	st, err := d.Submit(full)
 	if err != nil {
 		t.Fatalf("first offload job: %v", err)
 	}
 	// A second offload thread-ask must bounce while the first runs.
-	_, err = d.Submit(JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 1, Threads: 32, K: 2, Reps: 1})
+	_, err = d.Submit(JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 1, K: 2, Reps: 1})
 	if code := admissionCode(t, err); code != CodeOverBudget {
 		t.Fatalf("thread-over-budget code = %s, want %s", code, CodeOverBudget)
 	} else if !strings.Contains(err.Error(), "thread") {
 		t.Fatalf("rejection reason %q does not name the thread budget", err)
+	} else if strings.Contains(err.Error(), "never") {
+		t.Fatalf("rejection reason %q says a job that fits the budget never will", err)
+	}
+	// A job asking more than the whole budget (1 × 4 × 32 > 64) is told it
+	// will never be admitted, not that the budget is in use.
+	_, err = d.Submit(JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 1, InFlight: 4, K: 2, Reps: 1})
+	if code := admissionCode(t, err); code != CodeOverBudget {
+		t.Fatalf("never-fitting job code = %s, want %s", code, CodeOverBudget)
+	} else if !strings.Contains(err.Error(), "thread") || !strings.Contains(err.Error(), "never") {
+		t.Fatalf("rejection reason %q does not say the thread ask can never fit", err)
 	}
 	// The same tenant still fits a host job (no thread charge)...
 	if _, err := d.Submit(JobSpec{Tenant: "alpha", Engine: "host", Ranks: 2, K: 2, Reps: 1}); err != nil {
 		t.Fatalf("host job within budget: %v", err)
 	}
 	// ...and another tenant's budget is untouched.
-	if _, err := d.Submit(JobSpec{Tenant: "beta", Engine: "offload", Ranks: 2, Threads: 32, K: 2, Reps: 1}); err != nil {
+	if _, err := d.Submit(JobSpec{Tenant: "beta", Engine: "offload", Ranks: 2, K: 2, Reps: 1}); err != nil {
 		t.Fatalf("other tenant's offload job: %v", err)
 	}
 
@@ -112,24 +123,42 @@ func TestAdmissionOverBudgetRejected(t *testing.T) {
 		t.Fatalf("WaitJob: %v", err)
 	}
 	waitAllTerminal(t, d)
-	if _, err := d.Submit(JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 1, Threads: 32, K: 2, Reps: 1}); err != nil {
+	if _, err := d.Submit(JobSpec{Tenant: "alpha", Engine: "offload", Ranks: 1, K: 2, Reps: 1}); err != nil {
 		t.Fatalf("offload job after release: %v", err)
 	}
 	waitAllTerminal(t, d)
 }
 
+// TestOffloadChargeFollowsDepth pins what an offload job is charged: each
+// rank's world derives its DPA threads from the matcher (dpa.ThreadsFor),
+// so a 2-rank job takes 2 × 32 at one block in flight and 2 × 4 × 32 at
+// four.
+func TestOffloadChargeFollowsDepth(t *testing.T) {
+	d := New(Config{Clock: newFakeClock()})
+	for _, tc := range []struct{ inflight, threads int }{{1, 64}, {4, 256}} {
+		st, err := d.Submit(JobSpec{Tenant: "a", Engine: "offload", Ranks: 2, InFlight: tc.inflight, K: 2, Reps: 1})
+		if err != nil {
+			t.Fatalf("inflight %d: %v", tc.inflight, err)
+		}
+		if st.Threads != tc.threads {
+			t.Errorf("inflight %d: charged %d threads, want %d", tc.inflight, st.Threads, tc.threads)
+		}
+		if st, err = d.WaitJob(st.ID); err != nil || st.State != "done" {
+			t.Fatalf("inflight %d: state %s err %v (%s)", tc.inflight, st.State, err, st.Error)
+		}
+	}
+}
+
 // TestUnbuildableOffloadSpecsRefused pins the pre-admission gate: an
-// offload spec no world can be built from — fewer DPA threads than the
-// matcher's block, or matching tables no DPA memory holds — is refused with
-// a typed code through the decoder's boundary, takes no job id, charges
-// nothing, and starts (so leaks) no DPA worker.
+// offload spec no world can be built from — matching tables no DPA memory
+// holds — is refused with a typed code through the decoder's boundary,
+// takes no job id, charges nothing, and starts (so leaks) no DPA worker.
 func TestUnbuildableOffloadSpecsRefused(t *testing.T) {
 	before := runtime.NumGoroutine()
 	d := New(Config{Clock: newFakeClock()})
 	for _, tc := range []struct {
 		line, code, names string
 	}{
-		{`{"op":"submit","job":{"tenant":"a","engine":"offload","threads":8}}`, CodeBadRequest, "threads"},
 		{`{"op":"submit","job":{"tenant":"a","engine":"offload","bins":524288}}`, CodeOverBudget, "DPA memory"},
 	} {
 		if _, err := DecodeRequest([]byte(tc.line)); err == nil {
@@ -153,7 +182,7 @@ func TestUnbuildableOffloadSpecsRefused(t *testing.T) {
 		t.Fatalf("goroutines: %d before, %d after 20 refused submissions", before, now)
 	}
 	// The same shapes with a buildable ask still admit and run.
-	st, err := d.Submit(JobSpec{Tenant: "a", Engine: "offload", Threads: 32, K: 2, Reps: 1})
+	st, err := d.Submit(JobSpec{Tenant: "a", Engine: "offload", K: 2, Reps: 1})
 	if err != nil {
 		t.Fatalf("buildable offload spec: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dpa"
 	"repro/internal/obs"
 )
 
@@ -52,9 +53,10 @@ func goldenRing(t *testing.T, spec JobSpec) (messages int, matched uint64) {
 // engine, in-flight depths K ∈ {1,4,8}, and all four transports — through
 // the real control protocol, then checks each tenant's matched results
 // against the golden single-job path and the daemon's admission
-// bookkeeping against its own /tenants view.
+// bookkeeping against its own /tenants view. A rank at K = 8 runs on all
+// 256 DPA threads (dpa.ThreadsFor), so each tenant may hold two.
 func TestDaemonMultiTenantIntegration(t *testing.T) {
-	d, addr := startDaemon(t, Budgets{TenantThreads: 256, TenantBytes: 256 << 20})
+	d, addr := startDaemon(t, Budgets{TenantThreads: 2 * dpa.MaxThreads, TenantBytes: 256 << 20})
 
 	specs := []JobSpec{
 		{Tenant: "t0", Engine: "host", Transport: "inproc", Ranks: 4, K: 8, Reps: 3},

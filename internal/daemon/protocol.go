@@ -102,9 +102,6 @@ type JobSpec struct {
 	K            int `json:"k,omitempty"`
 	Reps         int `json:"reps,omitempty"`
 	PayloadBytes int `json:"payload_bytes,omitempty"`
-	// Threads is the per-rank DPA thread ask (offload engine only,
-	// default dpa.DefaultThreads); the tenant is charged Ranks × Threads.
-	Threads int `json:"threads,omitempty"`
 	// Matcher table shape (defaults 256 bins / 1088 receives / K=1).
 	Bins        int `json:"bins,omitempty"`
 	MaxReceives int `json:"max_receives,omitempty"`
@@ -238,8 +235,6 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("reps %d outside [0,%d]", s.Reps, MaxReps)
 	case s.PayloadBytes > MaxPayloadBytes:
 		return fmt.Errorf("payload_bytes %d outside [0,%d]", s.PayloadBytes, MaxPayloadBytes)
-	case s.Threads > dpa.MaxThreads:
-		return fmt.Errorf("threads %d outside [0,%d]", s.Threads, dpa.MaxThreads)
 	case s.Bins > MaxBins:
 		return fmt.Errorf("bins %d outside [0,%d]", s.Bins, MaxBins)
 	case s.MaxReceives > MaxReceivesCap:
@@ -248,12 +243,9 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("scale %d outside [0,%d]", s.Scale, MaxScale)
 	}
 	// Within every cap, an offload spec can still be one no world can be
-	// built from (mpi refuses both at engine construction): refuse it here,
+	// built from (mpi refuses it at engine construction): refuse it here,
 	// before it is admitted, charged and given an id.
 	if shaped.Engine == "offload" {
-		if shaped.Threads < offloadBlockSize {
-			return fmt.Errorf("threads %d below the offload matcher's block of %d", shaped.Threads, offloadBlockSize)
-		}
 		if per := specFootprint(&shaped) / shaped.Ranks; per > dpa.L3CacheBytes {
 			return overBudget("matching tables of %d bytes per rank exceed the %d bytes of DPA memory", per, dpa.L3CacheBytes)
 		}
@@ -280,7 +272,7 @@ func (s *JobSpec) checkShape() error {
 		v    int
 	}{
 		{"ranks", s.Ranks}, {"k", s.K}, {"reps", s.Reps}, {"payload", s.PayloadBytes},
-		{"threads", s.Threads}, {"max_receives", s.MaxReceives}, {"scale", s.Scale},
+		{"max_receives", s.MaxReceives}, {"scale", s.Scale},
 	} {
 		if size.v < 0 {
 			return fmt.Errorf("%s %d must be >= 0", size.flag, size.v)
@@ -317,9 +309,6 @@ func (s *JobSpec) Normalize() {
 	}
 	if s.PayloadBytes == 0 {
 		s.PayloadBytes = 8
-	}
-	if s.Threads == 0 {
-		s.Threads = dpa.DefaultThreads
 	}
 	if s.Bins == 0 {
 		s.Bins = 256

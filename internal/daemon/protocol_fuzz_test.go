@@ -86,8 +86,6 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("normalized k %d out of bounds", s.K)
 			case s.Reps < 1 || s.Reps > MaxReps:
 				t.Fatalf("normalized reps %d out of bounds", s.Reps)
-			case s.Threads < 1 || s.Threads > dpa.MaxThreads:
-				t.Fatalf("normalized threads %d out of bounds", s.Threads)
 			case s.InFlight < 1 || s.InFlight > core.MaxInFlightBlocks:
 				t.Fatalf("normalized inflight %d out of bounds", s.InFlight)
 			case len(s.Tenant) > MaxNameLen || len(s.ID) > MaxNameLen:

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/dpa"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/rdma"
@@ -75,19 +74,10 @@ type Result struct {
 
 // worldOptions maps a normalized spec onto mpi world options.
 func worldOptions(spec *JobSpec, loc Local) mpi.Options {
-	matcher := loc.Matcher
-	if matcher == (core.Config{}) {
-		matcher = bench.PaperMatcherConfig()
-	}
-	matcher.Bins = spec.Bins
-	matcher.MaxReceives = spec.MaxReceives
-	matcher.InFlightBlocks = spec.InFlight
 	return mpi.Options{
 		Engine:        engineKinds[spec.Engine],
-		Matcher:       matcher,
-		DPA:           dpa.Config{Threads: spec.Threads},
+		Matcher:       specMatcher(spec, loc.Matcher),
 		RecvDepth:     max(2*spec.K, 64),
-		EagerLimit:    1024,
 		Faults:        loc.Faults, // NewWorld's fabric takes it; a net transport carries its own copy
 		CoalesceBytes: loc.CoalesceBytes,
 		Obs:           loc.Obs,

@@ -48,6 +48,7 @@ func TestArrivalHotPathAllocs(t *testing.T) {
 					return out
 				}
 			}
+			handled := countHandled(p)
 			p.Start()
 			defer p.Stop()
 
@@ -69,12 +70,12 @@ func TestArrivalHotPathAllocs(t *testing.T) {
 					}
 					cq.Push(comp)
 					if pushed%lag == 0 {
-						for p.messages.Load() < uint64(pushed-lag) {
+						for handled.Load() < uint64(pushed-lag) {
 							runtime.Gosched()
 						}
 					}
 				}
-				for p.messages.Load() < uint64(pushed) {
+				for handled.Load() < uint64(pushed) {
 					runtime.Gosched()
 				}
 			}

@@ -44,6 +44,7 @@ func benchArrivalHotPath(b *testing.B, opts obs.Options) {
 		return env
 	}
 	p.Handle = func(tid int, res core.Result, c rdma.Completion) {}
+	handled := countHandled(p)
 	p.Start()
 	defer p.Stop()
 
@@ -66,12 +67,12 @@ func benchArrivalHotPath(b *testing.B, opts obs.Options) {
 			cq.Push(comp)
 			pushed++
 			if pushed%lag == 0 {
-				for p.messages.Load() < uint64(pushed-lag) {
+				for handled.Load() < uint64(pushed-lag) {
 					runtime.Gosched()
 				}
 			}
 		}
-		for p.messages.Load() < uint64(pushed) {
+		for handled.Load() < uint64(pushed) {
 			runtime.Gosched()
 		}
 	}
@@ -126,6 +127,7 @@ func BenchmarkInFlightPipeline(b *testing.B) {
 				return env
 			}
 			p.Handle = func(tid int, res core.Result, c rdma.Completion) {}
+			handled := countHandled(p)
 			p.Start()
 			defer p.Stop()
 
@@ -146,12 +148,12 @@ func BenchmarkInFlightPipeline(b *testing.B) {
 					cq.Push(comp)
 					pushed++
 					if pushed%lag == 0 {
-						for p.messages.Load() < uint64(pushed-lag) {
+						for handled.Load() < uint64(pushed-lag) {
 							runtime.Gosched()
 						}
 					}
 				}
-				for p.messages.Load() < uint64(pushed) {
+				for handled.Load() < uint64(pushed) {
 					runtime.Gosched()
 				}
 			}

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/core"
 )
 
 // BlueField-3 DPA memory hierarchy (§IV-E).
@@ -29,6 +31,15 @@ const (
 	// MaxThreads is the BF3 hardware thread count.
 	MaxThreads = 256
 )
+
+// ThreadsFor is the DPA thread count a matcher of shape cfg runs on: one
+// thread per handler of every block in flight (InFlightBlocks ×
+// BlockSize), and never fewer than the prototype's DefaultThreads. Eight
+// blocks of 32 fill the 256 hardware threads, so it never exceeds
+// MaxThreads for a valid cfg.
+func ThreadsFor(cfg core.Config) int {
+	return max(DefaultThreads, max(cfg.InFlightBlocks, 1)*cfg.BlockSize)
+}
 
 // ErrOutOfMemory is returned when a reservation exceeds the NIC memory left;
 // the caller is expected to fall back to host (software) handling, as §IV-E
@@ -43,10 +54,10 @@ type Accelerator struct {
 	threads int
 
 	// The NIC-memory budget: the modeled (§IV-E) bytes of matching tables
-	// reserved so far against the device capacity. It holds no memory; the
-	// host representation of what it budgets lives with its owner.
+	// reserved so far against the device's L3CacheBytes. It holds no
+	// memory; the host representation of what it budgets lives with its
+	// owner.
 	memMu   sync.Mutex
-	memCap  int
 	memUsed int
 
 	work  chan ticket
@@ -104,10 +115,9 @@ var bsPool = sync.Pool{New: func() any { return new(blockState) }}
 
 // Config parameterizes the simulated device.
 type Config struct {
-	// Threads is the number of execution units (default DefaultThreads).
+	// Threads is the number of execution units (default DefaultThreads;
+	// an mpi world sets ThreadsFor its matcher).
 	Threads int
-	// MemoryBytes is the NIC memory capacity (default L3CacheBytes).
-	MemoryBytes int
 }
 
 // New returns an accelerator. Its workers start at its first wake.
@@ -118,12 +128,8 @@ func New(cfg Config) (*Accelerator, error) {
 	if cfg.Threads < 1 || cfg.Threads > MaxThreads {
 		return nil, fmt.Errorf("dpa: Threads must be in [1,%d], got %d", MaxThreads, cfg.Threads)
 	}
-	if cfg.MemoryBytes == 0 {
-		cfg.MemoryBytes = L3CacheBytes
-	}
 	return &Accelerator{
 		threads: cfg.Threads,
-		memCap:  cfg.MemoryBytes,
 		work:    make(chan ticket, cfg.Threads),
 		quit:    make(chan struct{}),
 	}, nil
@@ -266,7 +272,7 @@ func (a *Accelerator) Reserve(n int) error {
 	}
 	a.memMu.Lock()
 	defer a.memMu.Unlock()
-	if a.memUsed+n > a.memCap {
+	if a.memUsed+n > L3CacheBytes {
 		return ErrOutOfMemory
 	}
 	a.memUsed += n

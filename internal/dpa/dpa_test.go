@@ -23,13 +23,25 @@ func newMatcher(cfg core.Config) *core.OptimisticMatcher {
 	return m
 }
 
+// countHandled wraps p.Handle so that the returned count rises as each
+// handler returns: how a test waits for the messages it has pushed.
+func countHandled(p *Pipeline) *atomic.Uint64 {
+	var n atomic.Uint64
+	handle := p.Handle
+	p.Handle = func(tid int, res core.Result, c rdma.Completion) {
+		handle(tid, res, c)
+		n.Add(1)
+	}
+	return &n
+}
+
 // TestArenaAccounting drives the NIC-memory budget: reservations fit up to
 // the capacity, the next byte is ErrOutOfMemory, and concurrent reservers
 // never overcommit it.
 func TestArenaAccounting(t *testing.T) {
-	a := MustNew(Config{Threads: 1, MemoryBytes: 1024})
+	a := MustNew(Config{Threads: 1})
 	defer a.Close()
-	for _, n := range []int{512, 512, 0} {
+	for _, n := range []int{L3CacheBytes / 2, L3CacheBytes / 2, 0} {
 		if err := a.Reserve(n); err != nil {
 			t.Fatalf("reserve %d: %v", n, err)
 		}
@@ -41,7 +53,9 @@ func TestArenaAccounting(t *testing.T) {
 		t.Fatalf("negative reserve: %v", err)
 	}
 
-	b := MustNew(Config{Threads: 1, MemoryBytes: 100})
+	// 80 concurrent asks for 1/40 of the memory and a byte: 39 fit.
+	const chunk = L3CacheBytes/40 + 1
+	b := MustNew(Config{Threads: 1})
 	defer b.Close()
 	var wg sync.WaitGroup
 	var granted atomic.Int64
@@ -50,15 +64,15 @@ func TestArenaAccounting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if b.Reserve(3) == nil {
-					granted.Add(3)
+				if b.Reserve(chunk) == nil {
+					granted.Add(chunk)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := granted.Load(); got != 99 {
-		t.Fatalf("concurrent reservers were granted %d B of 100, want 99", got)
+	if got := granted.Load(); got != 39*chunk {
+		t.Fatalf("concurrent reservers were granted %d B of %d, want %d", got, L3CacheBytes, 39*chunk)
 	}
 }
 
@@ -132,8 +146,9 @@ func TestConflictedBlockOnOneThread(t *testing.T) {
 			r, _ := golden.Arrive(&match.Envelope{Source: 1, Tag: 5, Seq: seq})
 			want[seq] = r.Label
 		}
+		handled := countHandled(p)
 		p.Start()
-		for p.messages.Load() < uint64(msgs) {
+		for handled.Load() < uint64(msgs) {
 			runtime.Gosched()
 		}
 		p.Stop()
@@ -209,11 +224,32 @@ func TestRendezvousHandlersOverlap(t *testing.T) {
 		}
 		cq.Push(rdma.Completion{Op: rdma.OpRecv, WRID: uint64(i)})
 	}
+	handled := countHandled(p)
 	p.Start()
-	for p.messages.Load() < n {
+	for handled.Load() < n {
 		runtime.Gosched()
 	}
 	p.Stop()
+}
+
+// TestThreadsFor pins the derived thread count: one thread per handler of
+// every block in flight, never below the prototype's 32, so eight blocks
+// of 32 fill the 256 hardware threads.
+func TestThreadsFor(t *testing.T) {
+	want := map[int][]int{
+		8:  {32, 32, 32, 32, 40, 48, 56, 64},
+		32: {32, 64, 96, 128, 160, 192, 224, 256},
+	}
+	for n, byK := range want {
+		for k := 1; k <= core.MaxInFlightBlocks; k++ {
+			if got := ThreadsFor(core.Config{BlockSize: n, InFlightBlocks: k}); got != byK[k-1] {
+				t.Errorf("ThreadsFor(BlockSize %d, K %d) = %d, want %d", n, k, got, byK[k-1])
+			}
+		}
+	}
+	if got := ThreadsFor(core.Config{BlockSize: 32}); got != 32 {
+		t.Errorf("ThreadsFor at K 0 (one block) = %d, want 32", got)
+	}
 }
 
 func TestAcceleratorConfigValidation(t *testing.T) {
@@ -230,9 +266,6 @@ func TestAcceleratorConfigValidation(t *testing.T) {
 	defer a.Close()
 	if a.Threads() != DefaultThreads {
 		t.Fatalf("default threads = %d", a.Threads())
-	}
-	if a.memCap != L3CacheBytes {
-		t.Fatalf("default memory = %d", a.memCap)
 	}
 	a.Close() // double close is safe
 }
@@ -367,6 +400,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		outcomes[res.Env.Seq] = outcome{matched: !res.Unexpected, src: res.Env.Source}
 		mu.Unlock()
 	}
+	handled := countHandled(p)
 	p.Start()
 
 	// Post receives for sources 0..3, tag 5; sources 4..7 will be unexpected.
@@ -379,11 +413,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 		cq.Push(rdma.Completion{Op: rdma.OpRecv, Imm: uint32(src<<16 | 5)})
 	}
 	// Wait until all eight messages are processed, then stop.
-	for p.messages.Load() < 8 {
+	for handled.Load() < 8 {
 	}
 	p.Stop()
 
-	if got := p.messages.Load(); got != 8 {
+	if got := handled.Load(); got != 8 {
 		t.Fatalf("messages = %d, want 8", got)
 	}
 	mu.Lock()
@@ -419,8 +453,8 @@ func TestPipelineRequiresCallbacks(t *testing.T) {
 
 // TestPipelineStopDrainRace races Stop against a producer that keeps
 // pushing completions. The pipeline must neither deadlock nor lose
-// already-drained messages, and the message count must be stable once Stop
-// returns. Run under -race in CI.
+// already-drained messages, and no handler may run once Stop has returned.
+// Run under -race in CI.
 func TestPipelineStopDrainRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		acc := MustNew(Config{Threads: 4})
@@ -430,12 +464,16 @@ func TestPipelineStopDrainRace(t *testing.T) {
 		cq := rdma.NewCQ()
 		p := NewPipeline(acc, matcher, cq)
 		var handled atomic.Uint64
+		var stopped atomic.Bool
 		p.Decode = func(c rdma.Completion, env *match.Envelope) *match.Envelope {
 			env.Source = 1
 			env.Tag = match.Tag(c.Imm)
 			return env
 		}
 		p.Handle = func(tid int, res core.Result, c rdma.Completion) {
+			if stopped.Load() {
+				t.Errorf("iter %d: Handle ran after Stop returned", iter)
+			}
 			handled.Add(1)
 		}
 		p.Start()
@@ -457,13 +495,10 @@ func TestPipelineStopDrainRace(t *testing.T) {
 		for handled.Load() < 8 {
 		}
 		p.Stop()
+		stopped.Store(true)
 		wg.Wait()
 
-		got := p.messages.Load()
-		if got != handled.Load() {
-			t.Fatalf("iter %d: messages=%d but Handle ran %d times", iter, got, handled.Load())
-		}
-		if got > pushed.Load() {
+		if got := handled.Load(); got > pushed.Load() {
 			t.Fatalf("iter %d: processed %d of %d pushed", iter, got, pushed.Load())
 		}
 		acc.Close()

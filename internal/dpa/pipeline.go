@@ -2,7 +2,6 @@ package dpa
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/match"
@@ -76,8 +75,6 @@ type Pipeline struct {
 	stopOnce sync.Once
 	done     chan struct{}
 	wg       sync.WaitGroup
-
-	messages atomic.Uint64 // messages handled, counted once their block retires
 }
 
 // NewPipeline wires a pipeline; call Start to begin draining.
@@ -186,9 +183,6 @@ func (r *blockRunner) run(w *window) {
 	p.acc.finish(r.t)
 	p.acc.activations.Add(uint64(n))
 	w.blk.Finish()
-	// Count messages only after retirement: by then every deferred Handle
-	// has run, so observers that see the count see the handling too.
-	p.messages.Add(uint64(n))
 	w.blk = nil
 	r.w = nil
 }
@@ -242,7 +236,6 @@ func (p *Pipeline) runOne(w *window, c rdma.Completion) {
 	p.Handle(0, res, c)
 	w.settle(0, res)
 	p.acc.activations.Add(1)
-	p.messages.Add(1)
 }
 
 // runner executes the blocks the formation loop sends on jobs, returning

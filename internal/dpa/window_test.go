@@ -52,6 +52,7 @@ func TestPipelineRunnerCensus(t *testing.T) {
 					mu.Unlock()
 				}
 			}
+			handled := countHandled(p)
 			p.Start()
 			want := 0
 			if depth > 1 {
@@ -75,7 +76,7 @@ func TestPipelineRunnerCensus(t *testing.T) {
 				for i := 0; i < width; i++ {
 					cq.Push(rdma.Completion{Op: rdma.OpRecv, Imm: uint32(i + 1)})
 				}
-				for p.messages.Load() < uint64((b+1)*width) {
+				for handled.Load() < uint64((b+1)*width) {
 					runtime.Gosched()
 				}
 			}
@@ -107,7 +108,14 @@ func TestPipelineRunnerCensus(t *testing.T) {
 // unexpected one escapes into the store with a stabilized payload and
 // leaves its slot. Every payload and pairing must come out as sent, though
 // each bounce buffer is scribbled over as soon as its handler returns, and
-// no envelope may be in a window slot and in the store at once.
+// no envelope that escaped may be in a window slot afterwards.
+//
+// The test keeps every escaped envelope rather than putting it back into
+// the pool, so one can reach a slot again only if its slot kept it. That
+// shows deterministically: a slot is decoded into only after the block
+// that last used it has retired, so Decode sees such an envelope at the
+// slot's next use, and the scan after Stop sees it in a slot never used
+// again.
 func TestWindowEnvelopesEscape(t *testing.T) {
 	for _, depth := range []int{1, 4} {
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
@@ -118,9 +126,18 @@ func TestWindowEnvelopesEscape(t *testing.T) {
 			matcher.SetUnexpectedHook((*match.Envelope).Stabilize)
 			cq := rdma.NewCQ()
 			p := NewPipeline(acc, matcher, cq)
+			var mu sync.Mutex
+			stored := make(map[*match.Envelope]uint32)  // what the store holds, by tag
+			escaped := make(map[*match.Envelope]uint32) // every envelope that escaped, by tag
 			p.Decode = func(c rdma.Completion, env *match.Envelope) *match.Envelope {
 				if env.Source != 0 || env.Tag != 0 || env.Data != nil || env.Seq != 0 {
 					t.Errorf("Decode was handed a used envelope: %v", env)
+				}
+				mu.Lock()
+				tag, gone := escaped[env]
+				mu.Unlock()
+				if gone {
+					t.Errorf("message %d's envelope escaped but was handed to Decode again", tag)
 				}
 				env.Source, env.Tag = 1, match.Tag(c.Imm)
 				env.Data, env.Size = c.Data, len(c.Data)
@@ -129,13 +146,12 @@ func TestWindowEnvelopesEscape(t *testing.T) {
 			payload := func(tag uint32) []byte {
 				return bytes.Repeat([]byte{byte(tag), byte(tag >> 8)}, 1+int(tag%13))
 			}
-			var mu sync.Mutex
-			stored := make(map[*match.Envelope]uint32) // what the store holds, by tag
 			p.Handle = func(tid int, res core.Result, c rdma.Completion) {
 				tag := c.Imm
 				if res.Unexpected {
 					mu.Lock()
 					stored[res.Env] = tag
+					escaped[res.Env] = tag
 					mu.Unlock()
 				} else {
 					r := res.Recv
@@ -149,6 +165,7 @@ func TestWindowEnvelopesEscape(t *testing.T) {
 					c.Data[i] = 0xee
 				}
 			}
+			handled := countHandled(p)
 			p.Start()
 
 			rng := rand.New(rand.NewSource(int64(depth)))
@@ -172,28 +189,8 @@ func TestWindowEnvelopesEscape(t *testing.T) {
 					cq.Push(rdma.Completion{Op: rdma.OpRecv, Imm: tag, Data: payload(tag)})
 				}
 				sent += width
-				for p.messages.Load() < uint64(sent) {
+				for handled.Load() < uint64(sent) {
 					runtime.Gosched()
-				}
-				// Every block of the burst has retired and counted: the
-				// windows hold only idle envelopes now.
-				inSlot := make(map[*match.Envelope]bool)
-				for wi := range p.windows {
-					for _, env := range p.windows[wi].envs {
-						if env == nil {
-							continue
-						}
-						if inSlot[env] {
-							t.Fatalf("round %d: envelope %p sits in two window slots", round, env)
-						}
-						inSlot[env] = true
-						mu.Lock()
-						tag, both := stored[env]
-						mu.Unlock()
-						if both {
-							t.Fatalf("round %d: stored message %d's envelope is still in a window slot", round, tag)
-						}
-					}
 				}
 				for i := range tags {
 					if !late[i] {
@@ -210,18 +207,37 @@ func TestWindowEnvelopesEscape(t *testing.T) {
 					tag, had := stored[env]
 					delete(stored, env)
 					mu.Unlock()
-					if !had || tag != tags[i] || inSlot[env] {
-						t.Fatalf("late receive %d got envelope of message %d (stored %v, in a slot %v)", tags[i], tag, had, inSlot[env])
+					if !had || tag != tags[i] {
+						t.Fatalf("late receive %d got envelope of message %d (stored %v)", tags[i], tag, had)
 					}
 					if !bytes.Equal(env.Data, payload(tags[i])) {
 						t.Fatalf("stored message %d delivered %x, sent %x", tags[i], env.Data, payload(tags[i]))
 					}
-					p.Envelopes.Put(env)
 				}
 			}
 			p.Stop()
 			if len(stored) != 0 {
 				t.Fatalf("%d stored messages never received", len(stored))
+			}
+			// Every block has retired: the windows hold only idle envelopes,
+			// none of them one that escaped.
+			if len(escaped) == 0 {
+				t.Fatal("no message escaped into the store")
+			}
+			inSlot := make(map[*match.Envelope]bool)
+			for wi := range p.windows {
+				for _, env := range p.windows[wi].envs {
+					if env == nil {
+						continue
+					}
+					if inSlot[env] {
+						t.Fatalf("envelope %p sits in two window slots", env)
+					}
+					inSlot[env] = true
+					if tag, gone := escaped[env]; gone {
+						t.Fatalf("message %d's envelope escaped but is still in a window slot", tag)
+					}
+				}
 			}
 			if err := matcher.Stats().CheckQuiesced(matcher.DepthStats(), false); err != nil {
 				t.Fatal(err)

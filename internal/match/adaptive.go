@@ -108,9 +108,10 @@ func (m *AdaptiveMatcher) migrate() {
 	for n := lm.umq.head; n != nil; n = n.next {
 		bm.Arrive(n.env)
 	}
-	// Carry accumulated statistics so depth reporting stays cumulative.
+	// Carry accumulated statistics so depth reporting stays cumulative; the
+	// replay above is not new work, so bm starts counting from here.
 	m.carry = m.carry.Add(lm.Stats())
-	bm.ResetStats()
+	bm.stats = Stats{}
 	m.active = bm
 	m.migrated = true
 }
@@ -137,11 +138,5 @@ func (m *AdaptiveMatcher) UnexpectedDepth() int { return m.active.UnexpectedDept
 
 // Stats implements Matcher, accumulating across migrations.
 func (m *AdaptiveMatcher) Stats() Stats { return m.carry.Add(m.active.Stats()) }
-
-// ResetStats implements Matcher.
-func (m *AdaptiveMatcher) ResetStats() {
-	m.carry = Stats{}
-	m.active.ResetStats()
-}
 
 var _ Matcher = (*AdaptiveMatcher)(nil)

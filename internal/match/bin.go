@@ -305,9 +305,6 @@ func (m *BinMatcher) UnexpectedDepth() int { return m.unexpAll.n }
 // Stats implements Matcher.
 func (m *BinMatcher) Stats() Stats { return m.stats }
 
-// ResetStats implements Matcher.
-func (m *BinMatcher) ResetStats() { m.stats = Stats{} }
-
 // BinOccupancy reports, for the posted-receive table, the number of empty
 // bins and the maximum chain length — the §V-A occupancy statistics.
 func (m *BinMatcher) BinOccupancy() (empty, maxChain int) {

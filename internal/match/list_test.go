@@ -131,10 +131,6 @@ func TestListSearchDepthStats(t *testing.T) {
 	if st.ArriveMaxDepth != 9 {
 		t.Fatalf("ArriveMaxDepth = %d, want 9", st.ArriveMaxDepth)
 	}
-	m.ResetStats()
-	if m.Stats().ArriveSearches != 0 {
-		t.Fatal("ResetStats did not clear")
-	}
 }
 
 func TestListInterleavedRemoval(t *testing.T) {

@@ -204,9 +204,6 @@ type Matcher interface {
 
 	// Stats returns cumulative search statistics.
 	Stats() Stats
-
-	// ResetStats zeroes the cumulative search statistics.
-	ResetStats()
 }
 
 // Pairing records one completed match, for golden-model comparison.

@@ -153,7 +153,4 @@ func (m *RankMatcher) UnexpectedDepth() int { return m.unexpAll.n }
 // Stats implements Matcher.
 func (m *RankMatcher) Stats() Stats { return m.stats }
 
-// ResetStats implements Matcher.
-func (m *RankMatcher) ResetStats() { m.stats = Stats{} }
-
 var _ Matcher = (*RankMatcher)(nil)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dpa"
 )
 
 func infoWorld(t *testing.T, info map[int32]CommInfo, mutate func(*Options)) *World {
@@ -138,9 +137,9 @@ func TestCommInfoArenaExhaustionFallsBack(t *testing.T) {
 		info[id] = CommInfo{}
 	}
 	w := infoWorld(t, info, func(o *Options) {
-		// Base tables ≈ 64 bins ×3×20B + 256×64B ≈ 20 KiB. Room for the
-		// base set plus roughly two declared comms.
-		o.DPA = dpa.Config{Threads: 8, MemoryBytes: 64 * 1024}
+		// Tables of 16384 bins ×3×20B + 256×64B ≈ 976 KiB: the 3 MiB of
+		// DPA memory hold the base set plus two declared comms.
+		o.Matcher.Bins = 16384
 	})
 	fb := fallbackComms(w.Proc(0))
 	if len(fb) == 0 {

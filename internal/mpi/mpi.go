@@ -82,7 +82,8 @@ type Options struct {
 	RecvDepth int
 	// Matcher configures the offload engine (default core.DefaultConfig).
 	Matcher core.Config
-	// DPA configures the simulated accelerator (offload engine only).
+	// DPA configures the simulated accelerator (offload engine only). Its
+	// zero Threads becomes dpa.ThreadsFor(Matcher).
 	DPA dpa.Config
 	// Faults is the fault plan NewWorld installs on its in-process fabric.
 	// An active plan (rdma.FaultPlan with any nonzero rate) arms
@@ -137,6 +138,9 @@ func (o *Options) fill() {
 	}
 	if o.Matcher == (core.Config{}) {
 		o.Matcher = core.DefaultConfig()
+	}
+	if o.DPA.Threads == 0 {
+		o.DPA.Threads = dpa.ThreadsFor(o.Matcher)
 	}
 }
 

@@ -48,7 +48,7 @@ func LoadCache(dir string) (t *Trace, ok bool, err error) {
 		return nil, false, err
 	}
 	for _, e := range entries {
-		if e.IsDir() || !anyFormatFile(e.Name()) {
+		if e.IsDir() || !rankFileRe.MatchString(e.Name()) {
 			continue
 		}
 		fi, err := e.Info()
@@ -73,17 +73,7 @@ func LoadCache(dir string) (t *Trace, ok bool, err error) {
 	return t, true, nil
 }
 
-// anyFormatFile reports whether name belongs to any known format.
-func anyFormatFile(name string) bool {
-	for _, f := range formats {
-		if _, ok := f.MatchFile(name); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// Load parses the trace in dir (format auto-detected), consulting and
+// Load parses the DUMPI trace in dir, consulting and
 // refreshing the binary cache — the full §V-A parsing stage.
 func Load(dir, app string) (*Trace, error) {
 	if t, ok, err := LoadCache(dir); err == nil && ok {

@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // The DUMPI ASCII format (the output of dumpi2ascii, the SST DUMPI trace
@@ -111,6 +115,97 @@ func parseTagValue(raw string) int32 {
 
 // rankFileRe matches DUMPI per-rank trace files ("…-0007.txt").
 var rankFileRe = regexp.MustCompile(`-(\d+)\.txt$`)
+
+// LoadDir parses every DUMPI per-rank trace file in dir, in parallel per
+// rank (§V-A). Two files that name the same rank ("a-1.txt" and
+// "b-0001.txt") are an error naming both.
+func LoadDir(dir, app string) (*Trace, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	type rankFile struct {
+		rank int32
+		path string
+	}
+	var files []rankFile
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		m := rankFileRe.FindStringSubmatch(e.Name())
+		if m == nil {
+			continue
+		}
+		rank, err := strconv.ParseInt(m[1], 10, 32)
+		if err != nil {
+			continue
+		}
+		files = append(files, rankFile{rank: int32(rank), path: filepath.Join(dir, e.Name())})
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("trace: no DUMPI rank files (…-<rank>.txt) in %s", dir)
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].rank < files[j].rank })
+	for i := 1; i < len(files); i++ {
+		if files[i].rank == files[i-1].rank {
+			return nil, fmt.Errorf("trace: %s and %s both record rank %d",
+				files[i-1].path, files[i].path, files[i].rank)
+		}
+	}
+
+	t := &Trace{App: app, Ranks: make([]RankTrace, len(files))}
+	errs := make([]error, len(files))
+	var wg sync.WaitGroup
+	for i, rf := range files {
+		wg.Add(1)
+		go func(i int, rf rankFile) {
+			defer wg.Done()
+			fh, err := os.Open(rf.path)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer fh.Close()
+			rt, err := ParseDUMPI(fh, rf.rank)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			t.Ranks[i] = *rt
+		}(i, rf)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// WriteDir writes every rank of t into dir as a DUMPI file
+// ("dumpi-<app>-<rank>.txt"), which LoadDir reads back.
+func WriteDir(dir string, t *Trace) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i := range t.Ranks {
+		rt := &t.Ranks[i]
+		fh, err := os.Create(filepath.Join(dir, fmt.Sprintf("dumpi-%s-%04d.txt", sanitize(t.App), rt.Rank)))
+		if err != nil {
+			return err
+		}
+		if err := WriteDUMPI(fh, rt); err != nil {
+			fh.Close()
+			return err
+		}
+		if err := fh.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // WriteDUMPI emits a rank trace in DUMPI ASCII form, round-trippable
 // through ParseDUMPI. Synthetic traces are written this way so the analyzer

@@ -179,7 +179,7 @@ func writeTraceDir(t *testing.T, dir string) {
 			{Kind: OpProgress, Name: "MPI_Wait", Walltime: 1.1},
 		}},
 	}}
-	if err := WriteDirFormat(dir, tr, "dumpi"); err != nil {
+	if err := WriteDir(dir, tr); err != nil {
 		t.Fatal(err)
 	}
 }
