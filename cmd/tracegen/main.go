@@ -49,24 +49,11 @@ func main() {
 	cfg := tracegen.Config{Scale: *scale}
 	for _, a := range apps {
 		tr := a.Generate(cfg)
-		dir := filepath.Join(*out, sanitized(a.Name))
+		dir := filepath.Join(*out, trace.SanitizeName(a.Name))
 		if err := trace.WriteDir(dir, tr); err != nil {
 			fmt.Fprintf(os.Stderr, "tracegen: %s: %v\n", a.Name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("%-18s %5d ranks %8d events -> %s\n", a.Name, tr.NumRanks(), tr.NumEvents(), dir)
 	}
-}
-
-func sanitized(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }

@@ -7,7 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
+
+	"repro/internal/trace"
 )
 
 // CSV output mirroring the paper's artifact A2, which "generates a folder
@@ -65,7 +66,7 @@ func WriteCSV(w io.Writer, rep *Report) error {
 // root/<app>/<bins>/stats.csv.
 func WriteTree(root string, reports []*Report) error {
 	for _, rep := range reports {
-		dir := filepath.Join(root, sanitizeName(rep.App), strconv.Itoa(rep.Bins))
+		dir := filepath.Join(root, trace.SanitizeName(rep.App), strconv.Itoa(rep.Bins))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
@@ -82,15 +83,4 @@ func WriteTree(root string, reports []*Report) error {
 		}
 	}
 	return nil
-}
-
-func sanitizeName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }

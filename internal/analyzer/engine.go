@@ -23,6 +23,9 @@ type instance interface {
 	depth() match.Stats
 	// unexpectedTotal returns the cumulative unexpected-message count.
 	unexpectedTotal() uint64
+	// release hands the engine's tables to the next instance; nothing may
+	// use this one afterwards.
+	release()
 }
 
 // validEngine reports whether e names a known matching strategy, so sweep
@@ -88,6 +91,8 @@ func (o *optimisticInstance) depth() match.Stats { return o.m.DepthStats() }
 
 func (o *optimisticInstance) unexpectedTotal() uint64 { return o.m.Stats().Unexpected }
 
+func (o *optimisticInstance) release() { o.m.Release() }
+
 // genericInstance wraps any match.Matcher baseline.
 type genericInstance struct {
 	m match.Matcher
@@ -113,3 +118,5 @@ func (g *genericInstance) occupancy() (int, int, bool) {
 func (g *genericInstance) depth() match.Stats { return g.m.Stats() }
 
 func (g *genericInstance) unexpectedTotal() uint64 { return g.m.Stats().Unexpected }
+
+func (g *genericInstance) release() {}

@@ -43,9 +43,9 @@ type replaySlab struct {
 	envs  []match.Envelope
 }
 
-// runShard replays one rank's step stream through a fresh engine instance.
-// It is the per-rank slice of the serial loop in AnalyzeSerial; the two
-// must stay in lockstep.
+// runShard replays one rank's step stream through a fresh engine instance,
+// whose tables go to the next shard's when it is done. It is the per-rank
+// slice of the serial loop in AnalyzeSerial; the two must stay in lockstep.
 func runShard(sh *shard, cfg Config, slab *replaySlab) shardResult {
 	var res shardResult
 	start := cfg.Obs.Now()
@@ -54,6 +54,7 @@ func runShard(sh *shard, cfg Config, slab *replaySlab) shardResult {
 		res.err = err
 		return res
 	}
+	defer m.release() // after depth and unexpectedTotal are read
 	if cap(slab.recvs) < sh.recvs {
 		slab.recvs = make([]match.Recv, sh.recvs)
 	}

@@ -92,7 +92,9 @@ func pairedShard(n int) *shard {
 // TestRunShardAllocs is the allocation guard of the replay loop: a worker
 // whose slab has grown to the shard replays it with a fixed number of
 // allocations — the matcher and the sample buffer — however many steps the
-// shard has.
+// shard has. The matcher's tables come from the previous shard's through
+// sync.Pool, which under the race detector drops puts at random: there
+// only the limit holds, not the exact count.
 func TestRunShardAllocs(t *testing.T) {
 	cfg := Config{Bins: 32}
 	cfg.fill()
@@ -107,7 +109,7 @@ func TestRunShardAllocs(t *testing.T) {
 	}
 	replay(large) // warm the slab
 	a, b := replay(small), replay(large)
-	if a != b {
+	if a != b && !raceEnabled {
 		t.Errorf("allocations grow with the shard: %.0f for %d steps, %.0f for %d", a, len(small.steps), b, len(large.steps))
 	}
 	const limit = 32

@@ -232,6 +232,9 @@ func (m *OptimisticMatcher) BeginBlock(n int) *Block {
 	}
 	r := &m.ring
 	r.mu.Lock()
+	if r.slots == nil {
+		r.slots = make([]Block, m.cfg.InFlightBlocks)
+	}
 	for r.next-r.retired > uint64(len(r.slots)) {
 		r.cond.Wait()
 	}

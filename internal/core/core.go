@@ -154,7 +154,9 @@ func (cfg *Config) validate() error {
 // blockRing bounds and orders the in-flight arrival blocks. Block sequence
 // numbers are monotone from 1; at most len(slots) blocks run between the
 // assignment point (next) and the retire frontier (retired). Blocks recycle
-// ring slots, so a saturated pipeline allocates nothing per block.
+// ring slots, so a saturated pipeline allocates nothing per block; the
+// slots are made by the first BeginBlock, so a matcher that only ever
+// takes the one-message path (Arrive) has none.
 type blockRing struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -265,7 +267,6 @@ func New(cfg Config) (*OptimisticMatcher, error) {
 		barrierSpins: barrierSpinBudget(),
 	}
 	m.table = newDescriptorTable(cfg.MaxReceives, &m.ring)
-	m.ring.slots = make([]Block, cfg.InFlightBlocks)
 	m.ring.next = 1
 	m.ring.cond = sync.NewCond(&m.ring.mu)
 	return m, nil

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -260,4 +261,45 @@ func TestFailedReadStillAcknowledges(t *testing.T) {
 		w.Close()
 	}
 	expectGoroutines(t, before)
+}
+
+// TestPeerLostCompletionDropped: a transport reports a lost peer as an
+// error completion with no buffer (rdma.ErrPeerLost, the rank in Imm).
+// Every engine's arrival path must drop it without reposting: a nil buffer
+// in the bounce pool would swallow a later message as too large for it.
+// Every message after the report, twice the pool's depth, still arrives.
+func TestPeerLostCompletionDropped(t *testing.T) {
+	const depth = 4
+	for _, engine := range []EngineKind{EngineHost, EngineOffload} {
+		w, err := NewWorld(2, Options{Engine: engine, RecvDepth: depth})
+		if err != nil {
+			t.Fatalf("%v: NewWorld: %v", engine, err)
+		}
+		w.Proc(1).rawCQ.Push(rdma.Completion{Op: rdma.OpRecv, Err: rdma.ErrPeerLost, Imm: 0})
+		done := make(chan error, 1)
+		go func() {
+			snd, rcv := w.Proc(0).World(), w.Proc(1).World()
+			for i := 0; i < 2*depth; i++ {
+				if err := snd.Send(1, i, []byte{byte(i)}); err != nil {
+					done <- err
+					return
+				}
+				buf := make([]byte, 1)
+				if _, err := rcv.Recv(0, i, buf); err != nil || buf[0] != byte(i) {
+					done <- fmt.Errorf("message %d: %v, got %d", i, err, buf[0])
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%v: %v", engine, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: a message after the loss report never arrived", engine)
+		}
+		w.Close()
+	}
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -33,9 +34,11 @@ type engine interface {
 // completion (e.g. rdma.ErrBufferSize) carries the posted buffer unfilled;
 // a malformed header cannot occur from our own wire layer, and a sack
 // outside the reliability filter is stray: all three are only recycled. A
-// rendezvous ACK completes its pending send. What remains is data — an
-// eager message, an RTS, or a coalesced frame — and the engine supplies the
-// two things it does with it:
+// lost peer's completion (rdma.ErrPeerLost, the rank in Imm) carries no
+// buffer and is dropped; the requests that wait on that peer are not
+// failed here. A rendezvous ACK completes its pending send. What remains
+// is data — an eager message, an RTS, or a coalesced frame — and the
+// engine supplies the two things it does with it:
 //
 //   - take, when non-nil, may claim the whole completion, buffer included,
 //     before a frame is unbatched (the offload engine forms matching blocks
@@ -50,6 +53,9 @@ type engine interface {
 //
 // dispatch reports false once message has: the engine is shutting down.
 func (p *Proc) dispatch(c rdma.Completion, take func(header, rdma.Completion) bool, message func(header, []byte) bool) bool {
+	if c.Err != nil && errors.Is(c.Err, rdma.ErrPeerLost) {
+		return true
+	}
 	if take != nil && c.Err == nil {
 		if h, ok := peekHeader(c.Data); ok && take(h, c) {
 			return true

@@ -23,7 +23,8 @@ import (
 // of loopback sockets. Each rank owns one segment file:
 //
 //	header    | 4 KiB: magic, version, geometry (validated on attach), then
-//	          |   the owner's pid and the address of its probe word
+//	          |   the owner's pid, the address of its probe word, and the
+//	          |   closed word the owner sets at an orderly close
 //	rings     | n × (128 B control + shmRingBytes data): inbound SPSC ring
 //	          |   j is written by rank j's process and drained only by the
 //	          |   owner's poll goroutine (shmring.go)
@@ -35,7 +36,9 @@ import (
 // rings with a bounded busy-poll and falls back to timed sleeps when idle
 // (the spin-then-park protocol — on a time-shared core a hot spin would
 // starve the very peer it is waiting for), handing each record to the
-// transport's pump.
+// transport's pump. While parked it also watches its peers: one whose
+// segment is not marked closed and whose probe word no longer answers has
+// died, and becomes one rdma.ErrPeerLost completion on the CQ.
 //
 // Beyond the wire interface it offers the transport single-copy rendezvous,
 // which no socket can. publish announces a registered buffer where it lies,
@@ -69,15 +72,23 @@ const (
 	shmRingBytes = 2 << 20
 
 	shmMagic        = 0x524550524f53484d // "REPROSHM"
-	shmVersion      = 2
+	shmVersion      = 3
 	shmHeaderBytes  = 4096
 	regionSlots     = 1024
 	regionSlotBytes = 24
 
-	// Header words past the geometry: who owns the segment, and a word of
-	// the owner's own memory (holding shmMagic) for the attach probe.
-	shmHeaderPid   = 4 * 8
-	shmHeaderProbe = 5 * 8
+	// Header words past the geometry: who owns the segment, a word of the
+	// owner's own memory (holding shmMagic) for the attach probe, and the
+	// word the owner sets to 1 before it unmaps at an orderly close.
+	shmHeaderPid    = 4 * 8
+	shmHeaderProbe  = 5 * 8
+	shmHeaderClosed = 6 * 8
+
+	// shmScratchMin is what a poller's record scratch starts at; it grows
+	// to the largest record it has held.
+	shmScratchMin = 64 << 10
+	// shmProbeEvery spaces a parked poller's probes of its peers.
+	shmProbeEvery = 10 * time.Millisecond
 
 	// shmSpinBudget bounds the busy-poll phase (spinYield iterations) of
 	// both the poll loop and a full-ring sender before they fall back to
@@ -157,13 +168,17 @@ func shmGeometry(n int) [4]uint64 {
 var segmentPid = os.Getpid
 
 // mapShmSegment maps f as a segment of n ranks and lays the region table
-// over its tail. The mapping keeps the pages; f can be closed.
+// over its tail. The mapping keeps the pages; f can be closed. Readahead is
+// off: a fault on a ring would otherwise bring in the pages around it (on
+// a disk file system up to the device's readahead, the whole ring), which
+// a ring that rewinds never touches.
 func mapShmSegment(f *os.File, n int) (*shmSegment, error) {
 	size := shmSegmentSize(n)
 	mem, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, err
 	}
+	syscall.Madvise(mem, syscall.MADV_RANDOM) // advice only: a refusal costs memory, not correctness
 	table := mem[size-regionSlots*regionSlotBytes:]
 	return &shmSegment{path: f.Name(), mem: mem,
 		slots: unsafe.Slice((*regionSlot)(unsafe.Pointer(&table[0])), regionSlots)}, nil
@@ -300,6 +315,19 @@ func (s *shmSegment) probeOwner() error {
 	return nil
 }
 
+// closedWord is the header word the owner sets before it unmaps.
+func (s *shmSegment) closedWord() *atomic.Uint64 {
+	return (*atomic.Uint64)(unsafe.Pointer(&s.mem[shmHeaderClosed]))
+}
+
+// lost reports whether a peer's owner died without closing: its segment is
+// not marked closed and its probe word does not answer. The closed word is
+// read again after a failed probe, because an owner that closed meanwhile
+// may have let the word go.
+func (s *shmSegment) lost() bool {
+	return s.closedWord().Load() == 0 && s.probeOwner() != nil && s.closedWord().Load() == 0
+}
+
 // readRegion serves a rendezvous read against this segment's published
 // region table: find the rkey, bounds-check, and copy out of the owner's
 // memory. The rkey is checked once after the geometry loads, so a torn
@@ -340,6 +368,9 @@ func (s *shmSegment) readRegion(dst []byte, rkey uint64, offset int) error {
 }
 
 func (s *shmSegment) close() {
+	if s.owner {
+		s.closedWord().Store(1) // peers stop watching before the probe word goes
+	}
 	syscall.Munmap(s.mem)
 	s.mem, s.slots = nil, nil
 	if s.owner {
@@ -451,13 +482,22 @@ func (w *shmWire) close() {
 
 // poll is the consumer side: it drains every inbound ring of this rank's
 // own segment into the pump, spinning while work arrives and parking when
-// all rings stay empty past the spin budget.
+// all rings stay empty past the spin budget. Parked, it probes the peers
+// whose memory it can read every shmProbeEvery; a lost one's ring is
+// drained of what the peer published before it died, reported once as an
+// rdma.ErrPeerLost completion carrying its rank in Imm, and not polled
+// again.
 func (w *shmWire) poll() {
 	defer w.wg.Done()
 	t := w.t
 	c := &t.sink.Counters
-	scratch := make([]byte, shmRingBytes)
-	var rings []*shmRing
+	scratch := make([]byte, shmScratchMin)
+	type inbound struct {
+		rank int
+		ring *shmRing
+		peer *shmPeer
+	}
+	var in []inbound
 	for j, p := range w.peers {
 		if p == nil {
 			continue
@@ -466,29 +506,39 @@ func (w *shmWire) poll() {
 		if err != nil {
 			return // geometry was validated at construction; unreachable
 		}
-		rings = append(rings, r)
+		in = append(in, inbound{j, r, p})
 	}
 	var fr frameReader
+	// drain hands r's published records to the pump; closed means the
+	// transport is shutting down.
+	drain := func(r *shmRing) (progress, closed bool) {
+		for {
+			rec, ok, err := r.tryRead(&scratch)
+			if err != nil || !ok {
+				return progress, false // torn records are unreachable with well-behaved peers
+			}
+			progress = true
+			fr.load(rec)
+			h, err := t.arrive(w, &fr)
+			if errors.Is(err, rdma.ErrClosed) {
+				return progress, true
+			}
+			if err == nil {
+				c.Inc(obs.CtrShmRxFrames)
+				c.Add(obs.CtrShmRxBytes, uint64(h.payloadLen))
+			}
+		}
+	}
 	var wait spinPark
+	var probed time.Time
 	for {
 		progress := false
-		for _, r := range rings {
-			for {
-				rec, ok, err := r.tryRead(scratch)
-				if err != nil || !ok {
-					break // torn records are unreachable with well-behaved peers
-				}
-				progress = true
-				fr.load(rec)
-				h, err := t.arrive(w, &fr)
-				if errors.Is(err, rdma.ErrClosed) {
-					return
-				}
-				if err == nil {
-					c.Inc(obs.CtrShmRxFrames)
-					c.Add(obs.CtrShmRxBytes, uint64(h.payloadLen))
-				}
+		for _, ib := range in {
+			got, closed := drain(ib.ring)
+			if closed {
+				return
 			}
+			progress = progress || got
 		}
 		if progress {
 			if wait.spins > 0 && wait.sleep == 0 {
@@ -504,6 +554,22 @@ func (w *shmWire) poll() {
 		}
 		if wait.pause() {
 			c.Inc(obs.CtrShmParks)
+		}
+		if wait.sleep == 0 || time.Since(probed) < shmProbeEvery {
+			continue
+		}
+		probed = time.Now()
+		for i := 0; i < len(in); {
+			ib := in[i]
+			if ib.peer.refusal != nil || !ib.peer.seg.lost() {
+				i++
+				continue
+			}
+			if _, closed := drain(ib.ring); closed {
+				return
+			}
+			t.cq.Push(rdma.Completion{Op: rdma.OpRecv, Err: rdma.ErrPeerLost, Imm: uint32(ib.rank)})
+			in = append(in[:i], in[i+1:]...)
 		}
 	}
 }

@@ -192,7 +192,7 @@ func WriteDir(dir string, t *Trace) error {
 	}
 	for i := range t.Ranks {
 		rt := &t.Ranks[i]
-		fh, err := os.Create(filepath.Join(dir, fmt.Sprintf("dumpi-%s-%04d.txt", sanitize(t.App), rt.Rank)))
+		fh, err := os.Create(filepath.Join(dir, fmt.Sprintf("dumpi-%s-%04d.txt", SanitizeName(t.App), rt.Rank)))
 		if err != nil {
 			return err
 		}
@@ -245,7 +245,11 @@ func WriteDUMPI(w io.Writer, rt *RankTrace) error {
 	return bw.Flush()
 }
 
-func sanitize(s string) string {
+// SanitizeName maps s to a file-name component: ASCII letters and digits
+// stay, every other rune becomes '_'. Trace files, the per-application
+// directories tracegen writes and the analyzer's CSV tree all name an
+// application through it.
+func SanitizeName(s string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':

@@ -305,7 +305,7 @@ func TestCacheRoundTrip(t *testing.T) {
 }
 
 func TestSanitize(t *testing.T) {
-	if got := sanitize("BoxLib CNS/2"); got != "BoxLib_CNS_2" {
-		t.Fatalf("sanitize = %q", got)
+	if got := SanitizeName("BoxLib CNS/2"); got != "BoxLib_CNS_2" {
+		t.Fatalf("SanitizeName = %q", got)
 	}
 }
