@@ -4,13 +4,12 @@
 // slow-path (WC-SP) settings, plus the MPI-CPU and RDMA-CPU baselines.
 //
 // With -ranks N it instead runs the multi-rank ring message-rate workload,
-// and with -transport tcp|udp|shm|hybrid the N ranks become N OS processes
+// and with -transport tcp|shm|hybrid the N ranks become N OS processes
 // over real sockets or shared-memory rings: the command re-executes itself
 // once per rank (spawning a small coordinator for rank/address exchange),
 // so one invocation measures true multi-core scaling:
 //
 //	msgrate -transport tcp -ranks 4
-//	msgrate -transport udp -ranks 2 -faults seed=7,drop=0.05
 //	msgrate -transport shm -ranks 4
 //	msgrate -transport hybrid -ranks 4 -sim-hosts 2
 package main
@@ -158,7 +157,7 @@ func main() {
 		label := fmt.Sprintf("ring-%s-%dx-%s", cf.Transport, cf.Ranks, cf.Engine)
 		fmt.Printf("%-22s %12.0f msg/s  (%d ranks, %d msgs in %v)\n",
 			label, res.MsgPerSec, res.Ranks, res.Messages, res.Elapsed.Round(time.Millisecond))
-		if loc.Faults.Active() || cf.Transport == "udp" {
+		if loc.Faults.Active() {
 			fmt.Printf("%-22s %12s faults: %v\n", "", "", res.Faults)
 			fmt.Printf("%-22s %12s repair: retransmits=%d dups-dropped=%d out-of-order=%d sacks=%d\n",
 				"", "", res.Reliability.Retransmits, res.Reliability.DupDropped,

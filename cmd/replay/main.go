@@ -3,7 +3,7 @@
 // and flows through the selected matching engine — the end-to-end
 // counterpart of the analyzer's trace-timeline emulation.
 //
-// With -transport tcp|udp|shm|hybrid each trace rank becomes its own OS
+// With -transport tcp|shm|hybrid each trace rank becomes its own OS
 // process: the command re-executes itself once per rank (spawning a small
 // coordinator for rank/address exchange), and every process replays its one
 // rank of the same deterministic trace — over sockets, shared-memory rings,
@@ -142,7 +142,7 @@ func main() {
 		fmt.Printf("offloaded matching: %d msgs in %d blocks; %d optimistic, %d conflicts (%d fast, %d slow), %d unexpected\n",
 			m.Messages, m.Blocks, m.Optimistic, m.Conflicts, m.FastPath, m.SlowPath, m.Unexpected)
 	}
-	if loc.Faults.Active() || cf.Transport == "udp" {
+	if loc.Faults.Active() {
 		fmt.Printf("faults: %v\n", res.Faults)
 		r := res.Reliability
 		fmt.Printf("repair: sent=%d retransmits=%d dups-dropped=%d out-of-order=%d sacks=%d rnr-retries=%d\n",

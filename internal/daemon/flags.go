@@ -42,7 +42,7 @@ var sentFlags = map[string]bool{
 // wording; a command rewords one through fs.Lookup(name).Usage.
 func RegisterFlags(fs *flag.FlagSet, bins int, engine, tenant string) *Flags {
 	f := &Flags{fs: fs}
-	fs.StringVar(&f.Transport, "transport", "inproc", "fabric transport: inproc | tcp | udp | shm | hybrid")
+	fs.StringVar(&f.Transport, "transport", "inproc", "fabric transport: inproc | tcp | shm | hybrid")
 	fs.IntVar(&f.Ranks, "ranks", 0, "world size")
 	fs.IntVar(&f.Rank, "rank", -1, "this process's rank (set by the launcher; -1 = launch all ranks)")
 	fs.StringVar(&f.Coord, "coord", "", "coordinator address for rank/address exchange (set by the launcher)")
@@ -79,9 +79,6 @@ func (f *Flags) Validate(spec *JobSpec, sent ...string) error {
 				err = fmt.Errorf("-%s is local-only: a -daemon job cannot honour it", fl.Name)
 			}
 		})
-		if err == nil && lossy(f.Transport) {
-			err = fmt.Errorf("-transport %s is lossy; -daemon hosts inproc, tcp, shm, and hybrid", f.Transport)
-		}
 		return err
 	}
 	inproc := f.Transport == "inproc"
@@ -94,8 +91,8 @@ func (f *Flags) Validate(spec *JobSpec, sent ...string) error {
 		return fmt.Errorf("-rank requires -coord (both are set by the launcher)")
 	case f.Rank < 0 && f.Coord != "":
 		return fmt.Errorf("-coord requires -rank")
-	case !inproc && f.Transport != "udp" && f.Faults != "":
-		return fmt.Errorf("-faults: %s models a reliable transport; lossy runs need -transport udp or -transport inproc", f.Transport)
+	case !inproc && f.Faults != "":
+		return fmt.Errorf("-faults: only the in-process fabric injects faults; %s is a reliable transport", f.Transport)
 	case f.SimHosts != 0 && f.Transport != "hybrid":
 		return fmt.Errorf("-sim-hosts only applies to -transport hybrid")
 	case f.SimHosts < 0:

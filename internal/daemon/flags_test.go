@@ -35,11 +35,11 @@ func TestFlagsValidate(t *testing.T) {
 		{nil, ""},
 		{[]string{"-k", "5", "-bins", "64", "-inflight", "8", "-engine", "raw"}, ""},
 		{append(net, "-rank", "1", "-coord", "127.0.0.1:9"), ""},
-		{[]string{"-transport", "udp", "-ranks", "2", "-faults", "seed=1,drop=0.1"}, ""},
 		{[]string{"-faults", "seed=1,drop=0.1", "-coalesce-bytes", "4096", "-trace-out", "t.json"}, ""},
 		{[]string{"-transport", "hybrid", "-ranks", "4", "-sim-hosts", "2"}, ""},
 
 		{[]string{"-transport", "carrier-pigeon"}, "-transport"},
+		{[]string{"-transport", "udp", "-ranks", "2"}, `-transport "udp"`},
 		{[]string{"-transport", ""}, "-transport"},
 		{[]string{"-engine", "gpu"}, "-engine"},
 		{[]string{"-ranks", "-1"}, "-ranks"},
@@ -63,7 +63,7 @@ func TestFlagsValidate(t *testing.T) {
 		{[]string{"-faults", "drop"}, "-faults"},
 
 		{[]string{"-daemon", "h:1", "-tenant", "t", "-engine", "host", "-transport", "shm", "-ranks", "4", "-bins", "64", "-inflight", "2", "-k", "9"}, ""},
-		{[]string{"-daemon", "h:1", "-transport", "udp"}, "-transport udp"},
+		{[]string{"-daemon", "h:1", "-transport", "udp"}, `-transport "udp"`},
 		{[]string{"-daemon", "h:1", "-coalesce-bytes", "4096"}, "-coalesce-bytes"},
 		{[]string{"-daemon", "h:1", "-faults", "seed=1,drop=0.1"}, "-faults"},
 		{[]string{"-daemon", "h:1", "-faults", "drop"}, "-faults"},
@@ -101,7 +101,7 @@ func TestSpecShapeSharedWithValidate(t *testing.T) {
 		{JobSpec{Tenant: "a"}, ""},
 		{JobSpec{Tenant: "a", Engine: "gpu"}, "engine"},
 		{JobSpec{Tenant: "a", Transport: "pigeon"}, "transport"},
-		{JobSpec{Tenant: "a", Transport: "udp"}, "lossy"},
+		{JobSpec{Tenant: "a", Transport: "udp"}, `transport "udp"`},
 		{JobSpec{Tenant: "a", Ranks: -1}, "ranks -1"},
 		{JobSpec{Tenant: "a", Ranks: MaxRanks + 1}, "ranks"},
 		{JobSpec{Tenant: "a", Reps: -1}, "reps -1"},
@@ -118,11 +118,11 @@ func TestSpecShapeSharedWithValidate(t *testing.T) {
 			t.Errorf("%+v: Validate = %v, want an error naming %q", tc.spec, err, tc.want)
 		}
 	}
-	// The local form of the same checks: udp is a shape the CLIs may run,
-	// an unset bins or inflight is not.
-	local := JobSpec{Engine: "host", Transport: "udp", Bins: 64, InFlight: 1}
+	// The local form of the same checks: a CLI sets every field, so an
+	// unset bins or inflight is refused there.
+	local := JobSpec{Engine: "host", Transport: "tcp", Bins: 64, InFlight: 1}
 	if err := local.checkShape(); err != nil {
-		t.Errorf("local udp spec: %v", err)
+		t.Errorf("local tcp spec: %v", err)
 	}
 	local.Bins = 0
 	if err := local.checkShape(); err == nil || !strings.Contains(err.Error(), "bins 0") {

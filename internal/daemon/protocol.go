@@ -153,13 +153,9 @@ var engineKinds = map[string]mpi.EngineKind{
 }
 
 var (
-	validTransports = map[string]bool{"inproc": true, "tcp": true, "udp": true, "shm": true, "hybrid": true}
+	validTransports = map[string]bool{"inproc": true, "tcp": true, "shm": true, "hybrid": true}
 	validOps        = map[string]bool{OpSubmit: true, OpStatus: true, OpCancel: true, OpList: true, OpPing: true, OpWait: true}
 )
-
-// lossy reports whether the transport drops datagrams by nature; the
-// daemon hosts none such, they run only from the CLIs.
-func lossy(transport string) bool { return transport == "udp" }
 
 // DecodeRequest parses and validates one request line. Every failure —
 // truncated JSON, trailing garbage, unknown ops, hostile budgets, oversize
@@ -225,8 +221,6 @@ func (s *JobSpec) Validate() error {
 		return err
 	}
 	switch {
-	case lossy(s.Transport):
-		return fmt.Errorf("transport %s is lossy; the daemon hosts inproc, tcp, shm, and hybrid", s.Transport)
 	case s.Ranks > MaxRanks:
 		return fmt.Errorf("ranks %d outside [0,%d]", s.Ranks, MaxRanks)
 	case s.K > MaxK:
@@ -265,7 +259,7 @@ func (s *JobSpec) checkShape() error {
 	case !engineOK:
 		return fmt.Errorf("engine %q, want host, offload, or raw", truncName(s.Engine))
 	case !validTransports[s.Transport]:
-		return fmt.Errorf("transport %q, want inproc, tcp, udp, shm, or hybrid", truncName(s.Transport))
+		return fmt.Errorf("transport %q, want inproc, tcp, shm, or hybrid", truncName(s.Transport))
 	}
 	for _, size := range []struct {
 		flag string

@@ -37,8 +37,7 @@ type Local struct {
 	// SimHosts spreads hybrid ranks round-robin over N simulated hosts
 	// (0 = the real hostname).
 	SimHosts int
-	// Faults arms deterministic fault injection: on the in-process fabric,
-	// or in the transport of a lossy net job.
+	// Faults arms deterministic fault injection on the in-process fabric.
 	Faults rdma.FaultPlan
 	// CoalesceBytes arms sender-side eager coalescing.
 	CoalesceBytes int
@@ -78,7 +77,7 @@ func worldOptions(spec *JobSpec, loc Local) mpi.Options {
 		Engine:        engineKinds[spec.Engine],
 		Matcher:       specMatcher(spec, loc.Matcher),
 		RecvDepth:     max(2*spec.K, 64),
-		Faults:        loc.Faults, // NewWorld's fabric takes it; a net transport carries its own copy
+		Faults:        loc.Faults, // NewWorld's fabric takes it; a net transport has no fault plan
 		CoalesceBytes: loc.CoalesceBytes,
 		Obs:           loc.Obs,
 	}
@@ -130,7 +129,7 @@ func buildWorlds(spec *JobSpec, loc Local) ([]*mpi.World, func(), error) {
 			defer wg.Done()
 			cfg := netfabric.Config{
 				Network: spec.Transport, Rank: k, Ranks: spec.Ranks,
-				Coord: coord, ShmDir: shmDir, Faults: loc.Faults, Obs: loc.Obs,
+				Coord: coord, ShmDir: shmDir, Obs: loc.Obs,
 			}
 			if loc.SimHosts > 0 {
 				cfg.Host = fmt.Sprintf("simhost-%d", k%loc.SimHosts)

@@ -222,10 +222,8 @@ func NewWorld(n int, opts Options) (*World, error) {
 // rendezvous control, reliability sacks — crosses the given transport
 // unchanged, byte-for-byte identical to what the in-process fabric carries.
 //
-// Over an unreliable transport (t.Reliable() == false, i.e. UDP) the
-// reliability sublayer is armed as the delivery filter: per-peer
-// sequencing, duplicate suppression, reorder repair, and retransmission
-// stop being fault-injection test gear and become load-bearing.
+// The reliability sublayer arms only over a transport that reports
+// t.Reliable() == false; every netfabric transport reports true.
 //
 // The world owns t from the call on: World.Close closes it, and so does
 // every failing return here — the caller never has a transport to clean up.
@@ -525,9 +523,9 @@ func newProc(w *World, t rdma.Transport) (*Proc, error) {
 	}
 	p.rawCQ = p.recvCQ
 	if !t.Reliable() {
-		// Interpose the reliability filter (under an injected fault plan,
-		// and always on a lossy transport such as UDP): the transport fills
-		// rawCQ, the filter republishes repaired streams onto recvCQ.
+		// Interpose the reliability filter (under an injected fault plan):
+		// the transport fills rawCQ, the filter republishes repaired
+		// streams onto recvCQ.
 		p.rawCQ = rdma.NewCQ()
 		p.rel = newReliability(p)
 		p.rel.obs = p.obs

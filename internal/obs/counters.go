@@ -142,15 +142,12 @@ const (
 	// CtrNetRxBytes counts encoded frame bytes received.
 	CtrNetRxBytes
 	// CtrNetFlushes counts writev flushes (one per batched net.Buffers
-	// write of a TCP peer writer; one per datagram on UDP).
+	// write of a TCP peer writer).
 	CtrNetFlushes
 	// CtrNetStalls counts sends that blocked on a saturated peer queue.
 	CtrNetStalls
 	// CtrNetReadReqs counts rendezvous read requests issued to peers.
 	CtrNetReadReqs
-	// CtrNetReadRetries counts read requests re-sent after a timeout
-	// (UDP: the request or its response was lost).
-	CtrNetReadRetries
 
 	// Shared-memory transport counters (internal/rdma/netfabric shm.go):
 	// the intra-node ring datapath. They share the "fabric" sink with the
@@ -262,7 +259,6 @@ var counterNames = [NumCounters]string{
 	CtrNetFlushes:           "net_flushes",
 	CtrNetStalls:            "net_stalls",
 	CtrNetReadReqs:          "net_read_reqs",
-	CtrNetReadRetries:       "net_read_retries",
 	CtrShmTxFrames:          "shm_tx_frames",
 	CtrShmTxBytes:           "shm_tx_bytes",
 	CtrShmRxFrames:          "shm_rx_frames",

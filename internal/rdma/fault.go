@@ -106,30 +106,29 @@ func FaultSnapshotOf(s *obs.Sink) FaultSnapshot {
 	}
 }
 
-// FaultStream is the deterministic fault schedule of one directed link,
-// shared by every dataplane that injects faults (the in-process QP and
-// netfabric's UDP wire). Verdicts are a pure function of the plan seed, the
-// link and the send ordinal: each faultable send draws a fixed number of
-// PRNG values, in a fixed order, while holding the stream's lock, so
-// concurrent senders serialize into one reproducible stream. The lock also
-// guards whatever the link keeps between sends (a delayed message), which
-// is why it is the embedded, exported one.
-type FaultStream struct {
-	sync.Mutex
-	// Rates are the plan's rates with DelaySpan and StallTime defaulted.
-	Rates FaultRates
+// faultStream is the deterministic fault schedule of one directed link of
+// the in-process fabric, drawn by the QP that sends on it. Verdicts are a
+// pure function of the plan seed, the link and the send ordinal: each
+// faultable send draws a fixed number of PRNG values, in a fixed order,
+// while holding mu, so concurrent senders serialize into one reproducible
+// stream. mu also guards whatever the QP keeps between sends (a delayed
+// message).
+type faultStream struct {
+	mu sync.Mutex
+	// rates are the plan's rates with DelaySpan and StallTime defaulted.
+	rates FaultRates
 
 	rng  uint64
 	sink *obs.Sink
 	link int
 }
 
-// Stream returns the fault stream of one directed link, tallying on sink,
+// stream returns the fault stream of one directed link, tallying on sink,
 // or nil when the plan is inactive. Ranked dataplanes number the link
 // src→dst of an n-rank job src*n+dst, so the two directions of a pair
 // fault independently and one seed means one schedule per link whatever
 // carries it; bare ConnectPair pairs use the QPs' creation indices.
-func (p FaultPlan) Stream(link int, sink *obs.Sink) *FaultStream {
+func (p FaultPlan) stream(link int, sink *obs.Sink) *faultStream {
 	if !p.Active() {
 		return nil
 	}
@@ -140,8 +139,8 @@ func (p FaultPlan) Stream(link int, sink *obs.Sink) *FaultStream {
 	if r.StallTime <= 0 {
 		r.StallTime = time.Microsecond
 	}
-	return &FaultStream{
-		Rates: r,
+	return &faultStream{
+		rates: r,
 		rng:   splitmix64(p.Seed ^ (uint64(link)+1)*0x9E3779B97F4A7C15),
 		sink:  sink,
 		link:  link,
@@ -159,34 +158,33 @@ func splitmix64(x uint64) uint64 {
 }
 
 // next draws a uniform float64 in [0, 1).
-func (s *FaultStream) next() float64 {
+func (s *faultStream) next() float64 {
 	s.rng = splitmix64(s.rng)
 	return float64(s.rng>>11) / (1 << 53)
 }
 
-// FaultVerdict is what the stream decided for one send. A link applies the
-// verdicts its medium can express and ignores the rest (a datagram socket
-// has no NAK to return and no send pipeline to stall); every field is drawn
-// regardless, so the stream stays aligned across links and media.
-type FaultVerdict struct {
+// faultVerdict is what the stream decided for one send. Every field is
+// drawn whether or not it fires, so a verdict depends on the send ordinal
+// alone.
+type faultVerdict struct {
 	RNR, Drop, Dup, Delay, Stall bool
 }
 
-// Decide consumes one send's worth of PRNG draws. Call with the lock held.
-func (s *FaultStream) Decide() FaultVerdict {
-	return FaultVerdict{
-		RNR:   s.next() < s.Rates.RNR,
-		Drop:  s.next() < s.Rates.Drop,
-		Dup:   s.next() < s.Rates.Duplicate,
-		Delay: s.next() < s.Rates.Delay,
-		Stall: s.next() < s.Rates.Stall,
+// decide consumes one send's worth of PRNG draws. Call with mu held.
+func (s *faultStream) decide() faultVerdict {
+	return faultVerdict{
+		RNR:   s.next() < s.rates.RNR,
+		Drop:  s.next() < s.rates.Drop,
+		Dup:   s.next() < s.rates.Duplicate,
+		Delay: s.next() < s.rates.Delay,
+		Stall: s.next() < s.rates.Stall,
 	}
 }
 
-// Note tallies one injected fault on ctr (one of obs.CtrFault*) and, when
+// note tallies one injected fault on ctr (one of obs.CtrFault*) and, when
 // the sink is tracing, records an EvFaultInject event keyed by the link.
 // The event's fault code is the counter's offset in the CtrFault* range.
-func (s *FaultStream) Note(ctr obs.Counter) {
+func (s *faultStream) note(ctr obs.Counter) {
 	s.sink.Counters.Inc(ctr)
 	if s.sink.Enabled() {
 		s.sink.Event(obs.EvFaultInject, s.link, uint64(s.link), uint64(ctr-obs.CtrFaultDropped), 0)

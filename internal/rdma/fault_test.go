@@ -253,10 +253,10 @@ func TestOversizedMessageErrorCompletion(t *testing.T) {
 // rank's endpoint toward peer j draws from link rank*n+j.
 func TestFaultStreamKeyedByDirectedLink(t *testing.T) {
 	plan := FaultPlan{Seed: 42, FaultRates: FaultRates{Drop: 0.3, Duplicate: 0.2, Delay: 0.2, RNR: 0.1, Stall: 0.1}}
-	verdicts := func(link int) (out [64]FaultVerdict) {
-		s := plan.Stream(link, NewFabric().Obs())
+	verdicts := func(link int) (out [64]faultVerdict) {
+		s := plan.stream(link, NewFabric().Obs())
 		for i := range out {
-			out[i] = s.Decide()
+			out[i] = s.decide()
 		}
 		return out
 	}
@@ -281,11 +281,11 @@ func TestFaultStreamKeyedByDirectedLink(t *testing.T) {
 	want := verdicts(2*n + 1)
 	got := ranks[2].Endpoint(1).(*QP).inj
 	for i := range want {
-		if v := got.Decide(); v != want[i] {
+		if v := got.decide(); v != want[i] {
 			t.Fatalf("rank 2 -> 1, send %d: verdict %+v, want link %d's %+v", i, v, 2*n+1, want[i])
 		}
 	}
-	if (FaultPlan{Seed: 42}).Stream(1, f.Obs()) != nil {
+	if (FaultPlan{Seed: 42}).stream(1, f.Obs()) != nil {
 		t.Fatal("inactive plan produced a stream")
 	}
 }

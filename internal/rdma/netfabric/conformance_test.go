@@ -144,7 +144,7 @@ func closeConformance(ranks []*confRank) {
 }
 
 func TestConformance(t *testing.T) {
-	for _, network := range []string{"inproc", "tcp", "udp", "shm", "hybrid"} {
+	for _, network := range []string{"inproc", "tcp", "shm", "hybrid"} {
 		t.Run(network, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ranks := startConformance(t, network)
@@ -240,7 +240,7 @@ func confOrdered(t *testing.T, ranks []*confRank) {
 // confRead: rank 0 reads its own region and each peer's region (larger
 // than any one frame), then walks the error table.
 func confRead(t *testing.T, ranks []*confRank) {
-	const size = 5<<19 + 17 // 2.5 MiB and odd: several frames on tcp, dozens on udp
+	const size = 5<<19 + 17 // 2.5 MiB and odd: several frames on tcp
 	reader := ranks[0].tr
 	for owner, r := range ranks {
 		src := make([]byte, size)

@@ -8,7 +8,7 @@ import (
 )
 
 // Frame kinds. One codec covers every wire: on TCP a frame is one unit of
-// the byte stream, on UDP one datagram, on shm one ring record.
+// the byte stream, on shm one ring record.
 const (
 	// frData carries one MPI wire message (64-byte header + body) —
 	// eager, coalesced kindEagerBatch, RTS, ACK, or sack — unchanged.
@@ -70,9 +70,9 @@ func frameSize(src int, payload int) int {
 // for uvarints, ReadFull into bounce buffers, Discard for oversize
 // payloads — so the hot path stays inlineable and a payload goes from the
 // connection's buffer straight into its destination. With r nil it walks
-// the bytes already in buf[pos:end]: one UDP datagram, one shm ring
-// record, or one loopback payload. readFrameHeader then vouches that the
-// payload is all there, so ReadFull and Discard never reach for r.
+// the bytes already in buf[pos:end]: one shm ring record or one loopback
+// payload. readFrameHeader then vouches that the payload is all there, so
+// ReadFull and Discard never reach for r.
 type frameReader struct {
 	r   io.Reader
 	buf []byte

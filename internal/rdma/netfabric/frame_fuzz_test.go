@@ -14,8 +14,8 @@ type frame struct {
 }
 
 // decodeFrame parses one frame from the front of b with the package's one
-// parser — a memory-backed frameReader, exactly as the UDP and shm wires
-// feed the pump — and returns the rest of the buffer.
+// parser — a memory-backed frameReader, exactly as the shm wire and the
+// loopback feed the pump — and returns the rest of the buffer.
 func decodeFrame(b []byte) (frame, []byte, error) {
 	var fr frameReader
 	fr.load(b)

@@ -1,40 +1,34 @@
 // Package netfabric carries a mini-MPI world over real sockets and shared
 // memory, so rank processes run out-of-process with true multi-core
-// parallelism. It is one rdma.Transport (transport.go) over three wires,
-// with a per-peer routing table in between.
+// parallelism. It is one rdma.Transport (transport.go) over two wires and
+// an in-memory loopback, with a per-peer routing table in between. Every
+// wire delivers in order and exactly once, as the reliable connection the
+// matcher is built for does.
 //
 // The transport owns everything the medium does not change: the receive
 // pump (every inbound frame is parsed and landed by transport.arrive —
 // data into a posted bounce buffer and onto the CQ, oversize as
 // ErrBufferSize), the registered-region and pending-read tables, the one
 // endpoint type, and READ: a local copy, else a direct read if a wire
-// offers one, else frReadReq/frReadResp round trips chunked and windowed
-// by the carrying wire's readPlan.
+// offers one, else frReadReq/frReadResp round trips over TCP, chunked
+// just under the frame cap, eight in flight, each sent once.
 //
-// A wire (start, send, reliable, readPlan, close) only moves frames:
+// A wire (start, send, close) only moves frames:
 //
 //   - tcp.go: one connection per unordered rank pair; a per-peer writer
 //     drains a send queue into batched writev flushes and the reader runs
 //     the pump straight off the connection's buffer, so the steady-state
 //     send and arrival paths allocate nothing and arrival costs one copy.
-//     Reliable. readPlan: sub-reads just under the frame cap, sent once.
-//
-//   - udp.go: one datagram per frame over a single socket. Datagrams drop,
-//     duplicate, and reorder, so the wire is not reliable and the MPI layer
-//     interposes its reliability sublayer as the delivery filter; a
-//     deterministic rdma.FaultPlan on the send path forces repairs at any
-//     rate. readPlan: one-datagram sub-reads, four in flight, re-sent on a
-//     doubling timeout.
+//     The one wire that carries READ RPCs.
 //
 //   - shm.go: mmap-backed per-peer-pair SPSC rings with an adaptive
-//     spin-then-park wait, for co-located ranks. Reliable; no readPlan.
-//     It alone adds the two extras the transport looks for: a registration
-//     announces its buffer's address in the owner's segment, and a
-//     same-host READ is one bounds-checked process_vm_readv out of the
-//     owner's memory.
+//     spin-then-park wait, for co-located ranks. It alone adds the two
+//     extras the transport looks for: a registration announces its
+//     buffer's address in the owner's segment, and a same-host READ is one
+//     bounds-checked process_vm_readv out of the owner's memory.
 //
-// A fourth, in-memory wire loops self-sends back. Config.Network picks the
-// routes: "tcp", "udp" and "shm" send every peer over their one wire;
+// The in-memory loopback carries self-sends. Config.Network picks the
+// routes: "tcp" and "shm" send every peer over their one wire;
 // "hybrid" (hybrid.go) consults the coordinator's host map and sends
 // same-host peers over shm and the rest over tcp, reads a same-host owner's
 // memory directly and falls back to the tcp READ RPC.
@@ -48,7 +42,6 @@ import (
 	"fmt"
 	"os"
 	"syscall"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdma"
@@ -56,7 +49,7 @@ import (
 
 // Config parameterizes one rank's transport.
 type Config struct {
-	// Network selects the transport: "tcp", "udp", "shm", or "hybrid".
+	// Network selects the transport: "tcp", "shm", or "hybrid".
 	Network string
 	// Rank and Ranks identify this process within the job.
 	Rank, Ranks int
@@ -65,17 +58,9 @@ type Config struct {
 	Coord string
 	// Listen is the local bind address (default "127.0.0.1:0").
 	Listen string
-	// Faults arms deterministic datagram faults on the UDP send path
-	// (drop, duplicate, delay — rdma.FaultPlan rates, keyed per peer).
-	// Ignored for TCP, which models a reliable transport.
-	Faults rdma.FaultPlan
 	// Obs configures the transport's observability sink (the "fabric"
 	// domain of the world's export).
 	Obs obs.Options
-	// ReadTimeout is how long a rendezvous READ request over UDP waits for
-	// its response before the first retry (default 20ms; see
-	// udpWire.readPlan).
-	ReadTimeout time.Duration
 	// Host names the machine this rank runs on, for hybrid locality
 	// routing (default os.Hostname()). Tests and -sim-hosts override it
 	// to simulate a multi-host topology on one machine.
@@ -87,9 +72,9 @@ type Config struct {
 
 func (c *Config) fill() error {
 	switch c.Network {
-	case "tcp", "udp", "shm", "hybrid":
+	case "tcp", "shm", "hybrid":
 	default:
-		return fmt.Errorf("netfabric: network %q, want tcp, udp, shm, or hybrid", c.Network)
+		return fmt.Errorf("netfabric: network %q, want tcp, shm, or hybrid", c.Network)
 	}
 	if c.Ranks < 1 || c.Rank < 0 || c.Rank >= c.Ranks {
 		return fmt.Errorf("netfabric: rank %d of %d out of range", c.Rank, c.Ranks)
@@ -99,9 +84,6 @@ func (c *Config) fill() error {
 	}
 	if c.Listen == "" {
 		c.Listen = "127.0.0.1:0"
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 20 * time.Millisecond
 	}
 	if c.ShmDir == "" {
 		c.ShmDir = os.TempDir()
@@ -119,7 +101,7 @@ func New(cfg Config) (rdma.Transport, error) {
 	}
 	t := newTransport(cfg)
 	var (
-		far   wire     // tcp or udp
+		far   *tcpWire
 		near  *shmWire // shared memory
 		local []bool   // hybrid: which peers near carries
 		err   error
@@ -127,8 +109,6 @@ func New(cfg Config) (rdma.Transport, error) {
 	switch cfg.Network {
 	case "tcp":
 		far, err = newTCP(t, cfg)
-	case "udp":
-		far, err = newUDP(t, cfg)
 	case "shm":
 		near, err = newShm(t, cfg)
 	case "hybrid":

@@ -2,6 +2,7 @@ package netfabric_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/rdma"
 	"repro/internal/rdma/netfabric"
 )
@@ -17,13 +19,13 @@ import (
 // process: a coordinator on a loopback listener and n transports + worlds,
 // one per rank, created concurrently (New blocks on the rendezvous
 // barrier, so sequential creation would deadlock).
-func startNetWorlds(t *testing.T, network string, n int, opts mpi.Options, faults rdma.FaultPlan) []*mpi.World {
-	return startNetWorldsCfg(t, network, n, opts, faults, nil)
+func startNetWorlds(t *testing.T, network string, n int, opts mpi.Options) []*mpi.World {
+	return startNetWorldsCfg(t, network, n, opts, nil)
 }
 
 // startNetWorldsCfg is startNetWorlds with a per-rank Config hook (hybrid
 // tests use it to assign simulated hosts).
-func startNetWorldsCfg(t *testing.T, network string, n int, opts mpi.Options, faults rdma.FaultPlan, mod func(rank int, cfg *netfabric.Config)) []*mpi.World {
+func startNetWorldsCfg(t *testing.T, network string, n int, opts mpi.Options, mod func(rank int, cfg *netfabric.Config)) []*mpi.World {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -44,7 +46,7 @@ func startNetWorldsCfg(t *testing.T, network string, n int, opts mpi.Options, fa
 			defer wg.Done()
 			cfg := netfabric.Config{
 				Network: network, Rank: k, Ranks: n,
-				Coord: ln.Addr().String(), Faults: faults, ShmDir: shmDir,
+				Coord: ln.Addr().String(), ShmDir: shmDir,
 			}
 			if mod != nil {
 				mod(k, &cfg)
@@ -131,7 +133,7 @@ func payload(rank, rep, size int) []byte {
 
 func TestTCPRingEagerAndRendezvous(t *testing.T) {
 	opts := mpi.Options{EagerLimit: 256}
-	worlds := startNetWorlds(t, "tcp", 3, opts, rdma.FaultPlan{})
+	worlds := startNetWorlds(t, "tcp", 3, opts)
 	// Eager traffic (64 < EagerLimit), then rendezvous (8192 > EagerLimit,
 	// exercising the frReadReq/frReadResp read path).
 	ringWorkload(t, worlds, 20, 64)
@@ -140,38 +142,7 @@ func TestTCPRingEagerAndRendezvous(t *testing.T) {
 
 func TestTCPOffloadEngine(t *testing.T) {
 	opts := mpi.Options{Engine: mpi.EngineOffload, EagerLimit: 256}
-	worlds := startNetWorlds(t, "tcp", 2, opts, rdma.FaultPlan{})
-	ringWorkload(t, worlds, 10, 64)
-}
-
-func TestUDPRingWithFaults(t *testing.T) {
-	faults := rdma.FaultPlan{Seed: 42}
-	faults.Drop = 0.05
-	faults.Duplicate = 0.02
-	faults.Delay = 0.02
-	opts := mpi.Options{EagerLimit: 256}
-	worlds := startNetWorlds(t, "udp", 2, opts, faults)
-	ringWorkload(t, worlds, 40, 64)
-	ringWorkload(t, worlds, 4, 4096)
-
-	var retx, injected uint64
-	for _, w := range worlds {
-		retx += w.ReliabilityStats().Retransmits
-		fs := w.FaultStats()
-		injected += fs.Dropped + fs.Duplicated + fs.Delayed
-	}
-	if injected == 0 {
-		t.Fatalf("fault plan injected nothing (want drops/dups/delays at 5%%/2%%/2%%)")
-	}
-	if retx == 0 {
-		t.Fatalf("no retransmissions despite %d injected faults", injected)
-	}
-}
-
-func TestUDPLossless(t *testing.T) {
-	// Loopback UDP with no injected faults should still complete (the
-	// reliability layer is armed but mostly idle).
-	worlds := startNetWorlds(t, "udp", 2, mpi.Options{EagerLimit: 256}, rdma.FaultPlan{})
+	worlds := startNetWorlds(t, "tcp", 2, opts)
 	ringWorkload(t, worlds, 10, 64)
 }
 
@@ -191,7 +162,7 @@ func fabricCounters(t *testing.T, worlds []*mpi.World, name string) uint64 {
 
 func TestShmRingEagerAndRendezvous(t *testing.T) {
 	opts := mpi.Options{EagerLimit: 256}
-	worlds := startNetWorlds(t, "shm", 3, opts, rdma.FaultPlan{})
+	worlds := startNetWorlds(t, "shm", 3, opts)
 	// Eager traffic through the rings, then rendezvous out of the sender's
 	// own buffer (8192 > EagerLimit: zero-round-trip direct reads, no READ RPC).
 	ringWorkload(t, worlds, 20, 64)
@@ -209,7 +180,7 @@ func TestShmRingEagerAndRendezvous(t *testing.T) {
 
 func TestShmOffloadEngine(t *testing.T) {
 	opts := mpi.Options{Engine: mpi.EngineOffload, EagerLimit: 256}
-	worlds := startNetWorlds(t, "shm", 2, opts, rdma.FaultPlan{})
+	worlds := startNetWorlds(t, "shm", 2, opts)
 	ringWorkload(t, worlds, 10, 64)
 }
 
@@ -225,7 +196,7 @@ func TestHybridTwoSimulatedHosts(t *testing.T) {
 			cfg.Host = "hostB"
 		}
 	}
-	worlds := startNetWorldsCfg(t, "hybrid", 4, opts, rdma.FaultPlan{}, hosts)
+	worlds := startNetWorldsCfg(t, "hybrid", 4, opts, hosts)
 	ringWorkload(t, worlds, 20, 64)
 	ringWorkload(t, worlds, 5, 8192)
 	if got := fabricCounters(t, worlds, "shm_tx_frames"); got == 0 {
@@ -246,7 +217,7 @@ func TestHybridSingleHost(t *testing.T) {
 	// Every rank on one host: hybrid must degenerate to pure shm routing
 	// (the TCP mesh stays up but carries no data).
 	opts := mpi.Options{EagerLimit: 256}
-	worlds := startNetWorldsCfg(t, "hybrid", 2, opts, rdma.FaultPlan{},
+	worlds := startNetWorldsCfg(t, "hybrid", 2, opts,
 		func(rank int, cfg *netfabric.Config) { cfg.Host = "onehost" })
 	ringWorkload(t, worlds, 10, 64)
 	ringWorkload(t, worlds, 2, 4096)
@@ -266,32 +237,18 @@ func TestChunkedTCPRendezvous(t *testing.T) {
 		t.Skip("multi-MiB rendezvous transfers")
 	}
 	opts := mpi.Options{EagerLimit: 256}
-	worlds := startNetWorlds(t, "tcp", 2, opts, rdma.FaultPlan{})
+	worlds := startNetWorlds(t, "tcp", 2, opts)
 	for _, size := range []int{1<<20 - 1, 1<<20 + 1, 4 << 20} {
 		ringWorkload(t, worlds, 1, size)
 	}
 }
 
-// TestChunkedUDPRendezvous does the same over the datagram transport:
-// sizes just past one sub-read (60000) and at 1 MiB split into windowed
-// sub-reads, each with its own retry loop.
-func TestChunkedUDPRendezvous(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-chunk rendezvous transfers")
-	}
-	opts := mpi.Options{EagerLimit: 256}
-	worlds := startNetWorlds(t, "udp", 2, opts, rdma.FaultPlan{})
-	for _, size := range []int{60001, 1 << 20} {
-		ringWorkload(t, worlds, 1, size)
-	}
-}
-
-// TestUDPReadTimeoutDropsPending forces total-timeout failures (the peer
-// transport is never started, so requests land in its kernel buffer
-// unanswered) and asserts the pending-read table ends empty — the leak
-// the deferred drop exists to prevent, for single-chunk and chunked
-// reads alike.
-func TestUDPReadTimeoutDropsPending(t *testing.T) {
+// TestCloseFailsInFlightReads pins the one exit a READ RPC has besides its
+// answer: the owner rank is bound but never started, so every request sits
+// unanswered in its socket buffer, and Close must fail the single-chunk and
+// the chunked read alike with rdma.ErrClosed and leave no pending-read
+// entry behind.
+func TestCloseFailsInFlightReads(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +262,7 @@ func TestUDPReadTimeoutDropsPending(t *testing.T) {
 		go func(k int) {
 			defer wg.Done()
 			trs[k], errs[k] = netfabric.New(netfabric.Config{
-				Network: "udp", Rank: k, Ranks: 2,
-				Coord: ln.Addr().String(), ReadTimeout: time.Millisecond,
+				Network: "tcp", Rank: k, Ranks: 2, Coord: ln.Addr().String(),
 			})
 		}(k)
 	}
@@ -317,22 +273,35 @@ func TestUDPReadTimeoutDropsPending(t *testing.T) {
 			t.Fatalf("rank %d: %v", k, err)
 		}
 	}
-	t.Cleanup(func() {
-		trs[0].Close()
-		trs[1].Close()
-	})
+	t.Cleanup(func() { trs[1].Close() })
 	if err := trs[0].Start(rdma.NewRecvQueue(16), rdma.NewCQ()); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := trs[0].Read(1, make([]byte, 100), 7, 0, 100); err == nil {
-		t.Fatal("single-chunk read against a silent peer succeeded")
+	sizes := []int{100, 1<<20 + 1} // one sub-read; two, past the frame cap
+	readErrs := make(chan error, len(sizes))
+	for _, size := range sizes {
+		go func() { readErrs <- trs[0].Read(1, make([]byte, size), 7, 0, size) }()
 	}
-	if err := trs[0].Read(1, make([]byte, 150_000), 7, 0, 150_000); err == nil {
-		t.Fatal("chunked read against a silent peer succeeded")
+	for deadline := time.Now().Add(10 * time.Second); netfabric.PendingReadCount(trs[0]) < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 sub-reads pending", netfabric.PendingReadCount(trs[0]))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	trs[0].Close()
+	for range sizes {
+		select {
+		case err := <-readErrs:
+			if !errors.Is(err, rdma.ErrClosed) {
+				t.Fatalf("read in flight at Close returned %v, want ErrClosed", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("read in flight at Close never returned")
+		}
 	}
 	if got := netfabric.PendingReadCount(trs[0]); got != 0 {
-		t.Fatalf("%d pending-read entries leaked after forced timeouts", got)
+		t.Fatalf("%d pending-read entries left after Close", got)
 	}
 }
 
@@ -340,10 +309,11 @@ func TestUDPReadTimeoutDropsPending(t *testing.T) {
 // outside input could carry — READ requests, responses and data claiming
 // to come from the receiver itself, and READ traffic in the name of each
 // other rank, including (under hybrid) a rank the receiving wire has no
-// link to. None may crash the pump, take a posted buffer or surface a
-// completion, and the transports must carry real traffic afterwards.
+// link to. None may crash the pump, take a posted buffer, surface a
+// completion or draw an answer over shm, and the transports must carry
+// real traffic afterwards.
 func TestStrayFramesAreDropped(t *testing.T) {
-	for _, network := range []string{"tcp", "udp", "shm", "hybrid"} {
+	for _, network := range []string{"tcp", "shm", "hybrid"} {
 		t.Run(network, func(t *testing.T) {
 			ranks := startConformance(t, network)
 			for _, r := range ranks {
@@ -357,6 +327,13 @@ func TestStrayFramesAreDropped(t *testing.T) {
 				r.tr.Deregister(mr)
 				if r.cq.Ready() != 0 {
 					t.Fatalf("rank %d: stray frame completed a receive", r.tr.Rank())
+				}
+			}
+			// shm carries no READ RPC, so a request arriving over it is
+			// dropped unanswered: nothing may have been staged into a ring.
+			for _, r := range ranks {
+				if n := r.tr.Obs().Counters.Load(obs.CtrShmTxFrames); n != 0 {
+					t.Fatalf("rank %d answered stray READ requests over shm (%d frames)", r.tr.Rank(), n)
 				}
 			}
 			for k, r := range ranks {
@@ -410,7 +387,8 @@ func TestConfigValidation(t *testing.T) {
 		{Network: "sctp", Rank: 0, Ranks: 2, Coord: "x"},
 		{Network: "tcp", Rank: 2, Ranks: 2, Coord: "x"},
 		{Network: "tcp", Rank: -1, Ranks: 2, Coord: "x"},
-		{Network: "udp", Rank: 0, Ranks: 0, Coord: "x"},
+		{Network: "tcp", Rank: 0, Ranks: 0, Coord: "x"},
+		{Network: "udp", Rank: 0, Ranks: 2, Coord: "x"},
 		{Network: "tcp", Rank: 0, Ranks: 2},
 	}
 	for i, cfg := range cases {

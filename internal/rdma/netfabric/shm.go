@@ -464,9 +464,6 @@ func (w *shmWire) unmap() {
 	w.seg.close()
 }
 
-func (w *shmWire) reliable() bool     { return true }
-func (w *shmWire) readPlan() readPlan { return readPlan{} } // READs go through readDirect, not an RPC
-
 func (w *shmWire) start() error {
 	w.wg.Add(1)
 	go w.poll()

@@ -22,7 +22,7 @@ import (
 // safe to read, across processes exactly as across goroutines.
 //
 // Records are [u32 little-endian length][payload]; the payload is one
-// encoded netfabric frame (the same codec TCP and UDP carry), and the
+// encoded netfabric frame (the same codec TCP carries), and the
 // fixed-width length prefix keeps parsing trivial under wraparound — both
 // the prefix and the payload may wrap the ring edge and are copied in two
 // spans when they do.

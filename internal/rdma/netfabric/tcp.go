@@ -10,8 +10,8 @@ import (
 )
 
 // tcpWire carries frames over one TCP connection per unordered rank pair.
-// The stream gives ordered exactly-once delivery, so the wire is reliable
-// and the MPI layer treats it like the in-process fabric. Each peer gets a
+// The stream gives ordered exactly-once delivery, as every wire here does,
+// and it is the one wire that carries READ RPCs. Each peer gets a
 // writer goroutine draining a send queue into batched writev flushes
 // (net.Buffers), and each connection a reader goroutine running the
 // transport's pump over the connection's frameReader.
@@ -63,16 +63,15 @@ func newTCPWire(t *transport, ln net.Listener, addrs []string) *tcpWire {
 	return w
 }
 
-func (w *tcpWire) reliable() bool { return true }
-
-// readPlan: a sub-read's frReadResp (region bytes plus reqID/status
-// framing) must stay under the frame cap; the stream neither loses nor
-// reorders, so each request is sent once and awaited without a deadline.
-// Eight sub-reads in flight keep the owner's writer streaming; a deeper
-// window buys nothing once the pipe is full.
-func (w *tcpWire) readPlan() readPlan {
-	return readPlan{chunk: maxFramePayload - 64, window: 8, attempts: 1}
-}
+// READ RPCs ride the TCP wire alone. A sub-read's frReadResp (region bytes
+// plus reqID/status framing) must stay under the frame cap; the stream
+// neither loses nor reorders, so each request is sent once and awaited
+// without a deadline. Eight sub-reads in flight keep the owner's writer
+// streaming; a deeper window buys nothing once the pipe is full.
+const (
+	readChunkBytes = maxFramePayload - 64 // most region bytes one frReadResp carries
+	readWindow     = 8                    // sub-reads in flight at once
+)
 
 // start meshes the job — rank i dials every j > i and accepts exactly i
 // inbound links, each opened by a frHello identifying the dialer — then

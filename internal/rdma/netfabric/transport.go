@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdma"
 )
 
-// wire is one medium under the transport: tcp.go, udp.go and shm.go each
+// wire is one medium under the transport: tcp.go and shm.go each
 // implement it, and so does the in-memory loopback below. A wire moves
 // encoded frames and nothing else; what a frame means is the transport's
 // business.
@@ -27,11 +26,6 @@ type wire interface {
 	// reused on return. A peer this wire has no link to (a request can name
 	// any rank as its source) is ErrNoReceive, never a fault.
 	send(peer int, kind byte, payload []byte, mode sendMode) error
-	// reliable reports in-order, exactly-once delivery.
-	reliable() bool
-	// readPlan shapes chunked READ RPCs carried by this wire; the zero plan
-	// means the wire carries none.
-	readPlan() readPlan
 	// close runs after the transport's done channel has closed: it first
 	// flushes every frame staged before that (an eager send "completes"
 	// once staged, so a quiescing world's last tokens are still in flight),
@@ -43,27 +37,17 @@ type wire interface {
 type sendMode uint8
 
 const (
-	// sendData is data-plane traffic: on a reliable wire it blocks while
-	// the link is saturated; on a lossy one it never blocks, is subject to
-	// the fault plan, and surfaces ErrNoReceive for the reliability
-	// sublayer to retry through.
+	// sendData is data-plane traffic: it blocks while the link is
+	// saturated.
 	sendData sendMode = iota
 	// sendControl never blocks: a saturated link drops the frame and
 	// returns ErrNoReceive. Control traffic is idempotent.
 	sendControl
 	// sendRPC is a READ request or response. It never blocks the caller —
 	// the caller may be a pump goroutine, and two ranks each blocked on the
-	// other's full queue would deadlock — and a reliable wire never drops it.
+	// other's full queue would deadlock — and never drops it.
 	sendRPC
 )
-
-// readPlan drives transport.remoteRead over one wire.
-type readPlan struct {
-	chunk    int           // most region bytes one frReadResp may carry
-	window   int           // sub-reads in flight at once
-	attempts int           // requests per sub-read before the read fails
-	timeout  time.Duration // wait for the first attempt, doubling per retry; 0 waits for the verdict or Close
-}
 
 // sendQueueFrames is the depth of every staging queue (the loopback's and
 // each TCP peer's): data sends stall, with a CtrNetStalls tally, once a
@@ -84,17 +68,14 @@ type transport struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
-	// reliable: every wire delivers in order, exactly once.
-	reliable bool
-
 	// wires start and close in this order.
 	wires []wire
 	// data[peer] carries Send and SendControl toward peer (the loopback
 	// for this rank itself).
 	data []wire
-	// rpc carries READ requests toward any peer; nil when no wire has a
-	// read plan (pure shm).
-	rpc wire
+	// rpc carries READ requests toward any peer; nil without a TCP wire
+	// (pure shm).
+	rpc *tcpWire
 	// shm, when set, announces registrations in shared memory and serves
 	// READs of same-host owners out of their own memory, with no round trip.
 	shm *shmWire
@@ -105,8 +86,8 @@ type transport struct {
 	nextKey atomic.Uint64
 
 	// In-flight outbound reads by request ID. completeRead deletes the
-	// entry as it signals, so a duplicate response (UDP retry race) finds
-	// nothing and is dropped.
+	// entry as it signals, so a response to an abandoned read finds nothing
+	// and is dropped.
 	rdMu    sync.Mutex
 	reads   map[uint64]*pendingRead
 	nextReq uint64
@@ -138,8 +119,7 @@ func newTransport(cfg Config) *transport {
 // the loopback, peers for which local reports true (all of them when local
 // is nil) over near, everyone else over far. Either of far and near may be
 // absent.
-func (t *transport) route(far wire, near *shmWire, local []bool) {
-	t.reliable = far == nil || far.reliable() // shm and the loopback always are
+func (t *transport) route(far *tcpWire, near *shmWire, local []bool) {
 	loop := &loopWire{t: t, q: make(chan []byte, sendQueueFrames)}
 	t.wires = []wire{loop}
 	if far != nil {
@@ -166,7 +146,8 @@ func (t *transport) Rank() int      { return t.rank }
 func (t *transport) Size() int      { return t.n }
 func (t *transport) Obs() *obs.Sink { return t.sink }
 
-func (t *transport) Reliable() bool { return t.reliable }
+// Reliable: every wire delivers in order, exactly once.
+func (t *transport) Reliable() bool { return true }
 
 // Start attaches the receive datapath and starts every wire.
 func (t *transport) Start(rq *rdma.RecvQueue, cq *rdma.CQ) error {
@@ -335,9 +316,7 @@ type loopWire struct {
 	wg sync.WaitGroup
 }
 
-func (l *loopWire) reliable() bool     { return true }
-func (l *loopWire) readPlan() readPlan { return readPlan{} }
-func (l *loopWire) close()             { l.wg.Wait() }
+func (l *loopWire) close() { l.wg.Wait() }
 
 func (l *loopWire) start() error {
 	l.wg.Add(1)
@@ -366,7 +345,7 @@ func (l *loopWire) run() {
 
 func (l *loopWire) send(_ int, _ byte, payload []byte, mode sendMode) error {
 	buf := append(l.t.frameBuf(len(payload)), payload...)
-	if mode == sendData && l.t.reliable { // a lossy transport's data sends must not block
+	if mode == sendData {
 		select {
 		case l.q <- buf:
 			return nil
@@ -471,25 +450,24 @@ func (t *transport) Read(owner int, dst []byte, rkey uint64, offset, length int)
 	return t.remoteRead(owner, dst, rkey, offset)
 }
 
-// remoteRead round-trips frReadReq exchanges with the owner, driven by the
-// rpc wire's plan: dst is split into sub-reads of at most plan.chunk
-// bytes, up to plan.window of them in flight at once, so a large read
-// costs one round trip plus streaming, not a round trip per chunk. The
-// first failure stops further sub-reads from starting.
+// remoteRead round-trips frReadReq exchanges with the owner over the TCP
+// wire: dst is split into sub-reads of at most readChunkBytes, up to
+// readWindow of them in flight at once, so a large read costs one round
+// trip plus streaming, not a round trip per chunk. The first failure stops
+// further sub-reads from starting.
 func (t *transport) remoteRead(owner int, dst []byte, rkey uint64, offset int) error {
-	plan := t.rpc.readPlan()
-	if len(dst) <= plan.chunk {
-		return t.readChunk(plan, owner, dst, rkey, offset)
+	if len(dst) <= readChunkBytes {
+		return t.readChunk(owner, dst, rkey, offset)
 	}
 	errc := make(chan error)
 	var firstErr error
 	inflight := 0
 	for off := 0; ; {
-		if firstErr == nil && off < len(dst) && inflight < plan.window {
-			sub, at := dst[off:min(off+plan.chunk, len(dst))], offset+off
-			go func() { errc <- t.readChunk(plan, owner, sub, rkey, at) }()
+		if firstErr == nil && off < len(dst) && inflight < readWindow {
+			sub, at := dst[off:min(off+readChunkBytes, len(dst))], offset+off
+			go func() { errc <- t.readChunk(owner, sub, rkey, at) }()
 			inflight++
-			off += plan.chunk
+			off += readChunkBytes
 			continue
 		}
 		if inflight == 0 {
@@ -502,43 +480,25 @@ func (t *transport) remoteRead(owner int, dst []byte, rkey uint64, offset int) e
 	}
 }
 
-// readChunk round-trips one sub-read. With a plan timeout the request —
-// idempotent, and like its response droppable — is re-sent on a doubling
-// timer until a verdict arrives or plan.attempts are spent; without one it
-// is sent once and the only other exit is shutdown. The deferred drop
-// guarantees the pending-read entry dies with the call on every path, so
-// an abandoned read leaks no table space and a late response finds
-// nothing to write into.
-func (t *transport) readChunk(plan readPlan, owner int, dst []byte, rkey uint64, offset int) error {
+// readChunk round-trips one sub-read: the request is sent once, and the
+// call waits for its response or for Close. The deferred drop guarantees
+// the pending-read entry dies with the call on every path, so an abandoned
+// read leaks no table space and a late response finds nothing to write
+// into.
+func (t *transport) readChunk(owner int, dst []byte, rkey uint64, offset int) error {
 	id, pr := t.newPendingRead(dst)
 	defer t.dropPendingRead(id)
 	var reqBuf [40]byte // four uvarints
 	req := appendReadReq(reqBuf[:0], id, rkey, offset, len(dst))
 	t.sink.Counters.Inc(obs.CtrNetReadReqs)
-
-	var timer *time.Timer
-	var expired <-chan time.Time
-	if plan.timeout > 0 {
-		timer = time.NewTimer(plan.timeout)
-		defer timer.Stop()
-		expired = timer.C
+	if err := t.rpc.send(owner, frReadReq, req, sendRPC); err != nil {
+		return err
 	}
-	for attempt, wait := 1, plan.timeout; ; attempt, wait = attempt+1, wait*2 {
-		if attempt > 1 {
-			t.sink.Counters.Inc(obs.CtrNetReadRetries)
-			timer.Reset(wait)
-		}
-		_ = t.rpc.send(owner, frReadReq, req, sendRPC) // a request that fails to leave is a lost one
-		select {
-		case err := <-pr.done:
-			return err
-		case <-t.done:
-			return rdma.ErrClosed
-		case <-expired:
-			if attempt == plan.attempts {
-				return fmt.Errorf("netfabric: read from rank %d timed out after %d attempts", owner, attempt)
-			}
-		}
+	select {
+	case err := <-pr.done:
+		return err
+	case <-t.done:
+		return rdma.ErrClosed
 	}
 }
 
@@ -559,8 +519,9 @@ func (t *transport) dropPendingRead(id uint64) {
 	t.rdMu.Unlock()
 }
 
-// completeRead resolves a read response: it detaches the pending entry
-// (so duplicates are ignored), copies the data, and signals the waiter.
+// completeRead resolves a read response: it detaches the pending entry (so
+// a response to an abandoned read finds nothing), copies the data, and
+// signals the waiter.
 func (t *transport) completeRead(payload []byte) {
 	id, status, data, err := parseReadResp(payload)
 	if err != nil {
@@ -571,7 +532,7 @@ func (t *transport) completeRead(payload []byte) {
 	delete(t.reads, id)
 	t.rdMu.Unlock()
 	if !ok {
-		return // duplicate or abandoned
+		return // abandoned
 	}
 	res := readError(status)
 	if status == readOK {
@@ -585,21 +546,24 @@ func (t *transport) completeRead(payload []byte) {
 }
 
 // serveRead answers one frReadReq from rank src over w, the wire the
-// request arrived on; w's plan caps how much region data one response may
-// carry.
+// request arrived on. Only the TCP wire carries READ RPCs: a request that
+// arrives over any other is stray and dropped unanswered.
 func (t *transport) serveRead(w wire, src int, req []byte) {
+	if w != t.rpc {
+		return
+	}
 	reqID, rkey, offset, length, err := parseReadReq(req)
 	if err != nil {
 		return
 	}
 	region, status := t.regionSlice(rkey, offset, length)
-	if len(region) > w.readPlan().chunk {
+	if len(region) > readChunkBytes {
 		region, status = nil, readTooLarge
 	}
 	out := t.frameBuf(uvarintLen(reqID) + 1 + len(region))
 	out = binary.AppendUvarint(out, reqID)
 	out = append(out, status)
 	out = append(out, region...)
-	_ = w.send(src, frReadResp, out, sendRPC) // an undeliverable response is a lost one: the reader retries or is closing
+	_ = w.send(src, frReadResp, out, sendRPC) // TCP links every peer: staging cannot fail
 	t.frameRecycle(out)
 }

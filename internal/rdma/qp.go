@@ -129,7 +129,7 @@ type QP struct {
 	// copy of its payload (the sender may reuse its buffer long before the
 	// release), delivered once heldSpan later sends have overtaken it. All
 	// three are guarded by the stream's lock.
-	inj      *FaultStream
+	inj      *faultStream
 	held     []byte
 	heldImm  uint32
 	heldSpan int
@@ -152,7 +152,7 @@ type QPConfig struct {
 
 // ConnectPair creates two connected QPs on the fabric. Under an active
 // fault plan the k-th pair's two directions are links 2k and 2k+1 of the
-// plan (FaultPlan.Stream).
+// plan (FaultPlan.stream).
 func (f *Fabric) ConnectPair(a, b QPConfig) (*QP, *QP) {
 	f.mu.Lock()
 	link := f.nextQP
@@ -160,7 +160,7 @@ func (f *Fabric) ConnectPair(a, b QPConfig) (*QP, *QP) {
 	sink := f.sinkLocked()
 	f.mu.Unlock()
 	qa, qb := connect(a, b)
-	qa.inj, qb.inj = f.faults.Stream(link, sink), f.faults.Stream(link+1, sink)
+	qa.inj, qb.inj = f.faults.stream(link, sink), f.faults.stream(link+1, sink)
 	return qa, qb
 }
 
@@ -206,20 +206,20 @@ func (q *QP) Send(data []byte, imm uint32, wrID uint64) error {
 // deterministic function of (seed, link, send ordinal) alone.
 func (q *QP) sendFaulty(data []byte, imm uint32) error {
 	in := q.inj
-	in.Lock()
-	defer in.Unlock()
-	d := in.Decide()
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	d := in.decide()
 	if d.RNR {
 		// Receiver-not-ready NAK: the message never left.
 		q.releaseHeld()
-		in.Note(obs.CtrFaultRNR)
+		in.note(obs.CtrFaultRNR)
 		return ErrNoReceive
 	}
 	if d.Stall {
 		// CQ backpressure stalls the send pipeline. A monotonic spin:
 		// sleeping is too coarse for a microsecond.
-		in.Note(obs.CtrFaultStalls)
-		for end := time.Now().Add(in.Rates.StallTime); time.Now().Before(end); {
+		in.note(obs.CtrFaultStalls)
+		for end := time.Now().Add(in.rates.StallTime); time.Now().Before(end); {
 		}
 	}
 	switch {
@@ -227,18 +227,18 @@ func (q *QP) sendFaulty(data []byte, imm uint32) error {
 		// Lost on the wire after the NIC accepted it: the sender sees
 		// success, the receiver sees nothing.
 		q.releaseHeld()
-		in.Note(obs.CtrFaultDropped)
+		in.note(obs.CtrFaultDropped)
 		return nil
 	case d.Delay && q.heldSpan == 0:
 		// Hold the message back; the next DelaySpan sends overtake it.
 		q.held, q.heldImm = append(q.held[:0], data...), imm
-		q.heldSpan = in.Rates.DelaySpan
-		in.Note(obs.CtrFaultDelayed)
+		q.heldSpan = in.rates.DelaySpan
+		in.note(obs.CtrFaultDelayed)
 		return nil
 	}
 	if err := q.land(data, imm, false); err != nil {
 		if err == ErrNoReceive { // no posted receive: surfaced instead of blocking
-			in.Note(obs.CtrFaultRNR)
+			in.note(obs.CtrFaultRNR)
 		}
 		return err
 	}
@@ -246,7 +246,7 @@ func (q *QP) sendFaulty(data []byte, imm uint32) error {
 		// A retransmission race delivers the message twice; if no second
 		// receive is posted the duplicate is simply lost.
 		if q.land(data, imm, false) == nil {
-			in.Note(obs.CtrFaultDuplicated)
+			in.note(obs.CtrFaultDuplicated)
 		}
 	}
 	q.releaseHeld()
@@ -265,7 +265,7 @@ func (q *QP) releaseHeld() {
 		return
 	}
 	if q.land(q.held, q.heldImm, false) != nil {
-		q.inj.Note(obs.CtrFaultDropped)
+		q.inj.note(obs.CtrFaultDropped)
 	}
 }
 

@@ -148,7 +148,7 @@ func (r *fabricRank) Endpoint(peer int) Endpoint {
 	if r.eps[peer] == nil {
 		dst := r.job[peer]
 		ep, _ := connect(QPConfig{}, QPConfig{RecvCQ: dst.cq, RQ: dst.rq})
-		ep.inj = r.f.faults.Stream(r.rank*len(r.job)+peer, r.f.sinkLocked())
+		ep.inj = r.f.faults.stream(r.rank*len(r.job)+peer, r.f.sinkLocked())
 		if r.closed {
 			ep.Close()
 		}

@@ -69,7 +69,7 @@ func goldenOptions(kind mpi.EngineKind, inflight int) mpi.Options {
 // this process, meshed over real sockets, and returns the aggregated
 // results. It mirrors what the cmd/replay launcher does with N OS
 // processes; in-process it is additionally -race-visible.
-func replayNet(t *testing.T, tr *trace.Trace, network string, opts mpi.Options, faults rdma.FaultPlan) (goldenSummary, mpi.ReliabilitySnapshot) {
+func replayNet(t *testing.T, tr *trace.Trace, network string, opts mpi.Options) goldenSummary {
 	t.Helper()
 	n := tr.NumRanks()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -91,7 +91,7 @@ func replayNet(t *testing.T, tr *trace.Trace, network string, opts mpi.Options, 
 			defer wg.Done()
 			ncfg := netfabric.Config{
 				Network: network, Rank: k, Ranks: n,
-				Coord: ln.Addr().String(), Faults: faults, ShmDir: shmDir,
+				Coord: ln.Addr().String(), ShmDir: shmDir,
 			}
 			if network == "hybrid" {
 				// Two simulated hosts: even ranks on one, odd on the
@@ -119,24 +119,17 @@ func replayNet(t *testing.T, tr *trace.Trace, network string, opts mpi.Options, 
 		}
 	}
 	checkCounters(t, network, results...)
-	var rel mpi.ReliabilitySnapshot
-	for _, r := range results {
-		rel.Sent += r.Reliability.Sent
-		rel.Retransmits += r.Reliability.Retransmits
-		rel.DupDropped += r.Reliability.DupDropped
-		rel.OutOfOrder += r.Reliability.OutOfOrder
-		rel.Sacks += r.Reliability.Sacks
-	}
-	return summarize(results...), rel
+	return summarize(results...)
 }
 
 // TestGoldenCrossTransportEquivalence replays a fixed deterministic trace
-// over the in-process fabric, TCP sockets, UDP sockets under a 5%-drop
-// fault plan, shared-memory rings, and the hybrid shm/TCP router (two
-// simulated hosts), across engines and in-flight block depths, and
-// requires the matched results to be identical everywhere. The UDP legs
-// must also show the repair sublayer actually working (retransmissions
-// happened and the result still matched the golden baseline).
+// over the in-process fabric, TCP sockets, shared-memory rings, the hybrid
+// shm/TCP router (two simulated hosts), and the in-process fabric again
+// under a 5%-drop fault plan, across engines and in-flight block depths,
+// and requires the matched results to be identical everywhere. The faulted
+// legs must also show the repair sublayer actually working (the plan
+// injected faults, retransmissions happened, and the result still matched
+// the golden baseline).
 func TestGoldenCrossTransportEquivalence(t *testing.T) {
 	app, ok := tracegen.ByName("AMG")
 	if !ok {
@@ -162,7 +155,7 @@ func TestGoldenCrossTransportEquivalence(t *testing.T) {
 		{mpi.EngineOffload, 8},
 	}
 
-	var totalRetx uint64
+	var totalRetx, totalInjected uint64
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%v-k%d", tc.engine, tc.inflight), func(t *testing.T) {
 			opts := goldenOptions(tc.engine, tc.inflight)
@@ -181,34 +174,51 @@ func TestGoldenCrossTransportEquivalence(t *testing.T) {
 				t.Fatalf("degenerate golden baseline: %+v", golden)
 			}
 
-			tcp, _ := replayNet(t, tr, "tcp", opts, rdma.FaultPlan{})
+			tcp := replayNet(t, tr, "tcp", opts)
 			if tcp != golden {
 				t.Errorf("tcp diverged: got %+v, want %+v", tcp, golden)
 			}
 
-			shm, _ := replayNet(t, tr, "shm", opts, rdma.FaultPlan{})
+			shm := replayNet(t, tr, "shm", opts)
 			if shm != golden {
 				t.Errorf("shm diverged: got %+v, want %+v", shm, golden)
 			}
 
-			hybrid, _ := replayNet(t, tr, "hybrid", opts, rdma.FaultPlan{})
+			hybrid := replayNet(t, tr, "hybrid", opts)
 			if hybrid != golden {
 				t.Errorf("hybrid diverged: got %+v, want %+v", hybrid, golden)
 			}
 
-			udp, rel := replayNet(t, tr, "udp", opts, plan)
-			if udp != golden {
-				t.Errorf("udp+faults diverged: got %+v, want %+v", udp, golden)
+			faulted := opts
+			faulted.Faults = plan
+			fw, err := mpi.NewWorld(tr.NumRanks(), faulted)
+			if err != nil {
+				t.Fatal(err)
 			}
-			totalRetx += rel.Retransmits
-			if rel.Sent == 0 {
-				t.Error("udp reliability sublayer saw no traffic")
+			res, err := replay.RunWorlds(tr, []*mpi.World{fw})
+			if err != nil {
+				t.Fatalf("inproc+faults: %v", err)
 			}
+			if got := summarize(res); got != golden {
+				t.Errorf("inproc+faults diverged: got %+v, want %+v", got, golden)
+			}
+			checkCounters(t, "inproc+faults", res)
+			if res.Reliability.Sent == 0 {
+				t.Error("inproc+faults reliability sublayer saw no traffic")
+			}
+			t.Logf("inproc+faults: %d retransmits of %d reliable sends; injected %v",
+				res.Reliability.Retransmits, res.Reliability.Sent, res.Faults)
+			totalRetx += res.Reliability.Retransmits
+			totalInjected += res.Faults.Dropped + res.Faults.Duplicated
 		})
 	}
-	// Drops are probabilistic per run; over all four UDP legs the 5% plan
-	// must have forced at least one retransmission.
+	// The schedule is seeded, so the plan injects faults on every run; how
+	// many of them cost a retransmission depends on timing, but over all
+	// four faulted legs at least one must have.
+	if totalInjected == 0 {
+		t.Error("the fault plan injected nothing across the faulted legs")
+	}
 	if totalRetx == 0 {
-		t.Error("no retransmissions across any UDP leg: fault plan not reaching the transport")
+		t.Error("no retransmissions across any faulted leg: fault plan not reaching the reliability sublayer")
 	}
 }
