@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -129,15 +130,15 @@ func (r *Report) AvgDepth() float64 { return r.Depth.AvgArriveDepth() }
 // MaxDepth returns the deepest single posted-receive search.
 func (r *Report) MaxDepth() uint64 { return r.Depth.ArriveMaxDepth }
 
-// step is one schedulable action derived from a trace event.
+// step is one schedulable action derived from a trace event: 32 bytes.
 type step struct {
 	time float64
-	seq  int // stable tie-break: global emission order
+	seq  int32 // stable tie-break: global emission order (checkEvents)
 	rank int32
-	kind trace.OpKind
 	peer int32
 	tag  int32
 	comm int32
+	kind trace.OpKind
 }
 
 // Analyze replays t through per-rank matching structures, sharded by
@@ -154,10 +155,15 @@ func Analyze(t *trace.Trace, cfg Config) (*Report, error) {
 // AnalyzeSerial is the unsharded reference implementation: one global
 // (time, seq)-sorted step list replayed on the calling goroutine. It
 // defines the semantics the sharded path must reproduce exactly and backs
-// the equivalence tests; production callers want Analyze.
+// the equivalence tests; production callers want Analyze. It reuses
+// nothing: its matchers are core.NewFresh's, never ones a sweep released,
+// so a fault in recycling cannot hide by showing on both sides.
 func AnalyzeSerial(t *trace.Trace, cfg Config) (*Report, error) {
 	cfg.fill()
 	if err := validateBins(cfg.Bins); err != nil {
+		return nil, err
+	}
+	if err := checkEvents(t.NumEvents()); err != nil {
 		return nil, err
 	}
 
@@ -165,7 +171,7 @@ func AnalyzeSerial(t *trace.Trace, cfg Config) (*Report, error) {
 
 	// Build the global schedule.
 	steps := make([]step, 0, t.NumEvents())
-	seq := 0
+	var seq int32
 	for ri := range t.Ranks {
 		rank := t.Ranks[ri].Rank
 		for _, e := range t.Ranks[ri].Events {
@@ -199,7 +205,7 @@ func AnalyzeSerial(t *trace.Trace, cfg Config) (*Report, error) {
 		if _, dup := matchers[id]; dup {
 			return nil, errRepeatedRank(id)
 		}
-		m, err := newInstance(cfg)
+		m, err := newInstance(cfg, core.NewFresh)
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +233,7 @@ func AnalyzeSerial(t *trace.Trace, cfg Config) (*Report, error) {
 				tags[s.tag] = struct{}{}
 			}
 			keys[[3]int32{s.peer, s.tag, s.comm}] = struct{}{}
-			if err := m.post(r); err != nil {
+			if _, err := m.post(r); err != nil {
 				return nil, fmt.Errorf("analyzer: rank %d: %w (raise MaxReceives)", s.rank, err)
 			}
 		case trace.OpSend:
@@ -265,9 +271,13 @@ func AnalyzeSerial(t *trace.Trace, cfg Config) (*Report, error) {
 }
 
 // Sweep analyzes t at each bin count and returns reports in order. The
-// replay schedule is built once and every (bin count × shard) replay fans
-// out over one shared worker pool; re-analyzing per bin count from scratch
-// re-derives and re-sorts the identical step list.
+// replay schedule is built once and every shard's replays fan out over one
+// shared worker pool; re-analyzing per bin count from scratch re-derives
+// and re-sorts the identical step list. The schedule is rebuilt from t on
+// every call, into the memory an earlier call left (schedules), and the
+// replay's matchers are the ones earlier replays released (core.New).
 func Sweep(t *trace.Trace, bins []int, cfg Config) ([]*Report, error) {
-	return buildSchedule(t, cfg).sweep(bins, cfg)
+	sc := buildSchedule(t, cfg)
+	defer sc.recycle()
+	return sc.sweep(bins, cfg)
 }

@@ -71,3 +71,25 @@ func BenchmarkBuildSchedule(b *testing.B) {
 		buildSchedule(tr, Config{})
 	}
 }
+
+// BenchmarkSweepApps is one repetition of the benchmark's analyze_sweep
+// workload: every generated application of up to 64 ranks, full scale,
+// swept at 1, 32 and 128 bins. Its allocs/op and B/op are a repetition's.
+func BenchmarkSweepApps(b *testing.B) {
+	var traces []*trace.Trace
+	for _, app := range tracegen.Apps() {
+		if app.Procs <= 64 {
+			traces = append(traces, app.Generate(tracegen.Config{Scale: 100}))
+		}
+	}
+	bins := []int{1, 32, 128}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range traces {
+			if _, err := Sweep(tr, bins, Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

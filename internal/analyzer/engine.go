@@ -10,10 +10,13 @@ import (
 // instance is one rank's matching-engine state during a replay, abstracting
 // over the optimistic engine and the Table I baselines.
 type instance interface {
-	// post presents a receive (may complete against the unexpected store).
-	post(r *match.Recv) error
-	// arrive presents an incoming message.
-	arrive(e *match.Envelope)
+	// post presents a receive. When it completes against the unexpected
+	// store it returns the message it took; the engine then keeps neither.
+	post(r *match.Recv) (*match.Envelope, error)
+	// arrive presents an incoming message. When a posted receive matches
+	// it returns that receive; the engine then keeps neither. Otherwise it
+	// stores e and returns nil.
+	arrive(e *match.Envelope) *match.Recv
 	// posted returns the live posted-receive count.
 	posted() int
 	// occupancy samples empty/total bins; ok is false when the engine has
@@ -23,8 +26,8 @@ type instance interface {
 	depth() match.Stats
 	// unexpectedTotal returns the cumulative unexpected-message count.
 	unexpectedTotal() uint64
-	// release hands the engine's tables to the next instance; nothing may
-	// use this one afterwards.
+	// release hands the engine to the next instance of its shape; nothing
+	// may use this one afterwards.
 	release()
 }
 
@@ -39,11 +42,12 @@ func validEngine(e Engine) error {
 	return fmt.Errorf("analyzer: unknown engine %q", e)
 }
 
-// newInstance builds the engine selected by cfg.
-func newInstance(cfg Config) (instance, error) {
+// newInstance builds the engine selected by cfg; build makes the optimistic
+// engine's matcher (core.New, or core.NewFresh for the reference path).
+func newInstance(cfg Config, build func(core.Config) (*core.OptimisticMatcher, error)) (instance, error) {
 	switch cfg.Engine {
 	case "", EngineOptimistic:
-		m, err := core.New(core.Config{
+		m, err := build(core.Config{
 			Bins:              cfg.Bins,
 			MaxReceives:       cfg.MaxReceives,
 			BlockSize:         1,
@@ -52,7 +56,7 @@ func newInstance(cfg Config) (instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &optimisticInstance{m: m}, nil
+		return (*optimisticInstance)(m), nil
 	case EngineList:
 		return &genericInstance{m: match.NewListMatcher()}, nil
 	case EngineBin:
@@ -68,42 +72,47 @@ func newInstance(cfg Config) (instance, error) {
 	}
 }
 
-// optimisticInstance wraps the paper's engine.
-type optimisticInstance struct {
-	m *core.OptimisticMatcher
+// optimisticInstance is the paper's engine, the matcher itself under the
+// instance methods: a *core.OptimisticMatcher converts to one with no
+// allocation.
+type optimisticInstance core.OptimisticMatcher
+
+func (o *optimisticInstance) m() *core.OptimisticMatcher { return (*core.OptimisticMatcher)(o) }
+
+func (o *optimisticInstance) post(r *match.Recv) (*match.Envelope, error) {
+	env, _, err := o.m().PostRecv(r)
+	return env, err
 }
 
-func (o *optimisticInstance) post(r *match.Recv) error {
-	_, _, err := o.m.PostRecv(r)
-	return err
-}
+func (o *optimisticInstance) arrive(e *match.Envelope) *match.Recv { return o.m().Arrive(e).Recv }
 
-func (o *optimisticInstance) arrive(e *match.Envelope) { o.m.Arrive(e) }
-
-func (o *optimisticInstance) posted() int { return o.m.PostedDepth() }
+func (o *optimisticInstance) posted() int { return o.m().PostedDepth() }
 
 func (o *optimisticInstance) occupancy() (int, int, bool) {
-	empty, total, _ := o.m.Occupancy()
+	empty, total, _ := o.m().Occupancy()
 	return empty, total, true
 }
 
-func (o *optimisticInstance) depth() match.Stats { return o.m.DepthStats() }
+func (o *optimisticInstance) depth() match.Stats { return o.m().DepthStats() }
 
-func (o *optimisticInstance) unexpectedTotal() uint64 { return o.m.Stats().Unexpected }
+func (o *optimisticInstance) unexpectedTotal() uint64 { return o.m().Stats().Unexpected }
 
-func (o *optimisticInstance) release() { o.m.Release() }
+func (o *optimisticInstance) release() { o.m().Release() }
 
 // genericInstance wraps any match.Matcher baseline.
 type genericInstance struct {
 	m match.Matcher
 }
 
-func (g *genericInstance) post(r *match.Recv) error {
-	g.m.PostRecv(r)
-	return nil
+func (g *genericInstance) post(r *match.Recv) (*match.Envelope, error) {
+	env, _ := g.m.PostRecv(r)
+	return env, nil
 }
 
-func (g *genericInstance) arrive(e *match.Envelope) { g.m.Arrive(e) }
+func (g *genericInstance) arrive(e *match.Envelope) *match.Recv {
+	r, _ := g.m.Arrive(e)
+	return r
+}
 
 func (g *genericInstance) posted() int { return g.m.PostedDepth() }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -33,23 +34,26 @@ type shardResult struct {
 
 // replaySlab is one replay worker's reusable step objects. The engines keep
 // the *match.Recv and *match.Envelope they are handed until the pair
-// completes, so every step needs its own — but only for the life of the
-// shard's matcher, which dies with runShard. A worker therefore draws them
-// from two arrays sized to its largest shard so far and overwrites them
-// shard after shard, where a heap object per step was the replay's largest
-// source of garbage.
+// completes, and no longer: a step's object is free again once its pair
+// is. A worker therefore draws them from two arrays sized to its largest
+// shard so far, which they never outgrow, and takes back each pair's two
+// as it completes; the next step reuses the last object freed, still in
+// cache, before it touches a new one. No step allocates.
 type replaySlab struct {
-	recvs []match.Recv
-	envs  []match.Envelope
+	recvs     []match.Recv
+	envs      []match.Envelope
+	freeRecvs []*match.Recv // taken back, last freed on top
+	freeEnvs  []*match.Envelope
 }
 
-// runShard replays one rank's step stream through a fresh engine instance,
-// whose tables go to the next shard's when it is done. It is the per-rank
-// slice of the serial loop in AnalyzeSerial; the two must stay in lockstep.
-func runShard(sh *shard, cfg Config, slab *replaySlab) shardResult {
+// runShard replays one rank's step stream through an engine instance that
+// it releases when done, appending the progress samples to samples (which
+// has room for them). It is the per-rank slice of the serial loop in
+// AnalyzeSerial; the two must stay in lockstep.
+func runShard(sh *shard, cfg Config, slab *replaySlab, samples []progressSample) shardResult {
 	var res shardResult
 	start := cfg.Obs.Now()
-	m, err := newInstance(cfg)
+	m, err := newInstance(cfg, core.New)
 	if err != nil {
 		res.err = err
 		return res
@@ -57,30 +61,46 @@ func runShard(sh *shard, cfg Config, slab *replaySlab) shardResult {
 	defer m.release() // after depth and unexpectedTotal are read
 	if cap(slab.recvs) < sh.recvs {
 		slab.recvs = make([]match.Recv, sh.recvs)
+		slab.freeRecvs = make([]*match.Recv, 0, sh.recvs)
 	}
 	if cap(slab.envs) < sh.sends {
 		slab.envs = make([]match.Envelope, sh.sends)
+		slab.freeEnvs = make([]*match.Envelope, 0, sh.sends)
 	}
 	recvs, envs := slab.recvs[:sh.recvs], slab.envs[:sh.sends]
-	res.samples = make([]progressSample, 0, sh.progress)
+	freeRecvs, freeEnvs := slab.freeRecvs[:0], slab.freeEnvs[:0]
 	for _, s := range sh.steps {
 		switch s.kind {
 		case trace.OpRecv:
-			r := &recvs[0]
-			recvs = recvs[1:]
+			var r *match.Recv
+			if n := len(freeRecvs); n > 0 {
+				r, freeRecvs = freeRecvs[n-1], freeRecvs[:n-1]
+			} else {
+				r, recvs = &recvs[0], recvs[1:]
+			}
 			*r = match.Recv{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
-			if err := m.post(r); err != nil {
+			env, err := m.post(r)
+			if err != nil {
 				res.err = fmt.Errorf("analyzer: rank %d: %w (raise MaxReceives)", s.rank, err)
 				return res
 			}
+			if env != nil {
+				freeRecvs, freeEnvs = append(freeRecvs, r), append(freeEnvs, env)
+			}
 		case trace.OpSend:
-			env := &envs[0]
-			envs = envs[1:]
+			var env *match.Envelope
+			if n := len(freeEnvs); n > 0 {
+				env, freeEnvs = freeEnvs[n-1], freeEnvs[:n-1]
+			} else {
+				env, envs = &envs[0], envs[1:]
+			}
 			*env = match.Envelope{Source: match.Rank(s.peer), Tag: match.Tag(s.tag), Comm: match.CommID(s.comm)}
-			m.arrive(env)
+			if r := m.arrive(env); r != nil {
+				freeRecvs, freeEnvs = append(freeRecvs, r), append(freeEnvs, env)
+			}
 		case trace.OpProgress:
 			empty, total, ok := m.occupancy()
-			res.samples = append(res.samples, progressSample{
+			samples = append(samples, progressSample{
 				posted: m.posted(),
 				empty:  empty,
 				total:  total,
@@ -88,6 +108,7 @@ func runShard(sh *shard, cfg Config, slab *replaySlab) shardResult {
 			})
 		}
 	}
+	res.samples = samples
 	res.depth = m.depth()
 	res.unexpected = m.unexpectedTotal()
 	cfg.Obs.CounterInc(obs.CtrAnalyzerShards)
@@ -143,13 +164,13 @@ func runPool(n, workers int, task func(worker, i int)) {
 	wg.Wait()
 }
 
-// merge folds per-shard results into one Report. Progress samples from all
-// shards are taken in (time, seq) order — the global replay order, which
-// the schedule fixed as sampleShard — and the floating-point aggregates
-// (PostedAvg, EmptyBinPct) are accumulated in that order, so the merged
-// Report is byte-identical to AnalyzeSerial's. Counter merges (depth
-// stats, unexpected totals) are order-independent; the receive statistics
-// are the schedule's.
+// merge folds one configuration's per-shard results into one Report.
+// Progress samples from all shards are taken in (time, seq) order — the
+// global replay order, which the schedule fixed as sampleShard — and the
+// floating-point aggregates (PostedAvg, EmptyBinPct) are accumulated in
+// that order, so the merged Report is byte-identical to AnalyzeSerial's.
+// Counter merges (depth stats, unexpected totals) are order-independent;
+// the receive statistics are the schedule's.
 func (sc *schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 	for i := range results {
 		if results[i].err != nil {
@@ -169,7 +190,9 @@ func (sc *schedule) merge(results []shardResult, cfg Config) (*Report, error) {
 
 	var postedSamples, emptySamples int
 	var postedSum, emptySum float64
-	next := make([]int, len(results)) // next[i]: shard i's first sample not yet taken
+	next := resized(sc.mem.next, len(results)) // next[i]: shard i's first sample not yet taken
+	clear(next)
+	sc.mem.next = next
 	for _, si := range sc.sampleShard {
 		s := &results[si].samples[next[si]]
 		next[si]++
@@ -236,12 +259,12 @@ func normalizeBins(bins []int) ([]int, error) {
 	return out, nil
 }
 
-// sweep replays the schedule once per bin count, fanning every
-// (bin count × shard) replay out over one shared worker pool. The step
-// streams are built and sorted exactly once for the whole sweep. Bin
-// counts are validated and deduplicated up front (normalizeBins), and the
-// engine is checked before any shard runs: the returned reports align
-// with the deduplicated list.
+// sweep replays the schedule once per bin count. The step streams are
+// built and sorted exactly once for the whole sweep, and the replay is
+// shard-major: one worker replays a shard at every bin count back to back,
+// while its steps are still in cache. Bin counts are validated and
+// deduplicated up front (normalizeBins), and the engine is checked before
+// any shard runs: the returned reports align with the deduplicated list.
 func (sc *schedule) sweep(bins []int, cfg Config) ([]*Report, error) {
 	if sc.err != nil {
 		return nil, sc.err
@@ -259,25 +282,29 @@ func (sc *schedule) sweep(bins []int, cfg Config) ([]*Report, error) {
 		cfgs[i] = cfg
 		cfgs[i].Bins = b
 	}
-	nc, ns := len(cfgs), len(sc.shards)
-	results := make([][]shardResult, nc)
-	for ci := range results {
-		results[ci] = make([]shardResult, ns)
-	}
+	// results[ci*ns+si] is shard si at cfgs[ci]; its samples sit at
+	// samples[ci*np+sh.sampleOff:], room for sh.progress of them.
+	nc, ns, np := len(cfgs), len(sc.shards), len(sc.sampleShard)
+	mem := &sc.mem
+	mem.results = resized(mem.results, nc*ns)
+	mem.samples = resized(mem.samples, nc*np)
 	replayStart := cfg.Obs.Now()
-	workers := cfg.workerCount(nc * ns)
-	slabs := make([]replaySlab, workers)
-	runPool(nc*ns, workers, func(w, i int) {
-		ci, si := i/max(ns, 1), i%max(ns, 1)
-		results[ci][si] = runShard(&sc.shards[si], cfgs[ci], &slabs[w])
+	workers := cfg.workerCount(ns)
+	mem.slabs = resized(mem.slabs, workers)
+	runPool(ns, workers, func(w, si int) {
+		sh := &sc.shards[si]
+		for ci := range cfgs {
+			samples := mem.samples[ci*np+sh.sampleOff:][:0:sh.progress]
+			mem.results[ci*ns+si] = runShard(sh, cfgs[ci], &mem.slabs[w], samples)
+		}
 	})
 	if cfg.Obs.Enabled() {
 		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseReplay, uint64(cfg.Obs.Now()-replayStart), 0)
 	}
 	mergeStart := cfg.Obs.Now()
 	out := make([]*Report, 0, nc)
-	for ci := range results {
-		rep, err := sc.merge(results[ci], cfgs[ci])
+	for ci := range cfgs {
+		rep, err := sc.merge(mem.results[ci*ns:(ci+1)*ns], cfgs[ci])
 		if err != nil {
 			return nil, err
 		}
@@ -287,4 +314,11 @@ func (sc *schedule) sweep(bins []int, cfg Config) ([]*Report, error) {
 		cfg.Obs.Event(obs.EvAnalyzerPhase, 0, phaseMerge, uint64(cfg.Obs.Now()-mergeStart), 0)
 	}
 	return out, nil
+}
+
+// recycle hands sc, memory and all, to the next buildSchedule. Nothing may
+// use it afterwards.
+func (sc *schedule) recycle() {
+	clear(sc.mem.results) // errors and the samples' array
+	schedules.Put(sc)
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -193,6 +194,79 @@ func TestSweepEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqualReports(t, app.Name, serial, reps[i])
+	}
+}
+
+// TestSweepReuseMatchesSerial runs sweeps of different traces, bin counts
+// and engines on four goroutines at once, so that every schedule and
+// matcher a sweep reuses was last used by another trace, bin count, engine
+// or goroutine. Each report must equal AnalyzeSerial's, both when its sweep
+// returns and after every other sweep has run: nothing a report holds may
+// be memory a later sweep refills.
+func TestSweepReuseMatchesSerial(t *testing.T) {
+	type job struct {
+		tr     *trace.Trace
+		bins   []int
+		engine Engine
+	}
+	var jobs []job
+	for i, name := range []string{"AMG", "BoxLib CNS", "PARTISN", "CrystalRouter"} {
+		app, _ := tracegen.ByName(name)
+		tr := app.Generate(tracegen.Config{Scale: 5})
+		jobs = append(jobs,
+			job{tr, []int{1, 32, 128}, EngineOptimistic},
+			job{tr, []int{1 << (i + 2)}, EngineOptimistic},
+			job{tr, []int{128, 8}, []Engine{EngineList, EngineBin, EngineAdaptive, EngineRank}[i]})
+	}
+	want := make([][]*Report, len(jobs))
+	for j, jb := range jobs {
+		for _, b := range jb.bins {
+			rep, err := AnalyzeSerial(jb.tr, Config{Bins: b, Engine: jb.engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[j] = append(want[j], rep)
+		}
+	}
+
+	const goroutines, rounds = 4, 2
+	got := make([][]*Report, goroutines) // each goroutine's reports, in its order
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range jobs {
+					j := (k + g) % len(jobs) // each goroutine in its own order
+					jb := jobs[j]
+					reps, err := Sweep(jb.tr, jb.bins, Config{Engine: jb.engine, Workers: 1 + g%2})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for bi := range reps {
+						mustEqualReports(t, fmt.Sprintf("goroutine %d, job %d, bins %d", g, j, jb.bins[bi]), want[j][bi], reps[bi])
+					}
+					got[g] = append(got[g], reps...)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		i := 0
+		for r := 0; r < rounds; r++ {
+			for k := range jobs {
+				j := (k + g) % len(jobs)
+				for bi := range jobs[j].bins {
+					if i < len(got[g]) {
+						mustEqualReports(t, fmt.Sprintf("goroutine %d, job %d, afterwards", g, j), want[j][bi], got[g][i])
+					}
+					i++
+				}
+			}
+		}
 	}
 }
 

@@ -2,11 +2,15 @@ package analyzer
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/tracegen"
 )
 
 // TestSortRunsMatchesSortFunc: whatever the input — the concatenation of
@@ -15,7 +19,7 @@ import (
 // sort by (time, seq) leaves.
 func TestSortRunsMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	seq := 0
+	var seq int32
 	next := func(tm float64) step { // seq is unique, as buildSchedule's is
 		seq++
 		return step{time: tm, seq: seq, tag: int32(rng.Intn(100))}
@@ -69,6 +73,17 @@ func TestSortRunsMatchesSortFunc(t *testing.T) {
 	}
 }
 
+// TestStepSeqBound: a step numbers the trace's events in an int32, so a
+// trace of 2³¹ events or more is refused rather than numbered with a wrap.
+func TestStepSeqBound(t *testing.T) {
+	if err := checkEvents(math.MaxInt32); err != nil {
+		t.Fatalf("2³¹−1 events refused: %v", err)
+	}
+	if err := checkEvents(math.MaxInt32 + 1); err == nil {
+		t.Fatal("2³¹ events accepted")
+	}
+}
+
 // pairedShard is a shard of n receives each matched by the arrival that
 // follows it, with a progress sample every 16 pairs: its posted depth never
 // exceeds one, so a replay's memory does not depend on n.
@@ -77,12 +92,12 @@ func pairedShard(n int) *shard {
 	for i := 0; i < n; i++ {
 		tm, tag := float64(i), int32(i%64)
 		sh.steps = append(sh.steps,
-			step{time: tm, seq: 3 * i, kind: trace.OpRecv, peer: 1, tag: tag},
-			step{time: tm + 0.5, seq: 3*i + 1, kind: trace.OpSend, peer: 1, tag: tag})
+			step{time: tm, seq: int32(3 * i), kind: trace.OpRecv, peer: 1, tag: tag},
+			step{time: tm + 0.5, seq: int32(3*i + 1), kind: trace.OpSend, peer: 1, tag: tag})
 		sh.recvs++
 		sh.sends++
 		if i%16 == 15 {
-			sh.steps = append(sh.steps, step{time: tm + 0.75, seq: 3*i + 2, kind: trace.OpProgress})
+			sh.steps = append(sh.steps, step{time: tm + 0.75, seq: int32(3*i + 2), kind: trace.OpProgress})
 			sh.progress++
 		}
 	}
@@ -90,19 +105,23 @@ func pairedShard(n int) *shard {
 }
 
 // TestRunShardAllocs is the allocation guard of the replay loop: a worker
-// whose slab has grown to the shard replays it with a fixed number of
-// allocations — the matcher and the sample buffer — however many steps the
-// shard has. The matcher's tables come from the previous shard's through
-// sync.Pool, which under the race detector drops puts at random: there
-// only the limit holds, not the exact count.
+// whose slab has grown to the shard, writing its samples into a buffer that
+// has room for them, replays it with a fixed number of allocations however
+// many steps the shard has. The matcher is the one the previous replay
+// released, through sync.Pool: the test holds one P and collects nothing
+// while it measures, and under the race detector, where a pool drops puts
+// at random, only the limit holds, not the exact count.
 func TestRunShardAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := Config{Bins: 32}
 	cfg.fill()
 	small, large := pairedShard(64), pairedShard(4096)
 	var slab replaySlab
+	samples := make([]progressSample, 0, large.progress)
 	replay := func(sh *shard) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if res := runShard(sh, cfg, &slab); res.err != nil || res.depth.Matched != uint64(sh.recvs) {
+			if res := runShard(sh, cfg, &slab, samples); res.err != nil || res.depth.Matched != uint64(sh.recvs) {
 				t.Fatalf("replay: %+v", res)
 			}
 		})
@@ -118,15 +137,54 @@ func TestRunShardAllocs(t *testing.T) {
 	}
 }
 
+// TestSweepAllocs is the allocation guard of a whole sweep: once a sweep of
+// the larger trace has grown the pooled schedule and the released matchers,
+// sweeping either trace allocates the same fixed number of objects — the
+// reports and what holds them — however many events it has. The schedule
+// and the matchers come back through sync.Pool, so the test holds one P
+// and collects nothing while it measures. Under the race detector a pool
+// drops puts at random, every drop rebuilds a matcher, and neither the count
+// nor a limit holds.
+func TestSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	app, _ := tracegen.ByName("BoxLib CNS")
+	small, large := app.Generate(tracegen.Config{Scale: 5}), app.Generate(tracegen.Config{Scale: 100})
+	if small.NumRanks() != large.NumRanks() || 10*small.NumEvents() > large.NumEvents() {
+		t.Fatalf("traces of %d and %d events on %d and %d ranks", small.NumEvents(), large.NumEvents(), small.NumRanks(), large.NumRanks())
+	}
+	bins := []int{1, 32, 128}
+	sweep := func(tr *trace.Trace) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Sweep(tr, bins, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	sweep(large) // warm the schedule and the matchers
+	a, b := sweep(small), sweep(large)
+	if a != b {
+		t.Errorf("allocations grow with the trace: %.0f for %d events, %.0f for %d", a, small.NumEvents(), b, large.NumEvents())
+	}
+	const limit = 16
+	if b > limit {
+		t.Errorf("a warmed sweep allocates %.0f times, limit %d", b, limit)
+	}
+}
+
 // BenchmarkRunShard replays one 8 k-step shard on a warmed worker.
 func BenchmarkRunShard(b *testing.B) {
 	cfg := Config{Bins: 32}
 	cfg.fill()
 	sh := pairedShard(4096)
 	var slab replaySlab
+	samples := make([]progressSample, 0, sh.progress)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if res := runShard(sh, cfg, &slab); res.err != nil {
+		if res := runShard(sh, cfg, &slab, samples); res.err != nil {
 			b.Fatal(res.err)
 		}
 	}

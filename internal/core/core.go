@@ -52,6 +52,7 @@ import (
 
 	"repro/internal/match"
 	"repro/internal/obs"
+	"repro/internal/recycle"
 )
 
 // MaxBlockSize is the largest supported matching block (the paper's
@@ -173,16 +174,32 @@ type blockRing struct {
 // locks: one block per side, so CtrMatched has an addend in each.
 type counterBlock [obs.CtrQueued + 1]uint64
 
+// maxMerged reports whether ctr merges by maximum rather than by sum.
+func maxMerged(ctr obs.Counter) bool {
+	return ctr == obs.CtrPostMaxDepth || ctr == obs.CtrArriveMaxDepth
+}
+
 // foldInto carries the deltas to the sink's atomics and zeroes them. The
 // caller holds the lock that guards b.
 func (b *counterBlock) foldInto(c *obs.CounterSet) {
 	for i, v := range b {
-		if ctr := obs.Counter(i); ctr == obs.CtrPostMaxDepth || ctr == obs.CtrArriveMaxDepth {
+		if ctr := obs.Counter(i); maxMerged(ctr) {
 			c.Max(ctr, v)
 		} else {
 			c.Add(ctr, v) // a zero delta is a branch
 		}
 		b[i] = 0
+	}
+}
+
+// add merges o into b. The caller holds the locks that guard both.
+func (b *counterBlock) add(o *counterBlock) {
+	for i, v := range o {
+		if maxMerged(obs.Counter(i)) {
+			b[i] = max(b[i], v)
+		} else {
+			b[i] += v
+		}
 	}
 }
 
@@ -226,6 +243,10 @@ type OptimisticMatcher struct {
 	// construction from the scheduler width (barrierSpinBudget).
 	barrierSpins int
 
+	// released is set by Release and cleared by the New that takes the
+	// matcher back, so a second Release cannot hand it out twice.
+	released bool
+
 	// onUnexpected, when set, runs exactly once per unexpected message,
 	// under the store lock, immediately before the message is published to
 	// the unexpected store — i.e. before any concurrent post can take it.
@@ -251,11 +272,45 @@ type postKey struct {
 	comm match.CommID
 }
 
-// New returns a matcher for cfg.
+// tableShape is what sizes a matcher's tables: a released matcher goes only
+// to a New of the same shape, everything else in its Config is free.
+type tableShape struct{ bins, maxReceives int }
+
+// recycled holds the matchers Release gave back, by shape.
+var recycled recycle.ByKey[tableShape, OptimisticMatcher]
+
+// New returns a matcher for cfg: one a finished owner released (Release)
+// if there is one of cfg's shape, else NewFresh's. The two are
+// indistinguishable but for the tables the recycled one already owns.
 func New(cfg Config) (*OptimisticMatcher, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	m := recycled.Get(tableShape{cfg.Bins, cfg.MaxReceives})
+	if m == nil {
+		return newMatcher(cfg), nil
+	}
+	m.cfg = cfg
+	m.barrierSpins = barrierSpinBudget()
+	if len(m.ring.slots) != cfg.InFlightBlocks {
+		m.ring.slots = nil
+	}
+	m.released = false
+	return m, nil
+}
+
+// NewFresh returns a matcher for cfg built from nothing, never a released
+// one: what a reference replay uses so that it shares no memory with the
+// matchers it is checked against.
+func NewFresh(cfg Config) (*OptimisticMatcher, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return newMatcher(cfg), nil
+}
+
+// newMatcher builds a matcher for a validated cfg.
+func newMatcher(cfg Config) *OptimisticMatcher {
 	m := &OptimisticMatcher{
 		cfg:        cfg,
 		idxFull:    newRecvIndex(cfg.Bins),
@@ -269,7 +324,7 @@ func New(cfg Config) (*OptimisticMatcher, error) {
 	m.table = newDescriptorTable(cfg.MaxReceives, &m.ring)
 	m.ring.next = 1
 	m.ring.cond = sync.NewCond(&m.ring.mu)
-	return m, nil
+	return m
 }
 
 // Config returns the matcher's configuration.
@@ -454,24 +509,46 @@ func (m *OptimisticMatcher) UnexpectedDepth() int {
 	return m.unexpected.len()
 }
 
+// counts returns the totals of the counters the matcher owns. With no sink
+// they are the plain words themselves, summed under both locks at once: a
+// sink installed in between two separate sections could fold the second
+// side away. With a sink they are its counters, after a fold. Reading builds
+// no sink.
+func (m *OptimisticMatcher) counts() counterBlock {
+	var c counterBlock
+	m.unexpected.mu.Lock()
+	m.ring.mu.Lock()
+	o := m.obs.Load()
+	if o == nil {
+		c = m.ring.ctr
+		c.add(&m.postCtr)
+	}
+	m.ring.mu.Unlock()
+	m.unexpected.mu.Unlock()
+	if o != nil {
+		o.Fold()
+		for i := range c {
+			c[i] = o.Counters.Load(obs.Counter(i))
+		}
+	}
+	return c
+}
+
 // DepthStats returns cumulative search-depth statistics comparable with the
-// baselines' match.Stats. The snapshot folds and then reads the sink's
-// atomic counters; individual fields are each coherent but the snapshot as a
-// whole may interleave with a concurrent block.
+// baselines' match.Stats (see counts); individual fields are each coherent
+// but the snapshot as a whole may interleave with a concurrent block.
 func (m *OptimisticMatcher) DepthStats() match.Stats {
-	o := m.Obs()
-	o.Fold()
-	c := &o.Counters
+	c := m.counts()
 	return match.Stats{
-		PostSearches:    c.Load(obs.CtrPostSearches),
-		PostTraversed:   c.Load(obs.CtrPostTraversed),
-		PostMaxDepth:    c.Load(obs.CtrPostMaxDepth),
-		ArriveSearches:  c.Load(obs.CtrArriveSearches),
-		ArriveTraversed: c.Load(obs.CtrArriveTraversed),
-		ArriveMaxDepth:  c.Load(obs.CtrArriveMaxDepth),
-		Matched:         c.Load(obs.CtrMatched),
-		Unexpected:      c.Load(obs.CtrUnexpectedStored),
-		Queued:          c.Load(obs.CtrQueued),
+		PostSearches:    c[obs.CtrPostSearches],
+		PostTraversed:   c[obs.CtrPostTraversed],
+		PostMaxDepth:    c[obs.CtrPostMaxDepth],
+		ArriveSearches:  c[obs.CtrArriveSearches],
+		ArriveTraversed: c[obs.CtrArriveTraversed],
+		ArriveMaxDepth:  c[obs.CtrArriveMaxDepth],
+		Matched:         c[obs.CtrMatched],
+		Unexpected:      c[obs.CtrUnexpectedStored],
+		Queued:          c[obs.CtrQueued],
 	}
 }
 
@@ -541,28 +618,26 @@ func (s EngineStats) CheckQuiesced(d match.Stats, partition bool) error {
 	return nil
 }
 
-// Stats returns a snapshot of the engine statistics: a fold, then the
-// sink's atomic counters. A block counts its messages when it launches, so
-// an observer woken by a completion delivered mid-block already sees them.
+// Stats returns a snapshot of the engine statistics (see counts). A block
+// counts its messages when it launches, so an observer woken by a
+// completion delivered mid-block already sees them.
 func (m *OptimisticMatcher) Stats() EngineStats {
-	o := m.Obs()
-	o.Fold()
-	c := &o.Counters
+	c := m.counts()
 	return EngineStats{
-		Blocks:      c.Load(obs.CtrBlocks),
-		Messages:    c.Load(obs.CtrMessages),
-		Optimistic:  c.Load(obs.CtrOptimistic),
-		Conflicts:   c.Load(obs.CtrConflicts),
-		FastPath:    c.Load(obs.CtrFastPath),
-		SlowPath:    c.Load(obs.CtrSlowPath),
-		Unexpected:  c.Load(obs.CtrUnexpected),
-		Relaxed:     c.Load(obs.CtrRelaxed),
-		TableFull:   c.Load(obs.CtrTableFull),
-		LazySweeps:  c.Load(obs.CtrLazySweeps),
-		LazyReaped:  c.Load(obs.CtrLazyReaped),
-		Revalidated: c.Load(obs.CtrRevalidated),
-		Steals:      c.Load(obs.CtrSteals),
-		Retires:     c.Load(obs.CtrRetires),
+		Blocks:      c[obs.CtrBlocks],
+		Messages:    c[obs.CtrMessages],
+		Optimistic:  c[obs.CtrOptimistic],
+		Conflicts:   c[obs.CtrConflicts],
+		FastPath:    c[obs.CtrFastPath],
+		SlowPath:    c[obs.CtrSlowPath],
+		Unexpected:  c[obs.CtrUnexpected],
+		Relaxed:     c[obs.CtrRelaxed],
+		TableFull:   c[obs.CtrTableFull],
+		LazySweeps:  c[obs.CtrLazySweeps],
+		LazyReaped:  c[obs.CtrLazyReaped],
+		Revalidated: c[obs.CtrRevalidated],
+		Steals:      c[obs.CtrSteals],
+		Retires:     c[obs.CtrRetires],
 	}
 }
 
@@ -592,27 +667,42 @@ func (m *OptimisticMatcher) Occupancy() (empty, total, maxChain int) {
 	return empty, total, maxChain
 }
 
-// Release hands the matcher's buckets, store chains and descriptor chunks
-// to process-wide pools for later matchers. Nothing may post or arrive
-// afterwards; Stats, DepthStats and Occupancy read the tables as empty.
+// Release hands the whole matcher, tables included, to the next New of the
+// same Bins and MaxReceives. It must be quiesced: every block retired, and
+// nothing may use it afterwards, statistics readers included. A sink it
+// counted into keeps the final counts and loses the matcher; what the
+// matcher was handed (receives, envelopes, the unexpected hook, hints) is
+// dropped here, so a parked matcher pins nothing of its owner's. A second
+// Release is a no-op.
 func (m *OptimisticMatcher) Release() {
+	if m.released {
+		return
+	}
+	m.released = true
+	if o := m.obs.Load(); o != nil {
+		o.Detach(m)
+		m.obs.Store(nil)
+	}
 	s := m.unexpected
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range [][]uchain{s.bySrcTag, s.byTag, s.bySrc} {
-		chainArrays.Put(c)
+	for s.all.head != nil {
+		s.removeAll(s.all.head)
 	}
-	s.bySrcTag, s.byTag, s.bySrc = nil, nil, nil
 	for _, ix := range []*recvIndex{m.idxFull, m.idxSrcWild, m.idxTagWild, m.idxBoth} {
-		ix.used.Store(false)
-		bucketArrays.Put(ix.buckets)
-		ix.buckets = nil
-	}
-	for i := range m.table.chunks {
-		if c := m.table.chunks[i].Swap(nil); c != nil {
-			chunkPool.Put(c)
+		if ix.used.Load() {
+			clear(ix.buckets)
+			ix.used.Store(false)
 		}
 	}
+	m.table.reset()
+	clear(m.ring.slots)
+	m.ring.next, m.ring.retired, m.ring.ctr = 1, 0, counterBlock{}
+	m.nextLabel, m.nextSeqID, m.nextSeq = 0, 0, 0
+	m.lastPost, m.havePost = postKey{}, false
+	m.postCtr, m.postDepth = counterBlock{}, obs.HistDelta{}
+	m.postHorizon.Store(0)
+	m.hints.p.Store(nil)
+	m.onUnexpected = nil
+	recycled.Put(tableShape{m.cfg.Bins, m.cfg.MaxReceives}, m)
 }
 
 // ModelFootprint computes the paper's memory model for this configuration.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/match"
@@ -178,9 +177,6 @@ type reclaim struct {
 // chunkSize is the number of descriptor slots materialized at a time.
 const chunkSize = 64
 
-// chunkPool holds the chunks released matchers gave back (Release).
-var chunkPool sync.Pool
-
 // descriptorTable is the descriptor pool (§IV-E: a fixed table of 64-byte
 // descriptors in the DPA memory model, charged whole at construction by
 // ModelFootprint). On the host it materializes in chunkSize-slot chunks as
@@ -238,7 +234,9 @@ func (t *descriptorTable) alloc() *descriptor {
 	i := t.free[len(t.free)-1]
 	t.free = t.free[:len(t.free)-1]
 	d := t.get(i)
-	d.next.Store(nil)
+	if d.next.Load() != nil { // a load is cheaper than a pointer store
+		d.next.Store(nil)
+	}
 	d.prev = nil
 	d.owner = nil
 	d.unlinked = false
@@ -254,7 +252,9 @@ func (t *descriptorTable) refill() bool {
 	defer t.ring.mu.Unlock()
 	for t.defLen > 0 && t.deferred[t.defHead].seq <= t.ring.retired {
 		t.free = append(t.free, t.deferred[t.defHead].slot)
-		t.defHead = (t.defHead + 1) % len(t.deferred)
+		if t.defHead++; t.defHead == len(t.deferred) { // no division on the post path
+			t.defHead = 0
+		}
 		t.defLen--
 	}
 	return len(t.free) > 0 || t.growLocked()
@@ -269,17 +269,15 @@ func (t *descriptorTable) growLocked() bool {
 	if k == 0 {
 		return false
 	}
-	c, ok := chunkPool.Get().(*[chunkSize]descriptor)
-	if ok {
-		clear(c[:])
-	} else {
+	c := t.chunks[t.made/chunkSize].Load() // a released matcher's, cleared
+	if c == nil {
 		c = new([chunkSize]descriptor)
+		t.chunks[t.made/chunkSize].Store(c)
 	}
 	for i := k - 1; i >= 0; i-- {
 		c[i].slot = int32(t.made + i)
 		t.free = append(t.free, c[i].slot)
 	}
-	t.chunks[t.made/chunkSize].Store(c)
 	t.made += k
 
 	if t.made > len(t.deferred) {
@@ -298,10 +296,26 @@ func (t *descriptorTable) growLocked() bool {
 // read at the unlink: the grace period only lengthens. Caller holds ring.mu.
 func (t *descriptorTable) releaseLocked(slots []int32) {
 	for _, slot := range slots {
-		t.deferred[(t.defHead+t.defLen)%len(t.deferred)] = reclaim{slot: slot, seq: t.ring.next - 1}
+		i := t.defHead + t.defLen
+		if i >= len(t.deferred) {
+			i -= len(t.deferred)
+		}
+		t.deferred[i] = reclaim{slot: slot, seq: t.ring.next - 1}
 		t.defLen++
 	}
 	t.vacated += uint64(len(slots))
+}
+
+// reset returns a quiesced table to its state at construction, keeping
+// what it materialized: its chunks (cleared), free list and deferred ring
+// are reused as its next owner's posts need them, slot for slot in the
+// order a new table would issue them.
+func (t *descriptorTable) reset() {
+	for i := 0; i < t.made; i += chunkSize {
+		clear(t.chunks[i/chunkSize].Load()[:])
+	}
+	t.made, t.free, t.allocs = 0, t.free[:0], 0
+	t.defHead, t.defLen, t.vacated = 0, 0, 0
 }
 
 // get returns the descriptor at slot i, which must have been materialized.

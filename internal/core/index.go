@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/match"
-	"repro/internal/recycle"
 )
 
 // rbucket is one bin of a posted-receive index: a remove lock plus head and
@@ -26,7 +25,7 @@ type rbucket struct {
 // of rbuckets (or a single chain for the both-wildcard class).
 type recvIndex struct {
 	nbins   int
-	buckets []rbucket // allocated by the first insert, published by used
+	buckets []rbucket // allocated by the first insert, published by used; kept (cleared) by Release
 
 	// used is set, once, by the first insert — after it allocates the
 	// buckets and before that post advances postHorizon. A searcher that
@@ -37,15 +36,22 @@ type recvIndex struct {
 	used atomic.Bool
 }
 
-// bucketArrays holds the bucket arrays released matchers gave back (Release).
-var bucketArrays recycle.ByLen[rbucket]
-
 func newRecvIndex(bins int) *recvIndex {
 	return &recvIndex{nbins: bins}
 }
 
 func (ix *recvIndex) bucketFor(hash uint64) *rbucket {
-	return &ix.buckets[hash%uint64(len(ix.buckets))]
+	return &ix.buckets[binOf(hash, len(ix.buckets))]
+}
+
+// binOf returns hash % bins, by a mask when bins is a power of two, as the
+// paper's table sizes are: a 64-bit division costs tens of cycles, and every
+// post and arrival makes one per index or store chain it touches.
+func binOf(hash uint64, bins int) uint64 {
+	if bins&(bins-1) == 0 {
+		return hash & uint64(bins-1)
+	}
+	return hash % uint64(bins)
 }
 
 // insert appends d at the tail of its bucket chain under the bucket's remove
@@ -54,7 +60,9 @@ func (ix *recvIndex) bucketFor(hash uint64) *rbucket {
 // makes the first insert the only one that allocates.
 func (ix *recvIndex) insert(d *descriptor, hash uint64) {
 	if !ix.used.Load() {
-		ix.buckets = bucketArrays.Get(ix.nbins)
+		if ix.buckets == nil {
+			ix.buckets = make([]rbucket, ix.nbins)
+		}
 		ix.used.Store(true)
 	}
 	b := ix.bucketFor(hash)

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/match"
-	"repro/internal/recycle"
 )
 
 // unexpectedStore keeps messages that arrived before a matching receive was
@@ -35,7 +34,7 @@ type unexpectedStore struct {
 	// free heads the recycled entries, threaded through links[0].next and
 	// guarded by mu like everything else: insertLocked pops, removeAll
 	// pushes. It never holds more than the store's high-water mark and
-	// dies with the matcher.
+	// goes wherever the matcher goes, Release's recycling included.
 	free *uentry
 }
 
@@ -112,9 +111,6 @@ func (c *uchain) remove(e *uentry, li int) {
 	c.n--
 }
 
-// chainArrays holds the chain arrays released matchers gave back (Release).
-var chainArrays recycle.ByLen[uchain]
-
 func newUnexpectedStore(bins int) *unexpectedStore {
 	return &unexpectedStore{bins: bins}
 }
@@ -124,9 +120,9 @@ func newUnexpectedStore(bins int) *unexpectedStore {
 // receives are always pre-posted never pays for them.
 func (s *unexpectedStore) insertLocked(env *match.Envelope) {
 	if s.bySrcTag == nil {
-		s.bySrcTag = chainArrays.Get(s.bins)
-		s.byTag = chainArrays.Get(s.bins)
-		s.bySrc = chainArrays.Get(s.bins)
+		s.bySrcTag = make([]uchain, s.bins)
+		s.byTag = make([]uchain, s.bins)
+		s.bySrc = make([]uchain, s.bins)
 	}
 	e := s.free
 	if e == nil {
@@ -141,15 +137,15 @@ func (s *unexpectedStore) insertLocked(env *match.Envelope) {
 		h = &computed
 	}
 
-	c := &s.bySrcTag[h.SrcTag%uint64(s.bins)]
+	c := &s.bySrcTag[binOf(h.SrcTag, s.bins)]
 	e.chain[linkSrcTag] = c
 	c.insertSorted(e, linkSrcTag)
 
-	c = &s.byTag[h.Tag%uint64(s.bins)]
+	c = &s.byTag[binOf(h.Tag, s.bins)]
 	e.chain[linkTag] = c
 	c.insertSorted(e, linkTag)
 
-	c = &s.bySrc[h.Src%uint64(s.bins)]
+	c = &s.bySrc[binOf(h.Src, s.bins)]
 	e.chain[linkSrc] = c
 	c.insertSorted(e, linkSrc)
 
@@ -163,7 +159,7 @@ func (s *unexpectedStore) insertLocked(env *match.Envelope) {
 // (keyHashFor) searches, and that structure's link index. The store must be
 // non-empty: the bin arrays exist only after the first insert.
 func (s *unexpectedStore) chainFor(c match.WildcardClass, hash uint64) (*uchain, int) {
-	bin := hash % uint64(s.bins)
+	bin := binOf(hash, s.bins)
 	switch c {
 	case match.ClassNone:
 		return &s.bySrcTag[bin], linkSrcTag

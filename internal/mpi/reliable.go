@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -24,7 +23,8 @@ import (
 // duplicates, and acknowledges with a cumulative kindSack control message
 // (exempt from fault injection, but loss-tolerant: every later arrival
 // re-acks). The sender retains a copy of each unacked message and
-// retransmits on a timeout that backs off exponentially up to a cap.
+// retransmits the lowest one on a timeout that backs off exponentially up
+// to a cap.
 
 // reliability is the per-rank instance of the sublayer.
 type reliability struct {
@@ -59,6 +59,10 @@ type reliability struct {
 	// obs carries the sublayer's counters (obs.CtrRel*) and repair events;
 	// always non-nil (newProc injects the rank's shared sink).
 	obs *obs.Sink
+
+	// kick asks the retransmit timer for a pass now: a sack that retired
+	// entries may have made an overdue one the lowest (handleSack).
+	kick chan struct{}
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -141,6 +145,7 @@ func newReliabilityCore(n int, timeout time.Duration) *reliability {
 		getBuf:      func(n int) []byte { return make([]byte, n) },
 		putBuf:      func([]byte) {},
 		obs:         obs.New(obs.Options{}),
+		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
 	for i := range rel.sends {
@@ -284,29 +289,33 @@ func (rel *reliability) retransmitLoop() {
 			return
 		case now := <-tick.C:
 			rel.scanRetransmits(now)
+		case <-rel.kick:
+			rel.scanRetransmits(rel.now())
 		}
 	}
 }
 
-// scanRetransmits is one retransmit-timer pass at time now: every pending
-// entry whose deadline has passed is re-sent and its backoff doubles, up to
-// the retxMax cap. Factored out of retransmitLoop so the fake-clock tests
-// drive the timer directly. Overdue entries are re-sent in sequence order
-// (not map order) so the retransmit schedule is fully deterministic.
+// scanRetransmits is one retransmit-timer pass at time now. Toward each
+// destination it re-sends at most one entry, the lowest unacked sequence,
+// once its deadline has passed, and doubles its backoff up to the retxMax
+// cap. The receiver buffers what arrives past a gap and acks cumulatively,
+// so the one re-send that fills the gap gets everything buffered behind it
+// acked: re-sending those as well only made duplicates, one per message in
+// flight behind each drop. A second gap is re-sent on a later pass, once
+// the sack has made it the lowest. Factored out of retransmitLoop so the
+// fake-clock tests drive the timer directly.
 func (rel *reliability) scanRetransmits(now time.Time) {
-	var seqs []uint32
 	for dst := range rel.sends {
 		s := &rel.sends[dst]
 		s.mu.Lock()
-		seqs = seqs[:0]
-		for seq, pe := range s.pending {
-			if !now.Before(pe.deadline) {
-				seqs = append(seqs, seq)
+		var seq uint32
+		var pe *relPending
+		for sq, p := range s.pending {
+			if pe == nil || seqBefore(sq, seq) {
+				seq, pe = sq, p
 			}
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqBefore(seqs[i], seqs[j]) })
-		for _, seq := range seqs {
-			pe := s.pending[seq]
+		if pe != nil && !now.Before(pe.deadline) {
 			if err := rel.xmit(dst, pe.wire); err == rdma.ErrNoReceive {
 				rel.obs.Counters.Inc(obs.CtrRelSendRNR)
 			}
@@ -325,7 +334,10 @@ func (rel *reliability) scanRetransmits(now time.Time) {
 	}
 }
 
-// handleSack retires every pending entry below the cumulative ack.
+// handleSack retires every pending entry below the cumulative ack. When it
+// retires some and leaves others, the lowest left may be the next gap and
+// overdue already: it kicks the retransmit timer rather than leave that gap
+// to the next tick.
 func (rel *reliability) handleSack(h header) {
 	dst := int(h.src) // the acker is our destination
 	if dst < 0 || dst >= len(rel.sends) {
@@ -341,7 +353,14 @@ func (rel *reliability) handleSack(h header) {
 			retired++
 		}
 	}
+	more := len(s.pending) > 0
 	s.mu.Unlock()
+	if retired > 0 && more {
+		select {
+		case rel.kick <- struct{}{}:
+		default: // a pass is due already
+		}
+	}
 	rel.obs.Counters.Add(obs.CtrRelAcked, retired)
 	if retired > 0 && rel.obs.Enabled() {
 		rel.obs.Event(obs.EvAck, dst, uint64(dst), uint64(h.seq), retired)

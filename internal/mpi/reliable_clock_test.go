@@ -225,6 +225,33 @@ func TestRetransmitRNRCountedAndRetried(t *testing.T) {
 	}
 }
 
+// TestOneDropOneRetransmit: of a window of 8 messages the fourth is lost.
+// The receiver acks the three before it, buffers the four after it, and
+// acks all eight once the gap fills: the gap costs exactly one re-send, of
+// the lost message, however many were buffered behind it.
+func TestOneDropOneRetransmit(t *testing.T) {
+	const timeout = 5 * time.Millisecond
+	h := newRelHarness(2, timeout)
+	for k := 0; k < 8; k++ {
+		if err := h.rel.send(1, make([]byte, headerSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.rel.handleSack(header{src: 1, seq: 3}) // 0..2 arrived, 3 did not
+	sent := len(h.log)
+	h.advance(timeout)
+	if got := h.log[sent:]; len(got) != 1 || got[0] != "1/3@5ms" {
+		t.Fatalf("re-sends at the deadline: %v, want only seq 3", got)
+	}
+	h.rel.handleSack(header{src: 1, seq: 8}) // 3 filled the gap
+	for i := 0; i < 4; i++ {
+		h.advance(100 * timeout)
+	}
+	if snap := h.rel.snapshot(); snap.Retransmits != 1 || snap.Acked != 8 {
+		t.Fatalf("snapshot = %+v, want 1 retransmit and 8 acked", snap)
+	}
+}
+
 // TestRetransmitScheduleDeterministic runs the identical fake-clock script
 // on two fresh cores and demands byte-identical transmit logs and
 // snapshots: the backoff schedule has no jitter and no hidden global

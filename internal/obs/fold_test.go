@@ -102,6 +102,35 @@ func TestCountersFoldOnce(t *testing.T) {
 	New(Options{}).Fold()
 }
 
+// TestDetachKeepsCountsAndOtherWriters: Detach folds the writer one last
+// time and unregisters it, so the sink keeps what it counted and sees
+// nothing it counts afterwards, while the other writers on the sink, in
+// whatever position, still fold.
+func TestDetachKeepsCountsAndOtherWriters(t *testing.T) {
+	s := New(Options{})
+	ws := []*localWriter{{sink: s}, {sink: s}, {sink: s}}
+	for _, w := range ws {
+		s.OnFold(w)
+		w.record(1)
+	}
+	s.Detach(ws[1]) // the middle one of three
+	if got := s.Counters.Load(CtrMatched); got < 1 {
+		t.Fatalf("the detached writer's count did not reach the sink: %d", got)
+	}
+	for _, w := range ws {
+		w.record(1)
+	}
+	s.Fold()
+	if got := s.Counters.Load(CtrMatched); got != 5 || ws[1].pending != 1 {
+		t.Fatalf("sink counts %d (want 5), detached writer holds %d (want 1)", got, ws[1].pending)
+	}
+	s.Detach(ws[0])
+	s.Detach(ws[2])
+	if s.folder != nil {
+		t.Fatalf("writers left after every one detached: %v", s.folder)
+	}
+}
+
 // TestHistDeltaMatchesObserve: samples carried in bulk land where samples
 // observed one at a time do, zero and the absorbing last bucket included,
 // and the delta is empty afterwards.

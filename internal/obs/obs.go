@@ -103,7 +103,7 @@ func New(opts Options) *Sink {
 // package folds first and a reader that loads Counters directly calls Fold,
 // so none has to know the writer exists. f.Fold takes the writer's locks:
 // never read the sink while holding one of them. The first writer costs no
-// allocation: the analyzer builds a matcher, and its sink, per shard.
+// allocation. A writer that moves on to another sink leaves by Detach.
 func (s *Sink) OnFold(f Folder) {
 	s.foldMu.Lock()
 	if s.folder != nil {
@@ -111,6 +111,37 @@ func (s *Sink) OnFold(f Folder) {
 	}
 	s.folder = f
 	s.foldMu.Unlock()
+}
+
+// Detach folds f one last time and unregisters it: the sink keeps what f
+// counted, and f may go on to count for another sink. Never call it holding
+// one of f's locks.
+func (s *Sink) Detach(f Folder) {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
+	f.Fold()
+	s.folder = without(s.folder, f)
+}
+
+// without returns the writers of x less f.
+func without(x, f Folder) Folder {
+	switch p := x.(type) {
+	case nil:
+		return nil
+	case folderPair:
+		a, b := without(p.a, f), without(p.b, f)
+		if a == nil {
+			return b
+		}
+		if b == nil {
+			return a
+		}
+		return folderPair{a, b}
+	}
+	if x == f {
+		return nil
+	}
+	return x
 }
 
 // Fold brings Counters and the histograms up to date (nil-safe). Folding

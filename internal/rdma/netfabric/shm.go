@@ -565,7 +565,7 @@ func (w *shmWire) poll() {
 			if _, closed := drain(ib.ring); closed {
 				return
 			}
-			t.cq.Push(rdma.Completion{Op: rdma.OpRecv, Err: rdma.ErrPeerLost, Imm: uint32(ib.rank)})
+			t.peerLost(ib.rank)
 			in = append(in[:i], in[i+1:]...)
 		}
 	}

@@ -1,9 +1,12 @@
 package netfabric
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"syscall"
 
 	"repro/internal/obs"
 	"repro/internal/rdma"
@@ -94,14 +97,14 @@ func (w *tcpWire) start() error {
 	if err := <-acceptErr; err != nil {
 		return err
 	}
-	for _, p := range w.peers {
+	for j, p := range w.peers {
 		if p == nil {
 			continue
 		}
 		w.wgWriters.Add(1)
 		w.wgReaders.Add(1)
 		go w.writer(p)
-		go w.reader(p)
+		go w.reader(j, p)
 	}
 	return nil
 }
@@ -146,15 +149,18 @@ func (w *tcpWire) attach(rank int, conn net.Conn, br *frameReader) {
 	p.conn, p.br = conn, br
 }
 
-// reader runs the pump over one connection until the stream fails.
-func (w *tcpWire) reader(p *tcpPeer) {
+// reader runs the pump over the connection to rank until the stream fails.
+// A stream the peer ended (EOF) or reset while this transport is open is a
+// lost peer (transport.peerLost); one this side's Close ended is not.
+func (w *tcpWire) reader(rank int, p *tcpPeer) {
 	defer w.wgReaders.Done()
 	c := &w.t.sink.Counters
 	for {
 		h, err := w.t.arrive(w, p.br)
 		if err != nil {
-			// Connection torn down (peer closed or we closed). Nothing to
-			// repair on a reliable wire: the world is quiescing.
+			if w.t.open() && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, syscall.ECONNRESET)) {
+				w.t.peerLost(rank)
+			}
 			return
 		}
 		c.Inc(obs.CtrNetRxFrames)

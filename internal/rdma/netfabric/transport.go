@@ -87,10 +87,12 @@ type transport struct {
 
 	// In-flight outbound reads by request ID. completeRead deletes the
 	// entry as it signals, so a response to an abandoned read finds nothing
-	// and is dropped.
+	// and is dropped. lost marks the peers reported gone (peerLost): a read
+	// of theirs fails at once.
 	rdMu    sync.Mutex
 	reads   map[uint64]*pendingRead
 	nextReq uint64
+	lost    []bool
 
 	// framePool recycles encoded frames and payload scratch. A pointer: a
 	// pool in the struct would pin a closed transport until the second GC.
@@ -98,8 +100,9 @@ type transport struct {
 }
 
 type pendingRead struct {
-	dst  []byte
-	done chan error
+	owner int // the rank whose region is read
+	dst   []byte
+	done  chan error
 }
 
 func newTransport(cfg Config) *transport {
@@ -111,6 +114,7 @@ func newTransport(cfg Config) *transport {
 		data:      make([]wire, cfg.Ranks),
 		mrs:       make(map[uint64]*rdma.MemoryRegion),
 		reads:     make(map[uint64]*pendingRead),
+		lost:      make([]bool, cfg.Ranks),
 		framePool: new(sync.Pool),
 	}
 }
@@ -176,6 +180,16 @@ func (t *transport) Close() error {
 		}
 	})
 	return nil
+}
+
+// open reports whether Close has not begun.
+func (t *transport) open() bool {
+	select {
+	case <-t.done:
+		return false
+	default:
+		return true
+	}
 }
 
 // frameBuf returns a pooled buffer of at least n bytes, length 0.
@@ -486,7 +500,7 @@ func (t *transport) remoteRead(owner int, dst []byte, rkey uint64, offset int) e
 // read leaks no table space and a late response finds nothing to write
 // into.
 func (t *transport) readChunk(owner int, dst []byte, rkey uint64, offset int) error {
-	id, pr := t.newPendingRead(dst)
+	id, pr := t.newPendingRead(owner, dst)
 	defer t.dropPendingRead(id)
 	var reqBuf [40]byte // four uvarints
 	req := appendReadReq(reqBuf[:0], id, rkey, offset, len(dst))
@@ -502,15 +516,41 @@ func (t *transport) readChunk(owner int, dst []byte, rkey uint64, offset int) er
 	}
 }
 
-// newPendingRead registers an in-flight read and returns its request ID.
-func (t *transport) newPendingRead(dst []byte) (uint64, *pendingRead) {
-	pr := &pendingRead{dst: dst, done: make(chan error, 1)}
+// newPendingRead registers an in-flight read of owner's memory and returns
+// its request ID. A read of a lost peer's is failed already.
+func (t *transport) newPendingRead(owner int, dst []byte) (uint64, *pendingRead) {
+	pr := &pendingRead{owner: owner, dst: dst, done: make(chan error, 1)}
 	t.rdMu.Lock()
 	t.nextReq++
 	id := t.nextReq
-	t.reads[id] = pr
+	if t.lost[owner] {
+		pr.done <- rdma.ErrPeerLost
+	} else {
+		t.reads[id] = pr
+	}
 	t.rdMu.Unlock()
 	return id, pr
+}
+
+// peerLost reports rank gone while this transport is open: its pending
+// READs, and every later one, fail with rdma.ErrPeerLost, and the CQ gets
+// one rdma.ErrPeerLost completion carrying the rank in Imm and no buffer.
+// A second report of the same rank is a no-op.
+func (t *transport) peerLost(rank int) {
+	t.rdMu.Lock()
+	if t.lost[rank] {
+		t.rdMu.Unlock()
+		return
+	}
+	t.lost[rank] = true
+	for id, pr := range t.reads {
+		if pr.owner == rank {
+			delete(t.reads, id)
+			pr.done <- rdma.ErrPeerLost
+		}
+	}
+	t.rdMu.Unlock()
+	t.cq.Push(rdma.Completion{Op: rdma.OpRecv, Err: rdma.ErrPeerLost, Imm: uint32(rank)})
 }
 
 func (t *transport) dropPendingRead(id uint64) {
